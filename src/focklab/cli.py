@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from focklab import bernstein as bn
@@ -251,9 +252,8 @@ def suite_bergman(opts: dict) -> list[CheckReport]:
     return [kernel.bergman_norm_case1(0, phi, precision=precision) for phi in phis]
 
 
-def suite_structure(opts: dict) -> list[CheckReport]:
-    seed = opts.get("seed", 7)
-    checks = []
+def structure_rows():
+    """The classification-table rows whose dim k + dim W = dim g is checked."""
     rows = [build_case(1)]
     rows += [build_case(2, p=p) for p in (2, 3, 4)]
     rows += [build_case(3), build_case(4), build_case(5)]
@@ -263,10 +263,12 @@ def suite_structure(opts: dict) -> list[CheckReport]:
     rows += [build_case(9, variant=v) for v in "abc"]
     rows += [build_case(10, variant=v) for v in "abc"]
     rows += [build_case(11)]
-    for case in rows:
-        if implementable(case):
-            checks.append(structure.check_g_dimension(case, seed=seed))
-    return checks
+    return rows
+
+
+def suite_structure(opts: dict) -> list[CheckReport]:
+    return [structure.check_g_dimension(case) for case in structure_rows()
+            if implementable(case)]
 
 
 SUITES = {
@@ -346,6 +348,23 @@ def cmd_verify(args) -> int:
     return 1 if n_fail else 0
 
 
+@contextmanager
+def _no_int_digit_limit():
+    """Lift Python's int<->str digit limit (4300 by default) for the block.
+
+    Exact c_m outgrow it near m = 800; the previous limit is restored on exit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # Python < 3.10.7: no limit
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
 def cmd_export(args) -> int:
     case = _case_from_args(args)
     q = sl2.expand_q(case, _parse_q(args.q)) if args.q else tuple(
@@ -355,25 +374,26 @@ def cmd_export(args) -> int:
     try:
         if args.what in ("cm", "kernel-coeffs"):
             ks = kernel.c_sequence(case, q, m_max=args.m_max)
-            if getattr(args, "format", "csv") == "json":
-                json.dump(
-                    {
-                        "schema_version": 1,
-                        "case": case.label,
-                        "q": [str(x) for x in q],
-                        "kind": ks.kind,
-                        "coeffs": [
-                            {"m": m, "num": c.numerator, "den": c.denominator}
-                            for m, c in enumerate(ks.coeffs)
-                        ],
-                    },
-                    out, indent=2, sort_keys=True,
-                )
-                print(file=out)
-                return 0
-            print("m,c_m_num,c_m_den", file=out)
-            for m, c in enumerate(ks.coeffs):
-                print(f"{m},{c.numerator},{c.denominator}", file=out)
+            with _no_int_digit_limit():
+                if getattr(args, "format", "csv") == "json":
+                    json.dump(
+                        {
+                            "schema_version": 1,
+                            "case": case.label,
+                            "q": [str(x) for x in q],
+                            "kind": ks.kind,
+                            "coeffs": [
+                                {"m": m, "num": c.numerator, "den": c.denominator}
+                                for m, c in enumerate(ks.coeffs)
+                            ],
+                        },
+                        out, indent=2, sort_keys=True,
+                    )
+                    print(file=out)
+                    return 0
+                print("m,c_m_num,c_m_den", file=out)
+                for m, c in enumerate(ks.coeffs):
+                    print(f"{m},{c.numerator},{c.denominator}", file=out)
         elif args.what == "moments":
             params = kernel.meijer_params(case, q)
             a_red, b_red = params.reduced

@@ -1,12 +1,8 @@
-"""Exact sparse linear algebra over the rationals and GF(p).
+"""Exact sparse linear algebra over the rationals.
 
 Rows are sparse dicts column->coefficient.  Integer rows are kept gcd-stripped
 during elimination, so ranks are exact over Q with no coefficient blowup
-surprises.  A vectorized GF(p) rank (numpy) provides the fast certificate used
-by the structure-algebra sandwich on the largest catalog cases: a mod-p rank
-only ever underestimates the rational rank, so it bounds nullity from above
-and can never produce a false pass when paired with exactly verified
-nullspace elements.
+surprises.
 """
 
 from __future__ import annotations
@@ -55,39 +51,6 @@ def int_rank(rows: Iterable[IntRow]) -> int:
                     del out[k]
             r = _strip(out)
     return len(echelon)
-
-
-def int_rank_mod(rows: Sequence[IntRow], ncols: int, p: int = 2147483629) -> int:
-    """Rank over GF(p) via vectorized elimination; <= rank over Q, always."""
-    import numpy as np
-
-    if not rows:
-        return 0
-    mat = np.zeros((len(rows), ncols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            mat[i, j] = v % p
-    rank = 0
-    nrows = mat.shape[0]
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        sub = mat[rank:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        piv = rank + nz[0]
-        if piv != rank:
-            mat[[rank, piv]] = mat[[piv, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = (mat[rank] * inv) % p
-        rest = mat[rank + 1 :, col]
-        nzr = np.nonzero(rest)[0]
-        if nzr.size:
-            idx = rank + 1 + nzr
-            mat[idx] = (mat[idx] - np.outer(mat[idx, col], mat[rank])) % p
-        rank += 1
-    return rank
 
 
 class FractionSpan:

@@ -1,33 +1,35 @@
 """Structure-algebra and translate-span dimension checks against the table.
 
 dim k is assembled as 2*dim V + dim Str (the grading k = k_{-1} + k_0 + k_1
-with both outer pieces isomorphic to V), dim W as the exact rank of the
-coefficient matrix of sampled translates Q(z - a), and the check asserts
-dim k + dim W = dim g for the named complex simple Lie algebra.
+with both outer pieces isomorphic to V), dim W as the dimension of the span
+of the translates Q(z - a), and the check asserts dim k + dim W = dim g for
+the named complex simple Lie algebra.
+
+By Taylor's formula Q(z - a) = sum_alpha (-a)^alpha / alpha! d^alpha Q, and
+the translates span exactly the space of all partial derivatives of Q.  That
+space is graded by the order of the derivative, so dim W is the sum over k
+of rank{d^alpha Q : |alpha| = k}, each rank exact over Q.  The graded ranks
+are the Hilbert function of the apolar algebra of Q, which is Gorenstein
+with socle in degree deg Q, so they read the same backwards (Macaulay
+duality; Iarrobino-Kanev, LNM 1721).  The check asserts that symmetry too.
 
 The structure algebra {X : DQ(z)[Xz] in C*Q(z)} is computed by equating
-coefficients.  For moderate sizes the homogeneous system is solved exactly
-(sparse Gauss-Jordan over Q).  For the largest case (Skew(8), 785 unknowns)
-an exact sandwich is used instead: per-family generators are verified
-exactly one by one (lower bound), and a GF(p) rank of the system bounds the
-nullity from above; the two must meet, so no false rank can pass.
+coefficients and solving the homogeneous system exactly (sparse
+Gauss-Jordan over Q); character_of then verifies every basis element.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
-from focklab.jordan import CaseDescriptor, Family, q_polynomial
-from focklab.linalg import FractionSpan, frac_nullspace, int_rank, int_rank_mod
+from focklab.jordan import CaseDescriptor, q_polynomial
+from focklab.linalg import FractionSpan, frac_nullspace, int_rank
 from focklab.polyalg import MultiPoly
 from focklab.report import CheckReport, Stopwatch
 
 Matrix = dict[tuple[int, int], Fraction]
-
-EXACT_SOLVE_LIMIT = 600  # unknown count above which the sandwich path is used
 
 
 @dataclass
@@ -35,7 +37,6 @@ class StructureBasis:
     case_id: str
     basis: list[Matrix]
     characters: list[Fraction]
-    method: str
 
     @property
     def dim(self) -> int:
@@ -84,149 +85,16 @@ def _system_rows(q_poly: MultiPoly, n: int):
     return [r for r in rows.values() if any(v != 0 for v in r.values())]
 
 
-def _family_generators(case: CaseDescriptor) -> list[Matrix]:
-    """Block-diagonal generators of prod_i str(V_i, Delta_i) in table coordinates."""
-    gens: list[Matrix] = []
-    off = 0
-    for f in case.factors:
-        n = f.dim
-        if f.family is Family.RANK1:
-            gens.append({(off, off): Fraction(1)})
-        elif f.family is Family.SPIN:
-            p = f.size
-            gens.append({(off + a, off + a): Fraction(1) for a in range(p)})
-            for a in range(p):
-                for b in range(a + 1, p):
-                    gens.append(
-                        {(off + a, off + b): Fraction(1), (off + b, off + a): Fraction(-1)}
-                    )
-        elif f.family in (Family.SYM, Family.SKEW):
-            size = f.size
-            coords = _coord_map(f)
-            for u in range(size):
-                for v in range(size):
-                    m: Matrix = {}
-                    for (i, j), row in coords.items():
-                        # Z -> E_uv Z + Z E_vu acting on entry (i, j)
-                        if i == u:
-                            _coord_add(m, f, coords, row, (v, j), off)
-                        if j == u:
-                            _coord_add(m, f, coords, row, (i, v), off)
-                    if m:
-                        gens.append(m)
-        elif f.family is Family.FULL:
-            size = f.size
-            coords = _coord_map(f)
-            for u in range(size):
-                for v in range(size):
-                    left: Matrix = {}
-                    right: Matrix = {}
-                    for (i, j), row in coords.items():
-                        if i == u:
-                            _coord_add(left, f, coords, row, (v, j), off)
-                        if j == v:
-                            _coord_add(right, f, coords, row, (i, u), off)
-                    if left:
-                        gens.append(left)
-                    if right:
-                        gens.append(right)
-        else:
-            raise ValueError(f"no generators for {f.family}")
-        off += n
-    return gens
-
-
-def _coord_map(f) -> dict[tuple[int, int], int]:
-    """Matrix-entry (i, j) -> coordinate index, for the stored triangle."""
-    size = f.size
-    out = {}
-    t = 0
-    if f.family is Family.SYM:
-        for i in range(size):
-            for j in range(i, size):
-                out[(i, j)] = t
-                t += 1
-    elif f.family is Family.FULL:
-        for i in range(size):
-            for j in range(size):
-                out[(i, j)] = t
-                t += 1
-    elif f.family is Family.SKEW:
-        for i in range(size):
-            for j in range(i + 1, size):
-                out[(i, j)] = t
-                t += 1
-    return out
-
-
-def _coord_add(m: Matrix, f, coords, row: int, src: tuple[int, int], off: int):
-    """m[row, coord(src)] += sign, resolving the symmetric/skew identification."""
-    i, j = src
-    if f.family is Family.SKEW:
-        if i == j:
-            return
-        sign = 1 if i < j else -1
-        col = coords[(min(i, j), max(i, j))]
-    elif f.family is Family.SYM:
-        col = coords[(min(i, j), max(i, j))]
-        sign = 1
-    else:
-        col = coords[(i, j)]
-        sign = 1
-    key = (off + row, off + col)
-    m[key] = m.get(key, Fraction(0)) + sign
-
-
-def structure_algebra(case: CaseDescriptor, method: str = "auto") -> StructureBasis:
+def structure_algebra(case: CaseDescriptor) -> StructureBasis:
     q_poly = q_polynomial(case, form="table")
     n = case.dim_v
-    ncols = n * n + 1
-    rows = _system_rows(q_poly, n)
-
-    if method == "auto":
-        method = "exact" if ncols <= EXACT_SOLVE_LIMIT else "sandwich"
-
-    if method == "exact":
-        basis_vecs = frac_nullspace(rows, ncols)
-        basis: list[Matrix] = []
-        chars: list[Fraction] = []
-        for v in basis_vecs:
-            x: Matrix = {}
-            for col, coeff in v.items():
-                if col < n * n:
-                    x[(col // n, col % n)] = coeff
-            basis.append(x)
-            chars.append(character_of(q_poly, x))
-        return StructureBasis(case.label, basis, chars, "exact")
-
-    # sandwich: exact verified generators (lower bound) + GF(p) rank (upper bound)
-    gens = _family_generators(case)
-    span = FractionSpan()
-    basis = []
-    chars = []
-    for g in gens:
-        c = character_of(q_poly, g)  # raises if not structural: exactness guard
-        vec = {a * n + b: coeff for (a, b), coeff in g.items() if coeff}
-        vec[n * n] = c
-        if span.add(vec):
-            basis.append(g)
-            chars.append(c)
-    int_rows = []
-    for r in rows:
-        den = 1
-        for c in r.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        int_rows.append({j: int(c * den) for j, c in r.items()})
-    rank_p = max(
-        int_rank_mod(int_rows, ncols, p=2147483629),
-        int_rank_mod(int_rows, ncols, p=2147483563),
-    )
-    upper = ncols - rank_p
-    if span.dim != upper:
-        raise ArithmeticError(
-            f"structure sandwich gap: generators {span.dim}, nullity bound {upper}"
-        )
-    return StructureBasis(case.label, basis, chars, "sandwich")
+    basis: list[Matrix] = []
+    chars: list[Fraction] = []
+    for v in frac_nullspace(_system_rows(q_poly, n), n * n + 1):
+        x = {(col // n, col % n): coeff for col, coeff in v.items() if col < n * n}
+        basis.append(x)
+        chars.append(character_of(q_poly, x))
+    return StructureBasis(case.label, basis, chars)
 
 
 def bracket_in_span(basis: list[Matrix], n: int, pairs=None) -> bool:
@@ -261,67 +129,45 @@ def identity_character(case: CaseDescriptor) -> Fraction:
     return character_of(q_poly, ident)
 
 
-def translate_span_dim(
-    case: CaseDescriptor,
-    sample_count: int | None = None,
-    seed: int = 7,
-    stabilization_step: int = 5,
-) -> tuple[int, str]:
-    """Exact rank of the coefficient matrix of sampled translates Q(z - a).
+def _int_row(p: MultiPoly, mono_index: dict[tuple, int]) -> dict[int, int]:
+    """Coefficients of p, denominators cleared, keyed by monomial index."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return {mono_index.setdefault(e, len(mono_index)): int(c * den)
+            for e, c in p.terms.items()}
 
-    Returns (rank, status); status is "inconclusive" when adding
-    stabilization_step more samples still grows the rank.
+
+def translate_span_dim(case: CaseDescriptor) -> tuple[int, list[int]]:
+    """dim span{Q(z - a)}, taken as the span of all partial derivatives of Q.
+
+    Returns (dim W, graded) with graded[k] = rank{d^alpha Q : |alpha| = k}.
     """
     q_poly = q_polynomial(case, form="table")
     n = case.dim_v
-    if sample_count is None:
-        # expected dim W = dim g - dim k, plus slack for the rank oracle
-        sample_count = case.expected_g_dim - case.expected_k_dim + 8
-    rng = random.Random(seed)
     mono_index: dict[tuple, int] = {}
-
-    def row_of(a_vec) -> dict[int, int]:
-        shifted = q_poly.shift([-x for x in a_vec])
-        row: dict[int, int] = {}
-        den = 1
-        for c in shifted.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        for e, c in shifted.terms.items():
-            idx = mono_index.setdefault(e, len(mono_index))
-            row[idx] = int(c * den)
-        return row
-
-    rows = [
-        row_of([rng.randint(-5, 5) for _ in range(n)]) for _ in range(sample_count)
-    ]
-    r1 = int_rank(rows)
-    extra = [
-        row_of([rng.randint(-5, 5) for _ in range(n)])
-        for _ in range(stabilization_step)
-    ]
-    r2 = int_rank(rows + extra)
-    return r1, ("stable" if r1 == r2 else "inconclusive")
+    graded: list[int] = []
+    # alpha as a nondecreasing tuple of variable indices, so each multi-index
+    # is reached once; a zero derivative is dropped with all its extensions
+    level: dict[tuple[int, ...], MultiPoly] = {(): q_poly}
+    while level:
+        graded.append(int_rank([_int_row(p, mono_index) for p in level.values()]))
+        nxt: dict[tuple[int, ...], MultiPoly] = {}
+        for alpha, p in level.items():
+            for i in range(alpha[-1] if alpha else 0, n):
+                d = p.diff(i)
+                if not d.is_zero():
+                    nxt[alpha + (i,)] = d
+        level = nxt
+    return sum(graded), graded
 
 
-def check_g_dimension(case: CaseDescriptor, seed: int = 7) -> CheckReport:
+def check_g_dimension(case: CaseDescriptor) -> CheckReport:
     sw = Stopwatch()
-    try:
-        sb = structure_algebra(case)
-    except ArithmeticError as exc:  # sandwich gap: never a silent false pass
-        return CheckReport(
-            id=f"structure.dim.{case.label}", case_id=case.label,
-            status="inconclusive", details=str(exc), elapsed_ms=sw.ms(),
-        )
+    sb = structure_algebra(case)
     dim_k = 2 * case.dim_v + sb.dim
-    dim_w, status = translate_span_dim(case, seed=seed)
-    if status != "stable":
-        return CheckReport(
-            id=f"structure.dim.{case.label}", case_id=case.label,
-            status="inconclusive", details="translate rank not stabilized",
-            elapsed_ms=sw.ms(),
-        )
+    dim_w, graded = translate_span_dim(case)
+    symmetric = graded == graded[::-1]
     total = dim_k + dim_w
-    ok = total == case.expected_g_dim and dim_k == case.expected_k_dim
+    ok = symmetric and total == case.expected_g_dim and dim_k == case.expected_k_dim
     return CheckReport(
         id=f"structure.dim.{case.label}",
         case_id=case.label,
@@ -329,7 +175,9 @@ def check_g_dimension(case: CaseDescriptor, seed: int = 7) -> CheckReport:
         residual=str(total - case.expected_g_dim),
         details=(
             f"dimV={case.dim_v} dimStr={sb.dim} dimK={dim_k} "
-            f"(expected {case.expected_k_dim}) dimW={dim_w} "
+            f"(expected {case.expected_k_dim}) "
+            f"dimW={dim_w} ({'+'.join(map(str, graded))}"
+            f"{'' if symmetric else ', not palindromic'}) "
             f"dimG={total} (expected {case.expected_g_dim}, {case.expected_g_name})"
         ),
         elapsed_ms=sw.ms(),

@@ -1,8 +1,13 @@
 """CLI: catalog dumps, suite orchestration, CSV exports, exit codes."""
 
 import json
+import sys
 
+import pytest
+
+from focklab import kernel
 from focklab.cli import main
+from focklab.jordan import build_case
 
 
 def run(capsys, *argv):
@@ -49,6 +54,30 @@ def test_export_cm_row_count(capsys):
     assert lines[0] == "m,c_m_num,c_m_den"
     assert len(lines) == 22  # header + 21 rows
     assert lines[1] == "0,1,1"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int<->str digit limit")
+def test_export_long_series_beyond_digit_limit(tmp_path, capsys):
+    # at m = 200 the case (1) denominators run past 800 digits
+    coeffs = kernel.c_sequence(build_case(1), (0,), m_max=200).coeffs
+    assert len(str(coeffs[-1].denominator)) > 640
+    texts = {}
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"cm.{fmt}"
+            code, _ = run(capsys, "kernel-coeffs", "--case", "1", "--q", "0", "-m", "200",
+                          "--format", fmt, "-o", str(path))
+            assert code == 0
+            assert sys.get_int_max_str_digits() == 640  # restored after the export
+            texts[fmt] = path.read_text()
+    finally:
+        sys.set_int_max_str_digits(previous)
+    want = [(m, c.numerator, c.denominator) for m, c in enumerate(coeffs)]
+    assert [tuple(map(int, l.split(","))) for l in texts["csv"].splitlines()[1:]] == want
+    assert [(r["m"], r["num"], r["den"]) for r in json.loads(texts["json"])["coeffs"]] == want
 
 
 def test_export_weight_profile_contains_sign_change(capsys):

@@ -1,10 +1,15 @@
 """Structure algebra, translate spans, and table dimension checks."""
 
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
+from focklab import structure
+from focklab.cli import structure_rows
 from focklab.jordan import build_case, q_polynomial
+from focklab.linalg import FractionSpan
 from focklab.structure import (
     bracket_in_span,
     character_of,
@@ -33,8 +38,6 @@ def test_identity_in_span_with_character_four():
     ident = {(a, a): F(1) for a in range(4)}
     assert character_of(q, ident) == 4
     # every elementary scaling lies in the computed span (so the identity does)
-    from focklab.linalg import FractionSpan
-
     span = FractionSpan()
     n = case.dim_v
     for x in sb.basis:
@@ -66,22 +69,57 @@ def test_bracket_closure_sampled_big():
     assert bracket_in_span(sb.basis, case.dim_v, pairs=pairs)
 
 
-def test_sandwich_agrees_with_exact():
-    case = build_case(10, variant="a")
-    assert structure_algebra(case, method="exact").dim == \
-        structure_algebra(case, method="sandwich").dim == 10
-
-
 def test_translate_span_examples():
     assert translate_span_dim(build_case(1))[0] == 5
     assert translate_span_dim(build_case(5))[0] == 16
     assert translate_span_dim(build_case(3))[0] == 9
 
 
-def test_translate_span_seed_independent():
-    r1, s1 = translate_span_dim(build_case(4), seed=7)
-    r2, s2 = translate_span_dim(build_case(4), seed=1234)
-    assert (r1, s1) == (r2, s2) == (12, "stable")
+def test_translate_span_graded_ranks():
+    assert translate_span_dim(build_case(9, variant="c")) == (128, [1, 28, 70, 28, 1])
+    rows = structure_rows()
+    assert len(rows) == 19
+    for case in rows:
+        dim_w, graded = translate_span_dim(case)
+        assert graded[:2] == [1, case.dim_v], case.label
+        assert graded == graded[::-1], case.label  # Gorenstein symmetry
+        assert dim_w == sum(graded)
+
+
+@pytest.mark.parametrize("case", [build_case(4), build_case(9, variant="a")],
+                         ids=lambda c: c.label)
+def test_translates_lie_in_derivative_span(case):
+    q = q_polynomial(case, form="table")
+    n = case.dim_v
+    mono: dict[tuple, int] = {}
+
+    def vec(p):
+        return {mono.setdefault(e, len(mono)): c for e, c in p.terms.items()}
+
+    span = FractionSpan()
+    for k in range(q.total_degree() + 1):
+        for alpha in combinations_with_replacement(range(n), k):
+            p = q
+            for i in alpha:
+                p = p.diff(i)
+            span.add(vec(p))
+    assert span.dim == translate_span_dim(case)[0]
+    for a in ([1] * n, list(range(-2, n - 2)), [(-1) ** i * (i + 3) for i in range(n)]):
+        assert span.contains(vec(q.shift([-x for x in a])))
+
+
+# case 4: dim k = 9, g = so(7,C) of dim 21; expected_g_dim is read off the name
+@pytest.mark.parametrize("change", [{"expected_k_dim": 10}, {"expected_g_name": "so(8,C)"}])
+def test_dimension_check_can_fail(change):
+    rep = check_g_dimension(replace(build_case(4), **change))
+    assert rep.status == "fail", rep.details
+
+
+def test_dimension_check_fails_without_symmetry(monkeypatch):
+    # right total (12) but not palindromic: the Gorenstein check must catch it
+    monkeypatch.setattr(structure, "translate_span_dim", lambda case: (12, [1, 3, 5, 2, 1]))
+    rep = check_g_dimension(build_case(4))
+    assert rep.status == "fail" and "not palindromic" in rep.details
 
 
 DIM_ROWS = [
