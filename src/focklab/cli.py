@@ -400,7 +400,7 @@ def cmd_export(args) -> int:
             ev = kernel.MeijerEvaluator(b_red, a_red, precision=args.precision)
             print("m,quadrature,closed_form,rel_err", file=out)
             for m in range(args.m_max + 1):
-                mu = ev.moment(m)
+                mu, _ = ev.moment(m)
                 g = ev.moment_closed(m)
                 print(f"{m},{mu:.15e},{g:.15e},{abs(mu - g) / abs(g):.3e}", file=out)
         elif args.what == "weight-profile":

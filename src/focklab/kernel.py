@@ -8,11 +8,18 @@ Meijer parameters alpha = (eta0-1, eta0), beta_j = eta0 + b_j - 1.
 
 The G-function G^{4,0}_{2,4} (always reducible to G^{3,0}_{1,3}: one beta
 equals one alpha in every catalog row) is evaluated by direct Mellin-Barnes
-quadrature along a vertical contour strictly right of all numerator-Gamma
-poles.  The Gamma products on the contour are precomputed once with mpmath at
-elevated working precision, so each G(u) evaluation is a vectorized dot with
-oscillatory phases; repeated beta parameters cost nothing because the
+quadrature along two vertical contours strictly right of all numerator-Gamma
+poles, each integrated by the trapezoidal rule.  The rule converges
+exponentially for this analytic, super-exponentially decaying integrand; its
+step h comes from the exact Poisson aliasing identity and is sized so the
+aliasing error stays below the evaluator's own roundoff floor (see
+MeijerEvaluator).  The Gamma products on the nodes are precomputed once with
+mpmath at elevated working precision, so each G(u) evaluation is a vectorized
+dot with oscillatory phases; repeated beta parameters cost nothing because the
 integrand stays smooth on the contour.
+
+The exact c_m series is built by its three-root recurrence and checked
+against the closed Pochhammer form at every m (see c_sequence).
 """
 
 from __future__ import annotations
@@ -137,14 +144,34 @@ def c_ratio(sp: SpectralParams, m: int) -> Fraction:
 
 
 def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> KernelSeries:
-    """Kernel coefficients, closed form asserted equal to the recurrence."""
+    """Kernel coefficients, closed form asserted equal to the recurrence.
+
+    The closed form of c_closed is carried along as running integer
+    Pochhammer products instead of being rebuilt for every m: each parameter
+    is n/L over the common denominator L, so (n/L)_m = prod_k (n + k L) / L^m
+    and c_m = N_m / D_m with N_m, D_m integers.  Every m <= m_max is checked
+    exactly by cross-multiplication, N_m den(c_m) == D_m num(c_m).
+    """
     sp = spectral_params(case, q)
+    lcm = math.lcm(sp.eta0.denominator,
+                   *(a.denominator for a in sp.alphas_prime))
+    n_top = int((sp.eta0 + 1) * lcm)
+    n_bottom = [int((sp.eta0 + a) * lcm) for a in sp.alphas_prime]
     coeffs = [Fraction(1)]
+    big_n, big_d = 1, 1  # closed form c_m = big_n / big_d; c_0 = 1 on both sides
     for m in range(m_max):
         coeffs.append(coeffs[-1] * c_ratio(sp, m))
-    for m in range(m_max + 1):
-        if c_closed(sp, m) != coeffs[m]:
-            raise AssertionError(f"closed form disagrees with recurrence at m={m}")
+        # (eta0+1)_m (1)_m over prod (eta0+a_j')_m m!: one more factor of each,
+        # with the L^-1 of each Pochhammer step collected as one net factor L
+        big_n *= (n_top + m * lcm) * (lcm + m * lcm) * lcm
+        for n in n_bottom:
+            big_d *= n + m * lcm
+        big_d *= m + 1
+        if big_d == 0:
+            raise DegenerateSeriesError(f"degenerate Pochhammer at m={m + 1}")
+        c = coeffs[-1]
+        if big_n * c.denominator != big_d * c.numerator:
+            raise AssertionError(f"closed form disagrees with recurrence at m={m + 1}")
     if sp.kind == "case1":
         kind = "OneF2"
         nums = (sp.eta0 + 1,)
@@ -518,10 +545,33 @@ class MeijerEvaluator:
     G(u) = (1/2pi) * integral over t of F(c + i t) u^{-c - i t} dt, where
     F(s) = prod Gamma(beta_j + s) / prod Gamma(alpha_j + s) and the contour
     Re s = c sits strictly right of every pole of the numerator Gammas.
-    F is precomputed on Gauss-Legendre panels with mpmath at working
-    precision, making each evaluation a vectorized sum; super-exponential
-    Gamma decay (|F| ~ |t|^w e^{-pi |t|} after the 3-vs-1 cancellation)
-    bounds the truncation error.
+    Super-exponential Gamma decay (|F| ~ |t|^w e^{-pi |t|} after the 3-vs-1
+    cancellation) lets the line be truncated at |t| <= T, and on it the
+    integral is taken by the trapezoidal rule: nodes t_k = k h, |k| <= ceil(T/h),
+    every weight h.  F is tabulated once with mpmath at working precision, so
+    each evaluation is a vectorized sum of oscillatory phases.
+
+    Step size.  Poisson summation gives the exact aliasing identity for the
+    untruncated rule on Re s = c:
+
+        G_h(u) = sum over integer k of e^{2 pi k c / h} G(u e^{2 pi k / h}).
+
+    The k = 0 term is G(u); the others are the error, and with
+    d = c + min beta, the distance from the contour to the rightmost pole,
+    and the step
+
+        h = 2 pi / ((precision + 4) ln 10 / d + log_u_budget)
+
+    both leading ones are negligible for every |ln u| <= log_u_budget,
+    measured against the scale w_abs u^{-c} of the roundoff floor
+    1e-16 w_abs u^{-c} (see noise_estimate):
+
+    - k = -1 samples G near 0, where G(v) = O(v^{min beta}); relative to
+      u^{-c} it is O(u^d e^{-2 pi d / h}) <= 10^{-(precision+4)}, which binds
+      at large u;
+    - k = +1 samples G at v = u e^{2 pi / h} >= e^{(precision+4) ln 10 / d},
+      far out on its super-exponentially decaying tail; this is the term
+      that binds at small u, and the reason log_u_budget enters h.
     """
 
     def __init__(self, b_params, a_params, precision: int = 12,
@@ -557,16 +607,10 @@ class MeijerEvaluator:
             + 8.0
         )
         T = max(10.0, 2.0 * target / (self.decay * math.pi))
-        panel, deg = 0.5, 12
-        xs, ws = np.polynomial.legendre.leggauss(deg)
-        nodes, weights = [], []
-        t0 = -T
-        while t0 < T - 1e-9:
-            t1 = min(t0 + panel, T)
-            mid, half = (t0 + t1) / 2.0, (t1 - t0) / 2.0
-            nodes.extend(mid + half * xs)
-            weights.extend(half * ws)
-            t0 = t1
+        d = c + float(min(self.b))  # distance to the rightmost pole
+        h = 2.0 * math.pi / ((self.precision + 4) * math.log(10) / d + log_u_budget)
+        k_max = math.ceil(T / h)
+        nodes = h * np.arange(-k_max, k_max + 1)
         old = mp.mp.dps
         mp.mp.dps = max(20, self.precision + 8)
         try:
@@ -583,10 +627,10 @@ class MeijerEvaluator:
                 fvals.append(complex(f))
         finally:
             mp.mp.dps = old
-        fw = np.array(fvals) * np.array(weights) / (2.0 * math.pi)
+        fw = np.array(fvals) * (h / (2.0 * math.pi))
         return {
             "c": c,
-            "nodes": np.array(nodes),
+            "nodes": nodes,
             "fw": fw,
             "w_abs": float(np.abs(fw).sum()),
             "T": T,
@@ -609,11 +653,11 @@ class MeijerEvaluator:
         ct = self._pick(u)
         return 1e-15 * ct["w_abs"] * u ** (-ct["c"])
 
-    def eval_many(self, us) -> list[float]:
-        return [self.eval(u) for u in us]
+    def moment(self, m: int, rel_tol: float = 1e-9) -> tuple[float, float]:
+        """(integral of G(u) u^m du, quad's absolute error estimate).
 
-    def moment(self, m: int, rel_tol: float = 1e-9) -> float:
-        """integral of G(u) u^m du, via s = sqrt(u) and adaptive quadrature."""
+        Computed in s = sqrt(u) by adaptive quadrature.
+        """
         from scipy.integrate import quad
 
         def f(s):
@@ -631,7 +675,7 @@ class MeijerEvaluator:
             f, 0.0, s_max, epsabs=0.0, epsrel=rel_tol, limit=400,
             points=[1.0, max(2.0, s_peak / 2), max(4.0, s_peak), max(8.0, 2 * s_peak)],
         )
-        return val
+        return val, err
 
     def moment_closed(self, m: int) -> float:
         """prod Gamma(beta_j + m + 1) / prod Gamma(alpha_j + m + 1), exact route."""
@@ -673,7 +717,6 @@ def moment_check(
     Pochhammer identity c_m a_m / a_0 = (eta0)_m (eta0+1)_m / prod (eta0+b_j)_m;
     (iii) the quadrature moments match 1/(C (c a)_m) with C fitted at m = 0.
     """
-    sw = Stopwatch()
     sp = spectral_params(case, q)
     params = meijer_params(case, q)
     a_red, b_red = params.reduced
@@ -681,19 +724,19 @@ def moment_check(
     out = []
     qs = q_strings(q)
 
-    # (ii) exact identity first
-    exact_ok = True
+    # (ii) exact identity first; r[m] = c_m a_m / a_0 is reused by (iii)
+    sw = Stopwatch()
+    r = []
     a_rel = Fraction(1)
+    exact_ok = True
     for m in range(m_max + 1):
-        lhs = c_closed(sp, m) * a_rel  # c_m * a_m / a_0
+        r.append(c_closed(sp, m) * a_rel)
+        a_rel *= a_ratio(case, q, m)
         rhs_num = pochhammer(sp.eta0, m) * pochhammer(sp.eta0 + 1, m)
         rhs_den = Fraction(1)
         for bj in sp.b_roots:
             rhs_den *= pochhammer(sp.eta0 + bj, m)
-        if lhs != rhs_num / rhs_den:
-            exact_ok = False
-            break
-        a_rel *= a_ratio(case, q, m)
+        exact_ok = exact_ok and r[m] == rhs_num / rhs_den
     out.append(
         CheckReport(
             id=f"meijer.camoment.{case.label}.{'_'.join(qs)}",
@@ -707,18 +750,13 @@ def moment_check(
     mu0 = None
     for m in range(m_max + 1):
         sw_m = Stopwatch()
-        mu = ev.moment(m)
+        mu, quad_err = ev.moment(m)
         g = ev.moment_closed(m)
         rel = abs(mu - g) / abs(g)
         if m == 0:
             mu0 = mu
-        # (iii): mu_m / mu_0 must equal 1/R_m with R_m the exact ratio above
-        r_m = c_closed(sp, m)
-        a_rel = Fraction(1)
-        for t in range(m):
-            a_rel *= a_ratio(case, q, t)
-        r_m = r_m * a_rel
-        rel_ca = abs(mu / mu0 - 1.0 / float(r_m)) / (1.0 / float(r_m))
+        # (iii): mu_m / mu_0 must equal 1/r[m] with r[m] the exact ratio above
+        rel_ca = abs(mu / mu0 - 1.0 / float(r[m])) / (1.0 / float(r[m]))
         ok = rel <= rel_tol and rel_ca <= rel_tol
         out.append(
             CheckReport(
@@ -726,7 +764,8 @@ def moment_check(
                 case_id=case.label, q=qs,
                 status="pass" if ok else "fail",
                 residual=f"{max(rel, rel_ca):.3e}", tolerance=f"{rel_tol:.0e}",
-                details=f"quad={mu:.12e} gamma={g:.12e} C={1.0 / mu0:.6e}",
+                details=f"quad={mu:.12e} quad_err={quad_err:.1e} gamma={g:.12e} "
+                f"C={1.0 / mu0:.6e}",
                 elapsed_ms=sw_m.ms(),
             )
         )

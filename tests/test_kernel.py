@@ -64,6 +64,22 @@ def test_c_sequence_case5_frozen_oracle():
         assert ks.coeffs[m] == F(m + 1, math.factorial(m) ** 2)
 
 
+def test_c_sequence_checks_closed_form_at_every_m(monkeypatch):
+    # a recurrence that is wrong at a single m must trip the exact check
+    import focklab.kernel as kernel
+
+    true_ratio = kernel.c_ratio
+
+    def skewed(sp, m):
+        r = true_ratio(sp, m)
+        return r * F(1000001, 1000000) if m == 37 else r
+
+    monkeypatch.setattr(kernel, "c_ratio", skewed)
+    with pytest.raises(AssertionError, match="m=38"):
+        c_sequence(build_case(1), (0,), m_max=50)
+    c_sequence(build_case(1), (0,), m_max=37)  # the coefficients before it still agree
+
+
 def test_c_positivity_across_matrix():
     for case in (build_case(1), build_case(4), build_case(9, variant="c"),
                  build_case(10, variant="d"), build_case(8, p1=4, p2=2)):
@@ -202,16 +218,40 @@ def test_meijer_eval_against_mpmath():
         assert abs(ev.eval(u) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("case, q", [(build_case(1), (0,)), (build_case(5), (0, 0, 0, 0))])
+def test_meijer_eval_within_noise_estimate(case, q):
+    # across the whole log-u budget [e^-26, 1e3] the contour sum must sit
+    # within its own roundoff model against an independent dps-30 reference
+    import mpmath as mp
+
+    a_red, b_red = meijer_params(case, q).reduced
+    ev = MeijerEvaluator(b_red, a_red, precision=12)
+    a_mp = [mp.mpf(x.numerator) / x.denominator for x in a_red]
+    b_mp = [mp.mpf(x.numerator) / x.denominator for x in b_red]
+    lo, hi = -26.0, math.log(1e3)
+    with mp.workdps(30):
+        for i in range(25):
+            u = math.exp(lo + (hi - lo) * i / 24)
+            ref = float(mp.meijerg([[], a_mp], [b_mp, []], u))
+            assert abs(ev.eval(u) - ref) <= 2 * ev.noise_estimate(u), u
+
+
 def test_meijer_moments_closed_form_values():
     # spec-derived values: moment 0 = Gamma(2)^3/Gamma(1) = 1, moment 2 = 108
     ev = MeijerEvaluator((1, 1, 1), (0,), precision=12)
-    assert abs(ev.moment(0) - 1.0) < 1e-9
-    assert abs(ev.moment(2) - 108.0) < 1e-6 * 108
+    mu0, err0 = ev.moment(0)
+    mu2, err2 = ev.moment(2)
+    assert abs(mu0 - 1.0) < 1e-9
+    assert abs(mu2 - 108.0) < 1e-6 * 108
+    # quad's error estimate comes back and sits inside the requested epsrel
+    assert 0 < err0 < 1e-9 and 0 < err2 < 1e-9 * 108
 
 
 def test_moment_check_case1():
     checks = moment_check(build_case(1), (0,), m_max=3)
     assert all(c.status == "pass" for c in checks)
+    moments = [c for c in checks if c.id.startswith("meijer.moment.")]
+    assert len(moments) == 4 and all("quad_err=" in c.details for c in moments)
 
 
 def test_weight_eval_h_factor():
