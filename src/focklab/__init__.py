@@ -2,7 +2,7 @@
 
 Library layout (one module per subsystem):
 
-  polyalg    exact multivariate polynomial / rational-function arithmetic
+  polyalg    exact multivariate polynomial arithmetic, differential operators
   linalg     exact sparse integer linear algebra (rank, nullspace)
   jordan     catalog of simple Jordan factors and the eleven product cases
   structure  structure-algebra and translate-span dimension checks
@@ -11,6 +11,7 @@ Library layout (one module per subsystem):
   fock       truncated graded Fock spaces and exact operator matrices
   kernel     kernel coefficient series, root/parameter tables, Meijer-G layer
   report     CheckReport record shared by all verification suites
+  checks     the check matrix (which case, q and family each suite covers) and its runner
   cli        command-line front end (catalog / verify / export)
 """
 

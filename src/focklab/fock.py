@@ -21,9 +21,8 @@ from itertools import product as iproduct
 
 from focklab.jordan import CaseDescriptor, Family
 from focklab.linalg import FractionSpan
-from focklab.polyalg import MultiPoly
 from focklab.report import CheckReport, Stopwatch, q_strings
-from focklab.sl2 import delta_sequence, eta0_of, forced_eta0
+from focklab.sl2 import delta_sequence
 
 Key = tuple[int, tuple[int, ...]]  # (m, z-exponents)
 Vec = dict[Key, Fraction]
@@ -31,35 +30,6 @@ Vec = dict[Key, Fraction]
 
 def is_rank1_product(case: CaseDescriptor) -> bool:
     return all(f.family is Family.RANK1 for f in case.factors)
-
-
-@dataclass(frozen=True)
-class GradedElement:
-    """psi * prod w_i^{k_i m + q_i} in the level-m piece of O_{q,fin}.
-
-    Valid only when every k_i m + q_i is a non-negative integer and psi's
-    degree in each factor variable stays within it (so the sigma image is
-    again polynomial).
-    """
-
-    case: CaseDescriptor
-    q: tuple[Fraction, ...]
-    m: int
-    psi: MultiPoly  # over case.var_set()
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("m must be non-negative")
-        trunc = Truncation(self.case, tuple(Fraction(x) for x in self.q), self.m)
-        bounds = trunc.degree_bounds(self.m)
-        for i, n in enumerate(bounds):
-            if self.psi.degree_in(i) > n:
-                raise ValueError(
-                    f"psi degree {self.psi.degree_in(i)} in variable {i} exceeds bound {n}"
-                )
-
-    def monomial_coefficients(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.psi.terms)
 
 
 @dataclass(frozen=True)
@@ -183,14 +153,6 @@ def op_D(trunc: Truncation) -> OperatorMatrix:
     return _build(trunc, "D", col)
 
 
-def op_euler(trunc: Truncation) -> OperatorMatrix:
-    def col(key: Key):
-        m, js = key
-        return [(key, Fraction(sum(js)))]
-
-    return _build(trunc, "Euler", col)
-
-
 def op_rhoH(trunc: Truncation) -> OperatorMatrix:
     """Diagonal: sum j_i - sum (k_i m + q_i) r_i / 2 (r_i = 1 here)."""
 
@@ -236,28 +198,16 @@ def op_rhoF(trunc: Truncation, q, kappa: str = "1/A", forced: bool = False) -> O
     """rho(F) = M - delta o D, with delta applied in the target block."""
     mm = op_M(trunc)
     dd = op_D(trunc)
-    eta0 = forced_eta0(trunc.case, q) if forced else eta0_of(trunc.case, q)
-    seq = delta_sequence_for(trunc.case, q, kappa, eta0)
+    delta = delta_sequence(trunc.case, q, trunc.m_top, kappa, forced).values
 
     def col(key: Key):
-        m, _ = key
         out = list(mm.column(key))
         for tgt, c in dd.column(key):
-            out.append((tgt, -seq(tgt[0]) * c))
+            out.append((tgt, -delta[tgt[0]] * c))
         return out
 
     # no columns for the top block: its M-image would clip (interior validity)
     return _build(trunc, "rhoF", col, max_src_m=trunc.m_top - 1)
-
-
-def delta_sequence_for(case, q, kappa: str, eta0: Fraction):
-    a_const = case.bernstein_lead
-    kap = Fraction(1, a_const) if kappa == "1/A" else Fraction(a_const)
-
-    def delta(m: int) -> Fraction:
-        return kap / ((m + eta0) * (m + eta0 + 1))
-
-    return delta
 
 
 def op_rhoE(trunc: Truncation, q, kappa: str = "1/A", forced: bool = False) -> OperatorMatrix:
@@ -462,14 +412,6 @@ def monomial_norms_exact(q: int, m: int) -> list[Fraction]:
     """Kernel-expansion prediction 1/binom(4m+q, j) for case (1)."""
     n = 4 * m + q
     return [Fraction(1, math.comb(n, j)) for j in range(n + 1)]
-
-
-def monomial_norms(case: CaseDescriptor, q, m: int) -> list[Fraction]:
-    """||z^j||^2_m for case (1); the quadrature path lives in reproducing_check."""
-    if case.case_id != 1:
-        raise ValueError("monomial norms are implemented for case (1) only")
-    (qi,) = (int(Fraction(x)) for x in q)
-    return monomial_norms_exact(qi, m)
 
 
 def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) -> CheckReport:

@@ -19,15 +19,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from focklab.polyalg import MultiPoly, RationalFn, VarSet, substitute_negative_inverse
+from focklab.polyalg import MultiPoly, VarSet
 
 
 class UnsupportedFamilyError(ValueError):
     """Operation not available for this factor family (catalog metadata only)."""
-
-
-class SingularElementError(ZeroDivisionError):
-    """Jordan inversion at a non-invertible element."""
 
 
 class Family(Enum):
@@ -269,56 +265,6 @@ def dual_determinant_symbol(
             row.append(v if i == j else v.scale(Fraction(1, 2)))
         entries.append(row)
     return _matrix_det(entries, vars)
-
-
-def jordan_inverse(factor: SimpleFactorDescriptor, z: Fraction | int) -> Fraction:
-    """z^{-1} for the rank-1 family (extension point for Spin)."""
-    if factor.family is not Family.RANK1:
-        raise UnsupportedFamilyError("jordan_inverse implemented for Rank1 only")
-    z = Fraction(z)
-    if z == 0:
-        raise SingularElementError("z = 0 is not invertible")
-    return 1 / z
-
-
-def negative_inverse_image(p: MultiPoly, factor: SimpleFactorDescriptor) -> RationalFn:
-    """p(-1/z) for a standalone rank-1 factor polynomial."""
-    if factor.family is not Family.RANK1:
-        raise UnsupportedFamilyError("rank-1 factors only")
-    return substitute_negative_inverse(p, 0)
-
-
-def hermitian_kernel(factor: SimpleFactorDescriptor) -> MultiPoly:
-    """Polarized kernel H(z, z') with H(x, x) = Delta(e + x^2) on the real form.
-
-    Returned over doubled variables: the factor's own coordinates (group 0)
-    followed by the anti-holomorphic slots (group 1, suffix "c").  Numeric
-    evaluation substitutes conj(z') into the "c" slots.
-    """
-    if factor.family is Family.RANK1:
-        vars = VarSet(("z", "zc"), (0, 1))
-        z = MultiPoly.variable(vars, 0)
-        zc = MultiPoly.variable(vars, 1)
-        return MultiPoly.constant(vars, 1) + z * zc
-    if factor.family is Family.SPIN:
-        p = factor.size
-        names = tuple(f"z{a}" for a in range(1, p + 1)) + tuple(
-            f"z{a}c" for a in range(1, p + 1)
-        )
-        vars = VarSet(names, (0,) * p + (1,) * p)
-        z = [MultiPoly.variable(vars, a) for a in range(p)]
-        zc = [MultiPoly.variable(vars, p + a) for a in range(p)]
-        pairing = MultiPoly.constant(vars, 1)
-        for a in range(p):
-            pairing = pairing + z[a] * zc[a]
-        out = pairing * pairing
-        for l in range(1, p):
-            cross = z[0] * zc[l] + zc[0] * z[l]
-            out = out - cross * cross
-        return out
-    raise UnsupportedFamilyError(
-        f"hermitian kernel implemented for Rank1 and Spin, not {factor.family.value}"
-    )
 
 
 # -- case catalog -------------------------------------------------------------

@@ -220,22 +220,6 @@ def kernel_eval(case: CaseDescriptor, q, u, terms: int | None = None, tol: float
     return total
 
 
-def full_kernel(case: CaseDescriptor, q, xi, xi_prime):
-    """K(xi, xi') for rank-1-product cases: series(u) * K_q(xi, xi').
-
-    xi = list of (w_i, z_i) complex pairs; u = prod H_i^{k_i} (w_i conj(w_i'))^{k_i}
-    and K_q = prod H_i^{q_i} (w_i conj(w_i'))^{q_i}, H_i = 1 + z_i conj(z_i').
-    """
-    u = 1.0 + 0.0j
-    kq = 1.0 + 0.0j
-    for f, qi, (w, z), (wp, zp) in zip(case.factors, q, xi, xi_prime):
-        h = 1.0 + z * complex(zp).conjugate()
-        base = h * w * complex(wp).conjugate()
-        u *= base ** f.mult
-        kq *= base ** int(qi)
-    return kernel_eval(case, q, u) * kq
-
-
 # -- root tables ----------------------------------------------------------------
 
 
@@ -699,13 +683,6 @@ def _evaluator_cached(b_params: tuple, a_params: tuple, precision: int) -> Meije
     return MeijerEvaluator(b_params, a_params, precision)
 
 
-def meijer_eval(params: MeijerParams, u: float, precision: int = 12) -> float:
-    """G at u > 0 with the (always present) alpha/beta pair cancelled first."""
-    a_red, b_red = params.reduced
-    ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
-    return ev.eval(u)
-
-
 def moment_check(
     case: CaseDescriptor, q, m_max: int = 5, precision: int = 12,
     rel_tol: float = 1e-6,
@@ -773,18 +750,6 @@ def moment_check(
 
 
 # -- weight and sign scan -----------------------------------------------------------
-
-
-def weight_eval(case: CaseDescriptor, q, w, z, precision: int = 12, c_const: float = 1.0):
-    """p(w, z) = C G(prod |w_i|^2 H_i(z_i)^{k_i}) prod H_i(z_i)^{k_i} (rank-1 H path)."""
-    params = meijer_params(case, q)
-    u = 1.0
-    hprod = 1.0
-    for f, wi, zi in zip(case.factors, w, z):
-        h = 1.0 + abs(complex(zi)) ** 2
-        u *= abs(complex(wi)) ** 2 * h ** f.mult
-        hprod *= h ** f.mult
-    return c_const * meijer_eval(params, u, precision) * hprod
 
 
 def sign_scan(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -195,15 +195,6 @@ class MultiPoly:
             p = MultiPoly(self.vars, out)
         return p
 
-    def euler(self) -> "MultiPoly":
-        """Sum over v of z_v * dp/dz_v; n*p on degree-n homogeneous p."""
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            d = sum(e)
-            if d:
-                out[e] = c * d
-        return MultiPoly(self.vars, out)
-
     def eval(self, point: Sequence[Scalar]) -> Fraction:
         """Exact value at a rational point."""
         if len(point) != len(self.vars):
@@ -215,17 +206,6 @@ class MultiPoly:
         for e, c in self.terms.items():
             v = c
             for x, k in zip(pt, e):
-                if k:
-                    v *= x**k
-            total += v
-        return total
-
-    def eval_complex(self, point: Sequence[complex]) -> complex:
-        """Floating evaluation at a complex point (for quadrature layers)."""
-        total = 0j
-        for e, c in self.terms.items():
-            v = complex(c)
-            for x, k in zip(point, e):
                 if k:
                     v *= x**k
             total += v
@@ -257,27 +237,6 @@ class MultiPoly:
                 acc[e2] = acc.get(e2, Fraction(0)) + c * w
         return MultiPoly(self.vars, acc)
 
-    def negate_vars(self, indices: Iterable[int]) -> "MultiPoly":
-        """Substitute z_v -> -z_v for each v in indices."""
-        idx = set(indices)
-        return MultiPoly(
-            self.vars,
-            {
-                e: (c if sum(e[i] for i in idx) % 2 == 0 else -c)
-                for e, c in self.terms.items()
-            },
-        )
-
-    def rename(self, vars: VarSet) -> "MultiPoly":
-        if len(vars) != len(self.vars):
-            raise ValueError("variable count mismatch")
-        return MultiPoly(vars, self.terms)
-
-
-def poly_eval(p: MultiPoly, point: Sequence[Scalar]) -> Fraction:
-    return p.eval(point)
-
-
 def apply_diff_op(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:
     """Apply symbol(d/dz) to target, exactly.
 
@@ -307,10 +266,6 @@ def apply_diff_op(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:
             key = tuple(res)
             out[key] = out.get(key, Fraction(0)) + coeff
     return MultiPoly(symbol.vars, out)
-
-
-def euler(p: MultiPoly) -> MultiPoly:
-    return p.euler()
 
 
 def apply_symbol_at_point(
@@ -390,73 +345,3 @@ def apply_symbol_at_point(
                 break
         total += sc * acc
     return total
-
-
-@dataclass(frozen=True)
-class RationalFn:
-    """Quotient of two MultiPoly values, reduced by coefficient content only."""
-
-    numerator: MultiPoly
-    denominator: MultiPoly
-
-    def __post_init__(self):
-        if self.denominator.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        num, den = _reduce_content(self.numerator, self.denominator)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    def eval(self, point: Sequence[Scalar]) -> Fraction:
-        d = self.denominator.eval(point)
-        if d == 0:
-            raise ZeroDivisionError("pole at evaluation point")
-        return self.numerator.eval(point) / d
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFn):
-            return NotImplemented
-        return (self.numerator * other.denominator) == (
-            other.numerator * self.denominator
-        )
-
-
-def _reduce_content(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Divide num and den by den's coefficient content; den's lead made positive."""
-    from math import gcd
-
-    def content(p: MultiPoly) -> Fraction:
-        g = 0
-        l = 1
-        for c in p.terms.values():
-            g = gcd(g, abs(c.numerator))
-            l = l * c.denominator // gcd(l, c.denominator)
-        return Fraction(g, l) if g else Fraction(1)
-
-    if num.is_zero():
-        return num, MultiPoly.constant(den.vars, 1)
-    denc = content(den)
-    lead = min(den.terms)
-    if den.terms[lead] < 0:
-        denc = -denc
-    return num.scale(1 / denc), den.scale(1 / denc)
-
-
-def substitute_negative_inverse(p: MultiPoly, var_idx: int) -> RationalFn:
-    """The rational function p with z_v replaced by -1/z_v (rank-1 inversion).
-
-    Returns numerator/denominator with denominator z_v^d, d the z_v-degree.
-    """
-    d = p.degree_in(var_idx)
-    out: dict[Exponent, Fraction] = {}
-    for e, c in p.terms.items():
-        k = e[var_idx]
-        e2 = list(e)
-        e2[var_idx] = d - k
-        sign = -1 if k % 2 else 1
-        key = tuple(e2)
-        out[key] = out.get(key, Fraction(0)) + sign * c
-    num = MultiPoly(p.vars, out)
-    den_e = [0] * len(p.vars)
-    den_e[var_idx] = d
-    den = MultiPoly(p.vars, {tuple(den_e): Fraction(1)})
-    return RationalFn(num, den)

@@ -1,4 +1,4 @@
-"""Verification result record shared by all suites."""
+"""The CheckReport record every check returns, its q formatter and stopwatch."""
 
 from __future__ import annotations
 
@@ -11,8 +11,9 @@ from fractions import Fraction
 class CheckReport:
     """One verification result.
 
-    status is one of pass/fail/skip/inconclusive; residual and tolerance are
-    strings so exact rationals and decimal floats both round-trip through JSON.
+    status is one of pass/fail/error ("error": the check raised, see details);
+    residual and tolerance are strings so exact rationals and decimal floats
+    both round-trip through JSON.
     """
 
     id: str
@@ -35,10 +36,6 @@ class CheckReport:
             "elapsed_ms": self.elapsed_ms,
             "details": self.details,
         }
-
-    @property
-    def ok(self) -> bool:
-        return self.status in ("pass", "skip")
 
 
 def q_strings(q) -> list[str]:

@@ -14,7 +14,7 @@ discharged in one shot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from focklab.jordan import CaseDescriptor, SimpleFactorDescriptor
@@ -190,25 +190,24 @@ def feasible_q_values(case: CaseDescriptor, count: int = 2) -> list[tuple[Fracti
 
 @dataclass
 class DeltaSequence:
+    """delta_m = kappa / ((m + eta0)(m + eta0 + 1)) for m = 0..m_max."""
+
     case_id: str
     q: tuple
     eta0: Fraction
-    lead_constant: int  # A = prod k_i^{k_i r_i}
     kappa: str  # "1/A" (resolved by operator calibration) or "A"
-    values: list[Fraction] = field(default_factory=list)
-
-    def value(self, m: int) -> Fraction:
-        kap = Fraction(1, self.lead_constant) if self.kappa == "1/A" else Fraction(self.lead_constant)
-        return kap / ((m + self.eta0) * (m + self.eta0 + 1))
+    values: list[Fraction]
 
 
 def delta_sequence(
-    case: CaseDescriptor, q, m_max: int = 10, kappa: str = "1/A"
+    case: CaseDescriptor, q, m_max: int = 10, kappa: str = "1/A", forced: bool = False
 ) -> DeltaSequence:
-    eta0 = eta0_of(case, q)
-    seq = DeltaSequence(case.label, tuple(q), eta0, case.bernstein_lead, kappa)
-    seq.values = [seq.value(m) for m in range(m_max + 1)]
-    return seq
+    """The delta sequence, A = prod k_i^{k_i r_i}; forced=True as in forced_eta0."""
+    eta0 = forced_eta0(case, q) if forced else eta0_of(case, q)
+    a = case.bernstein_lead
+    kap = Fraction(1, a) if kappa == "1/A" else Fraction(a)
+    values = [kap / ((m + eta0) * (m + eta0 + 1)) for m in range(m_max + 1)]
+    return DeltaSequence(case.label, tuple(q), eta0, kappa, values)
 
 
 # -- Harish-Chandra images ------------------------------------------------------
@@ -355,7 +354,7 @@ def pm_identity_check(
         id=f"sl2.pm.{case.label}.{'_'.join(qs)}",
         case_id=case.label,
         q=qs,
-        status="pass" if residual.is_zero() else "fail",
+        status="pass" if residual.is_zero() and shorthand_ok else "fail",
         residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
         details=f"kappa={kappa}; eta0={eta0}; gammaE-shorthand-identity={'ok' if shorthand_ok else 'BROKEN'}",
         elapsed_ms=sw.ms(),

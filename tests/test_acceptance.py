@@ -10,17 +10,8 @@ import time
 from fractions import Fraction as F
 
 from focklab import bernstein as bn
-from focklab import fock, kernel, sl2, structure
-from focklab.jordan import (
-    build_case,
-    default_catalog,
-    full_mat,
-    implementable,
-    rank1,
-    skew_mat,
-    spin,
-    sym_mat,
-)
+from focklab import checks, fock, kernel, sl2, structure
+from focklab.jordan import build_case, implementable
 
 NORM_RTOL = 1e-8
 MOMENT_RTOL = 1e-6
@@ -49,66 +40,53 @@ def test_criterion_02_meijer_parameter_table():
 
 
 def test_criterion_03_bernstein_identities():
-    symbolic = [rank1(k) for k in (1, 2, 3, 4)]
-    symbolic += [spin(p, 1) for p in (2, 3, 4, 5)]
-    symbolic += [sym_mat(2), sym_mat(3), full_mat(2), full_mat(3), skew_mat(4)]
-    results = [bn.verify_bernstein_identity(f, alphas=(1, 2, 3)) for f in symbolic]
+    results = [bn.verify_bernstein_identity(f, alphas=(1, 2, 3))
+               for f in checks.BERNSTEIN_SYMBOLIC]
     results += [
         bn.verify_bernstein_identity(f, alphas=(1, 2), mode="points", seed=20240)
-        for f in (sym_mat(4), full_mat(4), skew_mat(8))
+        for f in checks.BERNSTEIN_POINTS
     ]
     ok = all(r.report.status == "pass" for r in results)
     consts = sorted({str(r.constant) for r in results})
     _line(3, ok, f"{len(results)} family identities, zero residual, constants {consts}")
 
 
-PM_CASES = [
-    (build_case(1), [(0,), (4,)]),
-    (build_case(2, p=2), [(0,), (2,)]),
-    (build_case(2, p=3), [(0,), (2,)]),
-    (build_case(3), [(0, 0), (2, 2)]),
-    (build_case(4), [(1, 0, 0), (3, 1, 1)]),
-    (build_case(5), [(0, 0, 0, 0), (2, 2, 2, 2)]),
-    (build_case(6, p=3), [(0, 2), (1, 4)]),
-    (build_case(7, p=2), [(0, 0, 0), (2, 2, 2)]),
-    (build_case(8, p1=2, p2=2), [(0, 0), (1, 1)]),
-    (build_case(8, p1=4, p2=2), [(0, 1), (2, 3)]),
-    (build_case(9, variant="a"), [(0,), (1,)]),
-    (build_case(9, variant="b"), [(0,), (2,)]),
-    (build_case(9, variant="c"), [(0,), (1,)]),
-    (build_case(10, variant="a"), [(0, 1), (2, 3)]),
-    (build_case(10, variant="b"), [(0, 2), (1, 3)]),
-    (build_case(10, variant="c"), [(0, 4), (1, 5)]),
-    (build_case(10, variant="d"), [(0, 8), (2, 10)]),
+# (case, q) pairs beyond the registry's feasible pairs, kept so that the p_m,
+# a_m and c_m criteria cover a second admissible q further up each lattice
+EXTRA_PM_PAIRS = [
+    (build_case(4), (3, 1, 1)),
+    (build_case(5), (2, 2, 2, 2)),
+    (build_case(7, p=2), (2, 2, 2)),
+    (build_case(8, p1=4, p2=2), (2, 3)),
+    (build_case(9, variant="b"), (2,)),
+    (build_case(10, variant="a"), (2, 3)),
+    (build_case(10, variant="d"), (2, 10)),
 ]
+
+
+def pm_pairs():
+    return list(checks.feasible_pairs()) + EXTRA_PM_PAIRS
 
 
 def test_criterion_04_sl2_symbol_identity():
     n = 0
     ok = True
-    for case, qs in PM_CASES:
-        for q in qs:
-            rep, residual = sl2.pm_identity_check(case, q)
-            ok = ok and rep.status == "pass" and residual.is_zero()
-            n += 1
-    adm = sl2.solve_eta0(build_case(11))
+    for case, q in pm_pairs():
+        rep, residual = sl2.pm_identity_check(case, q)
+        ok = ok and rep.status == "pass" and residual.is_zero()
+        n += 1
+    adm = sl2.solve_eta0(checks.INFEASIBLE_CASE)
     ok = ok and not adm.feasible
     for forced_q in ((0, 0), (3, 0), (6, 1)):
-        _, residual = sl2.pm_identity_check(build_case(11), forced_q, forced=True)
+        _, residual = sl2.pm_identity_check(checks.INFEASIBLE_CASE, forced_q, forced=True)
         ok = ok and not residual.is_zero()
     _line(4, ok, f"p_m identity zero residual on {n} (case, q) pairs; case (11) infeasible with provably nonzero residual")
 
 
 def test_criterion_05_operator_commutators():
     t0 = time.monotonic()
-    matrix = [
-        (build_case(1), (0,)), (build_case(1), (4,)),
-        (build_case(3), (0, 0)), (build_case(3), (2, 2)),
-        (build_case(5), (0, 0, 0, 0)), (build_case(5), (1, 1, 1, 1)),
-        (build_case(5), (2, 2, 2, 2)),
-    ]
     ok = True
-    for case, q in matrix:
+    for case, q in checks.COMMUTATOR_MATRIX:
         rep = fock.commutator_check(case, q, m_trunc=6)
         ok = ok and rep.status == "pass" and "kappa=1/A" in rep.details
     # calibration: the other convention must fail on case (1), where A = 256
@@ -116,17 +94,16 @@ def test_criterion_05_operator_commutators():
     ok = ok and bad.status == "fail"
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0
-    _line(5, ok, f"sl2 relations exact on {len(matrix)} truncations (M=6), kappa=1/A calibrated, {elapsed:.1f} s")
+    _line(5, ok, f"sl2 relations exact on {len(checks.COMMUTATOR_MATRIX)} truncations (M=6), kappa=1/A calibrated, {elapsed:.1f} s")
 
 
 def test_criterion_06_a_m_consistency():
     ok = True
     n = 0
-    for case, qs in PM_CASES:
-        for q in qs:
-            for m in range(11):
-                ok = ok and bn.a_ratio(case, q, m) == bn.a_ratio_gindikin(case, q, m)
-                n += 1
+    for case, q in pm_pairs():
+        for m in range(11):
+            ok = ok and bn.a_ratio(case, q, m) == bn.a_ratio_gindikin(case, q, m)
+            n += 1
     # case (1), q = 0: quadrature a_m vs 1/(4m+1)
     from scipy.integrate import quad
 
@@ -141,13 +118,8 @@ def test_criterion_06_a_m_consistency():
 def test_criterion_07_norm_checks():
     rep = fock.reproducing_check(q=0, m_values=(0, 1, 2, 3), rel_tol=NORM_RTOL)
     ok = rep.status == "pass"
-    phis = [
-        [(1, {0: 1.0})],
-        [(1, {4: 1.0})],
-        [(0, {0: 1.0}), (1, {0: 0.5, 2: 1.0}), (2, {3: 1.0})],
-    ]
     worst = float(rep.residual)
-    for phi in phis:
+    for phi in checks.BERGMAN_PHIS:
         b = kernel.bergman_norm_case1(0, phi, rel_tol=BERGMAN_RTOL)
         ok = ok and b.status == "pass"
         worst = max(worst, float(b.residual))
@@ -157,30 +129,16 @@ def test_criterion_07_norm_checks():
 def test_criterion_08_meijer_moments():
     ok = True
     worst = 0.0
-    matrix = [
-        (build_case(1), (0,)), (build_case(1), (4,)),
-        (build_case(5), (0, 0, 0, 0)), (build_case(5), (1, 1, 1, 1)),
-        (build_case(9, variant="a"), (0,)), (build_case(9, variant="a"), (1,)),
-    ]
-    for case, q in matrix:
-        checks = kernel.moment_check(case, q, m_max=5, rel_tol=MOMENT_RTOL)
-        for c in checks:
+    for case, q in checks.MOMENT_MATRIX:
+        for c in kernel.moment_check(case, q, m_max=5, rel_tol=MOMENT_RTOL):
             ok = ok and c.status == "pass"
             if c.residual not in ("0", ""):
                 worst = max(worst, float(c.residual))
-    _line(8, ok, f"moments m<=5 on 6 (case, q) pairs vs Gamma ratios and fitted C/(c a)_m, worst rel {worst:.1e}")
+    _line(8, ok, f"moments m<=5 on {len(checks.MOMENT_MATRIX)} (case, q) pairs vs Gamma ratios and fitted C/(c a)_m, worst rel {worst:.1e}")
 
 
 def test_criterion_09_dimension_checks():
-    rows = [build_case(1)]
-    rows += [build_case(2, p=p) for p in (2, 3, 4)]
-    rows += [build_case(3), build_case(4), build_case(5)]
-    rows += [build_case(6, p=3)]
-    rows += [build_case(7, p=2), build_case(7, p=4)]
-    rows += [build_case(8, p1=2, p2=2), build_case(8, p1=4, p2=2)]
-    rows += [build_case(9, variant=v) for v in "abc"]
-    rows += [build_case(10, variant=v) for v in "abc"]
-    rows += [build_case(11)]
+    rows = checks.STRUCTURE_ROWS
     ok = True
     for case in rows:
         assert implementable(case)
@@ -192,12 +150,11 @@ def test_criterion_09_dimension_checks():
 def test_criterion_10_kernel_coefficients():
     ok = True
     n = 0
-    for case, qs in PM_CASES:
-        for q in qs:
-            ks = kernel.c_sequence(case, q, m_max=50)  # asserts closed == recurrence
-            ok = ok and all(c > 0 for c in ks.coeffs)
-            ok = ok and kernel.kernel_eval(case, q, 0.0) == 1.0
-            n += 1
+    for case, q in pm_pairs():
+        ks = kernel.c_sequence(case, q, m_max=50)  # asserts closed == recurrence
+        ok = ok and all(c > 0 for c in ks.coeffs)
+        ok = ok and kernel.kernel_eval(case, q, 0.0) == 1.0
+        n += 1
     _line(10, ok, f"c_m closed form == recurrence, positive, m<=50 on {n} (case, q) pairs; series(0) = 1")
 
 
@@ -209,8 +166,7 @@ def test_criterion_11_weight_sign_change():
 
 def test_criterion_12_cyclicity():
     ok = True
-    for case, q in ((build_case(1), (0,)), (build_case(1), (4,)),
-                    (build_case(3), (0, 0)), (build_case(5), (0, 0, 0, 0))):
+    for case, q in checks.CYCLICITY_MATRIX:
         rep = fock.cyclicity_check(case, q, m_trunc=4)
         ok = ok and rep.status == "pass"
     _line(12, ok, "generated span fills the interior truncation for cases (1), (3), (5) at M=4")

@@ -1,6 +1,7 @@
 """CLI: catalog dumps, suite orchestration, CSV exports, exit codes."""
 
 import json
+import subprocess
 import sys
 
 import pytest
@@ -148,9 +149,61 @@ def test_single_q_component_expands(capsys):
 def test_parallel_jobs_deterministic():
     from focklab.cli import run_suites
 
-    opts = {"seed": 7, "precision": 12, "trunc": 4, "m_max": 2,
-            "strict_integrality": True}
+    opts = {"seed": 7, "precision": 12, "trunc": 4, "m_max": 2}
     seq = run_suites(["tables", "sl2"], opts, jobs=1)
     par = run_suites(["tables", "sl2"], opts, jobs=2)
     strip = lambda cs: [{**c.to_dict(), "elapsed_ms": 0} for c in cs]
     assert strip(seq) == strip(par)
+
+
+@pytest.mark.parametrize("argv", [("operators", "--case", "2"), ("sl2", "--case", "12")])
+def test_verify_empty_selection_exit_2(argv, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert main(["verify", *argv, "--jobs", "1", "--json", str(path)]) == 2
+    assert "no check" in capsys.readouterr().err
+    assert json.loads(path.read_text())["checks"] == []
+
+
+def test_verify_case_filter_applies_to_every_suite(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, _ = run(capsys, "verify", "tables", "--case", "5", "--json", str(path), "--jobs", "1")
+    assert code == 0
+    reports = json.loads(path.read_text())["checks"]
+    assert reports and {c["case_id"] for c in reports} == {"5"}
+
+
+def test_verify_q_filter_takes_the_free_parameter(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, _ = run(capsys, "verify", "sl2", "--case", "5", "--q", "1",
+                  "--json", str(path), "--jobs", "1")
+    assert code == 0
+    assert [c["id"] for c in json.loads(path.read_text())["checks"]] == ["sl2.pm.5.1_1_1_1"]
+
+
+def test_raising_check_reports_error_and_run_goes_on(tmp_path, capsys, monkeypatch):
+    real = kernel.q0_reduction_check
+
+    def raise_on_case5(case):
+        if case.case_id == 5:
+            raise ZeroDivisionError("injected")
+        return real(case)
+
+    monkeypatch.setattr(kernel, "q0_reduction_check", raise_on_case5)
+    path = tmp_path / "report.json"
+    code, out = run(capsys, "verify", "tables", "--json", str(path), "--jobs", "1")
+    assert code == 1
+    reports = json.loads(path.read_text())["checks"]
+    bad = [c for c in reports if c["status"] != "pass"]
+    assert [(c["id"], c["status"]) for c in bad] == [("kernel.q0reduction.5.0_0_0_0", "error")]
+    assert bad[0]["details"] == "ZeroDivisionError: injected"
+    assert len(reports) == 110  # every other entry still ran
+    assert "1 errors" in out
+
+
+def test_registry_is_built_lazily():
+    # solving the feasible q of every case costs more than importing the CLI
+    code = ("import focklab.cli, focklab.checks as c; "
+            "print(c.registry.cache_info().currsize, c.feasible_pairs.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["0", "0"]

@@ -32,23 +32,6 @@ def test_truncation_rejects_non_rank1():
         Truncation(case2, (F(0),), 3)
 
 
-def test_graded_element_invariants():
-    from focklab.fock import GradedElement
-    from focklab.polyalg import MultiPoly
-
-    case = build_case(1)
-    vs = case.var_set()
-    z = MultiPoly.variable(vs, 0)
-    el = GradedElement(case, (F(0),), 1, z**4)
-    assert el.monomial_coefficients() == {(4,): F(1)}
-    with pytest.raises(ValueError):
-        GradedElement(case, (F(0),), 0, z**2)  # bound k*m + q = 0 exceeded
-    with pytest.raises(ValueError):
-        GradedElement(case, (F(0),), -1, z)
-    with pytest.raises(ValueError):
-        GradedElement(build_case(5), (F(1, 2),) * 4, 0, MultiPoly.constant(build_case(5).var_set(), 1))
-
-
 def test_block_dims_case1():
     tr = Truncation(build_case(1), (F(0),), 4)
     assert [tr.block_dim(m) for m in range(5)] == [1, 5, 9, 13, 17]
@@ -226,14 +209,6 @@ def test_monomial_norms_exact():
     assert norms[0] == 1
     assert norms[2] == F(1, 6)
     assert norms[4] == 1
-
-
-def test_monomial_norms_case_gate():
-    from focklab.fock import monomial_norms
-
-    assert monomial_norms(build_case(1), (0,), 1) == monomial_norms_exact(0, 1)
-    with pytest.raises(ValueError):
-        monomial_norms(build_case(5), (0, 0, 0, 0), 1)
 
 
 def test_reproducing_check():

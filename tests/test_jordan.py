@@ -1,4 +1,4 @@
-"""Catalog data: factors, determinants, Q polynomials, Hermitian kernels."""
+"""Catalog data: factors, determinants, Q polynomials."""
 
 import json
 from fractions import Fraction as F
@@ -7,7 +7,6 @@ import pytest
 
 from focklab.jordan import (
     Family,
-    SingularElementError,
     UnsupportedFamilyError,
     build_case,
     default_catalog,
@@ -15,16 +14,13 @@ from focklab.jordan import (
     dual_determinant_symbol,
     exceptional,
     full_mat,
-    hermitian_kernel,
-    jordan_inverse,
-    negative_inverse_image,
     q_polynomial,
     rank1,
     skew_mat,
     spin,
     sym_mat,
 )
-from focklab.polyalg import MultiPoly, VarSet, euler
+from focklab.polyalg import MultiPoly
 
 
 def test_factor_dimension_identity():
@@ -64,7 +60,7 @@ def test_determinants_homogeneous_of_degree_rank():
     for f in (rank1(2), spin(4), sym_mat(3), full_mat(3), skew_mat(6)):
         d = determinant_poly(f)
         assert d.is_homogeneous()
-        assert euler(d) == d.scale(f.rank)
+        assert d.total_degree() == f.rank
 
 
 def test_pfaffian_squared_is_determinant():
@@ -128,52 +124,6 @@ def test_q_polynomial_homogeneous_degree_four():
         for form in ("jordan", "table"):
             q = q_polynomial(case, form=form)
             assert q.is_homogeneous() and q.total_degree() == 4
-
-
-def test_hermitian_kernel_rank1():
-    h = hermitian_kernel(rank1())
-    assert h.eval([0, 0]) == 1
-    x = F(3, 2)
-    assert h.eval([x, x]) == 1 + x * x
-    val = h.eval_complex([1j, -1j])  # z = i, conj(z') = -i
-    assert abs(val - 2.0) < 1e-14
-
-
-def test_hermitian_kernel_spin_diagonal():
-    p = 3
-    h = hermitian_kernel(spin(p))
-    d = determinant_poly(spin(p), form="jordan")
-    xs = [F(1, 2), F(-1, 3), F(2)]
-    # e + x^2 in the spin factor: (1 + x1^2 + |x_tail|^2, 2 x1 x_tail)
-    sq = [1 + sum(x * x for x in xs)] + [2 * xs[0] * x for x in xs[1:]]
-    assert h.eval(xs + xs) == d.eval(sq)
-    assert h.eval([0] * (2 * p)) == 1
-
-
-def test_hermitian_kernel_matrix_unsupported():
-    with pytest.raises(UnsupportedFamilyError):
-        hermitian_kernel(sym_mat(3))
-
-
-def test_jordan_inverse():
-    f = rank1()
-    assert jordan_inverse(f, 2) == F(1, 2)
-    assert jordan_inverse(f, -1) == -1
-    assert jordan_inverse(f, F(1, 3)) == 3
-    with pytest.raises(SingularElementError):
-        jordan_inverse(f, 0)
-    with pytest.raises(UnsupportedFamilyError):
-        jordan_inverse(spin(3), 1)
-
-
-def test_negative_inverse_image():
-    f = rank1(2)
-    vs = VarSet.flat(["z"])
-    z = MultiPoly.variable(vs, 0)
-    one = MultiPoly.constant(vs, 1)
-    r = negative_inverse_image(z**2, f)
-    assert r.numerator == one and r.denominator == z**2
-    assert r.eval([F(2)]) == F(1, 4)
 
 
 def test_spin_form_interconvert():

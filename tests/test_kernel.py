@@ -11,9 +11,7 @@ from focklab.kernel import (
     bergman_norm_case1,
     c_closed,
     c_sequence,
-    full_kernel,
     kernel_eval,
-    meijer_eval,
     meijer_param_table_suite,
     meijer_params,
     moment_check,
@@ -22,7 +20,6 @@ from focklab.kernel import (
     sign_scan,
     sign_scan_report,
     spectral_params,
-    weight_eval,
 )
 from focklab.sl2 import feasible_q_values
 
@@ -107,59 +104,18 @@ def test_kernel_eval_complex_and_budget():
         kernel_eval(build_case(1), (0,), 1e9, terms=5)
 
 
-def test_full_kernel_rank1():
-    case = build_case(1)
-    xi = [(0.7, 0.2 + 0.1j)]
-    val = full_kernel(case, (0,), xi, xi)
-    # u = (H |w|^2)^4 with H = 1 + |z|^2, real positive here
-    h = 1 + abs(0.2 + 0.1j) ** 2
-    u = (h * 0.49) ** 4
-    assert abs(val - kernel_eval(case, (0,), u)) < 1e-12
-    # q > 0 multiplies by the K_q factor
-    val_q = full_kernel(case, (4,), xi, xi)
-    assert abs(val_q / (h * 0.49) ** 4 - kernel_eval(case, (4,), u)) < 1e-10
-    # xi = xi' with z = 0, w = 1: the hypergeometric value at u = 1
-    diag = full_kernel(case, (0,), [(1.0, 0.0)], [(1.0, 0.0)])
-    assert abs(diag - kernel_eval(case, (0,), 1.0)) < 1e-14
-
-
-def test_full_kernel_matches_graded_expansion():
-    # Thm-2.5-style brute sum: K = sum_m c_m prod (H_i w_i conj(w_i'))^{k_i m + q_i};
-    # the series form must reproduce it, which pins the K_q exponent at q_i
-    case = build_case(3)
-    q = (2, 2)
-    sp = spectral_params(case, q)
-    xi = [(0.5, 0.3 + 0.2j), (0.45, -0.1 + 0.4j)]
-    base = 1.0
-    for f, qi, (w, z) in zip(case.factors, q, xi):
-        h = 1 + z * z.conjugate()
-        base_i = (h * w * w.conjugate()).real
-        base *= base_i ** f.mult
-    factors = []
-    for f, qi, (w, z) in zip(case.factors, q, xi):
-        h = 1 + z * z.conjugate()
-        factors.append((h * w * w.conjugate()).real)
-    brute = sum(
-        float(c_closed(sp, m))
-        * math.prod(b ** (f.mult * m + qi) for b, f, qi in zip(factors, case.factors, q))
-        for m in range(60)
-    )
-    val = full_kernel(case, q, xi, xi)
-    assert abs(val.real - brute) <= 1e-12 * abs(brute)
-    assert abs(val.imag) <= 1e-12 * abs(brute)
-
-
 def test_h_twisted_bernstein_rank1():
     # Delta^k(d/dz) H^{k a} = B(a) conj(Delta)^k H^{k a - k} for H = 1 + z*zc,
     # checked exactly on the doubled-variable ring (zc is the conjugate slot)
     from focklab.bernstein import big_b_poly
-    from focklab.jordan import hermitian_kernel, rank1
-    from focklab.polyalg import MultiPoly, apply_diff_op
+    from focklab.jordan import rank1
+    from focklab.polyalg import MultiPoly, VarSet, apply_diff_op
 
     k = 4
-    h = hermitian_kernel(rank1(k))
-    z = MultiPoly.variable(h.vars, 0)
-    zc = MultiPoly.variable(h.vars, 1)
+    vars = VarSet(("z", "zc"), (0, 1))
+    z = MultiPoly.variable(vars, 0)
+    zc = MultiPoly.variable(vars, 1)
+    h = MultiPoly.constant(vars, 1) + z * zc
     B = big_b_poly(rank1(k))
     for alpha in (1, 2):
         lhs = apply_diff_op(z**k, h ** (k * alpha))
@@ -252,17 +208,6 @@ def test_moment_check_case1():
     assert all(c.status == "pass" for c in checks)
     moments = [c for c in checks if c.id.startswith("meijer.moment.")]
     assert len(moments) == 4 and all("quad_err=" in c.details for c in moments)
-
-
-def test_weight_eval_h_factor():
-    case5 = build_case(5)
-    q = (0, 0, 0, 0)
-    w = [0.4, 0.5, 0.6, 0.7]
-    z0 = [0.0, 0.0, 0.0, 0.0]
-    u = math.prod(abs(x) ** 2 for x in w)
-    # at z = 0 every H factor is 1, so the weight is exactly G(u)
-    val = weight_eval(case5, q, w, z0)
-    assert abs(val - meijer_eval(meijer_params(case5, q), u)) < 1e-12
 
 
 def test_sign_scan_case1():

@@ -1,20 +1,13 @@
-"""Exact polynomial layer: evaluation, differential operators, Euler operator."""
+"""Exact polynomial layer: evaluation, shifts, differential operators."""
 
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from focklab.polyalg import (
-    MultiPoly,
-    RationalFn,
-    VarSet,
-    apply_diff_op,
-    apply_symbol_at_point,
-    euler,
-    poly_eval,
-    substitute_negative_inverse,
-)
+from focklab.polyalg import MultiPoly, VarSet, apply_diff_op, apply_symbol_at_point
 
 VS1 = VarSet.flat(["z"])
 VS4 = VarSet.flat(["z1", "z2", "z3", "z4"])
@@ -34,20 +27,20 @@ def rand_poly(vs, rng, deg=3, terms=6):
 
 def test_poly_eval_examples():
     z = zvar(VS1)
-    assert poly_eval(z**4, [2]) == 16
+    assert (z**4).eval([2]) == 16
     prod = zvar(VS4, 0) * zvar(VS4, 1) * zvar(VS4, 2) * zvar(VS4, 3)
-    assert poly_eval(prod, [1, 1, 1, 1]) == 1
+    assert prod.eval([1, 1, 1, 1]) == 1
     vs3 = VarSet.flat(["z1", "z2", "z3"])
     phi3 = sum(
         (MultiPoly.variable(vs3, i) ** 2 for i in range(3)),
         MultiPoly.zero(vs3),
     )
-    assert poly_eval(phi3, [1, 2, 3]) == 14
+    assert phi3.eval([1, 2, 3]) == 14
 
 
 def test_poly_eval_dimension_mismatch():
     with pytest.raises(ValueError):
-        poly_eval(zvar(VS1) ** 2, [1, 2])
+        (zvar(VS1) ** 2).eval([1, 2])
 
 
 def test_apply_diff_op_examples():
@@ -83,56 +76,13 @@ def test_apply_diff_op_bilinear():
         assert lhs == rhs
 
 
-def test_euler_examples():
-    z = zvar(VS1)
-    assert euler(z**3) == (z**3).scale(3)
-    assert euler(MultiPoly.constant(VS1, 1)).is_zero()
-    vs2 = VarSet.flat(["z1", "z2"])
-    p = MultiPoly.variable(vs2, 0) ** 2 * MultiPoly.variable(vs2, 1)
-    assert euler(p) == p.scale(3)
-
-
-def test_euler_leibniz_and_homogeneous():
-    rng = random.Random(23)
-    for _ in range(4):
-        p, q = rand_poly(VS4, rng), rand_poly(VS4, rng)
-        assert euler(p * q) == euler(p) * q + p * euler(q)
-    h = zvar(VS4, 0) ** 2 * zvar(VS4, 1) + zvar(VS4, 2) ** 2  # not homogeneous
-    assert not h.is_homogeneous()
-    hom = zvar(VS4, 0) ** 2 * zvar(VS4, 1)
-    assert hom.is_homogeneous() and euler(hom) == hom.scale(3)
-
-
-def test_substitute_negative_inverse():
-    z = zvar(VS1)
-    one = MultiPoly.constant(VS1, 1)
-    r = substitute_negative_inverse(z, 0)
-    assert r.numerator == -one and r.denominator == z
-    r = substitute_negative_inverse(z**2 + one, 0)
-    assert r.numerator == z**2 + one and r.denominator == z**2
-    r = substitute_negative_inverse(one, 0)
-    assert r == RationalFn(one, one)
-
-
-def test_rational_fn_invariants():
-    z = zvar(VS1)
-    with pytest.raises(ZeroDivisionError):
-        RationalFn(z, MultiPoly.zero(VS1))
-    a = RationalFn(z.scale(2), (z**2).scale(2))
-    b = RationalFn(z, z**2)
-    assert a == b
-    assert a.eval([F(1, 3)]) == 3
-
-
-def test_shift_and_negate():
+def test_shift_evaluates_at_translated_point():
     rng = random.Random(7)
     p = rand_poly(VS4, rng)
     a = [F(1, 2), F(-2), F(3), F(0)]
     shifted = p.shift(a)
     pt = [F(2), F(1), F(-1), F(5)]
     assert shifted.eval(pt) == p.eval([x + y for x, y in zip(pt, a)])
-    neg = p.negate_vars([0, 2])
-    assert neg.eval(pt) == p.eval([-pt[0], pt[1], -pt[2], pt[3]])
 
 
 def test_apply_symbol_at_point_matches_expansion():
@@ -170,3 +120,31 @@ def test_canonical_form_and_immutability():
         p.terms = {}
     with pytest.raises(ValueError):
         MultiPoly(VS1, {(-1,): F(1)})
+
+
+# -- properties (hypothesis) ---------------------------------------------------
+
+VS2 = VarSet.flat(["x", "y"])
+VS3 = VarSet.flat(["z1", "z2", "z3"])
+small_fracs = st.builds(F, st.integers(-5, 5), st.integers(1, 4))
+
+
+def polys(vs, max_exp, max_terms):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(vs))
+    return st.dictionaries(exps, small_fracs, max_size=max_terms).map(
+        lambda terms: MultiPoly(vs, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(VS3, 3, 5), st.lists(small_fracs, min_size=3, max_size=3),
+       st.lists(small_fracs, min_size=3, max_size=3))
+def test_shift_composes_additively(p, a, b):
+    assert p.shift(a).shift(b) == p.shift([x + y for x, y in zip(a, b)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(VS2, 2, 3), polys(VS2, 2, 3), st.integers(0, 3),
+       st.lists(small_fracs, min_size=2, max_size=2))
+def test_apply_symbol_at_point_is_apply_then_eval(symbol, base, power, pt):
+    expected = apply_diff_op(symbol, base**power).eval(pt)
+    assert apply_symbol_at_point(symbol, base, power, pt) == expected

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from focklab import structure
-from focklab.cli import structure_rows
+from focklab.checks import STRUCTURE_ROWS
 from focklab.jordan import build_case, q_polynomial
 from focklab.linalg import FractionSpan
 from focklab.structure import (
@@ -77,9 +77,8 @@ def test_translate_span_examples():
 
 def test_translate_span_graded_ranks():
     assert translate_span_dim(build_case(9, variant="c")) == (128, [1, 28, 70, 28, 1])
-    rows = structure_rows()
-    assert len(rows) == 19
-    for case in rows:
+    assert len(STRUCTURE_ROWS) == 19
+    for case in STRUCTURE_ROWS:
         dim_w, graded = translate_span_dim(case)
         assert graded[:2] == [1, case.dim_v], case.label
         assert graded == graded[::-1], case.label  # Gorenstein symmetry
