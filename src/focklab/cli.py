@@ -22,7 +22,11 @@ from focklab.report import CheckReport
 
 
 def _parse_q(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    """--q: comma-separated rationals such as "1,1/2"; anything else is a usage error."""
+    try:
+        return tuple(Fraction(part.strip()) for part in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid --q {text!r}: {exc}") from None
 
 
 def _case_from_args(args) -> "object":
@@ -79,7 +83,7 @@ def cmd_verify(args) -> int:
         "trunc": args.trunc,
         "m_max": args.m_max,
         "case": args.case or None,
-        "q": _parse_q(args.q) if args.q else None,
+        "q": args.q,
     }
     reports = run_suites(names, opts, jobs=args.jobs)
     n_fail = sum(1 for c in reports if c.status == "fail")
@@ -99,7 +103,8 @@ def cmd_verify(args) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if not reports:
-        print(f"no check of {args.suite} matches --case {args.case or '-'} --q {args.q or '-'}",
+        q_text = ",".join(map(str, args.q)) if args.q else "-"
+        print(f"no check of {args.suite} matches --case {args.case or '-'} --q {q_text}",
               file=sys.stderr)
         return 2
     return 1 if n_fail or n_error else 0
@@ -124,9 +129,7 @@ def _no_int_digit_limit():
 
 def cmd_export(args) -> int:
     case = _case_from_args(args)
-    q = sl2.expand_q(case, _parse_q(args.q)) if args.q else tuple(
-        sl2.feasible_q_values(case, 1)[0]
-    )
+    q = sl2.expand_q(case, args.q) if args.q else tuple(sl2.feasible_q_values(case, 1)[0])
     out = sys.stdout if not args.output else open(args.output, "w")
     try:
         if args.what in ("cm", "kernel-coeffs"):
@@ -186,7 +189,7 @@ def cmd_admissible_q(args) -> int:
 
 def cmd_meijer(args) -> int:
     case = _case_from_args(args)
-    q = sl2.expand_q(case, _parse_q(args.q)) if args.q else tuple(sl2.feasible_q_values(case, 1)[0])
+    q = sl2.expand_q(case, args.q) if args.q else tuple(sl2.feasible_q_values(case, 1)[0])
     reports = kernel.moment_check(case, q, m_max=args.moments, precision=args.precision)
     for c in reports:
         print(f"[{c.status.upper():4s}] {c.id}  {c.details}")
@@ -195,7 +198,7 @@ def cmd_meijer(args) -> int:
 
 def cmd_weight_scan(args) -> int:
     case = _case_from_args(args)
-    q = sl2.expand_q(case, _parse_q(args.q)) if args.q else tuple(sl2.feasible_q_values(case, 1)[0])
+    q = sl2.expand_q(case, args.q) if args.q else tuple(sl2.feasible_q_values(case, 1)[0])
     rep = kernel.sign_scan_report(case, q, grid=args.grid, precision=args.precision)
     print(f"[{rep.status.upper():4s}] {rep.id}  {rep.residual}  {rep.details}")
     return 0 if rep.status == "pass" else 1
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p1", type=int)
         p.add_argument("--p2", type=int)
         p.add_argument("--d", type=int, choices=(1, 2, 4, 8))
-        p.add_argument("--q", default="")
+        p.add_argument("--q", type=_parse_q)
         p.add_argument("--precision", type=int, default=default_precision)
         p.add_argument("--seed", type=int, default=7)
 

@@ -2,9 +2,13 @@
 
 The graded piece at level m of a rank-1-product case has monomial basis
 prod z_i^{j_i} * w_i^{N_i(m)} with N_i(m) = k_i m + q_i and 0 <= j_i <= N_i.
-All operators used here map basis monomials to single signed monomials, so
-they are represented as sparse column maps keyed by (m, j-tuple); commutator
-checks stay exact rational throughout.
+Each operator is one `OperatorMatrix`: a sparse column map keyed by
+(m, j-tuple) and filled lazily, one column the first time a check reads it,
+so only the columns a check reaches are ever computed.  M, D, sigma, rho(H)
+and the dk generators send a basis monomial to one signed multiple of a
+monomial; rho(F) = M - delta D sends it to up to two, and rho(E) is the
+conjugation sigma rho(F) sigma^{-1}, composed from those column maps.
+Everything stays exact rational.
 
 Operator-level construction is restricted to rank-1-product cases: there the
 inversion sigma is an exact signed permutation of each graded block, which is
@@ -18,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from typing import Callable
 
 from focklab.jordan import CaseDescriptor, Family
 from focklab.linalg import FractionSpan
@@ -26,6 +31,7 @@ from focklab.sl2 import delta_sequence
 
 Key = tuple[int, tuple[int, ...]]  # (m, z-exponents)
 Vec = dict[Key, Fraction]
+Column = list[tuple[Key, Fraction]]
 
 
 def is_rank1_product(case: CaseDescriptor) -> bool:
@@ -73,24 +79,30 @@ class Truncation:
     def block_dim(self, m: int) -> int:
         return math.prod(n + 1 for n in self.degree_bounds(m))
 
-    def all_basis(self, m_max: int | None = None) -> list[Key]:
-        top = self.m_top if m_max is None else m_max
+    def all_basis(self) -> list[Key]:
         out: list[Key] = []
-        for m in range(top + 1):
+        for m in range(self.m_top + 1):
             out.extend(self.block_basis(m))
         return out
 
 
 class OperatorMatrix:
-    """Sparse exact linear map between truncation blocks, stored column-wise."""
+    """Sparse exact linear map between truncation blocks, filled column by column.
 
-    def __init__(self, trunc: Truncation, name: str, columns=None):
-        self.trunc = trunc
-        self.name = name
-        self.columns: dict[Key, list[tuple[Key, Fraction]]] = columns or {}
+    `column_fn(key)` gives the image of the basis monomial `key` as
+    (target, coefficient) pairs.  `column(key)` calls it on first use, drops
+    the zero entries and keeps the result in `columns`.
+    """
 
-    def column(self, key: Key) -> list[tuple[Key, Fraction]]:
-        return self.columns.get(key, [])
+    def __init__(self, column_fn: Callable[[Key], Column]):
+        self._column_fn = column_fn
+        self.columns: dict[Key, Column] = {}
+
+    def column(self, key: Key) -> Column:
+        col = self.columns.get(key)
+        if col is None:
+            col = self.columns[key] = [(t, c) for t, c in self._column_fn(key) if c != 0]
+        return col
 
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
@@ -103,22 +115,6 @@ class OperatorMatrix:
                     del out[tgt]
         return out
 
-    def entries(self) -> dict[tuple[Key, Key], Fraction]:
-        out = {}
-        for src, col in self.columns.items():
-            for tgt, c in col:
-                out[(tgt, src)] = c
-        return out
-
-
-def _build(trunc: Truncation, name: str, column_fn, max_src_m: int | None = None) -> OperatorMatrix:
-    cols = {}
-    for key in trunc.all_basis(max_src_m):
-        col = [(t, c) for t, c in column_fn(key) if c != 0]
-        if col:
-            cols[key] = col
-    return OperatorMatrix(trunc, name, cols)
-
 
 def op_M(trunc: Truncation) -> OperatorMatrix:
     """Multiplication by prod w_i^{k_i}: O_m -> O_{m+1}, basis to basis."""
@@ -129,7 +125,7 @@ def op_M(trunc: Truncation) -> OperatorMatrix:
             return []
         return [((m + 1, js), Fraction(1))]
 
-    return _build(trunc, "M", col)
+    return OperatorMatrix(col)
 
 
 def op_D(trunc: Truncation) -> OperatorMatrix:
@@ -141,16 +137,14 @@ def op_D(trunc: Truncation) -> OperatorMatrix:
         if m == 0:
             return []
         coeff = Fraction(1)
-        out = []
         for j, k in zip(js, ks):
             if j < k:
                 return []
             for t in range(k):
                 coeff *= j - t
-        out.append(((m - 1, tuple(j - k for j, k in zip(js, ks))), coeff))
-        return out
+        return [((m - 1, tuple(j - k for j, k in zip(js, ks))), coeff)]
 
-    return _build(trunc, "D", col)
+    return OperatorMatrix(col)
 
 
 def op_rhoH(trunc: Truncation) -> OperatorMatrix:
@@ -161,7 +155,7 @@ def op_rhoH(trunc: Truncation) -> OperatorMatrix:
         weight = Fraction(sum(js)) - Fraction(sum(trunc.degree_bounds(m)), 2)
         return [(key, weight)]
 
-    return _build(trunc, "rhoH", col)
+    return OperatorMatrix(col)
 
 
 def sigma_sign(trunc: Truncation, key: Key) -> int:
@@ -179,48 +173,51 @@ def op_sigma(trunc: Truncation) -> OperatorMatrix:
         tgt = (m, tuple(n - j for n, j in zip(bounds, js)))
         return [(tgt, Fraction(sigma_sign(trunc, key)))]
 
-    return _build(trunc, "sigma", col)
+    return OperatorMatrix(col)
 
 
-def op_sigma_inverse(trunc: Truncation) -> OperatorMatrix:
+def op_sigma_inverse(trunc: Truncation, sig: OperatorMatrix) -> OperatorMatrix:
     """sigma^{-1} = (block sign of sigma^2) * sigma; sigma^2 = (-1)^{sum N_i}."""
-    sig = op_sigma(trunc)
 
     def col(key: Key):
         m, _ = key
         block_sign = -1 if sum(trunc.degree_bounds(m)) % 2 else 1
         return [(t, c * block_sign) for t, c in sig.column(key)]
 
-    return _build(trunc, "sigma^-1", col)
+    return OperatorMatrix(col)
 
 
 def op_rhoF(trunc: Truncation, q, kappa: str = "1/A", forced: bool = False) -> OperatorMatrix:
-    """rho(F) = M - delta o D, with delta applied in the target block."""
+    """rho(F) = M - delta o D, with delta applied in the target block.
+
+    The top block has no columns: its M-image would be clipped, so checks
+    read rho(F) only below it (interior validity).
+    """
     mm = op_M(trunc)
     dd = op_D(trunc)
     delta = delta_sequence(trunc.case, q, trunc.m_top, kappa, forced).values
 
     def col(key: Key):
-        out = list(mm.column(key))
-        for tgt, c in dd.column(key):
-            out.append((tgt, -delta[tgt[0]] * c))
-        return out
+        if key[0] >= trunc.m_top:
+            return []
+        return mm.column(key) + [(tgt, -delta[tgt[0]] * c) for tgt, c in dd.column(key)]
 
-    # no columns for the top block: its M-image would clip (interior validity)
-    return _build(trunc, "rhoF", col, max_src_m=trunc.m_top - 1)
+    return OperatorMatrix(col)
 
 
-def op_rhoE(trunc: Truncation, q, kappa: str = "1/A", forced: bool = False) -> OperatorMatrix:
-    """rho(E) = sigma rho(F) sigma^{-1}, computed by honest conjugation."""
-    sig = op_sigma(trunc)
-    sig_inv = op_sigma_inverse(trunc)
-    rho_f = op_rhoF(trunc, q, kappa, forced)
+def op_rhoE(trunc: Truncation, rho_f: OperatorMatrix, sig: OperatorMatrix) -> OperatorMatrix:
+    """rho(E) = sigma rho(F) sigma^{-1}, computed by honest conjugation.
+
+    `rho_f` and `sig` are the caller's own rho(F) and sigma, so neither is
+    built twice.  sigma keeps blocks, so rho(E) inherits rho(F)'s empty top
+    block.
+    """
+    sig_inv = op_sigma_inverse(trunc, sig)
 
     def col(key: Key):
-        v: Vec = {key: Fraction(1)}
-        return list(sig.apply(rho_f.apply(sig_inv.apply(v))).items())
+        return list(sig.apply(rho_f.apply(dict(sig_inv.column(key)))).items())
 
-    return _build(trunc, "rhoE", col, max_src_m=trunc.m_top - 1)
+    return OperatorMatrix(col)
 
 
 def dk_action(trunc: Truncation, factor_index: int, generator: str) -> OperatorMatrix:
@@ -229,26 +226,21 @@ def dk_action(trunc: Truncation, factor_index: int, generator: str) -> OperatorM
     With these (spec-pinned) conventions e lowers the z-degree, so the exact
     relations are [e,f] = h, [h,e] = -2e, [h,f] = 2f.
     """
+    if generator not in ("e", "f", "h"):
+        raise ValueError(f"unknown generator {generator!r}")
     i = factor_index
 
     def col(key: Key):
         m, js = key
         n = trunc.degree_bounds(m)[i]
         j = js[i]
-        out = []
         if generator == "e":
-            if j >= 1:
-                out.append(((m, _bump(js, i, -1)), Fraction(j)))
-        elif generator == "h":
-            out.append((key, Fraction(2 * j - n)))
-        elif generator == "f":
-            if j + 1 <= n:
-                out.append(((m, _bump(js, i, +1)), Fraction(j - n)))
-        else:
-            raise ValueError(f"unknown generator {generator!r}")
-        return out
+            return [((m, _bump(js, i, -1)), Fraction(j))] if j >= 1 else []
+        if generator == "h":
+            return [(key, Fraction(2 * j - n))]
+        return [((m, _bump(js, i, +1)), Fraction(j - n))] if j + 1 <= n else []
 
-    return _build(trunc, f"dk.{generator}.{i}", col)
+    return OperatorMatrix(col)
 
 
 def _bump(js: tuple[int, ...], i: int, d: int) -> tuple[int, ...]:
@@ -260,19 +252,17 @@ def _bump(js: tuple[int, ...], i: int, d: int) -> tuple[int, ...]:
 # -- checks -------------------------------------------------------------------
 
 
-def _vec_sub(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
-    for k, c in b.items():
-        nv = out.get(k, Fraction(0)) - c
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _scale(v: Vec, c: Fraction) -> Vec:
-    return {k: x * c for k, x in v.items()} if c else {}
+def _relation_holds(a: OperatorMatrix, b: OperatorMatrix, c: OperatorMatrix,
+                    scale: int, key: Key) -> bool:
+    """A(B e_key) - B(A e_key) - scale * C e_key = 0, exactly."""
+    out: Vec = {}
+    for outer, inner, sign in ((a, b, 1), (b, a, -1)):
+        for mid, x in inner.column(key):
+            for tgt, y in outer.column(mid):
+                out[tgt] = out.get(tgt, 0) + sign * x * y
+    for tgt, z in c.column(key):
+        out[tgt] = out.get(tgt, 0) - scale * z
+    return not any(out.values())
 
 
 def commutator_check(
@@ -284,46 +274,41 @@ def commutator_check(
 ) -> CheckReport:
     """Assert [rhoH,rhoE]=2rhoE, [rhoH,rhoF]=-2rhoF, [rhoE,rhoF]=rhoH exactly.
 
-    Assertions run on basis vectors of interior blocks 1 <= m <= m_trunc - 1;
-    operators are built with two extra guard blocks so no image is clipped.
-    With kappa=None the check doubles as the calibration oracle: it tries
-    "1/A" then "A" and reports which convention closes the algebra.
+    Each relation [A,B] = c C is checked as the column identity
+    A(B e_k) - B(A e_k) - c C e_k = 0 at every basis vector e_k of the
+    interior blocks 1 <= m <= m_trunc - 1.  The truncation carries two guard
+    blocks above them, so no image these identities read is clipped; only the
+    guard columns they reach are computed.  sigma and rho(H) are built once
+    per check, rho(F) and rho(E) once per kappa.  With kappa=None the check
+    doubles as the calibration oracle: it tries "1/A" then "A" and reports
+    which convention closes the algebra.
     """
     sw = Stopwatch()
     q = tuple(Fraction(x) for x in q)
     trunc = Truncation(case, q, m_trunc + 2)
     qs = q_strings(q)
     conventions = [kappa] if kappa else ["1/A", "A"]
+    sig = op_sigma(trunc)
+    rho_h = op_rhoH(trunc)
     last_fail = ""
     for conv in conventions:
         rho_f = op_rhoF(trunc, q, conv, forced)
-        rho_e = op_rhoE(trunc, q, conv, forced)
-        rho_h = op_rhoH(trunc)
-        ok = True
-        for m in range(1, m_trunc):
-            for key in trunc.block_basis(m):
-                v: Vec = {key: Fraction(1)}
-                he = _vec_sub(rho_h.apply(rho_e.apply(v)), rho_e.apply(rho_h.apply(v)))
-                if he != _scale(rho_e.apply(v), Fraction(2)):
-                    ok, last_fail = False, f"[H,E]!=2E at {key} ({conv})"
-                    break
-                hf = _vec_sub(rho_h.apply(rho_f.apply(v)), rho_f.apply(rho_h.apply(v)))
-                if hf != _scale(rho_f.apply(v), Fraction(-2)):
-                    ok, last_fail = False, f"[H,F]!=-2F at {key} ({conv})"
-                    break
-                ef = _vec_sub(rho_e.apply(rho_f.apply(v)), rho_f.apply(rho_e.apply(v)))
-                if ef != rho_h.apply(v):
-                    ok, last_fail = False, f"[E,F]!=H at {key} ({conv})"
-                    break
-            if not ok:
-                break
-        if ok:
+        rho_e = op_rhoE(trunc, rho_f, sig)
+        relations = (("[H,E]!=2E", rho_h, rho_e, rho_e, 2),
+                     ("[H,F]!=-2F", rho_h, rho_f, rho_f, -2),
+                     ("[E,F]!=H", rho_e, rho_f, rho_h, 1))
+        failed = next((f"{name} at {key} ({conv})"
+                       for m in range(1, m_trunc) for key in trunc.block_basis(m)
+                       for name, a, b, c, scale in relations
+                       if not _relation_holds(a, b, c, scale, key)), None)
+        if failed is None:
             return CheckReport(
                 id=f"fock.comm.{case.label}.{'_'.join(qs)}",
                 case_id=case.label, q=qs, status="pass",
                 details=f"kappa={conv}; interior blocks 1..{m_trunc - 1}",
                 elapsed_ms=sw.ms(),
             )
+        last_fail = failed
     return CheckReport(
         id=f"fock.comm.{case.label}.{'_'.join(qs)}",
         case_id=case.label, q=qs, status="fail",
@@ -363,7 +348,8 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     trunc = Truncation(case, q, m_trunc)
     qs = q_strings(q)
     index: dict[Key, int] = {k: i for i, k in enumerate(trunc.all_basis())}
-    gens = [op_rhoE(trunc, q), op_rhoF(trunc, q)]
+    rho_f = op_rhoF(trunc, q)
+    gens = [op_rhoE(trunc, rho_f, op_sigma(trunc)), rho_f]
     for i in range(case.s):
         for g in "efh":
             gens.append(dk_action(trunc, i, g))
@@ -418,21 +404,25 @@ def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) 
     """Case (1): quadrature norms against 1/binom(4m+q, j).
 
     ||z^j||^2_m = (1/a_m) * integral t^j (1+t)^{-(4m+q)-2} dt with
-    a_m the j=0 integral; both sides integrated numerically.
+    a_m the j=0 integral; both sides integrated numerically.  The largest of
+    quad's absolute error estimates is reported as quad_err.
     """
     from scipy.integrate import quad
 
     sw = Stopwatch()
     worst = 0.0
+    worst_err = 0.0
     for m in m_values:
         n = 4 * m + q
 
         def weight(t, j):
             return t**j * (1.0 + t) ** (-(n + 2))
 
-        a_m, _ = quad(weight, 0.0, math.inf, args=(0,))
+        a_m, err = quad(weight, 0.0, math.inf, args=(0,))
+        worst_err = max(worst_err, err)
         for j in range(n + 1):
-            val, _ = quad(weight, 0.0, math.inf, args=(j,))
+            val, err = quad(weight, 0.0, math.inf, args=(j,))
+            worst_err = max(worst_err, err)
             pred = 1.0 / math.comb(n, j)
             rel = abs(val / a_m - pred) / pred
             worst = max(worst, rel)
@@ -441,6 +431,6 @@ def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) 
         id="fock.norm.case1", case_id="1", q=[str(q)],
         status="pass" if ok else "fail",
         residual=f"{worst:.3e}", tolerance=f"{rel_tol:.0e}",
-        details=f"m in {list(m_values)}",
+        details=f"m in {list(m_values)}; quad_err={worst_err:.1e}",
         elapsed_ms=sw.ms(),
     )

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from focklab import kernel
+from focklab import checks, kernel
 from focklab.cli import main
 from focklab.jordan import build_case
 
@@ -46,6 +46,13 @@ def test_catalog_parametrized(capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["verify", "nonsense"]) == 2
     assert main(["export", "cm"]) == 2  # missing --case
+
+
+@pytest.mark.parametrize("argv", [("verify", "sl2", "--q", "x"),
+                                  ("export", "cm", "--case", "1", "--q", "1/0")])
+def test_malformed_q_is_a_usage_error(argv, capsys):
+    assert main(list(argv)) == 2
+    assert "invalid --q" in capsys.readouterr().err
 
 
 def test_export_cm_row_count(capsys):
@@ -207,3 +214,15 @@ def test_registry_is_built_lazily():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.split() == ["0", "0"]
+
+
+def test_kernel_cm_fails_when_the_series_is_off(monkeypatch):
+    entries = [e for e in checks.select(("meijer",)) if e.name == "kernel.cm"]
+    assert len(entries) == len(checks.feasible_pairs())
+    run_all = lambda: [r.status for e in entries for r in checks.run_entry(e, {})]
+    assert set(run_all()) == {"pass"}
+    real = kernel.kernel_eval
+    # off by 1e-9 relative, except at u = 0, where every series is exactly 1
+    monkeypatch.setattr(kernel, "kernel_eval",
+                        lambda case, q, u, **kw: real(case, q, u, **kw) * (1 + 1e-9 * (u != 0)))
+    assert set(run_all()) == {"fail"}

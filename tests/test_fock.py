@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from focklab import fock
 from focklab.fock import (
     Truncation,
     commutator_check,
@@ -16,6 +17,7 @@ from focklab.fock import (
     op_rhoF,
     op_rhoH,
     op_sigma,
+    op_sigma_inverse,
     reproducing_check,
     sigma_involution_check,
 )
@@ -87,6 +89,20 @@ def test_sigma_involution_block_sign():
         assert rep.status == "pass"
 
 
+@pytest.mark.parametrize(
+    "case,q",
+    [(build_case(1), (4,)), (build_case(3), (2, 2)), (build_case(5), (1, 1, 1, 1))],
+    ids=["c1q4", "c3q22", "c5q1111"],
+)
+def test_sigma_inverse_undoes_sigma(case, q):
+    tr = Truncation(case, q, 3)
+    sig = op_sigma(tr)
+    sig_inv = op_sigma_inverse(tr, sig)
+    for key in tr.all_basis():  # every block m = 0..3
+        assert sig_inv.apply(sig.apply(unit(key))) == unit(key)
+        assert sig.apply(sig_inv.apply(unit(key))) == unit(key)
+
+
 def test_rhoF_and_rhoE_case5():
     case5 = build_case(5)
     q = (F(0),) * 4
@@ -94,7 +110,7 @@ def test_rhoF_and_rhoE_case5():
     f = op_rhoF(tr, q)
     # rho(F) 1 = w1 w2 w3 w4 (D kills constants)
     assert f.column((0, (0, 0, 0, 0))) == [((1, (0, 0, 0, 0)), F(1))]
-    e = op_rhoE(tr, q)
+    e = op_rhoE(tr, f, op_sigma(tr))
     col = dict(e.column((0, (0, 0, 0, 0))))
     assert col == {(1, (1, 1, 1, 1)): F(1)}  # multiplication by Q(z) w^k
 
@@ -103,7 +119,7 @@ def test_rhoE_weight_bookkeeping_case1():
     case1 = build_case(1)
     q = (F(0),)
     tr = Truncation(case1, q, 4)
-    e = op_rhoE(tr, q)
+    e = op_rhoE(tr, op_rhoF(tr, q), op_sigma(tr))
     h = op_rhoH(tr)
     # rho(E) 1 = z^4 w^4: Euler eigenvalue +4, m +1, net H-weight +2
     col = dict(e.column((0, (0,))))
@@ -145,6 +161,19 @@ def test_commutator_case4_consistent_solution():
 
 def test_commutator_case11_forced_fails():
     rep = commutator_check(build_case(11), (0, 0), m_trunc=4, kappa="1/A", forced=True)
+    assert rep.status == "fail"
+
+
+def test_commutator_fails_on_perturbed_delta(monkeypatch):
+    real = fock.delta_sequence
+
+    def perturbed(*args, **kwargs):
+        seq = real(*args, **kwargs)
+        seq.values[2] += F(1, 1000)  # one delta_m off, every other exact
+        return seq
+
+    monkeypatch.setattr(fock, "delta_sequence", perturbed)
+    rep = commutator_check(build_case(5), (0, 0, 0, 0), m_trunc=4, kappa="1/A")
     assert rep.status == "fail"
 
 
@@ -215,3 +244,5 @@ def test_reproducing_check():
     rep = reproducing_check(q=0, m_values=(0, 1, 2, 3))
     assert rep.status == "pass"
     assert float(rep.residual) <= 1e-8
+    quad_err = float(rep.details.split("quad_err=")[1])
+    assert 0 < quad_err < 1e-8
