@@ -6,14 +6,13 @@ case polynomial is the product over factors, of degree 4 with B(0) = 0 and
 leading coefficient A = prod k_i^{k_i r_i}.
 
 verify_bernstein_identity checks Delta^k(d/dz) Delta^{k a} = C * B(a) *
-Delta^{k a - k} exactly, either by full symbolic expansion or (for the largest
-matrix families) by exact evaluation at seeded rational points; the
-coordinate-dependent constant C must be independent of a.
+Delta^{k a - k} exactly, by full symbolic expansion of both sides for every
+family (no sampling, no seed); the coordinate-dependent constant C must be
+independent of a.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from focklab.jordan import (
     determinant_poly,
     dual_determinant_symbol,
 )
-from focklab.polyalg import apply_diff_op, apply_symbol_at_point
+from focklab.polyalg import apply_diff_op
 from focklab.report import CheckReport, Stopwatch, q_strings
 
 
@@ -203,7 +202,6 @@ class BernsteinResult:
     factor: SimpleFactorDescriptor
     alphas: tuple[int, ...]
     constant: Fraction
-    mode: str
     report: CheckReport
     alpha_reports: list[CheckReport] = None  # one per alpha, spec id scheme
 
@@ -215,72 +213,46 @@ def _family_tag(factor: SimpleFactorDescriptor) -> str:
 
 
 def verify_bernstein_identity(
-    factor: SimpleFactorDescriptor,
-    alphas=(1, 2, 3),
-    mode: str = "symbolic",
-    seed: int = 20240,
-    n_points: int = 5,
+    factor: SimpleFactorDescriptor, alphas=(1, 2, 3)
 ) -> BernsteinResult:
     """Check Delta^k(d) Delta^{k a} = C B(a) Delta^{k a - k} with constant C.
 
-    mode="symbolic" compares fully expanded polynomials; mode="points"
-    evaluates both sides exactly at seeded rational points (Schwartz-Zippel
-    style, failure probability ~(deg/2e4)^n_points).  C is calibrated at the
-    smallest alpha and must be identical for every alpha tested.
+    Both sides are expanded in full and compared term by term.  C is read
+    off one monomial at the smallest alpha and must be identical for every
+    alpha tested.
     """
     sw = Stopwatch()
     delta = determinant_poly(factor, form="jordan")
-    symbol_base = dual_determinant_symbol(factor)
     k = factor.mult
+    symbol = dual_determinant_symbol(factor) ** k
     B = big_b_poly(factor)
     tag = _family_tag(factor) + (f".k{k}" if k > 1 else "")
     constant: Fraction | None = None
     alpha_reports: list[CheckReport] = []
 
-    if mode == "points":
-        rng = random.Random(seed)
-        points = [
-            [Fraction(rng.randint(-10000, 10000)) for _ in range(len(delta.vars))]
-            for _ in range(n_points)
-        ]
-
     for alpha in alphas:
         bval = B.eval(alpha)
         failure = ""
-        if mode == "symbolic":
-            lhs = apply_diff_op(symbol_base**k, delta ** (k * alpha))
-            rhs = delta ** (k * alpha - k)
-            e, c_rhs = next(iter(rhs.terms.items()))
-            c_lhs = lhs.terms.get(e)
-            if c_lhs is None or bval == 0:
-                failure = "LHS lacks a matching monomial"
-            else:
-                c = c_lhs / (bval * c_rhs)
-                if constant is None:
-                    constant = c
-                if lhs != rhs.scale(c * bval):
-                    failure = "nonzero residual"
-                elif c != constant:
-                    failure = f"constant drift {c} != {constant}"
-        elif mode == "points":
-            for pt in points:
-                lhs = apply_symbol_at_point(symbol_base**k, delta, k * alpha, pt)
-                rhs = delta.eval(pt) ** (k * alpha - k)
-                if constant is None:
-                    if bval * rhs == 0:
-                        raise DegenerateParameterError("calibration point degenerate")
-                    constant = lhs / (bval * rhs)
-                if lhs != constant * bval * rhs:
-                    failure = f"point residual {lhs - constant * bval * rhs}"
-                    break
+        lhs = apply_diff_op(symbol, delta ** (k * alpha))
+        rhs = delta ** (k * alpha - k)
+        e, c_rhs = next(iter(rhs.terms.items()))
+        c_lhs = lhs.terms.get(e)
+        if c_lhs is None or bval == 0:
+            failure = "LHS lacks a matching monomial"
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            c = Fraction(c_lhs) / (bval * c_rhs)
+            if constant is None:
+                constant = c
+            if lhs != rhs.scale(c * bval):
+                failure = "nonzero residual"
+            elif c != constant:
+                failure = f"constant drift {c} != {constant}"
         alpha_reports.append(
             CheckReport(
                 id=f"bernstein.identity.{tag}.{alpha}",
                 status="fail" if failure else "pass",
                 residual=failure or "0",
-                details=f"C={constant} mode={mode}",
+                details=f"C={constant}",
                 elapsed_ms=sw.ms(),
             )
         )
@@ -290,10 +262,10 @@ def verify_bernstein_identity(
         id=f"bernstein.identity.{tag}",
         status="pass" if ok else "fail",
         residual="0" if ok else next(r.residual for r in alpha_reports if r.status == "fail"),
-        details=f"C={constant} mode={mode} alphas={list(alphas)}",
+        details=f"C={constant} alphas={list(alphas)}",
         elapsed_ms=sw.ms(),
     )
-    return BernsteinResult(factor, tuple(alphas), constant, mode, aggregate, alpha_reports)
+    return BernsteinResult(factor, tuple(alphas), constant, aggregate, alpha_reports)
 
 
 # -- a_m ratios ---------------------------------------------------------------

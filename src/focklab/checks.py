@@ -72,13 +72,16 @@ TABLES_Q0_CASES = (
     build_case(5), *(build_case(9, variant=v) for v in "abc"),
 )
 
-# Bernstein identity families: expanded symbolically at alpha = 1, 2, 3, or
-# evaluated exactly at seeded points at alpha = 1, 2
-BERNSTEIN_SYMBOLIC = (
-    *(rank1(k) for k in (1, 2, 3, 4)), *(spin(p, 1) for p in (2, 3, 4, 5)),
-    spin(3, 2), sym_mat(2), sym_mat(3), full_mat(2), full_mat(3), skew_mat(4),
+# Bernstein identity families (factor, alphas), each checked by full symbolic
+# expansion; the largest three stop at alpha = 2, where Skew(8)'s Pf^2 already
+# has 5,250 terms
+BERNSTEIN_FAMILIES = (
+    *((f, (1, 2, 3)) for f in (
+        *(rank1(k) for k in (1, 2, 3, 4)), *(spin(p, 1) for p in (2, 3, 4, 5)),
+        spin(3, 2), sym_mat(2), sym_mat(3), full_mat(2), full_mat(3), skew_mat(4),
+    )),
+    *((f, (1, 2)) for f in (sym_mat(4), full_mat(4), skew_mat(8))),
 )
-BERNSTEIN_POINTS = (sym_mat(4), full_mat(4), skew_mat(8))
 
 # (case, q) of the operator-level sl2 relations and sigma^2 on truncated blocks
 COMMUTATOR_MATRIX = (
@@ -237,13 +240,9 @@ def registry() -> tuple[Entry, ...]:
         add("tables", "kernel.q0reduction", lambda o, c=case: [kernel.q0_reduction_check(c)],
             case, (0,) * case.s)
 
-    for f in BERNSTEIN_SYMBOLIC:
+    for f, alphas in BERNSTEIN_FAMILIES:
         add("bernstein", f"bernstein.identity.{f.family.value}{f.size}.k{f.mult}",
-            lambda o, f=f: bn.verify_bernstein_identity(f, alphas=(1, 2, 3)).alpha_reports)
-    for f in BERNSTEIN_POINTS:
-        add("bernstein", f"bernstein.identity.{f.family.value}{f.size}.k{f.mult}",
-            lambda o, f=f: bn.verify_bernstein_identity(
-                f, alphas=(1, 2), mode="points", seed=o.get("seed", 20240)).alpha_reports)
+            lambda o, f=f, a=alphas: bn.verify_bernstein_identity(f, alphas=a).alpha_reports)
     for case in default_catalog():
         add("bernstein", "bernstein.roots", lambda o, c=case: _bernstein_roots(c), case)
     for case, q in feasible_pairs():

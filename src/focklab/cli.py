@@ -1,10 +1,11 @@
 """Command-line front end: catalog dumps, verification suites, CSV exports.
 
 `verify` runs the check registry of focklab.checks.  Reports are
-deterministic given flags and seed: checks are emitted as a flat list sorted
-by id under {"schema_version": 1, ...}, and the JSON is written whatever the
-outcome.  Exit code 0 means every check passed, 1 that at least one failed or
-raised (status "error"), 2 a usage error or a selection that matches no check.
+deterministic given the flags: every check is exact or fixed-grid, with no
+sampling and no seed.  Checks are emitted as a flat list sorted by id under
+{"schema_version": 1, ...}, and the JSON is written whatever the outcome.
+Exit code 0 means every check passed, 1 that at least one failed or raised
+(status "error"), 2 a usage error or a selection that matches no check.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ def cmd_catalog(args) -> int:
 def cmd_verify(args) -> int:
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     opts = {
-        "seed": args.seed,
         "precision": args.precision,
         "trunc": args.trunc,
         "m_max": args.m_max,
@@ -96,7 +96,6 @@ def cmd_verify(args) -> int:
         payload = {
             "schema_version": 1,
             "suites": names,
-            "seed": args.seed,
             "checks": [c.to_dict() for c in reports],
         }
         with open(args.json, "w") as fh:
@@ -221,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, choices=(1, 2, 4, 8))
         p.add_argument("--q", type=_parse_q)
         p.add_argument("--precision", type=int, default=default_precision)
-        p.add_argument("--seed", type=int, default=7)
 
     p_cat = sub.add_parser("catalog", help="dump case data as JSON")
     add_case_flags(p_cat)

@@ -322,10 +322,6 @@ class CaseDescriptor:
         return f"{self.case_id}{self.variant}" if self.variant else str(self.case_id)
 
     @property
-    def mults(self) -> tuple[int, ...]:
-        return tuple(f.mult for f in self.factors)
-
-    @property
     def bernstein_lead(self) -> int:
         """A = prod k_i^{k_i r_i}, the leading coefficient of B."""
         out = 1

@@ -612,29 +612,34 @@ class MeijerEvaluator:
         finally:
             mp.mp.dps = old
         fw = np.array(fvals) * (h / (2.0 * math.pi))
+        w_abs = float(np.abs(fw).sum())
         return {
             "c": c,
             "nodes": nodes,
             "fw": fw,
-            "w_abs": float(np.abs(fw).sum()),
+            "w_abs": w_abs,
+            "log_w_abs": math.log(w_abs),
             "T": T,
         }
 
-    def _pick(self, u: float):
-        return min(self.contours, key=lambda ct: ct["w_abs"] * u ** (-ct["c"]))
+    def _pick(self, log_u: float):
+        # the contour with the smaller roundoff scale w_abs u^{-c}, compared in
+        # log space: u^{-c} alone overflows a float for tiny u on the far contour
+        return min(self.contours, key=lambda ct: ct["log_w_abs"] - ct["c"] * log_u)
 
     def eval(self, u: float) -> float:
         import numpy as np
 
         if u <= 0:
             raise ValueError("u must be positive")
-        ct = self._pick(u)
-        phases = np.exp(-1j * ct["nodes"] * math.log(u))
+        log_u = math.log(u)
+        ct = self._pick(log_u)
+        phases = np.exp(-1j * ct["nodes"] * log_u)
         return float((ct["fw"] * phases).sum().real) * u ** (-ct["c"])
 
     def noise_estimate(self, u: float) -> float:
         """Roundoff floor of eval(u) (absolute)."""
-        ct = self._pick(u)
+        ct = self._pick(math.log(u))
         return 1e-15 * ct["w_abs"] * u ** (-ct["c"])
 
     def moment(self, m: int, rel_tol: float = 1e-9) -> tuple[float, float]:

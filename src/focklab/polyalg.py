@@ -1,10 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent tuples to Fraction coefficients, carried
-together with its variable list.  Variables belong to groups (one group per
-simple Jordan factor) so that factor-wise operations can filter by group.
-Zero coefficients are never stored, which makes equality of canonical forms
-plain dict equality.
+A polynomial is a map from exponent tuples to exact rational coefficients,
+carried together with its variable list.  Variables belong to groups (one
+group per simple Jordan factor).  Every coefficient is normalised when it is
+stored: an int when it is integral, a Fraction otherwise, so integral
+polynomials (Q, every determinant and Pfaffian and their powers) run on
+Python's int arithmetic.  Zero coefficients are never stored, which makes
+equality of canonical forms plain dict equality.  A quotient of coefficients
+read from `terms` must be taken as Fraction(a) / b: int / int is a float.
 
 Polynomials double as constant-coefficient differential operators: a symbol
 polynomial q applied to a target p realizes q(d/dz)p, exactly.
@@ -20,8 +23,13 @@ Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _frac(x: Scalar) -> Scalar:
+    """x as a stored coefficient: an int when integral, a Fraction otherwise."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -43,9 +51,6 @@ class VarSet:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def group_indices(self, group: int) -> list[int]:
-        return [i for i, g in enumerate(self.groups) if g == group]
-
     @staticmethod
     def flat(names: Sequence[str], group: int = 0) -> "VarSet":
         return VarSet(tuple(names), (group,) * len(names))
@@ -57,7 +62,7 @@ class MultiPoly:
     __slots__ = ("vars", "terms")
 
     def __init__(self, vars: VarSet, terms: Mapping[Exponent, Scalar]):
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Scalar] = {}
         n = len(vars)
         for e, c in terms.items():
             c = _frac(c)
@@ -86,7 +91,7 @@ class MultiPoly:
     def variable(vars: VarSet, idx: int) -> "MultiPoly":
         e = [0] * len(vars)
         e[idx] = 1
-        return MultiPoly(vars, {tuple(e): Fraction(1)})
+        return MultiPoly(vars, {tuple(e): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -96,15 +101,12 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def degree_in(self, idx: int) -> int:
-        return max((e[idx] for e in self.terms), default=0)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -140,14 +142,14 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return MultiPoly(self.vars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
+            out[e] = out.get(e, 0) - c
         return MultiPoly(self.vars, out)
 
     def __neg__(self) -> "MultiPoly":
@@ -161,11 +163,11 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+                out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.vars, out)
 
     def __pow__(self, n: int) -> "MultiPoly":
@@ -185,7 +187,7 @@ class MultiPoly:
     def diff(self, idx: int, order: int = 1) -> "MultiPoly":
         p = self
         for _ in range(order):
-            out: dict[Exponent, Fraction] = {}
+            out: dict[Exponent, Scalar] = {}
             for e, c in p.terms.items():
                 if e[idx] == 0:
                     continue
@@ -195,14 +197,14 @@ class MultiPoly:
             p = MultiPoly(self.vars, out)
         return p
 
-    def eval(self, point: Sequence[Scalar]) -> Fraction:
+    def eval(self, point: Sequence[Scalar]) -> Scalar:
         """Exact value at a rational point."""
         if len(point) != len(self.vars):
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {len(self.vars)}"
             )
         pt = [_frac(x) for x in point]
-        total = Fraction(0)
+        total = 0
         for e, c in self.terms.items():
             v = c
             for x, k in zip(pt, e):
@@ -216,17 +218,17 @@ class MultiPoly:
         from math import comb
 
         offs = [_frac(a) for a in offsets]
-        acc: dict[Exponent, Fraction] = {}
+        acc: dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
-            expansions: list[list[tuple[int, Fraction]]] = []
+            expansions: list[list[tuple[int, Scalar]]] = []
             for k, a in zip(e, offs):
                 if a == 0 or k == 0:
-                    expansions.append([(k, Fraction(1))])
+                    expansions.append([(k, 1)])
                 else:
                     expansions.append(
-                        [(j, Fraction(comb(k, j)) * a ** (k - j)) for j in range(k + 1)]
+                        [(j, comb(k, j) * a ** (k - j)) for j in range(k + 1)]
                     )
-            stack = [((), Fraction(1))]
+            stack = [((), 1)]
             for choices in expansions:
                 stack = [
                     (e_acc + (j,), c_acc * w)
@@ -234,7 +236,7 @@ class MultiPoly:
                     for (j, w) in choices
                 ]
             for e2, w in stack:
-                acc[e2] = acc.get(e2, Fraction(0)) + c * w
+                acc[e2] = acc.get(e2, 0) + c * w
         return MultiPoly(self.vars, acc)
 
 def apply_diff_op(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:
@@ -245,103 +247,21 @@ def apply_diff_op(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:
     """
     if symbol.vars != target.vars:
         raise ValueError("symbol and target must share a variable list")
-    out: dict[Exponent, Fraction] = {}
+    out: dict[Exponent, Scalar] = {}
     for se, sc in symbol.terms.items():
+        support = [(i, k) for i, k in enumerate(se) if k]
         for te, tc in target.terms.items():
             coeff = sc * tc
-            good = True
             res = list(te)
-            for i, k in enumerate(se):
-                if k == 0:
-                    continue
-                if te[i] < k:
-                    good = False
+            for i, k in support:
+                n = te[i]
+                if n < k:
                     break
-                # falling factorial te[i]*(te[i]-1)*...*(te[i]-k+1)
+                # falling factorial n (n-1) ... (n-k+1), nonzero since n >= k
                 for t in range(k):
-                    coeff *= te[i] - t
-                res[i] = te[i] - k
-            if not good or coeff == 0:
-                continue
-            key = tuple(res)
-            out[key] = out.get(key, Fraction(0)) + coeff
+                    coeff *= n - t
+                res[i] = n - k
+            else:
+                key = tuple(res)
+                out[key] = out.get(key, 0) + coeff
     return MultiPoly(symbol.vars, out)
-
-
-def apply_symbol_at_point(
-    symbol: MultiPoly,
-    base: MultiPoly,
-    power: int,
-    point: Sequence[Scalar],
-) -> Fraction:
-    """Value of (symbol(d/dz) base^power) at a point, without expanding base^power.
-
-    Uses the generalized Leibniz rule: the derivative slots of each symbol
-    monomial are distributed over the `power` copies of base, and each
-    mixed partial of base is differentiated symbolically once and cached.
-    Intended for degree<=4 symbols (all catalog Q's), where the distribution
-    count power^4 stays small.
-    """
-    if symbol.vars != base.vars:
-        raise ValueError("symbol and base must share a variable list")
-    if power < 0:
-        raise ValueError("negative power")
-    pt = [_frac(x) for x in point]
-
-    deriv_cache: dict[Exponent, Fraction] = {}
-    zero_exp = (0,) * len(base.vars)
-
-    def partial_value(e: Exponent) -> Fraction:
-        if e in deriv_cache:
-            return deriv_cache[e]
-        p = base
-        for i, k in enumerate(e):
-            if k:
-                p = p.diff(i, k)
-        v = p.eval(pt)
-        deriv_cache[e] = v
-        return v
-
-    total = Fraction(0)
-    for se, sc in symbol.terms.items():
-        slots: list[int] = []
-        for i, k in enumerate(se):
-            slots.extend([i] * k)
-        if len(slots) == 0:
-            total += sc * partial_value(zero_exp) ** power
-            continue
-        if power == 0:
-            continue  # any derivative of the constant 1 vanishes
-        # enumerate assignments slot -> copy index
-        acc = Fraction(0)
-        assignment = [0] * len(slots)
-        nslots = len(slots)
-        while True:
-            per_copy: dict[int, list[int]] = {}
-            for s, c in zip(slots, assignment):
-                per_copy.setdefault(c, []).append(s)
-            v = Fraction(1)
-            used = 0
-            for c, svars in per_copy.items():
-                e = [0] * len(base.vars)
-                for s in svars:
-                    e[s] += 1
-                v *= partial_value(tuple(e))
-                if v == 0:
-                    break
-                used += 1
-            if v != 0:
-                v *= partial_value(zero_exp) ** (power - len(per_copy))
-                acc += v
-            # next assignment in base `power`
-            j = nslots - 1
-            while j >= 0:
-                assignment[j] += 1
-                if assignment[j] < power:
-                    break
-                assignment[j] = 0
-                j -= 1
-            if j < 0:
-                break
-        total += sc * acc
-    return total

@@ -61,7 +61,7 @@ def character_of(q_poly: MultiPoly, x: Matrix) -> Fraction:
     if p.is_zero():
         return Fraction(0)
     e, coeff = next(iter(p.terms.items()))
-    c = coeff / q_poly.terms[e] if e in q_poly.terms else None
+    c = Fraction(coeff) / q_poly.terms[e] if e in q_poly.terms else None
     if c is None or p != q_poly.scale(c):
         raise ValueError("X does not preserve Q projectively")
     return c

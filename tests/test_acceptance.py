@@ -40,12 +40,8 @@ def test_criterion_02_meijer_parameter_table():
 
 
 def test_criterion_03_bernstein_identities():
-    results = [bn.verify_bernstein_identity(f, alphas=(1, 2, 3))
-               for f in checks.BERNSTEIN_SYMBOLIC]
-    results += [
-        bn.verify_bernstein_identity(f, alphas=(1, 2), mode="points", seed=20240)
-        for f in checks.BERNSTEIN_POINTS
-    ]
+    results = [bn.verify_bernstein_identity(f, alphas=alphas)
+               for f, alphas in checks.BERNSTEIN_FAMILIES]
     ok = all(r.report.status == "pass" for r in results)
     consts = sorted({str(r.constant) for r in results})
     _line(3, ok, f"{len(results)} family identities, zero residual, constants {consts}")

@@ -101,12 +101,14 @@ def test_bernstein_identity_spin_k2():
 
 
 @pytest.mark.parametrize(
-    "factor",
-    [sym_mat(2), sym_mat(3), full_mat(2), full_mat(3), skew_mat(4)],
-    ids=["sym2", "sym3", "full2", "full3", "skew4"],
+    "factor, alphas",
+    [(sym_mat(2), (1, 2, 3)), (sym_mat(3), (1, 2, 3)), (full_mat(2), (1, 2, 3)),
+     (full_mat(3), (1, 2, 3)), (skew_mat(4), (1, 2, 3)),
+     (sym_mat(4), (1, 2)), (full_mat(4), (1, 2)), (skew_mat(8), (1, 2))],
+    ids=["sym2", "sym3", "full2", "full3", "skew4", "sym4", "full4", "skew8"],
 )
-def test_bernstein_identity_matrix_symbolic(factor):
-    res = verify_bernstein_identity(factor, alphas=(1, 2, 3))
+def test_bernstein_identity_matrix_symbolic(factor, alphas):
+    res = verify_bernstein_identity(factor, alphas=alphas)
     assert res.report.status == "pass"
     assert res.constant == 1
 
@@ -119,21 +121,6 @@ def test_bernstein_identity_full2_value():
     d = determinant_poly(full_mat(2))
     res = apply_diff_op(d, d)
     assert res.constant_term() == 2
-
-
-@pytest.mark.parametrize(
-    "factor", [sym_mat(4), full_mat(4), skew_mat(8)], ids=["sym4", "full4", "skew8"]
-)
-def test_bernstein_identity_points(factor):
-    res = verify_bernstein_identity(factor, alphas=(1, 2), mode="points", seed=20240)
-    assert res.report.status == "pass"
-    assert res.constant == 1
-
-
-def test_points_mode_agrees_with_symbolic():
-    sym = verify_bernstein_identity(skew_mat(4), alphas=(1, 2))
-    pts = verify_bernstein_identity(skew_mat(4), alphas=(1, 2), mode="points")
-    assert sym.constant == pts.constant == 1
 
 
 def test_gindikin_ratio_examples():

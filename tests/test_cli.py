@@ -156,7 +156,7 @@ def test_single_q_component_expands(capsys):
 def test_parallel_jobs_deterministic():
     from focklab.cli import run_suites
 
-    opts = {"seed": 7, "precision": 12, "trunc": 4, "m_max": 2}
+    opts = {"precision": 12, "trunc": 4, "m_max": 2}
     seq = run_suites(["tables", "sl2"], opts, jobs=1)
     par = run_suites(["tables", "sl2"], opts, jobs=2)
     strip = lambda cs: [{**c.to_dict(), "elapsed_ms": 0} for c in cs]

@@ -192,6 +192,15 @@ def test_meijer_eval_within_noise_estimate(case, q):
             assert abs(ev.eval(u) - ref) <= 2 * ev.noise_estimate(u), u
 
 
+def test_meijer_eval_far_below_the_log_u_budget():
+    # u^{-c} of the far contour overflows a float here; the contour choice
+    # must not, and the reported noise must cover the value it returns
+    ev = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
+    assert math.isfinite(ev.eval(1e-20))
+    for u in (1e-14, 1e-20):
+        assert ev.noise_estimate(u) >= abs(ev.eval(u))
+
+
 def test_meijer_moments_closed_form_values():
     # spec-derived values: moment 0 = Gamma(2)^3/Gamma(1) = 1, moment 2 = 108
     ev = MeijerEvaluator((1, 1, 1), (0,), precision=12)

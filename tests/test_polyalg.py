@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focklab.polyalg import MultiPoly, VarSet, apply_diff_op, apply_symbol_at_point
+from focklab.polyalg import MultiPoly, VarSet, apply_diff_op
 
 VS1 = VarSet.flat(["z"])
 VS4 = VarSet.flat(["z1", "z2", "z3", "z4"])
@@ -85,17 +85,6 @@ def test_shift_evaluates_at_translated_point():
     assert shifted.eval(pt) == p.eval([x + y for x, y in zip(pt, a)])
 
 
-def test_apply_symbol_at_point_matches_expansion():
-    rng = random.Random(99)
-    vs = VarSet.flat(["x", "y"])
-    base = rand_poly(vs, rng, deg=2, terms=4)
-    symbol = rand_poly(vs, rng, deg=2, terms=3)
-    for power in (1, 2, 3):
-        expanded = apply_diff_op(symbol, base**power)
-        pt = [F(rng.randint(-4, 4)), F(rng.randint(-4, 4))]
-        assert apply_symbol_at_point(symbol, base, power, pt) == expanded.eval(pt)
-
-
 def test_eval_is_ring_homomorphism():
     rng = random.Random(41)
     for _ in range(5):
@@ -142,9 +131,35 @@ def test_shift_composes_additively(p, a, b):
     assert p.shift(a).shift(b) == p.shift([x + y for x, y in zip(a, b)])
 
 
+def _canonical(p: MultiPoly) -> bool:
+    # an int when integral, a Fraction with denominator != 1 otherwise, never 0
+    return all(
+        c != 0 and (type(c) is int or (type(c) is F and c.denominator != 1))
+        for c in p.terms.values()
+    )
+
+
+def _apply_reference(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:
+    # sum over the symbol's monomials c * z^e of c * d^e target, one diff at a time
+    out = MultiPoly.zero(target.vars)
+    for e, c in symbol.terms.items():
+        d = target
+        for i, k in enumerate(e):
+            d = d.diff(i, k)
+        out = out + d.scale(c)
+    return out
+
+
 @settings(max_examples=60, deadline=None)
-@given(polys(VS2, 2, 3), polys(VS2, 2, 3), st.integers(0, 3),
-       st.lists(small_fracs, min_size=2, max_size=2))
-def test_apply_symbol_at_point_is_apply_then_eval(symbol, base, power, pt):
-    expected = apply_diff_op(symbol, base**power).eval(pt)
-    assert apply_symbol_at_point(symbol, base, power, pt) == expected
+@given(polys(VS3, 3, 4), polys(VS3, 3, 5), polys(VS3, 2, 3), small_fracs,
+       st.lists(small_fracs, min_size=3, max_size=3))
+def test_coefficients_stay_canonical(p, q, symbol, c, a):
+    results = (p, p + q, p - q, -p, p * q, p**2, p.scale(c), p.diff(1, 2),
+               p.shift(a), apply_diff_op(symbol, q), MultiPoly.constant(VS3, c))
+    assert all(_canonical(r) for r in results)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(VS3, 2, 3), polys(VS3, 4, 6))
+def test_apply_diff_op_matches_iterated_diff(symbol, target):
+    assert apply_diff_op(symbol, target) == _apply_reference(symbol, target)

@@ -54,6 +54,23 @@ def test_characters_are_exact():
         assert character_of(q, x) == c
 
 
+@pytest.mark.parametrize(
+    "case",
+    [build_case(1), build_case(2, p=3), build_case(3), build_case(5),
+     build_case(9, variant="a")],
+    ids=lambda c: c.label,
+)
+def test_characters_are_fractions(case):
+    # integral coefficients are stored as int, so a bare coefficient quotient
+    # would be a float; every character must stay an exact Fraction
+    assert all(type(c) is F for c in structure_algebra(case).characters)
+
+
+def test_identity_character_is_the_fraction_four():
+    c = identity_character(build_case(5))
+    assert type(c) is F and c == F(4)
+
+
 def test_bracket_closure_small_cases():
     for case in (build_case(1), build_case(4), build_case(5), build_case(2, p=3),
                  build_case(11), build_case(10, variant="a")):
