@@ -141,7 +141,7 @@ class Entry:
     q: tuple[Fraction, ...] | None
     run: Callable[[dict], list[CheckReport]]
 
-    def error_report(self, exc: Exception, elapsed_ms: int) -> CheckReport:
+    def error_report(self, exc: Exception, elapsed_ms: float) -> CheckReport:
         parts = [self.name]
         if self.case is not None:
             parts.append(self.case.label)
@@ -313,13 +313,20 @@ def select(suites, case_id: int | None = None, q=None) -> list[Entry]:
 
 
 def run_entry(entry: Entry, opts: dict) -> list[CheckReport]:
-    """The entry's reports, or one `error` report (traceback on stderr) if it raises."""
+    """The entry's reports, or one `error` report (traceback on stderr) if it raises.
+
+    The report of a single-report entry carries the entry's own run time;
+    an entry with several reports times each of them itself.
+    """
     sw = Stopwatch()
     try:
-        return entry.run(opts)
+        reports = entry.run(opts)
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
         return [entry.error_report(exc, sw.ms())]
+    if len(reports) == 1:
+        reports[0].elapsed_ms = sw.ms()
+    return reports
 
 
 def run_suite(name: str, opts: dict) -> list[CheckReport]:

@@ -8,7 +8,9 @@ so only the columns a check reaches are ever computed.  M, D, sigma, rho(H)
 and the dk generators send a basis monomial to one signed multiple of a
 monomial; rho(F) = M - delta D sends it to up to two, and rho(E) is the
 conjugation sigma rho(F) sigma^{-1}, composed from those column maps.
-Everything stays exact rational.
+Everything stays exact rational: a stored coefficient is an int when it is
+integral and a Fraction otherwise (polyalg's rule), so the integral operators
+run on int arithmetic.
 
 Operator-level construction is restricted to rank-1-product cases: there the
 inversion sigma is an exact signed permutation of each graded block, which is
@@ -26,12 +28,13 @@ from typing import Callable
 
 from focklab.jordan import CaseDescriptor, Family
 from focklab.linalg import FractionSpan
+from focklab.polyalg import Scalar, exact_coeff
 from focklab.report import CheckReport, Stopwatch, q_strings
 from focklab.sl2 import delta_sequence
 
 Key = tuple[int, tuple[int, ...]]  # (m, z-exponents)
-Vec = dict[Key, Fraction]
-Column = list[tuple[Key, Fraction]]
+Vec = dict[Key, Scalar]
+Column = list[tuple[Key, Scalar]]
 
 
 def is_rank1_product(case: CaseDescriptor) -> bool:
@@ -91,7 +94,8 @@ class OperatorMatrix:
 
     `column_fn(key)` gives the image of the basis monomial `key` as
     (target, coefficient) pairs.  `column(key)` calls it on first use, drops
-    the zero entries and keeps the result in `columns`.
+    the zero entries, normalises the rest with `exact_coeff` and keeps the
+    result in `columns`.
     """
 
     def __init__(self, column_fn: Callable[[Key], Column]):
@@ -101,14 +105,15 @@ class OperatorMatrix:
     def column(self, key: Key) -> Column:
         col = self.columns.get(key)
         if col is None:
-            col = self.columns[key] = [(t, c) for t, c in self._column_fn(key) if c != 0]
+            col = self.columns[key] = [(t, exact_coeff(c))
+                                       for t, c in self._column_fn(key) if c != 0]
         return col
 
     def apply(self, vec: Vec) -> Vec:
         out: Vec = {}
         for key, coeff in vec.items():
             for tgt, c in self.column(key):
-                nv = out.get(tgt, Fraction(0)) + coeff * c
+                nv = out.get(tgt, 0) + coeff * c
                 if nv:
                     out[tgt] = nv
                 elif tgt in out:
@@ -123,7 +128,7 @@ def op_M(trunc: Truncation) -> OperatorMatrix:
         m, js = key
         if m + 1 > trunc.m_top:
             return []
-        return [((m + 1, js), Fraction(1))]
+        return [((m + 1, js), 1)]
 
     return OperatorMatrix(col)
 
@@ -136,7 +141,7 @@ def op_D(trunc: Truncation) -> OperatorMatrix:
         m, js = key
         if m == 0:
             return []
-        coeff = Fraction(1)
+        coeff = 1
         for j, k in zip(js, ks):
             if j < k:
                 return []
@@ -152,7 +157,7 @@ def op_rhoH(trunc: Truncation) -> OperatorMatrix:
 
     def col(key: Key):
         m, js = key
-        weight = Fraction(sum(js)) - Fraction(sum(trunc.degree_bounds(m)), 2)
+        weight = sum(js) - Fraction(sum(trunc.degree_bounds(m)), 2)
         return [(key, weight)]
 
     return OperatorMatrix(col)
@@ -171,7 +176,7 @@ def op_sigma(trunc: Truncation) -> OperatorMatrix:
         m, js = key
         bounds = trunc.degree_bounds(m)
         tgt = (m, tuple(n - j for n, j in zip(bounds, js)))
-        return [(tgt, Fraction(sigma_sign(trunc, key)))]
+        return [(tgt, sigma_sign(trunc, key))]
 
     return OperatorMatrix(col)
 
@@ -235,10 +240,10 @@ def dk_action(trunc: Truncation, factor_index: int, generator: str) -> OperatorM
         n = trunc.degree_bounds(m)[i]
         j = js[i]
         if generator == "e":
-            return [((m, _bump(js, i, -1)), Fraction(j))] if j >= 1 else []
+            return [((m, _bump(js, i, -1)), j)] if j >= 1 else []
         if generator == "h":
-            return [(key, Fraction(2 * j - n))]
-        return [((m, _bump(js, i, +1)), Fraction(j - n))] if j + 1 <= n else []
+            return [(key, 2 * j - n)]
+        return [((m, _bump(js, i, +1)), j - n)] if j + 1 <= n else []
 
     return OperatorMatrix(col)
 
@@ -325,9 +330,9 @@ def sigma_involution_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckRe
     qs = q_strings(q)
     check_id = f"fock.sigma2.{case.label}.{'_'.join(qs)}"
     for m in range(m_trunc + 1):
-        expected = Fraction(-1 if sum(trunc.degree_bounds(m)) % 2 else 1)
+        expected = -1 if sum(trunc.degree_bounds(m)) % 2 else 1
         for key in trunc.block_basis(m):
-            v = sig.apply(sig.apply({key: Fraction(1)}))
+            v = sig.apply(sig.apply({key: 1}))
             if v != {key: expected}:
                 return CheckReport(
                     id=check_id, case_id=case.label, q=qs,
@@ -357,7 +362,7 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     span = FractionSpan()
     frontier: list[Vec] = []
     for key in trunc.block_basis(0):
-        v: Vec = {key: Fraction(1)}
+        v: Vec = {key: 1}
         if span.add({index[k]: c for k, c in v.items()}):
             frontier.append(v)
     while frontier:
@@ -378,7 +383,7 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     interior_dim = sum(trunc.block_dim(m) for m in range(m_trunc))
     top_dim = trunc.block_dim(m_trunc)
     for key in trunc.block_basis(m_trunc):
-        span.add({index[key]: Fraction(1)})
+        span.add({index[key]: 1})
     got = span.dim - top_dim
     ok = got >= interior_dim
     return CheckReport(
@@ -404,8 +409,9 @@ def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) 
     """Case (1): quadrature norms against 1/binom(4m+q, j).
 
     ||z^j||^2_m = (1/a_m) * integral t^j (1+t)^{-(4m+q)-2} dt with
-    a_m the j=0 integral; both sides integrated numerically.  The largest of
-    quad's absolute error estimates is reported as quad_err.
+    a_m the j=0 integral, both integrated numerically and compared with the
+    exact prediction of monomial_norms_exact.  The largest of quad's
+    absolute error estimates is reported as quad_err.
     """
     from scipy.integrate import quad
 
@@ -420,10 +426,10 @@ def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) 
 
         a_m, err = quad(weight, 0.0, math.inf, args=(0,))
         worst_err = max(worst_err, err)
-        for j in range(n + 1):
+        for j, pred in enumerate(monomial_norms_exact(q, m)):
             val, err = quad(weight, 0.0, math.inf, args=(j,))
             worst_err = max(worst_err, err)
-            pred = 1.0 / math.comb(n, j)
+            pred = float(pred)
             rel = abs(val / a_m - pred) / pred
             worst = max(worst, rel)
     ok = worst <= rel_tol

@@ -16,7 +16,13 @@ aliasing error stays below the evaluator's own roundoff floor (see
 MeijerEvaluator).  The Gamma products on the nodes are precomputed once with
 mpmath at elevated working precision, so each G(u) evaluation is a vectorized
 dot with oscillatory phases; repeated beta parameters cost nothing because the
-integrand stays smooth on the contour.
+integrand stays smooth on the contour.  The parameters are real, so the
+integrand on t < 0 is the conjugate of that on t > 0 and only the nodes t >= 0
+are tabulated.  Each table is keyed on the parameters relative to its contour
+(b - min b, a - min b and the contour offset c + min b): by the shift
+identity u^sigma G(u; a, b) = G(u; a + sigma, b + sigma) (DLMF 16.19.2),
+parameter sets that differ by a common shift, such as q and q + 4 in
+case (1), share their tables.
 
 The exact c_m series is built by its three-root recurrence and checked
 against the closed Pochhammer form at every m (see c_sequence).
@@ -523,6 +529,52 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
 # -- Meijer-G evaluation -----------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
+                   offset: Fraction, precision: int, log_u_budget: float) -> dict:
+    """The trapezoidal table of one contour, for parameters relative to it.
+
+    With c = offset - min b, F(c + i t) = prod Gamma(b_rel_j + offset + i t)
+    / prod Gamma(a_rel_j + offset + i t) for b_rel = b - min b and
+    a_rel = a - min b, and the distance from the contour to the rightmost
+    pole is d = offset.  T, omega, h, the nodes and F on them depend on
+    nothing else, so every parameter set that differs by a common shift
+    shares this table (see MeijerEvaluator).  Only the nodes t_k = k h,
+    k >= 0, are tabulated: weight h/pi for k > 0 and h/(2 pi) at k = 0.
+    The arrays are read-only, since every evaluator with this key holds them.
+    """
+    import mpmath as mp
+    import numpy as np
+
+    decay = len(b_rel) - len(a_rel)
+    omega = float(sum(b_rel) - sum(a_rel) + decay * (offset - Fraction(1, 2)))
+    target = (precision + 4) * math.log(10) + log_u_budget + max(omega, 0.0) * 4.0 + 8.0
+    T = max(10.0, 2.0 * target / (decay * math.pi))
+    d = float(offset)
+    h = 2.0 * math.pi / ((precision + 4) * math.log(10) / d + log_u_budget)
+    nodes = h * np.arange(math.ceil(T / h) + 1)
+    with mp.workdps(max(20, precision + 8)):
+        # Re s of each Gamma argument, exact: b_j + c = b_rel_j + offset
+        b_re = [mp.mpf((x + offset).numerator) / (x + offset).denominator for x in b_rel]
+        a_re = [mp.mpf((x + offset).numerator) / (x + offset).denominator for x in a_rel]
+        fvals = []
+        for t in nodes:
+            f = mp.mpf(1)
+            for x in b_re:
+                f *= mp.gamma(mp.mpc(x, t))
+            for x in a_re:
+                f *= mp.rgamma(mp.mpc(x, t))
+            fvals.append(complex(f))
+    # F(c - i t) = conj F(c + i t): the k < 0 half of the two-sided rule is
+    # the conjugate of the k > 0 half, so its weight folds onto k > 0
+    fw = np.array(fvals) * (h / math.pi)
+    fw[0] /= 2.0
+    w_abs = float(np.abs(fw).sum())
+    nodes.flags.writeable = False
+    fw.flags.writeable = False
+    return {"nodes": nodes, "fw": fw, "w_abs": w_abs, "log_w_abs": math.log(w_abs)}
+
+
 class MeijerEvaluator:
     """G^{m,0}-type evaluator via a fixed vertical Mellin-Barnes contour.
 
@@ -532,8 +584,18 @@ class MeijerEvaluator:
     Super-exponential Gamma decay (|F| ~ |t|^w e^{-pi |t|} after the 3-vs-1
     cancellation) lets the line be truncated at |t| <= T, and on it the
     integral is taken by the trapezoidal rule: nodes t_k = k h, |k| <= ceil(T/h),
-    every weight h.  F is tabulated once with mpmath at working precision, so
-    each evaluation is a vectorized sum of oscillatory phases.
+    every weight h.  The parameters are real, so F(c - i t) = conj F(c + i t)
+    and the sum is real: it needs the nodes k >= 0 only, with weight 2h on
+    k > 0 and h at k = 0.  F is tabulated there once, with mpmath at working
+    precision, so each evaluation is a vectorized sum of oscillatory phases.
+
+    Shared tables.  The shift identity u^sigma G(u; a, b) = G(u; a + sigma,
+    b + sigma) (DLMF 16.19.2, https://dlmf.nist.gov/16.19) holds on the
+    contour itself: F(c + i t) depends on a, b and c only through a - min b,
+    b - min b and the offset c + min b.  Each contour sits at a fixed offset,
+    5/4 or 5/4 + shift, so its table (nodes and weighted F) is keyed on
+    the relative parameters, the offset, precision and log_u_budget, and
+    built once per key (_contour_table); the evaluator keeps only its own c.
 
     Step size.  Poisson summation gives the exact aliasing identity for the
     untruncated rule on Re s = c:
@@ -567,60 +629,17 @@ class MeijerEvaluator:
         self.decay = len(self.b) - len(self.a)
         if self.decay < 1:
             raise ValueError("need more numerator than denominator parameters")
-        c_base = float(Fraction(5, 4) - min_b)
+        b_rel = tuple(sorted(x - min_b for x in self.b))
+        a_rel = tuple(sorted(x - min_b for x in self.a))
         # a second contour well to the right keeps u^{-c} from amplifying
         # roundoff where G is exponentially small (large u); both lines are
         # right of every numerator pole, so they integrate to the same G
-        shift = min(8.0 + precision / 2.0, 24.0)
+        shift = min(8 + Fraction(precision, 2), 24)
         self.contours = [
-            self._build_contour(c_base, log_u_budget),
-            self._build_contour(c_base + shift, log_u_budget),
+            dict(_contour_table(b_rel, a_rel, offset, precision, log_u_budget),
+                 c=float(offset - min_b))
+            for offset in (Fraction(5, 4), Fraction(5, 4) + shift)
         ]
-
-    def _build_contour(self, c: float, log_u_budget: float):
-        import mpmath as mp
-        import numpy as np
-
-        omega = float(sum(self.b) - sum(self.a)) + (len(self.b) - len(self.a)) * (
-            c - 0.5
-        )
-        target = (
-            (self.precision + 4) * math.log(10)
-            + log_u_budget
-            + max(omega, 0.0) * 4.0
-            + 8.0
-        )
-        T = max(10.0, 2.0 * target / (self.decay * math.pi))
-        d = c + float(min(self.b))  # distance to the rightmost pole
-        h = 2.0 * math.pi / ((self.precision + 4) * math.log(10) / d + log_u_budget)
-        k_max = math.ceil(T / h)
-        nodes = h * np.arange(-k_max, k_max + 1)
-        old = mp.mp.dps
-        mp.mp.dps = max(20, self.precision + 8)
-        try:
-            fvals = []
-            b_exact = [mp.mpf(x.numerator) / x.denominator for x in self.b]
-            a_exact = [mp.mpf(x.numerator) / x.denominator for x in self.a]
-            for t in nodes:
-                s = mp.mpc(c, t)
-                f = mp.mpf(1)
-                for bj in b_exact:
-                    f *= mp.gamma(bj + s)
-                for aj in a_exact:
-                    f *= mp.rgamma(aj + s)
-                fvals.append(complex(f))
-        finally:
-            mp.mp.dps = old
-        fw = np.array(fvals) * (h / (2.0 * math.pi))
-        w_abs = float(np.abs(fw).sum())
-        return {
-            "c": c,
-            "nodes": nodes,
-            "fw": fw,
-            "w_abs": w_abs,
-            "log_w_abs": math.log(w_abs),
-            "T": T,
-        }
 
     def _pick(self, log_u: float):
         # the contour with the smaller roundoff scale w_abs u^{-c}, compared in
@@ -803,7 +822,9 @@ def bergman_norm_case1(
     The quadrature runs on the fiber chart u = |w~|^2 H(z)^4 (w~ = w^4): the
     norm is pi * C * int int S(u, t) P(u) (1+t)^(-4m-2-4q~) ... assembled below
     with P(u) = u^{-q/4} G(u); for q = 0 this is exactly the stated weight.
-    Both sides are normalized by the phi = 1 value, which also fits C.
+    Both sides are normalized by the phi = 1 value, which also fits C.  The
+    largest absolute error estimate of every quad call, inner and outer, is
+    reported as quad_err.
     """
     from scipy.integrate import quad
 
@@ -817,6 +838,13 @@ def bergman_norm_case1(
     a_red, b_red = params.reduced
     ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
     q_tilde = Fraction(q, 4)
+    quad_err = 0.0
+
+    def quad_tracked(*args, **kw) -> float:
+        nonlocal quad_err
+        val, err = quad(*args, **kw)
+        quad_err = max(quad_err, err)
+        return val
 
     def graded_value(comps) -> float:
         total = 0.0
@@ -836,8 +864,7 @@ def bergman_norm_case1(
                     s += u ** (m + float(q_tilde)) * poly_t * (1.0 + t) ** expo
                 return s
 
-            val, _ = quad(f_t, 0.0, math.inf, epsabs=1e-13, epsrel=1e-10, limit=200)
-            return val
+            return quad_tracked(f_t, 0.0, math.inf, epsabs=1e-13, epsrel=1e-10, limit=200)
 
         def f_u(s: float) -> float:
             if s <= 0:
@@ -847,9 +874,8 @@ def bergman_norm_case1(
             return 2.0 * s * profile * inner(u)
 
         s_max = max(40.0, (precision + 4) * math.log(10) / 2.0 + 16.0)
-        val, _ = quad(f_u, 0.0, s_max, epsabs=0.0, epsrel=1e-9, limit=300,
-                      points=[1.0, 4.0, 9.0])
-        return math.pi * val
+        return math.pi * quad_tracked(f_u, 0.0, s_max, epsabs=0.0, epsrel=1e-9, limit=300,
+                                      points=[1.0, 4.0, 9.0])
 
     base = [(0, {0: 1.0})]  # phi = 1
     r_base = quad_value(base)
@@ -863,6 +889,7 @@ def bergman_norm_case1(
         case_id="1", q=[str(q)],
         status="pass" if rel <= rel_tol else "fail",
         residual=f"{rel:.3e}", tolerance=f"{rel_tol:.0e}",
-        details=f"graded={g_phi:.10e} quadrature={r_phi:.10e} C={c_fit / math.pi:.6e}",
+        details=f"graded={g_phi:.10e} quadrature={r_phi:.10e} C={c_fit / math.pi:.6e} "
+        f"quad_err={quad_err:.1e}",
         elapsed_ms=sw.ms(),
     )

@@ -88,8 +88,8 @@ class FractionSpan:
         if not r:
             return False
         j = min(r)
-        c = r[j]
-        self.rows[j] = {k: w / c for k, w in r.items()}
+        inv = 1 / Fraction(r[j])  # a Fraction even when r holds ints
+        self.rows[j] = {k: w * inv for k, w in r.items()}
         return True
 
 

@@ -23,7 +23,7 @@ Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
-def _frac(x: Scalar) -> Scalar:
+def exact_coeff(x: Scalar) -> Scalar:
     """x as a stored coefficient: an int when integral, a Fraction otherwise."""
     if type(x) is int:
         return x
@@ -65,7 +65,7 @@ class MultiPoly:
         clean: dict[Exponent, Scalar] = {}
         n = len(vars)
         for e, c in terms.items():
-            c = _frac(c)
+            c = exact_coeff(c)
             if c == 0:
                 continue
             if len(e) != n or any(x < 0 for x in e):
@@ -85,7 +85,7 @@ class MultiPoly:
 
     @staticmethod
     def constant(vars: VarSet, c: Scalar) -> "MultiPoly":
-        return MultiPoly(vars, {(0,) * len(vars): _frac(c)})
+        return MultiPoly(vars, {(0,) * len(vars): exact_coeff(c)})
 
     @staticmethod
     def variable(vars: VarSet, idx: int) -> "MultiPoly":
@@ -156,7 +156,7 @@ class MultiPoly:
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "MultiPoly":
-        c = _frac(c)
+        c = exact_coeff(c)
         if c == 0:
             return MultiPoly.zero(self.vars)
         return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
@@ -203,7 +203,7 @@ class MultiPoly:
             raise ValueError(
                 f"point has {len(point)} coordinates, expected {len(self.vars)}"
             )
-        pt = [_frac(x) for x in point]
+        pt = [exact_coeff(x) for x in point]
         total = 0
         for e, c in self.terms.items():
             v = c
@@ -217,7 +217,7 @@ class MultiPoly:
         """p(z + a): substitute z_v -> z_v + a_v via binomial expansion."""
         from math import comb
 
-        offs = [_frac(a) for a in offsets]
+        offs = [exact_coeff(a) for a in offsets]
         acc: dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
             expansions: list[list[tuple[int, Scalar]]] = []

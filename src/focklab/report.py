@@ -22,7 +22,7 @@ class CheckReport:
     status: str = "pass"
     residual: str = "0"
     tolerance: str = "0"
-    elapsed_ms: int = 0
+    elapsed_ms: float = 0.0
     details: str = ""
 
     def to_dict(self) -> dict:
@@ -44,7 +44,8 @@ def q_strings(q) -> list[str]:
 
 class Stopwatch:
     def __init__(self):
-        self.t0 = time.monotonic()
+        self.t0 = time.perf_counter()
 
-    def ms(self) -> int:
-        return int((time.monotonic() - self.t0) * 1000)
+    def ms(self) -> float:
+        """Milliseconds since construction, at microsecond resolution."""
+        return round((time.perf_counter() - self.t0) * 1000, 3)

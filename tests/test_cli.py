@@ -163,6 +163,15 @@ def test_parallel_jobs_deterministic():
     assert strip(seq) == strip(par)
 
 
+@pytest.mark.parametrize("suite", ["tables", "sl2"])
+def test_every_report_carries_its_own_time(suite, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert run(capsys, "verify", suite, "--json", str(path), "--jobs", "1")[0] == 0
+    reports = json.loads(path.read_text())["checks"]
+    assert reports
+    assert [c["id"] for c in reports if not c["elapsed_ms"] > 0] == []
+
+
 @pytest.mark.parametrize("argv", [("operators", "--case", "2"), ("sl2", "--case", "12")])
 def test_verify_empty_selection_exit_2(argv, tmp_path, capsys):
     path = tmp_path / "report.json"

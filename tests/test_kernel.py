@@ -174,14 +174,19 @@ def test_meijer_eval_against_mpmath():
         assert abs(ev.eval(u) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("case, q", [(build_case(1), (0,)), (build_case(5), (0, 0, 0, 0))])
-def test_meijer_eval_within_noise_estimate(case, q):
+@pytest.mark.parametrize("case, q, precision", [
+    (build_case(1), (0,), 12),
+    (build_case(5), (0, 0, 0, 0), 12),
+    (build_case(1), (4,), 12),  # shares both tables with q = 0
+    (build_case(1), (0,), 13),  # odd precision: far contour offset 5/4 + 29/2
+])
+def test_meijer_eval_within_noise_estimate(case, q, precision):
     # across the whole log-u budget [e^-26, 1e3] the contour sum must sit
     # within its own roundoff model against an independent dps-30 reference
     import mpmath as mp
 
     a_red, b_red = meijer_params(case, q).reduced
-    ev = MeijerEvaluator(b_red, a_red, precision=12)
+    ev = MeijerEvaluator(b_red, a_red, precision=precision)
     a_mp = [mp.mpf(x.numerator) / x.denominator for x in a_red]
     b_mp = [mp.mpf(x.numerator) / x.denominator for x in b_red]
     lo, hi = -26.0, math.log(1e3)
@@ -190,6 +195,37 @@ def test_meijer_eval_within_noise_estimate(case, q):
             u = math.exp(lo + (hi - lo) * i / 24)
             ref = float(mp.meijerg([[], a_mp], [b_mp, []], u))
             assert abs(ev.eval(u) - ref) <= 2 * ev.noise_estimate(u), u
+
+
+def test_shifted_parameters_share_one_table():
+    # u^sigma G(u; a, b) = G(u; a + sigma, b + sigma): a common shift of every
+    # parameter reuses both contour tables, and only the contour abscissa moves
+    import mpmath as mp
+
+    from focklab.kernel import _contour_table
+
+    _contour_table.cache_clear()
+    e0 = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
+    e1 = MeijerEvaluator((F(1), F(3, 4), F(1, 2)), (F(1, 4),), precision=12)
+    assert _contour_table.cache_info().misses == 2  # one per contour
+    lo, hi = -26.0, math.log(1e3)
+    for i in range(25):
+        u = math.exp(lo + (hi - lo) * i / 24)
+        assert e1.eval(u) == pytest.approx(u * e0.eval(u), rel=1e-13, abs=0.0), u
+        assert e1.noise_estimate(u) == pytest.approx(u * e0.noise_estimate(u),
+                                                     rel=1e-13, abs=0.0), u
+    # the same b with another a is not a shift: two new tables
+    MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-1, 4),), precision=12)
+    assert _contour_table.cache_info().misses == 4
+    # nor is the same a with another b, and its values are its own
+    e2 = MeijerEvaluator((F(0), F(-1, 2), F(-1, 2)), (F(-3, 4),), precision=12)
+    assert _contour_table.cache_info().misses == 6
+    for u in (0.01, 0.5, 2.0):
+        ref = float(mp.meijerg([[], [-0.75]], [[0.0, -0.5, -0.5], []], u))
+        assert abs(e2.eval(u) - ref) <= 2 * e2.noise_estimate(u), u
+    # another precision sizes another step h and truncation T
+    MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=13)
+    assert _contour_table.cache_info().misses == 8
 
 
 def test_meijer_eval_far_below_the_log_u_budget():
@@ -238,12 +274,13 @@ def test_small_u_power_law_case1():
 
 
 def test_bergman_norm_cross_checks():
-    rep = bergman_norm_case1(0, [(1, {0: 1.0})])
-    assert rep.status == "pass"
-    rep = bergman_norm_case1(0, [(1, {4: 1.0})])
-    assert rep.status == "pass"
-    rep = bergman_norm_case1(0, [(0, {0: 1.0}), (1, {0: 0.5, 2: 1.0}), (2, {3: 1.0})])
-    assert rep.status == "pass"
+    for phi in ([(1, {0: 1.0})], [(1, {4: 1.0})],
+                [(0, {0: 1.0}), (1, {0: 0.5, 2: 1.0}), (2, {3: 1.0})]):
+        rep = bergman_norm_case1(0, phi)
+        assert rep.status == "pass"
+        # quad's largest error estimate is reported, and it is small
+        quad_err = float(rep.details.split("quad_err=")[1].split()[0])
+        assert 0 < quad_err < 1e-8, rep.details
 
 
 def test_bergman_norm_q4():

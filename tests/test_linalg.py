@@ -34,3 +34,8 @@ def test_rank_plus_nullity_is_ncols(matrix):
     for r in frac_rows:
         span.add(r)
     assert span.dim == int_rank(rows)
+    int_span = FractionSpan()  # int rows reduce to the same exact rows
+    for r in rows:
+        int_span.add(r)
+    assert int_span.rows == span.rows
+    assert all(type(w) is F for row in int_span.rows.values() for w in row.values())
