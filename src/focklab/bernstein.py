@@ -13,8 +13,8 @@ independent of a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from focklab.jordan import (
     CaseDescriptor,
@@ -24,7 +24,7 @@ from focklab.jordan import (
     dual_determinant_symbol,
 )
 from focklab.polyalg import apply_diff_op
-from focklab.report import CheckReport, Stopwatch, q_strings
+from focklab.report import CheckReport, q_strings
 
 
 class GammaPoleError(ArithmeticError):
@@ -120,19 +120,6 @@ class UniPoly:
             power = power * arg
         return out
 
-    def deflate(self, root) -> "UniPoly":
-        """Divide by (x - root) via synthetic division; requires p(root) = 0."""
-        root = Fraction(root)
-        if self.eval(root) != 0:
-            raise ValueError(f"{root} is not a root")
-        cs = self.coeffs
-        n = len(cs) - 1
-        out = [Fraction(0)] * n
-        out[n - 1] = cs[n]
-        for i in range(n - 1, 0, -1):
-            out[i - 1] = cs[i] + root * out[i]
-        return UniPoly(out)
-
     @staticmethod
     def from_roots(roots, lead=1) -> "UniPoly":
         out = UniPoly.const(lead)
@@ -197,15 +184,6 @@ def roots_factorization_ok(case: CaseDescriptor) -> bool:
 # -- Bernstein identity verification ----------------------------------------
 
 
-@dataclass
-class BernsteinResult:
-    factor: SimpleFactorDescriptor
-    alphas: tuple[int, ...]
-    constant: Fraction
-    report: CheckReport
-    alpha_reports: list[CheckReport] = None  # one per alpha, spec id scheme
-
-
 def _family_tag(factor: SimpleFactorDescriptor) -> str:
     if factor.family in (Family.SPIN, Family.SYM, Family.FULL, Family.SKEW):
         return f"{factor.family.value}{factor.size}"
@@ -214,22 +192,20 @@ def _family_tag(factor: SimpleFactorDescriptor) -> str:
 
 def verify_bernstein_identity(
     factor: SimpleFactorDescriptor, alphas=(1, 2, 3)
-) -> BernsteinResult:
+) -> Iterator[CheckReport]:
     """Check Delta^k(d) Delta^{k a} = C B(a) Delta^{k a - k} with constant C.
 
-    Both sides are expanded in full and compared term by term.  C is read
-    off one monomial at the smallest alpha and must be identical for every
-    alpha tested.
+    Yields one report per alpha.  Both sides are expanded in full and
+    compared term by term.  C is read off one monomial at the smallest alpha,
+    must be identical for every alpha tested, and is given in each report's
+    details as C=...; an alpha whose constant drifts fails.
     """
-    sw = Stopwatch()
-    lap = Stopwatch()  # each alpha reports its own time; the first includes setup
     delta = determinant_poly(factor, form="jordan")
     k = factor.mult
     symbol = dual_determinant_symbol(factor) ** k
     B = big_b_poly(factor)
     tag = _family_tag(factor) + (f".k{k}" if k > 1 else "")
     constant: Fraction | None = None
-    alpha_reports: list[CheckReport] = []
 
     for alpha in alphas:
         bval = B.eval(alpha)
@@ -248,26 +224,12 @@ def verify_bernstein_identity(
                 failure = "nonzero residual"
             elif c != constant:
                 failure = f"constant drift {c} != {constant}"
-        alpha_reports.append(
-            CheckReport(
-                id=f"bernstein.identity.{tag}.{alpha}",
-                status="fail" if failure else "pass",
-                residual=failure or "0",
-                details=f"C={constant}",
-                elapsed_ms=lap.ms(),
-            )
+        yield CheckReport(
+            id=f"bernstein.identity.{tag}.{alpha}",
+            status="fail" if failure else "pass",
+            residual=failure or "0",
+            details=f"C={constant}",
         )
-        lap = Stopwatch()
-
-    ok = all(r.status == "pass" for r in alpha_reports)
-    aggregate = CheckReport(
-        id=f"bernstein.identity.{tag}",
-        status="pass" if ok else "fail",
-        residual="0" if ok else next(r.residual for r in alpha_reports if r.status == "fail"),
-        details=f"C={constant} alphas={list(alphas)}",
-        elapsed_ms=sw.ms(),
-    )
-    return BernsteinResult(factor, tuple(alphas), constant, aggregate, alpha_reports)
 
 
 # -- a_m ratios ---------------------------------------------------------------
@@ -321,7 +283,6 @@ def a_ratio_gindikin(case: CaseDescriptor, q, m: int) -> Fraction:
 
 
 def a_ratio_report(case: CaseDescriptor, q, m_max: int = 10) -> CheckReport:
-    sw = Stopwatch()
     for m in range(m_max + 1):
         lhs = a_ratio(case, q, m)
         rhs = a_ratio_gindikin(case, q, m)
@@ -329,10 +290,10 @@ def a_ratio_report(case: CaseDescriptor, q, m_max: int = 10) -> CheckReport:
             return CheckReport(
                 id=f"bernstein.aratio.{case.label}.{'_'.join(q_strings(q))}",
                 case_id=case.label, q=q_strings(q), status="fail",
-                residual=str(lhs - rhs), details=f"m={m}", elapsed_ms=sw.ms(),
+                residual=str(lhs - rhs), details=f"m={m}",
             )
     return CheckReport(
         id=f"bernstein.aratio.{case.label}.{'_'.join(q_strings(q))}",
         case_id=case.label, q=q_strings(q), status="pass",
-        details=f"exact for m<= {m_max}", elapsed_ms=sw.ms(),
+        details=f"exact for m<= {m_max}",
     )

@@ -10,7 +10,15 @@ number (`--case`, matched against `case_id`), then by q (`--q`: the full
 vector or the free component q1 alone).  An entry that is not about one case
 (the root and Meijer tables, the Bernstein families, Lemma 3.5) has no case
 and no q, so a `--case` or `--q` filter never selects it.  A check that
-raises becomes one `error` report and the run goes on.
+raises becomes one `error` report, after the reports it yielded before
+raising, and the run goes on.
+
+Every entry's `run` returns an iterable of reports, and a check that emits
+several (a table, the Bernstein alphas of one family, the Meijer moments of
+one (case, q)) yields them one at a time.  `run_entry` is the only place
+that reads the clock: each report's `elapsed_ms` is the time since the
+previous report of its entry, or since the entry started, so every report
+carries its own work and a suite's reports add up to its run time.
 
 The registry is built on first use, not at import: the feasible q values
 are solved per case and cost more than the rest of `import focklab.cli`.
@@ -19,11 +27,12 @@ are solved per case and cost more than the rest of `import focklab.cli`.
 from __future__ import annotations
 
 import sys
+import time
 import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterable
 
 from focklab import bernstein as bn
 from focklab import fock, kernel, sl2, structure
@@ -37,7 +46,7 @@ from focklab.jordan import (
     spin,
     sym_mat,
 )
-from focklab.report import CheckReport, Stopwatch, q_strings
+from focklab.report import CheckReport, q_strings
 
 SUITES = ("tables", "bernstein", "sl2", "operators", "meijer", "bergman", "structure")
 
@@ -133,15 +142,15 @@ def feasible_pairs() -> tuple[tuple[CaseDescriptor, tuple[Fraction, ...]], ...]:
 
 @dataclass(frozen=True)
 class Entry:
-    """One registered check; `run(opts)` returns its reports."""
+    """One registered check; `run(opts)` returns or yields its reports."""
 
     suite: str
     name: str  # id stem of its reports; an error report is named after it
     case: CaseDescriptor | None
     q: tuple[Fraction, ...] | None
-    run: Callable[[dict], list[CheckReport]]
+    run: Callable[[dict], Iterable[CheckReport]]
 
-    def error_report(self, exc: Exception, elapsed_ms: float) -> CheckReport:
+    def error_report(self, exc: Exception) -> CheckReport:
         parts = [self.name]
         if self.case is not None:
             parts.append(self.case.label)
@@ -152,7 +161,6 @@ class Entry:
             case_id=self.case.label if self.case is not None else "",
             q=q_strings(self.q) if self.q is not None else [],
             status="error", details=f"{type(exc).__name__}: {exc}",
-            elapsed_ms=elapsed_ms,
         )
 
 
@@ -242,7 +250,7 @@ def registry() -> tuple[Entry, ...]:
 
     for f, alphas in BERNSTEIN_FAMILIES:
         add("bernstein", f"bernstein.identity.{f.family.value}{f.size}.k{f.mult}",
-            lambda o, f=f, a=alphas: bn.verify_bernstein_identity(f, alphas=a).alpha_reports)
+            lambda o, f=f, a=alphas: bn.verify_bernstein_identity(f, alphas=a))
     for case in default_catalog():
         add("bernstein", "bernstein.roots", lambda o, c=case: _bernstein_roots(c), case)
     for case, q in feasible_pairs():
@@ -313,19 +321,29 @@ def select(suites, case_id: int | None = None, q=None) -> list[Entry]:
 
 
 def run_entry(entry: Entry, opts: dict) -> list[CheckReport]:
-    """The entry's reports, or one `error` report (traceback on stderr) if it raises.
+    """The entry's reports, each stamped with its own time.
 
-    The report of a single-report entry carries the entry's own run time;
-    an entry with several reports times each of them itself.
+    A report's elapsed_ms is the time since the previous report of this
+    entry, or since the entry started for the first one.  If the entry
+    raises, the reports it yielded are kept and one `error` report
+    (traceback on stderr), timed from the last of them, is appended.
     """
-    sw = Stopwatch()
+    reports: list[CheckReport] = []
+    last = time.perf_counter()
+
+    def stamp(rep: CheckReport) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        rep.elapsed_ms = (now - last) * 1000
+        last = now
+        reports.append(rep)
+
     try:
-        reports = entry.run(opts)
+        for rep in entry.run(opts):
+            stamp(rep)
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
-        return [entry.error_report(exc, sw.ms())]
-    if len(reports) == 1:
-        reports[0].elapsed_ms = sw.ms()
+        stamp(entry.error_report(exc))
     return reports
 
 

@@ -189,7 +189,7 @@ def cmd_admissible_q(args) -> int:
 def cmd_meijer(args) -> int:
     case = _case_from_args(args)
     q = sl2.expand_q(case, args.q) if args.q else tuple(sl2.feasible_q_values(case, 1)[0])
-    reports = kernel.moment_check(case, q, m_max=args.moments, precision=args.precision)
+    reports = list(kernel.moment_check(case, q, m_max=args.moments, precision=args.precision))
     for c in reports:
         print(f"[{c.status.upper():4s}] {c.id}  {c.details}")
     return 0 if all(c.status == "pass" for c in reports) else 1

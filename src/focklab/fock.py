@@ -29,16 +29,12 @@ from typing import Callable
 from focklab.jordan import CaseDescriptor, Family
 from focklab.linalg import FractionSpan
 from focklab.polyalg import Scalar, exact_coeff
-from focklab.report import CheckReport, Stopwatch, q_strings
+from focklab.report import CheckReport, q_strings
 from focklab.sl2 import delta_sequence
 
 Key = tuple[int, tuple[int, ...]]  # (m, z-exponents)
 Vec = dict[Key, Scalar]
 Column = list[tuple[Key, Scalar]]
-
-
-def is_rank1_product(case: CaseDescriptor) -> bool:
-    return all(f.family is Family.RANK1 for f in case.factors)
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,7 @@ class Truncation:
     m_top: int
 
     def __post_init__(self):
-        if not is_rank1_product(self.case):
+        if any(f.family is not Family.RANK1 for f in self.case.factors):
             raise ValueError("operator construction needs a rank-1-product case")
         if len(self.q) != self.case.s:
             raise ValueError("q length must match the factor count")
@@ -288,7 +284,6 @@ def commutator_check(
     doubles as the calibration oracle: it tries "1/A" then "A" and reports
     which convention closes the algebra.
     """
-    sw = Stopwatch()
     q = tuple(Fraction(x) for x in q)
     trunc = Truncation(case, q, m_trunc + 2)
     qs = q_strings(q)
@@ -311,19 +306,17 @@ def commutator_check(
                 id=f"fock.comm.{case.label}.{'_'.join(qs)}",
                 case_id=case.label, q=qs, status="pass",
                 details=f"kappa={conv}; interior blocks 1..{m_trunc - 1}",
-                elapsed_ms=sw.ms(),
             )
         last_fail = failed
     return CheckReport(
         id=f"fock.comm.{case.label}.{'_'.join(qs)}",
         case_id=case.label, q=qs, status="fail",
-        residual=last_fail, elapsed_ms=sw.ms(),
+        residual=last_fail,
     )
 
 
 def sigma_involution_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     """sigma^2 = +-1 per block with the block sign (-1)^{sum N_i}."""
-    sw = Stopwatch()
     q = tuple(Fraction(x) for x in q)
     trunc = Truncation(case, q, m_trunc)
     sig = op_sigma(trunc)
@@ -336,10 +329,9 @@ def sigma_involution_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckRe
             if v != {key: expected}:
                 return CheckReport(
                     id=check_id, case_id=case.label, q=qs,
-                    status="fail", residual=str(key), elapsed_ms=sw.ms(),
+                    status="fail", residual=str(key),
                 )
-    return CheckReport(id=check_id, case_id=case.label, q=qs, status="pass",
-                       elapsed_ms=sw.ms())
+    return CheckReport(id=check_id, case_id=case.label, q=qs, status="pass")
 
 
 def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
@@ -348,7 +340,6 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     Operators are applied only where exact (source blocks m <= m_trunc - 1);
     asserts the generated span fills every interior block m <= m_trunc - 1.
     """
-    sw = Stopwatch()
     q = tuple(Fraction(x) for x in q)
     trunc = Truncation(case, q, m_trunc)
     qs = q_strings(q)
@@ -392,7 +383,6 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
         status="pass" if ok else "fail",
         residual=f"{got}/{interior_dim}",
         details=f"interior blocks m<= {m_trunc - 1}",
-        elapsed_ms=sw.ms(),
     )
 
 
@@ -415,7 +405,6 @@ def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) 
     """
     from scipy.integrate import quad
 
-    sw = Stopwatch()
     worst = 0.0
     worst_err = 0.0
     for m in m_values:
@@ -438,5 +427,4 @@ def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) 
         status="pass" if ok else "fail",
         residual=f"{worst:.3e}", tolerance=f"{rel_tol:.0e}",
         details=f"m in {list(m_values)}; quad_err={worst_err:.1e}",
-        elapsed_ms=sw.ms(),
     )

@@ -214,24 +214,6 @@ def determinant_poly(
     raise UnsupportedFamilyError(str(factor.family))
 
 
-def spin_form_interconvert(p: MultiPoly, tail_indices: list[int]) -> MultiPoly:
-    """Swap a rank-2 factor's polynomial between Jordan and table coordinates.
-
-    The two forms differ by the complex change diag(1, i, ..., i) on the tail
-    coordinates; on polynomials with even tail degree (all products of the
-    factor's determinants are such) the change acts rationally as
-    (-1)^{(sum of tail exponents)/2} per term, and is an involution.
-    """
-    tail = set(tail_indices)
-    out = {}
-    for e, c in p.terms.items():
-        t = sum(e[i] for i in tail)
-        if t % 2:
-            raise ValueError("odd tail degree: the coordinate change leaves Q[z]")
-        out[e] = c if (t // 2) % 2 == 0 else -c
-    return MultiPoly(p.vars, out)
-
-
 def dual_determinant_symbol(
     factor: SimpleFactorDescriptor,
     vars: VarSet | None = None,
@@ -465,7 +447,3 @@ def default_catalog() -> list[CaseDescriptor]:
     out += [build_case(10, variant=v) for v in "abcd"]
     out.append(build_case(11))
     return out
-
-
-def implementable(case: CaseDescriptor) -> bool:
-    return all(f.family is not Family.EXCEPTIONAL for f in case.factors)

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from focklab.bernstein import (
     UniPoly,
@@ -45,8 +46,8 @@ from focklab.bernstein import (
     pochhammer,
 )
 from focklab.jordan import CaseDescriptor, build_case
-from focklab.report import CheckReport, Stopwatch, q_strings
-from focklab.sl2 import eta0_of
+from focklab.report import CheckReport, q_strings
+from focklab.sl2 import eta0_of, forced_eta0
 
 
 class DegenerateSeriesError(ArithmeticError):
@@ -64,7 +65,6 @@ class SpectralParams:
     kind: str  # "case1" (B(1-eta0) = 0) or "case2"
     roots: tuple[Fraction, ...]  # (alpha2, alpha3) or (a1', a2', a3')
     b_roots: tuple[Fraction, ...]  # roots of Btilde, descending
-    lead_constant: int  # A
 
     @property
     def alphas_prime(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -81,38 +81,21 @@ def _remove_once(roots: list[Fraction], value: Fraction) -> bool:
     return False
 
 
-def spectral_params(case: CaseDescriptor, q) -> SpectralParams:
-    q = tuple(Fraction(x) for x in q)
-    eta0 = eta0_of(case, q)
+def _split_roots(case: CaseDescriptor, eta0: Fraction) -> tuple[str, tuple[Fraction, ...]]:
+    """(kind, remaining roots of B, descending) once 0 and, if a root, 1 - eta0 go."""
     roots = sorted(case_b_roots(case), reverse=True)
     if not _remove_once(roots, Fraction(0)):
         raise AssertionError("B(0) = 0 must hold")
-    if _remove_once(roots, 1 - eta0):
-        kind = "case1"
-    else:
-        kind = "case2"
+    kind = "case1" if _remove_once(roots, 1 - eta0) else "case2"
+    return kind, tuple(roots)
+
+
+def spectral_params(case: CaseDescriptor, q) -> SpectralParams:
+    q = tuple(Fraction(x) for x in q)
+    eta0 = eta0_of(case, q)
+    kind, roots = _split_roots(case, eta0)
     b = tuple(sorted(btilde_roots(case), reverse=True))
-    return SpectralParams(case.label, q, eta0, kind, tuple(roots), b, case.bernstein_lead)
-
-
-def eta0_from_pin(case: CaseDescriptor, q1) -> Fraction:
-    """eta0 as the affine function of the first component (table rows pin q1)."""
-    f = case.factors[0]
-    return Fraction(q1) / f.mult + Fraction(f.dim, f.mult * f.rank)
-
-
-def table_row_params(case: CaseDescriptor, q1) -> tuple[Fraction, str, tuple[Fraction, ...]]:
-    """(eta0, kind, remaining roots) for a table row pinned by q1.
-
-    Root extraction only needs eta0, so the half-integer q bookkeeping of
-    case (4) never enters here.
-    """
-    eta0 = eta0_from_pin(case, q1)
-    roots = sorted(case_b_roots(case), reverse=True)
-    _remove_once(roots, Fraction(0))
-    if _remove_once(roots, 1 - eta0):
-        return eta0, "case1", tuple(roots)
-    return eta0, "case2", tuple(roots)
+    return SpectralParams(case.label, q, eta0, kind, roots, b)
 
 
 # -- kernel coefficient series ---------------------------------------------------
@@ -123,8 +106,6 @@ class KernelSeries:
     case_id: str
     q: tuple[Fraction, ...]
     kind: str  # "OneF2" or "TwoF3"
-    numerators: tuple[Fraction, ...]
-    denominators: tuple[Fraction, ...]
     coeffs: list[Fraction] = field(default_factory=list)
 
 
@@ -178,16 +159,8 @@ def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> KernelSeries:
         c = coeffs[-1]
         if big_n * c.denominator != big_d * c.numerator:
             raise AssertionError(f"closed form disagrees with recurrence at m={m + 1}")
-    if sp.kind == "case1":
-        kind = "OneF2"
-        nums = (sp.eta0 + 1,)
-        dens = tuple(sp.eta0 + a for a in sp.roots)
-    else:
-        kind = "TwoF3"
-        nums = (sp.eta0 + 1, Fraction(1))
-        dens = tuple(sp.eta0 + a for a in sp.alphas_prime)
-    ks = KernelSeries(case.label, sp.q, kind, nums, dens, coeffs)
-    return ks
+    kind = "OneF2" if sp.kind == "case1" else "TwoF3"
+    return KernelSeries(case.label, sp.q, kind, coeffs)
 
 
 def kernel_eval(case: CaseDescriptor, q, u, terms: int | None = None, tol: float = 1e-15):
@@ -333,12 +306,15 @@ def _case2_rows():
     return rows
 
 
-def roots_table_suite() -> list[CheckReport]:
-    """Both root tables, every row, exact comparison."""
-    out = []
+def roots_table_suite() -> Iterator[CheckReport]:
+    """Both root tables, every row, exact comparison.
+
+    A row pins q1 alone, and root extraction only needs eta0, so the
+    half-integer q bookkeeping of case (4) never enters here.
+    """
     for case, q1, expected in _case1_rows():
-        sw = Stopwatch()
-        eta0, kind, rest = table_row_params(case, q1)
+        eta0 = forced_eta0(case, q1)
+        kind, rest = _split_roots(case, eta0)
         exp_eta0, exp_one_minus, exp_set = expected(case)
         ok = (
             kind == "case1"
@@ -346,39 +322,32 @@ def roots_table_suite() -> list[CheckReport]:
             and 1 - eta0 == exp_one_minus
             and set(rest) == exp_set
         )
-        out.append(
-            CheckReport(
-                id=f"kernel.table1.{case.label}"
-                + (f".p{case.params}" if case.params else ""),
-                case_id=case.label, q=[str(q1)],
-                status="pass" if ok else "fail",
-                residual="0" if ok else f"got eta0={eta0} roots={rest} kind={kind}",
-                details=f"expected eta0={exp_eta0} roots={sorted(exp_set)}",
-                elapsed_ms=sw.ms(),
-            )
+        yield CheckReport(
+            id=f"kernel.table1.{case.label}"
+            + (f".p{case.params}" if case.params else ""),
+            case_id=case.label, q=[str(q1)],
+            status="pass" if ok else "fail",
+            residual="0" if ok else f"got eta0={eta0} roots={rest} kind={kind}",
+            details=f"expected eta0={exp_eta0} roots={sorted(exp_set)}",
         )
     for case, q1_samples, expected in _case2_rows():
         for q1 in q1_samples:
-            sw = Stopwatch()
-            eta0, kind, rest = table_row_params(case, q1)
+            eta0 = forced_eta0(case, q1)
+            kind, rest = _split_roots(case, eta0)
             exp_eta0, exp_list = expected(case, q1)
             ok = (
                 kind == "case2"
                 and eta0 == exp_eta0
                 and sorted(rest) == sorted(exp_list)
             )
-            out.append(
-                CheckReport(
-                    id=f"kernel.table2.{case.label}.q{q1}"
-                    + (f".p{case.params}" if case.params else ""),
-                    case_id=case.label, q=[str(q1)],
-                    status="pass" if ok else "fail",
-                    residual="0" if ok else f"got eta0={eta0} roots={rest} kind={kind}",
-                    details=f"expected eta0={exp_eta0} roots={sorted(exp_list)}",
-                    elapsed_ms=sw.ms(),
-                )
+            yield CheckReport(
+                id=f"kernel.table2.{case.label}.q{q1}"
+                + (f".p{case.params}" if case.params else ""),
+                case_id=case.label, q=[str(q1)],
+                status="pass" if ok else "fail",
+                residual="0" if ok else f"got eta0={eta0} roots={rest} kind={kind}",
+                details=f"expected eta0={exp_eta0} roots={sorted(exp_list)}",
             )
-    return out
 
 
 # -- Meijer parameters -----------------------------------------------------------
@@ -399,17 +368,14 @@ class MeijerParams:
         return (self.alpha[0],), tuple(betas)
 
 
-def meijer_params_from_pin(case: CaseDescriptor, q1) -> MeijerParams:
-    eta0 = eta0_from_pin(case, q1)
-    b = btilde_roots(case)
-    beta = tuple(sorted((eta0 + bj - 1 for bj in b), reverse=True))
+def _meijer_params_at(case: CaseDescriptor, eta0: Fraction) -> MeijerParams:
+    """alpha = (eta0 - 1, eta0), beta_j = eta0 + b_j - 1 over the roots b_j of Btilde."""
+    beta = tuple(sorted((eta0 + bj - 1 for bj in btilde_roots(case)), reverse=True))
     return MeijerParams((eta0 - 1, eta0), beta)  # type: ignore[arg-type]
 
 
 def meijer_params(case: CaseDescriptor, q) -> MeijerParams:
-    sp = spectral_params(case, q)
-    beta = tuple(sorted((sp.eta0 + bj - 1 for bj in sp.b_roots), reverse=True))
-    return MeijerParams((sp.eta0 - 1, sp.eta0), beta)  # type: ignore[arg-type]
+    return _meijer_params_at(case, eta0_of(case, q))
 
 
 def _meijer_rows():
@@ -478,12 +444,10 @@ def _meijer_rows():
     return rows
 
 
-def meijer_param_table_suite() -> list[CheckReport]:
-    out = []
+def meijer_param_table_suite() -> Iterator[CheckReport]:
     for case, q1_samples, expected in _meijer_rows():
         for q1 in q1_samples:
-            sw = Stopwatch()
-            mp = meijer_params_from_pin(case, q1)
+            mp = _meijer_params_at(case, forced_eta0(case, q1))
             a1, a2, betas = expected(q1)
             ok = (
                 mp.alpha == (a1, a2)
@@ -494,23 +458,18 @@ def meijer_param_table_suite() -> list[CheckReport]:
                 cancel = True
             except AssertionError:
                 cancel = False
-            out.append(
-                CheckReport(
-                    id=f"meijer.params.{case.label}.q{q1}",
-                    case_id=case.label, q=[str(q1)],
-                    status="pass" if (ok and cancel) else "fail",
-                    residual="0" if ok else f"got {mp.alpha} {mp.beta}",
-                    details=f"expected alpha=({a1},{a2}) beta={sorted(betas)}; "
-                    f"cancellation={'yes' if cancel else 'NO'}",
-                    elapsed_ms=sw.ms(),
-                )
+            yield CheckReport(
+                id=f"meijer.params.{case.label}.q{q1}",
+                case_id=case.label, q=[str(q1)],
+                status="pass" if (ok and cancel) else "fail",
+                residual="0" if ok else f"got {mp.alpha} {mp.beta}",
+                details=f"expected alpha=({a1},{a2}) beta={sorted(betas)}; "
+                f"cancellation={'yes' if cancel else 'NO'}",
             )
-    return out
 
 
 def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
     """For all-zero q: Btilde(a) = B(a - eta0) as an exact polynomial identity."""
-    sw = Stopwatch()
     q = tuple(Fraction(0) for _ in case.factors)
     eta0 = eta0_of(case, q)  # raises if q=0 is inadmissible for this case
     btilde = UniPoly.const(1)
@@ -522,7 +481,6 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
     return CheckReport(
         id=f"kernel.q0reduction.{case.label}", case_id=case.label,
         q=q_strings(q), status="pass" if ok else "fail",
-        elapsed_ms=sw.ms(),
     )
 
 
@@ -710,23 +668,20 @@ def _evaluator_cached(b_params: tuple, a_params: tuple, precision: int) -> Meije
 def moment_check(
     case: CaseDescriptor, q, m_max: int = 5, precision: int = 12,
     rel_tol: float = 1e-6,
-) -> list[CheckReport]:
+) -> Iterator[CheckReport]:
     """Quadrature moments of G vs Gamma-ratio closed forms and (c a)_m.
 
     Checks, for m = 0..m_max: (i) integral G(u) u^m du equals
     prod Gamma(beta_j+m+1)/prod Gamma(alpha_j+m+1) to rel_tol; (ii) the exact
     Pochhammer identity c_m a_m / a_0 = (eta0)_m (eta0+1)_m / prod (eta0+b_j)_m;
     (iii) the quadrature moments match 1/(C (c a)_m) with C fitted at m = 0.
+    Yields the report of (ii) first, then one per moment; the evaluator is
+    built just before moment 0, whose report carries that time.
     """
     sp = spectral_params(case, q)
-    params = meijer_params(case, q)
-    a_red, b_red = params.reduced
-    ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
-    out = []
     qs = q_strings(q)
 
     # (ii) exact identity first; r[m] = c_m a_m / a_0 is reused by (iii)
-    sw = Stopwatch()
     r = []
     a_rel = Fraction(1)
     exact_ok = True
@@ -738,19 +693,17 @@ def moment_check(
         for bj in sp.b_roots:
             rhs_den *= pochhammer(sp.eta0 + bj, m)
         exact_ok = exact_ok and r[m] == rhs_num / rhs_den
-    out.append(
-        CheckReport(
-            id=f"meijer.camoment.{case.label}.{'_'.join(qs)}",
-            case_id=case.label, q=qs,
-            status="pass" if exact_ok else "fail",
-            details="exact (c a)_m Pochhammer identity",
-            elapsed_ms=sw.ms(),
-        )
+    yield CheckReport(
+        id=f"meijer.camoment.{case.label}.{'_'.join(qs)}",
+        case_id=case.label, q=qs,
+        status="pass" if exact_ok else "fail",
+        details="exact (c a)_m Pochhammer identity",
     )
 
+    a_red, b_red = meijer_params(case, q).reduced
+    ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
     mu0 = None
     for m in range(m_max + 1):
-        sw_m = Stopwatch()
         mu, quad_err = ev.moment(m)
         g = ev.moment_closed(m)
         rel = abs(mu - g) / abs(g)
@@ -759,18 +712,14 @@ def moment_check(
         # (iii): mu_m / mu_0 must equal 1/r[m] with r[m] the exact ratio above
         rel_ca = abs(mu / mu0 - 1.0 / float(r[m])) / (1.0 / float(r[m]))
         ok = rel <= rel_tol and rel_ca <= rel_tol
-        out.append(
-            CheckReport(
-                id=f"meijer.moment.{case.label}.{'_'.join(qs)}.{m}",
-                case_id=case.label, q=qs,
-                status="pass" if ok else "fail",
-                residual=f"{max(rel, rel_ca):.3e}", tolerance=f"{rel_tol:.0e}",
-                details=f"quad={mu:.12e} quad_err={quad_err:.1e} gamma={g:.12e} "
-                f"C={1.0 / mu0:.6e}",
-                elapsed_ms=sw_m.ms(),
-            )
+        yield CheckReport(
+            id=f"meijer.moment.{case.label}.{'_'.join(qs)}.{m}",
+            case_id=case.label, q=qs,
+            status="pass" if ok else "fail",
+            residual=f"{max(rel, rel_ca):.3e}", tolerance=f"{rel_tol:.0e}",
+            details=f"quad={mu:.12e} quad_err={quad_err:.1e} gamma={g:.12e} "
+            f"C={1.0 / mu0:.6e}",
         )
-    return out
 
 
 # -- weight and sign scan -----------------------------------------------------------
@@ -796,7 +745,6 @@ def sign_scan(
 
 
 def sign_scan_report(case: CaseDescriptor, q, **kw) -> CheckReport:
-    sw = Stopwatch()
     vals, brackets = sign_scan(case, q, **kw)
     qs = q_strings(q)
     return CheckReport(
@@ -805,7 +753,6 @@ def sign_scan_report(case: CaseDescriptor, q, **kw) -> CheckReport:
         status="pass" if brackets else "fail",
         residual=f"{len(brackets)} sign changes",
         details=f"first bracket={brackets[0] if brackets else None}",
-        elapsed_ms=sw.ms(),
     )
 
 
@@ -828,7 +775,6 @@ def bergman_norm_case1(
     """
     from scipy.integrate import quad
 
-    sw = Stopwatch()
     if len(components) > 3:
         raise ValueError("at most 3 graded components")
     case = build_case(1)
@@ -891,5 +837,4 @@ def bergman_norm_case1(
         residual=f"{rel:.3e}", tolerance=f"{rel_tol:.0e}",
         details=f"graded={g_phi:.10e} quadrature={r_phi:.10e} C={c_fit / math.pi:.6e} "
         f"quad_err={quad_err:.1e}",
-        elapsed_ms=sw.ms(),
     )

@@ -96,26 +96,14 @@ class FractionSpan:
 def frac_nullspace(rows: Sequence[FracRow], ncols: int) -> list[FracRow]:
     """Nullspace basis of the homogeneous system rows . x = 0, exactly.
 
-    Gauss-Jordan on sparse Fraction rows; returns one basis vector per free
-    column, each with the free coordinate set to 1.
+    Gauss-Jordan on sparse Fraction rows: the pivot-normalised echelon rows
+    of a FractionSpan, back-substituted to reduced form; returns one basis
+    vector per free column, each with the free coordinate set to 1.
     """
-    echelon: dict[int, FracRow] = {}
+    span = FractionSpan()
     for row in rows:
-        v = {j: c for j, c in row.items() if c}
-        while v:
-            j = min(v)
-            piv = echelon.get(j)
-            if piv is None:
-                c = v[j]
-                echelon[j] = {k: w / c for k, w in v.items()}
-                break
-            c = v[j]
-            for k, w in piv.items():
-                nv = v.get(k, Fraction(0)) - c * w
-                if nv:
-                    v[k] = nv
-                elif k in v:
-                    del v[k]
+        span.add(row)
+    echelon = span.rows
     # back-substitute to reduced form
     for j in sorted(echelon, reverse=True):
         row = echelon[j]

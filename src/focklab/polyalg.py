@@ -101,13 +101,6 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def constant_term(self) -> Scalar:
-        return self.terms.get((0,) * len(self.vars), 0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)

@@ -1,8 +1,7 @@
-"""The CheckReport record every check returns, its q formatter and stopwatch."""
+"""The CheckReport record every check yields, and its q formatter."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -13,7 +12,9 @@ class CheckReport:
 
     status is one of pass/fail/error ("error": the check raised, see details);
     residual and tolerance are strings so exact rationals and decimal floats
-    both round-trip through JSON.
+    both round-trip through JSON.  A check never sets elapsed_ms: the runner
+    (checks.run_entry) stamps it with the milliseconds since the previous
+    report of the same entry, so a suite's reports add up to its run time.
     """
 
     id: str
@@ -40,12 +41,3 @@ class CheckReport:
 
 def q_strings(q) -> list[str]:
     return [str(Fraction(x)) for x in q]
-
-
-class Stopwatch:
-    def __init__(self):
-        self.t0 = time.perf_counter()
-
-    def ms(self) -> float:
-        """Milliseconds since construction, at microsecond resolution."""
-        return round((time.perf_counter() - self.t0) * 1000, 3)

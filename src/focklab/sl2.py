@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from focklab.jordan import CaseDescriptor, SimpleFactorDescriptor
 from focklab.polyalg import MultiPoly, VarSet
-from focklab.report import CheckReport, Stopwatch, q_strings
+from focklab.report import CheckReport, q_strings
 
 
 # -- admissible q -------------------------------------------------------------
@@ -41,10 +41,6 @@ class AdmissibleQ:
     @property
     def feasible(self) -> bool:
         return self.strict_feasible or self.cover_feasible
-
-    def eta0_for(self, q) -> Fraction:
-        a, b = self.eta0_affine
-        return a * Fraction(q[0]) + b
 
     def to_dict(self) -> dict:
         return {
@@ -92,11 +88,14 @@ def eta0_of(case: CaseDescriptor, q) -> Fraction:
     return vals.pop()
 
 
-def forced_eta0(case: CaseDescriptor, q) -> Fraction:
-    """Factor-1 value of the eta0 expression (used for negative tests)."""
-    validate_q(case, q)
+def forced_eta0(case: CaseDescriptor, q1) -> Fraction:
+    """The first factor's eta0, q1/k1 + n1/(k1 r1), an affine function of q1.
+
+    Table rows pin q1 alone; negative controls force it on a q that the
+    other factors reject.
+    """
     f = case.factors[0]
-    return Fraction(q[0]) / f.mult + Fraction(f.dim, f.mult * f.rank)
+    return Fraction(q1) / f.mult + Fraction(f.dim, f.mult * f.rank)
 
 
 def _lattice_ok(q: list[Fraction], ks: list[int], half: bool) -> bool:
@@ -203,7 +202,7 @@ def delta_sequence(
     case: CaseDescriptor, q, m_max: int = 10, kappa: str = "1/A", forced: bool = False
 ) -> DeltaSequence:
     """The delta sequence, A = prod k_i^{k_i r_i}; forced=True as in forced_eta0."""
-    eta0 = forced_eta0(case, q) if forced else eta0_of(case, q)
+    eta0 = forced_eta0(case, validate_q(case, q)[0]) if forced else eta0_of(case, q)
     a = case.bernstein_lead
     kap = Fraction(1, a) if kappa == "1/A" else Fraction(a)
     values = [kap / ((m + eta0) * (m + eta0 + 1)) for m in range(m_max + 1)]
@@ -278,7 +277,6 @@ def pm_identity_check(
     first factor is then used); the residual polynomial is returned either
     way, so a necessity-direction test can exhibit a nonzero residual.
     """
-    sw = Stopwatch()
     ring = hc_ring(case)
     m_var = MultiPoly.variable(ring, 0)
     lam_blocks: list[list[int]] = []
@@ -288,7 +286,7 @@ def pm_identity_check(
         t += f.rank
 
     if forced:
-        eta0 = forced_eta0(case, q)
+        eta0 = forced_eta0(case, validate_q(case, q)[0])
     else:
         eta0 = eta0_of(case, q)
     A = case.bernstein_lead
@@ -357,7 +355,6 @@ def pm_identity_check(
         status="pass" if residual.is_zero() and shorthand_ok else "fail",
         residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
         details=f"kappa={kappa}; eta0={eta0}; gammaE-shorthand-identity={'ok' if shorthand_ok else 'BROKEN'}",
-        elapsed_ms=sw.ms(),
     )
     return rep, residual
 
@@ -389,7 +386,6 @@ def lemma35_check(
     The affine target is sum_i p_i*T_i + c (part sizes p_i): with the stated
     alpha, beta the T_i-coefficient of the left side is the part size, not 1.
     """
-    sw = Stopwatch()
     ell = len(partition)
     if sum(partition) != 4:
         raise ValueError("partition must sum to 4")
@@ -418,6 +414,5 @@ def lemma35_check(
         status="pass" if residual.is_zero() else "fail",
         residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
         details=f"b={[str(b) for b in bs]} alpha={alpha} beta={beta} c={c}",
-        elapsed_ms=sw.ms(),
     )
     return rep, residual

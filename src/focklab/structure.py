@@ -15,19 +15,24 @@ duality; Iarrobino-Kanev, LNM 1721).  The check asserts that symmetry too.
 
 The structure algebra {X : DQ(z)[Xz] in C*Q(z)} is computed by equating
 coefficients and solving the homogeneous system exactly (sparse
-Gauss-Jordan over Q); character_of then verifies every basis element.
+Gauss-Jordan over Q); character_of then verifies every basis element.  The
+check also asserts that the computed Str is a Lie algebra (every bracket
+[X, Y] of basis elements lies in their span, exactly) and that it contains
+the identity with character 4, Euler's identity DQ[z] = 4Q for the
+homogeneous quartic Q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from focklab.jordan import CaseDescriptor, q_polynomial
 from focklab.linalg import FractionSpan, frac_nullspace, int_rank
 from focklab.polyalg import MultiPoly
-from focklab.report import CheckReport, Stopwatch
+from focklab.report import CheckReport
 
 Matrix = dict[tuple[int, int], Fraction]
 
@@ -35,6 +40,7 @@ Matrix = dict[tuple[int, int], Fraction]
 @dataclass
 class StructureBasis:
     case_id: str
+    q_poly: MultiPoly  # the Q (table form) every basis element preserves
     basis: list[Matrix]
     characters: list[Fraction]
 
@@ -94,39 +100,18 @@ def structure_algebra(case: CaseDescriptor) -> StructureBasis:
         x = {(col // n, col % n): coeff for col, coeff in v.items() if col < n * n}
         basis.append(x)
         chars.append(character_of(q_poly, x))
-    return StructureBasis(case.label, basis, chars)
+    return StructureBasis(case.label, q_poly, basis, chars)
 
 
-def bracket_in_span(basis: list[Matrix], n: int, pairs=None) -> bool:
-    """Commutators of basis elements stay inside the span (exact)."""
-    span = FractionSpan()
-    for x in basis:
-        span.add({a * n + b: c for (a, b), c in x.items()})
-    if pairs is None:
-        pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    for i, j in pairs:
-        x, y = basis[i], basis[j]
-        comm: Matrix = {}
-        for (a, b), cx in x.items():
-            for (b2, c2), cy in y.items():
+def _bracket(x: dict, y: dict) -> dict:
+    """XY - YX, exactly, without its zero entries."""
+    out: Matrix = {}
+    for left, right, sign in ((x, y, 1), (y, x, -1)):
+        for (a, b), cl in left.items():
+            for (b2, c), cr in right.items():
                 if b == b2:
-                    comm[(a, c2)] = comm.get((a, c2), Fraction(0)) + cx * cy
-        for (a, b), cy in y.items():
-            for (b2, c2), cx in x.items():
-                if b == b2:
-                    comm[(a, c2)] = comm.get((a, c2), Fraction(0)) - cy * cx
-        vec = {a * n + b: c for (a, b), c in comm.items() if c}
-        if vec and not span.contains(vec):
-            return False
-    return True
-
-
-def identity_character(case: CaseDescriptor) -> Fraction:
-    """DQ[z] = deg(Q) * Q: the identity matrix has character 4."""
-    q_poly = q_polynomial(case, form="table")
-    n = case.dim_v
-    ident = {(a, a): Fraction(1) for a in range(n)}
-    return character_of(q_poly, ident)
+                    out[(a, c)] = out.get((a, c), 0) + sign * cl * cr
+    return {k: v for k, v in out.items() if v}
 
 
 def _int_row(p: MultiPoly, mono_index: dict[tuple, int]) -> dict[int, int]:
@@ -161,13 +146,29 @@ def translate_span_dim(case: CaseDescriptor) -> tuple[int, list[int]]:
 
 
 def check_g_dimension(case: CaseDescriptor) -> CheckReport:
-    sw = Stopwatch()
     sb = structure_algebra(case)
-    dim_k = 2 * case.dim_v + sb.dim
+    n = case.dim_v
+    dim_k = 2 * n + sb.dim
     dim_w, graded = translate_span_dim(case)
     symmetric = graded == graded[::-1]
     total = dim_k + dim_w
-    ok = symmetric and total == case.expected_g_dim and dim_k == case.expected_k_dim
+    # each basis element scaled to integer entries: the span is the same,
+    # and the brackets run on int arithmetic
+    basis = []
+    for x in sb.basis:
+        den = lcm(*(c.denominator for c in x.values()))
+        basis.append({k: int(c * den) for k, c in x.items()})
+
+    def flat(x):
+        return {a * n + b: c for (a, b), c in x.items()}
+
+    span = FractionSpan()
+    for x in basis:
+        span.add(flat(x))
+    closed = all(span.contains(flat(_bracket(x, y))) for x, y in combinations(basis, 2))
+    euler = character_of(sb.q_poly, {(a, a): Fraction(1) for a in range(n)})
+    ok = (symmetric and closed and euler == 4
+          and total == case.expected_g_dim and dim_k == case.expected_k_dim)
     return CheckReport(
         id=f"structure.dim.{case.label}",
         case_id=case.label,
@@ -178,7 +179,7 @@ def check_g_dimension(case: CaseDescriptor) -> CheckReport:
             f"(expected {case.expected_k_dim}) "
             f"dimW={dim_w} ({'+'.join(map(str, graded))}"
             f"{'' if symmetric else ', not palindromic'}) "
-            f"dimG={total} (expected {case.expected_g_dim}, {case.expected_g_name})"
+            f"dimG={total} (expected {case.expected_g_dim}, {case.expected_g_name}); "
+            f"Str {'closed' if closed else 'NOT closed'} under [,]; DQ[z]={euler}Q"
         ),
-        elapsed_ms=sw.ms(),
     )

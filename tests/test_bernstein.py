@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from focklab import bernstein
 from focklab.bernstein import (
     DegenerateParameterError,
     GammaPoleError,
@@ -34,7 +35,7 @@ from focklab.jordan import (
 def test_unipoly_basics():
     p = UniPoly.from_roots([0, F(1, 2)], lead=2)  # 2x(x - 1/2)
     assert p.eval(1) == 1 and p.degree == 2 and p.leading == 2
-    assert p.deflate(0).eval(3) == 2 * (3 - F(1, 2))
+    assert p == UniPoly.linear(0, 1) * UniPoly.from_roots([F(1, 2)], lead=2)
     q = p.compose_affine(2, -1)  # p(2x - 1)
     assert q.eval(1) == p.eval(1)
     assert q.eval(0) == p.eval(-1)
@@ -80,24 +81,38 @@ def test_factor_roots_formula():
     assert roots == sorted([F(0), F(1, 2) - F(p, 4), F(1, 2), 1 - F(p, 4)])
 
 
+def identity_constant(factor, alphas=(1, 2, 3)) -> F:
+    """C of a family whose identity holds at every alpha, read off the reports."""
+    reports = list(verify_bernstein_identity(factor, alphas=alphas))
+    assert [r.status for r in reports] == ["pass"] * len(alphas), reports
+    assert [r.id.rsplit(".", 1)[1] for r in reports] == [str(a) for a in alphas]
+    (details,) = {r.details for r in reports}  # one C for every alpha
+    return F(details.removeprefix("C="))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_bernstein_identity_rank1(k):
-    res = verify_bernstein_identity(rank1(k), alphas=(1, 2, 3))
-    assert res.report.status == "pass"
-    assert res.constant == 1
+    assert identity_constant(rank1(k)) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_bernstein_identity_spin(p):
-    res = verify_bernstein_identity(spin(p, 1), alphas=(1, 2, 3))
-    assert res.report.status == "pass"
-    assert res.constant == 4  # coordinate slack 4^k, alpha-independent
+    assert identity_constant(spin(p, 1)) == 4  # coordinate slack 4^k, alpha-independent
 
 
 def test_bernstein_identity_spin_k2():
-    res = verify_bernstein_identity(spin(3, 2), alphas=(1, 2, 3))
-    assert res.report.status == "pass"
-    assert res.constant == 16
+    assert identity_constant(spin(3, 2)) == 16
+
+
+def test_bernstein_constant_drift_fails_that_alpha(monkeypatch):
+    # B off by the factor (a + 1): C read at alpha = 1 is 1/2, then 1/3, 1/4
+    real = bernstein.big_b_poly
+    monkeypatch.setattr(bernstein, "big_b_poly",
+                        lambda f: real(f) * UniPoly.linear(1, 1))
+    reports = list(verify_bernstein_identity(rank1(1), alphas=(1, 2, 3)))
+    assert [r.status for r in reports] == ["pass", "fail", "fail"]
+    assert reports[1].residual == "constant drift 1/3 != 1/2"
+    assert {r.details for r in reports} == {"C=1/2"}
 
 
 @pytest.mark.parametrize(
@@ -108,19 +123,16 @@ def test_bernstein_identity_spin_k2():
     ids=["sym2", "sym3", "full2", "full3", "skew4", "sym4", "full4", "skew8"],
 )
 def test_bernstein_identity_matrix_symbolic(factor, alphas):
-    res = verify_bernstein_identity(factor, alphas=alphas)
-    assert res.report.status == "pass"
-    assert res.constant == 1
+    assert identity_constant(factor, alphas) == 1
 
 
 def test_bernstein_identity_full2_value():
     # det(d) det z = 2 = C*b(1) with b(1) = 1*2, so C = 1
     from focklab.jordan import determinant_poly
-    from focklab.polyalg import apply_diff_op
+    from focklab.polyalg import MultiPoly, apply_diff_op
 
     d = determinant_poly(full_mat(2))
-    res = apply_diff_op(d, d)
-    assert res.constant_term() == 2
+    assert apply_diff_op(d, d) == MultiPoly.constant(d.vars, 2)
 
 
 def test_gindikin_ratio_examples():

@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from focklab import checks, kernel
 from focklab.cli import main
 from focklab.jordan import build_case
+from focklab.report import CheckReport
 
 
 def run(capsys, *argv):
@@ -163,13 +165,47 @@ def test_parallel_jobs_deterministic():
     assert strip(seq) == strip(par)
 
 
-@pytest.mark.parametrize("suite", ["tables", "sl2"])
+@pytest.mark.parametrize("suite", ["tables", "sl2", "meijer", "bernstein"])
 def test_every_report_carries_its_own_time(suite, tmp_path, capsys):
     path = tmp_path / "report.json"
     assert run(capsys, "verify", suite, "--json", str(path), "--jobs", "1")[0] == 0
     reports = json.loads(path.read_text())["checks"]
     assert reports
     assert [c["id"] for c in reports if not c["elapsed_ms"] > 0] == []
+
+
+def test_suite_reports_add_up_to_its_run_time():
+    checks.registry()
+    t0 = time.perf_counter()
+    reports = checks.run_suite("meijer", {})
+    wall_ms = (time.perf_counter() - t0) * 1000
+    assert reports and all(r.status == "pass" for r in reports)
+    # disjoint intervals inside the run: at most its wall time, never cumulative
+    assert 0.95 * wall_ms <= sum(r.elapsed_ms for r in reports) <= wall_ms + 1e-6
+
+
+def test_entry_that_raises_keeps_the_reports_it_yielded(capsys):
+    def run_two_then_raise(opts):
+        yield CheckReport(id="x.first")
+        yield CheckReport(id="x.second")
+        raise ZeroDivisionError("injected")
+
+    entry = checks.Entry("tables", "x", None, None, run_two_then_raise)
+    reports = checks.run_entry(entry, {})
+    assert [(r.id, r.status) for r in reports] == [
+        ("x.first", "pass"), ("x.second", "pass"), ("x", "error")]
+    assert reports[2].details == "ZeroDivisionError: injected"
+    assert all(r.elapsed_ms > 0 for r in reports)
+    assert "ZeroDivisionError: injected" in capsys.readouterr().err
+
+
+def test_meijer_command_fails_on_a_wrong_moment(monkeypatch, capsys):
+    assert run(capsys, "meijer", "--case", "1", "--q", "0")[0] == 0
+    real = kernel.MeijerEvaluator.moment_closed
+    monkeypatch.setattr(kernel.MeijerEvaluator, "moment_closed",
+                        lambda self, m: real(self, m) * 1.01)
+    code, out = run(capsys, "meijer", "--case", "1", "--q", "0")
+    assert code == 1 and "[FAIL] meijer.moment.1.0.0" in out
 
 
 @pytest.mark.parametrize("argv", [("operators", "--case", "2"), ("sl2", "--case", "12")])

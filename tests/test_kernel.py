@@ -124,7 +124,7 @@ def test_h_twisted_bernstein_rank1():
 
 
 def test_roots_tables_all_rows():
-    checks = roots_table_suite()
+    checks = list(roots_table_suite())
     assert len(checks) >= 60
     assert all(c.status == "pass" for c in checks), [
         (c.id, c.residual) for c in checks if c.status != "pass"
@@ -132,7 +132,7 @@ def test_roots_tables_all_rows():
 
 
 def test_meijer_param_table_all_rows():
-    checks = meijer_param_table_suite()
+    checks = list(meijer_param_table_suite())
     assert all(c.status == "pass" for c in checks), [
         (c.id, c.residual) for c in checks if c.status != "pass"
     ]
@@ -249,7 +249,7 @@ def test_meijer_moments_closed_form_values():
 
 
 def test_moment_check_case1():
-    checks = moment_check(build_case(1), (0,), m_max=3)
+    checks = list(moment_check(build_case(1), (0,), m_max=3))
     assert all(c.status == "pass" for c in checks)
     moments = [c for c in checks if c.id.startswith("meijer.moment.")]
     assert len(moments) == 4 and all("quad_err=" in c.details for c in moments)

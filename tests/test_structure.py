@@ -11,13 +11,17 @@ from focklab.checks import STRUCTURE_ROWS
 from focklab.jordan import build_case, q_polynomial
 from focklab.linalg import FractionSpan
 from focklab.structure import (
-    bracket_in_span,
     character_of,
     check_g_dimension,
-    identity_character,
     structure_algebra,
     translate_span_dim,
 )
+
+
+def identity_character(case):
+    """The character of the identity matrix: DQ[z] = c*Q."""
+    ident = {(a, a): F(1) for a in range(case.dim_v)}
+    return character_of(q_polynomial(case, form="table"), ident)
 
 
 def test_structure_dims_examples():
@@ -74,16 +78,8 @@ def test_identity_character_is_the_fraction_four():
 def test_bracket_closure_small_cases():
     for case in (build_case(1), build_case(4), build_case(5), build_case(2, p=3),
                  build_case(11), build_case(10, variant="a")):
-        sb = structure_algebra(case)
-        assert bracket_in_span(sb.basis, case.dim_v)
-
-
-def test_bracket_closure_sampled_big():
-    case = build_case(9, variant="b")
-    sb = structure_algebra(case)
-    pairs = [(0, 1), (3, 17), (5, 28), (2, 30), (10, 20)]
-    pairs = [(i, j) for i, j in pairs if j < sb.dim]
-    assert bracket_in_span(sb.basis, case.dim_v, pairs=pairs)
+        rep = check_g_dimension(case)
+        assert rep.status == "pass" and "Str closed under [,]; DQ[z]=4Q" in rep.details
 
 
 def test_translate_span_examples():
@@ -129,6 +125,28 @@ def test_translates_lie_in_derivative_span(case):
 def test_dimension_check_can_fail(change):
     rep = check_g_dimension(replace(build_case(4), **change))
     assert rep.status == "fail", rep.details
+
+
+def test_dimension_check_fails_without_closure(monkeypatch):
+    # swap diag(1, 0, 0, 0) for E01 + E10: same dimensions, but
+    # [E01 + E10, E11 - E00] = 2 (E01 - E10) leaves the span
+    real = structure.structure_algebra
+
+    def swapped(case):
+        sb = real(case)
+        sb.basis[-1] = {(0, 1): F(1), (1, 0): F(1)}
+        return sb
+
+    monkeypatch.setattr(structure, "structure_algebra", swapped)
+    rep = check_g_dimension(build_case(5))
+    assert rep.status == "fail" and "Str NOT closed under [,]" in rep.details
+    assert "dimG=28 (expected 28," in rep.details
+
+
+def test_dimension_check_fails_without_euler_identity(monkeypatch):
+    monkeypatch.setattr(structure, "character_of", lambda q_poly, x: F(3))
+    rep = check_g_dimension(build_case(5))
+    assert rep.status == "fail" and "DQ[z]=3Q" in rep.details
 
 
 def test_dimension_check_fails_without_symmetry(monkeypatch):
