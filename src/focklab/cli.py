@@ -30,6 +30,17 @@ def _parse_q(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"invalid --q {text!r}: {exc}") from None
 
 
+def _grid_size(text: str) -> int:
+    """--grid: an integer of at least 2, the two ends of the log-u grid."""
+    try:
+        grid = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid --grid {text!r}") from None
+    if grid < 2:
+        raise argparse.ArgumentTypeError(f"--grid must be at least 2, got {grid}")
+    return grid
+
+
 def _case_from_args(args) -> "object":
     kw = {}
     if getattr(args, "p", None) is not None:
@@ -159,7 +170,7 @@ def cmd_export(args) -> int:
             ev = kernel.MeijerEvaluator(b_red, a_red, precision=args.precision)
             print("m,quadrature,closed_form,rel_err", file=out)
             for m in range(args.m_max + 1):
-                mu, _ = ev.moment(m)
+                mu = ev.moment(m)[0]
                 g = ev.moment_closed(m)
                 print(f"{m},{mu:.15e},{g:.15e},{abs(mu - g) / abs(g):.3e}", file=out)
         elif args.what == "weight-profile":
@@ -239,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("what", choices=["cm", "kernel-coeffs", "moments", "weight-profile"])
     add_case_flags(p_exp)
     p_exp.add_argument("-m", "--m-max", dest="m_max", type=int, default=20)
-    p_exp.add_argument("--grid", type=int, default=200)
+    p_exp.add_argument("--grid", type=_grid_size, default=200)
     p_exp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_exp.add_argument("-o", "--output", default="")
     p_exp.set_defaults(fn=cmd_export)
@@ -262,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ws = sub.add_parser("weight-scan", help="locate sign changes of the G-weight")
     add_case_flags(p_ws)
-    p_ws.add_argument("--grid", type=int, default=240)
+    p_ws.add_argument("--grid", type=_grid_size, default=240)
     p_ws.set_defaults(fn=cmd_weight_scan)
 
     return parser

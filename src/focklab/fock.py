@@ -27,6 +27,7 @@ from itertools import product as iproduct
 from typing import Callable
 
 from focklab.jordan import CaseDescriptor, Family
+from focklab.kernel import quad_counted
 from focklab.linalg import FractionSpan
 from focklab.polyalg import Scalar, exact_coeff
 from focklab.report import CheckReport, q_strings
@@ -194,14 +195,21 @@ def op_rhoF(trunc: Truncation, q, kappa: str = "1/A", forced: bool = False) -> O
     The top block has no columns: its M-image would be clipped, so checks
     read rho(F) only below it (interior validity).
     """
+    delta = delta_sequence(trunc.case, q, trunc.m_top, kappa, forced).values
+    return _scaled_rhoF(trunc, 1, delta)
+
+
+def _scaled_rhoF(trunc: Truncation, scale: int, delta: list[Fraction]) -> OperatorMatrix:
+    """scale * rho(F) = scale M - (scale delta) o D, for the deltas of blocks 0..m_top."""
     mm = op_M(trunc)
     dd = op_D(trunc)
-    delta = delta_sequence(trunc.case, q, trunc.m_top, kappa, forced).values
+    scaled = [exact_coeff(scale * d) for d in delta]
 
     def col(key: Key):
         if key[0] >= trunc.m_top:
             return []
-        return mm.column(key) + [(tgt, -delta[tgt[0]] * c) for tgt, c in dd.column(key)]
+        return ([(tgt, scale * c) for tgt, c in mm.column(key)]
+                + [(tgt, -scaled[tgt[0]] * c) for tgt, c in dd.column(key)])
 
     return OperatorMatrix(col)
 
@@ -283,6 +291,12 @@ def commutator_check(
     per check, rho(F) and rho(E) once per kappa.  With kappa=None the check
     doubles as the calibration oracle: it tries "1/A" then "A" and reports
     which convention closes the algebra.
+
+    The relations run on integers: with L = 2 lcm of the denominators of
+    delta(m), m <= m_top, F' = L rho(F) (so E' = sigma F' sigma^{-1} =
+    L rho(E)) and H' = 2 rho(H) have integer entries, and the relations
+    become [H',E'] = 4E', [H',F'] = -4F', [E',F'] = (L^2/2) H'.  Scaling by
+    non-zero constants changes neither which column fails nor the report.
     """
     q = tuple(Fraction(x) for x in q)
     trunc = Truncation(case, q, m_trunc + 2)
@@ -290,13 +304,16 @@ def commutator_check(
     conventions = [kappa] if kappa else ["1/A", "A"]
     sig = op_sigma(trunc)
     rho_h = op_rhoH(trunc)
+    h2 = OperatorMatrix(lambda key: [(t, 2 * c) for t, c in rho_h.column(key)])
     last_fail = ""
     for conv in conventions:
-        rho_f = op_rhoF(trunc, q, conv, forced)
+        delta = delta_sequence(case, q, trunc.m_top, conv, forced).values
+        big_l = 2 * math.lcm(*(d.denominator for d in delta))
+        rho_f = _scaled_rhoF(trunc, big_l, delta)
         rho_e = op_rhoE(trunc, rho_f, sig)
-        relations = (("[H,E]!=2E", rho_h, rho_e, rho_e, 2),
-                     ("[H,F]!=-2F", rho_h, rho_f, rho_f, -2),
-                     ("[E,F]!=H", rho_e, rho_f, rho_h, 1))
+        relations = (("[H,E]!=2E", h2, rho_e, rho_e, 4),
+                     ("[H,F]!=-2F", h2, rho_f, rho_f, -4),
+                     ("[E,F]!=H", rho_e, rho_f, h2, big_l * big_l // 2))
         failed = next((f"{name} at {key} ({conv})"
                        for m in range(1, m_trunc) for key in trunc.block_basis(m)
                        for name, a, b, c, scale in relations
@@ -401,23 +418,25 @@ def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) 
     ||z^j||^2_m = (1/a_m) * integral t^j (1+t)^{-(4m+q)-2} dt with
     a_m the j=0 integral, both integrated numerically and compared with the
     exact prediction of monomial_norms_exact.  The largest of quad's
-    absolute error estimates is reported as quad_err.
+    absolute error estimates is reported as quad_err, and the integrand
+    evaluations of every quad call summed as neval.
     """
-    from scipy.integrate import quad
-
     worst = 0.0
     worst_err = 0.0
+    neval = 0
     for m in m_values:
         n = 4 * m + q
 
         def weight(t, j):
             return t**j * (1.0 + t) ** (-(n + 2))
 
-        a_m, err = quad(weight, 0.0, math.inf, args=(0,))
+        a_m, err, calls = quad_counted(weight, 0.0, math.inf, args=(0,))
         worst_err = max(worst_err, err)
+        neval += calls
         for j, pred in enumerate(monomial_norms_exact(q, m)):
-            val, err = quad(weight, 0.0, math.inf, args=(j,))
+            val, err, calls = quad_counted(weight, 0.0, math.inf, args=(j,))
             worst_err = max(worst_err, err)
+            neval += calls
             pred = float(pred)
             rel = abs(val / a_m - pred) / pred
             worst = max(worst, rel)
@@ -426,5 +445,5 @@ def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) 
         id="fock.norm.case1", case_id="1", q=[str(q)],
         status="pass" if ok else "fail",
         residual=f"{worst:.3e}", tolerance=f"{rel_tol:.0e}",
-        details=f"m in {list(m_values)}; quad_err={worst_err:.1e}",
+        details=f"m in {list(m_values)}; neval={neval}; quad_err={worst_err:.1e}",
     )

@@ -14,9 +14,11 @@ exponentially for this analytic, super-exponentially decaying integrand; its
 step h comes from the exact Poisson aliasing identity and is sized so the
 aliasing error stays below the evaluator's own roundoff floor (see
 MeijerEvaluator).  The Gamma products on the nodes are precomputed once with
-mpmath at elevated working precision, so each G(u) evaluation is a vectorized
-dot with oscillatory phases; repeated beta parameters cost nothing because the
-integrand stays smooth on the contour.  The parameters are real, so the
+mpmath at elevated working precision.  The nodes are uniform, so each G(u)
+evaluation is a polynomial in one phase on the unit circle, summed by
+baby-step/giant-step with about 2 sqrt(n) exponentials for n nodes, for one u
+or a chunk of a grid at a time; repeated beta parameters cost nothing because
+the integrand stays smooth on the contour.  The parameters are real, so the
 integrand on t < 0 is the conjugate of that on t > 0 and only the nodes t >= 0
 are tabulated.  Each table is keyed on the parameters relative to its contour
 (b - min b, a - min b and the contour offset c + min b): by the shift
@@ -31,6 +33,7 @@ against the closed Pochhammer form at every m (see c_sequence).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -487,6 +490,19 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
 # -- Meijer-G evaluation -----------------------------------------------------------
 
 
+def quad_counted(f, a, b, **kw) -> tuple[float, float, int]:
+    """scipy's quad as (value, absolute error estimate, integrand evaluations).
+
+    full_output silences quad's IntegrationWarning, so it is raised here.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    val, err, info, *message = quad(f, a, b, full_output=1, **kw)
+    if message:
+        warnings.warn(message[0], IntegrationWarning, stacklevel=2)
+    return val, err, info["neval"]
+
+
 @lru_cache(maxsize=64)
 def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
                    offset: Fraction, precision: int, log_u_budget: float) -> dict:
@@ -499,6 +515,10 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
     nothing else, so every parameter set that differs by a common shift
     shares this table (see MeijerEvaluator).  Only the nodes t_k = k h,
     k >= 0, are tabulated: weight h/pi for k > 0 and h/(2 pi) at k = 0.
+    The n weights fw_k are stored once, in the block layout of the
+    baby-step/giant-step sum: with size = ceil(sqrt n) and
+    count = ceil(n / size), blocks[b, a] = fw_{a size + b}, zero past k = n - 1.
+    steps holds -i b h for b < size, then -i a size h for a < count.
     The arrays are read-only, since every evaluator with this key holds them.
     """
     import mpmath as mp
@@ -528,9 +548,35 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
     fw = np.array(fvals) * (h / math.pi)
     fw[0] /= 2.0
     w_abs = float(np.abs(fw).sum())
-    nodes.flags.writeable = False
-    fw.flags.writeable = False
-    return {"nodes": nodes, "fw": fw, "w_abs": w_abs, "log_w_abs": math.log(w_abs)}
+    n = len(nodes)
+    size = math.isqrt(n - 1) + 1
+    count = -(-n // size)
+    padded = np.zeros(size * count, dtype=complex)
+    padded[:n] = fw
+    blocks = np.ascontiguousarray(padded.reshape(count, size).T)
+    steps = -1j * h * np.concatenate([np.arange(size), size * np.arange(count)])
+    for arr in (nodes, blocks, steps):
+        arr.flags.writeable = False
+    return {"nodes": nodes, "blocks": blocks, "steps": steps, "w_abs": w_abs,
+            "log_w_abs": math.log(w_abs)}
+
+
+# u per pass of MeijerEvaluator.eval_grid: bounds its (chunk, size + count)
+# phase array whatever the grid length
+EVAL_CHUNK = 512
+
+
+def _contour_sum(ct: dict, log_u):
+    """Re sum_k fw_k e^{-i t_k log u} for a float log u or an array of them.
+
+    Baby-step/giant-step (see MeijerEvaluator): sum_a w^a sum_b blocks[b, a] z^b.
+    """
+    import numpy as np
+
+    size = ct["blocks"].shape[0]
+    phases = np.exp(np.multiply.outer(log_u, ct["steps"]))
+    return np.einsum("...b,ba,...a->...", phases[..., :size], ct["blocks"],
+                     phases[..., size:]).real
 
 
 class MeijerEvaluator:
@@ -545,7 +591,30 @@ class MeijerEvaluator:
     every weight h.  The parameters are real, so F(c - i t) = conj F(c + i t)
     and the sum is real: it needs the nodes k >= 0 only, with weight 2h on
     k > 0 and h at k = 0.  F is tabulated there once, with mpmath at working
-    precision, so each evaluation is a vectorized sum of oscillatory phases.
+    precision, as the weights fw_k.
+
+    Evaluation.  With z = e^{-i h ln u} on the unit circle,
+
+        G(u) = u^{-c} Re sum_{k < n} fw_k z^k,
+
+    a polynomial in z.  It is summed by baby-step/giant-step (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973): with size = ceil(sqrt n) and
+    k = a size + b,
+
+        sum_k fw_k z^k = sum_a w^a sum_b fw_{a size + b} z^b,  w = z^size,
+
+    so one u costs size + count ~ 2 sqrt(n) complex exponentials instead of
+    n, and one multiply-add per node.  Each power is computed directly,
+    z^b = e^{-i (b h) ln u} and w^a = e^{-i (a size h) ln u}, not by repeated
+    multiplication, whose rounding would grow with the exponent: each phase
+    then carries a rounding error of order 1e-16 |t_k ln u|, as a direct
+    e^{-i t_k ln u} does, and the roundoff model of noise_estimate covers
+    it.  eval sums one u; eval_grid sums an array of u, EVAL_CHUNK at
+    a time so that its (chunk, size + count) phase array stays small
+    whatever the grid length, each u on the contour eval would pick.  Both
+    go through one routine (_contour_sum), whose contraction is an einsum
+    on one thread: a matrix product (@) would hand it to BLAS threads, which
+    add CPU time on top of the wall time.
 
     Shared tables.  The shift identity u^sigma G(u; a, b) = G(u; a + sigma,
     b + sigma) (DLMF 16.19.2, https://dlmf.nist.gov/16.19) holds on the
@@ -599,32 +668,55 @@ class MeijerEvaluator:
             for offset in (Fraction(5, 4), Fraction(5, 4) + shift)
         ]
 
+    @staticmethod
+    def _log_scale(ct: dict, log_u):
+        # log of the roundoff scale w_abs u^{-c}, compared in log space:
+        # u^{-c} alone overflows a float for tiny u on the far contour
+        return ct["log_w_abs"] - ct["c"] * log_u
+
     def _pick(self, log_u: float):
-        # the contour with the smaller roundoff scale w_abs u^{-c}, compared in
-        # log space: u^{-c} alone overflows a float for tiny u on the far contour
-        return min(self.contours, key=lambda ct: ct["log_w_abs"] - ct["c"] * log_u)
+        # the contour with the smaller roundoff scale
+        return min(self.contours, key=lambda ct: self._log_scale(ct, log_u))
 
     def eval(self, u: float) -> float:
-        import numpy as np
-
         if u <= 0:
             raise ValueError("u must be positive")
         log_u = math.log(u)
         ct = self._pick(log_u)
-        phases = np.exp(-1j * ct["nodes"] * log_u)
-        return float((ct["fw"] * phases).sum().real) * u ** (-ct["c"])
+        return float(_contour_sum(ct, log_u)) * u ** (-ct["c"])
+
+    def eval_grid(self, us):
+        """G at every u of a 1-D sequence, as an array, EVAL_CHUNK u at a time.
+
+        Each u takes the contour eval would pick for it.
+        """
+        import numpy as np
+
+        us = np.asarray(us, dtype=float)
+        if (us <= 0).any():
+            raise ValueError("u must be positive")
+        out = np.empty(len(us))
+        for start in range(0, len(us), EVAL_CHUNK):
+            u, part = us[start:start + EVAL_CHUNK], out[start:start + EVAL_CHUNK]
+            log_u = np.log(u)
+            # argmin keeps the first contour on a tie, as min does in _pick
+            pick = np.argmin([self._log_scale(ct, log_u) for ct in self.contours], axis=0)
+            for i, ct in enumerate(self.contours):
+                sel = pick == i
+                if sel.any():
+                    part[sel] = _contour_sum(ct, log_u[sel]) * u[sel] ** (-ct["c"])
+        return out
 
     def noise_estimate(self, u: float) -> float:
         """Roundoff floor of eval(u) (absolute)."""
         ct = self._pick(math.log(u))
         return 1e-15 * ct["w_abs"] * u ** (-ct["c"])
 
-    def moment(self, m: int, rel_tol: float = 1e-9) -> tuple[float, float]:
-        """(integral of G(u) u^m du, quad's absolute error estimate).
+    def moment(self, m: int, rel_tol: float = 1e-9) -> tuple[float, float, int]:
+        """(integral of G(u) u^m du, quad's absolute error estimate, its evaluations).
 
         Computed in s = sqrt(u) by adaptive quadrature.
         """
-        from scipy.integrate import quad
 
         def f(s):
             if s <= 0:
@@ -637,11 +729,10 @@ class MeijerEvaluator:
         power = max(2 * m + 1 + 2 * theta, 1.0)
         s_peak = power / 2.0
         s_max = s_peak + 30.0 + 0.9 * power
-        val, err = quad(
+        return quad_counted(
             f, 0.0, s_max, epsabs=0.0, epsrel=rel_tol, limit=400,
             points=[1.0, max(2.0, s_peak / 2), max(4.0, s_peak), max(8.0, 2 * s_peak)],
         )
-        return val, err
 
     def moment_closed(self, m: int) -> float:
         """prod Gamma(beta_j + m + 1) / prod Gamma(alpha_j + m + 1), exact route."""
@@ -704,7 +795,7 @@ def moment_check(
     ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
     mu0 = None
     for m in range(m_max + 1):
-        mu, quad_err = ev.moment(m)
+        mu, quad_err, neval = ev.moment(m)
         g = ev.moment_closed(m)
         rel = abs(mu - g) / abs(g)
         if m == 0:
@@ -717,8 +808,8 @@ def moment_check(
             case_id=case.label, q=qs,
             status="pass" if ok else "fail",
             residual=f"{max(rel, rel_ca):.3e}", tolerance=f"{rel_tol:.0e}",
-            details=f"quad={mu:.12e} quad_err={quad_err:.1e} gamma={g:.12e} "
-            f"C={1.0 / mu0:.6e}",
+            details=f"quad={mu:.12e} quad_err={quad_err:.1e} neval={neval} "
+            f"gamma={g:.12e} C={1.0 / mu0:.6e}",
         )
 
 
@@ -729,12 +820,14 @@ def sign_scan(
     case: CaseDescriptor, q, u_min: float = 1e-3, u_max: float = 60.0,
     grid: int = 240, precision: int = 12,
 ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
-    """Evaluate G on a log grid; return (samples, sign-change brackets)."""
+    """Evaluate G on a log grid of at least 2 points; return (samples, sign-change brackets)."""
+    if grid < 2:
+        raise ValueError(f"grid must have at least 2 points, got {grid}")
     params = meijer_params(case, q)
     a_red, b_red = params.reduced
     ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
     us = [u_min * (u_max / u_min) ** (i / (grid - 1)) for i in range(grid)]
-    vals = [(u, ev.eval(u)) for u in us]
+    vals = list(zip(us, map(float, ev.eval_grid(us))))
     brackets = []
     for (u0, g0), (u1, g1) in zip(vals, vals[1:]):
         if g0 == 0.0 or g1 == 0.0:
@@ -771,10 +864,8 @@ def bergman_norm_case1(
     with P(u) = u^{-q/4} G(u); for q = 0 this is exactly the stated weight.
     Both sides are normalized by the phi = 1 value, which also fits C.  The
     largest absolute error estimate of every quad call, inner and outer, is
-    reported as quad_err.
+    reported as quad_err, and their integrand evaluations summed as neval.
     """
-    from scipy.integrate import quad
-
     if len(components) > 3:
         raise ValueError("at most 3 graded components")
     case = build_case(1)
@@ -785,11 +876,13 @@ def bergman_norm_case1(
     ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
     q_tilde = Fraction(q, 4)
     quad_err = 0.0
+    neval = 0
 
     def quad_tracked(*args, **kw) -> float:
-        nonlocal quad_err
-        val, err = quad(*args, **kw)
+        nonlocal quad_err, neval
+        val, err, calls = quad_counted(*args, **kw)
         quad_err = max(quad_err, err)
+        neval += calls
         return val
 
     def graded_value(comps) -> float:
@@ -836,5 +929,5 @@ def bergman_norm_case1(
         status="pass" if rel <= rel_tol else "fail",
         residual=f"{rel:.3e}", tolerance=f"{rel_tol:.0e}",
         details=f"graded={g_phi:.10e} quadrature={r_phi:.10e} C={c_fit / math.pi:.6e} "
-        f"quad_err={quad_err:.1e}",
+        f"quad_err={quad_err:.1e} neval={neval}",
     )

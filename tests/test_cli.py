@@ -100,6 +100,18 @@ def test_export_weight_profile_contains_sign_change(capsys):
     assert "sign-change brackets" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("export", "weight-profile", "--case", "1", "--q", "0", "--grid", "1"),
+    ("export", "weight-profile", "--case", "1", "--q", "0", "--grid", "0"),
+    ("export", "weight-profile", "--case", "1", "--q", "0", "--grid", "-4"),
+    ("weight-scan", "--case", "1", "--q", "0", "--grid", "1"),
+    ("weight-scan", "--case", "1", "--q", "0", "--grid", "0"),
+])
+def test_grid_below_two_is_a_usage_error(argv, capsys):
+    assert main(list(argv)) == 2
+    assert "--grid must be at least 2" in capsys.readouterr().err
+
+
 def test_export_moments(capsys):
     code, out = run(
         capsys, "export", "moments", "--case", "5", "--q", "0,0,0,0", "-m", "2"

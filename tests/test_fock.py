@@ -246,3 +246,4 @@ def test_reproducing_check():
     assert float(rep.residual) <= 1e-8
     quad_err = float(rep.details.split("quad_err=")[1])
     assert 0 < quad_err < 1e-8
+    assert int(rep.details.split("neval=")[1].split(";")[0]) > 0

@@ -190,11 +190,88 @@ def test_meijer_eval_within_noise_estimate(case, q, precision):
     a_mp = [mp.mpf(x.numerator) / x.denominator for x in a_red]
     b_mp = [mp.mpf(x.numerator) / x.denominator for x in b_red]
     lo, hi = -26.0, math.log(1e3)
+    us = [math.exp(lo + (hi - lo) * i / 24) for i in range(25)]
+    grid = ev.eval_grid(us)  # the same 25 u in one array call
     with mp.workdps(30):
-        for i in range(25):
-            u = math.exp(lo + (hi - lo) * i / 24)
+        for u, g in zip(us, grid):
             ref = float(mp.meijerg([[], a_mp], [b_mp, []], u))
             assert abs(ev.eval(u) - ref) <= 2 * ev.noise_estimate(u), u
+            assert abs(g - ref) <= 2 * ev.noise_estimate(u), u
+
+
+def test_eval_grid_matches_eval_across_the_contour_switch():
+    # more u than one chunk, on both sides of the near/far contour switch
+    import focklab.kernel as kernel
+
+    ev = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
+    us = [math.exp(-26.0 + 33.0 * i / 1199) for i in range(1200)]
+    assert len(us) > 2 * kernel.EVAL_CHUNK
+    picked = {id(ev._pick(math.log(u))) for u in us}
+    assert picked == {id(ct) for ct in ev.contours}
+    grid = ev.eval_grid(us)
+    assert grid.shape == (len(us),)
+    for u, g in zip(us, grid):
+        assert abs(g - ev.eval(u)) <= ev.noise_estimate(u), u
+    with pytest.raises(ValueError):
+        ev.eval_grid([1.0, 0.0])
+
+
+def test_contour_blocks_sum_as_the_direct_phase_sum():
+    # node k = a size + b at blocks[b, a]; past the last node only zeros
+    import numpy as np
+
+    from focklab.kernel import _contour_sum
+
+    ev = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
+    for ct in ev.contours:
+        nodes = ct["nodes"]
+        n = len(nodes)
+        size, count = ct["blocks"].shape
+        assert size * (count - 1) < n <= size * count and count <= size
+        fw = ct["blocks"].T.ravel()
+        assert np.count_nonzero(fw[:n]) == n and not fw[n:].any()
+        fw = fw[:n]
+        assert np.abs(fw).sum() == pytest.approx(ct["w_abs"], rel=1e-14)
+        assert np.array_equal(-1j * nodes[:size], ct["steps"][:size])
+        assert np.array_equal(-1j * nodes[::size], ct["steps"][size:])
+        # reference: one exponential per node; both phases round to about
+        # 1e-16 |t_k log u|, so they agree to a few eps w_abs T |log u|
+        for log_u in (-26.0, -3.7, 0.0, 0.4, 6.9):
+            direct = (fw * np.exp(-1j * nodes * log_u)).sum().real
+            tol = 8 * np.finfo(float).eps * ct["w_abs"] * (1 + nodes[-1] * abs(log_u))
+            assert abs(_contour_sum(ct, log_u) - direct) <= tol, log_u
+
+
+def test_quad_counted_keeps_quads_warning():
+    from scipy.integrate import IntegrationWarning
+
+    from focklab.kernel import quad_counted
+
+    with pytest.warns(IntegrationWarning):
+        _, _, neval = quad_counted(lambda x: math.sin(50 * x) / (x + 1e-3), 0.0, 10.0, limit=2)
+    assert neval > 0
+
+
+@pytest.mark.parametrize("case, q", [
+    (build_case(1), (0,)),
+    (build_case(5), (0, 0, 0, 0)),
+    (build_case(9, variant="a"), (0,)),
+])
+def test_sign_scan_brackets_same_from_grid_and_scalar(case, q):
+    vals, brackets = sign_scan(case, q, grid=2000)
+    a_red, b_red = meijer_params(case, q).reduced
+    ev = MeijerEvaluator(b_red, a_red, precision=12)
+    scalar = [ev.eval(u) for u, _ in vals]
+    assert brackets
+    assert brackets == [(u0, u1) for (u0, _), (u1, _), g0, g1
+                        in zip(vals, vals[1:], scalar, scalar[1:])
+                        if g0 != 0.0 and g1 != 0.0 and (g0 > 0) != (g1 > 0)]
+
+
+@pytest.mark.parametrize("grid", [1, 0, -5])
+def test_sign_scan_needs_two_points(grid):
+    with pytest.raises(ValueError, match="at least 2"):
+        sign_scan(build_case(1), (0,), grid=grid)
 
 
 def test_shifted_parameters_share_one_table():
@@ -240,12 +317,14 @@ def test_meijer_eval_far_below_the_log_u_budget():
 def test_meijer_moments_closed_form_values():
     # spec-derived values: moment 0 = Gamma(2)^3/Gamma(1) = 1, moment 2 = 108
     ev = MeijerEvaluator((1, 1, 1), (0,), precision=12)
-    mu0, err0 = ev.moment(0)
-    mu2, err2 = ev.moment(2)
+    mu0, err0, neval0 = ev.moment(0)
+    mu2, err2, neval2 = ev.moment(2)
     assert abs(mu0 - 1.0) < 1e-9
     assert abs(mu2 - 108.0) < 1e-6 * 108
     # quad's error estimate comes back and sits inside the requested epsrel
     assert 0 < err0 < 1e-9 and 0 < err2 < 1e-9 * 108
+    # and so does its count of integrand evaluations
+    assert neval0 > 0 and neval2 > 0
 
 
 def test_moment_check_case1():
@@ -253,6 +332,7 @@ def test_moment_check_case1():
     assert all(c.status == "pass" for c in checks)
     moments = [c for c in checks if c.id.startswith("meijer.moment.")]
     assert len(moments) == 4 and all("quad_err=" in c.details for c in moments)
+    assert all(int(c.details.split("neval=")[1].split()[0]) > 0 for c in moments)
 
 
 def test_sign_scan_case1():
@@ -281,6 +361,7 @@ def test_bergman_norm_cross_checks():
         # quad's largest error estimate is reported, and it is small
         quad_err = float(rep.details.split("quad_err=")[1].split()[0])
         assert 0 < quad_err < 1e-8, rep.details
+        assert int(rep.details.split("neval=")[1]) > 0, rep.details
 
 
 def test_bergman_norm_q4():
