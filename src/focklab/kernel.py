@@ -13,18 +13,22 @@ poles, each integrated by the trapezoidal rule.  The rule converges
 exponentially for this analytic, super-exponentially decaying integrand; its
 step h comes from the exact Poisson aliasing identity and is sized so the
 aliasing error stays below the evaluator's own roundoff floor (see
-MeijerEvaluator).  The Gamma products on the nodes are precomputed once with
-mpmath at elevated working precision.  The nodes are uniform, so each G(u)
-evaluation is a polynomial in one phase on the unit circle, summed by
-baby-step/giant-step with about 2 sqrt(n) exponentials for n nodes, for one u
-or a chunk of a grid at a time; repeated beta parameters cost nothing because
-the integrand stays smooth on the contour.  The parameters are real, so the
-integrand on t < 0 is the conjugate of that on t > 0 and only the nodes t >= 0
-are tabulated.  Each table is keyed on the parameters relative to its contour
-(b - min b, a - min b and the contour offset c + min b): by the shift
-identity u^sigma G(u; a, b) = G(u; a + sigma, b + sigma) (DLMF 16.19.2),
-parameter sets that differ by a common shift, such as q and q + 4 in
-case (1), share their tables.
+MeijerEvaluator).  The Gamma products on the nodes are tabulated once per
+contour: a vectorized float log-Gamma (recurrence shift, then Stirling's
+series with its remainder bound, DLMF 5.11) gives each node's value and
+relative error bound, and mpmath at elevated working precision recomputes the
+leading nodes, where the weights matter, until the float tail's summed error
+bound is below a tenth of the roundoff floor.  The nodes are uniform, so
+each G(u) evaluation is a polynomial in one phase on the unit circle, summed
+by baby-step/giant-step with about 2 sqrt(n) exponentials for n nodes, for one
+u or a chunk of a grid at a time; repeated beta parameters cost nothing
+because the integrand stays smooth on the contour.  The parameters are real,
+so the integrand on t < 0 is the conjugate of that on t > 0 and only the
+nodes t >= 0 are tabulated.  Each table is keyed on the parameters relative
+to its contour (b - min b, a - min b and the contour offset c + min b): by
+the shift identity u^sigma G(u; a, b) = G(u; a + sigma, b + sigma)
+(DLMF 16.19.2), parameter sets that differ by a common shift, such as q and
+q + 4 in case (1), share their tables.
 
 The exact c_m series is built by its three-root recurrence and checked
 against the closed Pochhammer form at every m (see c_sequence).
@@ -503,6 +507,12 @@ def quad_counted(f, a, b, **kw) -> tuple[float, float, int]:
     return val, err, info["neval"]
 
 
+# the float tail of a contour table may carry at most this share of w_abs in
+# its summed error bound: a tenth of the roundoff floor 1e-16 w_abs u^(-c),
+# which noise_estimate charges ten times over
+TAIL_SHARE = 1e-17
+
+
 @lru_cache(maxsize=64)
 def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
                    offset: Fraction, precision: int, log_u_budget: float) -> dict:
@@ -515,14 +525,26 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
     nothing else, so every parameter set that differs by a common shift
     shares this table (see MeijerEvaluator).  Only the nodes t_k = k h,
     k >= 0, are tabulated: weight h/pi for k > 0 and h/(2 pi) at k = 0.
+
+    F comes from two paths (focklab.gammaratio).  gamma_ratio_float gives F
+    and a relative error bound eps_k at every node; k0 is the smallest index
+    with sum_{k >= k0} eps_k |fw_k| <= TAIL_SHARE w_lo, where
+    w_lo = sum (1 - eps_k) |fw_k| bounds w_abs from below.  The nodes k < k0,
+    where the weights matter, are recomputed with mpmath (gamma_ratio_mp),
+    and every float value there must lie within its eps_k of the mpmath one,
+    or the build raises.  So the weights fw_k, k < k0, are the mpmath ones,
+    and the float tail k >= k0 is off from the exact weights by at most
+    tail_bound <= TAIL_SHARE w_abs = 1e-17 w_abs in total.
+
     The n weights fw_k are stored once, in the block layout of the
     baby-step/giant-step sum: with size = ceil(sqrt n) and
     count = ceil(n / size), blocks[b, a] = fw_{a size + b}, zero past k = n - 1.
     steps holds -i b h for b < size, then -i a size h for a < count.
     The arrays are read-only, since every evaluator with this key holds them.
     """
-    import mpmath as mp
     import numpy as np
+
+    from focklab.gammaratio import gamma_ratio_float, gamma_ratio_mp
 
     decay = len(b_rel) - len(a_rel)
     omega = float(sum(b_rel) - sum(a_rel) + decay * (offset - Fraction(1, 2)))
@@ -531,21 +553,26 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
     d = float(offset)
     h = 2.0 * math.pi / ((precision + 4) * math.log(10) / d + log_u_budget)
     nodes = h * np.arange(math.ceil(T / h) + 1)
-    with mp.workdps(max(20, precision + 8)):
-        # Re s of each Gamma argument, exact: b_j + c = b_rel_j + offset
-        b_re = [mp.mpf((x + offset).numerator) / (x + offset).denominator for x in b_rel]
-        a_re = [mp.mpf((x + offset).numerator) / (x + offset).denominator for x in a_rel]
-        fvals = []
-        for t in nodes:
-            f = mp.mpf(1)
-            for x in b_re:
-                f *= mp.gamma(mp.mpc(x, t))
-            for x in a_re:
-                f *= mp.rgamma(mp.mpc(x, t))
-            fvals.append(complex(f))
+    # Re s of each Gamma argument, exact: b_j + c = b_rel_j + offset
+    b_re = [x + offset for x in b_rel]
+    a_re = [x + offset for x in a_rel]
+    f_float, eps = gamma_ratio_float(b_re, a_re, nodes)
     # F(c - i t) = conj F(c + i t): the k < 0 half of the two-sided rule is
     # the conjugate of the k > 0 half, so its weight folds onto k > 0
-    fw = np.array(fvals) * (h / math.pi)
+    fw_float = f_float * (h / math.pi)
+    fw_float[0] /= 2.0
+    err = eps * np.abs(fw_float)
+    w_lo = float(((1.0 - eps) * np.abs(fw_float)).sum())
+    tails = np.append(np.cumsum(err[::-1])[::-1], 0.0)  # tails[k] = sum_{j >= k} err_j
+    k0 = int(np.argmax(tails <= TAIL_SHARE * w_lo))
+    f_mp = np.array(gamma_ratio_mp(b_re, a_re, nodes[:k0], precision), dtype=complex)
+    off = np.abs(f_float[:k0] - f_mp) > eps[:k0] * np.abs(f_mp)
+    if off.any():
+        k = int(np.argmax(off))
+        raise AssertionError(
+            f"float Gamma ratio outside its bound at node {k}: {f_float[k]} vs "
+            f"mpmath {f_mp[k]}, relative bound {eps[k]:.1e}")
+    fw = np.concatenate([f_mp, f_float[k0:]]) * (h / math.pi)
     fw[0] /= 2.0
     w_abs = float(np.abs(fw).sum())
     n = len(nodes)
@@ -558,7 +585,7 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
     for arr in (nodes, blocks, steps):
         arr.flags.writeable = False
     return {"nodes": nodes, "blocks": blocks, "steps": steps, "w_abs": w_abs,
-            "log_w_abs": math.log(w_abs)}
+            "log_w_abs": math.log(w_abs), "k0": k0, "tail_bound": float(tails[k0])}
 
 
 # u per pass of MeijerEvaluator.eval_grid: bounds its (chunk, size + count)
@@ -590,8 +617,11 @@ class MeijerEvaluator:
     integral is taken by the trapezoidal rule: nodes t_k = k h, |k| <= ceil(T/h),
     every weight h.  The parameters are real, so F(c - i t) = conj F(c + i t)
     and the sum is real: it needs the nodes k >= 0 only, with weight 2h on
-    k > 0 and h at k = 0.  F is tabulated there once, with mpmath at working
-    precision, as the weights fw_k.
+    k > 0 and h at k = 0.  F is tabulated there once, as the weights fw_k:
+    with mpmath at working precision on the leading nodes k < k0, and from a
+    float Stirling path with a per-node relative bound on the rest, whose
+    summed error is at most 1e-17 w_abs, a tenth of the roundoff floor below
+    (see _contour_table).
 
     Evaluation.  With z = e^{-i h ln u} on the unit circle,
 
@@ -678,17 +708,30 @@ class MeijerEvaluator:
         # the contour with the smaller roundoff scale
         return min(self.contours, key=lambda ct: self._log_scale(ct, log_u))
 
+    @staticmethod
+    def _out_of_range(u) -> ValueError:
+        return ValueError(f"u = {float(u)!r} is out of range: u^(-c) on its contour "
+                          "overflows a float")
+
+    def _u_power(self, ct: dict, u: float) -> float:
+        try:
+            return u ** (-ct["c"])
+        except OverflowError:
+            raise self._out_of_range(u) from None
+
     def eval(self, u: float) -> float:
+        """G(u); ValueError where u^(-c) on the chosen contour is not a finite float."""
         if u <= 0:
             raise ValueError("u must be positive")
         log_u = math.log(u)
         ct = self._pick(log_u)
-        return float(_contour_sum(ct, log_u)) * u ** (-ct["c"])
+        return float(_contour_sum(ct, log_u)) * self._u_power(ct, u)
 
     def eval_grid(self, us):
         """G at every u of a 1-D sequence, as an array, EVAL_CHUNK u at a time.
 
-        Each u takes the contour eval would pick for it.
+        Each u takes the contour eval would pick for it, and raises the
+        ValueError eval raises for it.
         """
         import numpy as np
 
@@ -704,13 +747,17 @@ class MeijerEvaluator:
             for i, ct in enumerate(self.contours):
                 sel = pick == i
                 if sel.any():
-                    part[sel] = _contour_sum(ct, log_u[sel]) * u[sel] ** (-ct["c"])
+                    with np.errstate(over="ignore"):
+                        scale = u[sel] ** (-ct["c"])
+                    if not np.isfinite(scale).all():
+                        raise self._out_of_range(u[sel][~np.isfinite(scale)][0])
+                    part[sel] = _contour_sum(ct, log_u[sel]) * scale
         return out
 
     def noise_estimate(self, u: float) -> float:
-        """Roundoff floor of eval(u) (absolute)."""
+        """Roundoff floor of eval(u) (absolute); ValueError where eval raises one."""
         ct = self._pick(math.log(u))
-        return 1e-15 * ct["w_abs"] * u ** (-ct["c"])
+        return 1e-15 * ct["w_abs"] * self._u_power(ct, u)
 
     def moment(self, m: int, rel_tol: float = 1e-9) -> tuple[float, float, int]:
         """(integral of G(u) u^m du, quad's absolute error estimate, its evaluations).

@@ -314,6 +314,92 @@ def test_meijer_eval_far_below_the_log_u_budget():
         assert ev.noise_estimate(u) >= abs(ev.eval(u))
 
 
+def test_eval_and_eval_grid_raise_alike_where_u_power_overflows():
+    # at 1e-200 u^{-c} overflows even on the near contour (c = 7/4)
+    ev = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
+    with pytest.raises(ValueError, match="u = 1e-200 "):
+        ev.eval(1e-200)
+    with pytest.raises(ValueError, match="u = 1e-200 "):
+        ev.eval_grid([1.0, 1e-20, 1e-200])
+    with pytest.raises(ValueError, match="u = 1e-200 "):
+        ev.noise_estimate(1e-200)
+
+
+def _tables_of_the_checks():
+    """(key, table) of every contour the meijer checks, the export profiles
+    (cases 1, 5 and 9a at q = 0) and case 1 at precision 13 build."""
+    from focklab.checks import MOMENT_MATRIX
+    from focklab.kernel import _contour_table
+
+    pairs = [(case, q, 12) for case, q in MOMENT_MATRIX]
+    pairs += [(build_case(c, **kw), q, 12) for c, kw, q in
+              ((1, {}, (0,)), (5, {}, (0, 0, 0, 0)), (9, {"variant": "a"}, (0,)))]
+    pairs.append((build_case(1), (0,), 13))
+    tables = {}
+    for case, q, precision in pairs:
+        a_red, b_red = meijer_params(case, q).reduced
+        min_b = min(b_red)
+        b_rel = tuple(sorted(x - min_b for x in b_red))
+        a_rel = tuple(sorted(x - min_b for x in a_red))
+        shift = min(8 + F(precision, 2), 24)
+        ev = MeijerEvaluator(b_red, a_red, precision=precision)
+        for offset, ct in zip((F(5, 4), F(5, 4) + shift), ev.contours):
+            key = (b_rel, a_rel, offset, precision, 26.0)
+            tables[key] = _contour_table(*key)
+            assert tables[key]["blocks"] is ct["blocks"]  # the evaluator's own table
+    return tables
+
+
+def test_float_gamma_ratio_within_its_bound_and_mpmath_prefix_exact():
+    # every node of every table the checks reach: the float F lies within
+    # eps_k of mpmath, the weights before k0 are exactly the mpmath ones, and
+    # the float tail's error bound stays under a tenth of the roundoff unit
+    import numpy as np
+
+    from focklab.gammaratio import gamma_ratio_float, gamma_ratio_mp
+    from focklab.kernel import TAIL_SHARE
+
+    tables = _tables_of_the_checks()
+    assert len(tables) == 8  # 3 parameter shapes at precision 12, 1 at 13; 2 contours each
+    for (b_rel, a_rel, offset, precision, _), ct in tables.items():
+        nodes = ct["nodes"]
+        b_re = [x + offset for x in b_rel]
+        a_re = [x + offset for x in a_rel]
+        f_float, eps = gamma_ratio_float(b_re, a_re, nodes)
+        f_mp = np.array(gamma_ratio_mp(b_re, a_re, nodes, precision))
+        assert (np.abs(f_float - f_mp) <= eps * np.abs(f_mp)).all()
+        assert eps.max() < 1e-11
+        fw_mp = f_mp * (nodes[1] / math.pi)
+        fw_mp[0] /= 2.0
+        k0 = ct["k0"]
+        fw = ct["blocks"].T.ravel()[:len(nodes)]
+        assert 0 < k0 < len(nodes) // 3
+        assert np.array_equal(fw[:k0], fw_mp[:k0])
+        assert ct["tail_bound"] == pytest.approx((eps * np.abs(fw))[k0:].sum(), rel=1e-12)
+        assert ct["tail_bound"] <= TAIL_SHARE * ct["w_abs"]
+        assert np.abs(fw - fw_mp).sum() <= ct["tail_bound"]
+
+
+def test_contour_table_raises_on_a_wrong_float_gamma(monkeypatch):
+    # a float log Gamma off by a relative 1e-9 must fail the build's own check
+    import focklab.gammaratio as gammaratio
+    import focklab.kernel as kernel
+
+    true_log_gamma = gammaratio.log_gamma_float
+
+    def skewed(w):
+        value, error = true_log_gamma(w)
+        return value * (1 + 1e-9), error
+
+    kernel._contour_table.cache_clear()
+    monkeypatch.setattr(gammaratio, "log_gamma_float", skewed)
+    try:
+        with pytest.raises(AssertionError, match="outside its bound"):
+            MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
+    finally:
+        kernel._contour_table.cache_clear()
+
+
 def test_meijer_moments_closed_form_values():
     # spec-derived values: moment 0 = Gamma(2)^3/Gamma(1) = 1, moment 2 = 108
     ev = MeijerEvaluator((1, 1, 1), (0,), precision=12)
