@@ -168,11 +168,18 @@ def cmd_export(args) -> int:
             params = kernel.meijer_params(case, q)
             a_red, b_red = params.reduced
             ev = kernel.MeijerEvaluator(b_red, a_red, precision=args.precision)
-            print("m,quadrature,closed_form,rel_err", file=out)
+            print("m,trapezoid,closed_form,rel_err,err_bound", file=out)
+            missed = []
             for m in range(args.m_max + 1):
-                mu = ev.moment(m)[0]
+                mu, err_bound = ev.moment(m)
                 g = ev.moment_closed(m)
-                print(f"{m},{mu:.15e},{g:.15e},{abs(mu - g) / abs(g):.3e}", file=out)
+                print(f"{m},{mu:.15e},{g:.15e},{abs(mu - g) / abs(g):.3e},{err_bound:.3e}",
+                      file=out)
+                if abs(mu - g) > err_bound:
+                    missed.append(m)
+            if missed:
+                print(f"moments m = {missed} miss their error bounds", file=sys.stderr)
+                return 1
         elif args.what == "weight-profile":
             vals, brackets = kernel.sign_scan(
                 case, q, grid=args.grid, precision=args.precision

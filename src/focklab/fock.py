@@ -27,7 +27,6 @@ from itertools import product as iproduct
 from typing import Callable
 
 from focklab.jordan import CaseDescriptor, Family
-from focklab.kernel import quad_counted
 from focklab.linalg import FractionSpan
 from focklab.polyalg import Scalar, exact_coeff
 from focklab.report import CheckReport, q_strings
@@ -412,38 +411,30 @@ def monomial_norms_exact(q: int, m: int) -> list[Fraction]:
     return [Fraction(1, math.comb(n, j)) for j in range(n + 1)]
 
 
-def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), rel_tol: float = 1e-8) -> CheckReport:
-    """Case (1): quadrature norms against 1/binom(4m+q, j).
+def beta_integral(j: int, n: int) -> Fraction:
+    """int_0^inf t^j (1+t)^{-(n+2)} dt = B(j+1, n+1-j) = j! (n-j)! / (n+1)!, 0 <= j <= n."""
+    return Fraction(math.factorial(j) * math.factorial(n - j), math.factorial(n + 1))
 
-    ||z^j||^2_m = (1/a_m) * integral t^j (1+t)^{-(4m+q)-2} dt with
-    a_m the j=0 integral, both integrated numerically and compared with the
-    exact prediction of monomial_norms_exact.  The largest of quad's
-    absolute error estimates is reported as quad_err, and the integrand
-    evaluations of every quad call summed as neval.
+
+def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), _exponent_shift: int = 0) -> CheckReport:
+    """Case (1): exact Beta-integral norms against 1/binom(4m+q, j).
+
+    ||z^j||^2_m = (1/a_m) * integral t^j (1+t)^{-(n+2)} dt with n = 4m + q and
+    a_m the j = 0 integral.  Each integral is the Beta value of beta_integral,
+    so each ratio is an exact rational, compared with the prediction of
+    monomial_norms_exact by ==; the residual counts the mismatches.
+    _exponent_shift adds to the weight's exponent, -(n+2+shift): a nonzero
+    shift is a wrong weight, which the check must reject.
     """
-    worst = 0.0
-    worst_err = 0.0
-    neval = 0
+    mismatches = 0
     for m in m_values:
-        n = 4 * m + q
-
-        def weight(t, j):
-            return t**j * (1.0 + t) ** (-(n + 2))
-
-        a_m, err, calls = quad_counted(weight, 0.0, math.inf, args=(0,))
-        worst_err = max(worst_err, err)
-        neval += calls
+        n = 4 * m + q + _exponent_shift
+        a_m = beta_integral(0, n)
         for j, pred in enumerate(monomial_norms_exact(q, m)):
-            val, err, calls = quad_counted(weight, 0.0, math.inf, args=(j,))
-            worst_err = max(worst_err, err)
-            neval += calls
-            pred = float(pred)
-            rel = abs(val / a_m - pred) / pred
-            worst = max(worst, rel)
-    ok = worst <= rel_tol
+            mismatches += beta_integral(j, n) / a_m != pred
     return CheckReport(
         id="fock.norm.case1", case_id="1", q=[str(q)],
-        status="pass" if ok else "fail",
-        residual=f"{worst:.3e}", tolerance=f"{rel_tol:.0e}",
-        details=f"m in {list(m_values)}; neval={neval}; quad_err={worst_err:.1e}",
+        status="pass" if mismatches == 0 else "fail",
+        residual=str(mismatches), tolerance="exact",
+        details=f"m in {list(m_values)}; exact Beta integrals",
     )

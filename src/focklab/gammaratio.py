@@ -3,8 +3,10 @@
 F(t) = prod_j Gamma(x_j + i t) / prod_k Gamma(y_k + i t) for exact rational
 real parts x_j (numerator) and y_k (denominator), at an array of t.
 gamma_ratio_float is vectorized numpy and returns a relative error bound
-with every value; gamma_ratio_mp is the mpmath reference at elevated working
-precision.  The Mellin-Barnes contour tables of focklab.kernel use both.
+with every value, and log_abs_gamma_ratio_float the same for log |F|, which
+does not overflow; gamma_ratio_mp is the mpmath reference at elevated working
+precision.  The Mellin-Barnes contour tables of focklab.kernel use the first
+and the last, the error bounds of its moments the second.
 """
 
 from __future__ import annotations
@@ -46,18 +48,16 @@ def log_gamma_float(w):
     return value, truncation + _ROUNDING * (np.abs(head) + r + 1.0)
 
 
-def gamma_ratio_float(b_re, a_re, ts):
-    """prod Gamma(x + i t) over b_re / prod Gamma(x + i t) over a_re, in floats.
+def _gamma_ratio_parts(b_re, a_re, ts):
+    """(ratio, log_f, delta) with F = ratio e^log_f and |log F - log F_float| <= delta.
 
-    Returns (F, eps) at every t of the array ts, with |F - F_exact| <= eps |F_exact|.
     Each argument z = x + i t is raised by the recurrence to w = z + N with
     Re w >= STIRLING_R: Gamma(z) = Gamma(w) / (z)_N, and 1/Gamma(z) =
     (z)_N / Gamma(w) is entire, so no reflection is needed and a pole of a
-    denominator Gamma gives an exact zero.  The log Gammas are summed and
-    exponentiated once; the Pochhammer products stay outside the log.  eps
-    is e^delta - 1 for delta the summed log-Gamma error bounds plus the
-    rounding of each of the N + 1 complex products and quotients of each
-    argument.
+    denominator Gamma gives an exact zero.  The log Gammas are summed in
+    log_f; the Pochhammer products stay outside the log, in ratio.  delta is
+    the summed log-Gamma error bounds plus the rounding of each of the N + 1
+    complex products and quotients of each argument.
     """
     log_f = np.zeros(len(ts), dtype=complex)
     delta = np.zeros(len(ts))
@@ -79,7 +79,29 @@ def gamma_ratio_float(b_re, a_re, ts):
                 ratio *= poch
             delta += error
             products += shift + 1
-    return ratio * np.exp(log_f), np.expm1(delta + _ROUNDING * products)
+    return ratio, log_f, delta + _ROUNDING * products
+
+
+def gamma_ratio_float(b_re, a_re, ts):
+    """prod Gamma(x + i t) over b_re / prod Gamma(x + i t) over a_re, in floats.
+
+    Returns (F, eps) at every t of the array ts, with |F - F_exact| <= eps |F_exact|,
+    eps = e^delta - 1 for the delta of _gamma_ratio_parts.
+    """
+    ratio, log_f, delta = _gamma_ratio_parts(b_re, a_re, ts)
+    return ratio * np.exp(log_f), np.expm1(delta)
+
+
+def log_abs_gamma_ratio_float(b_re, a_re, ts):
+    """log |F| for the ratio of gamma_ratio_float, and a bound on its error.
+
+    Returns (L, delta) with |log |F_exact| - L| <= delta at every t; L is
+    -inf where a denominator Gamma has a pole.  Unlike F itself, L does not
+    overflow for large real parts.
+    """
+    ratio, log_f, delta = _gamma_ratio_parts(b_re, a_re, ts)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(ratio)) + log_f.real, delta
 
 
 def gamma_ratio_mp(b_re, a_re, ts, precision: int) -> list[complex]:

@@ -1,11 +1,11 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
-Tolerances are pinned here: exact (zero tolerance) for every symbolic check,
-1e-8 relative for the norm quadratures, 1e-6 relative for Meijer moments,
-1e-4 relative for the Bergman cross-check.
+Tolerances are pinned here: exact (zero tolerance) for every symbolic check
+and for the monomial norms (Beta integrals), 1e-10 relative for the Meijer
+moments and for the Bergman cross-check, each also within its own
+trapezoid error bound.
 """
 
-import math
 import time
 from fractions import Fraction as F
 
@@ -13,9 +13,8 @@ from focklab import bernstein as bn
 from focklab import checks, fock, kernel, sl2, structure
 from focklab.jordan import Family, build_case
 
-NORM_RTOL = 1e-8
-MOMENT_RTOL = 1e-6
-BERGMAN_RTOL = 1e-4
+MOMENT_RTOL = 1e-10
+BERGMAN_RTOL = 1e-10
 
 
 def _line(num: int, ok: bool, text: str):
@@ -101,26 +100,20 @@ def test_criterion_06_a_m_consistency():
         for m in range(11):
             ok = ok and bn.a_ratio(case, q, m) == bn.a_ratio_gindikin(case, q, m)
             n += 1
-    # case (1), q = 0: quadrature a_m vs 1/(4m+1)
-    from scipy.integrate import quad
-
-    worst = 0.0
-    for m in range(5):
-        val, _ = quad(lambda t, n=4 * m: (1 + t) ** (-(n + 2)), 0, math.inf)
-        worst = max(worst, abs(val - 1.0 / (4 * m + 1)) * (4 * m + 1))
-    ok = ok and worst <= NORM_RTOL
-    _line(6, ok, f"{n} exact ratio identities; quadrature a_m within {worst:.1e} of 1/(4m+1)")
+    # case (1), q = 0: the Beta integral a_m = int (1+t)^-(4m+2) dt is 1/(4m+1)
+    ok = ok and all(fock.beta_integral(0, 4 * m) == F(1, 4 * m + 1) for m in range(5))
+    _line(6, ok, f"{n} exact ratio identities; Beta-integral a_m = 1/(4m+1) exactly for m <= 4")
 
 
 def test_criterion_07_norm_checks():
-    rep = fock.reproducing_check(q=0, m_values=(0, 1, 2, 3), rel_tol=NORM_RTOL)
-    ok = rep.status == "pass"
-    worst = float(rep.residual)
+    rep = fock.reproducing_check(q=0, m_values=(0, 1, 2, 3))
+    ok = rep.status == "pass" and rep.residual == "0"
+    worst = 0.0
     for phi in checks.BERGMAN_PHIS:
         b = kernel.bergman_norm_case1(0, phi, rel_tol=BERGMAN_RTOL)
         ok = ok and b.status == "pass"
         worst = max(worst, float(b.residual))
-    _line(7, ok, f"monomial norms to {NORM_RTOL:.0e}; Bergman graded-sum vs weighted integral on 3 functions, worst rel {worst:.1e}")
+    _line(7, ok, f"monomial norms exact; Bergman graded-sum vs weighted integral on 3 functions, worst rel {worst:.1e}")
 
 
 def test_criterion_08_meijer_moments():

@@ -11,6 +11,7 @@ from focklab.bernstein import (
     UniPoly,
     a_ratio,
     a_ratio_gindikin,
+    a_ratio_report,
     b_poly,
     big_b_poly,
     case_b_poly,
@@ -168,6 +169,17 @@ def test_a_ratio_matches_gindikin_everywhere():
         for q in feasible_q_values(case, 2):
             for m in range(11):
                 assert a_ratio(case, q, m) == a_ratio_gindikin(case, q, m)
+
+
+def test_a_ratio_report_proves_every_m_from_enough_points():
+    # both ratios have degree deg B = 4 in m, so 9 agreeing points prove the
+    # identity for every m, and 8 prove nothing
+    case = build_case(1)
+    assert case_b_poly(case).degree == 4
+    rep = a_ratio_report(case, (0,), m_max=8)
+    assert rep.status == "pass" and rep.details.startswith("all m off the poles")
+    with pytest.raises(ValueError, match="too few points"):
+        a_ratio_report(case, (0,), m_max=7)
 
 
 def test_pochhammer():

@@ -118,10 +118,22 @@ def test_export_moments(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "m,quadrature,closed_form,rel_err"
+    assert lines[0] == "m,trapezoid,closed_form,rel_err,err_bound"
     assert len(lines) == 4
     m2 = lines[3].split(",")
     assert abs(float(m2[2]) - 108.0) < 1e-9  # Gamma(4)^3 / Gamma(3)
+    assert abs(float(m2[1]) - 108.0) <= float(m2[4]) < 1e-10 * 108.0
+
+
+def test_export_moments_fails_when_a_moment_misses_its_bound(monkeypatch, capsys):
+    # off by 1e-12, within any tolerance but outside the trapezoid's bound
+    real = kernel.MeijerEvaluator.moment_closed
+    monkeypatch.setattr(kernel.MeijerEvaluator, "moment_closed",
+                        lambda self, m: real(self, m) * (1 + 1e-12))
+    code = main(["export", "moments", "--case", "5", "--q", "0,0,0,0", "-m", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and len(out.strip().splitlines()) == 4
+    assert "miss their error bounds" in err
 
 
 def test_admissible_q_case11(capsys):
@@ -283,3 +295,24 @@ def test_kernel_cm_fails_when_the_series_is_off(monkeypatch):
     monkeypatch.setattr(kernel, "kernel_eval",
                         lambda case, q, u, **kw: real(case, q, u, **kw) * (1 + 1e-9 * (u != 0)))
     assert set(run_all()) == {"fail"}
+
+
+def _modules_after_suites(*suites: str) -> set[str]:
+    """The modules a fresh interpreter holds after running the suites, all passing."""
+    code = ("import sys; from focklab import checks; "
+            f"reports = [r for s in {suites!r} for r in checks.run_suite(s, {{'trunc': 3}})]; "
+            "assert reports and all(r.status == 'pass' for r in reports); "
+            "print(' '.join(sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    return set(out.split())
+
+
+def test_operators_suite_imports_neither_numpy_nor_scipy():
+    modules = _modules_after_suites("operators")
+    assert "focklab.fock" in modules and not {"numpy", "scipy"} & modules
+
+
+def test_meijer_then_bergman_imports_no_scipy():
+    modules = _modules_after_suites("meijer", "bergman")
+    assert "numpy" in modules and "scipy" not in modules

@@ -7,6 +7,7 @@ import pytest
 from focklab import fock
 from focklab.fock import (
     Truncation,
+    beta_integral,
     commutator_check,
     cyclicity_check,
     dk_action,
@@ -243,7 +244,24 @@ def test_monomial_norms_exact():
 def test_reproducing_check():
     rep = reproducing_check(q=0, m_values=(0, 1, 2, 3))
     assert rep.status == "pass"
-    assert float(rep.residual) <= 1e-8
-    quad_err = float(rep.details.split("quad_err=")[1])
-    assert 0 < quad_err < 1e-8
-    assert int(rep.details.split("neval=")[1].split(";")[0]) > 0
+    assert (rep.residual, rep.tolerance) == ("0", "exact")
+    assert rep.details == "m in [0, 1, 2, 3]; exact Beta integrals"
+
+
+def test_reproducing_check_fails_with_the_weight_exponent_off_by_one():
+    # (1+t)^-(n+3) gives 1/binom(n+1, j): every j >= 1 of m >= 1 mismatches
+    rep = reproducing_check(q=0, m_values=(0, 1, 2, 3), _exponent_shift=1)
+    assert rep.status == "fail" and rep.residual == str(4 + 8 + 12)
+
+
+def test_beta_integral_against_mpmath_quadrature():
+    # int_0^inf t^j (1+t)^-(n+2) dt = j! (n-j)! / (n+1)!, against an
+    # independent numerical integral
+    import mpmath as mp
+
+    assert beta_integral(0, 4) == F(1, 5) and beta_integral(2, 4) == F(1, 30)
+    with mp.workdps(30):
+        for n, j in ((0, 0), (4, 0), (4, 2), (9, 4), (14, 14)):
+            ref = mp.quad(lambda t: t**j * (1 + t) ** -(n + 2), [0, 1, mp.inf])
+            exact = beta_integral(j, n)
+            assert abs(ref - mp.mpf(exact.numerator) / exact.denominator) < 1e-25 * ref

@@ -206,8 +206,9 @@ def test_eval_grid_matches_eval_across_the_contour_switch():
     ev = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
     us = [math.exp(-26.0 + 33.0 * i / 1199) for i in range(1200)]
     assert len(us) > 2 * kernel.EVAL_CHUNK
-    picked = {id(ev._pick(math.log(u))) for u in us}
-    assert picked == {id(ct) for ct in ev.contours}
+    picked = {min(ev.contours, key=lambda ct: ev._log_scale(ct, math.log(u)))["c"]
+              for u in us if math.log(u) >= ev.log_u_floor}
+    assert picked == {ct["c"] for ct in ev.contours}
     grid = ev.eval_grid(us)
     assert grid.shape == (len(us),)
     for u, g in zip(us, grid):
@@ -240,16 +241,6 @@ def test_contour_blocks_sum_as_the_direct_phase_sum():
             direct = (fw * np.exp(-1j * nodes * log_u)).sum().real
             tol = 8 * np.finfo(float).eps * ct["w_abs"] * (1 + nodes[-1] * abs(log_u))
             assert abs(_contour_sum(ct, log_u) - direct) <= tol, log_u
-
-
-def test_quad_counted_keeps_quads_warning():
-    from scipy.integrate import IntegrationWarning
-
-    from focklab.kernel import quad_counted
-
-    with pytest.warns(IntegrationWarning):
-        _, _, neval = quad_counted(lambda x: math.sin(50 * x) / (x + 1e-3), 0.0, 10.0, limit=2)
-    assert neval > 0
 
 
 @pytest.mark.parametrize("case, q", [
@@ -306,23 +297,37 @@ def test_shifted_parameters_share_one_table():
 
 
 def test_meijer_eval_far_below_the_log_u_budget():
-    # u^{-c} of the far contour overflows a float here; the contour choice
-    # must not, and the reported noise must cover the value it returns
+    # case (1) q=0 has no log terms: far below the contour's range its
+    # residue series gives G within its own roundoff floor of dps-30 mpmath
+    import mpmath as mp
+
     ev = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
-    assert math.isfinite(ev.eval(1e-20))
-    for u in (1e-14, 1e-20):
-        assert ev.noise_estimate(u) >= abs(ev.eval(u))
+    us = (1e-14, 1e-20, 1e-100)
+    with mp.workdps(30):
+        for u, g in zip(us, ev.eval_grid(us)):
+            ref = float(mp.meijerg([[], [-0.75]], [[0.0, -0.25, -0.5], []], u))
+            assert g == ev.eval(u)
+            assert abs(g - ref) <= ev.noise_estimate(u) <= 1e-14 * abs(ref), u
+
+
+def test_meijer_eval_below_the_log_u_budget_raises_with_log_terms():
+    # case (5)'s b = (1, 1, 1) merge into a triple pole, so G has log terms
+    # near 0 and no residue series here: below e^-26 every entry point raises
+    ev = MeijerEvaluator((1, 1, 1), (0,), precision=12)
+    assert ev.log_terms and math.isfinite(ev.eval(math.exp(-25.9)))
+    for call in (ev.eval, ev.noise_estimate, lambda u: ev.eval_grid([1.0, u])):
+        with pytest.raises(ValueError, match="u = 1e-14 .* log terms"):
+            call(1e-14)
 
 
 def test_eval_and_eval_grid_raise_alike_where_u_power_overflows():
-    # at 1e-200 u^{-c} overflows even on the near contour (c = 7/4)
-    ev = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
-    with pytest.raises(ValueError, match="u = 1e-200 "):
-        ev.eval(1e-200)
-    with pytest.raises(ValueError, match="u = 1e-200 "):
-        ev.eval_grid([1.0, 1e-20, 1e-200])
-    with pytest.raises(ValueError, match="u = 1e-200 "):
-        ev.noise_estimate(1e-200)
+    # case (1)'s parameters shifted by -60: u^(-60.5) in the residue series
+    # overflows at 1e-200, and every entry point raises alike
+    ev = MeijerEvaluator((F(-60), F(-241, 4), F(-121, 2)), (F(-243, 4),), precision=12)
+    assert not ev.log_terms and math.isfinite(ev.eval(1.0))
+    for call in (ev.eval, ev.noise_estimate, lambda u: ev.eval_grid([1.0, u])):
+        with pytest.raises(ValueError, match="u = 1e-200 "):
+            call(1e-200)
 
 
 def _tables_of_the_checks():
@@ -403,22 +408,35 @@ def test_contour_table_raises_on_a_wrong_float_gamma(monkeypatch):
 def test_meijer_moments_closed_form_values():
     # spec-derived values: moment 0 = Gamma(2)^3/Gamma(1) = 1, moment 2 = 108
     ev = MeijerEvaluator((1, 1, 1), (0,), precision=12)
-    mu0, err0, neval0 = ev.moment(0)
-    mu2, err2, neval2 = ev.moment(2)
-    assert abs(mu0 - 1.0) < 1e-9
-    assert abs(mu2 - 108.0) < 1e-6 * 108
-    # quad's error estimate comes back and sits inside the requested epsrel
-    assert 0 < err0 < 1e-9 and 0 < err2 < 1e-9 * 108
-    # and so does its count of integrand evaluations
-    assert neval0 > 0 and neval2 > 0
+    mu0, err0 = ev.moment(0)
+    mu2, err2 = ev.moment(2)
+    # the trapezoid's error bound holds, and is far inside 1e-10
+    assert abs(mu0 - 1.0) <= err0 < 1e-10
+    assert abs(mu2 - 108.0) <= err2 < 1e-10 * 108
 
 
 def test_moment_check_case1():
     checks = list(moment_check(build_case(1), (0,), m_max=3))
     assert all(c.status == "pass" for c in checks)
     moments = [c for c in checks if c.id.startswith("meijer.moment.")]
-    assert len(moments) == 4 and all("quad_err=" in c.details for c in moments)
-    assert all(int(c.details.split("neval=")[1].split()[0]) > 0 for c in moments)
+    assert len(moments) == 4 and all(c.tolerance == "1e-10" for c in moments)
+    assert all(0 < _detail(c, "err_bound") < 1e-10 * _detail(c, "trapezoid") for c in moments)
+
+
+def _detail(report, key: str) -> float:
+    return float(report.details.split(key + "=")[1].split()[0])
+
+
+def test_moment_check_fails_on_a_closed_form_off(monkeypatch):
+    # off by 1e-9, a closed form misses rel_tol; off by 1e-12 it meets
+    # rel_tol but not the trapezoid's error bound, which fails it as well
+    real = MeijerEvaluator.moment_closed
+    for off in (1e-9, 1e-12):
+        monkeypatch.setattr(MeijerEvaluator, "moment_closed",
+                            lambda self, m, off=off: real(self, m) * (1 + off))
+        moments = [c for c in moment_check(build_case(5), (0, 0, 0, 0), m_max=2)
+                   if c.id.startswith("meijer.moment.")]
+        assert len(moments) == 3 and all(c.status == "fail" for c in moments), off
 
 
 def test_sign_scan_case1():
@@ -443,11 +461,42 @@ def test_bergman_norm_cross_checks():
     for phi in ([(1, {0: 1.0})], [(1, {4: 1.0})],
                 [(0, {0: 1.0}), (1, {0: 0.5, 2: 1.0}), (2, {3: 1.0})]):
         rep = bergman_norm_case1(0, phi)
-        assert rep.status == "pass"
-        # quad's largest error estimate is reported, and it is small
-        quad_err = float(rep.details.split("quad_err=")[1].split()[0])
-        assert 0 < quad_err < 1e-8, rep.details
-        assert int(rep.details.split("neval=")[1]) > 0, rep.details
+        assert rep.status == "pass" and rep.tolerance == "1e-10"
+        # the moments' error bounds carried through, and small
+        assert 0 < _detail(rep, "err_bound") < 1e-10 * _detail(rep, "graded"), rep.details
+
+
+def test_bergman_norm_fails_with_a_graded_coefficient_off(monkeypatch):
+    # c_1 off by 1e-8 on the graded side only
+    import focklab.kernel as kernel
+
+    real = kernel.c_closed
+    monkeypatch.setattr(kernel, "c_closed",
+                        lambda sp, m: real(sp, m) * (1 + F(1, 10**8)) if m == 1 else real(sp, m))
+    rep = bergman_norm_case1(0, [(1, {0: 1.0})])
+    assert rep.status == "fail" and float(rep.residual) > 1e-9, rep.details
+
+
+@pytest.mark.parametrize("precision", [12, 13])
+def test_moments_and_bergman_hold_their_error_bounds(precision):
+    # every meijer.moment and bergman.case1 check, at either precision: it
+    # passes, its moments sit within their bound, and the bound within 1e-10
+    from focklab.checks import BERGMAN_PHIS, MOMENT_MATRIX
+    from focklab.kernel import _evaluator_cached
+
+    for case, q in MOMENT_MATRIX:
+        reports = [c for c in moment_check(case, q, m_max=5, precision=precision)
+                   if c.id.startswith("meijer.moment.")]
+        assert len(reports) == 6 and all(c.status == "pass" for c in reports), case.label
+        a_red, b_red = meijer_params(case, q).reduced
+        ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
+        for m in range(6):
+            mu, err_bound = ev.moment(m)
+            assert abs(mu - ev.moment_closed(m)) <= err_bound <= 1e-10 * abs(mu), (case.label, q, m)
+    for phi in BERGMAN_PHIS:
+        rep = bergman_norm_case1(0, phi, precision=precision)
+        assert rep.status == "pass", rep.details
+        assert _detail(rep, "err_bound") <= 1e-10 * _detail(rep, "graded"), rep.details
 
 
 def test_bergman_norm_q4():
