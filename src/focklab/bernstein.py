@@ -3,12 +3,18 @@
 The factor-level polynomial is b(a) = a(a + d/2)...(a + (r-1)d/2); raising the
 determinant to the k-th power gives B(a) = b(ka)b(ka-1)...b(ka-k+1), and the
 case polynomial is the product over factors, of degree 4 with B(0) = 0 and
-leading coefficient A = prod k_i^{k_i r_i}.
+leading coefficient A = prod k_i^{k_i r_i}.  All of them are MultiPolys in
+the one variable a.
 
 verify_bernstein_identity checks Delta^k(d/dz) Delta^{k a} = C * B(a) *
 Delta^{k a - k} exactly, by full symbolic expansion of both sides for every
 family (no sampling, no seed); the coordinate-dependent constant C must be
 independent of a.
+
+The ratio a_{m+1}/a_m of the norm constants has a Bernstein form and a
+Gindikin gamma-ratio form.  Both are built as (num, den) polynomials in a
+formal m, and a_ratio_report compares them cross-multiplied, so the identity
+is proved for every m at once.
 """
 
 from __future__ import annotations
@@ -23,128 +29,47 @@ from focklab.jordan import (
     determinant_poly,
     dual_determinant_symbol,
 )
-from focklab.polyalg import apply_diff_op
+from focklab.polyalg import MultiPoly, VarSet, apply_diff_op, rising
 from focklab.report import CheckReport, q_strings
-
-
-class GammaPoleError(ArithmeticError):
-    """A Gindikin gamma ratio was requested across a pole."""
 
 
 class DegenerateParameterError(ArithmeticError):
     """A ratio's denominator vanished (degenerate spectral parameters)."""
 
 
-def pochhammer(a: Fraction, m: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+m-1)."""
-    a = Fraction(a)
-    out = Fraction(1)
-    for t in range(m):
-        out *= a + t
+A_RING = VarSet.flat(("a",))  # the Bernstein variable a
+M_RING = VarSet.flat(("m",))  # the formal degree m of the graded pieces
+
+
+def ratio_at(polys: tuple[MultiPoly, MultiPoly], m) -> Fraction:
+    """num(m) / den(m) for a (num, den) pair of polynomials in one variable."""
+    num, den = polys
+    d = den.eval((m,))
+    if d == 0:
+        raise DegenerateParameterError(f"pole of the ratio at m={m}")
+    return Fraction(num.eval((m,))) / d
+
+
+def b_poly(factor: SimpleFactorDescriptor, x: MultiPoly | None = None) -> MultiPoly:
+    """b(x) = x (x + d/2) ... (x + (r-1) d/2), degree r; x defaults to the variable a."""
+    x = MultiPoly.variable(A_RING, 0) if x is None else x
+    out = MultiPoly.constant(x.vars, 1)
+    for y in range(factor.rank):
+        out = out * (x + MultiPoly.constant(x.vars, Fraction(y * factor.degree, 2)))
     return out
 
 
-class UniPoly:
-    """Dense univariate polynomial with exact rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def const(c) -> "UniPoly":
-        return UniPoly([c])
-
-    @staticmethod
-    def linear(b, a) -> "UniPoly":
-        """b + a*x."""
-        return UniPoly([b, a])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return "UniPoly(" + ", ".join(map(str, self.coeffs)) + ")"
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if not self.coeffs or not other.coeffs:
-            return UniPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    def scale(self, c) -> "UniPoly":
-        return UniPoly([Fraction(c) * x for x in self.coeffs])
-
-    def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def compose_affine(self, a, b) -> "UniPoly":
-        """p(a*x + b)."""
-        arg = UniPoly.linear(b, a)
-        out = UniPoly([])
-        power = UniPoly.const(1)
-        for c in self.coeffs:
-            out = out + power.scale(c)
-            power = power * arg
-        return out
-
-    @staticmethod
-    def from_roots(roots, lead=1) -> "UniPoly":
-        out = UniPoly.const(lead)
-        for r in roots:
-            out = out * UniPoly.linear(-Fraction(r), 1)
-        return out
-
-
-def b_poly(factor: SimpleFactorDescriptor) -> UniPoly:
-    """b(a) = a (a + d/2) ... (a + (r-1) d/2), degree r."""
-    roots = [-Fraction(y * factor.degree, 2) for y in range(factor.rank)]
-    return UniPoly.from_roots(roots)
-
-
-def big_b_poly(factor: SimpleFactorDescriptor) -> UniPoly:
-    """B(a) = b(ka) b(ka-1) ... b(ka-k+1), degree k*r."""
-    b = b_poly(factor)
-    out = UniPoly.const(1)
+def big_b_poly(factor: SimpleFactorDescriptor, x: MultiPoly | None = None) -> MultiPoly:
+    """B(x) = b(kx) b(kx-1) ... b(kx-k+1), degree k*r; x defaults to the variable a."""
+    x = MultiPoly.variable(A_RING, 0) if x is None else x
+    out = MultiPoly.constant(x.vars, 1)
     for j in range(factor.mult):
-        out = out * b.compose_affine(factor.mult, -j)
+        out = out * b_poly(factor, x.scale(factor.mult) - MultiPoly.constant(x.vars, j))
     return out
 
 
-def case_b_poly(case: CaseDescriptor) -> UniPoly:
-    out = UniPoly.const(1)
+def case_b_poly(case: CaseDescriptor) -> MultiPoly:
+    out = MultiPoly.constant(A_RING, 1)
     for f in case.factors:
         out = out * big_b_poly(f)
     return out
@@ -176,9 +101,11 @@ def btilde_roots(case: CaseDescriptor) -> list[Fraction]:
 
 def roots_factorization_ok(case: CaseDescriptor) -> bool:
     """B equals A * prod (a - root) over the structural root multiset, exactly."""
-    B = case_b_poly(case)
-    rebuilt = UniPoly.from_roots(case_b_roots(case), lead=case.bernstein_lead)
-    return B == rebuilt
+    a = MultiPoly.variable(A_RING, 0)
+    rebuilt = MultiPoly.constant(A_RING, case.bernstein_lead)
+    for root in case_b_roots(case):
+        rebuilt = rebuilt * (a - MultiPoly.constant(A_RING, root))
+    return case_b_poly(case) == rebuilt
 
 
 # -- Bernstein identity verification ----------------------------------------
@@ -208,7 +135,7 @@ def verify_bernstein_identity(
     constant: Fraction | None = None
 
     for alpha in alphas:
-        bval = B.eval(alpha)
+        bval = B.eval((alpha,))
         failure = ""
         lhs = apply_diff_op(symbol, delta ** (k * alpha))
         rhs = delta ** (k * alpha - k)
@@ -235,77 +162,80 @@ def verify_bernstein_identity(
 # -- a_m ratios ---------------------------------------------------------------
 
 
-def gindikin_ratio(factor: SimpleFactorDescriptor, lam, shift: int) -> Fraction:
-    """Gamma_Omega(lam + shift) / Gamma_Omega(lam), an exact rational.
+def gindikin_ratio_poly(factor: SimpleFactorDescriptor, lam: MultiPoly) -> MultiPoly:
+    """Gamma_Omega(lam + k) / Gamma_Omega(lam) = prod_{j<r} (lam - j d/2)_k for a polynomial lam.
 
-    Equals prod_{j=1}^{r} (lam - (j-1)d/2)_shift; the transcendental prefactor
-    of the Gindikin gamma function cancels in every ratio the engine consumes.
+    The transcendental prefactor of the Gindikin gamma function cancels in
+    every ratio the engine consumes.
     """
-    lam = Fraction(lam)
-    out = Fraction(1)
+    out = MultiPoly.constant(lam.vars, 1)
     for j in range(factor.rank):
-        x = lam - Fraction((j) * factor.degree, 2)
-        if x <= 0 and x.denominator == 1:
-            raise GammaPoleError(f"ratio at pole: lam={lam}, j={j + 1}")
-        out *= pochhammer(x, shift)
+        x = lam - MultiPoly.constant(lam.vars, Fraction(j * factor.degree, 2))
+        out = out * rising(x, factor.mult)
     return out
+
+
+def _check_q(case: CaseDescriptor, q) -> None:
+    if len(q) != case.s:
+        raise ValueError("q length must match the factor count")
+
+
+def a_ratio_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPoly]:
+    """a_{m+1}/a_m as (num, den) polynomials in m, from the Bernstein form of the norm constants.
+
+    num = prod B_i(-m - q_i/k_i - n_i/(k_i r_i)), den the same with 2 n_i/(k_i r_i).
+    """
+    _check_q(case, q)
+    m = MultiPoly.variable(M_RING, 0)
+    num = den = MultiPoly.constant(M_RING, 1)
+    for f, qi in zip(case.factors, q):
+        nr = Fraction(f.dim, f.mult * f.rank)
+        x = MultiPoly.constant(M_RING, -Fraction(qi) / f.mult - nr) - m
+        num = num * big_b_poly(f, x)
+        den = den * big_b_poly(f, x - MultiPoly.constant(M_RING, nr))
+    return num, den
+
+
+def a_ratio_gindikin_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPoly]:
+    """The same ratio through Gindikin gamma ratios (independent oracle).
+
+    num = prod Gamma_Omega(lam_i + k_i) / Gamma_Omega(lam_i) at lam_i = k_i m + q_i + n_i/r_i,
+    den the same at lam_i + n_i/r_i.
+    """
+    _check_q(case, q)
+    m = MultiPoly.variable(M_RING, 0)
+    num = den = MultiPoly.constant(M_RING, 1)
+    for f, qi in zip(case.factors, q):
+        lam = m.scale(f.mult) + MultiPoly.constant(M_RING, Fraction(qi) + f.n_over_r)
+        num = num * gindikin_ratio_poly(f, lam)
+        den = den * gindikin_ratio_poly(f, lam + MultiPoly.constant(M_RING, f.n_over_r))
+    return num, den
 
 
 def a_ratio(case: CaseDescriptor, q, m: int) -> Fraction:
-    """a_{m+1}/a_m from the Bernstein-polynomial form of the norm constants."""
-    if len(q) != case.s:
-        raise ValueError("q length must match the factor count")
-    num = Fraction(1)
-    den = Fraction(1)
-    for f, qi in zip(case.factors, q):
-        B = big_b_poly(f)
-        nr = Fraction(f.dim, f.mult * f.rank)
-        num *= B.eval(-m - Fraction(qi) / f.mult - nr)
-        d = B.eval(-m - Fraction(qi) / f.mult - 2 * nr)
-        if d == 0:
-            raise DegenerateParameterError("pole in a-ratio denominator")
-        den *= d
-    return num / den
+    """a_{m+1}/a_m at one m, from a_ratio_polys."""
+    return ratio_at(a_ratio_polys(case, q), m)
 
 
 def a_ratio_gindikin(case: CaseDescriptor, q, m: int) -> Fraction:
-    """The same ratio through Gindikin gamma ratios (independent oracle)."""
-    if len(q) != case.s:
-        raise ValueError("q length must match the factor count")
-    out = Fraction(1)
-    for f, qi in zip(case.factors, q):
-        km = f.mult * m + Fraction(qi)
-        nr = Fraction(f.dim, f.rank)
-        out *= gindikin_ratio(f, km + nr, f.mult) / gindikin_ratio(
-            f, km + 2 * nr, f.mult
-        )
-    return out
+    """a_{m+1}/a_m at one m, from a_ratio_gindikin_polys."""
+    return ratio_at(a_ratio_gindikin_polys(case, q), m)
 
 
-def a_ratio_report(case: CaseDescriptor, q, m_max: int = 10) -> CheckReport:
-    """a_ratio against a_ratio_gindikin at m = 0..m_max, which proves them equal for every m.
+def a_ratio_report(case: CaseDescriptor, q) -> CheckReport:
+    """a_ratio against a_ratio_gindikin as rational functions of a formal m.
 
-    Both are ratios of polynomials in m of degree deg = deg B = sum k_i r_i
-    (each factor's B_i, and its r_i Pochhammer symbols of length k_i,
-    contribute k_i r_i; see big_b_poly).
-    Cross-multiplied, their difference is a polynomial of degree at most
-    2 deg, so m_max + 1 > 2 deg agreeing points make it vanish identically:
-    the identity holds for every m off the poles.
+    Cross-multiplied, the two (num, den) pairs must be the same polynomial,
+    so the ratios agree at every m off the poles.
     """
-    deg = sum(f.mult * f.rank for f in case.factors)
-    if m_max + 1 <= 2 * deg:
-        raise ValueError(f"m_max = {m_max} gives too few points for degree {2 * deg}")
-    for m in range(m_max + 1):
-        lhs = a_ratio(case, q, m)
-        rhs = a_ratio_gindikin(case, q, m)
-        if lhs != rhs:
-            return CheckReport(
-                id=f"bernstein.aratio.{case.label}.{'_'.join(q_strings(q))}",
-                case_id=case.label, q=q_strings(q), status="fail",
-                residual=str(lhs - rhs), details=f"m={m}",
-            )
+    b_num, b_den = a_ratio_polys(case, q)
+    g_num, g_den = a_ratio_gindikin_polys(case, q)
+    residual = b_num * g_den - g_num * b_den
+    qs = q_strings(q)
     return CheckReport(
-        id=f"bernstein.aratio.{case.label}.{'_'.join(q_strings(q))}",
-        case_id=case.label, q=q_strings(q), status="pass",
-        details=f"all m off the poles: degree <= {2 * deg} difference, exact at m <= {m_max}",
+        id=f"bernstein.aratio.{case.label}.{'_'.join(qs)}",
+        case_id=case.label, q=qs,
+        status="pass" if residual.is_zero() else "fail",
+        residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
+        details=f"all m: degree {b_num.total_degree()} ratios in m, cross-multiplied",
     )

@@ -209,12 +209,13 @@ def _comm_forced() -> list[CheckReport]:
 
 def _bernstein_roots(case: CaseDescriptor) -> list[CheckReport]:
     b = bn.case_b_poly(case)
-    ok = (bn.roots_factorization_ok(case) and b.leading == case.bernstein_lead
-          and b.eval(0) == 0 and b.degree == 4)
+    lead = b.terms.get((4,), 0)
+    ok = (bn.roots_factorization_ok(case) and lead == case.bernstein_lead
+          and b.eval((0,)) == 0 and b.total_degree() == 4)
     return [CheckReport(
         id=f"bernstein.roots.{case.label}", case_id=case.label,
         status="pass" if ok else "fail",
-        details=f"lead={b.leading} expected A={case.bernstein_lead}",
+        details=f"lead={lead} expected A={case.bernstein_lead}",
     )]
 
 
@@ -228,7 +229,7 @@ def _kernel_cm(case: CaseDescriptor, q) -> list[CheckReport]:
     return [CheckReport(
         id=f"kernel.cm.{case.label}.{'_'.join(qs)}", case_id=case.label, q=qs,
         status="pass" if ok else "fail",
-        details=f"kind={ks.kind}; c_m>0 for m<=50; "
+        details=f"kind={ks.kind}; closed form = recurrence for all m; c_m>0 for m<=50; "
                 f"series(1/2) vs sum_(m<=50) c_m/2^m: rel {rel:.1e} <= 1e-12",
     )]
 
@@ -255,7 +256,7 @@ def registry() -> tuple[Entry, ...]:
         add("bernstein", "bernstein.roots", lambda o, c=case: _bernstein_roots(c), case)
     for case, q in feasible_pairs():
         add("bernstein", "bernstein.aratio",
-            lambda o, c=case, q=q: [bn.a_ratio_report(c, q, m_max=10)], case, q)
+            lambda o, c=case, q=q: [bn.a_ratio_report(c, q)], case, q)
 
     for case in FEASIBLE_CASES + (INFEASIBLE_CASE,):
         add("sl2", "sl2.eta0", lambda o, c=case: _eta0(c), case)

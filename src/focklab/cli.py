@@ -30,15 +30,19 @@ def _parse_q(text: str) -> tuple[Fraction, ...]:
         raise argparse.ArgumentTypeError(f"invalid --q {text!r}: {exc}") from None
 
 
-def _grid_size(text: str) -> int:
-    """--grid: an integer of at least 2, the two ends of the log-u grid."""
-    try:
-        grid = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid --grid {text!r}") from None
-    if grid < 2:
-        raise argparse.ArgumentTypeError(f"--grid must be at least 2, got {grid}")
-    return grid
+def _int_at_least(flag: str, low: int):
+    """An argparse type for `flag`: an integer of at least `low`, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {flag} {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{flag} must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _case_from_args(args) -> "object":
@@ -247,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
     add_case_flags(p_ver)
-    p_ver.add_argument("--trunc", type=int, default=6)
-    p_ver.add_argument("--m-max", dest="m_max", type=int, default=5)
+    p_ver.add_argument("--trunc", type=_int_at_least("--trunc", 2), default=6)
+    p_ver.add_argument("--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=5)
     p_ver.add_argument("--json", default="")
     p_ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_ver.set_defaults(fn=cmd_verify)
@@ -256,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("export", help="emit plot-ready CSV")
     p_exp.add_argument("what", choices=["cm", "kernel-coeffs", "moments", "weight-profile"])
     add_case_flags(p_exp)
-    p_exp.add_argument("-m", "--m-max", dest="m_max", type=int, default=20)
-    p_exp.add_argument("--grid", type=_grid_size, default=200)
+    p_exp.add_argument("-m", "--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=20)
+    p_exp.add_argument("--grid", type=_int_at_least("--grid", 2), default=200)
     p_exp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_exp.add_argument("-o", "--output", default="")
     p_exp.set_defaults(fn=cmd_export)
 
     p_kc = sub.add_parser("kernel-coeffs", help="kernel coefficient stream (alias of export cm)")
     add_case_flags(p_kc)
-    p_kc.add_argument("-m", "--m-max", dest="m_max", type=int, default=50)
+    p_kc.add_argument("-m", "--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=50)
     p_kc.add_argument("--format", choices=["csv", "json"], default="csv")
     p_kc.add_argument("-o", "--output", default="")
     p_kc.set_defaults(fn=cmd_export, what="cm")
@@ -275,12 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mei = sub.add_parser("meijer", help="Meijer moment checks for one case")
     add_case_flags(p_mei)
-    p_mei.add_argument("--moments", type=int, default=5)
+    p_mei.add_argument("--moments", type=_int_at_least("--moments", 0), default=5)
     p_mei.set_defaults(fn=cmd_meijer)
 
     p_ws = sub.add_parser("weight-scan", help="locate sign changes of the G-weight")
     add_case_flags(p_ws)
-    p_ws.add_argument("--grid", type=_grid_size, default=240)
+    p_ws.add_argument("--grid", type=_int_at_least("--grid", 2), default=240)
     p_ws.set_defaults(fn=cmd_weight_scan)
 
     return parser

@@ -284,12 +284,13 @@ def commutator_check(
 
     Each relation [A,B] = c C is checked as the column identity
     A(B e_k) - B(A e_k) - c C e_k = 0 at every basis vector e_k of the
-    interior blocks 1 <= m <= m_trunc - 1.  The truncation carries two guard
-    blocks above them, so no image these identities read is clipped; only the
-    guard columns they reach are computed.  sigma and rho(H) are built once
-    per check, rho(F) and rho(E) once per kappa.  With kappa=None the check
-    doubles as the calibration oracle: it tries "1/A" then "A" and reports
-    which convention closes the algebra.
+    interior blocks 1 <= m <= m_trunc - 1, so m_trunc must be at least 2.
+    The truncation carries two guard blocks above them, so no image these
+    identities read is clipped; only the guard columns they reach are
+    computed.  sigma and rho(H) are built once per check, rho(F) and rho(E)
+    once per kappa.  With kappa=None the check doubles as the calibration
+    oracle: it tries "1/A" then "A" and reports which convention closes the
+    algebra.
 
     The relations run on integers: with L = 2 lcm of the denominators of
     delta(m), m <= m_top, F' = L rho(F) (so E' = sigma F' sigma^{-1} =
@@ -297,6 +298,8 @@ def commutator_check(
     become [H',E'] = 4E', [H',F'] = -4F', [E',F'] = (L^2/2) H'.  Scaling by
     non-zero constants changes neither which column fails nor the report.
     """
+    if m_trunc < 2:
+        raise ValueError(f"m_trunc = {m_trunc} leaves no interior block to check")
     q = tuple(Fraction(x) for x in q)
     trunc = Truncation(case, q, m_trunc + 2)
     qs = q_strings(q)

@@ -36,8 +36,10 @@ The moments int G(u) u^m du are taken by the trapezoidal rule in log u
 with a certified error bound (MeijerEvaluator.moment), and the case-(1)
 Bergman cross-check reduces to them through exact Beta integrals.
 
-The exact c_m series is built by its three-root recurrence and checked
-against the closed Pochhammer form at every m (see c_sequence).
+The exact c_m series is built from c_0 = 1 by its three-root recurrence
+ratio, a pair of polynomials in a formal m; that the closed Pochhammer form
+has the same step ratio is checked once, as a polynomial identity in m (see
+c_sequence).  moment_check proves the (c a)_m Pochhammer law the same way.
 """
 
 from __future__ import annotations
@@ -49,22 +51,20 @@ from functools import cached_property, lru_cache
 from typing import Iterator
 
 from focklab.bernstein import (
-    UniPoly,
-    a_ratio,
+    A_RING,
+    M_RING,
+    a_ratio_polys,
     big_b_poly,
     btilde_roots,
     case_b_poly,
     case_b_roots,
-    pochhammer,
+    ratio_at,
 )
 from focklab.fock import beta_integral
 from focklab.jordan import CaseDescriptor, build_case
+from focklab.polyalg import MultiPoly
 from focklab.report import CheckReport, q_strings
 from focklab.sl2 import eta0_of, forced_eta0
-
-
-class DegenerateSeriesError(ArithmeticError):
-    """A Pochhammer denominator parameter is a non-positive integer."""
 
 
 # -- spectral parameters -------------------------------------------------------
@@ -122,56 +122,37 @@ class KernelSeries:
     coeffs: list[Fraction] = field(default_factory=list)
 
 
-def c_closed(sp: SpectralParams, m: int) -> Fraction:
-    """Closed-form c_m = (eta0+1)_m (1)_m / (prod (eta0+a_j')_m m!)."""
-    num = pochhammer(sp.eta0 + 1, m) * pochhammer(Fraction(1), m)
-    den = Fraction(math.factorial(m))
-    for a in sp.alphas_prime:
-        den *= pochhammer(sp.eta0 + a, m)
-    if den == 0:
-        raise DegenerateSeriesError(f"degenerate Pochhammer at m={m}")
-    return num / den
+def pochhammer_step(*xs: Fraction) -> MultiPoly:
+    """prod_j (x_j + m), the step (x_j)_{m+1} / (x_j)_m of a Pochhammer product, in m."""
+    out = MultiPoly.constant(M_RING, 1)
+    for x in xs:
+        out = out * MultiPoly(M_RING, {(1,): 1, (0,): x})
+    return out
 
 
-def c_ratio(sp: SpectralParams, m: int) -> Fraction:
-    num = m + sp.eta0 + 1
-    den = Fraction(1)
-    for a in sp.alphas_prime:
-        den *= m + sp.eta0 + a
-    if den == 0:
-        raise DegenerateSeriesError(f"recurrence pole at m={m}")
-    return Fraction(num) / den
+def c_ratio_polys(sp: SpectralParams) -> tuple[MultiPoly, MultiPoly]:
+    """c_{m+1}/c_m = (m + eta0 + 1) / prod_j (m + eta0 + a_j') as (num, den) in m."""
+    return (pochhammer_step(sp.eta0 + 1),
+            pochhammer_step(*(sp.eta0 + a for a in sp.alphas_prime)))
 
 
 def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> KernelSeries:
-    """Kernel coefficients, closed form asserted equal to the recurrence.
+    """Kernel coefficients c_0..c_m_max from c_0 = 1 and the ratio c_ratio_polys.
 
-    The closed form of c_closed is carried along as running integer
-    Pochhammer products instead of being rebuilt for every m: each parameter
-    is n/L over the common denominator L, so (n/L)_m = prod_k (n + k L) / L^m
-    and c_m = N_m / D_m with N_m, D_m integers.  Every m <= m_max is checked
-    exactly by cross-multiplication, N_m den(c_m) == D_m num(c_m).
+    The closed form c_m = (eta0+1)_m (1)_m / (prod (eta0+a_j')_m m!) is
+    asserted once, for every m: its Pochhammer step ratio equals the
+    recurrence ratio as polynomials in m, and both give c_0 = 1 (empty
+    products).
     """
     sp = spectral_params(case, q)
-    lcm = math.lcm(sp.eta0.denominator,
-                   *(a.denominator for a in sp.alphas_prime))
-    n_top = int((sp.eta0 + 1) * lcm)
-    n_bottom = [int((sp.eta0 + a) * lcm) for a in sp.alphas_prime]
+    num, den = polys = c_ratio_polys(sp)
+    step_num = pochhammer_step(sp.eta0 + 1, Fraction(1))
+    step_den = pochhammer_step(*(sp.eta0 + a for a in sp.alphas_prime), Fraction(1))
+    if num * step_den != step_num * den:
+        raise AssertionError("closed form disagrees with the recurrence")
     coeffs = [Fraction(1)]
-    big_n, big_d = 1, 1  # closed form c_m = big_n / big_d; c_0 = 1 on both sides
     for m in range(m_max):
-        coeffs.append(coeffs[-1] * c_ratio(sp, m))
-        # (eta0+1)_m (1)_m over prod (eta0+a_j')_m m!: one more factor of each,
-        # with the L^-1 of each Pochhammer step collected as one net factor L
-        big_n *= (n_top + m * lcm) * (lcm + m * lcm) * lcm
-        for n in n_bottom:
-            big_d *= n + m * lcm
-        big_d *= m + 1
-        if big_d == 0:
-            raise DegenerateSeriesError(f"degenerate Pochhammer at m={m + 1}")
-        c = coeffs[-1]
-        if big_n * c.denominator != big_d * c.numerator:
-            raise AssertionError(f"closed form disagrees with recurrence at m={m + 1}")
+        coeffs.append(coeffs[-1] * ratio_at(polys, m))
     kind = "OneF2" if sp.kind == "case1" else "TwoF3"
     return KernelSeries(case.label, sp.q, kind, coeffs)
 
@@ -186,6 +167,7 @@ def kernel_eval(case: CaseDescriptor, q, u, terms: int | None = None, tol: float
     |term_m| rho / (1 - rho).
     """
     sp = spectral_params(case, q)
+    polys = c_ratio_polys(sp)
     a = float(sp.eta0 + 1)
     c_off = max(
         [0.0]
@@ -199,8 +181,8 @@ def kernel_eval(case: CaseDescriptor, q, u, terms: int | None = None, tol: float
     budget = terms if terms is not None else 500
     while True:
         total += term
-        nxt = term * (complex(c_ratio(sp, m)) * u if isinstance(u, complex)
-                      else float(c_ratio(sp, m)) * u)
+        ratio = ratio_at(polys, m)
+        nxt = term * (complex(ratio) * u if isinstance(u, complex) else float(ratio) * u)
         if m > c_off + 1:
             rho = abs_u * (m + abs(a)) / (m - c_off) ** 3
             if rho < 0.5 and abs(term) * rho / (1 - rho) <= tol * max(abs(total), 1.0):
@@ -485,12 +467,10 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
     """For all-zero q: Btilde(a) = B(a - eta0) as an exact polynomial identity."""
     q = tuple(Fraction(0) for _ in case.factors)
     eta0 = eta0_of(case, q)  # raises if q=0 is inadmissible for this case
-    btilde = UniPoly.const(1)
+    btilde = MultiPoly.constant(A_RING, 1)
     for f in case.factors:
-        shift = Fraction(f.dim, f.mult * f.rank)
-        btilde = btilde * big_b_poly(f).compose_affine(1, -shift)
-    shifted = case_b_poly(case).compose_affine(1, -eta0)
-    ok = btilde == shifted
+        btilde = btilde * big_b_poly(f).shift((-Fraction(f.dim, f.mult * f.rank),))
+    ok = btilde == case_b_poly(case).shift((-eta0,))
     return CheckReport(
         id=f"kernel.q0reduction.{case.label}", case_id=case.label,
         q=q_strings(q), status="pass" if ok else "fail",
@@ -1029,35 +1009,37 @@ def moment_check(
 ) -> Iterator[CheckReport]:
     """Trapezoid moments of G vs Gamma-ratio closed forms and (c a)_m.
 
-    Checks, for m = 0..m_max: (i) integral G(u) u^m du equals
-    prod Gamma(beta_j+m+1)/prod Gamma(alpha_j+m+1) to rel_tol, and within
-    the moment's own error bound (MeijerEvaluator.moment); (ii) the exact
-    Pochhammer identity c_m a_m / a_0 = (eta0)_m (eta0+1)_m / prod (eta0+b_j)_m;
-    (iii) the moments match 1/(C (c a)_m) with C fitted at m = 0, to rel_tol.
-    Yields the report of (ii) first, then one per moment; the evaluator is
-    built just before moment 0, whose report carries that time.
+    Checks (ii) the exact identity c_{m+1} a_{m+1} / (c_m a_m) =
+    (eta0+m)(eta0+1+m) / prod (eta0+b_j+m) as rational functions of a formal
+    m, so that with c_0 = 1, c_m a_m / a_0 = (eta0)_m (eta0+1)_m /
+    prod (eta0+b_j)_m for every m; then, for m = 0..m_max: (i) integral
+    G(u) u^m du equals prod Gamma(beta_j+m+1)/prod Gamma(alpha_j+m+1) to
+    rel_tol, and within the moment's own error bound
+    (MeijerEvaluator.moment); (iii) the moments match 1/(C (c a)_m) with C
+    fitted at m = 0, to rel_tol.  Yields the report of (ii) first, then one
+    per moment; the evaluator is built just before moment 0, whose report
+    carries that time.
     """
     sp = spectral_params(case, q)
     qs = q_strings(q)
 
-    # (ii) exact identity first; r[m] = c_m a_m / a_0 is reused by (iii)
-    r = []
-    a_rel = Fraction(1)
-    exact_ok = True
-    for m in range(m_max + 1):
-        r.append(c_closed(sp, m) * a_rel)
-        a_rel *= a_ratio(case, q, m)
-        rhs_num = pochhammer(sp.eta0, m) * pochhammer(sp.eta0 + 1, m)
-        rhs_den = Fraction(1)
-        for bj in sp.b_roots:
-            rhs_den *= pochhammer(sp.eta0 + bj, m)
-        exact_ok = exact_ok and r[m] == rhs_num / rhs_den
+    # (ii) cross-multiplied: c_ratio * a_ratio == rhs
+    c_num, c_den = c_ratio_polys(sp)
+    a_num, a_den = a_ratio_polys(case, q)
+    rhs = (pochhammer_step(sp.eta0, sp.eta0 + 1),
+           pochhammer_step(*(sp.eta0 + bj for bj in sp.b_roots)))
+    residual = c_num * a_num * rhs[1] - rhs[0] * c_den * a_den
     yield CheckReport(
         id=f"meijer.camoment.{case.label}.{'_'.join(qs)}",
         case_id=case.label, q=qs,
-        status="pass" if exact_ok else "fail",
-        details="exact (c a)_m Pochhammer identity",
+        status="pass" if residual.is_zero() else "fail",
+        residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
+        details="exact (c a)_m Pochhammer identity, all m",
     )
+    # r[m] = c_m a_m / a_0 from the right-hand side, reused by (iii)
+    r = [Fraction(1)]
+    for m in range(m_max):
+        r.append(r[-1] * ratio_at(rhs, m))
 
     a_red, b_red = meijer_params(case, q).reduced
     ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
@@ -1143,17 +1125,17 @@ def bergman_norm_case1(
         raise ValueError("at most 3 graded components")
     case = build_case(1)
     qvec = (Fraction(q),)
-    sp = spectral_params(case, qvec)
     params = meijer_params(case, qvec)
     a_red, b_red = params.reduced
     ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
+    c_m = c_sequence(case, qvec, m_max=max((m for m, _ in components), default=0)).coeffs
 
     def graded_value(comps) -> float:
         total = Fraction(0)
         for m, coeffs in comps:
             n = 4 * m + q
             norm = sum(Fraction(abs(c) ** 2) / math.comb(n, j) for j, c in coeffs.items())
-            total += norm / c_closed(sp, m)
+            total += norm / c_m[m]
         return float(total)
 
     def weighted_value(comps) -> tuple[float, float]:

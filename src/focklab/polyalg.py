@@ -232,6 +232,15 @@ class MultiPoly:
                 acc[e2] = acc.get(e2, 0) + c * w
         return MultiPoly(self.vars, acc)
 
+
+def rising(x: MultiPoly, k: int) -> MultiPoly:
+    """Rising factorial (x)_k = x (x + 1) ... (x + k - 1) of a polynomial x."""
+    out = MultiPoly.constant(x.vars, 1)
+    for t in range(k):
+        out = out * (x + MultiPoly.constant(x.vars, t))
+    return out
+
+
 def apply_diff_op(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:
     """Apply symbol(d/dz) to target, exactly.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from focklab.jordan import CaseDescriptor, SimpleFactorDescriptor
-from focklab.polyalg import MultiPoly, VarSet
+from focklab.polyalg import MultiPoly, VarSet, rising
 from focklab.report import CheckReport, q_strings
 
 
@@ -223,13 +223,6 @@ def hc_ring(case: CaseDescriptor) -> VarSet:
     return VarSet(tuple(names), tuple(groups))
 
 
-def _falling(x: MultiPoly, k: int) -> MultiPoly:
-    out = MultiPoly.constant(x.vars, 1)
-    for t in range(k):
-        out = out * (x - MultiPoly.constant(x.vars, t))
-    return out
-
-
 def maass_hc_image(
     factor: SimpleFactorDescriptor,
     alpha,
@@ -260,8 +253,9 @@ def maass_hc_image(
         lam = MultiPoly.variable(ring, idx)
         if negate:
             lam = -lam
-        x = lam - alpha_poly.scale(factor.mult) + MultiPoly.constant(ring, shift)
-        out = out * _falling(x, factor.mult)
+        # the falling factorial [x]_k is the rising one (x - k + 1)_k
+        x = lam - alpha_poly.scale(factor.mult) + MultiPoly.constant(ring, shift - factor.mult + 1)
+        out = out * rising(x, factor.mult)
     return out
 
 

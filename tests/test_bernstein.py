@@ -6,9 +6,8 @@ import pytest
 
 from focklab import bernstein
 from focklab.bernstein import (
-    DegenerateParameterError,
-    GammaPoleError,
-    UniPoly,
+    A_RING,
+    M_RING,
     a_ratio,
     a_ratio_gindikin,
     a_ratio_report,
@@ -17,12 +16,12 @@ from focklab.bernstein import (
     case_b_poly,
     case_b_roots,
     factor_b_roots,
-    gindikin_ratio,
-    pochhammer,
+    gindikin_ratio_poly,
     roots_factorization_ok,
     verify_bernstein_identity,
 )
 from focklab.jordan import (
+    SimpleFactorDescriptor,
     build_case,
     default_catalog,
     full_mat,
@@ -31,47 +30,65 @@ from focklab.jordan import (
     spin,
     sym_mat,
 )
+from focklab.polyalg import MultiPoly, rising
+
+A = MultiPoly.variable(A_RING, 0)
+M = MultiPoly.variable(M_RING, 0)
+
+
+def poly(coeffs, ring=A_RING) -> MultiPoly:
+    """c_0 + c_1 v + c_2 v^2 + ... in the one variable of ring."""
+    return MultiPoly(ring, {(i,): c for i, c in enumerate(coeffs)})
+
+
+def from_roots(roots, lead=1) -> MultiPoly:
+    out = poly([lead])
+    for r in roots:
+        out = out * poly([-F(r), 1])
+    return out
 
 
 def test_unipoly_basics():
-    p = UniPoly.from_roots([0, F(1, 2)], lead=2)  # 2x(x - 1/2)
-    assert p.eval(1) == 1 and p.degree == 2 and p.leading == 2
-    assert p == UniPoly.linear(0, 1) * UniPoly.from_roots([F(1, 2)], lead=2)
-    q = p.compose_affine(2, -1)  # p(2x - 1)
-    assert q.eval(1) == p.eval(1)
-    assert q.eval(0) == p.eval(-1)
+    # polynomials in the one variable a are MultiPolys over A_RING
+    p = from_roots([0, F(1, 2)], lead=2)  # 2a(a - 1/2)
+    assert p == poly([0, -1, 2]) and p.total_degree() == 2
+    assert p.eval((1,)) == 1
+    assert p == A * poly([-1, 2])
+    q = p.shift((-1,))  # p(a - 1)
+    assert q.eval((1,)) == p.eval((0,)) and q.eval((0,)) == p.eval((-1,))
 
 
 def test_b_poly_examples():
-    assert b_poly(rank1()) == UniPoly([0, 1])
+    assert b_poly(rank1()) == A
     full4 = b_poly(full_mat(4))  # a(a+1)(a+2)(a+3)
-    assert full4 == UniPoly.from_roots([0, -1, -2, -3])
+    assert full4 == from_roots([0, -1, -2, -3])
     spin4 = b_poly(spin(4))  # d = 2: a(a+1)
-    assert spin4 == UniPoly.from_roots([0, -1])
+    assert spin4 == from_roots([0, -1])
     sym3 = b_poly(sym_mat(3))  # d = 1: a(a+1/2)(a+1)
-    assert sym3 == UniPoly.from_roots([0, F(-1, 2), -1])
+    assert sym3 == from_roots([0, F(-1, 2), -1])
 
 
 def test_big_b_case1():
     B = case_b_poly(build_case(1))
     # 4a(4a-1)(4a-2)(4a-3)
     for a in (1, 2, 3, F(1, 2)):
-        assert B.eval(a) == 4 * a * (4 * a - 1) * (4 * a - 2) * (4 * a - 3)
-    assert B.eval(2) == 1680
+        assert B.eval((a,)) == 4 * a * (4 * a - 1) * (4 * a - 2) * (4 * a - 3)
+    assert B.eval((2,)) == 1680
     assert sorted(case_b_roots(build_case(1))) == [0, F(1, 4), F(1, 2), F(3, 4)]
 
 
 def test_big_b_case5_is_alpha_fourth():
     B = case_b_poly(build_case(5))
-    assert B == UniPoly([0, 0, 0, 0, 1])
+    assert B == poly([0, 0, 0, 0, 1])
 
 
 def test_case_b_structure_all_cases():
     for case in default_catalog():
         B = case_b_poly(case)
-        assert B.degree == 4
-        assert B.eval(0) == 0
-        assert B.leading == case.bernstein_lead
+        assert B.total_degree() == 4
+        assert B.eval((0,)) == 0
+        assert B.terms[(4,)] == case.bernstein_lead
+        assert B == from_roots(case_b_roots(case), lead=case.bernstein_lead)
         assert roots_factorization_ok(case)
 
 
@@ -109,7 +126,7 @@ def test_bernstein_constant_drift_fails_that_alpha(monkeypatch):
     # B off by the factor (a + 1): C read at alpha = 1 is 1/2, then 1/3, 1/4
     real = bernstein.big_b_poly
     monkeypatch.setattr(bernstein, "big_b_poly",
-                        lambda f: real(f) * UniPoly.linear(1, 1))
+                        lambda f: real(f) * (A + MultiPoly.constant(A_RING, 1)))
     reports = list(verify_bernstein_identity(rank1(1), alphas=(1, 2, 3)))
     assert [r.status for r in reports] == ["pass", "fail", "fail"]
     assert reports[1].residual == "constant drift 1/3 != 1/2"
@@ -137,11 +154,12 @@ def test_bernstein_identity_full2_value():
 
 
 def test_gindikin_ratio_examples():
-    assert gindikin_ratio(rank1(), 1, 4) == 24
-    assert gindikin_ratio(full_mat(2), 2, 1) == 2
-    assert gindikin_ratio(spin(4), 3, 2) == 72
-    with pytest.raises(GammaPoleError):
-        gindikin_ratio(full_mat(2), 1, 1)  # lam - d/2 = 0 hits a pole
+    # Gamma_Omega(lam + k) / Gamma_Omega(lam) = prod_{j<r} (lam - j d/2)_k
+    assert gindikin_ratio_poly(rank1(4), poly([1], M_RING)) == poly([24], M_RING)
+    assert gindikin_ratio_poly(full_mat(2), poly([2], M_RING)) == poly([2], M_RING)
+    assert gindikin_ratio_poly(spin(4, 2), poly([3], M_RING)) == poly([72], M_RING)
+    # as a polynomial in lam: full_mat(2), k = 1, r = 2, d = 2 gives lam (lam - 1)
+    assert gindikin_ratio_poly(full_mat(2), M) == poly([0, -1, 1], M_RING)
 
 
 def test_a_ratio_case1():
@@ -171,17 +189,27 @@ def test_a_ratio_matches_gindikin_everywhere():
                 assert a_ratio(case, q, m) == a_ratio_gindikin(case, q, m)
 
 
-def test_a_ratio_report_proves_every_m_from_enough_points():
-    # both ratios have degree deg B = 4 in m, so 9 agreeing points prove the
-    # identity for every m, and 8 prove nothing
+def test_a_ratio_report_proves_every_m():
+    # the two ratios are compared as polynomials in m, not at sample points
     case = build_case(1)
-    assert case_b_poly(case).degree == 4
-    rep = a_ratio_report(case, (0,), m_max=8)
-    assert rep.status == "pass" and rep.details.startswith("all m off the poles")
-    with pytest.raises(ValueError, match="too few points"):
-        a_ratio_report(case, (0,), m_max=7)
+    rep = a_ratio_report(case, (0,))
+    assert rep.status == "pass" and rep.details.startswith("all m:"), rep.details
+
+
+def test_a_ratio_report_fails_with_one_n_over_r_off_by_one(monkeypatch):
+    # n/r of the k = 2 factor of case 4 one too large on the Gindikin side
+    # (the Bernstein side reads n/(k r) from the dimension): the identity breaks
+    case = build_case(4)
+    off = case.factors[0]
+    true_nr = SimpleFactorDescriptor.n_over_r
+    monkeypatch.setattr(SimpleFactorDescriptor, "n_over_r",
+                        property(lambda f: true_nr.fget(f) + (1 if f is off else 0)))
+    rep = a_ratio_report(case, (1, 0, 0))
+    assert rep.status == "fail" and rep.residual != "0", rep
 
 
 def test_pochhammer():
-    assert pochhammer(F(1, 2), 3) == F(1, 2) * F(3, 2) * F(5, 2)
-    assert pochhammer(F(3), 0) == 1
+    # the rising factorial of polyalg, at a constant and at the formal m
+    assert rising(poly([F(1, 2)], M_RING), 3) == poly([F(1, 2) * F(3, 2) * F(5, 2)], M_RING)
+    assert rising(poly([3], M_RING), 0) == poly([1], M_RING)
+    assert rising(M, 3) == M * (M + poly([1], M_RING)) * (M + poly([2], M_RING))

@@ -112,6 +112,26 @@ def test_grid_below_two_is_a_usage_error(argv, capsys):
     assert "--grid must be at least 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trunc", ["1", "0", "-3"])
+def test_trunc_below_two_is_a_usage_error(trunc, capsys):
+    # no interior block to check: an error, not an empty pass
+    assert main(["verify", "operators", "--trunc", trunc]) == 2
+    assert "--trunc must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "meijer", "--m-max", "-1"), "--m-max"),
+    (("meijer", "--case", "5", "--q", "0", "--moments", "-1"), "--moments"),
+    (("export", "moments", "--case", "5", "--q", "0", "-m", "-2"), "--m-max"),
+    (("export", "cm", "--case", "1", "--q", "0", "-m", "-3"), "--m-max"),
+    (("kernel-coeffs", "--case", "1", "--q", "0", "-m", "-1"), "--m-max"),
+])
+def test_negative_count_is_a_usage_error(argv, flag, capsys):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert f"{flag} must be at least 0" in captured.err and captured.out == ""
+
+
 def test_export_moments(capsys):
     code, out = run(
         capsys, "export", "moments", "--case", "5", "--q", "0,0,0,0", "-m", "2"

@@ -178,6 +178,13 @@ def test_commutator_fails_on_perturbed_delta(monkeypatch):
     assert rep.status == "fail"
 
 
+@pytest.mark.parametrize("m_trunc", [1, 0, -1])
+def test_commutator_check_needs_an_interior_block(m_trunc):
+    # m_trunc < 2 leaves the interior blocks 1..m_trunc-1 empty: nothing to check
+    with pytest.raises(ValueError, match="no interior block"):
+        commutator_check(build_case(1), (0,), m_trunc=m_trunc)
+
+
 def test_dk_relations():
     case5 = build_case(5)
     q = (F(1),) * 4

@@ -9,7 +9,6 @@ from focklab.jordan import build_case
 from focklab.kernel import (
     MeijerEvaluator,
     bergman_norm_case1,
-    c_closed,
     c_sequence,
     kernel_eval,
     meijer_param_table_suite,
@@ -62,19 +61,19 @@ def test_c_sequence_case5_frozen_oracle():
 
 
 def test_c_sequence_checks_closed_form_at_every_m(monkeypatch):
-    # a recurrence that is wrong at a single m must trip the exact check
+    # a ratio polynomial off from the closed form's step ratio, at any m,
+    # must trip the exact check before a single coefficient is produced
     import focklab.kernel as kernel
 
-    true_ratio = kernel.c_ratio
+    true_polys = kernel.c_ratio_polys
 
-    def skewed(sp, m):
-        r = true_ratio(sp, m)
-        return r * F(1000001, 1000000) if m == 37 else r
+    def skewed(sp):
+        num, den = true_polys(sp)
+        return num.scale(F(1000001, 1000000)), den
 
-    monkeypatch.setattr(kernel, "c_ratio", skewed)
-    with pytest.raises(AssertionError, match="m=38"):
-        c_sequence(build_case(1), (0,), m_max=50)
-    c_sequence(build_case(1), (0,), m_max=37)  # the coefficients before it still agree
+    monkeypatch.setattr(kernel, "c_ratio_polys", skewed)
+    with pytest.raises(AssertionError, match="closed form"):
+        c_sequence(build_case(1), (0,), m_max=0)
 
 
 def test_c_positivity_across_matrix():
@@ -87,11 +86,10 @@ def test_c_positivity_across_matrix():
 
 def test_kernel_eval_at_zero_and_one():
     assert kernel_eval(build_case(1), (0,), 0.0) == 1.0
-    # independent oracle: direct Fraction summation of 30 series terms
+    # independent oracle: c_m = (m+1)/(m!)^2 for case 5, q = 0, summed exactly over 30 terms
     case5 = build_case(5)
     q = (0, 0, 0, 0)
-    sp = spectral_params(case5, q)
-    brute = sum(F(c_closed(sp, m)) for m in range(30))
+    brute = sum(F(m + 1, math.factorial(m) ** 2) for m in range(30))
     val = kernel_eval(case5, q, 1.0)
     assert abs(val - float(brute)) < 1e-14
     assert abs(val - 3.8702221569733959) < 1e-12
@@ -119,7 +117,7 @@ def test_h_twisted_bernstein_rank1():
     B = big_b_poly(rank1(k))
     for alpha in (1, 2):
         lhs = apply_diff_op(z**k, h ** (k * alpha))
-        rhs = (zc**k * h ** (k * alpha - k)).scale(B.eval(alpha))
+        rhs = (zc**k * h ** (k * alpha - k)).scale(B.eval((alpha,)))
         assert lhs == rhs
 
 
@@ -439,6 +437,26 @@ def test_moment_check_fails_on_a_closed_form_off(monkeypatch):
         assert len(moments) == 3 and all(c.status == "fail" for c in moments), off
 
 
+def test_ca_moment_identity_fails_with_eta0_off(monkeypatch):
+    # eta0 + 1/1000 moves c_ratio and the right-hand side but not a_ratio:
+    # the formal (c a)_m identity must fail
+    import dataclasses
+
+    import focklab.kernel as kernel
+
+    real = kernel.spectral_params
+
+    def eta0_off(case, q):
+        sp = real(case, q)
+        return dataclasses.replace(sp, eta0=sp.eta0 + F(1, 1000))
+
+    monkeypatch.setattr(kernel, "spectral_params", eta0_off)
+    for case, q in ((build_case(1), (0,)), (build_case(5), (0, 0, 0, 0))):
+        rep = next(moment_check(case, q))
+        assert rep.id.startswith("meijer.camoment.") and rep.status == "fail", rep
+        assert rep.residual != "0"
+
+
 def test_sign_scan_case1():
     rep = sign_scan_report(build_case(1), (0,))
     assert rep.status == "pass"
@@ -470,9 +488,14 @@ def test_bergman_norm_fails_with_a_graded_coefficient_off(monkeypatch):
     # c_1 off by 1e-8 on the graded side only
     import focklab.kernel as kernel
 
-    real = kernel.c_closed
-    monkeypatch.setattr(kernel, "c_closed",
-                        lambda sp, m: real(sp, m) * (1 + F(1, 10**8)) if m == 1 else real(sp, m))
+    real = kernel.c_sequence
+
+    def c_1_off(case, q, m_max):
+        ks = real(case, q, m_max)
+        ks.coeffs[1] *= 1 + F(1, 10**8)
+        return ks
+
+    monkeypatch.setattr(kernel, "c_sequence", c_1_off)
     rep = bergman_norm_case1(0, [(1, {0: 1.0})])
     assert rep.status == "fail" and float(rep.residual) > 1e-9, rep.details
 
