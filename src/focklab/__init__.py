@@ -3,13 +3,15 @@
 Library layout (one module per subsystem):
 
   polyalg    exact multivariate polynomial arithmetic, differential operators
-  linalg     exact sparse integer linear algebra (rank, nullspace)
+  linalg     exact rank, span membership and nullspace over Q, on one
+             fraction-free integer echelon keyed by the caller's columns
   jordan     catalog of simple Jordan factors and the eleven product cases
   structure  structure-algebra and translate-span dimension checks
   bernstein  Bernstein polynomials, roots, identity verification, gamma ratios
   sl2        eta0 admissibility, delta sequence, Harish-Chandra symbol identity
   fock       truncated graded Fock spaces and exact operator matrices
   kernel     kernel coefficient series, root/parameter tables, Meijer-G layer
+  gammaratio Gamma ratios on a vertical line: bounded float Stirling, mpmath reference
   report     CheckReport record shared by all verification suites
   checks     the check matrix (which case, q and family each suite covers) and its runner
   cli        command-line front end (catalog / verify / export)

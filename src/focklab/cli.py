@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from focklab import checks, kernel, sl2
-from focklab.jordan import build_case, default_catalog
+from focklab.jordan import CaseDescriptor, build_case, default_catalog
 from focklab.report import CheckReport
 
 
@@ -45,7 +45,11 @@ def _int_at_least(flag: str, low: int):
     return parse
 
 
-def _case_from_args(args) -> "object":
+class UsageError(Exception):
+    """A bad case or q on the command line: exit 2, its message on stderr."""
+
+
+def _case_from_args(args) -> CaseDescriptor:
     kw = {}
     if getattr(args, "p", None) is not None:
         kw["p"] = args.p
@@ -58,7 +62,26 @@ def _case_from_args(args) -> "object":
         variant = {1: "a", 2: "b", 4: "c", 8: "d"}[args.d]
     if variant:
         kw["variant"] = variant
-    return build_case(args.case, **kw)
+    try:
+        return build_case(args.case, **kw)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _case_and_q(args) -> tuple[CaseDescriptor, tuple[Fraction, ...]]:
+    """The case and full q vector a command runs on: --q, else the first feasible q."""
+    if not args.case:
+        raise UsageError("--case is required")
+    case = _case_from_args(args)
+    if args.q:
+        try:
+            return case, sl2.expand_q(case, args.q)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    feasible = sl2.feasible_q_values(case, 1)
+    if not feasible:
+        raise UsageError(f"case {case.label} has no admissible q (see admissible-q)")
+    return case, feasible[0]
 
 
 def run_suites(names: list[str], opts: dict, jobs: int = 1) -> list[CheckReport]:
@@ -142,14 +165,15 @@ def _no_int_digit_limit():
 
 
 def cmd_export(args) -> int:
-    case = _case_from_args(args)
-    q = sl2.expand_q(case, args.q) if args.q else tuple(sl2.feasible_q_values(case, 1)[0])
+    if args.format == "json" and args.what != "cm":
+        raise UsageError(f"export {args.what} writes CSV only; --format json is for cm")
+    case, q = _case_and_q(args)
     out = sys.stdout if not args.output else open(args.output, "w")
     try:
-        if args.what in ("cm", "kernel-coeffs"):
+        if args.what == "cm":
             ks = kernel.c_sequence(case, q, m_max=args.m_max)
             with _no_int_digit_limit():
-                if getattr(args, "format", "csv") == "json":
+                if args.format == "json":
                     json.dump(
                         {
                             "schema_version": 1,
@@ -184,7 +208,7 @@ def cmd_export(args) -> int:
             if missed:
                 print(f"moments m = {missed} miss their error bounds", file=sys.stderr)
                 return 1
-        elif args.what == "weight-profile":
+        else:  # weight-profile
             vals, brackets = kernel.sign_scan(
                 case, q, grid=args.grid, precision=args.precision
             )
@@ -192,9 +216,6 @@ def cmd_export(args) -> int:
             for u, g in vals:
                 print(f"{u:.12e},{g:.15e}", file=out)
             print(f"# sign-change brackets: {brackets}", file=out)
-        else:
-            print(f"unknown export target {args.what}", file=sys.stderr)
-            return 2
     finally:
         if out is not sys.stdout:
             out.close()
@@ -209,8 +230,7 @@ def cmd_admissible_q(args) -> int:
 
 
 def cmd_meijer(args) -> int:
-    case = _case_from_args(args)
-    q = sl2.expand_q(case, args.q) if args.q else tuple(sl2.feasible_q_values(case, 1)[0])
+    case, q = _case_and_q(args)
     reports = list(kernel.moment_check(case, q, m_max=args.moments, precision=args.precision))
     for c in reports:
         print(f"[{c.status.upper():4s}] {c.id}  {c.details}")
@@ -218,8 +238,7 @@ def cmd_meijer(args) -> int:
 
 
 def cmd_weight_scan(args) -> int:
-    case = _case_from_args(args)
-    q = sl2.expand_q(case, args.q) if args.q else tuple(sl2.feasible_q_values(case, 1)[0])
+    case, q = _case_and_q(args)
     rep = kernel.sign_scan_report(case, q, grid=args.grid, precision=args.precision)
     print(f"[{rep.status.upper():4s}] {rep.id}  {rep.residual}  {rep.details}")
     return 0 if rep.status == "pass" else 1
@@ -258,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(fn=cmd_verify)
 
     p_exp = sub.add_parser("export", help="emit plot-ready CSV")
-    p_exp.add_argument("what", choices=["cm", "kernel-coeffs", "moments", "weight-profile"])
+    p_exp.add_argument("what", choices=["cm", "moments", "weight-profile"])
     add_case_flags(p_exp)
     p_exp.add_argument("-m", "--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=20)
     p_exp.add_argument("--grid", type=_int_at_least("--grid", 2), default=200)
@@ -296,12 +315,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "case", 0) == 0 and args.command in (
-        "export", "kernel-coeffs", "meijer", "weight-scan"
-    ):
-        print("--case is required for this command", file=sys.stderr)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"focklab {args.command}: {exc}", file=sys.stderr)
         return 2
-    return args.fn(args)
 
 
 if __name__ == "__main__":

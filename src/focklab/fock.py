@@ -78,12 +78,6 @@ class Truncation:
     def block_dim(self, m: int) -> int:
         return math.prod(n + 1 for n in self.degree_bounds(m))
 
-    def all_basis(self) -> list[Key]:
-        out: list[Key] = []
-        for m in range(self.m_top + 1):
-            out.extend(self.block_basis(m))
-        return out
-
 
 class OperatorMatrix:
     """Sparse exact linear map between truncation blocks, filled column by column.
@@ -188,13 +182,13 @@ def op_sigma_inverse(trunc: Truncation, sig: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(col)
 
 
-def op_rhoF(trunc: Truncation, q, kappa: str = "1/A", forced: bool = False) -> OperatorMatrix:
+def op_rhoF(trunc: Truncation, q) -> OperatorMatrix:
     """rho(F) = M - delta o D, with delta applied in the target block.
 
     The top block has no columns: its M-image would be clipped, so checks
     read rho(F) only below it (interior validity).
     """
-    delta = delta_sequence(trunc.case, q, trunc.m_top, kappa, forced).values
+    delta = delta_sequence(trunc.case, q, trunc.m_top).values
     return _scaled_rhoF(trunc, 1, delta)
 
 
@@ -362,7 +356,6 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     q = tuple(Fraction(x) for x in q)
     trunc = Truncation(case, q, m_trunc)
     qs = q_strings(q)
-    index: dict[Key, int] = {k: i for i, k in enumerate(trunc.all_basis())}
     rho_f = op_rhoF(trunc, q)
     gens = [op_rhoE(trunc, rho_f, op_sigma(trunc)), rho_f]
     for i in range(case.s):
@@ -373,7 +366,7 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     frontier: list[Vec] = []
     for key in trunc.block_basis(0):
         v: Vec = {key: 1}
-        if span.add({index[k]: c for k, c in v.items()}):
+        if span.add(v):
             frontier.append(v)
     while frontier:
         new_frontier: list[Vec] = []
@@ -384,7 +377,7 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
                 w = g.apply(v)
                 if not w:
                     continue
-                if span.add({index[k]: c for k, c in w.items()}):
+                if span.add(w):
                     new_frontier.append(w)
         frontier = new_frontier
 
@@ -393,7 +386,7 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     interior_dim = sum(trunc.block_dim(m) for m in range(m_trunc))
     top_dim = trunc.block_dim(m_trunc)
     for key in trunc.block_basis(m_trunc):
-        span.add({index[key]: 1})
+        span.add({key: 1})
     got = span.dim - top_dim
     ok = got >= interior_dim
     return CheckReport(

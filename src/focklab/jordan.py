@@ -417,7 +417,9 @@ def build_case(
             "a": (sym_mat(4), "sp(8,C)", "e6", "e6(6)", 36),
             "b": (full_mat(4), "sl(8,C)", "e7", "e7(7)", 63),
             "c": (skew_mat(8), "so(16,C)", "e8", "e8(8)", 120),
-        }[variant]
+        }.get(variant)
+        if data is None:
+            raise ValueError(f"case (9) has variants a, b, c, not {variant!r}")
         return CaseDescriptor(9, (data[0],), data[1], data[2], data[3], data[4], variant=variant)
     if case_id == 10:
         variant = variant or "a"
@@ -426,7 +428,9 @@ def build_case(
             "b": (full_mat(3), "sl(6,C)+sl(2,C)", "e6", "e6(2)", 38),
             "c": (skew_mat(6), "so(12,C)+sl(2,C)", "e7", "e7(-5)", 69),
             "d": (exceptional(), "e7+sl(2,C)", "e8", "e8(-24)", 136),
-        }[variant]
+        }.get(variant)
+        if data is None:
+            raise ValueError(f"case (10) has variants a, b, c, d, not {variant!r}")
         return CaseDescriptor(
             10, (data[0], rank1(1)), data[1], data[2], data[3], data[4], variant=variant
         )

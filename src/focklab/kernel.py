@@ -485,9 +485,14 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
 # which noise_estimate charges ten times over
 TAIL_SHARE = 1e-17
 
+# the contour step h is sized so that aliasing stays under the roundoff floor
+# for every |ln u| <= LOG_U_BUDGET (see MeijerEvaluator)
+LOG_U_BUDGET = 26.0
+
+
 @lru_cache(maxsize=64)
 def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
-                   offset: Fraction, precision: int, log_u_budget: float) -> dict:
+                   offset: Fraction, precision: int) -> dict:
     """The trapezoidal table of one contour, for parameters relative to it.
 
     With c = offset - min b, F(c + i t) = prod Gamma(b_rel_j + offset + i t)
@@ -520,10 +525,10 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
 
     decay = len(b_rel) - len(a_rel)
     omega = float(sum(b_rel) - sum(a_rel) + decay * (offset - Fraction(1, 2)))
-    target = (precision + 4) * math.log(10) + log_u_budget + max(omega, 0.0) * 4.0 + 8.0
+    target = (precision + 4) * math.log(10) + LOG_U_BUDGET + max(omega, 0.0) * 4.0 + 8.0
     T = max(10.0, 2.0 * target / (decay * math.pi))
     d = float(offset)
-    h = 2.0 * math.pi / ((precision + 4) * math.log(10) / d + log_u_budget)
+    h = 2.0 * math.pi / ((precision + 4) * math.log(10) / d + LOG_U_BUDGET)
     nodes = h * np.arange(math.ceil(T / h) + 1)
     # Re s of each Gamma argument, exact: b_j + c = b_rel_j + offset
     b_re = [x + offset for x in b_rel]
@@ -688,7 +693,7 @@ class MeijerEvaluator:
     of 1e-15 times its terms' magnitudes; there log_u_floor = SERIES_LOG_U.
     b_j an integer apart put log u terms into G there, which the series
     does not carry, so for such a set (case 5, case 9a) the contour serves
-    down to e^-log_u_budget = e^log_u_floor and every u below raises
+    down to e^-LOG_U_BUDGET = e^log_u_floor and every u below raises
     ValueError.
 
     Shared tables.  The shift identity u^sigma G(u; a, b) = G(u; a + sigma,
@@ -696,8 +701,8 @@ class MeijerEvaluator:
     contour itself: F(c + i t) depends on a, b and c only through a - min b,
     b - min b and the offset c + min b.  Each contour sits at a fixed offset,
     5/4 or 5/4 + shift, so its table (nodes and weighted F) is keyed on
-    the relative parameters, the offset, precision and log_u_budget, and
-    built once per key (_contour_table); the evaluator keeps only its own c.
+    the relative parameters, the offset and precision, and built once per
+    key (_contour_table); the evaluator keeps only its own c.
 
     Step size.  Poisson summation gives the exact aliasing identity for the
     untruncated rule on Re s = c:
@@ -708,9 +713,9 @@ class MeijerEvaluator:
     d = c + min beta, the distance from the contour to the rightmost pole,
     and the step
 
-        h = 2 pi / ((precision + 4) ln 10 / d + log_u_budget)
+        h = 2 pi / ((precision + 4) ln 10 / d + LOG_U_BUDGET)
 
-    both leading ones are negligible for every |ln u| <= log_u_budget,
+    both leading ones are negligible for every |ln u| <= LOG_U_BUDGET,
     measured against the scale w_abs u^{-c} of the roundoff floor
     1e-16 w_abs u^{-c} (see noise_estimate):
 
@@ -719,15 +724,13 @@ class MeijerEvaluator:
       at large u;
     - k = +1 samples G at v = u e^{2 pi / h} >= e^{(precision+4) ln 10 / d},
       far out on its super-exponentially decaying tail; this is the term
-      that binds at small u, and the reason log_u_budget enters h.
+      that binds at small u, and the reason LOG_U_BUDGET enters h.
     """
 
-    def __init__(self, b_params, a_params, precision: int = 12,
-                 log_u_budget: float = 26.0):
+    def __init__(self, b_params, a_params, precision: int = 12):
         self.b = [Fraction(x) for x in b_params]
         self.a = [Fraction(x) for x in a_params]
         self.precision = precision
-        self.log_u_budget = log_u_budget
         min_b = min(self.b)
         self.decay = len(self.b) - len(self.a)
         if self.decay < 1:
@@ -739,7 +742,7 @@ class MeijerEvaluator:
         # right of every numerator pole, so they integrate to the same G
         shift = min(8 + Fraction(precision, 2), 24)
         self.contours = [
-            dict(_contour_table(b_rel, a_rel, offset, precision, log_u_budget),
+            dict(_contour_table(b_rel, a_rel, offset, precision),
                  c=float(offset - min_b))
             for offset in (Fraction(5, 4), Fraction(5, 4) + shift)
         ]
@@ -748,7 +751,7 @@ class MeijerEvaluator:
         # e^SERIES_LOG_U, with them nothing serves u below the contour's range
         self.log_terms = any((x - y).denominator == 1
                              for i, x in enumerate(self.b) for y in self.b[i + 1:])
-        self.log_u_floor = -log_u_budget if self.log_terms else SERIES_LOG_U
+        self.log_u_floor = -LOG_U_BUDGET if self.log_terms else SERIES_LOG_U
         self._log_line_bounds: dict[Fraction, float] = {}
 
     @staticmethod
@@ -782,7 +785,7 @@ class MeijerEvaluator:
         below = log_us < self.log_u_floor
         if below.any() and self.log_terms:
             raise ValueError(
-                f"u = {float(us[below][0])!r} is below e^-{self.log_u_budget:g}, the "
+                f"u = {float(us[below][0])!r} is below e^-{LOG_U_BUDGET:g}, the "
                 "contour's range, and G has log terms there")
         with np.errstate(over="ignore", invalid="ignore"):
             if below.any():

@@ -1,132 +1,110 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over Q on one fraction-free integer echelon.
 
-Rows are sparse dicts column->coefficient.  Integer rows are kept gcd-stripped
-during elimination, so ranks are exact over Q with no coefficient blowup
-surprises.
+A row is a sparse dict key -> coefficient (int or Fraction), keyed by the
+caller's own column keys: any hashable, totally ordered values, such as
+ints, exponent tuples, (m, j) Fock keys or (a, b) matrix slots, one kind per
+span.  `FractionSpan.reduce` is the only elimination loop.  It clears a
+row's denominators and strips its content on entry, then takes
+fraction-free pivot steps (Bareiss, Math. Comp. 22, 1968) against the stored
+rows: primitive int rows indexed by their leading (least) key.  `int_rank`
+is the dimension of such a span, and `frac_nullspace` back-solves its
+echelon once per free column.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Hashable, Iterable
 
-IntRow = dict[int, int]
-FracRow = dict[int, Fraction]
+Key = Hashable  # totally ordered within one span
+Row = dict[Key, int | Fraction]
+IntRow = dict[Key, int]
 
 
 def _strip(row: IntRow) -> IntRow:
-    g = 0
-    for v in row.values():
-        g = gcd(g, abs(v))
-        if g == 1:
-            return row
-    if g > 1:
-        return {j: v // g for j, v in row.items()}
-    return row
+    g = gcd(*row.values())
+    return row if g <= 1 else {k: v // g for k, v in row.items()}
 
 
-def int_rank(rows: Iterable[IntRow]) -> int:
-    """Exact rank over Q of integer sparse rows (fraction-free elimination)."""
-    echelon: dict[int, IntRow] = {}  # pivot column -> row
-    for row in rows:
-        r = _strip({j: v for j, v in row.items() if v})
-        while r:
-            j = min(r)
-            piv = echelon.get(j)
-            if piv is None:
-                echelon[j] = r
-                break
-            a, b = piv[j], r[j]
-            g = gcd(abs(a), abs(b))
-            ca, cb = a // g, b // g
-            out: IntRow = {}
-            for k, v in r.items():
-                out[k] = ca * v
-            for k, v in piv.items():
-                w = out.get(k, 0) - cb * v
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-            r = _strip(out)
-    return len(echelon)
+def _primitive(row: Row) -> IntRow:
+    """row over Z with coprime entries, zero entries dropped: same line over Q."""
+    den = lcm(*(c.denominator for c in row.values()))
+    return _strip({k: c.numerator * (den // c.denominator) for k, c in row.items() if c})
 
 
 class FractionSpan:
     """Incrementally built row space over Q with exact membership tests."""
 
-    def __init__(self):
-        self.rows: dict[int, FracRow] = {}  # pivot column -> row, pivot coeff 1
+    def __init__(self, rows: Iterable[Row] = ()):
+        self.rows: dict[Key, IntRow] = {}  # leading key -> primitive int row
+        for row in rows:
+            self.add(row)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: FracRow) -> FracRow:
-        v = {j: c for j, c in vec.items() if c}
-        while v:
-            j = min(v)
-            row = self.rows.get(j)
-            if row is None:
-                return v
-            c = v[j]
-            for k, w in row.items():
-                nv = v.get(k, Fraction(0)) - c * w
-                if nv:
-                    v[k] = nv
-                elif k in v:
-                    del v[k]
-        return v
+    def reduce(self, vec: Row) -> IntRow:
+        """vec reduced against the echelon: primitive, with a new leading key, or {}."""
+        r = _primitive(vec)
+        while r:
+            j = min(r)
+            piv = self.rows.get(j)
+            if piv is None:
+                return r
+            a, b = piv[j], r[j]
+            g = gcd(a, b)
+            ca, cb = a // g, b // g
+            out = {k: ca * v for k, v in r.items()}
+            for k, v in piv.items():
+                w = out.get(k, 0) - cb * v
+                if w:
+                    out[k] = w
+                else:
+                    del out[k]
+            r = _strip(out)
+        return r
 
-    def contains(self, vec: FracRow) -> bool:
+    def contains(self, vec: Row) -> bool:
         return not self.reduce(vec)
 
-    def add(self, vec: FracRow) -> bool:
+    def add(self, vec: Row) -> bool:
         """Insert vec; True if the span grew."""
         r = self.reduce(vec)
-        if not r:
-            return False
-        j = min(r)
-        inv = 1 / Fraction(r[j])  # a Fraction even when r holds ints
-        self.rows[j] = {k: w * inv for k, w in r.items()}
-        return True
+        if r:
+            self.rows[min(r)] = r
+        return bool(r)
 
 
-def frac_nullspace(rows: Sequence[FracRow], ncols: int) -> list[FracRow]:
-    """Nullspace basis of the homogeneous system rows . x = 0, exactly.
+def int_rank(rows: Iterable[Row]) -> int:
+    """Exact rank over Q of sparse rows."""
+    return FractionSpan(rows).dim
 
-    Gauss-Jordan on sparse Fraction rows: the pivot-normalised echelon rows
-    of a FractionSpan, back-substituted to reduced form; returns one basis
-    vector per free column, each with the free coordinate set to 1.
+
+def frac_nullspace(rows: Iterable[Row], columns: Iterable[Key]) -> list[IntRow]:
+    """Nullspace basis of rows . x = 0 over the given columns, exactly.
+
+    One primitive int vector per free column (a column of `columns` that
+    leads no echelon row): that coordinate is positive, every other free one
+    is 0, and the pivot coordinates are back-solved from the last pivot up.
     """
-    span = FractionSpan()
-    for row in rows:
-        span.add(row)
-    echelon = span.rows
-    # back-substitute to reduced form
-    for j in sorted(echelon, reverse=True):
-        row = echelon[j]
-        for j2 in sorted(echelon):
-            if j2 <= j:
-                continue
-            c = row.get(j2)
-            if c:
-                for k, w in echelon[j2].items():
-                    nv = row.get(k, Fraction(0)) - c * w
-                    if nv:
-                        row[k] = nv
-                    elif k in row:
-                        del row[k]
-    pivots = set(echelon)
-    basis: list[FracRow] = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec: FracRow = {free: Fraction(1)}
-        for j, row in echelon.items():
-            c = row.get(free)
-            if c:
-                vec[j] = -c
+    span = FractionSpan(rows)
+    pivots = sorted(span.rows, reverse=True)
+    basis: list[IntRow] = []
+    for free in sorted(set(columns) - set(span.rows)):
+        vec: IntRow = {free: 1}
+        for j in pivots:
+            row = span.rows[j]
+            s = sum(c * vec[k] for k, c in row.items() if k in vec)
+            if s:  # row[j] x_j + s = 0, with vec rescaled to keep x_j integral
+                g = gcd(s, row[j])
+                scale = row[j] // g
+                if scale != 1:
+                    vec = {k: scale * v for k, v in vec.items()}
+                vec[j] = -s // g
+        vec = _strip(vec)
+        if vec[free] < 0:
+            vec = {k: -v for k, v in vec.items()}
         basis.append(vec)
     return basis

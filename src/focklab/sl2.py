@@ -63,16 +63,25 @@ def validate_q(case: CaseDescriptor, q) -> tuple[Fraction, ...]:
 
 
 def expand_q(case: CaseDescriptor, q) -> tuple[Fraction, ...]:
-    """Complete a single free component q1 to the full vector via the relations."""
+    """The full q vector of `q`, given in full or as the free component q1 alone.
+
+    q1 alone is completed through solve_eta0's relations, and a full vector
+    must satisfy them.  The result must lie on solve_eta0's cover lattice,
+    which contains the strict one; otherwise ValueError.
+    """
     if len(q) == case.s:
-        return validate_q(case, q)
-    if len(q) != 1:
-        raise ValueError("q must have one component (the free parameter) or all of them")
-    adm = solve_eta0(case)
-    q1 = Fraction(q[0])
-    full = tuple(a * q1 + b for a, b in adm.q_relations)
-    if any(x < 0 for x in full):
-        raise ValueError(f"q1={q1} gives a negative component: {full}")
+        full = validate_q(case, q)
+        eta0_of(case, full)
+    elif len(q) == 1:
+        q1 = Fraction(q[0])
+        full = tuple(a * q1 + b for a, b in solve_eta0(case).q_relations)
+    else:
+        raise ValueError(f"case {case.label} takes {case.s} q components or the free "
+                         f"q1 alone, not {len(q)}")
+    if not _lattice_ok(list(full), [f.mult for f in case.factors], half=True):
+        raise ValueError(f"q = ({', '.join(map(str, full))}) is not admissible for case "
+                         f"{case.label}: each q_i and q_i/k_i must be a non-negative "
+                         "half-integer (see admissible-q)")
     return full
 
 
@@ -112,7 +121,7 @@ def _lattice_ok(q: list[Fraction], ks: list[int], half: bool) -> bool:
     return True
 
 
-def solve_eta0(case: CaseDescriptor, scan: int = 64) -> AdmissibleQ:
+def solve_eta0(case: CaseDescriptor) -> AdmissibleQ:
     """Solve the affine system exactly and report integrality diagnostics.
 
     Parametrized by q1: q_i = (k_i/k_1) q1 + (k_i n_1/(k_1 r_1) - n_i/r_i).
@@ -135,7 +144,7 @@ def solve_eta0(case: CaseDescriptor, scan: int = 64) -> AdmissibleQ:
 
     strict_list: list[tuple[Fraction, ...]] = []
     cover_list: list[tuple[Fraction, ...]] = []
-    for t in range(0, 2 * scan):
+    for t in range(128):  # q1 = 0, 1/2, ..., 127/2
         q1 = Fraction(t, 2)
         q = [a * q1 + b for a, b in rel]
         if _lattice_ok(q, ks, half=False):

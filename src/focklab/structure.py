@@ -14,12 +14,12 @@ with socle in degree deg Q, so they read the same backwards (Macaulay
 duality; Iarrobino-Kanev, LNM 1721).  The check asserts that symmetry too.
 
 The structure algebra {X : DQ(z)[Xz] in C*Q(z)} is computed by equating
-coefficients and solving the homogeneous system exactly (sparse
-Gauss-Jordan over Q); character_of then verifies every basis element.  The
-check also asserts that the computed Str is a Lie algebra (every bracket
-[X, Y] of basis elements lies in their span, exactly) and that it contains
-the identity with character 4, Euler's identity DQ[z] = 4Q for the
-homogeneous quartic Q.
+coefficients and solving the homogeneous system exactly (focklab.linalg's
+fraction-free echelon), one primitive integer matrix per basis element;
+character_of then verifies every basis element.  The check also asserts
+that the computed Str is a Lie algebra (every bracket [X, Y] of basis
+elements lies in their span, exactly) and that it contains the identity
+with character 4, Euler's identity DQ[z] = 4Q for the homogeneous quartic Q.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from focklab.jordan import CaseDescriptor, q_polynomial
 from focklab.linalg import FractionSpan, frac_nullspace, int_rank
-from focklab.polyalg import MultiPoly
+from focklab.polyalg import MultiPoly, Scalar
 from focklab.report import CheckReport
 
-Matrix = dict[tuple[int, int], Fraction]
+Matrix = dict[tuple[int, int], Scalar]  # (a, b) -> X_ab
 
 
 @dataclass
@@ -74,30 +73,33 @@ def character_of(q_poly: MultiPoly, x: Matrix) -> Fraction:
 
 
 def _system_rows(q_poly: MultiPoly, n: int):
-    """Sparse rows (one per monomial) of DQ[Xz] - c*Q = 0 in (X, c)."""
-    rows: dict[tuple, dict[int, Fraction]] = {}
-    partials = [q_poly.diff(a) for a in range(n)]
+    """Sparse rows (one per monomial) of DQ[Xz] - c*Q = 0 in (X, c).
+
+    Column (a, b) is the entry X_ab; the character c is column (n, 0), after
+    every entry.
+    """
+    rows: dict[tuple, dict[tuple[int, int], Scalar]] = {}
     for a in range(n):
-        for b in range(n):
-            col = a * n + b
-            for e, coeff in partials[a].terms.items():
+        for e, coeff in q_poly.diff(a).terms.items():
+            for b in range(n):
                 e2 = list(e)
                 e2[b] += 1
-                key = tuple(e2)
-                rows.setdefault(key, {})[col] = rows.get(key, {}).get(col, Fraction(0)) + coeff
-    c_col = n * n
+                row = rows.setdefault(tuple(e2), {})
+                row[(a, b)] = row.get((a, b), 0) + coeff
     for e, coeff in q_poly.terms.items():
-        rows.setdefault(e, {})[c_col] = rows.get(e, {}).get(c_col, Fraction(0)) - coeff
-    return [r for r in rows.values() if any(v != 0 for v in r.values())]
+        row = rows.setdefault(e, {})
+        row[(n, 0)] = row.get((n, 0), 0) - coeff
+    return list(rows.values())
 
 
 def structure_algebra(case: CaseDescriptor) -> StructureBasis:
     q_poly = q_polynomial(case, form="table")
     n = case.dim_v
+    columns = [(a, b) for a in range(n) for b in range(n)] + [(n, 0)]
     basis: list[Matrix] = []
     chars: list[Fraction] = []
-    for v in frac_nullspace(_system_rows(q_poly, n), n * n + 1):
-        x = {(col // n, col % n): coeff for col, coeff in v.items() if col < n * n}
+    for v in frac_nullspace(_system_rows(q_poly, n), columns):
+        x = {k: c for k, c in v.items() if k[0] < n}
         basis.append(x)
         chars.append(character_of(q_poly, x))
     return StructureBasis(case.label, q_poly, basis, chars)
@@ -114,13 +116,6 @@ def _bracket(x: dict, y: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _int_row(p: MultiPoly, mono_index: dict[tuple, int]) -> dict[int, int]:
-    """Coefficients of p, denominators cleared, keyed by monomial index."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    return {mono_index.setdefault(e, len(mono_index)): int(c * den)
-            for e, c in p.terms.items()}
-
-
 def translate_span_dim(case: CaseDescriptor) -> tuple[int, list[int]]:
     """dim span{Q(z - a)}, taken as the span of all partial derivatives of Q.
 
@@ -128,13 +123,12 @@ def translate_span_dim(case: CaseDescriptor) -> tuple[int, list[int]]:
     """
     q_poly = q_polynomial(case, form="table")
     n = case.dim_v
-    mono_index: dict[tuple, int] = {}
     graded: list[int] = []
     # alpha as a nondecreasing tuple of variable indices, so each multi-index
     # is reached once; a zero derivative is dropped with all its extensions
     level: dict[tuple[int, ...], MultiPoly] = {(): q_poly}
     while level:
-        graded.append(int_rank([_int_row(p, mono_index) for p in level.values()]))
+        graded.append(int_rank([p.terms for p in level.values()]))
         nxt: dict[tuple[int, ...], MultiPoly] = {}
         for alpha, p in level.items():
             for i in range(alpha[-1] if alpha else 0, n):
@@ -152,20 +146,8 @@ def check_g_dimension(case: CaseDescriptor) -> CheckReport:
     dim_w, graded = translate_span_dim(case)
     symmetric = graded == graded[::-1]
     total = dim_k + dim_w
-    # each basis element scaled to integer entries: the span is the same,
-    # and the brackets run on int arithmetic
-    basis = []
-    for x in sb.basis:
-        den = lcm(*(c.denominator for c in x.values()))
-        basis.append({k: int(c * den) for k, c in x.items()})
-
-    def flat(x):
-        return {a * n + b: c for (a, b), c in x.items()}
-
-    span = FractionSpan()
-    for x in basis:
-        span.add(flat(x))
-    closed = all(span.contains(flat(_bracket(x, y))) for x, y in combinations(basis, 2))
+    span = FractionSpan(sb.basis)
+    closed = all(span.contains(_bracket(x, y)) for x, y in combinations(sb.basis, 2))
     euler = character_of(sb.q_poly, {(a, a): Fraction(1) for a in range(n)})
     ok = (symmetric and closed and euler == 4
           and total == case.expected_g_dim and dim_k == case.expected_k_dim)

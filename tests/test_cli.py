@@ -57,6 +57,28 @@ def test_malformed_q_is_a_usage_error(argv, capsys):
     assert "invalid --q" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("export", "cm", "--case", "99"),
+    ("catalog", "--case", "99"),
+    ("export", "cm", "--case", "9", "--variant", "z"),
+    ("weight-scan", "--case", "2", "--p", "1"),
+    ("meijer", "--case", "11"),  # case 11 has no admissible q
+    ("weight-scan", "--case", "11"),
+    ("export", "weight-profile", "--case", "11"),
+    ("export", "cm", "--case", "1", "--q", "0,1"),
+    ("export", "cm", "--case", "1", "--q", "1"),  # q1/4 is no half-integer
+    ("export", "cm", "--case", "1", "--q", "-1"),
+    ("weight-scan", "--case", "1", "--q", "1"),
+    ("export", "moments", "--case", "1", "--format", "json"),
+    ("export", "weight-profile", "--case", "1", "--format", "json"),
+], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
+def test_bad_case_q_or_format_is_a_usage_error(argv, capsys):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+
+
 def test_export_cm_row_count(capsys):
     code, out = run(capsys, "export", "cm", "--case", "1", "--q", "0", "-m", "20")
     assert code == 0

@@ -347,7 +347,7 @@ def _tables_of_the_checks():
         shift = min(8 + F(precision, 2), 24)
         ev = MeijerEvaluator(b_red, a_red, precision=precision)
         for offset, ct in zip((F(5, 4), F(5, 4) + shift), ev.contours):
-            key = (b_rel, a_rel, offset, precision, 26.0)
+            key = (b_rel, a_rel, offset, precision)
             tables[key] = _contour_table(*key)
             assert tables[key]["blocks"] is ct["blocks"]  # the evaluator's own table
     return tables
@@ -364,7 +364,7 @@ def test_float_gamma_ratio_within_its_bound_and_mpmath_prefix_exact():
 
     tables = _tables_of_the_checks()
     assert len(tables) == 8  # 3 parameter shapes at precision 12, 1 at 13; 2 contours each
-    for (b_rel, a_rel, offset, precision, _), ct in tables.items():
+    for (b_rel, a_rel, offset, precision), ct in tables.items():
         nodes = ct["nodes"]
         b_re = [x + offset for x in b_rel]
         a_re = [x + offset for x in a_rel]

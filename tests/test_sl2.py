@@ -219,6 +219,13 @@ def test_expand_q_and_validation():
     assert expand_q(case10, (1,)) == (1, 3)
     with pytest.raises(ValueError):
         expand_q(build_case(4), (0,))  # q2 = -1/2 < 0
+    case1 = build_case(1)  # strict lattice q1 in 4N, cover lattice 2N
+    assert expand_q(case1, (4,)) == (4,) and expand_q(case1, (2,)) == (2,)
+    for off in ((1,), (F(1, 2),), (-4,), (0, 0)):
+        with pytest.raises(ValueError):
+            expand_q(case1, off)
+    with pytest.raises(ValueError):
+        expand_q(case5, (0, 0, 0, 1))  # off the eta0 relations
     with pytest.raises(ValueError):
         validate_q(case5, (0, 0))
     with pytest.raises(ValueError):
