@@ -4,11 +4,12 @@ A row is a sparse dict key -> coefficient (int or Fraction), keyed by the
 caller's own column keys: any hashable, totally ordered values, such as
 ints, exponent tuples, (m, j) Fock keys or (a, b) matrix slots, one kind per
 span.  `FractionSpan.reduce` is the only elimination loop.  It clears a
-row's denominators and strips its content on entry, then takes
-fraction-free pivot steps (Bareiss, Math. Comp. 22, 1968) against the stored
-rows: primitive int rows indexed by their leading (least) key.  `int_rank`
-is the dimension of such a span, and `frac_nullspace` back-solves its
-echelon once per free column.
+row's denominators and strips its content on entry, then eliminates against
+the stored rows (primitive int rows indexed by their leading, least key) by
+gcd-stripped cross-multiplication: each step scales the row and the pivot
+row by the gcd-reduced leading cofactors, subtracts, and strips the content
+again.  `int_rank` is the dimension of such a span, and `frac_nullspace`
+back-solves its echelon once per free column.
 """
 
 from __future__ import annotations
