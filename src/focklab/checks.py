@@ -92,7 +92,8 @@ BERNSTEIN_FAMILIES = (
     *((f, (1, 2)) for f in (sym_mat(4), full_mat(4), skew_mat(8))),
 )
 
-# (case, q) of the operator-level sl2 relations and sigma^2 on truncated blocks
+# (case, q) of the operator-level sl2 relations (every block m >= 1) and of
+# sigma^2 on blocks 0..3
 COMMUTATOR_MATRIX = (
     (build_case(1), (0,)), (build_case(1), (4,)),
     (build_case(3), (0, 0)), (build_case(3), (2, 2)),
@@ -199,11 +200,12 @@ def _lemma35(partition, gammas, b) -> list[CheckReport]:
 
 
 def _comm_forced() -> list[CheckReport]:
-    neg = fock.commutator_check(INFEASIBLE_CASE, FORCED_Q, m_trunc=4, kappa="1/A", forced=True)
+    neg = fock.commutator_check(INFEASIBLE_CASE, FORCED_Q, kappa="1/A", forced=True)
     return [CheckReport(
         id="fock.comm.11.forced", case_id="11", q=q_strings(FORCED_Q),
         status="pass" if neg.status == "fail" else "fail",
-        details="negative control: forced q must break the commutator",
+        details="negative control: forced q must break the commutator"
+                + (f"; broken: {neg.residual}" if neg.status == "fail" else ""),
     )]
 
 
@@ -268,13 +270,11 @@ def registry() -> tuple[Entry, ...]:
     add("sl2", "sl2.lemma35.2-2.unequal-b", lambda o: _lemma35_unequal_b())
 
     for case, q in COMMUTATOR_MATRIX:
-        add("operators", "fock.comm",
-            lambda o, c=case, q=q: [fock.commutator_check(c, q, m_trunc=o.get("trunc", 6))],
+        add("operators", "fock.comm", lambda o, c=case, q=q: [fock.commutator_check(c, q)],
             case, q)
         add("operators", "fock.sigma2",
             lambda o, c=case, q=q: [fock.sigma_involution_check(c, q, m_trunc=3)], case, q)
-    add("operators", "fock.comm",
-        lambda o: [fock.commutator_check(build_case(4), CASE4_Q, m_trunc=4)],
+    add("operators", "fock.comm", lambda o: [fock.commutator_check(build_case(4), CASE4_Q)],
         build_case(4), CASE4_Q)
     add("operators", "fock.comm.forced", lambda o: _comm_forced(), INFEASIBLE_CASE, FORCED_Q)
     for case, q in CYCLICITY_MATRIX:

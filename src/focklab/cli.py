@@ -46,7 +46,18 @@ def _int_at_least(flag: str, low: int):
 
 
 class UsageError(Exception):
-    """A bad case or q on the command line: exit 2, its message on stderr."""
+    """A bad case, q or flag on the command line: exit 2, its message on stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument error is one stderr line and exit 2, like every usage error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _default_precision() -> int:
+    return int(os.environ.get("FOCKLAB_PRECISION", "12"))
 
 
 def _case_from_args(args) -> CaseDescriptor:
@@ -118,7 +129,6 @@ def cmd_verify(args) -> int:
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     opts = {
         "precision": args.precision,
-        "trunc": args.trunc,
         "m_max": args.m_max,
         "case": args.case or None,
         "q": args.q,
@@ -167,6 +177,9 @@ def _no_int_digit_limit():
 def cmd_export(args) -> int:
     if args.format == "json" and args.what != "cm":
         raise UsageError(f"export {args.what} writes CSV only; --format json is for cm")
+    if args.what == "cm" and (args.precision is not None or args.grid is not None):
+        raise UsageError("export cm reads neither --precision nor --grid")
+    precision = _default_precision() if args.precision is None else args.precision
     case, q = _case_and_q(args)
     out = sys.stdout if not args.output else open(args.output, "w")
     try:
@@ -195,7 +208,7 @@ def cmd_export(args) -> int:
         elif args.what == "moments":
             params = kernel.meijer_params(case, q)
             a_red, b_red = params.reduced
-            ev = kernel.MeijerEvaluator(b_red, a_red, precision=args.precision)
+            ev = kernel.MeijerEvaluator(b_red, a_red, precision=precision)
             print("m,trapezoid,closed_form,rel_err,err_bound", file=out)
             missed = []
             for m in range(args.m_max + 1):
@@ -210,7 +223,7 @@ def cmd_export(args) -> int:
                 return 1
         else:  # weight-profile
             vals, brackets = kernel.sign_scan(
-                case, q, grid=args.grid, precision=args.precision
+                case, q, grid=200 if args.grid is None else args.grid, precision=precision
             )
             print("u,G", file=out)
             for u, g in vals:
@@ -245,8 +258,7 @@ def cmd_weight_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_precision = int(os.environ.get("FOCKLAB_PRECISION", "12"))
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="focklab",
         description="verification and computation engine for rank-4 Jordan Fock models",
     )
@@ -259,8 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p1", type=int)
         p.add_argument("--p2", type=int)
         p.add_argument("--d", type=int, choices=(1, 2, 4, 8))
+
+    def add_q_flag(p):
         p.add_argument("--q", type=_parse_q)
-        p.add_argument("--precision", type=int, default=default_precision)
+
+    def add_precision_flag(p, default):
+        p.add_argument("--precision", type=int, default=default)
 
     p_cat = sub.add_parser("catalog", help="dump case data as JSON")
     add_case_flags(p_cat)
@@ -270,27 +286,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
     add_case_flags(p_ver)
-    p_ver.add_argument("--trunc", type=_int_at_least("--trunc", 2), default=6)
+    add_q_flag(p_ver)
+    add_precision_flag(p_ver, _default_precision())
     p_ver.add_argument("--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=5)
     p_ver.add_argument("--json", default="")
-    p_ver.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_ver.add_argument("--jobs", type=_int_at_least("--jobs", 1), default=os.cpu_count() or 1)
     p_ver.set_defaults(fn=cmd_verify)
 
+    # cm reads neither --precision nor --grid, so their defaults are resolved
+    # in cmd_export, which rejects an explicit value for cm
     p_exp = sub.add_parser("export", help="emit plot-ready CSV")
     p_exp.add_argument("what", choices=["cm", "moments", "weight-profile"])
     add_case_flags(p_exp)
+    add_q_flag(p_exp)
+    add_precision_flag(p_exp, None)
     p_exp.add_argument("-m", "--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=20)
-    p_exp.add_argument("--grid", type=_int_at_least("--grid", 2), default=200)
+    p_exp.add_argument("--grid", type=_int_at_least("--grid", 2), default=None)
     p_exp.add_argument("--format", choices=["csv", "json"], default="csv")
     p_exp.add_argument("-o", "--output", default="")
     p_exp.set_defaults(fn=cmd_export)
 
     p_kc = sub.add_parser("kernel-coeffs", help="kernel coefficient stream (alias of export cm)")
     add_case_flags(p_kc)
+    add_q_flag(p_kc)
     p_kc.add_argument("-m", "--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=50)
     p_kc.add_argument("--format", choices=["csv", "json"], default="csv")
     p_kc.add_argument("-o", "--output", default="")
-    p_kc.set_defaults(fn=cmd_export, what="cm")
+    p_kc.set_defaults(fn=cmd_export, what="cm", precision=None, grid=None)
 
     p_adm = sub.add_parser("admissible-q", help="solve the eta0 system per case")
     add_case_flags(p_adm)
@@ -298,11 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mei = sub.add_parser("meijer", help="Meijer moment checks for one case")
     add_case_flags(p_mei)
+    add_q_flag(p_mei)
+    add_precision_flag(p_mei, _default_precision())
     p_mei.add_argument("--moments", type=_int_at_least("--moments", 0), default=5)
     p_mei.set_defaults(fn=cmd_meijer)
 
     p_ws = sub.add_parser("weight-scan", help="locate sign changes of the G-weight")
     add_case_flags(p_ws)
+    add_q_flag(p_ws)
+    add_precision_flag(p_ws, _default_precision())
     p_ws.add_argument("--grid", type=_int_at_least("--grid", 2), default=240)
     p_ws.set_defaults(fn=cmd_weight_scan)
 

@@ -1,102 +1,204 @@
-"""Truncated graded Fock spaces and exact operator matrices (rank-1 products).
+"""Graded Fock spaces of rank-1-product cases; every operator a list of affine monomial rules.
 
-The graded piece at level m of a rank-1-product case has monomial basis
-prod z_i^{j_i} * w_i^{N_i(m)} with N_i(m) = k_i m + q_i and 0 <= j_i <= N_i.
-Each operator is one `OperatorMatrix`: a sparse column map keyed by
-(m, j-tuple) and filled lazily, one column the first time a check reads it,
-so only the columns a check reaches are ever computed.  M, D, sigma, rho(H)
-and the dk generators send a basis monomial to one signed multiple of a
-monomial; rho(F) = M - delta D sends it to up to two, and rho(E) is the
-conjugation sigma rho(F) sigma^{-1}, composed from those column maps.
-Everything stays exact rational: a stored coefficient is an int when it is
-integral and a Fraction otherwise (polyalg's rule), so the integral operators
-run on int arithmetic.
+The graded piece at level m >= 0 has monomial basis
+e_{m,j} = prod z_i^{j_i} w_i^{N_i(m)}, with N_i(m) = k_i m + q_i and
+0 <= j_i <= N_i(m).  Each operator is one `OperatorMatrix`, a short list of
+`Rule`s, and nothing else: M, D, sigma, sigma^{-1}, rho(H) and the dk
+generators are one rule each, rho(F) = M - delta D is two.  A rule sends
 
-Operator-level construction is restricted to rank-1-product cases: there the
-inversion sigma is an exact signed permutation of each graded block, which is
-what makes [rho(E), rho(F)] = rho(H) checkable with zero residual.  Other
-families are covered at the Harish-Chandra-symbol level in sl2.
+    e_{m,j} -> (-1)^{L(m,j)} c(m,j) e_{m+dm, S j + b0 + b1 m},
+
+where c is an exact polynomial in (m, j_1..j_s) over delta's denominator
+(kept as its roots in m), L is linear mod 2 and S = +-1.  Composing two
+rules is one affine substitution (`MultiPoly.substitute`), so
+rho(E) = sigma rho(F) sigma^{-1} is an honest conjugation done formally.
+A column is the rules evaluated at one key.  An image in a negative block
+is dropped, since D kills block 0; everywhere else the falling factorials
+vanish exactly where an image would leave its block.
+
+`commutator_check` proves [rho(H), rho(E)] = 2 rho(E), [rho(H), rho(F)] =
+-2 rho(F) and [rho(E), rho(F)] = rho(H) on every block m >= 1.  It expands
+AB - BA - cC into rules and groups them by target map (dm, S, b0, b1) and
+the linear part of L.  The group coefficients must vanish as polynomials once
+the denominators are cleared: distinct target maps and parity characters are
+independent on the Zariski-dense index set, so this is sound and complete.
+The rules give the columns of every block m >= m0, the least m at which no
+intermediate block is negative and no delta denominator vanishes.  Blocks
+1..m0-1 (m = 1 alone where eta0 = 1 puts a pole of delta(m - 2) at m = 1)
+are checked column by column, with columns evaluated from the same rules.
+
+Operator-level construction is restricted to rank-1-product cases: there
+sigma is an exact signed permutation of each graded block.  Other families
+are covered at the Harish-Chandra-symbol level in sl2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from functools import cached_property
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable
+from operator import add, mul, sub
 
 from focklab.jordan import CaseDescriptor, Family
 from focklab.linalg import FractionSpan
-from focklab.polyalg import Scalar, exact_coeff
+from focklab.polyalg import MultiPoly, Scalar, VarSet, exact_coeff, rising
 from focklab.report import CheckReport, q_strings
-from focklab.sl2 import delta_sequence
+from focklab.sl2 import delta_constants
 
 Key = tuple[int, tuple[int, ...]]  # (m, z-exponents)
 Vec = dict[Key, Scalar]
 Column = list[tuple[Key, Scalar]]
 
 
-@dataclass(frozen=True)
-class Truncation:
-    """Blocks m = 0..m_top of O_{q,fin} for a rank-1-product case."""
+class FockSpace:
+    """The graded pieces m >= 0 of O_{q,fin} for a rank-1-product case."""
 
-    case: CaseDescriptor
-    q: tuple[Fraction, ...]
-    m_top: int
-
-    def __post_init__(self):
-        if any(f.family is not Family.RANK1 for f in self.case.factors):
+    def __init__(self, case: CaseDescriptor, q):
+        if any(f.family is not Family.RANK1 for f in case.factors):
             raise ValueError("operator construction needs a rank-1-product case")
-        if len(self.q) != self.case.s:
+        if len(q) != case.s:
             raise ValueError("q length must match the factor count")
-        object.__setattr__(self, "_ks", tuple(f.mult for f in self.case.factors))
-        object.__setattr__(self, "_qs", tuple(Fraction(x) for x in self.q))
-        object.__setattr__(self, "_bounds", {})
-        for n in self.degree_bounds(0):
-            if n < 0:
-                raise ValueError("k_i*m + q_i must be a non-negative integer")
+        q = tuple(Fraction(x) for x in q)
+        if any(x < 0 or x.denominator != 1 for x in q):
+            raise ValueError("k_i*m + q_i must be a non-negative integer")
+        self.case = case
+        self.ks = tuple(f.mult for f in case.factors)
+        self.qs = tuple(int(x) for x in q)
+        # rule coefficients are polynomials in (m, j_1..j_s)
+        self.ring = VarSet.flat(("m",) + tuple(f"j{i}" for i in range(1, case.s + 1)))
 
     def degree_bounds(self, m: int) -> tuple[int, ...]:
-        got = self._bounds.get(m)
-        if got is not None:
-            return got
-        out = []
-        for k, qi in zip(self._ks, self._qs):
-            n = k * m + qi
-            if n.denominator != 1:
-                raise ValueError(f"non-integer w-exponent {n} at m={m}")
-            out.append(int(n))
-        got = tuple(out)
-        self._bounds[m] = got
-        return got
+        return tuple(k * m + q for k, q in zip(self.ks, self.qs))
 
     def block_basis(self, m: int) -> list[Key]:
-        bounds = self.degree_bounds(m)
-        return [(m, js) for js in iproduct(*(range(n + 1) for n in bounds))]
+        return [(m, js) for js in iproduct(*(range(n + 1) for n in self.degree_bounds(m)))]
 
     def block_dim(self, m: int) -> int:
         return math.prod(n + 1 for n in self.degree_bounds(m))
 
+    def var(self, idx: int) -> MultiPoly:
+        return MultiPoly.variable(self.ring, idx)
 
-class OperatorMatrix:
-    """Sparse exact linear map between truncation blocks, filled column by column.
+    def const(self, c: Scalar) -> MultiPoly:
+        return MultiPoly.constant(self.ring, c)
 
-    `column_fn(key)` gives the image of the basis monomial `key` as
-    (target, coefficient) pairs.  `column(key)` calls it on first use, drops
-    the zero entries, normalises the rest with `exact_coeff` and keeps the
-    result in `columns`.
+
+@dataclass(frozen=True)
+class Rule:
+    """e_{m,j} -> (-1)^{parity . (m, j)} num(m, j) / prod_r (m - r) e_{m+dm, s j + b0 + b1 m}.
+
+    `num` is a polynomial over the space's ring (m, j_1..j_s), `poles` the
+    roots r of the denominator, and `parity` the linear part of L mod 2; L's
+    constant is folded into num's sign.
     """
 
-    def __init__(self, column_fn: Callable[[Key], Column]):
-        self._column_fn = column_fn
-        self.columns: dict[Key, Column] = {}
+    dm: int
+    s: int
+    b0: tuple[int, ...]
+    b1: tuple[int, ...]
+    parity: tuple[int, ...]
+    num: MultiPoly
+    poles: tuple[Fraction, ...] = ()
+
+    @cached_property
+    def _compiled(self):
+        """The rule over the integers, so that a column costs int arithmetic and
+        one Fraction.
+
+        (terms, den, poles, L's m bit, L's j bits, target offsets by block):
+        den * num as (int coefficient, variables with repeats) terms, each
+        pole n/d as (d, n), and b0 + b1 m cached per block m.
+        """
+        den = math.lcm(1, *(c.denominator for c in self.num.terms.values()))
+        terms = tuple((int(c * den), tuple(v for v, k in enumerate(e) for _ in range(k)))
+                      for e, c in self.num.terms.items())
+        poles = tuple((r.denominator, r.numerator) for r in self.poles)
+        return terms, den, poles, self.parity[0], self.parity[1:], {}
+
+    def after(self, inner: Rule) -> Rule:
+        """self o inner: self's coefficient at inner's image, one affine substitution."""
+        ring = self.num.vars
+        m = MultiPoly.variable(ring, 0)
+        images = [m + MultiPoly.constant(ring, inner.dm)]
+        for i, (c0, c1) in enumerate(zip(inner.b0, inner.b1), start=1):
+            images.append(MultiPoly.variable(ring, i).scale(inner.s) + m.scale(c1)
+                          + MultiPoly.constant(ring, c0))
+        lm, *lj = self.parity
+        flip = (lm * inner.dm + sum(a * c for a, c in zip(lj, inner.b0))) % 2
+        num = inner.num * self.num.substitute(images)
+        return Rule(
+            dm=self.dm + inner.dm,
+            s=self.s * inner.s,
+            b0=tuple(self.s * c + d + e * inner.dm
+                     for c, d, e in zip(inner.b0, self.b0, self.b1)),
+            b1=tuple(self.s * c + d for c, d in zip(inner.b1, self.b1)),
+            parity=((inner.parity[0] + lm + sum(a * c for a, c in zip(lj, inner.b1))) % 2,
+                    *((a + b) % 2 for a, b in zip(inner.parity[1:], lj))),
+            num=-num if flip else num,
+            poles=inner.poles + tuple(r - inner.dm for r in self.poles),
+        )
+
+    def image(self, key: Key) -> tuple[Key, Scalar] | None:
+        """(target, coefficient) of e_key, or None if it is zero or below block 0."""
+        m, js = key
+        if m + self.dm < 0:
+            return None
+        terms, den, poles, odd_m, odd_j, offsets = self._compiled
+        point = (m, *js)
+        c = 0
+        for t, mono in terms:
+            for v in mono:
+                t *= point[v]
+            c += t
+        if c == 0:
+            return None
+        for d, n in poles:  # m - n/d = (m d - n) / d
+            c *= d
+            den *= m * d - n
+        if den != 1:
+            c = exact_coeff(Fraction(c, den))
+        if (odd_m * m + sum(map(mul, js, odd_j))) % 2:
+            c = -c
+        base = offsets.get(m)
+        if base is None:
+            base = offsets[m] = tuple(c0 + c1 * m for c0, c1 in zip(self.b0, self.b1))
+        target = tuple(map(add, js, base)) if self.s > 0 else tuple(map(sub, base, js))
+        return (m + self.dm, target), c
+
+
+class OperatorMatrix:
+    """An operator on the graded Fock space: the sum of its affine monomial rules.
+
+    `column(key)` evaluates the rules at e_key the first time a check reads
+    it and keeps the result.
+    """
+
+    def __init__(self, rules):
+        self.rules: tuple[Rule, ...] = tuple(rules)
+        self._columns: dict[Key, Column] = {}
+
+    def __matmul__(self, other: OperatorMatrix) -> OperatorMatrix:
+        return OperatorMatrix(a.after(b) for a in self.rules for b in other.rules)
+
+    def __add__(self, other: OperatorMatrix) -> OperatorMatrix:
+        return OperatorMatrix(self.rules + other.rules)
+
+    def scale(self, c: Scalar) -> OperatorMatrix:
+        return OperatorMatrix(replace(r, num=r.num.scale(c)) for r in self.rules)
 
     def column(self, key: Key) -> Column:
-        col = self.columns.get(key)
+        """The image of the basis monomial e_key, evaluated from the rules."""
+        col = self._columns.get(key)
         if col is None:
-            col = self.columns[key] = [(t, exact_coeff(c))
-                                       for t, c in self._column_fn(key) if c != 0]
+            out: Vec = {}
+            for rule in self.rules:
+                img = rule.image(key)
+                if img is not None:
+                    out[img[0]] = out.get(img[0], 0) + img[1]
+            col = self._columns[key] = [(t, c) for t, c in out.items() if c]
         return col
 
     def apply(self, vec: Vec) -> Vec:
@@ -111,118 +213,65 @@ class OperatorMatrix:
         return out
 
 
-def op_M(trunc: Truncation) -> OperatorMatrix:
-    """Multiplication by prod w_i^{k_i}: O_m -> O_{m+1}, basis to basis."""
-
-    def col(key: Key):
-        m, js = key
-        if m + 1 > trunc.m_top:
-            return []
-        return [((m + 1, js), 1)]
-
-    return OperatorMatrix(col)
+def _one_rule(space: FockSpace, num: MultiPoly, dm: int = 0, s: int = 1, b0=None, b1=None,
+              parity=None, poles=()) -> OperatorMatrix:
+    zeros = (0,) * space.case.s
+    return OperatorMatrix([Rule(dm, s, b0 or zeros, b1 or zeros,
+                                parity or (0,) + zeros, num, poles)])
 
 
-def op_D(trunc: Truncation) -> OperatorMatrix:
-    """Q(d/dz) then division by prod w_i^{k_i}: O_m -> O_{m-1}."""
-    ks = [f.mult for f in trunc.case.factors]
-
-    def col(key: Key):
-        m, js = key
-        if m == 0:
-            return []
-        coeff = 1
-        for j, k in zip(js, ks):
-            if j < k:
-                return []
-            for t in range(k):
-                coeff *= j - t
-        return [((m - 1, tuple(j - k for j, k in zip(js, ks))), coeff)]
-
-    return OperatorMatrix(col)
+def mult_w(space: FockSpace) -> OperatorMatrix:
+    """M, multiplication by prod w_i^{k_i}: e_{m,j} -> e_{m+1,j}."""
+    return _one_rule(space, space.const(1), dm=1)
 
 
-def op_rhoH(trunc: Truncation) -> OperatorMatrix:
+def diff_q(space: FockSpace) -> OperatorMatrix:
+    """D, Q(d/dz) then division by prod w_i^{k_i}: e_{m,j} -> prod [j_i]_{k_i} e_{m-1,j-k}."""
+    num = space.const(1)
+    for i, k in enumerate(space.ks, start=1):
+        num = num * rising(space.var(i) - space.const(k - 1), k)  # falling [j_i]_{k_i}
+    return _one_rule(space, num, dm=-1, b0=tuple(-k for k in space.ks))
+
+
+def rho_H(space: FockSpace) -> OperatorMatrix:
     """Diagonal: sum j_i - sum (k_i m + q_i) r_i / 2 (r_i = 1 here)."""
-
-    def col(key: Key):
-        m, js = key
-        weight = sum(js) - Fraction(sum(trunc.degree_bounds(m)), 2)
-        return [(key, weight)]
-
-    return OperatorMatrix(col)
+    weight = (space.const(Fraction(-sum(space.qs), 2))
+              - space.var(0).scale(Fraction(sum(space.ks), 2)))
+    for i in range(1, space.case.s + 1):
+        weight = weight + space.var(i)
+    return _one_rule(space, weight)
 
 
-def sigma_sign(trunc: Truncation, key: Key) -> int:
-    m, js = key
-    bounds = trunc.degree_bounds(m)
-    return -1 if (sum(bounds) + sum(js)) % 2 else 1
+def sigma(space: FockSpace) -> OperatorMatrix:
+    """psi -> prod (-z_i)^{N_i} psi(-1/z): e_{m,j} -> (-1)^{sum N_i + sum j_i} e_{m,N(m)-j}."""
+    return _one_rule(space, space.const((-1) ** sum(space.qs)), s=-1, b0=space.qs,
+                     b1=space.ks, parity=(sum(space.ks) % 2,) + (1,) * space.case.s)
 
 
-def op_sigma(trunc: Truncation) -> OperatorMatrix:
-    """psi -> prod (-z_i)^{N_i} psi(-1/z): exact signed basis permutation."""
-
-    def col(key: Key):
-        m, js = key
-        bounds = trunc.degree_bounds(m)
-        tgt = (m, tuple(n - j for n, j in zip(bounds, js)))
-        return [(tgt, sigma_sign(trunc, key))]
-
-    return OperatorMatrix(col)
+def sigma_inverse(space: FockSpace) -> OperatorMatrix:
+    """sigma^{-1} = (-1)^{sum N_i} sigma, the block sign of sigma^2 = (-1)^{sum N_i}."""
+    return _one_rule(space, space.const(1), s=-1, b0=space.qs, b1=space.ks,
+                     parity=(0,) + (1,) * space.case.s)
 
 
-def op_sigma_inverse(trunc: Truncation, sig: OperatorMatrix) -> OperatorMatrix:
-    """sigma^{-1} = (block sign of sigma^2) * sigma; sigma^2 = (-1)^{sum N_i}."""
+def rho_F(space: FockSpace, kappa: str = "1/A", forced: bool = False) -> OperatorMatrix:
+    """rho(F) = M - delta D, with delta applied in the target block.
 
-    def col(key: Key):
-        m, _ = key
-        block_sign = -1 if sum(trunc.degree_bounds(m)) % 2 else 1
-        return [(t, c * block_sign) for t, c in sig.column(key)]
-
-    return OperatorMatrix(col)
-
-
-def op_rhoF(trunc: Truncation, q) -> OperatorMatrix:
-    """rho(F) = M - delta o D, with delta applied in the target block.
-
-    The top block has no columns: its M-image would be clipped, so checks
-    read rho(F) only below it (interior validity).
+    D lands in block m - 1, so its rule carries
+    delta(m - 1) = kappa / ((m - 1 + eta0)(m + eta0)): poles 1 - eta0 and -eta0.
     """
-    delta = delta_sequence(trunc.case, q, trunc.m_top).values
-    return _scaled_rhoF(trunc, 1, delta)
+    kap, eta0 = delta_constants(space.case, space.qs, kappa, forced)
+    (d,) = diff_q(space).rules
+    return mult_w(space) + OperatorMatrix(
+        [replace(d, num=d.num.scale(-kap), poles=(1 - eta0, -eta0))])
 
 
-def _scaled_rhoF(trunc: Truncation, scale: int, delta: list[Fraction]) -> OperatorMatrix:
-    """scale * rho(F) = scale M - (scale delta) o D, for the deltas of blocks 0..m_top."""
-    mm = op_M(trunc)
-    dd = op_D(trunc)
-    scaled = [exact_coeff(scale * d) for d in delta]
-
-    def col(key: Key):
-        if key[0] >= trunc.m_top:
-            return []
-        return ([(tgt, scale * c) for tgt, c in mm.column(key)]
-                + [(tgt, -scaled[tgt[0]] * c) for tgt, c in dd.column(key)])
-
-    return OperatorMatrix(col)
+def rho_E(space: FockSpace, f: OperatorMatrix) -> OperatorMatrix:
+    """rho(E) = sigma rho(F) sigma^{-1}, the rules of f conjugated formally."""
+    return sigma(space) @ f @ sigma_inverse(space)
 
 
-def op_rhoE(trunc: Truncation, rho_f: OperatorMatrix, sig: OperatorMatrix) -> OperatorMatrix:
-    """rho(E) = sigma rho(F) sigma^{-1}, computed by honest conjugation.
-
-    `rho_f` and `sig` are the caller's own rho(F) and sigma, so neither is
-    built twice.  sigma keeps blocks, so rho(E) inherits rho(F)'s empty top
-    block.
-    """
-    sig_inv = op_sigma_inverse(trunc, sig)
-
-    def col(key: Key):
-        return list(sig.apply(rho_f.apply(dict(sig_inv.column(key)))).items())
-
-    return OperatorMatrix(col)
-
-
-def dk_action(trunc: Truncation, factor_index: int, generator: str) -> OperatorMatrix:
+def dk_action(space: FockSpace, factor_index: int, generator: str) -> OperatorMatrix:
     """Per-factor sl2 on degree-<=N polynomials: e = d/dz, h = 2zd-N, f = z^2d-Nz.
 
     With these (spec-pinned) conventions e lowers the z-degree, so the exact
@@ -231,32 +280,22 @@ def dk_action(trunc: Truncation, factor_index: int, generator: str) -> OperatorM
     if generator not in ("e", "f", "h"):
         raise ValueError(f"unknown generator {generator!r}")
     i = factor_index
-
-    def col(key: Key):
-        m, js = key
-        n = trunc.degree_bounds(m)[i]
-        j = js[i]
-        if generator == "e":
-            return [((m, _bump(js, i, -1)), j)] if j >= 1 else []
-        if generator == "h":
-            return [(key, 2 * j - n)]
-        return [((m, _bump(js, i, +1)), j - n)] if j + 1 <= n else []
-
-    return OperatorMatrix(col)
-
-
-def _bump(js: tuple[int, ...], i: int, d: int) -> tuple[int, ...]:
-    out = list(js)
-    out[i] += d
-    return tuple(out)
+    j = space.var(i + 1)
+    n = space.var(0).scale(space.ks[i]) + space.const(space.qs[i])
+    step = tuple(int(t == i) for t in range(space.case.s))
+    if generator == "e":
+        return _one_rule(space, j, b0=tuple(-x for x in step))
+    if generator == "h":
+        return _one_rule(space, j.scale(2) - n)
+    return _one_rule(space, j - n, b0=step)
 
 
 # -- checks -------------------------------------------------------------------
 
 
 def _relation_holds(a: OperatorMatrix, b: OperatorMatrix, c: OperatorMatrix,
-                    scale: int, key: Key) -> bool:
-    """A(B e_key) - B(A e_key) - scale * C e_key = 0, exactly."""
+                    scale: Scalar, key: Key) -> bool:
+    """A(B e_key) - B(A e_key) - scale * C e_key = 0, exactly, column by column."""
     out: Vec = {}
     for outer, inner, sign in ((a, b, 1), (b, a, -1)):
         for mid, x in inner.column(key):
@@ -267,77 +306,106 @@ def _relation_holds(a: OperatorMatrix, b: OperatorMatrix, c: OperatorMatrix,
     return not any(out.values())
 
 
+def _rules_from(a: OperatorMatrix, b: OperatorMatrix, rules) -> int:
+    """The least m >= 1 from which `rules`, the expansion of AB - BA, give its columns.
+
+    Below it an intermediate block of AB or BA is negative, which the columns
+    drop and the rules do not, or a delta denominator vanishes.
+    """
+    low = [1, *(-r.dm for r in a.rules + b.rules)]
+    low += [int(p) + 1 for r in rules for p in r.poles if p.denominator == 1]
+    return max(low)
+
+
+def _nonvanishing_group(space: FockSpace, rules) -> tuple[int, tuple | None]:
+    """(groups, the first group whose coefficient is not identically 0, or None).
+
+    Rules are grouped by target map and parity character.  A group's
+    coefficient sum_t num_t / den_t is zero iff its numerator over the least
+    common denominator is the zero polynomial.
+    """
+    groups: dict[tuple, list[Rule]] = {}
+    for r in rules:
+        groups.setdefault((r.dm, r.s, r.b0, r.b1, r.parity), []).append(r)
+    m = space.var(0)
+    for key, members in groups.items():
+        common = Counter()
+        for r in members:
+            common |= Counter(r.poles)
+        total = MultiPoly.zero(space.ring)
+        for r in members:
+            term = r.num
+            for root, mult in (common - Counter(r.poles)).items():
+                term = term * (m - space.const(root)) ** mult
+            total = total + term
+        if not total.is_zero():
+            return len(groups), key
+    return len(groups), None
+
+
 def commutator_check(
     case: CaseDescriptor,
     q,
-    m_trunc: int = 6,
     kappa: str | None = None,
     forced: bool = False,
 ) -> CheckReport:
-    """Assert [rhoH,rhoE]=2rhoE, [rhoH,rhoF]=-2rhoF, [rhoE,rhoF]=rhoH exactly.
+    """Prove [rhoH,rhoE]=2rhoE, [rhoH,rhoF]=-2rhoF, [rhoE,rhoF]=rhoH on every block m >= 1.
 
-    Each relation [A,B] = c C is checked as the column identity
-    A(B e_k) - B(A e_k) - c C e_k = 0 at every basis vector e_k of the
-    interior blocks 1 <= m <= m_trunc - 1, so m_trunc must be at least 2.
-    The truncation carries two guard blocks above them, so no image these
-    identities read is clipped; only the guard columns they reach are
-    computed.  sigma and rho(H) are built once per check, rho(F) and rho(E)
-    once per kappa.  With kappa=None the check doubles as the calibration
-    oracle: it tries "1/A" then "A" and reports which convention closes the
-    algebra.
-
-    The relations run on integers: with L = 2 lcm of the denominators of
-    delta(m), m <= m_top, F' = L rho(F) (so E' = sigma F' sigma^{-1} =
-    L rho(E)) and H' = 2 rho(H) have integer entries, and the relations
-    become [H',E'] = 4E', [H',F'] = -4F', [E',F'] = (L^2/2) H'.  Scaling by
-    non-zero constants changes neither which column fails nor the report.
+    Each relation [A,B] = c C is expanded into the rules of AB - BA - cC,
+    whose groups must all vanish (see the module docstring); that proves
+    its column identity A(B e_k) - B(A e_k) - c C e_k = 0 at every e_k of
+    every block m >= m0.  Blocks 1..m0-1 are checked column by column.  With
+    kappa=None the check doubles as the calibration oracle: it tries "1/A"
+    then "A" and reports which convention closes the algebra.
     """
-    if m_trunc < 2:
-        raise ValueError(f"m_trunc = {m_trunc} leaves no interior block to check")
-    q = tuple(Fraction(x) for x in q)
-    trunc = Truncation(case, q, m_trunc + 2)
-    qs = q_strings(q)
-    conventions = [kappa] if kappa else ["1/A", "A"]
-    sig = op_sigma(trunc)
-    rho_h = op_rhoH(trunc)
-    h2 = OperatorMatrix(lambda key: [(t, 2 * c) for t, c in rho_h.column(key)])
+    space = FockSpace(case, q)
+    qs = q_strings(tuple(Fraction(x) for x in q))
+    check_id = f"fock.comm.{case.label}.{'_'.join(qs)}"
+    h = rho_H(space)
     last_fail = ""
-    for conv in conventions:
-        delta = delta_sequence(case, q, trunc.m_top, conv, forced).values
-        big_l = 2 * math.lcm(*(d.denominator for d in delta))
-        rho_f = _scaled_rhoF(trunc, big_l, delta)
-        rho_e = op_rhoE(trunc, rho_f, sig)
-        relations = (("[H,E]!=2E", h2, rho_e, rho_e, 4),
-                     ("[H,F]!=-2F", h2, rho_f, rho_f, -4),
-                     ("[E,F]!=H", rho_e, rho_f, h2, big_l * big_l // 2))
-        failed = next((f"{name} at {key} ({conv})"
-                       for m in range(1, m_trunc) for key in trunc.block_basis(m)
-                       for name, a, b, c, scale in relations
-                       if not _relation_holds(a, b, c, scale, key)), None)
+    for conv in [kappa] if kappa else ["1/A", "A"]:
+        f = rho_F(space, conv, forced)
+        e = rho_E(space, f)
+        relations = (("[H,E]!=2E", h, e, e, 2), ("[H,F]!=-2F", h, f, f, -2),
+                     ("[E,F]!=H", e, f, h, 1))
+        failed, n_groups, m0 = None, 0, 1
+        for name, a, b, c, scale in relations:
+            rules = (a @ b).rules + (b @ a).scale(-1).rules + c.scale(-scale).rules
+            n, bad = _nonvanishing_group(space, rules)
+            n_groups += n
+            if bad is not None:
+                dm, s, b0, b1, parity = bad
+                failed = (f"{name}: rule group dm={dm} S={s} b0={b0} b1={b1} L={parity} "
+                          f"does not vanish ({conv})")
+                break
+            m0 = max(m0, _rules_from(a, b, rules))
         if failed is None:
+            failed = next((f"{name} at {key} ({conv})"
+                           for m in range(1, m0) for key in space.block_basis(m)
+                           for name, a, b, c, scale in relations
+                           if not _relation_holds(a, b, c, scale, key)), None)
+        if failed is None:
+            low = "1" if m0 == 2 else f"1..{m0 - 1}"
+            columns = f", columns m = {low}" if m0 > 1 else ""
             return CheckReport(
-                id=f"fock.comm.{case.label}.{'_'.join(qs)}",
-                case_id=case.label, q=qs, status="pass",
-                details=f"kappa={conv}; interior blocks 1..{m_trunc - 1}",
+                id=check_id, case_id=case.label, q=qs, status="pass",
+                details=f"kappa={conv}; all m >= 1 (rules m >= {m0}{columns}); "
+                        f"{n_groups} groups",
             )
         last_fail = failed
-    return CheckReport(
-        id=f"fock.comm.{case.label}.{'_'.join(qs)}",
-        case_id=case.label, q=qs, status="fail",
-        residual=last_fail,
-    )
+    return CheckReport(id=check_id, case_id=case.label, q=qs, status="fail",
+                       residual=last_fail)
 
 
 def sigma_involution_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
-    """sigma^2 = +-1 per block with the block sign (-1)^{sum N_i}."""
-    q = tuple(Fraction(x) for x in q)
-    trunc = Truncation(case, q, m_trunc)
-    sig = op_sigma(trunc)
-    qs = q_strings(q)
+    """sigma^2 = +-1 per block with the block sign (-1)^{sum N_i}, on blocks 0..m_trunc."""
+    space = FockSpace(case, q)
+    sig = sigma(space)
+    qs = q_strings(tuple(Fraction(x) for x in q))
     check_id = f"fock.sigma2.{case.label}.{'_'.join(qs)}"
     for m in range(m_trunc + 1):
-        expected = -1 if sum(trunc.degree_bounds(m)) % 2 else 1
-        for key in trunc.block_basis(m):
+        expected = -1 if sum(space.degree_bounds(m)) % 2 else 1
+        for key in space.block_basis(m):
             v = sig.apply(sig.apply({key: 1}))
             if v != {key: expected}:
                 return CheckReport(
@@ -350,21 +418,21 @@ def sigma_involution_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckRe
 def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     """Span of the lowest piece under rhoE, rhoF and the dk generators.
 
-    Operators are applied only where exact (source blocks m <= m_trunc - 1);
-    asserts the generated span fills every interior block m <= m_trunc - 1.
+    Operators are applied only to vectors in blocks m <= m_trunc - 1, so
+    every image lies in blocks 0..m_trunc; asserts the generated span fills
+    every block m <= m_trunc - 1.
     """
-    q = tuple(Fraction(x) for x in q)
-    trunc = Truncation(case, q, m_trunc)
-    qs = q_strings(q)
-    rho_f = op_rhoF(trunc, q)
-    gens = [op_rhoE(trunc, rho_f, op_sigma(trunc)), rho_f]
+    space = FockSpace(case, q)
+    qs = q_strings(tuple(Fraction(x) for x in q))
+    f = rho_F(space)
+    gens = [rho_E(space, f), f]
     for i in range(case.s):
         for g in "efh":
-            gens.append(dk_action(trunc, i, g))
+            gens.append(dk_action(space, i, g))
 
     span = FractionSpan()
     frontier: list[Vec] = []
-    for key in trunc.block_basis(0):
+    for key in space.block_basis(0):
         v: Vec = {key: 1}
         if span.add(v):
             frontier.append(v)
@@ -372,7 +440,7 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
         new_frontier: list[Vec] = []
         for v in frontier:
             if any(k[0] >= m_trunc for k in v):
-                continue  # boundary: image would clip
+                continue  # boundary: its images would leave the checked blocks
             for g in gens:
                 w = g.apply(v)
                 if not w:
@@ -382,10 +450,10 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
         frontier = new_frontier
 
     # the span must cover every interior block modulo the boundary block:
-    # adjoining all top-block units must reach the full truncation dimension
-    interior_dim = sum(trunc.block_dim(m) for m in range(m_trunc))
-    top_dim = trunc.block_dim(m_trunc)
-    for key in trunc.block_basis(m_trunc):
+    # adjoining all top-block units must reach the full dimension of blocks 0..m_trunc
+    interior_dim = sum(space.block_dim(m) for m in range(m_trunc))
+    top_dim = space.block_dim(m_trunc)
+    for key in space.block_basis(m_trunc):
         span.add({key: 1})
     got = span.dim - top_dim
     ok = got >= interior_dim

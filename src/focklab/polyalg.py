@@ -156,12 +156,7 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPoly(self.vars, out)
+        return MultiPoly(self.vars, _mul_terms(self.terms, other.terms))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -231,6 +226,40 @@ class MultiPoly:
             for e2, w in stack:
                 acc[e2] = acc.get(e2, 0) + c * w
         return MultiPoly(self.vars, acc)
+
+    def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
+        """p(y): substitute z_v -> images[v], polynomials over one variable list.
+
+        `fock` composes its operator rules this way, with affine images.
+        """
+        if len(images) != len(self.vars):
+            raise ValueError(f"{len(images)} images for {len(self.vars)} variables")
+        target = images[0].vars
+        one = (0,) * len(target)
+        powers = [[{one: 1}] for _ in images]
+        acc: dict[Exponent, Scalar] = {}
+        for e, c in self.terms.items():
+            term = {one: c}
+            for v, k in enumerate(e):
+                if k:
+                    pw = powers[v]
+                    while len(pw) <= k:
+                        pw.append(_mul_terms(pw[-1], images[v].terms))
+                    term = _mul_terms(term, pw[k])
+            for e2, w in term.items():
+                acc[e2] = acc.get(e2, 0) + w
+        return MultiPoly(target, acc)
+
+
+def _mul_terms(a: Mapping[Exponent, Scalar],
+               b: Mapping[Exponent, Scalar]) -> dict[Exponent, Scalar]:
+    """The product of two term maps, before zero terms are dropped."""
+    out: dict[Exponent, Scalar] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 def rising(x: MultiPoly, k: int) -> MultiPoly:

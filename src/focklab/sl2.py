@@ -196,26 +196,17 @@ def feasible_q_values(case: CaseDescriptor, count: int = 2) -> list[tuple[Fracti
 # -- delta sequence -----------------------------------------------------------
 
 
-@dataclass
-class DeltaSequence:
-    """delta_m = kappa / ((m + eta0)(m + eta0 + 1)) for m = 0..m_max."""
+def delta_constants(
+    case: CaseDescriptor, q, kappa: str = "1/A", forced: bool = False
+) -> tuple[Fraction, Fraction]:
+    """(kappa, eta0) of delta_m = kappa / ((m + eta0)(m + eta0 + 1)).
 
-    case_id: str
-    q: tuple
-    eta0: Fraction
-    kappa: str  # "1/A" (resolved by operator calibration) or "A"
-    values: list[Fraction]
-
-
-def delta_sequence(
-    case: CaseDescriptor, q, m_max: int = 10, kappa: str = "1/A", forced: bool = False
-) -> DeltaSequence:
-    """The delta sequence, A = prod k_i^{k_i r_i}; forced=True as in forced_eta0."""
+    kappa is 1/A (the convention operator calibration selects) or A, with
+    A = prod k_i^{k_i r_i}; forced=True takes eta0 as in forced_eta0.
+    """
     eta0 = forced_eta0(case, validate_q(case, q)[0]) if forced else eta0_of(case, q)
     a = case.bernstein_lead
-    kap = Fraction(1, a) if kappa == "1/A" else Fraction(a)
-    values = [kap / ((m + eta0) * (m + eta0 + 1)) for m in range(m_max + 1)]
-    return DeltaSequence(case.label, tuple(q), eta0, kappa, values)
+    return (Fraction(1, a) if kappa == "1/A" else Fraction(a)), eta0
 
 
 # -- Harish-Chandra images ------------------------------------------------------

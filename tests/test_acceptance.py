@@ -83,14 +83,14 @@ def test_criterion_05_operator_commutators():
     t0 = time.monotonic()
     ok = True
     for case, q in checks.COMMUTATOR_MATRIX:
-        rep = fock.commutator_check(case, q, m_trunc=6)
-        ok = ok and rep.status == "pass" and "kappa=1/A" in rep.details
+        rep = fock.commutator_check(case, q)
+        ok = ok and rep.status == "pass" and rep.details.startswith("kappa=1/A; all m >= 1 ")
     # calibration: the other convention must fail on case (1), where A = 256
-    bad = fock.commutator_check(build_case(1), (0,), m_trunc=6, kappa="A")
+    bad = fock.commutator_check(build_case(1), (0,), kappa="A")
     ok = ok and bad.status == "fail"
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0
-    _line(5, ok, f"sl2 relations exact on {len(checks.COMMUTATOR_MATRIX)} truncations (M=6), kappa=1/A calibrated, {elapsed:.1f} s")
+    _line(5, ok, f"sl2 relations proved for all m >= 1 on {len(checks.COMMUTATOR_MATRIX)} (case, q) pairs, kappa=1/A calibrated, {elapsed:.1f} s")
 
 
 def test_criterion_06_a_m_consistency():

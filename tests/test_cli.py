@@ -71,6 +71,11 @@ def test_malformed_q_is_a_usage_error(argv, capsys):
     ("weight-scan", "--case", "1", "--q", "1"),
     ("export", "moments", "--case", "1", "--format", "json"),
     ("export", "weight-profile", "--case", "1", "--format", "json"),
+    # flags a command never reads
+    ("catalog", "--case", "1", "--q", "5", "--precision", "3"),
+    ("export", "cm", "--case", "1", "--q", "0", "-m", "2", "--precision", "1", "--grid", "5"),
+    ("verify", "tables", "--jobs", "0"),
+    ("verify", "tables", "--jobs", "-3"),
 ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
 def test_bad_case_q_or_format_is_a_usage_error(argv, capsys):
     assert main(list(argv)) == 2
@@ -132,13 +137,6 @@ def test_export_weight_profile_contains_sign_change(capsys):
 def test_grid_below_two_is_a_usage_error(argv, capsys):
     assert main(list(argv)) == 2
     assert "--grid must be at least 2" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("trunc", ["1", "0", "-3"])
-def test_trunc_below_two_is_a_usage_error(trunc, capsys):
-    # no interior block to check: an error, not an empty pass
-    assert main(["verify", "operators", "--trunc", trunc]) == 2
-    assert "--trunc must be at least 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -224,7 +222,7 @@ def test_single_q_component_expands(capsys):
 def test_parallel_jobs_deterministic():
     from focklab.cli import run_suites
 
-    opts = {"precision": 12, "trunc": 4, "m_max": 2}
+    opts = {"precision": 12, "m_max": 2}
     seq = run_suites(["tables", "sl2"], opts, jobs=1)
     par = run_suites(["tables", "sl2"], opts, jobs=2)
     strip = lambda cs: [{**c.to_dict(), "elapsed_ms": 0} for c in cs]
@@ -342,7 +340,7 @@ def test_kernel_cm_fails_when_the_series_is_off(monkeypatch):
 def _modules_after_suites(*suites: str) -> set[str]:
     """The modules a fresh interpreter holds after running the suites, all passing."""
     code = ("import sys; from focklab import checks; "
-            f"reports = [r for s in {suites!r} for r in checks.run_suite(s, {{'trunc': 3}})]; "
+            f"reports = [r for s in {suites!r} for r in checks.run_suite(s, {{}})]; "
             "assert reports and all(r.status == 'pass' for r in reports); "
             "print(' '.join(sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

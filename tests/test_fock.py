@@ -1,26 +1,28 @@
-"""Graded Fock blocks and exact operator matrices for rank-1-product cases."""
+"""Graded Fock blocks and the affine monomial rules of the operators, rank-1-product cases."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from focklab import fock
+from focklab import checks, fock
 from focklab.fock import (
-    Truncation,
+    FockSpace,
+    OperatorMatrix,
     beta_integral,
     commutator_check,
     cyclicity_check,
+    diff_q,
     dk_action,
     monomial_norms_exact,
-    op_D,
-    op_M,
-    op_rhoE,
-    op_rhoF,
-    op_rhoH,
-    op_sigma,
-    op_sigma_inverse,
+    mult_w,
     reproducing_check,
+    rho_E,
+    rho_F,
+    rho_H,
+    sigma,
     sigma_involution_check,
+    sigma_inverse,
 )
 from focklab.jordan import build_case
 
@@ -32,54 +34,46 @@ def unit(key):
 def test_truncation_rejects_non_rank1():
     case2 = build_case(2, p=3)
     with pytest.raises(ValueError):
-        Truncation(case2, (F(0),), 3)
+        FockSpace(case2, (F(0),))
 
 
 def test_block_dims_case1():
-    tr = Truncation(build_case(1), (F(0),), 4)
-    assert [tr.block_dim(m) for m in range(5)] == [1, 5, 9, 13, 17]
-    tr = Truncation(build_case(1), (F(4),), 2)
-    assert tr.degree_bounds(1) == (8,)
+    space = FockSpace(build_case(1), (F(0),))
+    assert [space.block_dim(m) for m in range(5)] == [1, 5, 9, 13, 17]
+    assert FockSpace(build_case(1), (F(4),)).degree_bounds(1) == (8,)
 
 
 def test_op_M_examples():
-    case5 = build_case(5)
-    tr = Truncation(case5, (F(0),) * 4, 3)
-    m_op = op_M(tr)
-    assert m_op.column((0, (0, 0, 0, 0))) == [((1, (0, 0, 0, 0)), F(1))]
-    tr1 = Truncation(build_case(1), (F(0),), 3)
-    assert op_M(tr1).column((1, (3,))) == [((2, (3,)), F(1))]
+    space5 = FockSpace(build_case(5), (F(0),) * 4)
+    assert mult_w(space5).column((0, (0, 0, 0, 0))) == [((1, (0, 0, 0, 0)), F(1))]
+    space1 = FockSpace(build_case(1), (F(0),))
+    assert mult_w(space1).column((1, (3,))) == [((2, (3,)), F(1))]
 
 
 def test_op_D_examples():
-    tr = Truncation(build_case(1), (F(0),), 3)
-    d = op_D(tr)
+    d = diff_q(FockSpace(build_case(1), (F(0),)))
     assert d.column((1, (4,))) == [((0, (0,)), F(24))]
     assert d.column((1, (3,))) == []
-    case5 = build_case(5)
-    tr5 = Truncation(case5, (F(0),) * 4, 2)
-    assert op_D(tr5).column((1, (1, 1, 1, 1))) == [((0, (0, 0, 0, 0)), F(1))]
+    assert d.column((0, (0,))) == []  # D kills block 0
+    space5 = FockSpace(build_case(5), (F(0),) * 4)
+    assert diff_q(space5).column((1, (1, 1, 1, 1))) == [((0, (0, 0, 0, 0)), F(1))]
 
 
 def test_op_rhoH_examples():
-    case5 = build_case(5)
-    tr5 = Truncation(case5, (F(0),) * 4, 2)
+    space5 = FockSpace(build_case(5), (F(0),) * 4)
     # rho(H) 1 = 0 at m = 0 (zero entries are not stored)
-    assert op_rhoH(tr5).column((0, (0, 0, 0, 0))) == []
-    tr1 = Truncation(build_case(1), (F(0),), 3)
-    h = op_rhoH(tr1)
+    assert rho_H(space5).column((0, (0, 0, 0, 0))) == []
+    h = rho_H(FockSpace(build_case(1), (F(0),)))
     assert h.column((1, (2,))) == []  # 2 - 4/2 = 0
     assert h.column((1, (4,))) == [((1, (4,)), F(2))]
 
 
 def test_op_sigma_examples():
-    tr1 = Truncation(build_case(1), (F(0),), 3)
-    s = op_sigma(tr1)
+    s = sigma(FockSpace(build_case(1), (F(0),)))
     assert s.column((1, (0,))) == [((1, (4,)), F(1))]  # 1 -> z^4, sign +
     assert s.column((1, (4,))) == [((1, (0,)), F(1))]
-    case5 = build_case(5)
-    tr5 = Truncation(case5, (F(0),) * 4, 2)
-    col = op_sigma(tr5).column((1, (1, 0, 0, 0)))
+    space5 = FockSpace(build_case(5), (F(0),) * 4)
+    col = sigma(space5).column((1, (1, 0, 0, 0)))
     assert col == [((1, (0, 1, 1, 1)), F(-1))]  # spec example: sign -1
 
 
@@ -96,32 +90,31 @@ def test_sigma_involution_block_sign():
     ids=["c1q4", "c3q22", "c5q1111"],
 )
 def test_sigma_inverse_undoes_sigma(case, q):
-    tr = Truncation(case, q, 3)
-    sig = op_sigma(tr)
-    sig_inv = op_sigma_inverse(tr, sig)
-    for key in (k for m in range(4) for k in tr.block_basis(m)):  # every block m = 0..3
+    space = FockSpace(case, q)
+    sig, sig_inv = sigma(space), sigma_inverse(space)
+    for key in (k for m in range(4) for k in space.block_basis(m)):  # every block m = 0..3
         assert sig_inv.apply(sig.apply(unit(key))) == unit(key)
         assert sig.apply(sig_inv.apply(unit(key))) == unit(key)
 
 
 def test_rhoF_and_rhoE_case5():
-    case5 = build_case(5)
-    q = (F(0),) * 4
-    tr = Truncation(case5, q, 3)
-    f = op_rhoF(tr, q)
+    space = FockSpace(build_case(5), (F(0),) * 4)
+    f = rho_F(space)
     # rho(F) 1 = w1 w2 w3 w4 (D kills constants)
     assert f.column((0, (0, 0, 0, 0))) == [((1, (0, 0, 0, 0)), F(1))]
-    e = op_rhoE(tr, f, op_sigma(tr))
+    e = rho_E(space, f)
     col = dict(e.column((0, (0, 0, 0, 0))))
     assert col == {(1, (1, 1, 1, 1)): F(1)}  # multiplication by Q(z) w^k
+    # E e_{m,j} = e_{m+1,j+1} - (m-j1)(m-j2)(m-j3)(m-j4)/(m(m+1)) e_{m-1,j}
+    assert dict(e.column((2, (0, 1, 2, 0)))) == {(3, (1, 2, 3, 1)): 1}  # (m - j3) = 0
+    assert dict(e.column((2, (1, 1, 0, 1)))) == {(3, (2, 2, 1, 2)): 1,
+                                                 (1, (1, 1, 0, 1)): F(-2, 6)}
 
 
 def test_rhoE_weight_bookkeeping_case1():
-    case1 = build_case(1)
-    q = (F(0),)
-    tr = Truncation(case1, q, 4)
-    e = op_rhoE(tr, op_rhoF(tr, q), op_sigma(tr))
-    h = op_rhoH(tr)
+    space = FockSpace(build_case(1), (F(0),))
+    e = rho_E(space, rho_F(space))
+    h = rho_H(space)
     # rho(E) 1 = z^4 w^4: Euler eigenvalue +4, m +1, net H-weight +2
     col = dict(e.column((0, (0,))))
     assert col == {(1, (4,)): F(1)}
@@ -130,6 +123,35 @@ def test_rhoE_weight_bookkeeping_case1():
     assert w_before == {}
     w_after = h.apply(v_e)
     assert w_after == {(1, (4,)): F(2)}
+
+
+def test_rule_composition_is_operator_composition():
+    # each composed rule, evaluated at a key, is the composite of the column maps
+    space = FockSpace(build_case(4), (1, 0, 0))
+    ops = [mult_w(space), diff_q(space), rho_H(space), sigma(space), rho_F(space),
+           dk_action(space, 0, "f"), dk_action(space, 2, "e")]
+    for a in ops:
+        for b in ops:
+            ab = a @ b
+            for key in (k for m in range(1, 3) for k in space.block_basis(m)):
+                assert ab.apply(unit(key)) == a.apply(b.apply(unit(key)))
+
+
+ETA0_ONE = [(build_case(5), (0, 0, 0, 0)), (build_case(4), (1, 0, 0))]
+
+
+RHOE_PAIRS = list(checks.COMMUTATOR_MATRIX) + [ETA0_ONE[1]]
+
+
+@pytest.mark.parametrize("case,q", RHOE_PAIRS,
+                         ids=[f"c{c.label}q{''.join(map(str, q))}" for c, q in RHOE_PAIRS])
+def test_composed_rhoE_matches_the_column_conjugation(case, q):
+    # the formal conjugation (rule composition) against sigma(rho(F)(sigma^{-1} e))
+    space = FockSpace(case, q)
+    f = rho_F(space)
+    e, sig, sig_inv = rho_E(space, f), sigma(space), sigma_inverse(space)
+    for key in (k for m in range(5) for k in space.block_basis(m)):
+        assert e.apply(unit(key)) == sig.apply(f.apply(sig_inv.apply(unit(key))))
 
 
 COMM_MATRIX = [
@@ -144,54 +166,100 @@ COMM_MATRIX = [
 
 @pytest.mark.parametrize("case,q", COMM_MATRIX, ids=lambda x: str(x))
 def test_commutators_small(case, q):
-    rep = commutator_check(case, q, m_trunc=4)
+    rep = commutator_check(case, q)
     assert rep.status == "pass"
-    assert "kappa=1/A" in rep.details
+    assert rep.details.startswith("kappa=1/A; all m >= 1 (rules m >= ")
 
 
 def test_commutator_calibration_case1():
-    ok = commutator_check(build_case(1), (0,), m_trunc=4, kappa="1/A")
-    bad = commutator_check(build_case(1), (0,), m_trunc=4, kappa="A")
+    ok = commutator_check(build_case(1), (0,), kappa="1/A")
+    bad = commutator_check(build_case(1), (0,), kappa="A")
     assert ok.status == "pass" and bad.status == "fail"
+    assert bad.residual.startswith("[E,F]!=H: rule group dm=0 ")
 
 
 def test_commutator_case4_consistent_solution():
-    rep = commutator_check(build_case(4), (1, 0, 0), m_trunc=4)
+    rep = commutator_check(build_case(4), (1, 0, 0))
     assert rep.status == "pass"
 
 
 def test_commutator_case11_forced_fails():
-    rep = commutator_check(build_case(11), (0, 0), m_trunc=4, kappa="1/A", forced=True)
+    rep = commutator_check(build_case(11), (0, 0), kappa="1/A", forced=True)
     assert rep.status == "fail"
+
+
+def _shift_eta0(monkeypatch, by):
+    real = fock.delta_constants
+
+    def shifted(*args, **kwargs):
+        kap, eta0 = real(*args, **kwargs)
+        return kap, eta0 + by
+
+    monkeypatch.setattr(fock, "delta_constants", shifted)
 
 
 def test_commutator_fails_on_perturbed_delta(monkeypatch):
-    real = fock.delta_sequence
-
-    def perturbed(*args, **kwargs):
-        seq = real(*args, **kwargs)
-        seq.values[2] += F(1, 1000)  # one delta_m off, every other exact
-        return seq
-
-    monkeypatch.setattr(fock, "delta_sequence", perturbed)
-    rep = commutator_check(build_case(5), (0, 0, 0, 0), m_trunc=4, kappa="1/A")
-    assert rep.status == "fail"
+    # delta's eta0 off by 1/1000: every delta_m is slightly wrong
+    _shift_eta0(monkeypatch, F(1, 1000))
+    for case, q in ((build_case(1), (0,)), (build_case(5), (0, 0, 0, 0))):
+        rep = commutator_check(case, q, kappa="1/A")
+        assert rep.status == "fail" and rep.residual.startswith("[E,F]!=H")
 
 
-@pytest.mark.parametrize("m_trunc", [1, 0, -1])
-def test_commutator_check_needs_an_interior_block(m_trunc):
-    # m_trunc < 2 leaves the interior blocks 1..m_trunc-1 empty: nothing to check
-    with pytest.raises(ValueError, match="no interior block"):
-        commutator_check(build_case(1), (0,), m_trunc=m_trunc)
+def _flip_sigma_j1(monkeypatch):
+    # sigma's sign character with the coefficient of j_1 flipped
+    real = fock.sigma
+
+    def flipped(space):
+        (r,) = real(space).rules
+        return OperatorMatrix([replace(r, parity=(r.parity[0], 1 - r.parity[1], *r.parity[2:]))])
+
+    monkeypatch.setattr(fock, "sigma", flipped)
+
+
+@pytest.mark.parametrize("control", ["kappa=A", "forced", "eta0+1/1000", "sigma-sign"])
+def test_commutator_negative_controls(control, monkeypatch):
+    runs = [(build_case(1), (0,), {"kappa": "A"})]
+    if control == "forced":
+        runs = [(build_case(11), (0, 0), {"kappa": "1/A", "forced": True})]
+    elif control == "eta0+1/1000":
+        _shift_eta0(monkeypatch, F(1, 1000))
+        runs = [(build_case(1), (0,), {}), (build_case(5), (0, 0, 0, 0), {})]
+    elif control == "sigma-sign":
+        _flip_sigma_j1(monkeypatch)
+        runs = [(case, q, {}) for case, q in checks.COMMUTATOR_MATRIX]
+    for case, q, kw in runs:
+        rep = commutator_check(case, q, **kw)
+        assert rep.status == "fail" and "does not vanish" in rep.residual
+
+
+@pytest.mark.parametrize("case,q", ETA0_ONE, ids=["c5q0", "c4q100"])
+def test_eta0_one_pairs_prove_from_m2_and_check_block1_by_columns(case, q, monkeypatch):
+    # eta0 = 1: delta(m - 2) has a pole at m = 1, so block 1 is checked column by column
+    seen = []
+    real = fock._relation_holds
+    monkeypatch.setattr(fock, "_relation_holds",
+                        lambda *args: seen.append(args[-1]) or real(*args))
+    rep = commutator_check(case, q)
+    assert rep.status == "pass"
+    assert "all m >= 1 (rules m >= 2, columns m = 1); " in rep.details
+    assert sorted(set(seen)) == FockSpace(case, q).block_basis(1)
+
+
+def test_other_pairs_need_no_columns(monkeypatch):
+    monkeypatch.setattr(fock, "_relation_holds", lambda *args: pytest.fail("column check ran"))
+    for case, q in checks.COMMUTATOR_MATRIX:
+        if (case, q) in ETA0_ONE:
+            continue
+        rep = commutator_check(case, q)
+        assert rep.status == "pass" and "(rules m >= 1); 7 groups" in rep.details
 
 
 def test_dk_relations():
-    case5 = build_case(5)
-    q = (F(1),) * 4
-    tr = Truncation(case5, q, 2)
+    space = FockSpace(build_case(5), (F(1),) * 4)
     for i in range(4):
-        e, f, h = (dk_action(tr, i, g) for g in "efh")
-        for key in tr.block_basis(1):
+        e, f, h = (dk_action(space, i, g) for g in "efh")
+        for key in space.block_basis(1):
             v = unit(key)
             ef = _sub(e.apply(f.apply(v)), f.apply(e.apply(v)))
             assert ef == h.apply(v)
@@ -200,18 +268,18 @@ def test_dk_relations():
             hf = _sub(h.apply(f.apply(v)), f.apply(h.apply(v)))
             assert hf == _scale(f.apply(v), F(2))
     # different factors commute
-    e0 = dk_action(tr, 0, "e")
-    f1 = dk_action(tr, 1, "f")
-    for key in tr.block_basis(1):
+    e0 = dk_action(space, 0, "e")
+    f1 = dk_action(space, 1, "f")
+    for key in space.block_basis(1):
         v = unit(key)
         assert e0.apply(f1.apply(v)) == f1.apply(e0.apply(v))
 
 
 def test_dk_examples():
-    tr = Truncation(build_case(1), (F(0),), 2)
-    h = dk_action(tr, 0, "h")
+    space = FockSpace(build_case(1), (F(0),))
+    h = dk_action(space, 0, "h")
     assert h.column((1, (0,))) == [((1, (0,)), F(-4))]  # weight -km on constants
-    e = dk_action(tr, 0, "e")
+    e = dk_action(space, 0, "e")
     assert e.column((1, (1,))) == [((1, (0,)), F(1))]
 
 

@@ -163,3 +163,20 @@ def test_coefficients_stay_canonical(p, q, symbol, c, a):
 @given(polys(VS3, 2, 3), polys(VS3, 4, 6))
 def test_apply_diff_op_matches_iterated_diff(symbol, target):
     assert apply_diff_op(symbol, target) == _apply_reference(symbol, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(VS3, 3, 5), st.lists(polys(VS2, 1, 3), min_size=3, max_size=3),
+       st.lists(small_fracs, min_size=2, max_size=2))
+def test_substitute_evaluates_at_the_images(p, images, point):
+    # p(y(x)) at x is p at the point y(x), and the result stays canonical
+    composed = p.substitute(images)
+    assert composed.vars == VS2 and _canonical(composed)
+    assert composed.eval(point) == p.eval([y.eval(point) for y in images])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(VS3, 3, 5), st.lists(small_fracs, min_size=3, max_size=3))
+def test_substitute_of_translates_is_shift(p, a):
+    images = [MultiPoly.variable(VS3, v) + MultiPoly.constant(VS3, c) for v, c in enumerate(a)]
+    assert p.substitute(images) == p.shift(a)

@@ -7,7 +7,7 @@ import pytest
 from focklab.jordan import build_case, full_mat, rank1
 from focklab.polyalg import MultiPoly
 from focklab.sl2 import (
-    delta_sequence,
+    delta_constants,
     eta0_of,
     feasible_q_values,
     lemma35_check,
@@ -65,20 +65,18 @@ def test_eta0_of_validates():
 
 
 def test_delta_sequence_case5():
-    seq = delta_sequence(build_case(5), (0, 0, 0, 0), m_max=6)
+    kap, eta0 = delta_constants(build_case(5), (0, 0, 0, 0))
     # A = 1: delta_m = 1/((m+1)(m+2))
-    assert seq.values[0] == F(1, 2)
-    for m in range(7):
-        assert seq.values[m] == F(1, (m + 1) * (m + 2))
+    assert (kap, eta0) == (1, 1)
+    assert delta_constants(build_case(5), (0, 0, 0, 0), kappa="A") == (1, 1)
 
 
 def test_delta_sequence_case1_calibrated():
-    seq = delta_sequence(build_case(1), (0,), m_max=50)
-    eta0 = F(1, 4)
-    for m in range(51):
-        # kappa = 1/A with A = 256 (operator-level calibration)
-        assert seq.values[m] == F(1, 256) / ((m + eta0) * (m + eta0 + 1))
-        assert seq.values[m] * (m + eta0) * (m + eta0 + 1) == F(1, 256)
+    # kappa = 1/A with A = 256 (operator-level calibration), eta0 = 1/4
+    assert delta_constants(build_case(1), (0,)) == (F(1, 256), F(1, 4))
+    assert delta_constants(build_case(1), (0,), kappa="A") == (256, F(1, 4))
+    # forced: the first factor's eta0 on a q the others reject
+    assert delta_constants(build_case(11), (0, 0), forced=True)[1] == F(1, 3)
 
 
 def test_maass_image_examples():
