@@ -258,6 +258,7 @@ def cmd_weight_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    default_precision = _default_precision()
     parser = _Parser(
         prog="focklab",
         description="verification and computation engine for rank-4 Jordan Fock models",
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
     add_case_flags(p_ver)
     add_q_flag(p_ver)
-    add_precision_flag(p_ver, _default_precision())
+    add_precision_flag(p_ver, default_precision)
     p_ver.add_argument("--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=5)
     p_ver.add_argument("--json", default="")
     p_ver.add_argument("--jobs", type=_int_at_least("--jobs", 1), default=os.cpu_count() or 1)
@@ -321,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mei = sub.add_parser("meijer", help="Meijer moment checks for one case")
     add_case_flags(p_mei)
     add_q_flag(p_mei)
-    add_precision_flag(p_mei, _default_precision())
+    add_precision_flag(p_mei, default_precision)
     p_mei.add_argument("--moments", type=_int_at_least("--moments", 0), default=5)
     p_mei.set_defaults(fn=cmd_meijer)
 
     p_ws = sub.add_parser("weight-scan", help="locate sign changes of the G-weight")
     add_case_flags(p_ws)
     add_q_flag(p_ws)
-    add_precision_flag(p_ws, _default_precision())
+    add_precision_flag(p_ws, default_precision)
     p_ws.add_argument("--grid", type=_int_at_least("--grid", 2), default=240)
     p_ws.set_defaults(fn=cmd_weight_scan)
 

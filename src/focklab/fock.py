@@ -36,15 +36,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cached_property
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import add, mul, sub
 
 from focklab.jordan import CaseDescriptor, Family
 from focklab.linalg import FractionSpan
-from focklab.polyalg import MultiPoly, Scalar, VarSet, exact_coeff, rising
+from focklab.polyalg import MultiPoly, Scalar, VarSet, rising
 from focklab.report import CheckReport, q_strings
 from focklab.sl2 import delta_constants
 
@@ -102,21 +101,29 @@ class Rule:
     parity: tuple[int, ...]
     num: MultiPoly
     poles: tuple[Fraction, ...] = ()
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @cached_property
-    def _compiled(self):
-        """The rule over the integers, so that a column costs int arithmetic and
-        one Fraction.
+    def _at_block(self, m: int):
+        """The rule at block m over the integers, kept in _blocks: (terms, den,
+        L at j = 0, L's j bits or None, target offsets b0 + b1 m).
 
-        (terms, den, poles, L's m bit, L's j bits, target offsets by block):
-        den * num as (int coefficient, variables with repeats) terms, each
-        pole n/d as (d, n), and b0 + b1 m cached per block m.
+        num(m, j) / prod_r (m - r) is sum(terms) / den, each term an int
+        coefficient and the j-variables of its monomial, repeated by power.
         """
-        den = math.lcm(1, *(c.denominator for c in self.num.terms.values()))
-        terms = tuple((int(c * den), tuple(v for v, k in enumerate(e) for _ in range(k)))
-                      for e, c in self.num.terms.items())
-        poles = tuple((r.denominator, r.numerator) for r in self.poles)
-        return terms, den, poles, self.parity[0], self.parity[1:], {}
+        in_j: dict[tuple[int, ...], Scalar] = {}
+        for e, c in self.num.terms.items():
+            in_j[e[1:]] = in_j.get(e[1:], 0) + c * m ** e[0]
+        den = math.lcm(1, *(c.denominator for c in in_j.values()))
+        num_scale = den * math.prod(r.denominator for r in self.poles)
+        den *= math.prod(m * r.denominator - r.numerator for r in self.poles)
+        if den == 0:
+            raise ZeroDivisionError(f"rule {self} has a pole at block m = {m}")
+        terms = tuple((int(c * num_scale), tuple(v for v, k in enumerate(e) for _ in range(k)))
+                      for e, c in in_j.items() if c)
+        odd_j = self.parity[1:] if any(self.parity[1:]) else None
+        base = tuple(c0 + c1 * m for c0, c1 in zip(self.b0, self.b1))
+        got = self._blocks[m] = (terms, den, self.parity[0] * m, odd_j, base)
+        return got
 
     def after(self, inner: Rule) -> Rule:
         """self o inner: self's coefficient at inner's image, one affine substitution."""
@@ -146,25 +153,20 @@ class Rule:
         m, js = key
         if m + self.dm < 0:
             return None
-        terms, den, poles, odd_m, odd_j, offsets = self._compiled
-        point = (m, *js)
+        terms, den, odd, odd_j, base = self._blocks.get(m) or self._at_block(m)
         c = 0
         for t, mono in terms:
             for v in mono:
-                t *= point[v]
+                t *= js[v]
             c += t
         if c == 0:
             return None
-        for d, n in poles:  # m - n/d = (m d - n) / d
-            c *= d
-            den *= m * d - n
         if den != 1:
-            c = exact_coeff(Fraction(c, den))
-        if (odd_m * m + sum(map(mul, js, odd_j))) % 2:
+            c = c // den if c % den == 0 else Fraction(c, den)
+        if odd_j is not None:
+            odd += sum(map(mul, js, odd_j))
+        if odd % 2:
             c = -c
-        base = offsets.get(m)
-        if base is None:
-            base = offsets[m] = tuple(c0 + c1 * m for c0, c1 in zip(self.b0, self.b1))
         target = tuple(map(add, js, base)) if self.s > 0 else tuple(map(sub, base, js))
         return (m + self.dm, target), c
 
