@@ -216,10 +216,9 @@ class OperatorMatrix:
 
 
 def _one_rule(space: FockSpace, num: MultiPoly, dm: int = 0, s: int = 1, b0=None, b1=None,
-              parity=None, poles=()) -> OperatorMatrix:
+              parity=None) -> OperatorMatrix:
     zeros = (0,) * space.case.s
-    return OperatorMatrix([Rule(dm, s, b0 or zeros, b1 or zeros,
-                                parity or (0,) + zeros, num, poles)])
+    return OperatorMatrix([Rule(dm, s, b0 or zeros, b1 or zeros, parity or (0,) + zeros, num)])
 
 
 def mult_w(space: FockSpace) -> OperatorMatrix:

@@ -185,28 +185,24 @@ def test_commutator_case4_consistent_solution():
 
 def test_commutator_case11_forced_fails():
     rep = commutator_check(build_case(11), (0, 0), kappa="1/A", forced=True)
-    assert rep.status == "fail"
-
-
-def _shift_eta0(monkeypatch, by):
-    real = fock.delta_constants
-
-    def shifted(*args, **kwargs):
-        kap, eta0 = real(*args, **kwargs)
-        return kap, eta0 + by
-
-    monkeypatch.setattr(fock, "delta_constants", shifted)
+    assert rep.status == "fail" and "does not vanish" in rep.residual
 
 
 def test_commutator_fails_on_perturbed_delta(monkeypatch):
     # delta's eta0 off by 1/1000: every delta_m is slightly wrong
-    _shift_eta0(monkeypatch, F(1, 1000))
+    real = fock.delta_constants
+
+    def shifted(*args, **kwargs):
+        kap, eta0 = real(*args, **kwargs)
+        return kap, eta0 + F(1, 1000)
+
+    monkeypatch.setattr(fock, "delta_constants", shifted)
     for case, q in ((build_case(1), (0,)), (build_case(5), (0, 0, 0, 0))):
         rep = commutator_check(case, q, kappa="1/A")
-        assert rep.status == "fail" and rep.residual.startswith("[E,F]!=H")
+        assert rep.status == "fail" and rep.residual.startswith("[E,F]!=H: rule group")
 
 
-def _flip_sigma_j1(monkeypatch):
+def test_commutator_fails_with_one_sigma_sign_flipped(monkeypatch):
     # sigma's sign character with the coefficient of j_1 flipped
     real = fock.sigma
 
@@ -215,21 +211,8 @@ def _flip_sigma_j1(monkeypatch):
         return OperatorMatrix([replace(r, parity=(r.parity[0], 1 - r.parity[1], *r.parity[2:]))])
 
     monkeypatch.setattr(fock, "sigma", flipped)
-
-
-@pytest.mark.parametrize("control", ["kappa=A", "forced", "eta0+1/1000", "sigma-sign"])
-def test_commutator_negative_controls(control, monkeypatch):
-    runs = [(build_case(1), (0,), {"kappa": "A"})]
-    if control == "forced":
-        runs = [(build_case(11), (0, 0), {"kappa": "1/A", "forced": True})]
-    elif control == "eta0+1/1000":
-        _shift_eta0(monkeypatch, F(1, 1000))
-        runs = [(build_case(1), (0,), {}), (build_case(5), (0, 0, 0, 0), {})]
-    elif control == "sigma-sign":
-        _flip_sigma_j1(monkeypatch)
-        runs = [(case, q, {}) for case, q in checks.COMMUTATOR_MATRIX]
-    for case, q, kw in runs:
-        rep = commutator_check(case, q, **kw)
+    for case, q in checks.COMMUTATOR_MATRIX:
+        rep = commutator_check(case, q)
         assert rep.status == "fail" and "does not vanish" in rep.residual
 
 
