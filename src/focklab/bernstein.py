@@ -31,6 +31,7 @@ from focklab.jordan import (
 )
 from focklab.polyalg import MultiPoly, VarSet, apply_diff_op, rising
 from focklab.report import CheckReport, q_strings
+from focklab.sl2 import validate_q
 
 
 class DegenerateParameterError(ArithmeticError):
@@ -127,7 +128,7 @@ def verify_bernstein_identity(
     must be identical for every alpha tested, and is given in each report's
     details as C=...; an alpha whose constant drifts fails.
     """
-    delta = determinant_poly(factor, form="jordan")
+    delta = determinant_poly(factor)
     k = factor.mult
     symbol = dual_determinant_symbol(factor) ** k
     B = big_b_poly(factor)
@@ -175,22 +176,17 @@ def gindikin_ratio_poly(factor: SimpleFactorDescriptor, lam: MultiPoly) -> Multi
     return out
 
 
-def _check_q(case: CaseDescriptor, q) -> None:
-    if len(q) != case.s:
-        raise ValueError("q length must match the factor count")
-
-
 def a_ratio_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPoly]:
     """a_{m+1}/a_m as (num, den) polynomials in m, from the Bernstein form of the norm constants.
 
     num = prod B_i(-m - q_i/k_i - n_i/(k_i r_i)), den the same with 2 n_i/(k_i r_i).
     """
-    _check_q(case, q)
+    q = validate_q(case, q)
     m = MultiPoly.variable(M_RING, 0)
     num = den = MultiPoly.constant(M_RING, 1)
     for f, qi in zip(case.factors, q):
         nr = Fraction(f.dim, f.mult * f.rank)
-        x = MultiPoly.constant(M_RING, -Fraction(qi) / f.mult - nr) - m
+        x = MultiPoly.constant(M_RING, -qi / f.mult - nr) - m
         num = num * big_b_poly(f, x)
         den = den * big_b_poly(f, x - MultiPoly.constant(M_RING, nr))
     return num, den
@@ -202,28 +198,18 @@ def a_ratio_gindikin_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPol
     num = prod Gamma_Omega(lam_i + k_i) / Gamma_Omega(lam_i) at lam_i = k_i m + q_i + n_i/r_i,
     den the same at lam_i + n_i/r_i.
     """
-    _check_q(case, q)
+    q = validate_q(case, q)
     m = MultiPoly.variable(M_RING, 0)
     num = den = MultiPoly.constant(M_RING, 1)
     for f, qi in zip(case.factors, q):
-        lam = m.scale(f.mult) + MultiPoly.constant(M_RING, Fraction(qi) + f.n_over_r)
+        lam = m.scale(f.mult) + MultiPoly.constant(M_RING, qi + f.n_over_r)
         num = num * gindikin_ratio_poly(f, lam)
         den = den * gindikin_ratio_poly(f, lam + MultiPoly.constant(M_RING, f.n_over_r))
     return num, den
 
 
-def a_ratio(case: CaseDescriptor, q, m: int) -> Fraction:
-    """a_{m+1}/a_m at one m, from a_ratio_polys."""
-    return ratio_at(a_ratio_polys(case, q), m)
-
-
-def a_ratio_gindikin(case: CaseDescriptor, q, m: int) -> Fraction:
-    """a_{m+1}/a_m at one m, from a_ratio_gindikin_polys."""
-    return ratio_at(a_ratio_gindikin_polys(case, q), m)
-
-
 def a_ratio_report(case: CaseDescriptor, q) -> CheckReport:
-    """a_ratio against a_ratio_gindikin as rational functions of a formal m.
+    """a_ratio_polys against a_ratio_gindikin_polys as rational functions of a formal m.
 
     Cross-multiplied, the two (num, den) pairs must be the same polynomial,
     so the ratios agree at every m off the poles.

@@ -93,7 +93,7 @@ BERNSTEIN_FAMILIES = (
 )
 
 # (case, q) of the operator-level sl2 relations (every block m >= 1) and of
-# sigma^2 on blocks 0..3
+# sigma^2 = (-1)^{sum N_i} with sigma sigma^{-1} = 1 (every block m >= 0)
 COMMUTATOR_MATRIX = (
     (build_case(1), (0,)), (build_case(1), (4,)),
     (build_case(3), (0, 0)), (build_case(3), (2, 2)),
@@ -273,13 +273,13 @@ def registry() -> tuple[Entry, ...]:
         add("operators", "fock.comm", lambda o, c=case, q=q: [fock.commutator_check(c, q)],
             case, q)
         add("operators", "fock.sigma2",
-            lambda o, c=case, q=q: [fock.sigma_involution_check(c, q, m_trunc=3)], case, q)
+            lambda o, c=case, q=q: [fock.sigma_involution_check(c, q)], case, q)
     add("operators", "fock.comm", lambda o: [fock.commutator_check(build_case(4), CASE4_Q)],
         build_case(4), CASE4_Q)
     add("operators", "fock.comm.forced", lambda o: _comm_forced(), INFEASIBLE_CASE, FORCED_Q)
     for case, q in CYCLICITY_MATRIX:
         add("operators", "fock.cyclic",
-            lambda o, c=case, q=q: [fock.cyclicity_check(c, q, m_trunc=4)], case, q)
+            lambda o, c=case, q=q: [fock.cyclicity_check(c, q)], case, q)
     add("operators", "fock.norm", lambda o: [fock.reproducing_check(q=0)], build_case(1), (0,))
 
     for case, q in MOMENT_MATRIX:

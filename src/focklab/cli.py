@@ -56,8 +56,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _default_precision() -> int:
-    return int(os.environ.get("FOCKLAB_PRECISION", "12"))
+# --precision, or FOCKLAB_PRECISION when the flag is absent: an integer of at least 1
+_parse_precision = _int_at_least("--precision/FOCKLAB_PRECISION", 1)
+
+
+def _default_precision() -> str:
+    return os.environ.get("FOCKLAB_PRECISION", "12")
 
 
 def _case_from_args(args) -> CaseDescriptor:
@@ -179,7 +183,12 @@ def cmd_export(args) -> int:
         raise UsageError(f"export {args.what} writes CSV only; --format json is for cm")
     if args.what == "cm" and (args.precision is not None or args.grid is not None):
         raise UsageError("export cm reads neither --precision nor --grid")
-    precision = _default_precision() if args.precision is None else args.precision
+    precision = args.precision
+    if precision is None and args.what != "cm":
+        try:
+            precision = _parse_precision(_default_precision())
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(str(exc)) from None
     case, q = _case_and_q(args)
     out = sys.stdout if not args.output else open(args.output, "w")
     try:
@@ -277,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=_parse_q)
 
     def add_precision_flag(p, default):
-        p.add_argument("--precision", type=int, default=default)
+        # argparse parses a string default through `type` too, so a bad
+        # FOCKLAB_PRECISION is a usage error of exactly the commands that read it
+        p.add_argument("--precision", type=_parse_precision, default=default)
 
     p_cat = sub.add_parser("catalog", help="dump case data as JSON")
     add_case_flags(p_cat)

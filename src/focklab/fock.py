@@ -27,6 +27,11 @@ intermediate block is negative and no delta denominator vanishes.  Blocks
 1..m0-1 (m = 1 alone where eta0 = 1 puts a pole of delta(m - 2) at m = 1)
 are checked column by column, with columns evaluated from the same rules.
 
+`sigma_involution_check` proves sigma^2 = (-1)^{sum N_i} and sigma sigma^{-1}
+= sigma^{-1} sigma = 1 with the same prover.  sigma has dm = 0 and no poles,
+so that holds on every block m >= 0 and no column is read.  Columns serve
+only the block-1 fallback above and `cyclicity_check`.
+
 Operator-level construction is restricted to rank-1-product cases: there
 sigma is an exact signed permutation of each graded block.  Other families
 are covered at the Harish-Chandra-symbol level in sl2.
@@ -45,7 +50,7 @@ from focklab.jordan import CaseDescriptor, Family
 from focklab.linalg import FractionSpan
 from focklab.polyalg import MultiPoly, Scalar, VarSet, rising
 from focklab.report import CheckReport, q_strings
-from focklab.sl2 import delta_constants
+from focklab.sl2 import delta_constants, validate_q
 
 Key = tuple[int, tuple[int, ...]]  # (m, z-exponents)
 Vec = dict[Key, Scalar]
@@ -58,9 +63,7 @@ class FockSpace:
     def __init__(self, case: CaseDescriptor, q):
         if any(f.family is not Family.RANK1 for f in case.factors):
             raise ValueError("operator construction needs a rank-1-product case")
-        if len(q) != case.s:
-            raise ValueError("q length must match the factor count")
-        q = tuple(Fraction(x) for x in q)
+        q = validate_q(case, q)
         if any(x < 0 or x.denominator != 1 for x in q):
             raise ValueError("k_i*m + q_i must be a non-negative integer")
         self.case = case
@@ -344,6 +347,11 @@ def _nonvanishing_group(space: FockSpace, rules) -> tuple[int, tuple | None]:
     return len(groups), None
 
 
+def _group_failure(name: str, group: tuple) -> str:
+    dm, s, b0, b1, parity = group
+    return f"{name}: rule group dm={dm} S={s} b0={b0} b1={b1} L={parity} does not vanish"
+
+
 def commutator_check(
     case: CaseDescriptor,
     q,
@@ -375,9 +383,7 @@ def commutator_check(
             n, bad = _nonvanishing_group(space, rules)
             n_groups += n
             if bad is not None:
-                dm, s, b0, b1, parity = bad
-                failed = (f"{name}: rule group dm={dm} S={s} b0={b0} b1={b1} L={parity} "
-                          f"does not vanish ({conv})")
+                failed = f"{_group_failure(name, bad)} ({conv})"
                 break
             m0 = max(m0, _rules_from(a, b, rules))
         if failed is None:
@@ -398,30 +404,43 @@ def commutator_check(
                        residual=last_fail)
 
 
-def sigma_involution_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
-    """sigma^2 = +-1 per block with the block sign (-1)^{sum N_i}, on blocks 0..m_trunc."""
+def sigma_involution_check(case: CaseDescriptor, q) -> CheckReport:
+    """Prove sigma^2 = (-1)^{sum N_i} and sigma sigma^{-1} = sigma^{-1} sigma = 1 on every block.
+
+    The block sign is one rule, (-1)^{sum q_i} (-1)^{m sum k_i}.  sigma and
+    sigma^{-1} have dm = 0 and no poles, so each composite's rules give its
+    columns on every block m >= 0, and each expansion of composite minus
+    right side must vanish under the prover of `commutator_check`.
+    """
     space = FockSpace(case, q)
-    sig = sigma(space)
-    qs = q_strings(tuple(Fraction(x) for x in q))
+    sig, inv = sigma(space), sigma_inverse(space)
+    one = _one_rule(space, space.const(1))
+    sign = _one_rule(space, space.const((-1) ** sum(space.qs)),
+                     parity=(sum(space.ks) % 2,) + (0,) * case.s)
+    qs = q_strings(space.qs)
     check_id = f"fock.sigma2.{case.label}.{'_'.join(qs)}"
-    for m in range(m_trunc + 1):
-        expected = -1 if sum(space.degree_bounds(m)) % 2 else 1
-        for key in space.block_basis(m):
-            v = sig.apply(sig.apply({key: 1}))
-            if v != {key: expected}:
-                return CheckReport(
-                    id=check_id, case_id=case.label, q=qs,
-                    status="fail", residual=str(key),
-                )
-    return CheckReport(id=check_id, case_id=case.label, q=qs, status="pass")
+    n_groups = 0
+    for name, lhs, rhs in (("sigma^2!=(-1)^N", sig @ sig, sign),
+                           ("sigma sigma^-1!=1", sig @ inv, one),
+                           ("sigma^-1 sigma!=1", inv @ sig, one)):
+        n, bad = _nonvanishing_group(space, lhs.rules + rhs.scale(-1).rules)
+        n_groups += n
+        if bad is not None:
+            return CheckReport(id=check_id, case_id=case.label, q=qs, status="fail",
+                               residual=_group_failure(name, bad))
+    return CheckReport(id=check_id, case_id=case.label, q=qs, status="pass",
+                       details=f"all m >= 0; {n_groups} groups")
 
 
-def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
+CYCLIC_TOP = 4  # the top block cyclicity_check reaches; it fills the blocks below
+
+
+def cyclicity_check(case: CaseDescriptor, q) -> CheckReport:
     """Span of the lowest piece under rhoE, rhoF and the dk generators.
 
-    Operators are applied only to vectors in blocks m <= m_trunc - 1, so
-    every image lies in blocks 0..m_trunc; asserts the generated span fills
-    every block m <= m_trunc - 1.
+    Operators are applied only to vectors in blocks m <= CYCLIC_TOP - 1, so
+    every image lies in blocks 0..CYCLIC_TOP; asserts the generated span
+    fills every block m <= CYCLIC_TOP - 1.
     """
     space = FockSpace(case, q)
     qs = q_strings(tuple(Fraction(x) for x in q))
@@ -440,7 +459,7 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
     while frontier:
         new_frontier: list[Vec] = []
         for v in frontier:
-            if any(k[0] >= m_trunc for k in v):
+            if any(k[0] >= CYCLIC_TOP for k in v):
                 continue  # boundary: its images would leave the checked blocks
             for g in gens:
                 w = g.apply(v)
@@ -451,10 +470,10 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
         frontier = new_frontier
 
     # the span must cover every interior block modulo the boundary block:
-    # adjoining all top-block units must reach the full dimension of blocks 0..m_trunc
-    interior_dim = sum(space.block_dim(m) for m in range(m_trunc))
-    top_dim = space.block_dim(m_trunc)
-    for key in space.block_basis(m_trunc):
+    # adjoining all top-block units must reach the full dimension of blocks 0..CYCLIC_TOP
+    interior_dim = sum(space.block_dim(m) for m in range(CYCLIC_TOP))
+    top_dim = space.block_dim(CYCLIC_TOP)
+    for key in space.block_basis(CYCLIC_TOP):
         span.add({key: 1})
     got = span.dim - top_dim
     ok = got >= interior_dim
@@ -463,7 +482,7 @@ def cyclicity_check(case: CaseDescriptor, q, m_trunc: int = 4) -> CheckReport:
         case_id=case.label, q=qs,
         status="pass" if ok else "fail",
         residual=f"{got}/{interior_dim}",
-        details=f"interior blocks m<= {m_trunc - 1}",
+        details=f"interior blocks m<= {CYCLIC_TOP - 1}",
     )
 
 

@@ -4,12 +4,12 @@ A case bundles an ordered list of simple factors (family, rank r, degree d,
 dimension n, multiplicity k) with the classification-table metadata (names of
 k, g, g_R and the dimension of g).  Sum over factors of k_i*r_i is always 4.
 
-Determinant polynomials are built in two coordinate systems for the rank-2
-family: genuine Jordan coordinates (z1^2 - z2^2 - ... - zp^2, identity
-e=(1,0,...,0)), used for Bernstein identities, and the table coordinates
-phi_p = z1^2 + ... + zp^2 (complex-equivalent under diag(1, i, ..., i)), used
-for structure-group and translate-span computations, which are invariant
-under any complex linear change.
+Determinant polynomials are built in Jordan coordinates: the rank-2 family
+has Delta = z1^2 - z2^2 - ... - zp^2 with identity e = (1, 0, ..., 0).  The
+classification table writes phi_p = z1^2 + ... + zp^2, the same polynomial
+after z -> diag(1, i, ..., i) z; the structure-group and translate-span
+dimensions are invariant under that change, so they use Jordan coordinates
+too.
 """
 
 from __future__ import annotations
@@ -151,15 +151,11 @@ def determinant_poly(
     factor: SimpleFactorDescriptor,
     vars: VarSet | None = None,
     offset: int = 0,
-    form: str = "jordan",
 ) -> MultiPoly:
-    """Delta_i as an explicit polynomial, homogeneous of degree r.
+    """Delta_i in Jordan coordinates, homogeneous of degree r.
 
     `vars`/`offset` embed the factor's coordinates into a larger variable list
-    (offset = index of the factor's first variable).  `form` selects Jordan
-    coordinates ("jordan", z1^2 - sum z_j^2 for the rank-2 family) or the
-    classification-table form ("table", phi_p = sum z_j^2); other families
-    coincide in both forms.
+    (offset = index of the factor's first variable).
     """
     if factor.family is Family.EXCEPTIONAL:
         raise UnsupportedFamilyError(
@@ -175,9 +171,8 @@ def determinant_poly(
     if factor.family is Family.SPIN:
         p = factor.size
         out = v(0) * v(0)
-        sign = -1 if form == "jordan" else 1
         for a in range(1, p):
-            out = out + (v(a) * v(a)).scale(sign)
+            out = out - v(a) * v(a)
         return out
     if factor.family is Family.SYM:
         n = factor.size
@@ -228,7 +223,7 @@ def dual_determinant_symbol(
     rank-2 family then shows a harmless alpha-independent constant 4^k.
     """
     if factor.family is not Family.SYM:
-        return determinant_poly(factor, vars=vars, offset=offset, form="jordan")
+        return determinant_poly(factor, vars=vars, offset=offset)
     if vars is None:
         vars = factor_var_set(factor)
         offset = 0
@@ -345,12 +340,12 @@ class CaseDescriptor:
         }
 
 
-def q_polynomial(case: CaseDescriptor, form: str = "jordan") -> MultiPoly:
+def q_polynomial(case: CaseDescriptor) -> MultiPoly:
     """Q = prod Delta_i^{k_i}, homogeneous of degree 4, on the joint variables."""
     vars = case.var_set()
     out = MultiPoly.constant(vars, 1)
     for f, off in zip(case.factors, case.factor_offsets()):
-        delta = determinant_poly(f, vars=vars, offset=off, form=form)
+        delta = determinant_poly(f, vars=vars, offset=off)
         out = out * delta ** f.mult
     return out
 

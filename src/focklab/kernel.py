@@ -988,17 +988,13 @@ class MeijerEvaluator:
         """prod Gamma(beta_j + m + 1) / prod Gamma(alpha_j + m + 1), exact route."""
         import mpmath as mp
 
-        old = mp.mp.dps
-        mp.mp.dps = max(20, self.precision + 8)
-        try:
+        with mp.workdps(max(20, self.precision + 8)):
             out = mp.mpf(1)
             for bj in self.b:
                 out *= mp.gamma(mp.mpf(bj.numerator) / bj.denominator + m + 1)
             for aj in self.a:
                 out /= mp.gamma(mp.mpf(aj.numerator) / aj.denominator + m + 1)
             return float(out)
-        finally:
-            mp.mp.dps = old
 
 
 @lru_cache(maxsize=64)

@@ -202,35 +202,15 @@ class MultiPoly:
         return total
 
     def shift(self, offsets: Sequence[Scalar]) -> "MultiPoly":
-        """p(z + a): substitute z_v -> z_v + a_v via binomial expansion."""
-        from math import comb
-
-        offs = [exact_coeff(a) for a in offsets]
-        acc: dict[Exponent, Scalar] = {}
-        for e, c in self.terms.items():
-            expansions: list[list[tuple[int, Scalar]]] = []
-            for k, a in zip(e, offs):
-                if a == 0 or k == 0:
-                    expansions.append([(k, 1)])
-                else:
-                    expansions.append(
-                        [(j, comb(k, j) * a ** (k - j)) for j in range(k + 1)]
-                    )
-            stack = [((), 1)]
-            for choices in expansions:
-                stack = [
-                    (e_acc + (j,), c_acc * w)
-                    for (e_acc, c_acc) in stack
-                    for (j, w) in choices
-                ]
-            for e2, w in stack:
-                acc[e2] = acc.get(e2, 0) + c * w
-        return MultiPoly(self.vars, acc)
+        """p(z + a): substitute z_v -> z_v + a_v."""
+        images = [MultiPoly.variable(self.vars, v) + MultiPoly.constant(self.vars, a)
+                  for v, a in enumerate(offsets)]
+        return self.substitute(images)
 
     def substitute(self, images: Sequence["MultiPoly"]) -> "MultiPoly":
         """p(y): substitute z_v -> images[v], polynomials over one variable list.
 
-        `fock` composes its operator rules this way, with affine images.
+        `shift` and `fock`'s rule composition are this with affine images.
         """
         if len(images) != len(self.vars):
             raise ValueError(f"{len(images)} images for {len(self.vars)} variables")

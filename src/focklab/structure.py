@@ -39,7 +39,7 @@ Matrix = dict[tuple[int, int], Scalar]  # (a, b) -> X_ab
 @dataclass
 class StructureBasis:
     case_id: str
-    q_poly: MultiPoly  # the Q (table form) every basis element preserves
+    q_poly: MultiPoly  # the Q (Jordan coordinates) every basis element preserves
     basis: list[Matrix]
     characters: list[Fraction]
 
@@ -93,7 +93,7 @@ def _system_rows(q_poly: MultiPoly, n: int):
 
 
 def structure_algebra(case: CaseDescriptor) -> StructureBasis:
-    q_poly = q_polynomial(case, form="table")
+    q_poly = q_polynomial(case)
     n = case.dim_v
     columns = [(a, b) for a in range(n) for b in range(n)] + [(n, 0)]
     basis: list[Matrix] = []
@@ -121,7 +121,7 @@ def translate_span_dim(case: CaseDescriptor) -> tuple[int, list[int]]:
 
     Returns (dim W, graded) with graded[k] = rank{d^alpha Q : |alpha| = k}.
     """
-    q_poly = q_polynomial(case, form="table")
+    q_poly = q_polynomial(case)
     n = case.dim_v
     graded: list[int] = []
     # alpha as a nondecreasing tuple of variable indices, so each multi-index

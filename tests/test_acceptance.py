@@ -155,6 +155,6 @@ def test_criterion_11_weight_sign_change():
 def test_criterion_12_cyclicity():
     ok = True
     for case, q in checks.CYCLICITY_MATRIX:
-        rep = fock.cyclicity_check(case, q, m_trunc=4)
+        rep = fock.cyclicity_check(case, q)
         ok = ok and rep.status == "pass"
     _line(12, ok, "generated span fills the interior truncation for cases (1), (3), (5) at M=4")

@@ -8,8 +8,8 @@ from focklab import bernstein
 from focklab.bernstein import (
     A_RING,
     M_RING,
-    a_ratio,
-    a_ratio_gindikin,
+    a_ratio_gindikin_polys,
+    a_ratio_polys,
     a_ratio_report,
     b_poly,
     big_b_poly,
@@ -17,6 +17,7 @@ from focklab.bernstein import (
     case_b_roots,
     factor_b_roots,
     gindikin_ratio_poly,
+    ratio_at,
     roots_factorization_ok,
     verify_bernstein_identity,
 )
@@ -164,16 +165,18 @@ def test_gindikin_ratio_examples():
 
 def test_a_ratio_case1():
     case = build_case(1)
+    ratio = a_ratio_polys(case, (0,))
     # a_m = 1/(4m+1), so a_1/a_0 = 1/5
-    assert a_ratio(case, (0,), 0) == F(1, 5)
+    assert ratio_at(ratio, 0) == F(1, 5)
     for m in range(5):
-        assert a_ratio(case, (0,), m) == F(4 * m + 1, 4 * m + 5)
+        assert ratio_at(ratio, m) == F(4 * m + 1, 4 * m + 5)
 
 
 def test_a_ratio_case5_fourth_power():
     case = build_case(5)
+    ratio = a_ratio_polys(case, (0, 0, 0, 0))
     for m in range(6):
-        assert a_ratio(case, (0, 0, 0, 0), m) == F(m + 1, m + 2) ** 4
+        assert ratio_at(ratio, m) == F(m + 1, m + 2) ** 4
 
 
 def test_a_ratio_matches_gindikin_everywhere():
@@ -185,8 +188,9 @@ def test_a_ratio_matches_gindikin_everywhere():
              build_case(10, variant="c")]
     for case in cases:
         for q in feasible_q_values(case, 2):
+            bern, gind = a_ratio_polys(case, q), a_ratio_gindikin_polys(case, q)
             for m in range(11):
-                assert a_ratio(case, q, m) == a_ratio_gindikin(case, q, m)
+                assert ratio_at(bern, m) == ratio_at(gind, m)
 
 
 def test_a_ratio_report_proves_every_m():

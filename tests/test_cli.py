@@ -84,6 +84,36 @@ def test_bad_case_q_or_format_is_a_usage_error(argv, capsys):
     assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("env,argv,code", [
+    ("x", ("verify", "tables"), 2),
+    ("x", ("export", "moments", "--case", "1"), 2),
+    ("x", ("meijer", "--case", "1"), 2),
+    ("0", ("weight-scan", "--case", "1"), 2),
+    (None, ("verify", "tables", "--precision", "0"), 2),
+    (None, ("export", "moments", "--case", "1", "--precision", "0"), 2),
+    (None, ("meijer", "--case", "1", "--precision", "-20"), 2),
+    (None, ("weight-scan", "--case", "1", "--precision", "0"), 2),
+    # commands that never read the precision ignore FOCKLAB_PRECISION
+    ("x", ("catalog", "--case", "1"), 0),
+    ("x", ("admissible-q", "--case", "1"), 0),
+    ("x", ("kernel-coeffs", "--case", "1", "--q", "0", "-m", "2"), 0),
+    ("x", ("export", "cm", "--case", "1", "--q", "0", "-m", "2"), 0),
+], ids=lambda x: ("_".join(a.removeprefix("--") for a in x) if isinstance(x, tuple)
+                  else f"env={x}" if isinstance(x, str) else f"{x}"))
+def test_precision_below_1_or_malformed_is_a_usage_error_where_read(env, argv, code, capsys,
+                                                                      monkeypatch):
+    if env is None:
+        monkeypatch.delenv("FOCKLAB_PRECISION", raising=False)
+    else:
+        monkeypatch.setenv("FOCKLAB_PRECISION", env)
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+        assert "--precision/FOCKLAB_PRECISION" in captured.err
+
+
 def test_export_cm_row_count(capsys):
     code, out = run(capsys, "export", "cm", "--case", "1", "--q", "0", "-m", "20")
     assert code == 0

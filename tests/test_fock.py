@@ -77,11 +77,36 @@ def test_op_sigma_examples():
     assert col == [((1, (0, 1, 1, 1)), F(-1))]  # spec example: sign -1
 
 
+def _sigma_with_j1_sign_flipped(space):
+    # sigma's sign character with the coefficient of j_1 flipped
+    (r,) = sigma(space).rules
+    return OperatorMatrix([replace(r, parity=(r.parity[0], 1 - r.parity[1], *r.parity[2:]))])
+
+
 def test_sigma_involution_block_sign():
-    for case, q in ((build_case(1), (0,)), (build_case(5), (1, 1, 1, 1)),
-                    (build_case(3), (2, 2))):
-        rep = sigma_involution_check(case, q, m_trunc=3)
-        assert rep.status == "pass"
+    for case, q in checks.COMMUTATOR_MATRIX:
+        rep = sigma_involution_check(case, q)
+        assert (rep.status, rep.details) == ("pass", "all m >= 0; 3 groups")
+
+
+def test_sigma_involution_fails_with_one_sigma_sign_flipped(monkeypatch):
+    # on case 5 k_2 + k_3 + k_4 is odd, so the flipped sigma squares to the wrong block sign
+    monkeypatch.setattr(fock, "sigma", _sigma_with_j1_sign_flipped)
+    rep = sigma_involution_check(build_case(5), (1, 1, 1, 1))
+    assert rep.status == "fail"
+    assert rep.residual.startswith("sigma^2!=(-1)^N: rule group dm=0 S=1 ")
+    # on cases 1 and 3 every k_i and q_i is even, so sigma^2 keeps its sign,
+    # but the unflipped sigma^{-1} no longer inverts it
+    for case, q in checks.COMMUTATOR_MATRIX[:4]:
+        rep = sigma_involution_check(case, q)
+        assert rep.status == "fail" and rep.residual.startswith("sigma sigma^-1!=1: ")
+
+
+def test_sigma_involution_reads_no_column(monkeypatch):
+    monkeypatch.setattr(OperatorMatrix, "column",
+                        lambda *args: pytest.fail("column evaluated"))
+    for case, q in checks.COMMUTATOR_MATRIX:
+        assert sigma_involution_check(case, q).status == "pass"
 
 
 @pytest.mark.parametrize(
@@ -203,14 +228,7 @@ def test_commutator_fails_on_perturbed_delta(monkeypatch):
 
 
 def test_commutator_fails_with_one_sigma_sign_flipped(monkeypatch):
-    # sigma's sign character with the coefficient of j_1 flipped
-    real = fock.sigma
-
-    def flipped(space):
-        (r,) = real(space).rules
-        return OperatorMatrix([replace(r, parity=(r.parity[0], 1 - r.parity[1], *r.parity[2:]))])
-
-    monkeypatch.setattr(fock, "sigma", flipped)
+    monkeypatch.setattr(fock, "sigma", _sigma_with_j1_sign_flipped)
     for case, q in checks.COMMUTATOR_MATRIX:
         rep = commutator_check(case, q)
         assert rep.status == "fail" and "does not vanish" in rep.residual
@@ -288,7 +306,7 @@ def _scale(v, c):
     ids=["c1q0", "c1q4", "c3", "c5"],
 )
 def test_cyclicity(case, q):
-    rep = cyclicity_check(case, q, m_trunc=4)
+    rep = cyclicity_check(case, q)
     assert rep.status == "pass"
 
 

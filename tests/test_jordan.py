@@ -120,29 +120,7 @@ def test_q_polynomial_homogeneous_degree_four():
     for case in default_catalog():
         if any(f.family is Family.EXCEPTIONAL for f in case.factors):
             continue
-        for form in ("jordan", "table"):
-            q = q_polynomial(case, form=form)
-            assert {sum(e) for e in q.terms} == {4}
-
-
-def test_spin_form_interconvert():
-    # the Jordan and table forms differ by diag(1, i, ..., i) on the tail
-    # coordinates, which on even tail degree t multiplies a term by (-1)^(t/2)
-    def interconvert(p: MultiPoly, tail: list[int]) -> MultiPoly:
-        out = {}
-        for e, c in p.terms.items():
-            t = sum(e[i] for i in tail)
-            assert t % 2 == 0
-            out[e] = c if (t // 2) % 2 == 0 else -c
-        return MultiPoly(p.vars, out)
-
-    for p in (2, 3, 5):
-        dj = determinant_poly(spin(p), form="jordan")
-        dt = determinant_poly(spin(p), form="table")
-        tail = list(range(1, p))
-        assert interconvert(dj, tail) == dt
-        assert interconvert(dt, tail) == dj  # involution
-        assert interconvert(dj * dj, tail) == dt * dt
+        assert {sum(e) for e in q_polynomial(case).terms} == {4}
 
 
 def test_dual_symbol_sym_halves():

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction as F
+from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -178,5 +180,13 @@ def test_substitute_evaluates_at_the_images(p, images, point):
 @settings(max_examples=60, deadline=None)
 @given(polys(VS3, 3, 5), st.lists(small_fracs, min_size=3, max_size=3))
 def test_substitute_of_translates_is_shift(p, a):
+    # against Taylor's formula p(z + a) = sum_alpha a^alpha / alpha! d^alpha p, which
+    # reads only diff
     images = [MultiPoly.variable(VS3, v) + MultiPoly.constant(VS3, c) for v, c in enumerate(a)]
-    assert p.substitute(images) == p.shift(a)
+    taylor = MultiPoly.zero(VS3)
+    for alpha in product(range(4), repeat=3):  # every exponent of p is at most 3
+        term = p
+        for v, k in enumerate(alpha):
+            term = term.diff(v, k).scale(F(a[v]) ** k / factorial(k))
+        taylor = taylor + term
+    assert p.substitute(images) == p.shift(a) == taylor

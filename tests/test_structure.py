@@ -21,7 +21,7 @@ from focklab.structure import (
 def identity_character(case):
     """The character of the identity matrix: DQ[z] = c*Q."""
     ident = {(a, a): F(1) for a in range(case.dim_v)}
-    return character_of(q_polynomial(case, form="table"), ident)
+    return character_of(q_polynomial(case), ident)
 
 
 def test_structure_dims_examples():
@@ -38,7 +38,7 @@ def test_identity_character_is_degree():
 def test_identity_in_span_with_character_four():
     case = build_case(5)
     sb = structure_algebra(case)
-    q = q_polynomial(case, form="table")
+    q = q_polynomial(case)
     ident = {(a, a): F(1) for a in range(4)}
     assert character_of(q, ident) == 4
     # every elementary scaling lies in the computed span (so the identity does)
@@ -50,7 +50,7 @@ def test_identity_in_span_with_character_four():
 def test_characters_are_exact():
     case = build_case(2, p=3)
     sb = structure_algebra(case)
-    q = q_polynomial(case, form="table")
+    q = q_polynomial(case)
     for x, c in zip(sb.basis, sb.characters):
         assert character_of(q, x) == c
 
@@ -98,7 +98,7 @@ def test_translate_span_graded_ranks():
 @pytest.mark.parametrize("case", [build_case(4), build_case(9, variant="a")],
                          ids=lambda c: c.label)
 def test_translates_lie_in_derivative_span(case):
-    q = q_polynomial(case, form="table")
+    q = q_polynomial(case)
     n = case.dim_v
     span = FractionSpan()
     for k in range(q.total_degree() + 1):
