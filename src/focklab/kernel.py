@@ -830,15 +830,22 @@ class MeijerEvaluator:
         return float(self.eval_grid([u])[0])
 
     def eval_grid(self, us):
-        """G at every u of a 1-D sequence, as an array, EVAL_CHUNK u at a time (see _evaluate)."""
+        """G at every u of a 1-D sequence, as an array (see _grid)."""
+        return self._grid(us)[0]
+
+    def _grid(self, us):
+        """(G, its roundoff floor) at every u of a 1-D sequence, as arrays,
+        EVAL_CHUNK u at a time (see _evaluate)."""
         import numpy as np
 
         us = self._positive(us)
-        out = np.empty(len(us))
+        values = np.empty(len(us))
+        noise = np.empty(len(us))
         for start in range(0, len(us), EVAL_CHUNK):
             u = us[start:start + EVAL_CHUNK]
-            out[start:start + EVAL_CHUNK] = self._evaluate(u, np.log(u))[0]
-        return out
+            chunk = slice(start, start + EVAL_CHUNK)
+            values[chunk], noise[chunk] = self._evaluate(u, np.log(u))
+        return values, noise
 
     def noise_estimate(self, u: float) -> float:
         """Roundoff floor of eval(u) (absolute); ValueError where eval raises one."""
@@ -1069,21 +1076,26 @@ def sign_scan(
     case: CaseDescriptor, q, u_min: float = 1e-3, u_max: float = 60.0,
     grid: int = 240, precision: int = 12,
 ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
-    """Evaluate G on a log grid of at least 2 points; return (samples, sign-change brackets)."""
+    """Evaluate G on a log grid of at least 2 points; return (samples, sign-change brackets).
+
+    A sample with |G| within its roundoff floor (see _evaluate) has no sign:
+    a bracket spans two consecutive samples above their floors whose signs
+    differ, so roundoff around a small G counts as no sign change.
+    """
+    import numpy as np
+
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
     params = meijer_params(case, q)
     a_red, b_red = params.reduced
     ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
     us = [u_min * (u_max / u_min) ** (i / (grid - 1)) for i in range(grid)]
-    vals = list(zip(us, map(float, ev.eval_grid(us))))
-    brackets = []
-    for (u0, g0), (u1, g1) in zip(vals, vals[1:]):
-        if g0 == 0.0 or g1 == 0.0:
-            continue
-        if (g0 > 0) != (g1 > 0):
-            brackets.append((u0, u1))
-    return vals, brackets
+    values, noise = ev._grid(us)
+    above = np.flatnonzero(np.abs(values) > noise)
+    positive = values[above] > 0
+    brackets = [(us[above[k]], us[above[k + 1]])
+                for k in np.flatnonzero(positive[:-1] != positive[1:])]
+    return list(zip(us, values.tolist())), brackets
 
 
 def sign_scan_report(case: CaseDescriptor, q, **kw) -> CheckReport:

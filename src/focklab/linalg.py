@@ -9,7 +9,9 @@ the stored rows (primitive int rows indexed by their leading, least key) by
 gcd-stripped cross-multiplication: each step scales the row and the pivot
 row by the gcd-reduced leading cofactors, subtracts, and strips the content
 again.  `int_rank` is the dimension of such a span, and `frac_nullspace`
-back-solves its echelon once per free column.
+back-solves its echelon once per free column.  A one-entry echelon row
+forces its pivot coordinate to 0 in every solution, so the back-solve skips
+those pivots: the coordinate never enters a basis vector.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def frac_nullspace(rows: Iterable[Row], columns: Iterable[Key]) -> list[IntRow]:
     is 0, and the pivot coordinates are back-solved from the last pivot up.
     """
     span = FractionSpan(rows)
-    pivots = sorted(span.rows, reverse=True)
+    # a one-entry row forces its pivot coordinate to 0, which stays out of vec
+    pivots = sorted((j for j, row in span.rows.items() if len(row) > 1), reverse=True)
     basis: list[IntRow] = []
     for free in sorted(set(columns) - set(span.rows)):
         vec: IntRow = {free: 1}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
@@ -68,7 +69,7 @@ class MultiPoly:
             c = exact_coeff(c)
             if c == 0:
                 continue
-            if len(e) != n or any(x < 0 for x in e):
+            if len(e) != n or (e and min(e) < 0):
                 raise ValueError(f"bad exponent {e} for {n} variables")
             clean[tuple(e)] = c
         object.__setattr__(self, "vars", vars)
@@ -237,7 +238,7 @@ def _mul_terms(a: Mapping[Exponent, Scalar],
     out: dict[Exponent, Scalar] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return out
 
@@ -254,15 +255,30 @@ def apply_diff_op(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:
     """Apply symbol(d/dz) to target, exactly.
 
     Each symbol monomial c * prod z_v^{e_v} acts as c * prod (d/dz_v)^{e_v};
-    the result is linear in both arguments.
+    the result is linear in both arguments.  A target term survives that
+    monomial only if it holds every variable of the monomial's support, so
+    the target's exponents are indexed once by the variables they hold, and
+    each monomial visits just the intersection of the index sets of its
+    support, smallest set first.  A constant monomial maps every target term.
     """
     if symbol.vars != target.vars:
         raise ValueError("symbol and target must share a variable list")
+    holding: list[set[Exponent]] = [set() for _ in range(len(target.vars))]
+    for te in target.terms:
+        for i, n in enumerate(te):
+            if n:
+                holding[i].add(te)
+    tterms = target.terms
     out: dict[Exponent, Scalar] = {}
     for se, sc in symbol.terms.items():
         support = [(i, k) for i, k in enumerate(se) if k]
-        for te, tc in target.terms.items():
-            coeff = sc * tc
+        if support:
+            sets = sorted((holding[i] for i, _ in support), key=len)
+            candidates = sets[0].intersection(*sets[1:])
+        else:
+            candidates = tterms
+        for te in candidates:
+            coeff = sc * tterms[te]
             res = list(te)
             for i, k in support:
                 n = te[i]

@@ -49,15 +49,18 @@ class StructureBasis:
 
 
 def _directional_poly(q_poly: MultiPoly, x: Matrix) -> MultiPoly:
-    """DQ(z)[Xz] = sum_a (Xz)_a dQ/dz_a."""
-    out = MultiPoly.zero(q_poly.vars)
-    partials: dict[int, MultiPoly] = {}
+    """DQ(z)[Xz] = sum_ab X_ab z_b dQ/dz_a, summed into one term map."""
+    out: dict[tuple[int, ...], Scalar] = {}
+    partials: dict[int, dict] = {}
     for (a, b), coeff in x.items():
         if a not in partials:
-            partials[a] = q_poly.diff(a)
-        zb = MultiPoly.variable(q_poly.vars, b)
-        out = out + (zb * partials[a]).scale(coeff)
-    return out
+            partials[a] = q_poly.diff(a).terms
+        for e, c in partials[a].items():
+            e2 = list(e)
+            e2[b] += 1
+            e2 = tuple(e2)
+            out[e2] = out.get(e2, 0) + coeff * c
+    return MultiPoly(q_poly.vars, out)
 
 
 def character_of(q_poly: MultiPoly, x: Matrix) -> Fraction:
@@ -109,10 +112,12 @@ def _bracket(x: dict, y: dict) -> dict:
     """XY - YX, exactly, without its zero entries."""
     out: Matrix = {}
     for left, right, sign in ((x, y, 1), (y, x, -1)):
+        rows: dict[int, list] = {}  # right's entries by row
+        for (b, c), cr in right.items():
+            rows.setdefault(b, []).append((c, cr))
         for (a, b), cl in left.items():
-            for (b2, c), cr in right.items():
-                if b == b2:
-                    out[(a, c)] = out.get((a, c), 0) + sign * cl * cr
+            for c, cr in rows.get(b, ()):
+                out[(a, c)] = out.get((a, c), 0) + sign * cl * cr
     return {k: v for k, v in out.items() if v}
 
 

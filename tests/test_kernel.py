@@ -245,16 +245,18 @@ def test_contour_blocks_sum_as_the_direct_phase_sum():
     (build_case(1), (0,)),
     (build_case(5), (0, 0, 0, 0)),
     (build_case(9, variant="a"), (0,)),
+    (build_case(10, variant="d"), (0, 8)),  # |G| within its floor below u ~ 0.012
 ])
 def test_sign_scan_brackets_same_from_grid_and_scalar(case, q):
     vals, brackets = sign_scan(case, q, grid=2000)
     a_red, b_red = meijer_params(case, q).reduced
     ev = MeijerEvaluator(b_red, a_red, precision=12)
-    scalar = [ev.eval(u) for u, _ in vals]
+    # the samples that have a sign, from scalar calls: |G| above its floor
+    signed = [(u, ev.eval(u)) for u, _ in vals]
+    signed = [(u, g) for u, g in signed if abs(g) > ev.noise_estimate(u)]
     assert brackets
-    assert brackets == [(u0, u1) for (u0, _), (u1, _), g0, g1
-                        in zip(vals, vals[1:], scalar, scalar[1:])
-                        if g0 != 0.0 and g1 != 0.0 and (g0 > 0) != (g1 > 0)]
+    assert brackets == [(u0, u1) for (u0, g0), (u1, g1) in zip(signed, signed[1:])
+                        if (g0 > 0) != (g1 > 0)]
 
 
 @pytest.mark.parametrize("grid", [1, 0, -5])
@@ -462,6 +464,16 @@ def test_sign_scan_case1():
     assert rep.status == "pass"
     vals, brackets = sign_scan(build_case(1), (0,))
     assert brackets and brackets[0][0] < 0.02 < brackets[0][1] * 10
+
+
+def test_sign_scan_counts_no_roundoff_sign_changes():
+    # for u below about 0.012, case 10d's G is smaller than its roundoff floor
+    # (|G| ~ 1e-33 near u = 1e-3), so the float signs there flip without a root
+    case = build_case(10, variant="d")
+    vals, brackets = sign_scan(case, (0, 8))
+    assert len(brackets) == 1 and brackets[0][0] < 42 < brackets[0][1], brackets
+    rep = sign_scan_report(case, (0, 8))
+    assert rep.status == "pass" and rep.residual == "1 sign changes"
 
 
 def test_small_u_power_law_case1():

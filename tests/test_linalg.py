@@ -16,7 +16,8 @@ def is_primitive(row):
 
 @st.composite
 def int_matrices(draw):
-    """Small integer matrices, some rows combinations of others (rank deficit)."""
+    """Small integer matrices, some rows combinations of others (rank deficit),
+    some with one entry (forcing that coordinate to 0)."""
     ncols = draw(st.integers(1, 6))
     entry = st.integers(-3, 3)
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5))
@@ -24,6 +25,9 @@ def int_matrices(draw):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
         a, b = draw(entry), draw(entry)
         rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    for _ in range(draw(st.integers(0, 2))):
+        j, c = draw(st.integers(0, ncols - 1)), draw(st.sampled_from((-2, -1, 1, 3)))
+        rows.insert(draw(st.integers(0, len(rows))), [c if k == j else 0 for k in range(ncols)])
     return ncols, [{k: v for k, v in enumerate(r) if v} for r in rows]
 
 
@@ -34,8 +38,10 @@ def test_rank_plus_nullity_is_ncols(matrix):
     frac_rows = [{k: F(v) for k, v in r.items()} for r in rows]
     basis = frac_nullspace(frac_rows, range(ncols))
     assert int_rank(rows) + len(basis) == ncols
+    forced = {k for r in rows if len(r) == 1 for k in r}
     for vec in basis:  # every basis vector solves the system exactly
         assert all(sum(c * vec.get(k, 0) for k, c in r.items()) == 0 for r in frac_rows)
+        assert all(vec.get(k, 0) == 0 for k in forced)
     span = FractionSpan()
     for r in frac_rows:
         span.add(r)

@@ -111,6 +111,8 @@ def test_canonical_form_and_immutability():
         p.terms = {}
     with pytest.raises(ValueError):
         MultiPoly(VS1, {(-1,): F(1)})
+    with pytest.raises(ValueError):
+        MultiPoly(VarSet.flat(["x", "y", "z"]), {(0, -1, 0): 1})
 
 
 # -- properties (hypothesis) ---------------------------------------------------
@@ -164,6 +166,28 @@ def test_coefficients_stay_canonical(p, q, symbol, c, a):
 @settings(max_examples=60, deadline=None)
 @given(polys(VS3, 2, 3), polys(VS3, 4, 6))
 def test_apply_diff_op_matches_iterated_diff(symbol, target):
+    assert apply_diff_op(symbol, target) == _apply_reference(symbol, target)
+
+
+VS8 = VarSet.flat([f"w{i}" for i in range(8)])
+
+
+@st.composite
+def sparse_polys(draw, vs, max_support, max_terms):
+    """Terms on a few variables each, mostly squarefree; a term may be constant."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = [0] * len(vs)
+        for i in draw(st.sets(st.integers(0, len(vs) - 1), max_size=max_support)):
+            e[i] = draw(st.sampled_from((1, 1, 1, 2, 3)))
+        terms[tuple(e)] = draw(small_fracs)
+    return MultiPoly(vs, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_polys(VS8, 3, 5), sparse_polys(VS8, 6, 14))
+def test_apply_diff_op_matches_iterated_diff_on_sparse_wide_polys(symbol, target):
+    # each symbol monomial meets only the target terms holding its whole support
     assert apply_diff_op(symbol, target) == _apply_reference(symbol, target)
 
 

@@ -5,11 +5,14 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focklab import structure
 from focklab.checks import STRUCTURE_ROWS
 from focklab.jordan import build_case, q_polynomial
 from focklab.linalg import FractionSpan
+from focklab.polyalg import MultiPoly
 from focklab.structure import (
     character_of,
     check_g_dimension,
@@ -53,6 +56,45 @@ def test_characters_are_exact():
     q = q_polynomial(case)
     for x, c in zip(sb.basis, sb.characters):
         assert character_of(q, x) == c
+
+
+def _directional_poly_reference(q, x):
+    # one MultiPoly X_ab z_b dQ/dz_a per entry, added up
+    out = MultiPoly.zero(q.vars)
+    for (a, b), c in x.items():
+        out = out + (MultiPoly.variable(q.vars, b) * q.diff(a)).scale(c)
+    return out
+
+
+def int_matrices(n):
+    slot = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return st.dictionaries(slot, st.integers(-4, 4), max_size=2 * n)
+
+
+@pytest.mark.parametrize("case", [build_case(5), build_case(9, variant="a")],
+                         ids=lambda c: c.label)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_directional_poly_and_character_on_random_matrices(case, data):
+    q = q_polynomial(case)
+    n = case.dim_v
+    x = data.draw(int_matrices(n))
+    assert structure._directional_poly(q, x) == _directional_poly_reference(q, x)
+    # Y = X + sum_i c_i B_i lies in Str exactly when X does, and the character
+    # is linear there; otherwise character_of must refuse Y
+    sb = structure_algebra(case)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=sb.dim, max_size=sb.dim))
+    y = dict(x)
+    for c, b in zip(coeffs, sb.basis):
+        for k, v in b.items():
+            y[k] = y.get(k, 0) + c * v
+    y = {k: v for k, v in y.items() if v}
+    if FractionSpan(sb.basis).contains(x):
+        assert character_of(q, y) == character_of(q, x) + sum(
+            c * chi for c, chi in zip(coeffs, sb.characters))
+    else:
+        with pytest.raises(ValueError):
+            character_of(q, y)
 
 
 @pytest.mark.parametrize(
