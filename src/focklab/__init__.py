@@ -10,7 +10,7 @@ Library layout (one module per subsystem):
   bernstein  Bernstein polynomials, roots, identity verification, gamma ratios
   sl2        eta0 admissibility, delta constants, Harish-Chandra symbol identity
   fock       graded Fock spaces, operators as affine monomial rules, sl2 relations
-             proved for every level m
+             and irreducibility proved for every level m
   kernel     kernel coefficient series, root/parameter tables, Meijer-G layer
   gammaratio Gamma ratios on a vertical line: bounded float Stirling, mpmath reference
   report     CheckReport record shared by all verification suites

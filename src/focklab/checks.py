@@ -102,7 +102,7 @@ COMMUTATOR_MATRIX = (
 )
 CASE4_Q = (1, 0, 0)  # the corrected half-integer case-(4) solution
 
-# (case, q) whose lowest piece must generate every interior block
+# (case, q) whose Fock module is proved irreducible on every block m >= 0
 CYCLICITY_MATRIX = (
     (build_case(1), (0,)), (build_case(1), (4,)),
     (build_case(3), (0, 0)), (build_case(5), (0, 0, 0, 0)),

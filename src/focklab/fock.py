@@ -12,9 +12,9 @@ where c is an exact polynomial in (m, j_1..j_s) over delta's denominator
 (kept as its roots in m), L is linear mod 2 and S = +-1.  Composing two
 rules is one affine substitution (`MultiPoly.substitute`), so
 rho(E) = sigma rho(F) sigma^{-1} is an honest conjugation done formally.
-A column is the rules evaluated at one key.  An image in a negative block
-is dropped, since D kills block 0; everywhere else the falling factorials
-vanish exactly where an image would leave its block.
+A column is the rules evaluated at one key (`OperatorMatrix.apply`).  An
+image in a negative block is dropped, since D kills block 0; everywhere else
+the falling factorials vanish exactly where an image would leave its block.
 
 `commutator_check` proves [rho(H), rho(E)] = 2 rho(E), [rho(H), rho(F)] =
 -2 rho(F) and [rho(E), rho(F)] = rho(H) on every block m >= 1.  It expands
@@ -29,8 +29,14 @@ are checked column by column, with columns evaluated from the same rules.
 
 `sigma_involution_check` proves sigma^2 = (-1)^{sum N_i} and sigma sigma^{-1}
 = sigma^{-1} sigma = 1 with the same prover.  sigma has dm = 0 and no poles,
-so that holds on every block m >= 0 and no column is read.  Columns serve
-only the block-1 fallback above and `cyclicity_check`.
+so that holds on every block m >= 0 and no column is read.
+
+`cyclicity_check` proves the module irreducible on every block m >= 0 (the
+K-type argument): the dk rules make each block an irreducible module and no
+two blocks isomorphic, and the two rules of rho(F) link every block to its
+neighbours.  Each hypothesis is a polynomial identity or sign certificate at
+formal m, so no column is read there either.  Columns serve only the
+block-1 fallback above.
 
 Operator-level construction is restricted to rank-1-product cases: there
 sigma is an exact signed permutation of each graded block.  Other families
@@ -41,20 +47,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import add, mul, sub
 
 from focklab.jordan import CaseDescriptor, Family
-from focklab.linalg import FractionSpan
-from focklab.polyalg import MultiPoly, Scalar, VarSet, rising
+from focklab.polyalg import MultiPoly, Scalar, VarSet, exact_coeff, rising
 from focklab.report import CheckReport, q_strings
 from focklab.sl2 import delta_constants, validate_q
 
 Key = tuple[int, tuple[int, ...]]  # (m, z-exponents)
 Vec = dict[Key, Scalar]
-Column = list[tuple[Key, Scalar]]
 
 
 class FockSpace:
@@ -77,9 +81,6 @@ class FockSpace:
 
     def block_basis(self, m: int) -> list[Key]:
         return [(m, js) for js in iproduct(*(range(n + 1) for n in self.degree_bounds(m)))]
-
-    def block_dim(self, m: int) -> int:
-        return math.prod(n + 1 for n in self.degree_bounds(m))
 
     def var(self, idx: int) -> MultiPoly:
         return MultiPoly.variable(self.ring, idx)
@@ -104,29 +105,6 @@ class Rule:
     parity: tuple[int, ...]
     num: MultiPoly
     poles: tuple[Fraction, ...] = ()
-    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def _at_block(self, m: int):
-        """The rule at block m over the integers, kept in _blocks: (terms, den,
-        L at j = 0, L's j bits or None, target offsets b0 + b1 m).
-
-        num(m, j) / prod_r (m - r) is sum(terms) / den, each term an int
-        coefficient and the j-variables of its monomial, repeated by power.
-        """
-        in_j: dict[tuple[int, ...], Scalar] = {}
-        for e, c in self.num.terms.items():
-            in_j[e[1:]] = in_j.get(e[1:], 0) + c * m ** e[0]
-        den = math.lcm(1, *(c.denominator for c in in_j.values()))
-        num_scale = den * math.prod(r.denominator for r in self.poles)
-        den *= math.prod(m * r.denominator - r.numerator for r in self.poles)
-        if den == 0:
-            raise ZeroDivisionError(f"rule {self} has a pole at block m = {m}")
-        terms = tuple((int(c * num_scale), tuple(v for v, k in enumerate(e) for _ in range(k)))
-                      for e, c in in_j.items() if c)
-        odd_j = self.parity[1:] if any(self.parity[1:]) else None
-        base = tuple(c0 + c1 * m for c0, c1 in zip(self.b0, self.b1))
-        got = self._blocks[m] = (terms, den, self.parity[0] * m, odd_j, base)
-        return got
 
     def after(self, inner: Rule) -> Rule:
         """self o inner: self's coefficient at inner's image, one affine substitution."""
@@ -156,34 +134,23 @@ class Rule:
         m, js = key
         if m + self.dm < 0:
             return None
-        terms, den, odd, odd_j, base = self._blocks.get(m) or self._at_block(m)
-        c = 0
-        for t, mono in terms:
-            for v in mono:
-                t *= js[v]
-            c += t
+        c = self.num.eval((m, *js))
         if c == 0:
             return None
-        if den != 1:
-            c = c // den if c % den == 0 else Fraction(c, den)
-        if odd_j is not None:
-            odd += sum(map(mul, js, odd_j))
-        if odd % 2:
+        if self.poles:
+            c = exact_coeff(c / math.prod(m - r for r in self.poles))
+        if sum(map(mul, self.parity, (m, *js))) % 2:
             c = -c
+        base = (c0 + c1 * m for c0, c1 in zip(self.b0, self.b1))
         target = tuple(map(add, js, base)) if self.s > 0 else tuple(map(sub, base, js))
         return (m + self.dm, target), c
 
 
 class OperatorMatrix:
-    """An operator on the graded Fock space: the sum of its affine monomial rules.
-
-    `column(key)` evaluates the rules at e_key the first time a check reads
-    it and keeps the result.
-    """
+    """An operator on the graded Fock space: the sum of its affine monomial rules."""
 
     def __init__(self, rules):
         self.rules: tuple[Rule, ...] = tuple(rules)
-        self._columns: dict[Key, Column] = {}
 
     def __matmul__(self, other: OperatorMatrix) -> OperatorMatrix:
         return OperatorMatrix(a.after(b) for a in self.rules for b in other.rules)
@@ -194,28 +161,15 @@ class OperatorMatrix:
     def scale(self, c: Scalar) -> OperatorMatrix:
         return OperatorMatrix(replace(r, num=r.num.scale(c)) for r in self.rules)
 
-    def column(self, key: Key) -> Column:
-        """The image of the basis monomial e_key, evaluated from the rules."""
-        col = self._columns.get(key)
-        if col is None:
-            out: Vec = {}
+    def apply(self, vec: Vec) -> Vec:
+        """The image of a finite vector, each e_key's column evaluated from the rules."""
+        out: Vec = {}
+        for key, coeff in vec.items():
             for rule in self.rules:
                 img = rule.image(key)
                 if img is not None:
-                    out[img[0]] = out.get(img[0], 0) + img[1]
-            col = self._columns[key] = [(t, c) for t, c in out.items() if c]
-        return col
-
-    def apply(self, vec: Vec) -> Vec:
-        out: Vec = {}
-        for key, coeff in vec.items():
-            for tgt, c in self.column(key):
-                nv = out.get(tgt, 0) + coeff * c
-                if nv:
-                    out[tgt] = nv
-                elif tgt in out:
-                    del out[tgt]
-        return out
+                    out[img[0]] = out.get(img[0], 0) + coeff * img[1]
+        return {k: c for k, c in out.items() if c}
 
 
 def _one_rule(space: FockSpace, num: MultiPoly, dm: int = 0, s: int = 1, b0=None, b1=None,
@@ -300,13 +254,11 @@ def dk_action(space: FockSpace, factor_index: int, generator: str) -> OperatorMa
 def _relation_holds(a: OperatorMatrix, b: OperatorMatrix, c: OperatorMatrix,
                     scale: Scalar, key: Key) -> bool:
     """A(B e_key) - B(A e_key) - scale * C e_key = 0, exactly, column by column."""
-    out: Vec = {}
-    for outer, inner, sign in ((a, b, 1), (b, a, -1)):
-        for mid, x in inner.column(key):
-            for tgt, y in outer.column(mid):
-                out[tgt] = out.get(tgt, 0) + sign * x * y
-    for tgt, z in c.column(key):
-        out[tgt] = out.get(tgt, 0) - scale * z
+    e = {key: 1}
+    out = a.apply(b.apply(e))
+    for vec, w in ((b.apply(a.apply(e)), -1), (c.apply(e), -scale)):
+        for tgt, x in vec.items():
+            out[tgt] = out.get(tgt, 0) + w * x
     return not any(out.values())
 
 
@@ -432,57 +384,80 @@ def sigma_involution_check(case: CaseDescriptor, q) -> CheckReport:
                        details=f"all m >= 0; {n_groups} groups")
 
 
-CYCLIC_TOP = 4  # the top block cyclicity_check reaches; it fills the blocks below
+def _dk_failure(space: FockSpace) -> str | None:
+    """Why the blocks may not be pairwise non-isomorphic irreducible dk-modules, or None.
+
+    Per factor i, h_i must be the diagonal rule 2 j_i - N_i(m), and e_i, f_i
+    nonzero multiples of j_i and j_i - N_i(m) that move j_i by -1 and +1.
+    Then h separates the monomials of block m, and e_i and f_i vanish on its
+    box only at its edges, so block m is the irreducible tensor product of the
+    sl2 modules V(N_i(m)).  Some k_i > 0, so N(m) grows with m and no two
+    blocks are isomorphic.
+    """
+    if not any(space.ks):
+        return "every k_i = 0: the blocks are isomorphic"
+    zeros = (0,) * space.case.s
+    for i in range(space.case.s):
+        j, n = space.var(i + 1), space.var(0).scale(space.ks[i]) + space.const(space.qs[i])
+        (jexp,) = j.terms
+        step = tuple(int(t == i) for t in range(space.case.s))
+        ji, ni = f"j_{i + 1}", f"N_{i + 1}(m)"
+        for g, b0, want, text in (("h", zeros, j.scale(2) - n, f"2 {ji} - {ni}"),
+                                  ("e", tuple(-x for x in step), j, f"c {ji}"),
+                                  ("f", step, j - n, f"c ({ji} - {ni})")):
+            r, *more = dk_action(space, i, g).rules
+            c = Fraction(r.num.terms.get(jexp, 0), want.terms[jexp])
+            if (more or (r.dm, r.s, r.b0, r.b1, r.poles) != (0, 1, b0, zeros, ())
+                    or any(r.parity) or not c or (g == "h" and c != 1)
+                    or r.num != want.scale(c)):
+                return f"{g}_{i + 1} is not the rule {text}"
+    return None
+
+
+def _link_failure(space: FockSpace) -> str | None:
+    """Why rho(F) may not link every block m to m + 1 and, for m >= 1, to m - 1, or None.
+
+    The dm = +1 rule must be M times a nonzero constant.  The dm = -1 rule
+    must be nonzero at e_{m,N(m)} for every m >= 1: its poles lie below 1,
+    and its numerator at j = N(m), m = 1 + t, has every coefficient of the
+    sign of its nonzero constant term, so it keeps that sign on t >= 0.
+    """
+    rules = sorted(rho_F(space).rules, key=lambda r: r.dm)
+    if [r.dm for r in rules] != [-1, 1]:
+        return "rho(F) is not one lowering and one raising rule"
+    down, up = rules
+    zeros, origin = (0,) * space.case.s, (0,) * len(space.ring)
+    if (up.s, up.b0, up.b1, up.poles) != (1, zeros, zeros, ()) or set(up.num.terms) != {origin}:
+        return "F up is not M times a nonzero constant"
+    if any(r >= 1 for r in down.poles):
+        return f"F down has a pole at m >= 1: {down.poles}"
+    m = space.var(0) + space.const(1)
+    top = down.num.substitute(
+        [m, *(m.scale(k) + space.const(q) for k, q in zip(space.ks, space.qs))])
+    c0 = top.terms.get(origin, 0)
+    if not c0 or any((c > 0) != (c0 > 0) for c in top.terms.values()):
+        return "F down at j = N(m) may vanish for some m >= 1"
+    return None
 
 
 def cyclicity_check(case: CaseDescriptor, q) -> CheckReport:
-    """Span of the lowest piece under rhoE, rhoF and the dk generators.
+    """Prove the Fock module irreducible on every block m >= 0 from its rules.
 
-    Operators are applied only to vectors in blocks m <= CYCLIC_TOP - 1, so
-    every image lies in blocks 0..CYCLIC_TOP; asserts the generated span
-    fills every block m <= CYCLIC_TOP - 1.
+    (i) Under the dk generators each block is an irreducible module, and
+    (ii) no two blocks are isomorphic (`_dk_failure`), so a dk-stable
+    subspace is a sum of whole blocks.  (iii) rho(F) sends each block to a
+    vector with a nonzero part in block m + 1 and, for m >= 1, in block
+    m - 1 (`_link_failure`), so a nonzero rho(F)-stable sum of whole blocks
+    holds them all.  No column is evaluated.
     """
     space = FockSpace(case, q)
-    qs = q_strings(tuple(Fraction(x) for x in q))
-    f = rho_F(space)
-    gens = [rho_E(space, f), f]
-    for i in range(case.s):
-        for g in "efh":
-            gens.append(dk_action(space, i, g))
-
-    span = FractionSpan()
-    frontier: list[Vec] = []
-    for key in space.block_basis(0):
-        v: Vec = {key: 1}
-        if span.add(v):
-            frontier.append(v)
-    while frontier:
-        new_frontier: list[Vec] = []
-        for v in frontier:
-            if any(k[0] >= CYCLIC_TOP for k in v):
-                continue  # boundary: its images would leave the checked blocks
-            for g in gens:
-                w = g.apply(v)
-                if not w:
-                    continue
-                if span.add(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
-
-    # the span must cover every interior block modulo the boundary block:
-    # adjoining all top-block units must reach the full dimension of blocks 0..CYCLIC_TOP
-    interior_dim = sum(space.block_dim(m) for m in range(CYCLIC_TOP))
-    top_dim = space.block_dim(CYCLIC_TOP)
-    for key in space.block_basis(CYCLIC_TOP):
-        span.add({key: 1})
-    got = span.dim - top_dim
-    ok = got >= interior_dim
+    qs = q_strings(space.qs)
+    failed = _dk_failure(space) or _link_failure(space)
     return CheckReport(
-        id=f"fock.cyclic.{case.label}.{'_'.join(qs)}",
-        case_id=case.label, q=qs,
-        status="pass" if ok else "fail",
-        residual=f"{got}/{interior_dim}",
-        details=f"interior blocks m<= {CYCLIC_TOP - 1}",
+        id=f"fock.cyclic.{case.label}.{'_'.join(qs)}", case_id=case.label, q=qs,
+        status="fail" if failed else "pass", residual=failed or "0",
+        details="" if failed else "irreducible, all m >= 0; blocks (x)_i V(N_i(m)) "
+                                  "under dk, linked by rho(F)",
     )
 
 

@@ -156,5 +156,5 @@ def test_criterion_12_cyclicity():
     ok = True
     for case, q in checks.CYCLICITY_MATRIX:
         rep = fock.cyclicity_check(case, q)
-        ok = ok and rep.status == "pass"
-    _line(12, ok, "generated span fills the interior truncation for cases (1), (3), (5) at M=4")
+        ok = ok and rep.status == "pass" and "all m >= 0" in rep.details
+    _line(12, ok, "Fock module irreducible on every block (all m >= 0) for cases (1), (3), (5)")

@@ -1,7 +1,9 @@
 """Graded Fock blocks and the affine monomial rules of the operators, rank-1-product cases."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -25,6 +27,7 @@ from focklab.fock import (
     sigma_inverse,
 )
 from focklab.jordan import build_case
+from focklab.polyalg import MultiPoly, VarSet
 
 
 def unit(key):
@@ -39,42 +42,42 @@ def test_truncation_rejects_non_rank1():
 
 def test_block_dims_case1():
     space = FockSpace(build_case(1), (F(0),))
-    assert [space.block_dim(m) for m in range(5)] == [1, 5, 9, 13, 17]
+    assert [len(space.block_basis(m)) for m in range(5)] == [1, 5, 9, 13, 17]
     assert FockSpace(build_case(1), (F(4),)).degree_bounds(1) == (8,)
 
 
 def test_op_M_examples():
     space5 = FockSpace(build_case(5), (F(0),) * 4)
-    assert mult_w(space5).column((0, (0, 0, 0, 0))) == [((1, (0, 0, 0, 0)), F(1))]
+    assert mult_w(space5).apply(unit((0, (0, 0, 0, 0)))) == {(1, (0, 0, 0, 0)): 1}
     space1 = FockSpace(build_case(1), (F(0),))
-    assert mult_w(space1).column((1, (3,))) == [((2, (3,)), F(1))]
+    assert mult_w(space1).apply(unit((1, (3,)))) == {(2, (3,)): 1}
 
 
 def test_op_D_examples():
     d = diff_q(FockSpace(build_case(1), (F(0),)))
-    assert d.column((1, (4,))) == [((0, (0,)), F(24))]
-    assert d.column((1, (3,))) == []
-    assert d.column((0, (0,))) == []  # D kills block 0
+    assert d.apply(unit((1, (4,)))) == {(0, (0,)): 24}
+    assert d.apply(unit((1, (3,)))) == {}
+    assert d.apply(unit((0, (0,)))) == {}  # D kills block 0
     space5 = FockSpace(build_case(5), (F(0),) * 4)
-    assert diff_q(space5).column((1, (1, 1, 1, 1))) == [((0, (0, 0, 0, 0)), F(1))]
+    assert diff_q(space5).apply(unit((1, (1, 1, 1, 1)))) == {(0, (0, 0, 0, 0)): 1}
 
 
 def test_op_rhoH_examples():
     space5 = FockSpace(build_case(5), (F(0),) * 4)
     # rho(H) 1 = 0 at m = 0 (zero entries are not stored)
-    assert rho_H(space5).column((0, (0, 0, 0, 0))) == []
+    assert rho_H(space5).apply(unit((0, (0, 0, 0, 0)))) == {}
     h = rho_H(FockSpace(build_case(1), (F(0),)))
-    assert h.column((1, (2,))) == []  # 2 - 4/2 = 0
-    assert h.column((1, (4,))) == [((1, (4,)), F(2))]
+    assert h.apply(unit((1, (2,)))) == {}  # 2 - 4/2 = 0
+    assert h.apply(unit((1, (4,)))) == {(1, (4,)): 2}
 
 
 def test_op_sigma_examples():
     s = sigma(FockSpace(build_case(1), (F(0),)))
-    assert s.column((1, (0,))) == [((1, (4,)), F(1))]  # 1 -> z^4, sign +
-    assert s.column((1, (4,))) == [((1, (0,)), F(1))]
+    assert s.apply(unit((1, (0,)))) == {(1, (4,)): 1}  # 1 -> z^4, sign +
+    assert s.apply(unit((1, (4,)))) == {(1, (0,)): 1}
     space5 = FockSpace(build_case(5), (F(0),) * 4)
-    col = sigma(space5).column((1, (1, 0, 0, 0)))
-    assert col == [((1, (0, 1, 1, 1)), F(-1))]  # spec example: sign -1
+    col = sigma(space5).apply(unit((1, (1, 0, 0, 0))))
+    assert col == {(1, (0, 1, 1, 1)): -1}  # spec example: sign -1
 
 
 def _sigma_with_j1_sign_flipped(space):
@@ -103,7 +106,7 @@ def test_sigma_involution_fails_with_one_sigma_sign_flipped(monkeypatch):
 
 
 def test_sigma_involution_reads_no_column(monkeypatch):
-    monkeypatch.setattr(OperatorMatrix, "column",
+    monkeypatch.setattr(OperatorMatrix, "apply",
                         lambda *args: pytest.fail("column evaluated"))
     for case, q in checks.COMMUTATOR_MATRIX:
         assert sigma_involution_check(case, q).status == "pass"
@@ -126,13 +129,13 @@ def test_rhoF_and_rhoE_case5():
     space = FockSpace(build_case(5), (F(0),) * 4)
     f = rho_F(space)
     # rho(F) 1 = w1 w2 w3 w4 (D kills constants)
-    assert f.column((0, (0, 0, 0, 0))) == [((1, (0, 0, 0, 0)), F(1))]
+    assert f.apply(unit((0, (0, 0, 0, 0)))) == {(1, (0, 0, 0, 0)): 1}
     e = rho_E(space, f)
-    col = dict(e.column((0, (0, 0, 0, 0))))
+    col = e.apply(unit((0, (0, 0, 0, 0))))
     assert col == {(1, (1, 1, 1, 1)): F(1)}  # multiplication by Q(z) w^k
     # E e_{m,j} = e_{m+1,j+1} - (m-j1)(m-j2)(m-j3)(m-j4)/(m(m+1)) e_{m-1,j}
-    assert dict(e.column((2, (0, 1, 2, 0)))) == {(3, (1, 2, 3, 1)): 1}  # (m - j3) = 0
-    assert dict(e.column((2, (1, 1, 0, 1)))) == {(3, (2, 2, 1, 2)): 1,
+    assert e.apply(unit((2, (0, 1, 2, 0)))) == {(3, (1, 2, 3, 1)): 1}  # (m - j3) = 0
+    assert e.apply(unit((2, (1, 1, 0, 1)))) == {(3, (2, 2, 1, 2)): 1,
                                                  (1, (1, 1, 0, 1)): F(-2, 6)}
 
 
@@ -141,9 +144,8 @@ def test_rhoE_weight_bookkeeping_case1():
     e = rho_E(space, rho_F(space))
     h = rho_H(space)
     # rho(E) 1 = z^4 w^4: Euler eigenvalue +4, m +1, net H-weight +2
-    col = dict(e.column((0, (0,))))
-    assert col == {(1, (4,)): F(1)}
     v_e = e.apply(unit((0, (0,))))
+    assert v_e == {(1, (4,)): F(1)}
     w_before = h.apply(unit((0, (0,))))
     assert w_before == {}
     w_after = h.apply(v_e)
@@ -279,9 +281,59 @@ def test_dk_relations():
 def test_dk_examples():
     space = FockSpace(build_case(1), (F(0),))
     h = dk_action(space, 0, "h")
-    assert h.column((1, (0,))) == [((1, (0,)), F(-4))]  # weight -km on constants
+    assert h.apply(unit((1, (0,)))) == {(1, (0,)): -4}  # weight -km on constants
     e = dk_action(space, 0, "e")
-    assert e.column((1, (1,))) == [((1, (0,)), F(1))]
+    assert e.apply(unit((1, (1,)))) == {(1, (0,)): 1}
+
+
+ORACLE_PAIRS = [(build_case(1), (0,)), (build_case(3), (0, 0)), (build_case(5), (1, 1, 1, 1))]
+
+
+def _by_block(space, ring, vec):
+    """{m: the polynomial in z of vec's part in block m}; every key must lie in its block."""
+    out = {}
+    for (m, js), c in vec.items():
+        assert all(0 <= j <= n for j, n in zip(js, space.degree_bounds(m)))
+        out[m] = out.get(m, MultiPoly.zero(ring)) + MultiPoly(ring, {js: c})
+    return out
+
+
+def _honest(space, op, i, m, psi):
+    """op (M, D, or e, f, h of factor i) on psi, a polynomial in z in block m: {block: image}."""
+    if op == "M":
+        out = {m + 1: psi}
+    elif op == "D":  # Q(d/dz), then division by prod w_i^{k_i}; there is no block -1
+        for v, k in enumerate(space.ks):
+            psi = psi.diff(v, k)
+        out = {m - 1: psi} if m > 0 else {}
+    else:  # e = d/dz, h = 2 z d/dz - N, f = z^2 d/dz - N z
+        zi, n = MultiPoly.variable(psi.vars, i), space.degree_bounds(m)[i]
+        out = {m: {"e": psi.diff(i), "h": (zi * psi.diff(i)).scale(2) - psi.scale(n),
+                   "f": zi * zi * psi.diff(i) - (zi * psi).scale(n)}[op]}
+    return {b: p for b, p in out.items() if not p.is_zero()}
+
+
+@pytest.mark.parametrize("case,q", ORACLE_PAIRS, ids=["c1q0", "c3q00", "c5q1111"])
+def test_rules_match_the_operators_on_polynomials(case, q):
+    # M, D and the dk generators applied to polynomials with MultiPoly products
+    # and diff, and sigma psi = prod (-z_i)^{N_i} psi(-1/z) evaluated on a grid
+    # of N_i + 1 points per variable, which fixes a polynomial of that degree
+    space = FockSpace(case, q)
+    ring = VarSet.flat(tuple(f"z{i}" for i in range(1, case.s + 1)))
+    ops = [("M", 0, mult_w(space)), ("D", 0, diff_q(space))]
+    ops += [(g, i, dk_action(space, i, g)) for i in range(case.s) for g in "efh"]
+    sig = sigma(space)
+    for m, js in (k for m in range(3) for k in space.block_basis(m)):
+        psi = MultiPoly(ring, {js: 1})
+        for op, i, rules in ops:
+            got = _by_block(space, ring, rules.apply(unit((m, js))))
+            assert got == _honest(space, op, i, m, psi), (op, i, m, js)
+        ns = space.degree_bounds(m)
+        ((block, got),) = _by_block(space, ring, sig.apply(unit((m, js)))).items()
+        assert block == m
+        for pt in product(*(range(1, n + 2) for n in ns)):
+            want = psi.eval([F(-1, x) for x in pt]) * math.prod((-x) ** n for x, n in zip(pt, ns))
+            assert got.eval(pt) == want, ("sigma", m, js, pt)
 
 
 def _sub(a, b):
@@ -305,9 +357,38 @@ def _scale(v, c):
      (build_case(3), (0, 0)), (build_case(5), (0, 0, 0, 0))],
     ids=["c1q0", "c1q4", "c3", "c5"],
 )
-def test_cyclicity(case, q):
+def test_cyclicity(case, q, monkeypatch):
+    # the proof reads rule polynomials at formal m, never a column
+    monkeypatch.setattr(OperatorMatrix, "apply",
+                        lambda *args: pytest.fail("column evaluated"))
     rep = cyclicity_check(case, q)
-    assert rep.status == "pass"
+    assert rep.status == "pass" and rep.details.startswith("irreducible, all m >= 0; ")
+
+
+def test_cyclicity_fails_when_rhoF_does_not_lower(monkeypatch):
+    # kappa = 0: the blocks m >= 1 form an invariant subspace, which span
+    # growth from block 0 cannot see, since M alone fills every block from it
+    real = fock.delta_constants
+    monkeypatch.setattr(fock, "delta_constants",
+                        lambda *args, **kwargs: (0, real(*args, **kwargs)[1]))
+    rep = cyclicity_check(build_case(5), (0, 0, 0, 0))
+    assert rep.status == "fail"
+    assert rep.residual == "F down at j = N(m) may vanish for some m >= 1"
+
+
+def test_cyclicity_fails_with_f1_off_by_a_constant(monkeypatch):
+    real = fock.dk_action
+
+    def shifted(space, i, generator):
+        op = real(space, i, generator)
+        if (i, generator) != (0, "f"):
+            return op
+        (r,) = op.rules
+        return OperatorMatrix([replace(r, num=r.num + space.const(1))])
+
+    monkeypatch.setattr(fock, "dk_action", shifted)
+    rep = cyclicity_check(build_case(1), (0,))
+    assert rep.status == "fail" and rep.residual == "f_1 is not the rule c (j_1 - N_1(m))"
 
 
 def test_monomial_norms_exact():
