@@ -6,7 +6,8 @@ gamma_ratio_float is vectorized numpy and returns a relative error bound
 with every value, and log_abs_gamma_ratio_float the same for log |F|, which
 does not overflow; gamma_ratio_mp is the mpmath reference at elevated working
 precision.  The Mellin-Barnes contour tables of focklab.kernel use the first
-and the last, the error bounds of its moments the second.
+and the last, the error bounds of its moments and residue series the second,
+and its closed-form moments the last.
 """
 
 from __future__ import annotations

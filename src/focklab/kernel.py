@@ -28,9 +28,11 @@ nodes t >= 0 are tabulated.  Each table is keyed on the parameters relative
 to its contour (b - min b, a - min b and the contour offset c + min b): by
 the shift identity u^sigma G(u; a, b) = G(u; a + sigma, b + sigma)
 (DLMF 16.19.2), parameter sets that differ by a common shift, such as q and
-q + 4 in case (1), share their tables.  Near u = 0, where the contour sum
-loses accuracy, G comes from its residue series (DLMF 16.17.2) for parameter
-sets without log terms, and raises ValueError for the others.
+q + 4 in case (1), share their tables.  The contours serve |ln u| <= 12.
+Below, G comes from its residue series (DLMF 16.17.2) for every parameter
+set: b_j an integer apart merge poles, whose residues carry powers of log u,
+and a Laurent series of the Gamma ratio at each pole gives them.  Above,
+evaluation raises ValueError.
 
 The moments int G(u) u^m du are taken by the trapezoidal rule in log u
 with a certified error bound (MeijerEvaluator.moment), and the case-(1)
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterator
 
 from focklab.bernstein import (
@@ -87,19 +89,15 @@ class SpectralParams:
         return (1 - self.eta0,) + self.roots  # type: ignore[return-value]
 
 
-def _remove_once(roots: list[Fraction], value: Fraction) -> bool:
-    if value in roots:
-        roots.remove(value)
-        return True
-    return False
-
-
 def _split_roots(case: CaseDescriptor, eta0: Fraction) -> tuple[str, tuple[Fraction, ...]]:
     """(kind, remaining roots of B, descending) once 0 and, if a root, 1 - eta0 go."""
     roots = sorted(case_b_roots(case), reverse=True)
-    if not _remove_once(roots, Fraction(0)):
+    if 0 not in roots:
         raise AssertionError("B(0) = 0 must hold")
-    kind = "case1" if _remove_once(roots, 1 - eta0) else "case2"
+    roots.remove(0)
+    kind = "case1" if 1 - eta0 in roots else "case2"
+    if kind == "case1":
+        roots.remove(1 - eta0)
     return kind, tuple(roots)
 
 
@@ -448,11 +446,7 @@ def meijer_param_table_suite() -> Iterator[CheckReport]:
                 mp.alpha == (a1, a2)
                 and sorted(mp.beta) == sorted(betas)
             )
-            try:
-                mp.reduced
-                cancel = True
-            except AssertionError:
-                cancel = False
+            cancel = mp.alpha[1] in mp.beta  # what MeijerParams.reduced needs
             yield CheckReport(
                 id=f"meijer.params.{case.label}.q{q1}",
                 case_id=case.label, q=[str(q1)],
@@ -485,9 +479,10 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
 # which noise_estimate charges ten times over
 TAIL_SHARE = 1e-17
 
-# the contour step h is sized so that aliasing stays under the roundoff floor
-# for every |ln u| <= LOG_U_BUDGET (see MeijerEvaluator)
-LOG_U_BUDGET = 26.0
+# the contours serve |ln u| <= LOG_U_BUDGET: their step h keeps aliasing under
+# the roundoff floor there (see MeijerEvaluator); below, the residue series
+# serves, and above, every evaluation raises
+LOG_U_BUDGET = 12.0
 
 
 @lru_cache(maxsize=64)
@@ -536,8 +531,9 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
     f_float, eps = gamma_ratio_float(b_re, a_re, nodes)
     # F(c - i t) = conj F(c + i t): the k < 0 half of the two-sided rule is
     # the conjugate of the k > 0 half, so its weight folds onto k > 0
-    fw_float = f_float * (h / math.pi)
-    fw_float[0] /= 2.0
+    weights = np.full(len(nodes), h / math.pi)
+    weights[0] /= 2.0
+    fw_float = f_float * weights
     err = eps * np.abs(fw_float)
     w_lo = float(((1.0 - eps) * np.abs(fw_float)).sum())
     tails = np.append(np.cumsum(err[::-1])[::-1], 0.0)  # tails[k] = sum_{j >= k} err_j
@@ -549,8 +545,7 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
         raise AssertionError(
             f"float Gamma ratio outside its bound at node {k}: {f_float[k]} vs "
             f"mpmath {f_mp[k]}, relative bound {eps[k]:.1e}")
-    fw = np.concatenate([f_mp, f_float[k0:]]) * (h / math.pi)
-    fw[0] /= 2.0
+    fw = np.concatenate([f_mp, f_float[k0:]]) * weights
     w_abs = float(np.abs(fw).sum())
     n = len(nodes)
     size = math.isqrt(n - 1) + 1
@@ -569,10 +564,8 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
 # phase array whatever the grid length
 EVAL_CHUNK = 512
 
-# below u = e^SERIES_LOG_U, G of a parameter set without log terms comes from
-# its residue series, whose summed tail there is at most SERIES_TAIL of each
-# leading term; the moment grid of such a set starts at SERIES_LOG_U
-SERIES_LOG_U = -12.0
+# the residue series takes poles until the Mellin-Barnes line left of them
+# bounds the rest, at u = e^-LOG_U_BUDGET, by SERIES_TAIL of its largest term
 SERIES_TAIL = 1e-17
 
 # the log-u trapezoid of MeijerEvaluator.moment: its step and its last node
@@ -594,57 +587,142 @@ def _contour_sum(ct: dict, log_u):
 
 
 @lru_cache(maxsize=64)
-def _residue_series(b: tuple[Fraction, ...], a: tuple[Fraction, ...],
-                    precision: int) -> tuple[tuple[float, float, tuple[float, ...]], ...]:
-    """Slater's residue sum of G^{q,0}_{p,q}(u; a; b), b_j apart by non-integers.
+def _residues(b: tuple[Fraction, ...], a: tuple[Fraction, ...], precision: int
+              ) -> tuple[Fraction, float, tuple[tuple[float, tuple[float, ...]], ...]]:
+    """The residue series of G^{q,0}_{p,q}(u; a; b) near u = 0, poles of any order.
 
-    G(u) = sum_k A_k u^{b_k} pF(q-1)(1 + b_k - a; 1 + b_k - b_l, l != k; s u)
-    with A_k = prod_{l != k} Gamma(b_l - b_k) / prod_j Gamma(a_j - b_k) and
-    s = (-1)^(p - q) (DLMF 16.17.2, https://dlmf.nist.gov/16.17).  Returns
-    (b_k, A_k, (t_0, t_1, ...)) per k, with the series coefficients t_i cut
-    where sum_{i >= n} |t_i| u^i <= SERIES_TAIL for every u <= e^SERIES_LOG_U.
-    The A_k are Gamma values at rational points, from mpmath at
-    max(20, precision + 8) digits; the t_i are exact rationals, rounded.
+    G(u) is the sum of Res F(s) u^{-s} over the poles of F(s) = prod
+    Gamma(b_j + s) / prod Gamma(a_j + s) right of a line Re s = c through no
+    pole, plus the Mellin-Barnes integral on that line, at most u^{-c} W(c)
+    (_log_line_l1; DLMF 16.17.2, https://dlmf.nist.gov/16.17, in its
+    confluent limit).  Returns (c, log W(c), poles); the pole at s = -e adds
+    u^e sum_d c_d (log u)^d, with c_d = f_{-1-d} (-1)^d / d! from the Laurent
+    series F(s + eps) = sum_k f_k eps^k.
 
-    The cut: for i past every pole, each step ratio |t_{j+1} u / t_j|, j >= i,
-    is at most rho(i) = u_max prod_r max(1, (i + |A_r|) / (i + D_r)) /
-    (prod_{l >= p} (i + D_l) (i + 1)), the numerator offsets A_r = 1 + b_k - a_r
-    paired with the first p denominator offsets D_l = 1 + b_k - b_l; so once
-    rho(i) < 1 the tail from term i is at most |t_i| u_max^i / (1 - rho(i)).
+    The b_j are grouped by value mod 1; a group's poles are s0 - n, n >= 0,
+    s0 = -min of the group.  At a point s = s0 + k right of every Gamma pole,
+    F(s + eps) = F(s) exp(sum_n eps^n / n! (sum psi^(n-1)(b_j + s) -
+    sum psi^(n-1)(a_j + s))), mpmath Gamma and polygamma at rationals at
+    max(20, precision + 8) digits.  The exact step F(s - 1 + eps) =
+    F(s + eps) prod (a + s - 1 + eps) / prod (b_j + s - 1 + eps) leads down
+    to s0 and on from pole to pole; it divides by eps once per b_j of the
+    group (so r terms from eps^0 keep f_-1 known for a group of r) and
+    multiplies by eps at each zero of 1/Gamma(a + s), so a pole's order
+    counts both: case (5)'s F = s Gamma(1 + s)^2 has double poles, and case
+    (10d) with q = (0, 8) none above s = -13.
+
+    The lines c sit mid-way in the widest gap between the poles mod 1 and
+    step left one at a time, taking every pole right of c, until at
+    u = e^-B, B = LOG_U_BUDGET, e^{B c} W(c) is at most SERIES_TAIL times
+    the largest term.
     """
     import mpmath as mp
 
-    u_max = math.exp(SERIES_LOG_U)
-    sign = -1 if (len(b) - len(a)) % 2 else 1
-    out = []
+    def mpq(x: Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+
+    def times_linear(series, c: Fraction, power: int):
+        # (low, [f_low, f_low+1, ...]) times (c + eps)^power, power = +-1,
+        # to the same top order
+        low, f = series
+        if c == 0:
+            return low + power, f
+        c = mpq(c)
+        if power > 0:
+            return low, [c * x + y for x, y in zip(f, [0] + f[:-1])]
+        out = []
+        for x in f:
+            out.append((x - (out[-1] if out else 0)) / c)
+        return low, out
+
+    def walk(s0: Fraction, length: int):
+        # from a point s = s0 + k where every Gamma argument is positive
+        s = s0 + max(0, math.floor(-min(a + b) - s0) + 1)
+        log_f, exp_f = [mp.mpf(0)] * length, [mp.mpf(1)]
+        for xs, sign in ((b, 1), (a, -1)):
+            for x in xs:
+                exp_f[0] *= mp.gamma(mpq(x + s)) ** sign
+                for n in range(1, length):
+                    log_f[n] += sign * mp.psi(n - 1, mpq(x + s)) / mp.factorial(n)
+        for n in range(1, length):
+            exp_f.append(sum(k * log_f[k] * exp_f[n - k] for k in range(1, n + 1)) / n)
+        series = (0, exp_f)
+        while True:
+            if s <= s0:
+                low, f = series
+                yield s, tuple(float(f[-1 - d - low] * (-1) ** d / math.factorial(d))
+                               for d in range(-low))
+            steps = [(x + s - 1, 1) for x in a] + [(x + s - 1, -1) for x in b]
+            series = reduce(lambda sr, cp: times_linear(sr, *cp), steps, series)
+            s -= 1
+
+    groups = {x % 1: [y for y in b if (y - x) % 1 == 0] for x in b}
+    fracs = sorted((-x) % 1 for x in groups)
+    gap, start = max((nxt - f, f) for f, nxt in zip(fracs, fracs[1:] + [fracs[0] + 1]))
+    c = start + gap / 2 + math.floor(-min(b) - start - gap / 2)
+    taken, logs = [], []
     with mp.workdps(max(20, precision + 8)):
-        for k, bk in enumerate(b):
-            rest = b[:k] + b[k + 1:]
-            coeff = mp.mpf(1)
-            for x in rest:
-                coeff *= mp.gamma(mp.mpf((x - bk).numerator) / (x - bk).denominator)
-            for x in a:
-                coeff *= mp.rgamma(mp.mpf((x - bk).numerator) / (x - bk).denominator)
-            num = [1 + bk - x for x in a]
-            den = [1 + bk - x for x in rest]
-            terms, t, i = [], Fraction(1), 0
-            while True:
-                if i + min(den) > 0:
-                    rho = u_max / (i + 1)
-                    for j, d in enumerate(den):
-                        rho *= max(1, (i + abs(num[j])) / (i + d)) if j < len(num) else 1 / (i + d)
-                    if rho < 1 and abs(t) * u_max ** i / (1 - rho) <= SERIES_TAIL:
-                        break
-                terms.append(float(t))
-                step = Fraction(sign, i + 1)
-                for x in num:
-                    step *= x + i
-                for x in den:
-                    step /= x + i
-                t *= step
-                i += 1
-            out.append((float(bk), float(coeff), tuple(terms)))
-    return tuple(out)
+        walks = [walk(-min(g), len(g)) for g in groups.values()]
+        heads = [next(w) for w in walks]
+        for _ in range(64):
+            for i, w in enumerate(walks):
+                while heads[i][0] > c:
+                    s, coeffs = heads[i]
+                    size = sum(abs(x) * LOG_U_BUDGET ** d for d, x in enumerate(coeffs))
+                    if size > 0:
+                        taken.append((float(-s), coeffs))
+                        logs.append(LOG_U_BUDGET * float(s) + math.log(size))
+                    heads[i] = next(w)
+            log_w = _log_line_l1(b, a, c)
+            if logs and LOG_U_BUDGET * float(c) + log_w <= math.log(SERIES_TAIL) + max(logs):
+                return c, log_w, tuple(taken)
+            c -= 1
+    raise ArithmeticError(f"no line left of {len(taken)} poles bounds the residue series' rest")
+
+
+def _node_sum(alpha: float, d: int, x0: float, h: float) -> float:
+    """h sum_{k >= 1} e^{alpha x_k} x_k^d over x_k = x0 - k h, alpha > 0, closed form.
+
+    x_k^d expands binomially in k, and with q = e^{-alpha h} the sums
+    L_j = sum_{k >= 1} k^j q^k obey (1 - q) L_j = q (1 + sum_{i < j} C(j, i) L_i)
+    (shift k by one).  For x0 < 0 every term has the sign (-1)^d: nothing cancels.
+    """
+    q, sums = math.exp(-alpha * h), []
+    for j in range(d + 1):
+        sums.append(q * (1 + sum(math.comb(j, i) * s for i, s in enumerate(sums)))
+                    / -math.expm1(-alpha * h))
+    return h * math.exp(alpha * x0) * sum(math.comb(d, j) * x0 ** (d - j) * (-h) ** j * s
+                                          for j, s in enumerate(sums))
+
+
+@lru_cache(maxsize=4096)
+def _log_line_l1(b: tuple[Fraction, ...], a: tuple[Fraction, ...], c: Fraction) -> float:
+    """log of a bound W(c) on (1/2pi) int |F(c + i t)| dt, so the Mellin-Barnes
+    integral on Re s = c is at most u^{-c} W(c) in absolute value.
+
+    For a line through no pole of the numerator Gammas.  |F| is bounded node
+    by node by log_abs_gamma_ratio_float and summed by the trapezoidal rule
+    with step 1/8 out to where it has fallen e^40 below its peak (F(c - i t)
+    is the conjugate of F(c + i t)); the sum is doubled to cover the rule's
+    error and the tail.
+    """
+    import numpy as np
+
+    from focklab.gammaratio import log_abs_gamma_ratio_float
+
+    step = 0.125
+    for t_max in (16, 64, 256, 1024, 4096):
+        ts = step * np.arange(int(t_max / step) + 1)
+        logs, delta = log_abs_gamma_ratio_float([x + c for x in b], [x + c for x in a], ts)
+        logs += delta
+        peak = float(logs.max())
+        if logs[-1] < peak - 40:
+            break
+    else:
+        raise ArithmeticError(f"|F| has not decayed by t = {t_max} on Re s = {c}")
+    weights = np.exp(logs - peak)
+    weights[0] /= 2
+    return peak + math.log(2 * step * float(weights.sum()) / math.pi)
 
 
 class MeijerEvaluator:
@@ -664,37 +742,28 @@ class MeijerEvaluator:
     summed error is at most 1e-17 w_abs, a tenth of the roundoff floor below
     (see _contour_table).
 
-    Evaluation.  With z = e^{-i h ln u} on the unit circle,
-
-        G(u) = u^{-c} Re sum_{k < n} fw_k z^k,
-
-    a polynomial in z.  It is summed by baby-step/giant-step (Paterson and
-    Stockmeyer, SIAM J. Comput. 2, 1973): with size = ceil(sqrt n) and
-    k = a size + b,
-
-        sum_k fw_k z^k = sum_a w^a sum_b fw_{a size + b} z^b,  w = z^size,
-
-    so one u costs size + count ~ 2 sqrt(n) complex exponentials instead of
-    n, and one multiply-add per node.  Each power is computed directly,
-    z^b = e^{-i (b h) ln u} and w^a = e^{-i (a size h) ln u}, not by repeated
-    multiplication, whose rounding would grow with the exponent: each phase
-    then carries a rounding error of order 1e-16 |t_k ln u|, as a direct
-    e^{-i t_k ln u} does, and the roundoff model of noise_estimate covers
-    it.  eval_grid sums an array of u, EVAL_CHUNK at a time so that its
-    (chunk, size + count) phase array stays small whatever the grid length,
-    and eval is eval_grid on one u.  The contraction (_contour_sum) is an
-    einsum on one thread: a matrix product (@) would hand it to BLAS
-    threads, which add CPU time on top of the wall time.
+    Evaluation.  With z = e^{-i h ln u} on the unit circle, G(u) =
+    u^{-c} Re sum_{k < n} fw_k z^k, a polynomial in z, summed by
+    baby-step/giant-step (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973):
+    with size = ceil(sqrt n), sum_k fw_k z^k = sum_a w^a sum_b fw_{a size + b}
+    z^b, w = z^size, so one u costs about 2 sqrt(n) complex exponentials.
+    Each power is computed directly, z^b = e^{-i (b h) ln u} and w^a =
+    e^{-i (a size h) ln u}, not by repeated multiplication, whose rounding
+    would grow with the exponent: each phase carries a rounding error of
+    order 1e-16 |t_k ln u|, as a direct e^{-i t_k ln u} does, which the
+    roundoff model of noise_estimate covers.  eval_grid sums EVAL_CHUNK u at a time,
+    so its (chunk, size + count) phase array stays small, and eval is
+    eval_grid on one u.  The contraction (_contour_sum) is an einsum on one
+    thread: a matrix product (@) would add BLAS threads' CPU time.
 
     Near u = 0.  On the near contour the roundoff floor 1e-15 w_abs u^{-c}
-    grows faster than G itself as u falls.  For a parameter set whose b_j
-    differ pairwise by non-integers, G below e^SERIES_LOG_U comes from the
-    residue series of _residue_series instead, accurate to its own floor
-    of 1e-15 times its terms' magnitudes; there log_u_floor = SERIES_LOG_U.
-    b_j an integer apart put log u terms into G there, which the series
-    does not carry, so for such a set (case 5, case 9a) the contour serves
-    down to e^-LOG_U_BUDGET = e^log_u_floor and every u below raises
-    ValueError.
+    grows faster than G itself as u falls, so below e^-LOG_U_BUDGET G comes
+    from its residue series (_residues) for every parameter set: a pole of
+    order r contributes u^{-s} times a polynomial of degree r - 1 in log u,
+    so b_j an integer apart (log terms, as in cases 2 to 10) need no second
+    path.  Its floor is 1e-15 times the terms' magnitudes plus the bound
+    u^{-c} W(c) on the Mellin-Barnes line left of the poles taken.  Above
+    e^LOG_U_BUDGET every evaluation raises ValueError (see Step size).
 
     Shared tables.  The shift identity u^sigma G(u; a, b) = G(u; a + sigma,
     b + sigma) (DLMF 16.19.2, https://dlmf.nist.gov/16.19) holds on the
@@ -715,25 +784,25 @@ class MeijerEvaluator:
 
         h = 2 pi / ((precision + 4) ln 10 / d + LOG_U_BUDGET)
 
-    both leading ones are negligible for every |ln u| <= LOG_U_BUDGET,
-    measured against the scale w_abs u^{-c} of the roundoff floor
-    1e-16 w_abs u^{-c} (see noise_estimate):
+    both leading ones are negligible for every |ln u| <= LOG_U_BUDGET = 12,
+    the range the contours serve, measured against the scale w_abs u^{-c}
+    of the roundoff floor 1e-16 w_abs u^{-c} (see noise_estimate):
 
     - k = -1 samples G near 0, where G(v) = O(v^{min beta}); relative to
-      u^{-c} it is O(u^d e^{-2 pi d / h}) <= 10^{-(precision+4)}, which binds
-      at large u;
+      u^{-c} it is O(u^d e^{-2 pi d / h}) <= 10^{-(precision+4)} for
+      ln u <= LOG_U_BUDGET, and unbounded above it, which is why u above
+      e^LOG_U_BUDGET raises;
     - k = +1 samples G at v = u e^{2 pi / h} >= e^{(precision+4) ln 10 / d},
       far out on its super-exponentially decaying tail; this is the term
       that binds at small u, and the reason LOG_U_BUDGET enters h.
     """
 
     def __init__(self, b_params, a_params, precision: int = 12):
-        self.b = [Fraction(x) for x in b_params]
-        self.a = [Fraction(x) for x in a_params]
+        self.b = tuple(Fraction(x) for x in b_params)
+        self.a = tuple(Fraction(x) for x in a_params)
         self.precision = precision
         min_b = min(self.b)
-        self.decay = len(self.b) - len(self.a)
-        if self.decay < 1:
+        if len(self.b) <= len(self.a):
             raise ValueError("need more numerator than denominator parameters")
         b_rel = tuple(sorted(x - min_b for x in self.b))
         a_rel = tuple(sorted(x - min_b for x in self.a))
@@ -746,13 +815,6 @@ class MeijerEvaluator:
                  c=float(offset - min_b))
             for offset in (Fraction(5, 4), Fraction(5, 4) + shift)
         ]
-        # b_j an integer apart merge poles of F, which puts log u terms into
-        # G near u = 0; without them the residue series serves u below
-        # e^SERIES_LOG_U, with them nothing serves u below the contour's range
-        self.log_terms = any((x - y).denominator == 1
-                             for i, x in enumerate(self.b) for y in self.b[i + 1:])
-        self.log_u_floor = -LOG_U_BUDGET if self.log_terms else SERIES_LOG_U
-        self._log_line_bounds: dict[Fraction, float] = {}
 
     @staticmethod
     def _log_scale(ct: dict, log_u):
@@ -760,36 +822,26 @@ class MeijerEvaluator:
         # u^{-c} alone overflows a float for tiny u on the far contour
         return ct["log_w_abs"] - ct["c"] * log_u
 
-    @staticmethod
-    def _positive(us):
-        import numpy as np
-
-        us = np.asarray(us, dtype=float)
-        if (us <= 0).any():
-            raise ValueError("u must be positive")
-        return us
-
     def _evaluate(self, us, log_us):
         """(G, its roundoff floor) at arrays of u and of their logs.
 
-        Each u at or above e^log_u_floor takes the contour with the smaller
-        roundoff scale; each u below it the residue series (_series), or
-        ValueError for a set with log terms.  ValueError also where G(u) or
-        its floor is not a finite float.  The phase array of _contour_sum
-        grows with the number of u, so long grids come EVAL_CHUNK u at a time.
+        Each u with |ln u| <= LOG_U_BUDGET takes the contour with the smaller
+        roundoff scale, and each u below e^-LOG_U_BUDGET the residue series
+        (_series).  ValueError above e^LOG_U_BUDGET, and where G(u) or its
+        floor is not a finite float.
         """
         import numpy as np
 
         values = np.empty(len(us))
         noise = np.empty(len(us))
-        below = log_us < self.log_u_floor
-        if below.any() and self.log_terms:
-            raise ValueError(
-                f"u = {float(us[below][0])!r} is below e^-{LOG_U_BUDGET:g}, the "
-                "contour's range, and G has log terms there")
+        above = log_us > LOG_U_BUDGET
+        if above.any():
+            raise ValueError(f"u = {float(us[above][0])!r} is above e^{LOG_U_BUDGET:g}, "
+                             "where the contour's aliasing is not bounded")
+        below = log_us < -LOG_U_BUDGET
         with np.errstate(over="ignore", invalid="ignore"):
             if below.any():
-                values[below], noise[below] = self._series(us[below])
+                values[below], noise[below] = self._series(us[below], log_us[below])
             # argmin keeps the first contour on a tie
             pick = np.argmin([self._log_scale(ct, log_us) for ct in self.contours], axis=0)
             for i, ct in enumerate(self.contours):
@@ -804,26 +856,25 @@ class MeijerEvaluator:
                              "roundoff floor is not a finite float")
         return values, noise
 
-    def _series(self, us):
-        """(G, its roundoff floor) at an array of u from the residue series.
-
-        The floor, 1e-15 times the sum of the terms' magnitudes, covers the
-        rounding of every term and the cut tail, at most SERIES_TAIL of them.
+    def _series(self, us, log_us):
+        """(G, its roundoff floor) at arrays of u and of their logs from the
+        residue series (_residues): the floor is 1e-15 times the terms'
+        magnitudes, for their rounding, plus u^{-c} W(c), the bound on the rest.
         """
         import numpy as np
 
-        values = np.zeros(len(us))
-        size = np.zeros(len(us))
-        for bk, ak, ts in _residue_series(tuple(self.b), tuple(self.a), self.precision):
-            power = us ** bk
-            poly = np.zeros(len(us))
-            poly_abs = np.zeros(len(us))
-            for t in reversed(ts):
-                poly = poly * us + t
-                poly_abs = poly_abs * us + abs(t)
-            values += ak * power * poly
-            size += abs(ak) * power * poly_abs
-        return values, 1e-15 * size
+        c, log_w, poles = _residues(self.b, self.a, self.precision)
+        values = size = 0.0
+        abs_log = np.abs(log_us)
+        for e, coeffs in poles:
+            poly = poly_abs = 0.0
+            for x in reversed(coeffs):
+                poly = poly * log_us + x
+                poly_abs = poly_abs * abs_log + abs(x)
+            power = us ** e
+            values += power * poly
+            size += power * poly_abs
+        return values, 1e-15 * size + np.exp(log_w - float(c) * log_us)
 
     def eval(self, u: float) -> float:
         """G(u); ValueError where eval_grid raises one for it."""
@@ -838,7 +889,9 @@ class MeijerEvaluator:
         EVAL_CHUNK u at a time (see _evaluate)."""
         import numpy as np
 
-        us = self._positive(us)
+        us = np.asarray(us, dtype=float)
+        if (us <= 0).any():
+            raise ValueError("u must be positive")
         values = np.empty(len(us))
         noise = np.empty(len(us))
         for start in range(0, len(us), EVAL_CHUNK):
@@ -849,18 +902,15 @@ class MeijerEvaluator:
 
     def noise_estimate(self, u: float) -> float:
         """Roundoff floor of eval(u) (absolute); ValueError where eval raises one."""
-        import numpy as np
-
-        us = self._positive([u])
-        return float(self._evaluate(us, np.log(us))[1][0])
+        return float(self._grid([u])[1][0])
 
     @cached_property
     def _moment_grid(self):
-        """(x, G(e^x), its floor) at x = log_u_floor + k MOMENT_STEP up to MOMENT_LOG_U_MAX."""
+        """(x, G(e^x), its floor) at x = -LOG_U_BUDGET + k MOMENT_STEP up to MOMENT_LOG_U_MAX."""
         import numpy as np
 
-        count = round((MOMENT_LOG_U_MAX - self.log_u_floor) / MOMENT_STEP)
-        x = self.log_u_floor + MOMENT_STEP * np.arange(count + 1)
+        count = round((MOMENT_LOG_U_MAX + LOG_U_BUDGET) / MOMENT_STEP)
+        x = -LOG_U_BUDGET + MOMENT_STEP * np.arange(count + 1)
         return (x, *self._evaluate(np.exp(x), x))
 
     def moment(self, m: int) -> tuple[float, float]:
@@ -868,20 +918,19 @@ class MeijerEvaluator:
 
         The trapezoidal rule in x = log u with step h = MOMENT_STEP over the
         whole line, h sum_k e^{(m+1) x_k} G(e^{x_k}) on the nodes
-        x_k = log_u_floor + k h, k any integer.
-        The nodes from log_u_floor to MOMENT_LOG_U_MAX take G, as eval_grid
-        would, from one evaluation per evaluator, which every m reuses.  Below it, for a
-        set without log terms, each residue-series term A u^beta sums over
-        the nodes in closed form, h e^{alpha x0} / (e^{alpha h} - 1) with
-        alpha = beta + m + 1; no endpoint correction enters, since the rule
-        stays the bi-infinite one.  The error bound is the sum of
+        x_k = x0 + k h, x0 = -LOG_U_BUDGET, k any integer.
+        The nodes from x0 to MOMENT_LOG_U_MAX take G, as eval_grid would,
+        from one evaluation per evaluator, which every m reuses.  Below x0
+        each residue-series term u^e (log u)^d sums over the nodes in closed
+        form (_node_sum); no endpoint correction enters, since the rule stays
+        the bi-infinite one.  The error bound is the sum of
 
         - the propagated roundoff, h sum_k e^{(m+1) x_k} noise_estimate(e^{x_k}),
           and the series' own floor;
         - the aliasing (_aliasing), exact by Poisson summation;
-        - the nodes above MOMENT_LOG_U_MAX (_upper_tail), and for a set with
-          log terms those below log_u_floor (_lower_tail), each bounded by a
-          Mellin-Barnes line: |G(u)| <= u^{-c} W(c) (_log_line_l1).
+        - the nodes above MOMENT_LOG_U_MAX (_upper_tail), and below x0 the
+          rest of the residue series, each bounded by a Mellin-Barnes line:
+          |G(u)| <= u^{-c} W(c) (_log_line_l1).
 
         The rule converges geometrically in 1/h for this analytic integrand
         (Trefethen and Weideman, SIAM Review 56 (2014) 385-458).
@@ -892,82 +941,37 @@ class MeijerEvaluator:
         weight = MOMENT_STEP * np.exp((m + 1) * x)
         value = float((weight * g).sum())
         err = float((weight * noise).sum()) + self._aliasing(m) + self._upper_tail(m)
-        if self.log_terms:
-            return value, err + self._lower_tail(m)
         low, low_err = self._series_moment(m)
         return value + low, err + low_err
 
     def _series_moment(self, m: int) -> tuple[float, float]:
-        """The nodes below log_u_floor from the residue series: (sum, its floor)."""
-        x0, h = self.log_u_floor, MOMENT_STEP
+        """The nodes below -LOG_U_BUDGET from the residue series: (sum, error bound).
+
+        The bound is the series' floor plus the rest on its line Re s = c:
+        h W(c) sum_{k >= 1} e^{(m + 1 - c) x_k}.
+        """
+        c, log_w, poles = _residues(self.b, self.a, self.precision)
+        x0, h = -LOG_U_BUDGET, MOMENT_STEP
         value = size = 0.0
-        for bk, ak, ts in _residue_series(tuple(self.b), tuple(self.a), self.precision):
-            if bk + m + 1 <= 0:
+        for e, coeffs in poles:
+            if e + m + 1 <= 0:
                 raise ValueError(f"moment {m} diverges at u = 0")
-            for i, t in enumerate(ts):
-                alpha = bk + i + m + 1
-                term = ak * t * h * math.exp(alpha * x0) / math.expm1(alpha * h)
+            for d, x in enumerate(coeffs):
+                term = x * _node_sum(e + m + 1, d, x0, h)
                 value += term
                 size += abs(term)
-        return value, 1e-15 * size
-
-    def _log_line_l1(self, c: Fraction) -> float:
-        """log of a bound W(c) on (1/2pi) int |F(c + i t)| dt, so |G(u)| <= u^{-c} W(c).
-
-        For c right of every numerator pole.  |F| is bounded node by node by
-        log_abs_gamma_ratio_float and summed by the trapezoidal rule with
-        step 1/8 out to where it has fallen e^40 below its peak (F(c - i t) is
-        the conjugate of F(c + i t)); the sum is doubled to cover the rule's
-        error and the tail.
-        """
-        if c not in self._log_line_bounds:
-            import numpy as np
-
-            from focklab.gammaratio import log_abs_gamma_ratio_float
-
-            step = 0.125
-            for t_max in (16, 64, 256, 1024, 4096):
-                ts = step * np.arange(int(t_max / step) + 1)
-                logs, delta = log_abs_gamma_ratio_float(
-                    [x + c for x in self.b], [x + c for x in self.a], ts)
-                logs += delta
-                peak = float(logs.max())
-                if logs[-1] < peak - 40:
-                    break
-            else:
-                raise ArithmeticError(f"|F| has not decayed by t = {t_max} on Re s = {c}")
-            weights = np.exp(logs - peak)
-            weights[0] /= 2
-            self._log_line_bounds[c] = peak + math.log(2 * step * float(weights.sum()) / math.pi)
-        return self._log_line_bounds[c]
+        return value, 1e-15 * size + _node_sum(m + 1 - float(c), 0, x0, h) * math.exp(log_w)
 
     def _upper_tail(self, m: int) -> float:
         """Bound on the nodes above MOMENT_LOG_U_MAX, best of a few lines.
 
         On Re s = c = m + 1 + d, d > 0: h sum_{k >= 1} e^{(m+1) x_k} |G(e^{x_k})|
-        <= h W(c) e^{-d x_max} / (e^{d h} - 1), x_k = x_max + k h.
+        <= W(c) h sum_{k >= 1} e^{-d x_k}, x_k = x_max + k h: _node_sum in -x.
         """
-        h, x_max = MOMENT_STEP, MOMENT_LOG_U_MAX
         return math.exp(min(
-            self._log_line_l1(Fraction(m + 1 + d)) - d * x_max + math.log(h / math.expm1(d * h))
+            _log_line_l1(self.b, self.a, Fraction(m + 1 + d))
+            + math.log(_node_sum(d, 0, -MOMENT_LOG_U_MAX, MOMENT_STEP))
             for d in (2, 4, 8, 16, 32, 64) if m + 1 + d > -min(self.b)))
-
-    def _lower_tail(self, m: int) -> float:
-        """Bound on the nodes below log_u_floor, best of a few lines near the poles.
-
-        On Re s = c = d - min b with alpha = m + 1 - c > 0: h sum_{k >= 1}
-        e^{(m+1) x_k} |G(e^{x_k})| <= h W(c) e^{alpha x0} / (e^{alpha h} - 1),
-        x_k = x0 - k h.  inf when no such line exists.
-        """
-        h, x0 = MOMENT_STEP, self.log_u_floor
-        logs = []
-        for d in (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-            c = d - min(self.b)
-            alpha = float(m + 1 - c)
-            if alpha > 0:
-                logs.append(self._log_line_l1(c) + alpha * x0
-                            + math.log(h / math.expm1(alpha * h)))
-        return math.exp(min(logs)) if logs else math.inf
 
     def _aliasing(self, m: int) -> float:
         """Bound on the aliasing error of the bi-infinite rule.
@@ -992,16 +996,11 @@ class MeijerEvaluator:
         return 2 * (float(np.exp(logs).sum()) + math.exp(logs[-1]) * ratio / (1 - ratio))
 
     def moment_closed(self, m: int) -> float:
-        """prod Gamma(beta_j + m + 1) / prod Gamma(alpha_j + m + 1), exact route."""
-        import mpmath as mp
+        """prod Gamma(beta_j + m + 1) / prod Gamma(alpha_j + m + 1), in mpmath."""
+        from focklab.gammaratio import gamma_ratio_mp
 
-        with mp.workdps(max(20, self.precision + 8)):
-            out = mp.mpf(1)
-            for bj in self.b:
-                out *= mp.gamma(mp.mpf(bj.numerator) / bj.denominator + m + 1)
-            for aj in self.a:
-                out /= mp.gamma(mp.mpf(aj.numerator) / aj.denominator + m + 1)
-            return float(out)
+        return gamma_ratio_mp([x + m + 1 for x in self.b], [x + m + 1 for x in self.a],
+                              [0.0], self.precision)[0].real
 
 
 @lru_cache(maxsize=64)

@@ -179,8 +179,8 @@ def test_meijer_eval_against_mpmath():
     (build_case(1), (0,), 13),  # odd precision: far contour offset 5/4 + 29/2
 ])
 def test_meijer_eval_within_noise_estimate(case, q, precision):
-    # across the whole log-u budget [e^-26, 1e3] the contour sum must sit
-    # within its own roundoff model against an independent dps-30 reference
+    # across [e^-26, 1e3], residue series below e^-12 and contour sums above,
+    # G must sit within its own roundoff model against a dps-30 reference
     import mpmath as mp
 
     a_red, b_red = meijer_params(case, q).reduced
@@ -198,14 +198,16 @@ def test_meijer_eval_within_noise_estimate(case, q, precision):
 
 
 def test_eval_grid_matches_eval_across_the_contour_switch():
-    # more u than one chunk, on both sides of the near/far contour switch
+    # more u than one chunk, on both sides of the near/far contour switch and
+    # of the switch from the residue series to the contours at e^-12
     import focklab.kernel as kernel
 
     ev = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
     us = [math.exp(-26.0 + 33.0 * i / 1199) for i in range(1200)]
     assert len(us) > 2 * kernel.EVAL_CHUNK
+    assert kernel.LOG_U_BUDGET == 12
     picked = {min(ev.contours, key=lambda ct: ev._log_scale(ct, math.log(u)))["c"]
-              for u in us if math.log(u) >= ev.log_u_floor}
+              for u in us if math.log(u) >= -kernel.LOG_U_BUDGET}
     assert picked == {ct["c"] for ct in ev.contours}
     grid = ev.eval_grid(us)
     assert grid.shape == (len(us),)
@@ -297,7 +299,7 @@ def test_shifted_parameters_share_one_table():
 
 
 def test_meijer_eval_far_below_the_log_u_budget():
-    # case (1) q=0 has no log terms: far below the contour's range its
+    # case (1) q=0 has simple poles only: far below the contour's range its
     # residue series gives G within its own roundoff floor of dps-30 mpmath
     import mpmath as mp
 
@@ -310,21 +312,81 @@ def test_meijer_eval_far_below_the_log_u_budget():
             assert abs(g - ref) <= ev.noise_estimate(u) <= 1e-14 * abs(ref), u
 
 
-def test_meijer_eval_below_the_log_u_budget_raises_with_log_terms():
-    # case (5)'s b = (1, 1, 1) merge into a triple pole, so G has log terms
-    # near 0 and no residue series here: below e^-26 every entry point raises
-    ev = MeijerEvaluator((1, 1, 1), (0,), precision=12)
-    assert ev.log_terms and math.isfinite(ev.eval(math.exp(-25.9)))
+# reduced (b, a) of sets whose b_j lie an integer apart, which merges poles:
+# cases 5 (a triple pole against one zero), 9a, 10d with q = (0, 8) (no pole
+# above s = -13), 2 with p = 2 and q = 0, and 4 with q = (1, 0, 0)
+LOG_TERM_SETS = (
+    ((1, 1, 1), (0,)),
+    ((4, F(7, 2), 3), (F(3, 2),)),
+    ((17, 13, 9), (8,)),
+    ((F(1, 2), 0, 0), (F(-1, 2),)),
+    ((1, 1, F(1, 2)), (0,)),
+)
+
+
+def _log_term_series_within_noise(b, a):
+    """eval and eval_grid against dps-30 mpmath at 1e-14, 1e-20 and, where
+    mpmath converges (not for case 10d), 1e-100, each within noise_estimate."""
+    import mpmath as mp
+
+    ev = MeijerEvaluator(b, a, precision=12)
+    us = (1e-14, 1e-20) if b == (17, 13, 9) else (1e-14, 1e-20, 1e-100)
+    b_mp = [mp.mpf(F(x).numerator) / F(x).denominator for x in b]
+    a_mp = [mp.mpf(F(x).numerator) / F(x).denominator for x in a]
+    with mp.workdps(30):
+        for u, g in zip(us, ev.eval_grid(us)):
+            ref = float(mp.meijerg([[], a_mp], [b_mp, []], u))
+            assert g == ev.eval(u)
+            assert abs(g - ref) <= ev.noise_estimate(u) <= 1e-14 * abs(ref), (b, u)
+
+
+@pytest.mark.parametrize("b, a", LOG_TERM_SETS, ids=["5", "9a", "10d", "2p2", "4"])
+def test_meijer_eval_log_term_series_against_mpmath(b, a):
+    # the one residue series carries the log u powers of merged poles
+    _log_term_series_within_noise(b, a)
+
+
+def test_log_term_series_fails_without_its_log_powers(monkeypatch):
+    # negative control: keep only each pole's log^0 coefficient
+    import focklab.kernel as kernel
+
+    real = kernel._residues.__wrapped__
+
+    def no_logs(b, a, precision):
+        c, log_w, poles = real(b, a, precision)
+        return c, log_w, tuple((e, coeffs[:1]) for e, coeffs in poles)
+
+    # cases 4 and 10d keep simple poles: a zero of 1/Gamma(a + s) meets each
+    # merged pair (case 4: F = s Gamma(1 + s) Gamma(1/2 + s))
+    orders = [{len(coeffs) for _, coeffs in real(tuple(map(F, b)), tuple(map(F, a)), 12)[2]}
+              for b, a in LOG_TERM_SETS]
+    assert orders == [{2}, {1, 2}, {1}, {2}, {1}]
+    monkeypatch.setattr(kernel, "_residues", no_logs)
+    for (b, a), order in zip(LOG_TERM_SETS, orders):
+        if max(order) > 1:
+            with pytest.raises(AssertionError):
+                _log_term_series_within_noise(b, a)
+
+
+def test_eval_above_the_log_u_budget_raises():
+    # above e^12 the contour's k = -1 aliasing term is unbounded (case 1 with
+    # q = 0 at e^30 gave 6.8e-197 where G is about 1e-2839436)
+    import focklab.kernel as kernel
+
+    ev = MeijerEvaluator((F(0), F(-1, 4), F(-1, 2)), (F(-3, 4),), precision=12)
+    top = kernel.LOG_U_BUDGET
+    assert math.isfinite(ev.eval(math.exp(top)))
+    u = math.exp(top + 1)
     for call in (ev.eval, ev.noise_estimate, lambda u: ev.eval_grid([1.0, u])):
-        with pytest.raises(ValueError, match="u = 1e-14 .* log terms"):
-            call(1e-14)
+        with pytest.raises(ValueError, match=f"u = {u!r} is above e\\^12"):
+            call(u)
 
 
 def test_eval_and_eval_grid_raise_alike_where_u_power_overflows():
     # case (1)'s parameters shifted by -60: u^(-60.5) in the residue series
     # overflows at 1e-200, and every entry point raises alike
     ev = MeijerEvaluator((F(-60), F(-241, 4), F(-121, 2)), (F(-243, 4),), precision=12)
-    assert not ev.log_terms and math.isfinite(ev.eval(1.0))
+    assert math.isfinite(ev.eval(1.0))
     for call in (ev.eval, ev.noise_estimate, lambda u: ev.eval_grid([1.0, u])):
         with pytest.raises(ValueError, match="u = 1e-200 "):
             call(1e-200)
@@ -532,6 +594,33 @@ def test_moments_and_bergman_hold_their_error_bounds(precision):
         rep = bergman_norm_case1(0, phi, precision=precision)
         assert rep.status == "pass", rep.details
         assert _detail(rep, "err_bound") <= 1e-10 * _detail(rep, "graded"), rep.details
+
+
+def test_moments_hold_on_every_feasible_pair():
+    # log-term sets included: case 2 with p = 2, q = 0 and case 3 with
+    # q = (0, 0) once missed 1e-10 by the unsummed tail below e^-26
+    from focklab.checks import feasible_pairs
+
+    pairs = feasible_pairs()
+    assert len(pairs) == 36
+    for case, q in pairs:
+        reports = [c for c in moment_check(case, q, m_max=5)
+                   if c.id.startswith("meijer.moment.")]
+        assert len(reports) == 6, (case.label, q)
+        for c in reports:
+            assert c.status == "pass", (c.id, c.residual, c.details)
+            assert _detail(c, "err_bound") <= 1e-10 * abs(_detail(c, "trapezoid")), c.id
+
+
+def test_node_sums_match_the_direct_sums():
+    # h sum_{k >= 1} e^{alpha x_k} x_k^d, x_k = -12 - k/4, summed term by term
+    from focklab.kernel import _node_sum
+
+    xs = [-12.0 - k / 4 for k in range(1, 4000)]
+    for alpha in (0.25, 1.0, 7.5):
+        for d in range(4):
+            direct = math.fsum(0.25 * math.exp(alpha * x) * x ** d for x in xs)
+            assert _node_sum(alpha, d, -12.0, 0.25) == pytest.approx(direct, rel=1e-14)
 
 
 def test_bergman_norm_q4():
