@@ -166,13 +166,28 @@ class Entry:
 
 
 def _eta0(case: CaseDescriptor) -> list[CheckReport]:
+    """Feasibility as the catalog says, and on each minimal q the solver's eta0
+    and q relations against eta0_of, which reads the grading constraint itself."""
     adm = sl2.solve_eta0(case)
-    ok = adm.feasible == (case.case_id != 11)
+    (slope, icpt), wrong = adm.eta0_affine, []
+    for q in adm.minimal_q:
+        try:
+            eta0 = sl2.eta0_of(case, q)
+        except ValueError as exc:
+            eta0 = exc
+        if (eta0 != slope * q[0] + icpt or len(adm.q_relations) != len(q)
+                or any(qi != a * q[0] + b for qi, (a, b) in zip(q, adm.q_relations))):
+            wrong.append(f"q=({', '.join(q_strings(q))}): eta0_of gives {eta0}")
+    ok = adm.feasible == (case.case_id != 11) and not wrong
     detail = "infeasible confirmed" if not adm.feasible else adm.constraint
     if adm.feasible and not adm.strict_feasible:
         detail += "; half-integer lattice only (order-2 cover)"
+    if adm.minimal_q:
+        detail += (f"; eta0 and q relations checked against eta0_of on "
+                   f"{len(adm.minimal_q)} minimal q")
     return [CheckReport(id=f"sl2.eta0.{case.label}", case_id=case.label,
-                        status="pass" if ok else "fail", details=detail)]
+                        status="pass" if ok else "fail", residual="; ".join(wrong) or "0",
+                        details=detail)]
 
 
 def _pm_forced() -> list[CheckReport]:

@@ -215,14 +215,12 @@ def cmd_export(args) -> int:
                 for m, c in enumerate(ks.coeffs):
                     print(f"{m},{c.numerator},{c.denominator}", file=out)
         elif args.what == "moments":
-            params = kernel.meijer_params(case, q)
-            a_red, b_red = params.reduced
-            ev = kernel.MeijerEvaluator(b_red, a_red, precision=precision)
+            ev = kernel.meijer_evaluator(case, q, precision)
             print("m,trapezoid,closed_form,rel_err,err_bound", file=out)
             missed = []
             for m in range(args.m_max + 1):
                 mu, err_bound = ev.moment(m)
-                g = ev.moment_closed(m)
+                g = ev.symbol.at(m + 1, precision)
                 print(f"{m},{mu:.15e},{g:.15e},{abs(mu - g) / abs(g):.3e},{err_bound:.3e}",
                       file=out)
                 if abs(mu - g) > err_bound:

@@ -1,20 +1,19 @@
-"""Ratios of complex Gamma products along a vertical line, in floats and in mpmath.
+"""The Mellin symbol of the weight: F(s) = prod Gamma(b_j + s) / prod Gamma(a_k + s).
 
-F(t) = prod_j Gamma(x_j + i t) / prod_k Gamma(y_k + i t) for exact rational
-real parts x_j (numerator) and y_k (denominator), at an array of t.
-gamma_ratio_float is vectorized numpy and returns a relative error bound
-with every value, and log_abs_gamma_ratio_float the same for log |F|, which
-does not overflow; gamma_ratio_mp is the mpmath reference at elevated working
-precision.  The Mellin-Barnes contour tables of focklab.kernel use the first
-and the last, the error bounds of its moments and residue series the second,
-and its closed-form moments the last.
+MellinSymbol(b, a) owns F for exact rational parameters.  On a vertical line
+Re s = c it gives F in vectorized floats with a relative error bound (line),
+log |F| with an absolute bound, which does not overflow (log_abs_line), and
+the mpmath reference (line_mp); at a real point F (at) and its Taylor series
+(taylor) in mpmath; at a rational s the exact sign of F (sign), and from it
+a proved sign change of the weight (sign_change).  focklab.kernel reads F
+only through it.  numpy and mpmath load on first use.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from dataclasses import dataclass
+from fractions import Fraction
 
 # Stirling's series for log Gamma(w) with Re w >= STIRLING_R (DLMF 5.11.1):
 # the coefficients B_2k / (2k (2k - 1)) for k < K, and |B_2K| / (2K (2K - 1))
@@ -35,6 +34,8 @@ def log_gamma_float(w):
     with sec^2(ph(w) / 2) = 2|w| / (|w| + Re w).  Rounding adds a few units of
     eps times each term: |(w - 1/2) log w| + |w| + 1 bounds them all.
     """
+    import numpy as np
+
     log_w = np.log(w)
     inv = 1.0 / w
     inv2 = inv * inv
@@ -49,79 +50,143 @@ def log_gamma_float(w):
     return value, truncation + _ROUNDING * (np.abs(head) + r + 1.0)
 
 
-def _gamma_ratio_parts(b_re, a_re, ts):
-    """(ratio, log_f, delta) with F = ratio e^log_f and |log F - log F_float| <= delta.
-
-    Each argument z = x + i t is raised by the recurrence to w = z + N with
-    Re w >= STIRLING_R: Gamma(z) = Gamma(w) / (z)_N, and 1/Gamma(z) =
-    (z)_N / Gamma(w) is entire, so no reflection is needed and a pole of a
-    denominator Gamma gives an exact zero.  The log Gammas are summed in
-    log_f; the Pochhammer products stay outside the log, in ratio.  delta is
-    the summed log-Gamma error bounds plus the rounding of each of the N + 1
-    complex products and quotients of each argument.
-    """
-    log_f = np.zeros(len(ts), dtype=complex)
-    delta = np.zeros(len(ts))
-    ratio = np.ones(len(ts), dtype=complex)
-    products = 1
-    for numerator, xs in ((True, b_re), (False, a_re)):
-        for x in xs:
-            z = float(x) + 1j * ts
-            shift = max(0, math.ceil(STIRLING_R - x))
-            poch = np.ones(len(ts), dtype=complex)
-            for j in range(shift):
-                poch *= z + j
-            value, error = log_gamma_float(z + shift)
-            if numerator:
-                log_f += value
-                ratio /= poch
-            else:
-                log_f -= value
-                ratio *= poch
-            delta += error
-            products += shift + 1
-    return ratio, log_f, delta + _ROUNDING * products
-
-
-def gamma_ratio_float(b_re, a_re, ts):
-    """prod Gamma(x + i t) over b_re / prod Gamma(x + i t) over a_re, in floats.
-
-    Returns (F, eps) at every t of the array ts, with |F - F_exact| <= eps |F_exact|,
-    eps = e^delta - 1 for the delta of _gamma_ratio_parts.
-    """
-    ratio, log_f, delta = _gamma_ratio_parts(b_re, a_re, ts)
-    return ratio * np.exp(log_f), np.expm1(delta)
-
-
-def log_abs_gamma_ratio_float(b_re, a_re, ts):
-    """log |F| for the ratio of gamma_ratio_float, and a bound on its error.
-
-    Returns (L, delta) with |log |F_exact| - L| <= delta at every t; L is
-    -inf where a denominator Gamma has a pole.  Unlike F itself, L does not
-    overflow for large real parts.
-    """
-    ratio, log_f, delta = _gamma_ratio_parts(b_re, a_re, ts)
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(ratio)) + log_f.real, delta
-
-
-def gamma_ratio_mp(b_re, a_re, ts, precision: int) -> list[complex]:
-    """The ratio of gamma_ratio_float with mpmath, rounded to complex at each t.
-
-    The real parts are exact Fractions; the working precision is
-    max(20, precision + 8) digits.
-    """
+def mpq(x: Fraction):
+    """The rational x as an mpmath number at the working precision."""
     import mpmath as mp
 
-    with mp.workdps(max(20, precision + 8)):
-        b_mp = [mp.mpf(x.numerator) / x.denominator for x in b_re]
-        a_mp = [mp.mpf(x.numerator) / x.denominator for x in a_re]
-        fvals = []
-        for t in ts:
-            f = mp.mpf(1)
-            for x in b_mp:
-                f *= mp.gamma(mp.mpc(x, t))
-            for x in a_mp:
-                f *= mp.rgamma(mp.mpc(x, t))
-            fvals.append(complex(f))
-    return fvals
+    return mp.mpf(x.numerator) / x.denominator
+
+
+@dataclass(frozen=True)
+class MellinSymbol:
+    """F(s) = prod Gamma(b_j + s) / prod Gamma(a_k + s) for rational b and a.
+
+    This is the Mellin transform of G^{q,0}_{p,q}(u | a; b) on the strip
+    Re s > -min b (DLMF 16.17.1, https://dlmf.nist.gov/16.17).  Both tuples are
+    stored as sorted Fractions, so equal symbols hash alike and key caches.
+    """
+
+    b: tuple[Fraction, ...]
+    a: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", tuple(sorted(map(Fraction, self.b))))
+        object.__setattr__(self, "a", tuple(sorted(map(Fraction, self.a))))
+
+    def shifted(self, sigma) -> MellinSymbol:
+        """The symbol of F(s + sigma): every parameter plus sigma."""
+        return MellinSymbol(tuple(x + sigma for x in self.b), tuple(x + sigma for x in self.a))
+
+    def _parts(self, c, ts):
+        """(ratio, log_f, delta) with F(c + i t) = ratio e^log_f and
+        |log F - log F_float| <= delta.
+
+        Each argument z = x + c + i t is raised by the recurrence to w = z + N
+        with Re w >= STIRLING_R: Gamma(z) = Gamma(w) / (z)_N, and 1/Gamma(z) =
+        (z)_N / Gamma(w) is entire, so no reflection is needed and a pole of a
+        denominator Gamma gives an exact zero.  The log Gammas are summed in
+        log_f; the Pochhammer products stay outside the log, in ratio.  delta
+        is the summed log-Gamma error bounds plus the rounding of each of the
+        N + 1 complex products and quotients of each argument.
+        """
+        import numpy as np
+
+        log_f = np.zeros(len(ts), dtype=complex)
+        delta = np.zeros(len(ts))
+        ratio = np.ones(len(ts), dtype=complex)
+        products = 1
+        for sign, xs in ((1, self.b), (-1, self.a)):
+            for x in xs:
+                z = float(x + c) + 1j * ts
+                shift = max(0, math.ceil(STIRLING_R - (x + c)))
+                poch = np.ones(len(ts), dtype=complex)
+                for j in range(shift):
+                    poch *= z + j
+                value, error = log_gamma_float(z + shift)
+                log_f += sign * value
+                ratio = ratio / poch if sign > 0 else ratio * poch
+                delta += error
+                products += shift + 1
+        return ratio, log_f, delta + _ROUNDING * products
+
+    def line(self, c, ts):
+        """(F, eps) at s = c + i t for every t of the array ts, in floats, with
+        |F - F_exact| <= eps |F_exact|, eps = e^delta - 1 for the delta of _parts."""
+        import numpy as np
+
+        ratio, log_f, delta = self._parts(c, ts)
+        return ratio * np.exp(log_f), np.expm1(delta)
+
+    def log_abs_line(self, c, ts):
+        """(L, delta) with |log |F(c + i t)| - L| <= delta at every t of ts; L is
+        -inf where a denominator Gamma has a pole.  Unlike F, L does not overflow."""
+        import numpy as np
+
+        ratio, log_f, delta = self._parts(c, ts)
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(ratio)) + log_f.real, delta
+
+    def line_mp(self, c: Fraction, ts, precision: int) -> list[complex]:
+        """F(c + i t) with mpmath, rounded to complex at each t, for an exact c;
+        the working precision is max(20, precision + 8) digits."""
+        import mpmath as mp
+
+        with mp.workdps(max(20, precision + 8)):
+            b, a = [mpq(x + c) for x in self.b], [mpq(x + c) for x in self.a]
+            return [complex(mp.fprod([mp.gamma(mp.mpc(x, t)) for x in b]
+                                     + [mp.rgamma(mp.mpc(x, t)) for x in a])) for t in ts]
+
+    def at(self, s: Fraction, precision: int) -> float:
+        """F(s) at a real rational s with mpmath (see line_mp)."""
+        return self.line_mp(s, [0.0], precision)[0].real
+
+    def taylor(self, s: Fraction, length: int) -> list:
+        """[f_0, .., f_{length-1}], F(s + eps) = sum f_k eps^k + O(eps^length), in
+        mpmath, where every Gamma argument is positive: F(s + eps) = F(s) exp(sum_n
+        eps^n / n! (sum psi^(n-1)(b_j + s) - sum psi^(n-1)(a_k + s)))."""
+        import mpmath as mp
+
+        log_f, exp_f = [mp.mpf(0)] * length, [mp.mpf(1)]
+        for xs, sign in ((self.b, 1), (self.a, -1)):
+            for x in xs:
+                exp_f[0] *= mp.gamma(mpq(x + s)) ** sign
+                for n in range(1, length):
+                    log_f[n] += sign * mp.psi(n - 1, mpq(x + s)) / mp.factorial(n)
+        for n in range(1, length):
+            exp_f.append(sum(k * log_f[k] * exp_f[n - k] for k in range(1, n + 1)) / n)
+        return exp_f
+
+    def sign(self, s) -> int:
+        """The exact sign of F at a rational s: 1, -1, or 0 at a zero; ValueError at a pole.
+
+        Gamma(x) > 0 for x > 0, and for a non-integer x < 0 its sign is
+        (-1)^ceil(-x).  At x = -n, n = 0, 1, ..., Gamma(x + eps) ~ (-1)^n /
+        (n! eps): each such argument adds (-1)^n to the sign and one to the
+        order of the pole of F at s, or takes one off it in the denominator.
+        """
+        sign, order = 1, 0
+        for xs, power in ((self.b, 1), (self.a, -1)):
+            for x in xs:
+                if x + s <= 0:
+                    sign *= (-1) ** math.ceil(-(x + s))
+                    order += power * ((x + s).denominator == 1)
+        if order > 0:
+            raise ValueError(f"F has a pole at s = {s}")
+        return sign if order == 0 else 0
+
+    def sign_change(self) -> tuple[Fraction, Fraction] | None:
+        """(s-, s+) with F(s-) < 0 < F(s+) in the strip Re s > -min b, or None.
+
+        For one a below min b: s- is the midpoint of (max(-1 - a, -min b), -a),
+        where a + s- lies in (-1, 0) and every b_j + s- > 0, and s+ = 1 - a.
+        If the G with Mellin transform F were >= 0, F(s) = int G(u) u^(s-1) du
+        would be > 0 on the whole strip: so F(s-) < 0 < F(s+), both signs exact
+        (sign), prove that G takes both signs, and a continuous G changes sign.
+        """
+        if len(self.a) != 1:
+            return None
+        (a,), low = self.a, -min(self.b)
+        s_minus, s_plus = (max(-1 - a, low) - a) / 2, 1 - a
+        if s_minus <= low or self.sign(s_minus) >= 0 or self.sign(s_plus) <= 0:
+            return None
+        return s_minus, s_plus

@@ -6,42 +6,22 @@ degree-4 Bernstein polynomial B give (alpha2, alpha3) or the primed triple,
 and the shifted polynomial Btilde supplies the four b-roots feeding the
 Meijer parameters alpha = (eta0-1, eta0), beta_j = eta0 + b_j - 1.
 
-The G-function G^{4,0}_{2,4} (always reducible to G^{3,0}_{1,3}: one beta
-equals one alpha in every catalog row) is evaluated by direct Mellin-Barnes
-quadrature along two vertical contours strictly right of all numerator-Gamma
-poles, each integrated by the trapezoidal rule.  The rule converges
-exponentially for this analytic, super-exponentially decaying integrand; its
-step h comes from the exact Poisson aliasing identity and is sized so the
-aliasing error stays below the evaluator's own roundoff floor (see
-MeijerEvaluator).  The Gamma products on the nodes are tabulated once per
-contour: a vectorized float log-Gamma (recurrence shift, then Stirling's
-series with its remainder bound, DLMF 5.11) gives each node's value and
-relative error bound, and mpmath at elevated working precision recomputes the
-leading nodes, where the weights matter, until the float tail's summed error
-bound is below a tenth of the roundoff floor.  The nodes are uniform, so
-each G(u) evaluation is a polynomial in one phase on the unit circle, summed
-by baby-step/giant-step with about 2 sqrt(n) exponentials for n nodes, for one
-u or a chunk of a grid at a time; repeated beta parameters cost nothing
-because the integrand stays smooth on the contour.  The parameters are real,
-so the integrand on t < 0 is the conjugate of that on t > 0 and only the
-nodes t >= 0 are tabulated.  Each table is keyed on the parameters relative
-to its contour (b - min b, a - min b and the contour offset c + min b): by
-the shift identity u^sigma G(u; a, b) = G(u; a + sigma, b + sigma)
-(DLMF 16.19.2), parameter sets that differ by a common shift, such as q and
-q + 4 in case (1), share their tables.  The contours serve |ln u| <= 12.
-Below, G comes from its residue series (DLMF 16.17.2) for every parameter
-set: b_j an integer apart merge poles, whose residues carry powers of log u,
-and a Laurent series of the Gamma ratio at each pole gives them.  Above,
-evaluation raises ValueError.
-
-The moments int G(u) u^m du are taken by the trapezoidal rule in log u
-with a certified error bound (MeijerEvaluator.moment), and the case-(1)
-Bergman cross-check reduces to them through exact Beta integrals.
+The weight G^{4,0}_{2,4} reduces to G^{3,0}_{1,3} (one beta equals alpha2 in
+every catalog row), represented once by its Mellin symbol F(s) = prod
+Gamma(beta_j + s) / Gamma(alpha1 + s) (MeijerParams.symbol), through which
+every numeric path reads F: MeijerEvaluator takes G by Mellin-Barnes
+quadrature on two contours for |ln u| <= 12, from tables of F shared by
+symbols a common shift apart, and below e^-12 from its residue series
+(DLMF 16.17.2); the moments int G(u) u^m du = F(m + 1) come with a certified
+error bound, and the case-(1) Bergman cross-check reduces to them through
+exact Beta integrals.  That G takes both signs is proved from the exact sign
+of F at two rationals (MellinSymbol.sign_change) and located on a grid.
 
 The exact c_m series is built from c_0 = 1 by its three-root recurrence
 ratio, a pair of polynomials in a formal m; that the closed Pochhammer form
 has the same step ratio is checked once, as a polynomial identity in m (see
-c_sequence).  moment_check proves the (c a)_m Pochhammer law the same way.
+c_sequence).  moment_check proves the (c a)_m law against F's step the same
+way.
 """
 
 from __future__ import annotations
@@ -63,6 +43,7 @@ from focklab.bernstein import (
     ratio_at,
 )
 from focklab.fock import beta_integral
+from focklab.gammaratio import MellinSymbol, mpq
 from focklab.jordan import CaseDescriptor, build_case
 from focklab.polyalg import MultiPoly
 from focklab.report import CheckReport, q_strings
@@ -79,7 +60,6 @@ class SpectralParams:
     eta0: Fraction
     kind: str  # "case1" (B(1-eta0) = 0) or "case2"
     roots: tuple[Fraction, ...]  # (alpha2, alpha3) or (a1', a2', a3')
-    b_roots: tuple[Fraction, ...]  # roots of Btilde, descending
 
     @property
     def alphas_prime(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -105,8 +85,7 @@ def spectral_params(case: CaseDescriptor, q) -> SpectralParams:
     q = tuple(Fraction(x) for x in q)
     eta0 = eta0_of(case, q)
     kind, roots = _split_roots(case, eta0)
-    b = tuple(sorted(btilde_roots(case), reverse=True))
-    return SpectralParams(case.label, q, eta0, kind, roots, b)
+    return SpectralParams(case.label, q, eta0, kind, roots)
 
 
 # -- kernel coefficient series ---------------------------------------------------
@@ -352,13 +331,14 @@ class MeijerParams:
     beta: tuple[Fraction, Fraction, Fraction, Fraction]
 
     @property
-    def reduced(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        """Cancel one beta against alpha2 = eta0: G^{4,0}_{2,4} -> G^{3,0}_{1,3}."""
+    def symbol(self) -> MellinSymbol:
+        """The Mellin symbol of the weight, once one beta cancels alpha2 = eta0:
+        G^{4,0}_{2,4} -> G^{3,0}_{1,3}, F(s) = prod Gamma(beta_j + s) / Gamma(alpha1 + s)."""
         betas = list(self.beta)
         if self.alpha[1] not in betas:
             raise AssertionError("expected alpha/beta cancellation is missing")
         betas.remove(self.alpha[1])
-        return (self.alpha[0],), tuple(betas)
+        return MellinSymbol(tuple(betas), (self.alpha[0],))
 
 
 def _meijer_params_at(case: CaseDescriptor, eta0: Fraction) -> MeijerParams:
@@ -446,7 +426,7 @@ def meijer_param_table_suite() -> Iterator[CheckReport]:
                 mp.alpha == (a1, a2)
                 and sorted(mp.beta) == sorted(betas)
             )
-            cancel = mp.alpha[1] in mp.beta  # what MeijerParams.reduced needs
+            cancel = mp.alpha[1] in mp.beta  # what MeijerParams.symbol needs
             yield CheckReport(
                 id=f"meijer.params.{case.label}.q{q1}",
                 case_id=case.label, q=[str(q1)],
@@ -486,25 +466,22 @@ LOG_U_BUDGET = 12.0
 
 
 @lru_cache(maxsize=64)
-def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
-                   offset: Fraction, precision: int) -> dict:
-    """The trapezoidal table of one contour, for parameters relative to it.
+def _contour_table(rel: MellinSymbol, offset: Fraction, precision: int) -> dict:
+    """The trapezoidal table of one contour, for the symbol rel relative to it.
 
-    With c = offset - min b, F(c + i t) = prod Gamma(b_rel_j + offset + i t)
-    / prod Gamma(a_rel_j + offset + i t) for b_rel = b - min b and
-    a_rel = a - min b, and the distance from the contour to the rightmost
-    pole is d = offset.  T, omega, h, the nodes and F on them depend on
-    nothing else, so every parameter set that differs by a common shift
-    shares this table (see MeijerEvaluator).  Only the nodes t_k = k h,
-    k >= 0, are tabulated: weight h/pi for k > 0 and h/(2 pi) at k = 0.
+    With c = offset - min b, F(c + i t) = rel(offset + i t) for rel = F
+    shifted by -min b, and the distance from the contour to the rightmost pole
+    is d = offset.  T, omega, h, the nodes and F on them depend on nothing
+    else, so every symbol that differs by a common shift shares this table
+    (see MeijerEvaluator).  Only the nodes t_k = k h, k >= 0, are tabulated:
+    weight h/pi for k > 0 and h/(2 pi) at k = 0.
 
-    F comes from two paths (focklab.gammaratio).  gamma_ratio_float gives F
-    and a relative error bound eps_k at every node; k0 is the smallest index
-    with sum_{k >= k0} eps_k |fw_k| <= TAIL_SHARE w_lo, where
-    w_lo = sum (1 - eps_k) |fw_k| bounds w_abs from below.  The nodes k < k0,
-    where the weights matter, are recomputed with mpmath (gamma_ratio_mp),
-    and every float value there must lie within its eps_k of the mpmath one,
-    or the build raises.  So the weights fw_k, k < k0, are the mpmath ones,
+    rel.line gives F and a relative error bound eps_k at every node; k0 is
+    the smallest index with sum_{k >= k0} eps_k |fw_k| <= TAIL_SHARE w_lo,
+    where w_lo = sum (1 - eps_k) |fw_k| bounds w_abs from below.  The nodes
+    k < k0, where the weights matter, are recomputed with rel.line_mp, and
+    every float value there must lie within its eps_k of the mpmath one, or
+    the build raises.  So the weights fw_k, k < k0, are the mpmath ones,
     and the float tail k >= k0 is off from the exact weights by at most
     tail_bound <= TAIL_SHARE w_abs = 1e-17 w_abs in total.
 
@@ -516,19 +493,14 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
     """
     import numpy as np
 
-    from focklab.gammaratio import gamma_ratio_float, gamma_ratio_mp
-
-    decay = len(b_rel) - len(a_rel)
-    omega = float(sum(b_rel) - sum(a_rel) + decay * (offset - Fraction(1, 2)))
+    decay = len(rel.b) - len(rel.a)
+    omega = float(sum(rel.b) - sum(rel.a) + decay * (offset - Fraction(1, 2)))
     target = (precision + 4) * math.log(10) + LOG_U_BUDGET + max(omega, 0.0) * 4.0 + 8.0
     T = max(10.0, 2.0 * target / (decay * math.pi))
     d = float(offset)
     h = 2.0 * math.pi / ((precision + 4) * math.log(10) / d + LOG_U_BUDGET)
     nodes = h * np.arange(math.ceil(T / h) + 1)
-    # Re s of each Gamma argument, exact: b_j + c = b_rel_j + offset
-    b_re = [x + offset for x in b_rel]
-    a_re = [x + offset for x in a_rel]
-    f_float, eps = gamma_ratio_float(b_re, a_re, nodes)
+    f_float, eps = rel.line(offset, nodes)
     # F(c - i t) = conj F(c + i t): the k < 0 half of the two-sided rule is
     # the conjugate of the k > 0 half, so its weight folds onto k > 0
     weights = np.full(len(nodes), h / math.pi)
@@ -538,7 +510,7 @@ def _contour_table(b_rel: tuple[Fraction, ...], a_rel: tuple[Fraction, ...],
     w_lo = float(((1.0 - eps) * np.abs(fw_float)).sum())
     tails = np.append(np.cumsum(err[::-1])[::-1], 0.0)  # tails[k] = sum_{j >= k} err_j
     k0 = int(np.argmax(tails <= TAIL_SHARE * w_lo))
-    f_mp = np.array(gamma_ratio_mp(b_re, a_re, nodes[:k0], precision), dtype=complex)
+    f_mp = np.array(rel.line_mp(offset, nodes[:k0], precision), dtype=complex)
     off = np.abs(f_float[:k0] - f_mp) > eps[:k0] * np.abs(f_mp)
     if off.any():
         k = int(np.argmax(off))
@@ -568,8 +540,9 @@ EVAL_CHUNK = 512
 # bounds the rest, at u = e^-LOG_U_BUDGET, by SERIES_TAIL of its largest term
 SERIES_TAIL = 1e-17
 
-# the log-u trapezoid of MeijerEvaluator.moment: its step and its last node
-MOMENT_STEP = 0.25
+# the log-u trapezoid of MeijerEvaluator.moment: its step, at which aliasing
+# stays under 3.2e-31 |mu| on every feasible pair up to m = 12, and its last node
+MOMENT_STEP = 0.125
 MOMENT_LOG_U_MAX = 8.0
 
 
@@ -587,24 +560,23 @@ def _contour_sum(ct: dict, log_u):
 
 
 @lru_cache(maxsize=64)
-def _residues(b: tuple[Fraction, ...], a: tuple[Fraction, ...], precision: int
+def _residues(symbol: MellinSymbol, precision: int
               ) -> tuple[Fraction, float, tuple[tuple[float, tuple[float, ...]], ...]]:
     """The residue series of G^{q,0}_{p,q}(u; a; b) near u = 0, poles of any order.
 
-    G(u) is the sum of Res F(s) u^{-s} over the poles of F(s) = prod
-    Gamma(b_j + s) / prod Gamma(a_j + s) right of a line Re s = c through no
-    pole, plus the Mellin-Barnes integral on that line, at most u^{-c} W(c)
-    (_log_line_l1; DLMF 16.17.2, https://dlmf.nist.gov/16.17, in its
-    confluent limit).  Returns (c, log W(c), poles); the pole at s = -e adds
-    u^e sum_d c_d (log u)^d, with c_d = f_{-1-d} (-1)^d / d! from the Laurent
-    series F(s + eps) = sum_k f_k eps^k.
+    G(u) is the sum of Res F(s) u^{-s} over the poles of its Mellin symbol F
+    right of a line Re s = c through no pole, plus the Mellin-Barnes integral
+    on that line, at most u^{-c} W(c) (_log_line_l1; DLMF 16.17.2,
+    https://dlmf.nist.gov/16.17, in its confluent limit).  Returns
+    (c, log W(c), poles); the pole at s = -e adds u^e sum_d c_d (log u)^d,
+    with c_d = f_{-1-d} (-1)^d / d! from the Laurent series
+    F(s + eps) = sum_k f_k eps^k.
 
     The b_j are grouped by value mod 1; a group's poles are s0 - n, n >= 0,
-    s0 = -min of the group.  At a point s = s0 + k right of every Gamma pole,
-    F(s + eps) = F(s) exp(sum_n eps^n / n! (sum psi^(n-1)(b_j + s) -
-    sum psi^(n-1)(a_j + s))), mpmath Gamma and polygamma at rationals at
-    max(20, precision + 8) digits.  The exact step F(s - 1 + eps) =
-    F(s + eps) prod (a + s - 1 + eps) / prod (b_j + s - 1 + eps) leads down
+    s0 = -min of the group.  A walk starts from F's Taylor series
+    (MellinSymbol.taylor) at a point s = s0 + k right of every Gamma pole,
+    at max(20, precision + 8) digits, and F's exact step F(s - 1 + eps) =
+    F(s + eps) prod (a + s - 1 + eps) / prod (b_j + s - 1 + eps) leads it down
     to s0 and on from pole to pole; it divides by eps once per b_j of the
     group (so r terms from eps^0 keep f_-1 known for a group of r) and
     multiplies by eps at each zero of 1/Gamma(a + s), so a pole's order
@@ -617,9 +589,6 @@ def _residues(b: tuple[Fraction, ...], a: tuple[Fraction, ...], precision: int
     the largest term.
     """
     import mpmath as mp
-
-    def mpq(x: Fraction):
-        return mp.mpf(x.numerator) / x.denominator
 
     def times_linear(series, c: Fraction, power: int):
         # (low, [f_low, f_low+1, ...]) times (c + eps)^power, power = +-1,
@@ -637,29 +606,22 @@ def _residues(b: tuple[Fraction, ...], a: tuple[Fraction, ...], precision: int
 
     def walk(s0: Fraction, length: int):
         # from a point s = s0 + k where every Gamma argument is positive
-        s = s0 + max(0, math.floor(-min(a + b) - s0) + 1)
-        log_f, exp_f = [mp.mpf(0)] * length, [mp.mpf(1)]
-        for xs, sign in ((b, 1), (a, -1)):
-            for x in xs:
-                exp_f[0] *= mp.gamma(mpq(x + s)) ** sign
-                for n in range(1, length):
-                    log_f[n] += sign * mp.psi(n - 1, mpq(x + s)) / mp.factorial(n)
-        for n in range(1, length):
-            exp_f.append(sum(k * log_f[k] * exp_f[n - k] for k in range(1, n + 1)) / n)
-        series = (0, exp_f)
+        s = s0 + max(0, math.floor(-min(symbol.a + symbol.b) - s0) + 1)
+        series = (0, symbol.taylor(s, length))
         while True:
             if s <= s0:
                 low, f = series
                 yield s, tuple(float(f[-1 - d - low] * (-1) ** d / math.factorial(d))
                                for d in range(-low))
-            steps = [(x + s - 1, 1) for x in a] + [(x + s - 1, -1) for x in b]
+            step = symbol.shifted(s - 1)
+            steps = [(x, 1) for x in step.a] + [(x, -1) for x in step.b]
             series = reduce(lambda sr, cp: times_linear(sr, *cp), steps, series)
             s -= 1
 
-    groups = {x % 1: [y for y in b if (y - x) % 1 == 0] for x in b}
+    groups = {x % 1: [y for y in symbol.b if (y - x) % 1 == 0] for x in symbol.b}
     fracs = sorted((-x) % 1 for x in groups)
     gap, start = max((nxt - f, f) for f, nxt in zip(fracs, fracs[1:] + [fracs[0] + 1]))
-    c = start + gap / 2 + math.floor(-min(b) - start - gap / 2)
+    c = start + gap / 2 + math.floor(-min(symbol.b) - start - gap / 2)
     taken, logs = [], []
     with mp.workdps(max(20, precision + 8)):
         walks = [walk(-min(g), len(g)) for g in groups.values()]
@@ -673,7 +635,7 @@ def _residues(b: tuple[Fraction, ...], a: tuple[Fraction, ...], precision: int
                         taken.append((float(-s), coeffs))
                         logs.append(LOG_U_BUDGET * float(s) + math.log(size))
                     heads[i] = next(w)
-            log_w = _log_line_l1(b, a, c)
+            log_w = _log_line_l1(symbol, c)
             if logs and LOG_U_BUDGET * float(c) + log_w <= math.log(SERIES_TAIL) + max(logs):
                 return c, log_w, tuple(taken)
             c -= 1
@@ -696,24 +658,22 @@ def _node_sum(alpha: float, d: int, x0: float, h: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _log_line_l1(b: tuple[Fraction, ...], a: tuple[Fraction, ...], c: Fraction) -> float:
+def _log_line_l1(symbol: MellinSymbol, c: Fraction) -> float:
     """log of a bound W(c) on (1/2pi) int |F(c + i t)| dt, so the Mellin-Barnes
     integral on Re s = c is at most u^{-c} W(c) in absolute value.
 
     For a line through no pole of the numerator Gammas.  |F| is bounded node
-    by node by log_abs_gamma_ratio_float and summed by the trapezoidal rule
+    by node by MellinSymbol.log_abs_line and summed by the trapezoidal rule
     with step 1/8 out to where it has fallen e^40 below its peak (F(c - i t)
     is the conjugate of F(c + i t)); the sum is doubled to cover the rule's
     error and the tail.
     """
     import numpy as np
 
-    from focklab.gammaratio import log_abs_gamma_ratio_float
-
     step = 0.125
     for t_max in (16, 64, 256, 1024, 4096):
         ts = step * np.arange(int(t_max / step) + 1)
-        logs, delta = log_abs_gamma_ratio_float([x + c for x in b], [x + c for x in a], ts)
+        logs, delta = symbol.log_abs_line(c, ts)
         logs += delta
         peak = float(logs.max())
         if logs[-1] < peak - 40:
@@ -726,67 +686,52 @@ def _log_line_l1(b: tuple[Fraction, ...], a: tuple[Fraction, ...], c: Fraction) 
 
 
 class MeijerEvaluator:
-    """G^{m,0}-type evaluator via a fixed vertical Mellin-Barnes contour.
+    """G(u), the function with Mellin symbol F, via fixed vertical Mellin-Barnes contours.
 
-    G(u) = (1/2pi) * integral over t of F(c + i t) u^{-c - i t} dt, where
-    F(s) = prod Gamma(beta_j + s) / prod Gamma(alpha_j + s) and the contour
-    Re s = c sits strictly right of every pole of the numerator Gammas.
+    G(u) = (1/2pi) * integral over t of F(c + i t) u^{-c - i t} dt on a line
+    Re s = c strictly right of every pole of the numerator Gammas.
     Super-exponential Gamma decay (|F| ~ |t|^w e^{-pi |t|} after the 3-vs-1
     cancellation) lets the line be truncated at |t| <= T, and on it the
-    integral is taken by the trapezoidal rule: nodes t_k = k h, |k| <= ceil(T/h),
-    every weight h.  The parameters are real, so F(c - i t) = conj F(c + i t)
-    and the sum is real: it needs the nodes k >= 0 only, with weight 2h on
-    k > 0 and h at k = 0.  F is tabulated there once, as the weights fw_k:
-    with mpmath at working precision on the leading nodes k < k0, and from a
-    float Stirling path with a per-node relative bound on the rest, whose
-    summed error is at most 1e-17 w_abs, a tenth of the roundoff floor below
-    (see _contour_table).
+    integral is taken by the trapezoidal rule: nodes t_k = k h, every weight
+    h.  F(c - i t) = conj F(c + i t), so the sum is real and needs the nodes
+    k >= 0 only, with weight 2h on k > 0 and h at k = 0.  F is tabulated
+    there once, as the weights fw_k (see _contour_table): from the symbol's
+    mpmath line on the leading nodes, and from its bounded float line on the
+    rest, whose summed error is at most a tenth of the roundoff floor.
 
-    Evaluation.  With z = e^{-i h ln u} on the unit circle, G(u) =
-    u^{-c} Re sum_{k < n} fw_k z^k, a polynomial in z, summed by
-    baby-step/giant-step (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973):
-    with size = ceil(sqrt n), sum_k fw_k z^k = sum_a w^a sum_b fw_{a size + b}
-    z^b, w = z^size, so one u costs about 2 sqrt(n) complex exponentials.
-    Each power is computed directly, z^b = e^{-i (b h) ln u} and w^a =
-    e^{-i (a size h) ln u}, not by repeated multiplication, whose rounding
-    would grow with the exponent: each phase carries a rounding error of
-    order 1e-16 |t_k ln u|, as a direct e^{-i t_k ln u} does, which the
-    roundoff model of noise_estimate covers.  eval_grid sums EVAL_CHUNK u at a time,
-    so its (chunk, size + count) phase array stays small, and eval is
-    eval_grid on one u.  The contraction (_contour_sum) is an einsum on one
-    thread: a matrix product (@) would add BLAS threads' CPU time.
+    Evaluation.  With z = e^{-i h ln u}, G(u) = u^{-c} Re sum_{k < n} fw_k z^k,
+    a polynomial in z, summed by baby-step/giant-step (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973): sum_a w^a sum_b fw_{a size + b} z^b
+    with size = ceil(sqrt n) and w = z^size, about 2 sqrt(n) complex
+    exponentials per u.  Each power is computed directly, z^b = e^{-i (b h) ln u}
+    and w^a = e^{-i (a size h) ln u}, so its rounding, of order
+    1e-16 |t_k ln u|, is that of a direct e^{-i t_k ln u}, which the roundoff
+    model of noise_estimate covers.  eval_grid sums EVAL_CHUNK u at a time, and
+    eval is eval_grid on one u; the contraction (_contour_sum) is an einsum on
+    one thread, where a matrix product (@) would add BLAS threads' CPU time.
 
     Near u = 0.  On the near contour the roundoff floor 1e-15 w_abs u^{-c}
-    grows faster than G itself as u falls, so below e^-LOG_U_BUDGET G comes
-    from its residue series (_residues) for every parameter set: a pole of
-    order r contributes u^{-s} times a polynomial of degree r - 1 in log u,
-    so b_j an integer apart (log terms, as in cases 2 to 10) need no second
-    path.  Its floor is 1e-15 times the terms' magnitudes plus the bound
-    u^{-c} W(c) on the Mellin-Barnes line left of the poles taken.  Above
-    e^LOG_U_BUDGET every evaluation raises ValueError (see Step size).
+    grows faster than G as u falls, so below e^-LOG_U_BUDGET G comes from its
+    residue series (_residues) for every symbol: a pole of order r gives
+    u^{-s} times a polynomial of degree r - 1 in log u, so b_j an integer
+    apart need no second path.  Its floor is 1e-15 times the terms'
+    magnitudes plus the bound u^{-c} W(c) on the line left of the poles taken.
+    Above e^LOG_U_BUDGET every evaluation raises ValueError (see Step size).
 
-    Shared tables.  The shift identity u^sigma G(u; a, b) = G(u; a + sigma,
-    b + sigma) (DLMF 16.19.2, https://dlmf.nist.gov/16.19) holds on the
-    contour itself: F(c + i t) depends on a, b and c only through a - min b,
-    b - min b and the offset c + min b.  Each contour sits at a fixed offset,
-    5/4 or 5/4 + shift, so its table (nodes and weighted F) is keyed on
-    the relative parameters, the offset and precision, and built once per
-    key (_contour_table); the evaluator keeps only its own c.
+    Shared tables.  u^sigma G(u; a, b) = G(u; a + sigma, b + sigma) (DLMF
+    16.19.2, https://dlmf.nist.gov/16.19) holds on the contour itself:
+    F(c + i t) is the relative symbol (F shifted by -min b) at the offset
+    c + min b + i t.  Each contour sits at a fixed offset, 5/4 or 5/4 + shift,
+    so its table is keyed on the relative symbol, the offset and precision,
+    and built once per key (_contour_table); the evaluator keeps its own c.
 
     Step size.  Poisson summation gives the exact aliasing identity for the
-    untruncated rule on Re s = c:
-
-        G_h(u) = sum over integer k of e^{2 pi k c / h} G(u e^{2 pi k / h}).
-
-    The k = 0 term is G(u); the others are the error, and with
-    d = c + min beta, the distance from the contour to the rightmost pole,
-    and the step
-
-        h = 2 pi / ((precision + 4) ln 10 / d + LOG_U_BUDGET)
-
-    both leading ones are negligible for every |ln u| <= LOG_U_BUDGET = 12,
-    the range the contours serve, measured against the scale w_abs u^{-c}
-    of the roundoff floor 1e-16 w_abs u^{-c} (see noise_estimate):
+    untruncated rule on Re s = c, G_h(u) = sum_k e^{2 pi k c / h} G(u e^{2 pi k / h})
+    over every integer k.  Its k = 0 term is G(u), and with d = c + min beta,
+    the distance from the contour to the rightmost pole, the step
+    h = 2 pi / ((precision + 4) ln 10 / d + LOG_U_BUDGET) makes both leading
+    others negligible against the roundoff floor 1e-16 w_abs u^{-c} (see
+    noise_estimate) for every |ln u| <= LOG_U_BUDGET, the range the contours serve:
 
     - k = -1 samples G near 0, where G(v) = O(v^{min beta}); relative to
       u^{-c} it is O(u^d e^{-2 pi d / h}) <= 10^{-(precision+4)} for
@@ -797,21 +742,18 @@ class MeijerEvaluator:
       that binds at small u, and the reason LOG_U_BUDGET enters h.
     """
 
-    def __init__(self, b_params, a_params, precision: int = 12):
-        self.b = tuple(Fraction(x) for x in b_params)
-        self.a = tuple(Fraction(x) for x in a_params)
+    def __init__(self, symbol: MellinSymbol, precision: int = 12):
+        self.symbol = symbol
         self.precision = precision
-        min_b = min(self.b)
-        if len(self.b) <= len(self.a):
+        if len(symbol.b) <= len(symbol.a):
             raise ValueError("need more numerator than denominator parameters")
-        b_rel = tuple(sorted(x - min_b for x in self.b))
-        a_rel = tuple(sorted(x - min_b for x in self.a))
+        min_b = min(symbol.b)
         # a second contour well to the right keeps u^{-c} from amplifying
         # roundoff where G is exponentially small (large u); both lines are
         # right of every numerator pole, so they integrate to the same G
         shift = min(8 + Fraction(precision, 2), 24)
         self.contours = [
-            dict(_contour_table(b_rel, a_rel, offset, precision),
+            dict(_contour_table(symbol.shifted(-min_b), offset, precision),
                  c=float(offset - min_b))
             for offset in (Fraction(5, 4), Fraction(5, 4) + shift)
         ]
@@ -863,7 +805,7 @@ class MeijerEvaluator:
         """
         import numpy as np
 
-        c, log_w, poles = _residues(self.b, self.a, self.precision)
+        c, log_w, poles = _residues(self.symbol, self.precision)
         values = size = 0.0
         abs_log = np.abs(log_us)
         for e, coeffs in poles:
@@ -914,16 +856,15 @@ class MeijerEvaluator:
         return (x, *self._evaluate(np.exp(x), x))
 
     def moment(self, m: int) -> tuple[float, float]:
-        """(integral of G(u) u^m du, a bound on its absolute error).
+        """(integral of G(u) u^m du = F(m + 1), a bound on its absolute error).
 
         The trapezoidal rule in x = log u with step h = MOMENT_STEP over the
-        whole line, h sum_k e^{(m+1) x_k} G(e^{x_k}) on the nodes
-        x_k = x0 + k h, x0 = -LOG_U_BUDGET, k any integer.
-        The nodes from x0 to MOMENT_LOG_U_MAX take G, as eval_grid would,
-        from one evaluation per evaluator, which every m reuses.  Below x0
-        each residue-series term u^e (log u)^d sums over the nodes in closed
-        form (_node_sum); no endpoint correction enters, since the rule stays
-        the bi-infinite one.  The error bound is the sum of
+        whole line: h sum_k e^{(m+1) x_k} G(e^{x_k}), x_k = x0 + k h,
+        x0 = -LOG_U_BUDGET.  The nodes from x0 to MOMENT_LOG_U_MAX take G from
+        one evaluation per evaluator, which every m reuses; below x0 each
+        residue-series term u^e (log u)^d sums over the nodes in closed form
+        (_node_sum), so the rule stays the bi-infinite one.  m need not be an
+        integer.  The error bound is the sum of
 
         - the propagated roundoff, h sum_k e^{(m+1) x_k} noise_estimate(e^{x_k}),
           and the series' own floor;
@@ -950,7 +891,7 @@ class MeijerEvaluator:
         The bound is the series' floor plus the rest on its line Re s = c:
         h W(c) sum_{k >= 1} e^{(m + 1 - c) x_k}.
         """
-        c, log_w, poles = _residues(self.b, self.a, self.precision)
+        c, log_w, poles = _residues(self.symbol, self.precision)
         x0, h = -LOG_U_BUDGET, MOMENT_STEP
         value = size = 0.0
         for e, coeffs in poles:
@@ -969,9 +910,9 @@ class MeijerEvaluator:
         <= W(c) h sum_{k >= 1} e^{-d x_k}, x_k = x_max + k h: _node_sum in -x.
         """
         return math.exp(min(
-            _log_line_l1(self.b, self.a, Fraction(m + 1 + d))
+            _log_line_l1(self.symbol, Fraction(m + 1 + d))
             + math.log(_node_sum(d, 0, -MOMENT_LOG_U_MAX, MOMENT_STEP))
-            for d in (2, 4, 8, 16, 32, 64) if m + 1 + d > -min(self.b)))
+            for d in (2, 4, 8, 16, 32, 64) if m + 1 + d > -min(self.symbol.b)))
 
     def _aliasing(self, m: int) -> float:
         """Bound on the aliasing error of the bi-infinite rule.
@@ -979,60 +920,54 @@ class MeijerEvaluator:
         By Poisson summation that error is exactly sum_{n != 0} F(m + 1 + 2 pi i n / h),
         F the Mellin transform of G; F is real on the real axis, so it is at
         most 2 sum_{n >= 1} |F(m + 1 + 2 pi i n / h)|.  Four terms are
-        bounded node by node by log_abs_gamma_ratio_float, the rest by the
+        bounded node by node by MellinSymbol.log_abs_line, the rest by the
         geometric series of the last two: |F| falls like e^{-pi t} there.
         """
         import numpy as np
 
-        from focklab.gammaratio import log_abs_gamma_ratio_float
-
         ts = 2 * math.pi / MOMENT_STEP * np.arange(1, 5)
-        logs, delta = log_abs_gamma_ratio_float(
-            [x + m + 1 for x in self.b], [x + m + 1 for x in self.a], ts)
+        logs, delta = self.symbol.log_abs_line(m + 1, ts)
         logs += delta
         ratio = math.exp(logs[-1] - logs[-2])
         if ratio >= 1:
             return math.inf
         return 2 * (float(np.exp(logs).sum()) + math.exp(logs[-1]) * ratio / (1 - ratio))
 
-    def moment_closed(self, m: int) -> float:
-        """prod Gamma(beta_j + m + 1) / prod Gamma(alpha_j + m + 1), in mpmath."""
-        from focklab.gammaratio import gamma_ratio_mp
-
-        return gamma_ratio_mp([x + m + 1 for x in self.b], [x + m + 1 for x in self.a],
-                              [0.0], self.precision)[0].real
-
 
 @lru_cache(maxsize=64)
-def _evaluator_cached(b_params: tuple, a_params: tuple, precision: int) -> MeijerEvaluator:
-    return MeijerEvaluator(b_params, a_params, precision)
+def _evaluator_cached(symbol: MellinSymbol, precision: int) -> MeijerEvaluator:
+    return MeijerEvaluator(symbol, precision)
+
+
+def meijer_evaluator(case: CaseDescriptor, q, precision: int = 12) -> MeijerEvaluator:
+    """The shared evaluator of the weight of (case, q), one per symbol and precision."""
+    return _evaluator_cached(meijer_params(case, q).symbol, precision)
 
 
 def moment_check(
     case: CaseDescriptor, q, m_max: int = 5, precision: int = 12,
     rel_tol: float = 1e-10,
 ) -> Iterator[CheckReport]:
-    """Trapezoid moments of G vs Gamma-ratio closed forms and (c a)_m.
+    """Trapezoid moments of G vs its Mellin symbol F and (c a)_m.
 
     Checks (ii) the exact identity c_{m+1} a_{m+1} / (c_m a_m) =
-    (eta0+m)(eta0+1+m) / prod (eta0+b_j+m) as rational functions of a formal
-    m, so that with c_0 = 1, c_m a_m / a_0 = (eta0)_m (eta0+1)_m /
-    prod (eta0+b_j)_m for every m; then, for m = 0..m_max: (i) integral
-    G(u) u^m du equals prod Gamma(beta_j+m+1)/prod Gamma(alpha_j+m+1) to
-    rel_tol, and within the moment's own error bound
-    (MeijerEvaluator.moment); (iii) the moments match 1/(C (c a)_m) with C
-    fitted at m = 0, to rel_tol.  Yields the report of (ii) first, then one
-    per moment; the evaluator is built just before moment 0, whose report
-    carries that time.
+    F(m+1) / F(m+2) = (alpha1+m+1) / prod (beta_j+m+1), the step of the
+    weight's own symbol, as rational functions of a formal m, so that with
+    c_0 = 1, c_m a_m / a_0 = F(1) / F(m+1) for every m; then, for
+    m = 0..m_max: (i) integral G(u) u^m du equals F(m+1) to rel_tol, and
+    within the moment's own error bound (MeijerEvaluator.moment); (iii) the
+    moments match 1/(C (c a)_m) with C fitted at m = 0, to rel_tol.  Yields
+    the report of (ii) first, then one per moment; the evaluator is built
+    just before moment 0, whose report carries that time.
     """
-    sp = spectral_params(case, q)
+    symbol = meijer_params(case, q).symbol
     qs = q_strings(q)
 
     # (ii) cross-multiplied: c_ratio * a_ratio == rhs
-    c_num, c_den = c_ratio_polys(sp)
+    c_num, c_den = c_ratio_polys(spectral_params(case, q))
     a_num, a_den = a_ratio_polys(case, q)
-    rhs = (pochhammer_step(sp.eta0, sp.eta0 + 1),
-           pochhammer_step(*(sp.eta0 + bj for bj in sp.b_roots)))
+    step = symbol.shifted(1)
+    rhs = (pochhammer_step(*step.a), pochhammer_step(*step.b))
     residual = c_num * a_num * rhs[1] - rhs[0] * c_den * a_den
     yield CheckReport(
         id=f"meijer.camoment.{case.label}.{'_'.join(qs)}",
@@ -1046,12 +981,11 @@ def moment_check(
     for m in range(m_max):
         r.append(r[-1] * ratio_at(rhs, m))
 
-    a_red, b_red = meijer_params(case, q).reduced
-    ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
+    ev = _evaluator_cached(symbol, precision)
     mu0 = None
     for m in range(m_max + 1):
         mu, err_bound = ev.moment(m)
-        g = ev.moment_closed(m)
+        g = symbol.at(m + 1, precision)
         rel = abs(mu - g) / abs(g)
         if m == 0:
             mu0 = mu
@@ -1085,9 +1019,7 @@ def sign_scan(
 
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
-    params = meijer_params(case, q)
-    a_red, b_red = params.reduced
-    ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
+    ev = meijer_evaluator(case, q, precision)
     us = [u_min * (u_max / u_min) ** (i / (grid - 1)) for i in range(grid)]
     values, noise = ev._grid(us)
     above = np.flatnonzero(np.abs(values) > noise)
@@ -1098,14 +1030,19 @@ def sign_scan(
 
 
 def sign_scan_report(case: CaseDescriptor, q, **kw) -> CheckReport:
+    """G changes sign: proved exactly from its Mellin symbol (sign_change) and
+    located by sign_scan; the report passes only when both hold."""
     vals, brackets = sign_scan(case, q, **kw)
+    proof = meijer_params(case, q).symbol.sign_change()
     qs = q_strings(q)
     return CheckReport(
         id=f"weight.sign.{case.label}.{'_'.join(qs)}",
         case_id=case.label, q=qs,
-        status="pass" if brackets else "fail",
+        status="pass" if brackets and proof else "fail",
         residual=f"{len(brackets)} sign changes",
-        details=f"first bracket={brackets[0] if brackets else None}",
+        details=(f"exact: F({proof[0]}) < 0 < F({proof[1]})" if proof
+                 else "no exact sign change of F") +
+        f"; first bracket={brackets[0] if brackets else None}",
     )
 
 
@@ -1135,9 +1072,7 @@ def bergman_norm_case1(
         raise ValueError("at most 3 graded components")
     case = build_case(1)
     qvec = (Fraction(q),)
-    params = meijer_params(case, qvec)
-    a_red, b_red = params.reduced
-    ev = _evaluator_cached(tuple(b_red), tuple(a_red), precision)
+    ev = meijer_evaluator(case, qvec, precision)
     c_m = c_sequence(case, qvec, m_max=max((m for m, _ in components), default=0)).coeffs
 
     def graded_value(comps) -> float:

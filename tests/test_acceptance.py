@@ -148,8 +148,9 @@ def test_criterion_10_kernel_coefficients():
 
 def test_criterion_11_weight_sign_change():
     rep = kernel.sign_scan_report(build_case(1), (0,))
-    ok = rep.status == "pass"
-    _line(11, ok, f"sign change of G on (0, inf) located for case (1), q=0: {rep.details}")
+    ok = rep.status == "pass" and rep.details.startswith("exact: F(5/8) < 0 < F(7/4); ")
+    _line(11, ok, f"sign change of G on (0, inf) proved and located for case (1), q=0: "
+                  f"{rep.details}")
 
 
 def test_criterion_12_cyclicity():

@@ -197,9 +197,9 @@ def test_export_moments(capsys):
 
 def test_export_moments_fails_when_a_moment_misses_its_bound(monkeypatch, capsys):
     # off by 1e-12, within any tolerance but outside the trapezoid's bound
-    real = kernel.MeijerEvaluator.moment_closed
-    monkeypatch.setattr(kernel.MeijerEvaluator, "moment_closed",
-                        lambda self, m: real(self, m) * (1 + 1e-12))
+    real = kernel.MellinSymbol.at
+    monkeypatch.setattr(kernel.MellinSymbol, "at",
+                        lambda self, s, precision: real(self, s, precision) * (1 + 1e-12))
     code = main(["export", "moments", "--case", "5", "--q", "0,0,0,0", "-m", "2"])
     out, err = capsys.readouterr()
     assert code == 1 and len(out.strip().splitlines()) == 4
@@ -295,9 +295,9 @@ def test_entry_that_raises_keeps_the_reports_it_yielded(capsys):
 
 def test_meijer_command_fails_on_a_wrong_moment(monkeypatch, capsys):
     assert run(capsys, "meijer", "--case", "1", "--q", "0")[0] == 0
-    real = kernel.MeijerEvaluator.moment_closed
-    monkeypatch.setattr(kernel.MeijerEvaluator, "moment_closed",
-                        lambda self, m: real(self, m) * 1.01)
+    real = kernel.MellinSymbol.at
+    monkeypatch.setattr(kernel.MellinSymbol, "at",
+                        lambda self, s, precision: real(self, s, precision) * 1.01)
     code, out = run(capsys, "meijer", "--case", "1", "--q", "0")
     assert code == 1 and "[FAIL] meijer.moment.1.0.0" in out
 

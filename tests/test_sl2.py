@@ -1,5 +1,6 @@
 """eta0 admissibility, delta sequence, Maass images, and the symbol identity."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -55,6 +56,40 @@ def test_solve_eta0_case6_parity():
     adm = solve_eta0(build_case(6, p=3))
     assert adm.strict_feasible
     assert adm.q_relations[1] == (F(2), F(2))
+
+
+def _eta0_off(adm):
+    return dataclasses.replace(adm, eta0_affine=(adm.eta0_affine[0], adm.eta0_affine[1] + F(1, 2)))
+
+
+def _relations_off(adm):
+    return dataclasses.replace(adm, q_relations=[(a, b + 1) for a, b in adm.q_relations])
+
+
+def _last_q_off(adm):
+    # off the eta0 relations wherever there are two factors: eta0_of raises
+    return dataclasses.replace(adm, minimal_q=[q[:-1] + (q[-1] + 1,) for q in adm.minimal_q])
+
+
+@pytest.mark.parametrize("mutate, failing", [
+    (_eta0_off, 18), (_relations_off, 18),
+    (lambda adm: _relations_off(_eta0_off(adm)), 18), (_last_q_off, 12),
+], ids=["eta0", "relations", "both", "q"])
+def test_eta0_check_fails_on_a_wrong_solver(monkeypatch, mutate, failing):
+    # the sl2.eta0 reports compare solve_eta0 with eta0_of on each minimal q:
+    # every feasible case with a wrong eta0 or q relation fails, never errors
+    import focklab.sl2 as sl2
+    from focklab import checks
+
+    entries = [e for e in checks.select(("sl2",)) if e.name == "sl2.eta0"]
+    run = lambda: [r for e in entries for r in checks.run_entry(e, {})]
+    assert {r.status for r in run()} == {"pass"}
+    real = sl2.solve_eta0
+    monkeypatch.setattr(sl2, "solve_eta0", lambda case: mutate(real(case)))
+    reports = run()
+    assert {r.status for r in reports} == {"pass", "fail"}
+    assert len([r for r in reports if r.status == "fail"]) == failing
+    assert all(r.residual.startswith("q=(") for r in reports if r.status == "fail")
 
 
 def test_eta0_of_validates():
