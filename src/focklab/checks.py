@@ -215,7 +215,7 @@ def _lemma35(partition, gammas, b) -> list[CheckReport]:
 
 
 def _comm_forced() -> list[CheckReport]:
-    neg = fock.commutator_check(INFEASIBLE_CASE, FORCED_Q, kappa="1/A", forced=True)
+    neg = fock.commutator_check(INFEASIBLE_CASE, FORCED_Q, forced=True)
     return [CheckReport(
         id="fock.comm.11.forced", case_id="11", q=q_strings(FORCED_Q),
         status="pass" if neg.status == "fail" else "fail",
@@ -227,11 +227,14 @@ def _comm_forced() -> list[CheckReport]:
 def _bernstein_roots(case: CaseDescriptor) -> list[CheckReport]:
     b = bn.case_b_poly(case)
     lead = b.terms.get((4,), 0)
-    ok = (bn.roots_factorization_ok(case) and lead == case.bernstein_lead
-          and b.eval((0,)) == 0 and b.total_degree() == 4)
+    broken = [text for bad, text in (
+        (not bn.roots_factorization_ok(case), "B != A prod (a - root)"),
+        (lead != case.bernstein_lead, f"lead {lead} != A"),
+        (b.eval((0,)) != 0, f"B(0) = {b.eval((0,))}"),
+        (b.total_degree() != 4, f"degree {b.total_degree()} != 4")) if bad]
     return [CheckReport(
         id=f"bernstein.roots.{case.label}", case_id=case.label,
-        status="pass" if ok else "fail",
+        status="fail" if broken else "pass", residual="; ".join(broken) or "0",
         details=f"lead={lead} expected A={case.bernstein_lead}",
     )]
 
@@ -241,13 +244,15 @@ def _kernel_cm(case: CaseDescriptor, q) -> list[CheckReport]:
     # the exact partial sum at u = 1/2: terms past m = 50 are far below double precision
     exact = float(sum(c / 2**m for m, c in enumerate(ks.coeffs)))
     rel = abs(kernel.kernel_eval(case, q, 0.5) - exact) / abs(exact)
-    ok = all(c > 0 for c in ks.coeffs) and rel <= 1e-12
+    cmp = "<=" if rel <= 1e-12 else ">"
+    broken = [f"c_{m} <= 0" for m, c in enumerate(ks.coeffs) if c <= 0][:1]
+    broken += [f"series(1/2) rel {rel:.1e} > 1e-12"] if cmp == ">" else []
     qs = q_strings(q)
     return [CheckReport(
         id=f"kernel.cm.{case.label}.{'_'.join(qs)}", case_id=case.label, q=qs,
-        status="pass" if ok else "fail",
+        status="fail" if broken else "pass", residual="; ".join(broken) or "0",
         details=f"kind={ks.kind}; closed form = recurrence for all m; c_m>0 for m<=50; "
-                f"series(1/2) vs sum_(m<=50) c_m/2^m: rel {rel:.1e} <= 1e-12",
+                f"series(1/2) vs sum_(m<=50) c_m/2^m: rel {rel:.1e} {cmp} 1e-12",
     )]
 
 

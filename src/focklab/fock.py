@@ -12,9 +12,8 @@ where c is an exact polynomial in (m, j_1..j_s) over delta's denominator
 (kept as its roots in m), L is linear mod 2 and S = +-1.  Composing two
 rules is one affine substitution (`MultiPoly.substitute`), so
 rho(E) = sigma rho(F) sigma^{-1} is an honest conjugation done formally.
-A column is the rules evaluated at one key (`OperatorMatrix.apply`).  An
-image in a negative block is dropped, since D kills block 0; everywhere else
-the falling factorials vanish exactly where an image would leave its block.
+An image in a negative block is dropped, since D kills block 0; everywhere
+else the falling factorials vanish exactly where an image would leave its block.
 
 `commutator_check` proves [rho(H), rho(E)] = 2 rho(E), [rho(H), rho(F)] =
 -2 rho(F) and [rho(E), rho(F)] = rho(H) on every block m >= 1.  It expands
@@ -22,21 +21,21 @@ AB - BA - cC into rules and groups them by target map (dm, S, b0, b1) and
 the linear part of L.  The group coefficients must vanish as polynomials once
 the denominators are cleared: distinct target maps and parity characters are
 independent on the Zariski-dense index set, so this is sound and complete.
-The rules give the columns of every block m >= m0, the least m at which no
-intermediate block is negative and no delta denominator vanishes.  Blocks
-1..m0-1 (m = 1 alone where eta0 = 1 puts a pole of delta(m - 2) at m = 1)
-are checked column by column, with columns evaluated from the same rules.
+That proves every block m >= m0, the least m at which no delta denominator
+vanishes.  Each block 1..m0-1 (m = 1 alone where eta0 = 1 puts a pole of
+delta(m - 2) at m = 1) is proved from the same rules specialized at that m
+(`Rule.at`): each group is then a polynomial in j that must vanish on the
+block's box, i.e. leave remainder 0 modulo prod_t (j_i - t) for every i.
 
 `sigma_involution_check` proves sigma^2 = (-1)^{sum N_i} and sigma sigma^{-1}
 = sigma^{-1} sigma = 1 with the same prover.  sigma has dm = 0 and no poles,
-so that holds on every block m >= 0 and no column is read.
+so that holds on every block m >= 0.
 
 `cyclicity_check` proves the module irreducible on every block m >= 0 (the
 K-type argument): the dk rules make each block an irreducible module and no
 two blocks isomorphic, and the two rules of rho(F) link every block to its
 neighbours.  Each hypothesis is a polynomial identity or sign certificate at
-formal m, so no column is read there either.  Columns serve only the
-block-1 fallback above.
+formal m.  No check reads a column (`OperatorMatrix.apply`, the tests' oracle).
 
 Operator-level construction is restricted to rank-1-product cases: there
 sigma is an exact signed permutation of each graded block.  Other families
@@ -49,6 +48,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from operator import add, mul, sub
 
@@ -128,6 +128,19 @@ class Rule:
             num=-num if flip else num,
             poles=inner.poles + tuple(r - inner.dm for r in self.poles),
         )
+
+    def at(self, m: int) -> Rule | None:
+        """This rule on block m alone, or None if its target block is negative: m
+        substituted, (-1)^{parity_m m} and the denominator (nonzero, or
+        ZeroDivisionError) folded into num, and the target j -> s j + (b0 + b1 m)."""
+        if m + self.dm < 0:
+            return None
+        ring = self.num.vars
+        images = [MultiPoly.constant(ring, m)]
+        images += [MultiPoly.variable(ring, i) for i in range(1, len(ring))]
+        c = Fraction((-1) ** (self.parity[0] * m)) / math.prod(m - r for r in self.poles)
+        return Rule(self.dm, self.s, tuple(c0 + c1 * m for c0, c1 in zip(self.b0, self.b1)),
+                    (0,) * len(self.b0), (0, *self.parity[1:]), self.num.substitute(images).scale(c))
 
     def image(self, key: Key) -> tuple[Key, Scalar] | None:
         """(target, coefficient) of e_key, or None if it is zero or below block 0."""
@@ -212,13 +225,13 @@ def sigma_inverse(space: FockSpace) -> OperatorMatrix:
                      parity=(0,) + (1,) * space.case.s)
 
 
-def rho_F(space: FockSpace, kappa: str = "1/A", forced: bool = False) -> OperatorMatrix:
+def rho_F(space: FockSpace, forced: bool = False) -> OperatorMatrix:
     """rho(F) = M - delta D, with delta applied in the target block.
 
     D lands in block m - 1, so its rule carries
     delta(m - 1) = kappa / ((m - 1 + eta0)(m + eta0)): poles 1 - eta0 and -eta0.
     """
-    kap, eta0 = delta_constants(space.case, space.qs, kappa, forced)
+    kap, eta0 = delta_constants(space.case, space.qs, forced)
     (d,) = diff_q(space).rules
     return mult_w(space) + OperatorMatrix(
         [replace(d, num=d.num.scale(-kap), poles=(1 - eta0, -eta0))])
@@ -251,39 +264,46 @@ def dk_action(space: FockSpace, factor_index: int, generator: str) -> OperatorMa
 # -- checks -------------------------------------------------------------------
 
 
-def _relation_holds(a: OperatorMatrix, b: OperatorMatrix, c: OperatorMatrix,
-                    scale: Scalar, key: Key) -> bool:
-    """A(B e_key) - B(A e_key) - scale * C e_key = 0, exactly, column by column."""
-    e = {key: 1}
-    out = a.apply(b.apply(e))
-    for vec, w in ((b.apply(a.apply(e)), -1), (c.apply(e), -scale)):
-        for tgt, x in vec.items():
-            out[tgt] = out.get(tgt, 0) + w * x
-    return not any(out.values())
+def _rules_from(rules) -> int:
+    """The least m >= 1 from which no delta denominator of `rules` vanishes."""
+    return max([1] + [int(p) + 1 for r in rules for p in r.poles if p.denominator == 1])
 
 
-def _rules_from(a: OperatorMatrix, b: OperatorMatrix, rules) -> int:
-    """The least m >= 1 from which `rules`, the expansion of AB - BA, give its columns.
-
-    Below it an intermediate block of AB or BA is negative, which the columns
-    drop and the rules do not, or a delta denominator vanishes.
-    """
-    low = [1, *(-r.dm for r in a.rules + b.rules)]
-    low += [int(p) + 1 for r in rules for p in r.poles if p.denominator == 1]
-    return max(low)
+@lru_cache(maxsize=None)
+def _stirling2(e: int, k: int) -> int:
+    """S(e, k) for 0 <= k <= e, the coefficient of the falling factorial [x]_k in x^e."""
+    if k in (0, e):
+        return int(k == e)
+    return k * _stirling2(e - 1, k) + _stirling2(e - 1, k - 1)
 
 
-def _nonvanishing_group(space: FockSpace, rules) -> tuple[int, tuple | None]:
-    """(groups, the first group whose coefficient is not identically 0, or None).
+def _vanishes_on_box(poly: MultiPoly, bounds) -> bool:
+    """Whether poly in j leaves remainder 0 modulo prod_{t=0}^{N_i} (j_i - t) for every i.
 
-    Rules are grouped by target map and parity character.  A group's
-    coefficient sum_t num_t / den_t is zero iff its numerator over the least
-    common denominator is the zero polynomial.
-    """
+    x^e = sum_k S(e, k) [x]_k, and [x]_k is a multiple of the modulus once k > N,
+    so the terms with every k_i <= N_i are the remainder, unique since each
+    modulus is univariate; it is 0 iff poly vanishes on the box."""
+    rem: dict[tuple[int, ...], Scalar] = {}
+    for (_, *es), c in poly.terms.items():
+        for ks in iproduct(*(range(min(e, n) + 1) for e, n in zip(es, bounds))):
+            rem[ks] = rem.get(ks, 0) + c * math.prod(map(_stirling2, es, ks))
+    return not any(rem.values())
+
+
+def _nonvanishing_group(space: FockSpace, rules, m: int | None = None) -> tuple[int, tuple | None]:
+    """(groups, the first group whose coefficient does not vanish, or None).
+
+    Rules are grouped by target map and parity character.  At formal m
+    (m=None) a group's coefficient sum_t num_t / den_t is zero iff its
+    numerator over the least common denominator is the zero polynomial.  At a
+    block m each rule is first specialized (`Rule.at`), and each group's
+    coefficient, a polynomial in j, must vanish on the block's box."""
+    if m is not None:
+        rules = [r for r in (r.at(m) for r in rules) if r is not None]
     groups: dict[tuple, list[Rule]] = {}
     for r in rules:
         groups.setdefault((r.dm, r.s, r.b0, r.b1, r.parity), []).append(r)
-    m = space.var(0)
+    mv = space.var(0)
     for key, members in groups.items():
         common = Counter()
         for r in members:
@@ -292,68 +312,52 @@ def _nonvanishing_group(space: FockSpace, rules) -> tuple[int, tuple | None]:
         for r in members:
             term = r.num
             for root, mult in (common - Counter(r.poles)).items():
-                term = term * (m - space.const(root)) ** mult
+                term = term * (mv - space.const(root)) ** mult
             total = total + term
-        if not total.is_zero():
+        if not (total.is_zero() if m is None else _vanishes_on_box(total, space.degree_bounds(m))):
             return len(groups), key
     return len(groups), None
 
 
-def _group_failure(name: str, group: tuple) -> str:
+def _group_failure(name: str, group: tuple, m: int | None = None) -> str:
     dm, s, b0, b1, parity = group
-    return f"{name}: rule group dm={dm} S={s} b0={b0} b1={b1} L={parity} does not vanish"
+    return (f"{name}: rule group dm={dm} S={s} b0={b0} b1={b1} L={parity} does not vanish"
+            + ("" if m is None else f" on block {m}"))
 
 
-def commutator_check(
-    case: CaseDescriptor,
-    q,
-    kappa: str | None = None,
-    forced: bool = False,
-) -> CheckReport:
+def commutator_check(case: CaseDescriptor, q, forced: bool = False) -> CheckReport:
     """Prove [rhoH,rhoE]=2rhoE, [rhoH,rhoF]=-2rhoF, [rhoE,rhoF]=rhoH on every block m >= 1.
 
     Each relation [A,B] = c C is expanded into the rules of AB - BA - cC,
-    whose groups must all vanish (see the module docstring); that proves
-    its column identity A(B e_k) - B(A e_k) - c C e_k = 0 at every e_k of
-    every block m >= m0.  Blocks 1..m0-1 are checked column by column.  With
-    kappa=None the check doubles as the calibration oracle: it tries "1/A"
-    then "A" and reports which convention closes the algebra.
+    whose groups must vanish on each block 1..m0-1 and at formal m (see the
+    module docstring).  That proves A(B e_k) - B(A e_k) - c C e_k = 0 at
+    every e_k of every block m >= 1: each rule of rho(H), rho(E) and rho(F)
+    moves by at most one block, so no intermediate block is negative there.
+    delta is normalized by kappa = 1/A (`delta_constants`).
     """
     space = FockSpace(case, q)
     qs = q_strings(tuple(Fraction(x) for x in q))
     check_id = f"fock.comm.{case.label}.{'_'.join(qs)}"
-    h = rho_H(space)
-    last_fail = ""
-    for conv in [kappa] if kappa else ["1/A", "A"]:
-        f = rho_F(space, conv, forced)
-        e = rho_E(space, f)
-        relations = (("[H,E]!=2E", h, e, e, 2), ("[H,F]!=-2F", h, f, f, -2),
-                     ("[E,F]!=H", e, f, h, 1))
-        failed, n_groups, m0 = None, 0, 1
-        for name, a, b, c, scale in relations:
-            rules = (a @ b).rules + (b @ a).scale(-1).rules + c.scale(-scale).rules
-            n, bad = _nonvanishing_group(space, rules)
+    h, f = rho_H(space), rho_F(space, forced)
+    e = rho_E(space, f)
+    expansions = [(name, (a @ b).rules + (b @ a).scale(-1).rules + c.scale(-scale).rules)
+                  for name, a, b, c, scale in (("[H,E]!=2E", h, e, e, 2),
+                                               ("[H,F]!=-2F", h, f, f, -2),
+                                               ("[E,F]!=H", e, f, h, 1))]
+    m0 = max(_rules_from(rules) for _, rules in expansions)
+    n_groups = 0
+    for name, rules in expansions:
+        for m in (*range(1, m0), None):
+            n, bad = _nonvanishing_group(space, rules, m)
             n_groups += n
             if bad is not None:
-                failed = f"{_group_failure(name, bad)} ({conv})"
-                break
-            m0 = max(m0, _rules_from(a, b, rules))
-        if failed is None:
-            failed = next((f"{name} at {key} ({conv})"
-                           for m in range(1, m0) for key in space.block_basis(m)
-                           for name, a, b, c, scale in relations
-                           if not _relation_holds(a, b, c, scale, key)), None)
-        if failed is None:
-            low = "1" if m0 == 2 else f"1..{m0 - 1}"
-            columns = f", columns m = {low}" if m0 > 1 else ""
-            return CheckReport(
-                id=check_id, case_id=case.label, q=qs, status="pass",
-                details=f"kappa={conv}; all m >= 1 (rules m >= {m0}{columns}); "
-                        f"{n_groups} groups",
-            )
-        last_fail = failed
-    return CheckReport(id=check_id, case_id=case.label, q=qs, status="fail",
-                       residual=last_fail)
+                return CheckReport(id=check_id, case_id=case.label, q=qs, status="fail",
+                                   residual=_group_failure(name, bad, m))
+    low = "1" if m0 == 2 else f"1..{m0 - 1}"
+    blocks = f", block {low} from the rules at m = {low}" if m0 > 1 else ""
+    return CheckReport(id=check_id, case_id=case.label, q=qs, status="pass",
+                       details=f"kappa=1/A; all m >= 1 (rules m >= {m0}{blocks}); "
+                               f"{n_groups} groups")
 
 
 def sigma_involution_check(case: CaseDescriptor, q) -> CheckReport:

@@ -196,17 +196,15 @@ def feasible_q_values(case: CaseDescriptor, count: int = 2) -> list[tuple[Fracti
 # -- delta sequence -----------------------------------------------------------
 
 
-def delta_constants(
-    case: CaseDescriptor, q, kappa: str = "1/A", forced: bool = False
-) -> tuple[Fraction, Fraction]:
+def delta_constants(case: CaseDescriptor, q, forced: bool = False) -> tuple[Fraction, Fraction]:
     """(kappa, eta0) of delta_m = kappa / ((m + eta0)(m + eta0 + 1)).
 
-    kappa is 1/A (the convention operator calibration selects) or A, with
-    A = prod k_i^{k_i r_i}; forced=True takes eta0 as in forced_eta0.
+    kappa = 1/A with A = prod k_i^{k_i r_i}, the normalization under which
+    both pm_identity_check and the operator relations close (kappa = A fails
+    on case 1, where A = 256); forced=True takes eta0 as in forced_eta0.
     """
     eta0 = forced_eta0(case, validate_q(case, q)[0]) if forced else eta0_of(case, q)
-    a = case.bernstein_lead
-    return (Fraction(1, a) if kappa == "1/A" else Fraction(a)), eta0
+    return Fraction(1, case.bernstein_lead), eta0
 
 
 # -- Harish-Chandra images ------------------------------------------------------
@@ -259,12 +257,7 @@ def maass_hc_image(
     return out
 
 
-def pm_identity_check(
-    case: CaseDescriptor,
-    q,
-    kappa: str = "1/A",
-    forced: bool = False,
-) -> tuple[CheckReport, MultiPoly]:
+def pm_identity_check(case: CaseDescriptor, q, forced: bool = False) -> tuple[CheckReport, MultiPoly]:
     """Verify p_m(lambda) = sum(lambda) - sum(m_i k_i r_i)/2 as a polynomial.
 
     q may violate the eta0 condition only with forced=True (the eta0 of the
@@ -279,10 +272,7 @@ def pm_identity_check(
         lam_blocks.append(list(range(t, t + f.rank)))
         t += f.rank
 
-    if forced:
-        eta0 = forced_eta0(case, validate_q(case, q)[0])
-    else:
-        eta0 = eta0_of(case, q)
+    kappa, eta0 = delta_constants(case, q, forced)
     A = case.bernstein_lead
 
     one = MultiPoly.constant(ring, 1)
@@ -306,12 +296,10 @@ def pm_identity_check(
 
     e = MultiPoly.constant(ring, eta0)
     clear = (m_var + e - one) * (m_var + e) * (m_var + e + one)
-    a_kappa = Fraction(1) if kappa == "1/A" else Fraction(A * A)
-
     lhs = (
         (m_var + e - one) * (g_minus1 - g_star_m1)
         + (m_var + e + one) * (g_star_m - g_zero)
-    ).scale(a_kappa)
+    ).scale(kappa * A)
 
     sum_lam = MultiPoly.zero(ring)
     for idxs in lam_blocks:
@@ -348,7 +336,7 @@ def pm_identity_check(
         q=qs,
         status="pass" if residual.is_zero() and shorthand_ok else "fail",
         residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
-        details=f"kappa={kappa}; eta0={eta0}; gammaE-shorthand-identity={'ok' if shorthand_ok else 'BROKEN'}",
+        details=f"kappa=1/A; eta0={eta0}; gammaE-shorthand-identity={'ok' if shorthand_ok else 'BROKEN'}",
     )
     return rep, residual
 

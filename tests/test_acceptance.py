@@ -79,14 +79,15 @@ def test_criterion_04_sl2_symbol_identity():
     _line(4, ok, f"p_m identity zero residual on {n} (case, q) pairs; case (11) infeasible with provably nonzero residual")
 
 
-def test_criterion_05_operator_commutators():
+def test_criterion_05_operator_commutators(kappa_a):
     t0 = time.monotonic()
     ok = True
     for case, q in checks.COMMUTATOR_MATRIX:
         rep = fock.commutator_check(case, q)
         ok = ok and rep.status == "pass" and rep.details.startswith("kappa=1/A; all m >= 1 ")
-    # calibration: the other convention must fail on case (1), where A = 256
-    bad = fock.commutator_check(build_case(1), (0,), kappa="A")
+    # calibration: the other convention, kappa = A, must fail on case (1), where A = 256
+    kappa_a(fock)
+    bad = fock.commutator_check(build_case(1), (0,))
     ok = ok and bad.status == "fail"
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 30.0

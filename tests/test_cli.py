@@ -358,13 +358,17 @@ def test_registry_is_built_lazily():
 def test_kernel_cm_fails_when_the_series_is_off(monkeypatch):
     entries = [e for e in checks.select(("meijer",)) if e.name == "kernel.cm"]
     assert len(entries) == len(checks.feasible_pairs())
-    run_all = lambda: [r.status for e in entries for r in checks.run_entry(e, {})]
-    assert set(run_all()) == {"pass"}
+    run_all = lambda: [r for e in entries for r in checks.run_entry(e, {})]
+    assert {r.status for r in run_all()} == {"pass"}
     real = kernel.kernel_eval
     # off by 1e-9 relative, except at u = 0, where every series is exactly 1
     monkeypatch.setattr(kernel, "kernel_eval",
                         lambda case, q, u, **kw: real(case, q, u, **kw) * (1 + 1e-9 * (u != 0)))
-    assert set(run_all()) == {"fail"}
+    reports = run_all()
+    assert {r.status for r in reports} == {"fail"}
+    for r in reports:
+        assert r.residual.startswith("series(1/2) rel ") and r.residual.endswith(" > 1e-12")
+        assert r.details.endswith(" > 1e-12")
 
 
 def _modules_after_suites(*suites: str) -> set[str]:

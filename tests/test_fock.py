@@ -198,11 +198,14 @@ def test_commutators_small(case, q):
     assert rep.details.startswith("kappa=1/A; all m >= 1 (rules m >= ")
 
 
-def test_commutator_calibration_case1():
-    ok = commutator_check(build_case(1), (0,), kappa="1/A")
-    bad = commutator_check(build_case(1), (0,), kappa="A")
-    assert ok.status == "pass" and bad.status == "fail"
-    assert bad.residual.startswith("[E,F]!=H: rule group dm=0 ")
+def test_commutator_calibration_case1(kappa_a):
+    assert commutator_check(build_case(1), (0,)).status == "pass"
+    kappa_a(fock)
+    bad = commutator_check(build_case(1), (0,))
+    assert bad.status == "fail" and bad.residual.startswith("[E,F]!=H: rule group dm=0 ")
+    # blocks below m0 come first: on case 4 (A = 4) block 1 already fails
+    bad = commutator_check(build_case(4), (1, 0, 0))
+    assert bad.status == "fail" and bad.residual.endswith(" does not vanish on block 1")
 
 
 def test_commutator_case4_consistent_solution():
@@ -211,7 +214,7 @@ def test_commutator_case4_consistent_solution():
 
 
 def test_commutator_case11_forced_fails():
-    rep = commutator_check(build_case(11), (0, 0), kappa="1/A", forced=True)
+    rep = commutator_check(build_case(11), (0, 0), forced=True)
     assert rep.status == "fail" and "does not vanish" in rep.residual
 
 
@@ -219,13 +222,13 @@ def test_commutator_fails_on_perturbed_delta(monkeypatch):
     # delta's eta0 off by 1/1000: every delta_m is slightly wrong
     real = fock.delta_constants
 
-    def shifted(*args, **kwargs):
-        kap, eta0 = real(*args, **kwargs)
+    def shifted(*args):
+        kap, eta0 = real(*args)
         return kap, eta0 + F(1, 1000)
 
     monkeypatch.setattr(fock, "delta_constants", shifted)
     for case, q in ((build_case(1), (0,)), (build_case(5), (0, 0, 0, 0))):
-        rep = commutator_check(case, q, kappa="1/A")
+        rep = commutator_check(case, q)
         assert rep.status == "fail" and rep.residual.startswith("[E,F]!=H: rule group")
 
 
@@ -236,26 +239,66 @@ def test_commutator_fails_with_one_sigma_sign_flipped(monkeypatch):
         assert rep.status == "fail" and "does not vanish" in rep.residual
 
 
-@pytest.mark.parametrize("case,q", ETA0_ONE, ids=["c5q0", "c4q100"])
-def test_eta0_one_pairs_prove_from_m2_and_check_block1_by_columns(case, q, monkeypatch):
-    # eta0 = 1: delta(m - 2) has a pole at m = 1, so block 1 is checked column by column
-    seen = []
-    real = fock._relation_holds
-    monkeypatch.setattr(fock, "_relation_holds",
-                        lambda *args: seen.append(args[-1]) or real(*args))
-    rep = commutator_check(case, q)
-    assert rep.status == "pass"
-    assert "all m >= 1 (rules m >= 2, columns m = 1); " in rep.details
-    assert sorted(set(seen)) == FockSpace(case, q).block_basis(1)
-
-
-def test_other_pairs_need_no_columns(monkeypatch):
-    monkeypatch.setattr(fock, "_relation_holds", lambda *args: pytest.fail("column check ran"))
-    for case, q in checks.COMMUTATOR_MATRIX:
-        if (case, q) in ETA0_ONE:
-            continue
+def test_commutator_check_reads_no_column(monkeypatch):
+    monkeypatch.setattr(OperatorMatrix, "apply", lambda *args: pytest.fail("column evaluated"))
+    monkeypatch.setattr(fock.Rule, "image", lambda *args: pytest.fail("column evaluated"))
+    for case, q in RHOE_PAIRS:
         rep = commutator_check(case, q)
-        assert rep.status == "pass" and "(rules m >= 1); 7 groups" in rep.details
+        assert rep.status == "pass"
+        if (case, q) in ETA0_ONE:  # eta0 = 1: delta(m - 2) has a pole at m = 1
+            assert "(rules m >= 2, block 1 from the rules at m = 1); 13 groups" in rep.details
+        else:
+            assert "(rules m >= 1); 7 groups" in rep.details
+
+
+def test_rule_at_a_block_is_the_column_map_of_its_keys():
+    # Rule.at(m) at e_{m,j} against Rule.image: negative targets, sign, pole
+    # denominators and target map; the rules of case 4 have even m-characters,
+    # so each is also taken with an odd one
+    space = FockSpace(build_case(4), (1, 0, 0))
+    f = rho_F(space)
+    e = rho_E(space, f)
+    rules = [*(e @ f).rules, *(f @ e).rules]
+    rules += [replace(r, parity=(1 - r.parity[0], *r.parity[1:])) for r in rules]
+    for r in rules:
+        for m in (1, 2):
+            at = r.at(m)
+            assert at is None or (not any(at.b1) and at.parity[0] == 0)
+            for key in space.block_basis(m):
+                if at is None:
+                    assert r.image(key) is None
+                    continue
+                js = key[1]
+                c = at.num.eval((m, *js)) * (-1) ** sum(map(int.__mul__, at.parity[1:], js))
+                target = tuple(at.s * j + b for j, b in zip(js, at.b0))
+                assert r.image(key) == (((m + at.dm, target), c) if c else None)
+
+
+def _relation_holds_on_columns(a, b, c, scale, key):
+    """A(B e_key) - B(A e_key) - scale C e_key = 0, column by column."""
+    e = unit(key)
+    out = _sub(a.apply(b.apply(e)), b.apply(a.apply(e)))
+    return _sub(out, _scale(c.apply(e), scale)) == {}
+
+
+@pytest.mark.parametrize("kappa", ["1/A", "A"])
+@pytest.mark.parametrize("case,q", ETA0_ONE, ids=["c5q0", "c4q100"])
+def test_block1_verdicts_match_the_column_oracle(case, q, kappa, kappa_a):
+    # each relation's block-1 verdict from the specialized rules against its columns
+    if kappa == "A":
+        kappa_a(fock)
+    space = FockSpace(case, q)
+    h, f = rho_H(space), rho_F(space)
+    e = rho_E(space, f)
+    verdicts = []
+    for a, b, c, scale in ((h, e, e, 2), (h, f, f, -2), (e, f, h, 1)):
+        rules = (a @ b).rules + (b @ a).scale(-1).rules + c.scale(-scale).rules
+        proved = fock._nonvanishing_group(space, rules, 1)[1] is None
+        assert proved == all(_relation_holds_on_columns(a, b, c, scale, key)
+                             for key in space.block_basis(1))
+        verdicts.append(proved)
+    # case 5 has A = 1, so kappa = A is the same operator there
+    assert verdicts == [True, True, kappa == "1/A" or case.label == "5"]
 
 
 def test_dk_relations():

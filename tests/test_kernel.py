@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from focklab import bernstein, checks, kernel
 from focklab.bernstein import btilde_roots
 from focklab.gammaratio import MellinSymbol
 from focklab.jordan import build_case
@@ -127,19 +128,19 @@ def test_h_twisted_bernstein_rank1():
 
 
 def test_roots_tables_all_rows():
-    checks = list(roots_table_suite())
-    assert len(checks) >= 60
-    assert all(c.status == "pass" for c in checks), [
-        (c.id, c.residual) for c in checks if c.status != "pass"
+    reports = list(roots_table_suite())
+    assert len(reports) >= 60
+    assert all(c.status == "pass" for c in reports), [
+        (c.id, c.residual) for c in reports if c.status != "pass"
     ]
 
 
 def test_meijer_param_table_all_rows():
-    checks = list(meijer_param_table_suite())
-    assert all(c.status == "pass" for c in checks), [
-        (c.id, c.residual) for c in checks if c.status != "pass"
+    reports = list(meijer_param_table_suite())
+    assert all(c.status == "pass" for c in reports), [
+        (c.id, c.residual) for c in reports if c.status != "pass"
     ]
-    assert all("cancellation=yes" in c.details for c in checks)
+    assert all("cancellation=yes" in c.details for c in reports)
 
 
 def test_meijer_params_row5():
@@ -159,6 +160,31 @@ def test_q0_reduction():
     for case in (build_case(1), build_case(2, p=3), build_case(3), build_case(5),
                  build_case(9, variant="b")):
         assert q0_reduction_check(case).status == "pass"
+
+
+def _one_more_root(real):
+    # 1/7 is no root of any catalog B: each root is x/k - y d/(2k) with k <= 4
+    return lambda case: [*real(case), F(1, 7)]
+
+
+# check entry -> the one program function mutated to drive it to fail
+TABLE_MUTATIONS = (
+    ("kernel.roots", kernel, "case_b_roots", _one_more_root),
+    ("meijer.params", kernel, "btilde_roots", _one_more_root),
+    ("kernel.q0reduction", kernel, "case_b_poly", lambda real: lambda case: real(case).scale(2)),
+    ("bernstein.roots", bernstein, "case_b_roots", _one_more_root),
+)
+
+
+@pytest.mark.parametrize("entry,module,name,mutation",
+                         [pytest.param(*row, id=row[0]) for row in TABLE_MUTATIONS])
+def test_table_checks_fail_with_a_named_residual(entry, module, name, mutation, monkeypatch):
+    # one program function mutated; every report of the check must fail, not
+    # raise, and say what broke
+    monkeypatch.setattr(module, name, mutation(getattr(module, name)))
+    reports = [r for e in checks.registry() if e.name == entry for r in checks.run_entry(e, {})]
+    assert reports and {r.status for r in reports} == {"fail"}
+    assert all(r.residual != "0" for r in reports)
 
 
 def test_meijer_eval_against_mpmath():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from focklab import sl2
 from focklab.jordan import build_case, full_mat, rank1
 from focklab.polyalg import MultiPoly
 from focklab.sl2 import (
@@ -101,15 +102,13 @@ def test_eta0_of_validates():
 
 def test_delta_sequence_case5():
     kap, eta0 = delta_constants(build_case(5), (0, 0, 0, 0))
-    # A = 1: delta_m = 1/((m+1)(m+2))
-    assert (kap, eta0) == (1, 1)
-    assert delta_constants(build_case(5), (0, 0, 0, 0), kappa="A") == (1, 1)
+    # A = 1: delta_m = 1/((m+1)(m+2)), the same under either normalization
+    assert (kap, eta0) == (1, 1) and build_case(5).bernstein_lead == 1
 
 
 def test_delta_sequence_case1_calibrated():
-    # kappa = 1/A with A = 256 (operator-level calibration), eta0 = 1/4
+    # kappa = 1/A with A = 256, eta0 = 1/4 (kappa = A: test_pm_identity_wrong_kappa_fails)
     assert delta_constants(build_case(1), (0,)) == (F(1, 256), F(1, 4))
-    assert delta_constants(build_case(1), (0,), kappa="A") == (256, F(1, 4))
     # forced: the first factor's eta0 on a q the others reject
     assert delta_constants(build_case(11), (0, 0), forced=True)[1] == F(1, 3)
 
@@ -200,12 +199,13 @@ def test_pm_identity_case11_forced_nonzero():
     assert not residual.is_zero()
 
 
-def test_pm_identity_wrong_kappa_fails():
-    rep, residual = pm_identity_check(build_case(1), (0,), kappa="A")
-    assert not residual.is_zero()
+def test_pm_identity_wrong_kappa_fails(kappa_a):
+    kappa_a(sl2)
+    rep, residual = pm_identity_check(build_case(1), (0,))
+    assert rep.status == "fail" and not residual.is_zero()
     # for A = 1 both conventions coincide
-    rep, residual = pm_identity_check(build_case(5), (0, 0, 0, 0), kappa="A")
-    assert residual.is_zero()
+    rep, residual = pm_identity_check(build_case(5), (0, 0, 0, 0))
+    assert rep.status == "pass" and residual.is_zero()
 
 
 def test_lemma35_all_ones_partition():
