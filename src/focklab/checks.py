@@ -29,7 +29,7 @@ from __future__ import annotations
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -62,7 +62,7 @@ FEASIBLE_CASES = (
     *(build_case(10, variant=v) for v in "abcd"),
 )
 INFEASIBLE_CASE = build_case(11)  # z1^3 z2: no admissible q
-FORCED_Q = (0, 0)  # case (11) with the first factor's eta0 forced on it
+FORCED_Q = (0, 0)  # case (11) at a q that only its first factor's eta0 fits
 
 # classification-table rows whose dim k + dim W = dim g is checked
 STRUCTURE_ROWS = (
@@ -190,38 +190,23 @@ def _eta0(case: CaseDescriptor) -> list[CheckReport]:
                         details=detail)]
 
 
-def _pm_forced() -> list[CheckReport]:
-    _, residual = sl2.pm_identity_check(INFEASIBLE_CASE, FORCED_Q, forced=True)
-    return [CheckReport(
-        id="sl2.pm.11.forced", case_id="11", q=q_strings(FORCED_Q),
-        status="pass" if not residual.is_zero() else "fail",
-        details="necessity: forced q gives nonzero residual",
-    )]
-
-
-def _lemma35_unequal_b() -> list[CheckReport]:
-    partition, gammas, _ = LEMMA35_FORMS[2]  # (2, 2), solved at b = 1, run at b = (1, 2)
-    alpha, beta, c = sl2.lemma35_solved_form(partition, gammas, 1)
-    _, residual = sl2.lemma35_check(partition, gammas, [1, 2], alpha, beta, c)
-    return [CheckReport(
-        id="sl2.lemma35.2-2.unequal-b", status="pass" if not residual.is_zero() else "fail",
-        details="necessity: unequal b must break the identity",
-    )]
-
-
-def _lemma35(partition, gammas, b) -> list[CheckReport]:
+def _lemma35(partition, gammas, b, bs=None) -> CheckReport:
+    """Lemma 3.5's solved form for a common b, run at bs (b on every part by default)."""
     alpha, beta, c = sl2.lemma35_solved_form(partition, gammas, b)
-    return [sl2.lemma35_check(partition, gammas, [b] * len(partition), alpha, beta, c)[0]]
+    return sl2.lemma35_check(partition, gammas, bs or [b] * len(partition), alpha, beta, c)[0]
 
 
-def _comm_forced() -> list[CheckReport]:
-    neg = fock.commutator_check(INFEASIBLE_CASE, FORCED_Q, forced=True)
-    return [CheckReport(
-        id="fock.comm.11.forced", case_id="11", q=q_strings(FORCED_Q),
-        status="pass" if neg.status == "fail" else "fail",
-        details="negative control: forced q must break the commutator"
-                + (f"; broken: {neg.residual}" if neg.status == "fail" else ""),
-    )]
+def _must_fail(control_id: str, relation: str, rep: CheckReport) -> list[CheckReport]:
+    """The negative control on `rep`, a check of a relation that must not hold.
+
+    It passes only when rep fails, and then quotes rep's residual; when rep
+    passes it fails, with a residual that names the relation that held.
+    """
+    broken = rep.status == "fail"
+    return [replace(rep, id=control_id, status="pass" if broken else "fail",
+                    residual=rep.residual if broken else f"{relation} held",
+                    details=f"negative control: {relation} must fail"
+                            + (f"; {rep.details}" if rep.details else ""))]
 
 
 def _bernstein_roots(case: CaseDescriptor) -> list[CheckReport]:
@@ -282,12 +267,17 @@ def registry() -> tuple[Entry, ...]:
 
     for case in FEASIBLE_CASES + (INFEASIBLE_CASE,):
         add("sl2", "sl2.eta0", lambda o, c=case: _eta0(c), case)
-    add("sl2", "sl2.pm.forced", lambda o: _pm_forced(), INFEASIBLE_CASE, FORCED_Q)
+    add("sl2", "sl2.pm.forced", lambda o: _must_fail(
+        "sl2.pm.11.forced", "the p_m identity on case (11), q = (0, 0)",
+        sl2.pm_identity_check(INFEASIBLE_CASE, FORCED_Q)[0]), INFEASIBLE_CASE, FORCED_Q)
     for case, q in feasible_pairs():
         add("sl2", "sl2.pm", lambda o, c=case, q=q: [sl2.pm_identity_check(c, q)[0]], case, q)
     for form in LEMMA35_FORMS:
-        add("sl2", "sl2.lemma35." + "-".join(map(str, form[0])), lambda o, f=form: _lemma35(*f))
-    add("sl2", "sl2.lemma35.2-2.unequal-b", lambda o: _lemma35_unequal_b())
+        add("sl2", "sl2.lemma35." + "-".join(map(str, form[0])), lambda o, f=form: [_lemma35(*f)])
+    partition, gammas, _ = LEMMA35_FORMS[2]  # (2, 2), solved at b = 1, run at b = (1, 2)
+    add("sl2", "sl2.lemma35.2-2.unequal-b", lambda o: _must_fail(
+        "sl2.lemma35.2-2.unequal-b", "the (2, 2) four-shift identity at b = (1, 2)",
+        _lemma35(partition, gammas, 1, [1, 2])))
 
     for case, q in COMMUTATOR_MATRIX:
         add("operators", "fock.comm", lambda o, c=case, q=q: [fock.commutator_check(c, q)],
@@ -296,7 +286,9 @@ def registry() -> tuple[Entry, ...]:
             lambda o, c=case, q=q: [fock.sigma_involution_check(c, q)], case, q)
     add("operators", "fock.comm", lambda o: [fock.commutator_check(build_case(4), CASE4_Q)],
         build_case(4), CASE4_Q)
-    add("operators", "fock.comm.forced", lambda o: _comm_forced(), INFEASIBLE_CASE, FORCED_Q)
+    add("operators", "fock.comm.forced", lambda o: _must_fail(
+        "fock.comm.11.forced", "the sl2 relations on case (11), q = (0, 0)",
+        fock.commutator_check(INFEASIBLE_CASE, FORCED_Q)), INFEASIBLE_CASE, FORCED_Q)
     for case, q in CYCLICITY_MATRIX:
         add("operators", "fock.cyclic",
             lambda o, c=case, q=q: [fock.cyclicity_check(c, q)], case, q)

@@ -79,9 +79,6 @@ class FockSpace:
     def degree_bounds(self, m: int) -> tuple[int, ...]:
         return tuple(k * m + q for k, q in zip(self.ks, self.qs))
 
-    def block_basis(self, m: int) -> list[Key]:
-        return [(m, js) for js in iproduct(*(range(n + 1) for n in self.degree_bounds(m)))]
-
     def var(self, idx: int) -> MultiPoly:
         return MultiPoly.variable(self.ring, idx)
 
@@ -225,13 +222,13 @@ def sigma_inverse(space: FockSpace) -> OperatorMatrix:
                      parity=(0,) + (1,) * space.case.s)
 
 
-def rho_F(space: FockSpace, forced: bool = False) -> OperatorMatrix:
+def rho_F(space: FockSpace) -> OperatorMatrix:
     """rho(F) = M - delta D, with delta applied in the target block.
 
     D lands in block m - 1, so its rule carries
     delta(m - 1) = kappa / ((m - 1 + eta0)(m + eta0)): poles 1 - eta0 and -eta0.
     """
-    kap, eta0 = delta_constants(space.case, space.qs, forced)
+    kap, eta0 = delta_constants(space.case, space.qs)
     (d,) = diff_q(space).rules
     return mult_w(space) + OperatorMatrix(
         [replace(d, num=d.num.scale(-kap), poles=(1 - eta0, -eta0))])
@@ -325,7 +322,7 @@ def _group_failure(name: str, group: tuple, m: int | None = None) -> str:
             + ("" if m is None else f" on block {m}"))
 
 
-def commutator_check(case: CaseDescriptor, q, forced: bool = False) -> CheckReport:
+def commutator_check(case: CaseDescriptor, q) -> CheckReport:
     """Prove [rhoH,rhoE]=2rhoE, [rhoH,rhoF]=-2rhoF, [rhoE,rhoF]=rhoH on every block m >= 1.
 
     Each relation [A,B] = c C is expanded into the rules of AB - BA - cC,
@@ -333,12 +330,13 @@ def commutator_check(case: CaseDescriptor, q, forced: bool = False) -> CheckRepo
     module docstring).  That proves A(B e_k) - B(A e_k) - c C e_k = 0 at
     every e_k of every block m >= 1: each rule of rho(H), rho(E) and rho(F)
     moves by at most one block, so no intermediate block is negative there.
-    delta is normalized by kappa = 1/A (`delta_constants`).
+    delta is normalized by kappa = 1/A and takes the first factor's eta0
+    (`delta_constants`), so on a q off the eta0 condition the relations must fail.
     """
     space = FockSpace(case, q)
     qs = q_strings(tuple(Fraction(x) for x in q))
     check_id = f"fock.comm.{case.label}.{'_'.join(qs)}"
-    h, f = rho_H(space), rho_F(space, forced)
+    h, f = rho_H(space), rho_F(space)
     e = rho_E(space, f)
     expansions = [(name, (a @ b).rules + (b @ a).scale(-1).rules + c.scale(-scale).rules)
                   for name, a, b, c, scale in (("[H,E]!=2E", h, e, e, 2),
@@ -479,19 +477,17 @@ def beta_integral(j: int, n: int) -> Fraction:
     return Fraction(math.factorial(j) * math.factorial(n - j), math.factorial(n + 1))
 
 
-def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3), _exponent_shift: int = 0) -> CheckReport:
+def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3)) -> CheckReport:
     """Case (1): exact Beta-integral norms against 1/binom(4m+q, j).
 
     ||z^j||^2_m = (1/a_m) * integral t^j (1+t)^{-(n+2)} dt with n = 4m + q and
     a_m the j = 0 integral.  Each integral is the Beta value of beta_integral,
     so each ratio is an exact rational, compared with the prediction of
     monomial_norms_exact by ==; the residual counts the mismatches.
-    _exponent_shift adds to the weight's exponent, -(n+2+shift): a nonzero
-    shift is a wrong weight, which the check must reject.
     """
     mismatches = 0
     for m in m_values:
-        n = 4 * m + q + _exponent_shift
+        n = 4 * m + q
         a_m = beta_integral(0, n)
         for j, pred in enumerate(monomial_norms_exact(q, m)):
             mismatches += beta_integral(j, n) / a_m != pred

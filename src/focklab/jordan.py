@@ -143,8 +143,16 @@ def _pfaffian(idx: list[int], entry, vars: VarSet) -> MultiPoly:
     return out
 
 
-def factor_var_set(factor: SimpleFactorDescriptor, prefix: str = "", group: int = 0) -> VarSet:
-    return VarSet(tuple(prefix + v for v in factor.var_names()), (group,) * factor.dim)
+def factor_var_set(factor: SimpleFactorDescriptor) -> VarSet:
+    return VarSet.flat(factor.var_names())
+
+
+def _sym_matrix(n: int, v, off=1) -> list[list[MultiPoly]]:
+    """The symmetric n x n matrix of the coordinates z_ij, i <= j, v(t) the
+    t-th of them in var_names order, with its off-diagonal entries scaled by off."""
+    pos = {ij: t for t, ij in enumerate(itertools.combinations_with_replacement(range(n), 2))}
+    return [[v(pos[min(i, j), max(i, j)]).scale(1 if i == j else off) for j in range(n)]
+            for i in range(n)]
 
 
 def determinant_poly(
@@ -175,18 +183,7 @@ def determinant_poly(
             out = out - v(a) * v(a)
         return out
     if factor.family is Family.SYM:
-        n = factor.size
-        pos = {}
-        t = 0
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                pos[(i, j)] = t
-                t += 1
-        entries = [
-            [v(pos[(min(i, j), max(i, j))]) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        return _matrix_det(entries, vars)
+        return _matrix_det(_sym_matrix(factor.size, v), vars)
     if factor.family is Family.FULL:
         n = factor.size
         entries = [
@@ -194,26 +191,12 @@ def determinant_poly(
         ]
         return _matrix_det(entries, vars)
     if factor.family is Family.SKEW:
-        n = factor.size
-        pos = {}
-        t = 0
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                pos[(i, j)] = t
-                t += 1
-
-        def entry(i, j):
-            return v(pos[(i + 1, j + 1)])
-
-        return _pfaffian(list(range(n)), entry, vars)
+        pos = {ij: t for t, ij in enumerate(itertools.combinations(range(factor.size), 2))}
+        return _pfaffian(list(range(factor.size)), lambda i, j: v(pos[i, j]), vars)
     raise UnsupportedFamilyError(str(factor.family))
 
 
-def dual_determinant_symbol(
-    factor: SimpleFactorDescriptor,
-    vars: VarSet | None = None,
-    offset: int = 0,
-) -> MultiPoly:
+def dual_determinant_symbol(factor: SimpleFactorDescriptor) -> MultiPoly:
     """The operator symbol realizing Delta(d/dz) in the stored coordinates.
 
     For the symmetric-matrix family the derivative matrix carries the
@@ -223,25 +206,10 @@ def dual_determinant_symbol(
     rank-2 family then shows a harmless alpha-independent constant 4^k.
     """
     if factor.family is not Family.SYM:
-        return determinant_poly(factor, vars=vars, offset=offset)
-    if vars is None:
-        vars = factor_var_set(factor)
-        offset = 0
-    n = factor.size
-    pos = {}
-    t = 0
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            pos[(i, j)] = t
-            t += 1
-    entries = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            v = MultiPoly.variable(vars, offset + pos[(min(i, j), max(i, j))])
-            row.append(v if i == j else v.scale(Fraction(1, 2)))
-        entries.append(row)
-    return _matrix_det(entries, vars)
+        return determinant_poly(factor)
+    vars = factor_var_set(factor)
+    v = lambda t: MultiPoly.variable(vars, t)
+    return _matrix_det(_sym_matrix(factor.size, v, Fraction(1, 2)), vars)
 
 
 # -- case catalog -------------------------------------------------------------

@@ -134,14 +134,16 @@ def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> KernelSeries:
     return KernelSeries(case.label, sp.q, kind, coeffs)
 
 
-def kernel_eval(case: CaseDescriptor, q, u, terms: int | None = None, tol: float = 1e-15):
+def kernel_eval(case: CaseDescriptor, q, u):
     """Sum of c_m u^m with a rigorous ratio-majorant tail bound; complex u ok.
 
     The step ratio |c_{m+1} u / c_m| = |u| (m + eta0 + 1) / prod |m + eta0 + a_j'|
     is majorized, for m past every pole, by rho(m) = |u| (m + a) / (m - c)^3
     with a = eta0 + 1 and c the largest parameter offset; rho is decreasing in
     m, so once rho(m) < 1/2 the tail is geometrically bounded by
-    |term_m| rho / (1 - rho).
+    |term_m| rho / (1 - rho).  The sum stops when that bound is at most
+    1e-15 of the partial sum (or of 1), and ArithmeticError is raised if
+    500 terms do not reach it.
     """
     sp = spectral_params(case, q)
     polys = c_ratio_polys(sp)
@@ -155,18 +157,17 @@ def kernel_eval(case: CaseDescriptor, q, u, terms: int | None = None, tol: float
     term = 1.0 + 0.0j if isinstance(u, complex) else 1.0
     abs_u = abs(u)
     m = 0
-    budget = terms if terms is not None else 500
     while True:
         total += term
         ratio = ratio_at(polys, m)
         nxt = term * (complex(ratio) * u if isinstance(u, complex) else float(ratio) * u)
         if m > c_off + 1:
             rho = abs_u * (m + abs(a)) / (m - c_off) ** 3
-            if rho < 0.5 and abs(term) * rho / (1 - rho) <= tol * max(abs(total), 1.0):
+            if rho < 0.5 and abs(term) * rho / (1 - rho) <= 1e-15 * max(abs(total), 1.0):
                 break
         term = nxt
         m += 1
-        if m > budget:
+        if m > 500:
             raise ArithmeticError("series term budget exhausted before tail bound met")
     return total
 
@@ -458,7 +459,7 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
 
 # the float tail of a contour table may carry at most this share of w_abs in
 # its summed error bound: a tenth of the roundoff floor 1e-16 w_abs u^(-c),
-# which noise_estimate charges ten times over
+# which the floor of eval_grid charges ten times over
 TAIL_SHARE = 1e-17
 
 # the contours serve |ln u| <= LOG_U_BUDGET: their step h keeps aliasing under
@@ -546,6 +547,10 @@ SERIES_TAIL = 1e-17
 # stays under 3.2e-31 |mu| on every feasible pair up to m = 12, and its last node
 MOMENT_STEP = 0.125
 MOMENT_LOG_U_MAX = 8.0
+
+# relative tolerance of every trapezoid moment against its exact value
+# (moment_check) and of the Bergman cross-check (bergman_norm_case1)
+REL_TOL = 1e-10
 
 
 def _contour_sum(ct: dict, log_u):
@@ -708,9 +713,10 @@ class MeijerEvaluator:
     exponentials per u.  Each power is computed directly, z^b = e^{-i (b h) ln u}
     and w^a = e^{-i (a size h) ln u}, so its rounding, of order
     1e-16 |t_k ln u|, is that of a direct e^{-i t_k ln u}, which the roundoff
-    model of noise_estimate covers.  eval_grid sums EVAL_CHUNK u at a time, and
-    eval is eval_grid on one u; the contraction (_contour_sum) is an einsum on
-    one thread, where a matrix product (@) would add BLAS threads' CPU time.
+    floor that eval_grid returns covers.  eval_grid sums EVAL_CHUNK u at a
+    time, and eval is eval_grid on one u; the contraction (_contour_sum) is an
+    einsum on one thread, where a matrix product (@) would add BLAS threads'
+    CPU time.
 
     Near u = 0.  On the near contour the roundoff floor 1e-15 w_abs u^{-c}
     grows faster than G as u falls, so below e^-LOG_U_BUDGET G comes from its
@@ -733,7 +739,7 @@ class MeijerEvaluator:
     the distance from the contour to the rightmost pole, the step
     h = 2 pi / ((precision + 4) ln 10 / d + LOG_U_BUDGET) makes both leading
     others negligible against the roundoff floor 1e-16 w_abs u^{-c} (see
-    noise_estimate) for every |ln u| <= LOG_U_BUDGET, the range the contours serve:
+    _evaluate) for every |ln u| <= LOG_U_BUDGET, the range the contours serve:
 
     - k = -1 samples G near 0, where G(v) = O(v^{min beta}); relative to
       u^{-c} it is O(u^d e^{-2 pi d / h}) <= 10^{-(precision+4)} for
@@ -822,15 +828,11 @@ class MeijerEvaluator:
 
     def eval(self, u: float) -> float:
         """G(u); ValueError where eval_grid raises one for it."""
-        return float(self.eval_grid([u])[0])
+        return float(self.eval_grid([u])[0][0])
 
     def eval_grid(self, us):
-        """G at every u of a 1-D sequence, as an array (see _grid)."""
-        return self._grid(us)[0]
-
-    def _grid(self, us):
-        """(G, its roundoff floor) at every u of a 1-D sequence, as arrays,
-        EVAL_CHUNK u at a time (see _evaluate)."""
+        """(G, its absolute roundoff floor) at every u of a 1-D sequence, as
+        arrays, EVAL_CHUNK u at a time (see _evaluate)."""
         import numpy as np
 
         us = np.asarray(us, dtype=float)
@@ -843,10 +845,6 @@ class MeijerEvaluator:
             chunk = slice(start, start + EVAL_CHUNK)
             values[chunk], noise[chunk] = self._evaluate(u, np.log(u))
         return values, noise
-
-    def noise_estimate(self, u: float) -> float:
-        """Roundoff floor of eval(u) (absolute); ValueError where eval raises one."""
-        return float(self._grid([u])[1][0])
 
     @cached_property
     def _moment_grid(self):
@@ -868,8 +866,8 @@ class MeijerEvaluator:
         (_node_sum), so the rule stays the bi-infinite one.  m need not be an
         integer.  The error bound is the sum of
 
-        - the propagated roundoff, h sum_k e^{(m+1) x_k} noise_estimate(e^{x_k}),
-          and the series' own floor;
+        - the propagated roundoff, h sum_k e^{(m+1) x_k} f(e^{x_k}) with f the
+          floor of _evaluate, and the series' own floor;
         - the aliasing (_aliasing), exact by Poisson summation;
         - the nodes above MOMENT_LOG_U_MAX (_upper_tail), and below x0 the
           rest of the residue series, each bounded by a Mellin-Barnes line:
@@ -948,7 +946,6 @@ def meijer_evaluator(case: CaseDescriptor, q, precision: int = 12) -> MeijerEval
 
 def moment_check(
     case: CaseDescriptor, q, m_max: int = 5, precision: int = 12,
-    rel_tol: float = 1e-10,
 ) -> Iterator[CheckReport]:
     """Trapezoid moments of G vs its Mellin symbol F and (c a)_m.
 
@@ -956,9 +953,9 @@ def moment_check(
     F(m+1) / F(m+2) = (alpha1+m+1) / prod (beta_j+m+1), the step of the
     weight's own symbol, as rational functions of a formal m, so that with
     c_0 = 1, c_m a_m / a_0 = F(1) / F(m+1) for every m; then, for
-    m = 0..m_max: (i) integral G(u) u^m du equals F(m+1) to rel_tol, and
+    m = 0..m_max: (i) integral G(u) u^m du equals F(m+1) to REL_TOL, and
     within the moment's own error bound (MeijerEvaluator.moment); (iii) the
-    moments match 1/(C (c a)_m) with C fitted at m = 0, to rel_tol.  Yields
+    moments match 1/(C (c a)_m) with C fitted at m = 0, to REL_TOL.  Yields
     the report of (ii) first, then one per moment; the evaluator is built
     just before moment 0, whose report carries that time.
     """
@@ -993,12 +990,12 @@ def moment_check(
             mu0 = mu
         # (iii): mu_m / mu_0 must equal 1/r[m] with r[m] the exact ratio above
         rel_ca = abs(mu / mu0 - 1.0 / float(r[m])) / (1.0 / float(r[m]))
-        ok = rel <= rel_tol and rel_ca <= rel_tol and abs(mu - g) <= err_bound
+        ok = rel <= REL_TOL and rel_ca <= REL_TOL and abs(mu - g) <= err_bound
         yield CheckReport(
             id=f"meijer.moment.{case.label}.{'_'.join(qs)}.{m}",
             case_id=case.label, q=qs,
             status="pass" if ok else "fail",
-            residual=f"{max(rel, rel_ca):.3e}", tolerance=f"{rel_tol:.0e}",
+            residual=f"{max(rel, rel_ca):.3e}", tolerance=f"{REL_TOL:.0e}",
             details=f"trapezoid={mu:.12e} err_bound={err_bound:.1e} "
             f"gamma={g:.12e} C={1.0 / mu0:.6e}",
         )
@@ -1008,8 +1005,7 @@ def moment_check(
 
 
 def sign_scan(
-    case: CaseDescriptor, q, u_min: float = 1e-3, u_max: float = 60.0,
-    grid: int = 240, precision: int = 12,
+    case: CaseDescriptor, q, grid: int = 240, precision: int = 12,
 ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
     """Evaluate G on a log grid of at least 2 points; return (samples, sign-change brackets).
 
@@ -1022,8 +1018,9 @@ def sign_scan(
     if grid < 2:
         raise ValueError(f"grid must have at least 2 points, got {grid}")
     ev = meijer_evaluator(case, q, precision)
+    u_min, u_max = 1e-3, 60.0
     us = [u_min * (u_max / u_min) ** (i / (grid - 1)) for i in range(grid)]
-    values, noise = ev._grid(us)
+    values, noise = ev.eval_grid(us)
     above = np.flatnonzero(np.abs(values) > noise)
     positive = values[above] > 0
     brackets = [(us[above[k]], us[above[k + 1]])
@@ -1053,7 +1050,7 @@ def sign_scan_report(case: CaseDescriptor, q, **kw) -> CheckReport:
 
 def bergman_norm_case1(
     q: int, components: list[tuple[int, dict[int, complex]]],
-    precision: int = 12, rel_tol: float = 1e-10,
+    precision: int = 12,
 ) -> CheckReport:
     """Thm-2.5 graded sum vs the G-weighted integral, case (1).
 
@@ -1068,7 +1065,7 @@ def bergman_norm_case1(
     normalized by the phi = 1 value, which also fits C; the graded side is
     summed exactly and rounded once.  err_bound carries the moments' error
     bounds through that ratio, and the check fails when the sides differ by
-    more than rel_tol or by more than err_bound.
+    more than REL_TOL or by more than err_bound.
     """
     if len(components) > 3:
         raise ValueError("at most 3 graded components")
@@ -1105,12 +1102,12 @@ def bergman_norm_case1(
     err_bound = g_base * (e_raw + abs(r_raw / r_base) * e_base) / (abs(r_base) - e_base)
     g_phi = graded_value(components)
     rel = abs(r_phi - g_phi) / abs(g_phi)
-    ok = rel <= rel_tol and abs(r_phi - g_phi) <= err_bound
+    ok = rel <= REL_TOL and abs(r_phi - g_phi) <= err_bound
     return CheckReport(
         id="bergman.case1",
         case_id="1", q=[str(q)],
         status="pass" if ok else "fail",
-        residual=f"{rel:.3e}", tolerance=f"{rel_tol:.0e}",
+        residual=f"{rel:.3e}", tolerance=f"{REL_TOL:.0e}",
         details=f"graded={g_phi:.10e} trapezoid={r_phi:.10e} err_bound={err_bound:.1e} "
         f"C={c_fit / math.pi:.6e}",
     )

@@ -53,8 +53,8 @@ class VarSet:
         return self.names.index(name)
 
     @staticmethod
-    def flat(names: Sequence[str], group: int = 0) -> "VarSet":
-        return VarSet(tuple(names), (group,) * len(names))
+    def flat(names: Sequence[str]) -> "VarSet":
+        return VarSet(tuple(names), (0,) * len(names))
 
 
 class MultiPoly:
@@ -173,18 +173,14 @@ class MultiPoly:
 
     # -- calculus ----------------------------------------------------------
 
-    def diff(self, idx: int, order: int = 1) -> "MultiPoly":
-        p = self
-        for _ in range(order):
-            out: dict[Exponent, Scalar] = {}
-            for e, c in p.terms.items():
-                if e[idx] == 0:
-                    continue
+    def diff(self, idx: int) -> "MultiPoly":
+        out: dict[Exponent, Scalar] = {}
+        for e, c in self.terms.items():
+            if e[idx]:
                 e2 = list(e)
                 e2[idx] -= 1
                 out[tuple(e2)] = c * e[idx]
-            p = MultiPoly(self.vars, out)
-        return p
+        return MultiPoly(self.vars, out)
 
     def eval(self, point: Sequence[Scalar]) -> Scalar:
         """Exact value at a rational point."""

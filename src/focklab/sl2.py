@@ -100,8 +100,9 @@ def eta0_of(case: CaseDescriptor, q) -> Fraction:
 def forced_eta0(case: CaseDescriptor, q1) -> Fraction:
     """The first factor's eta0, q1/k1 + n1/(k1 r1), an affine function of q1.
 
-    Table rows pin q1 alone; negative controls force it on a q that the
-    other factors reject.
+    Table rows pin q1 alone, and delta_constants reads it on every q: on an
+    admissible q it is eta0_of, and on a q that the other factors reject it
+    is the value the negative controls must see fail.
     """
     f = case.factors[0]
     return Fraction(q1) / f.mult + Fraction(f.dim, f.mult * f.rank)
@@ -196,15 +197,16 @@ def feasible_q_values(case: CaseDescriptor, count: int = 2) -> list[tuple[Fracti
 # -- delta sequence -----------------------------------------------------------
 
 
-def delta_constants(case: CaseDescriptor, q, forced: bool = False) -> tuple[Fraction, Fraction]:
+def delta_constants(case: CaseDescriptor, q) -> tuple[Fraction, Fraction]:
     """(kappa, eta0) of delta_m = kappa / ((m + eta0)(m + eta0 + 1)).
 
     kappa = 1/A with A = prod k_i^{k_i r_i}, the normalization under which
     both pm_identity_check and the operator relations close (kappa = A fails
-    on case 1, where A = 256); forced=True takes eta0 as in forced_eta0.
+    on case 1, where A = 256).  eta0 is the first factor's (forced_eta0): it
+    equals eta0_of on every admissible q, and on any other q the relations
+    built from it must fail.
     """
-    eta0 = forced_eta0(case, validate_q(case, q)[0]) if forced else eta0_of(case, q)
-    return Fraction(1, case.bernstein_lead), eta0
+    return Fraction(1, case.bernstein_lead), forced_eta0(case, validate_q(case, q)[0])
 
 
 # -- Harish-Chandra images ------------------------------------------------------
@@ -224,23 +226,17 @@ def hc_ring(case: CaseDescriptor) -> VarSet:
 def maass_hc_image(
     factor: SimpleFactorDescriptor,
     alpha,
-    ring: VarSet | None = None,
-    lam_idx: list[int] | None = None,
+    ring: VarSet,
+    lam_idx: list[int],
     negate: bool = False,
 ) -> MultiPoly:
     """gamma_alpha(lambda) = prod_j [lambda_j - k*alpha + (n/r - 1)/2]_k.
 
-    alpha is a Fraction or a MultiPoly over `ring` (affine in the formal m).
-    With negate=True the image is evaluated at -lambda (the adjoint rule
-    gamma(D*)(lambda) = gamma(D)(-lambda)).
+    alpha is a Fraction or a MultiPoly over `ring` (affine in the formal m),
+    and lambda_j the variables lam_idx of `ring`.  With negate=True the image
+    is evaluated at -lambda (the adjoint rule gamma(D*)(lambda) = gamma(D)(-lambda)).
     """
-    if ring is None:
-        ring = VarSet(
-            ("m",) + tuple(f"l1_{j}" for j in range(1, factor.rank + 1)),
-            (0,) + (1,) * factor.rank,
-        )
-        lam_idx = list(range(1, 1 + factor.rank))
-    assert lam_idx is not None and len(lam_idx) == factor.rank
+    assert len(lam_idx) == factor.rank
     if isinstance(alpha, MultiPoly):
         alpha_poly = alpha
     else:
@@ -257,12 +253,13 @@ def maass_hc_image(
     return out
 
 
-def pm_identity_check(case: CaseDescriptor, q, forced: bool = False) -> tuple[CheckReport, MultiPoly]:
+def pm_identity_check(case: CaseDescriptor, q) -> tuple[CheckReport, MultiPoly]:
     """Verify p_m(lambda) = sum(lambda) - sum(m_i k_i r_i)/2 as a polynomial.
 
-    q may violate the eta0 condition only with forced=True (the eta0 of the
-    first factor is then used); the residual polynomial is returned either
-    way, so a necessity-direction test can exhibit a nonzero residual.
+    delta takes the first factor's eta0 (delta_constants), so on a q that
+    violates the eta0 condition the identity must fail; the residual
+    polynomial is returned either way, so a necessity-direction test can
+    exhibit it.
     """
     ring = hc_ring(case)
     m_var = MultiPoly.variable(ring, 0)
@@ -272,7 +269,7 @@ def pm_identity_check(case: CaseDescriptor, q, forced: bool = False) -> tuple[Ch
         lam_blocks.append(list(range(t, t + f.rank)))
         t += f.rank
 
-    kappa, eta0 = delta_constants(case, q, forced)
+    kappa, eta0 = delta_constants(case, q)
     A = case.bernstein_lead
 
     one = MultiPoly.constant(ring, 1)

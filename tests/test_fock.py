@@ -34,6 +34,11 @@ def unit(key):
     return {key: F(1)}
 
 
+def block_basis(space, m):
+    """The keys (m, j) of block m, 0 <= j_i <= N_i(m)."""
+    return [(m, js) for js in product(*(range(n + 1) for n in space.degree_bounds(m)))]
+
+
 def test_truncation_rejects_non_rank1():
     case2 = build_case(2, p=3)
     with pytest.raises(ValueError):
@@ -42,7 +47,7 @@ def test_truncation_rejects_non_rank1():
 
 def test_block_dims_case1():
     space = FockSpace(build_case(1), (F(0),))
-    assert [len(space.block_basis(m)) for m in range(5)] == [1, 5, 9, 13, 17]
+    assert [len(block_basis(space, m)) for m in range(5)] == [1, 5, 9, 13, 17]
     assert FockSpace(build_case(1), (F(4),)).degree_bounds(1) == (8,)
 
 
@@ -120,7 +125,7 @@ def test_sigma_involution_reads_no_column(monkeypatch):
 def test_sigma_inverse_undoes_sigma(case, q):
     space = FockSpace(case, q)
     sig, sig_inv = sigma(space), sigma_inverse(space)
-    for key in (k for m in range(4) for k in space.block_basis(m)):  # every block m = 0..3
+    for key in (k for m in range(4) for k in block_basis(space, m)):  # every block m = 0..3
         assert sig_inv.apply(sig.apply(unit(key))) == unit(key)
         assert sig.apply(sig_inv.apply(unit(key))) == unit(key)
 
@@ -160,7 +165,7 @@ def test_rule_composition_is_operator_composition():
     for a in ops:
         for b in ops:
             ab = a @ b
-            for key in (k for m in range(1, 3) for k in space.block_basis(m)):
+            for key in (k for m in range(1, 3) for k in block_basis(space, m)):
                 assert ab.apply(unit(key)) == a.apply(b.apply(unit(key)))
 
 
@@ -177,7 +182,7 @@ def test_composed_rhoE_matches_the_column_conjugation(case, q):
     space = FockSpace(case, q)
     f = rho_F(space)
     e, sig, sig_inv = rho_E(space, f), sigma(space), sigma_inverse(space)
-    for key in (k for m in range(5) for k in space.block_basis(m)):
+    for key in (k for m in range(5) for k in block_basis(space, m)):
         assert e.apply(unit(key)) == sig.apply(f.apply(sig_inv.apply(unit(key))))
 
 
@@ -214,7 +219,8 @@ def test_commutator_case4_consistent_solution():
 
 
 def test_commutator_case11_forced_fails():
-    rep = commutator_check(build_case(11), (0, 0), forced=True)
+    # the first factor's eta0 = 1/3 on a q the second factor rejects
+    rep = commutator_check(build_case(11), (0, 0))
     assert rep.status == "fail" and "does not vanish" in rep.residual
 
 
@@ -264,7 +270,7 @@ def test_rule_at_a_block_is_the_column_map_of_its_keys():
         for m in (1, 2):
             at = r.at(m)
             assert at is None or (not any(at.b1) and at.parity[0] == 0)
-            for key in space.block_basis(m):
+            for key in block_basis(space, m):
                 if at is None:
                     assert r.image(key) is None
                     continue
@@ -295,7 +301,7 @@ def test_block1_verdicts_match_the_column_oracle(case, q, kappa, kappa_a):
         rules = (a @ b).rules + (b @ a).scale(-1).rules + c.scale(-scale).rules
         proved = fock._nonvanishing_group(space, rules, 1)[1] is None
         assert proved == all(_relation_holds_on_columns(a, b, c, scale, key)
-                             for key in space.block_basis(1))
+                             for key in block_basis(space, 1))
         verdicts.append(proved)
     # case 5 has A = 1, so kappa = A is the same operator there
     assert verdicts == [True, True, kappa == "1/A" or case.label == "5"]
@@ -305,7 +311,7 @@ def test_dk_relations():
     space = FockSpace(build_case(5), (F(1),) * 4)
     for i in range(4):
         e, f, h = (dk_action(space, i, g) for g in "efh")
-        for key in space.block_basis(1):
+        for key in block_basis(space, 1):
             v = unit(key)
             ef = _sub(e.apply(f.apply(v)), f.apply(e.apply(v)))
             assert ef == h.apply(v)
@@ -316,7 +322,7 @@ def test_dk_relations():
     # different factors commute
     e0 = dk_action(space, 0, "e")
     f1 = dk_action(space, 1, "f")
-    for key in space.block_basis(1):
+    for key in block_basis(space, 1):
         v = unit(key)
         assert e0.apply(f1.apply(v)) == f1.apply(e0.apply(v))
 
@@ -347,7 +353,8 @@ def _honest(space, op, i, m, psi):
         out = {m + 1: psi}
     elif op == "D":  # Q(d/dz), then division by prod w_i^{k_i}; there is no block -1
         for v, k in enumerate(space.ks):
-            psi = psi.diff(v, k)
+            for _ in range(k):
+                psi = psi.diff(v)
         out = {m - 1: psi} if m > 0 else {}
     else:  # e = d/dz, h = 2 z d/dz - N, f = z^2 d/dz - N z
         zi, n = MultiPoly.variable(psi.vars, i), space.degree_bounds(m)[i]
@@ -366,7 +373,7 @@ def test_rules_match_the_operators_on_polynomials(case, q):
     ops = [("M", 0, mult_w(space)), ("D", 0, diff_q(space))]
     ops += [(g, i, dk_action(space, i, g)) for i in range(case.s) for g in "efh"]
     sig = sigma(space)
-    for m, js in (k for m in range(3) for k in space.block_basis(m)):
+    for m, js in (k for m in range(3) for k in block_basis(space, m)):
         psi = MultiPoly(ring, {js: 1})
         for op, i, rules in ops:
             got = _by_block(space, ring, rules.apply(unit((m, js))))
@@ -448,9 +455,11 @@ def test_reproducing_check():
     assert rep.details == "m in [0, 1, 2, 3]; exact Beta integrals"
 
 
-def test_reproducing_check_fails_with_the_weight_exponent_off_by_one():
+def test_reproducing_check_fails_with_the_weight_exponent_off_by_one(monkeypatch):
     # (1+t)^-(n+3) gives 1/binom(n+1, j): every j >= 1 of m >= 1 mismatches
-    rep = reproducing_check(q=0, m_values=(0, 1, 2, 3), _exponent_shift=1)
+    real = fock.beta_integral
+    monkeypatch.setattr(fock, "beta_integral", lambda j, n: real(j, n + 1))
+    rep = reproducing_check(q=0, m_values=(0, 1, 2, 3))
     assert rep.status == "fail" and rep.residual == str(4 + 8 + 12)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from focklab import sl2
 from focklab.jordan import build_case, full_mat, rank1
-from focklab.polyalg import MultiPoly
+from focklab.polyalg import MultiPoly, VarSet
 from focklab.sl2 import (
     delta_constants,
     eta0_of,
@@ -109,22 +109,39 @@ def test_delta_sequence_case5():
 def test_delta_sequence_case1_calibrated():
     # kappa = 1/A with A = 256, eta0 = 1/4 (kappa = A: test_pm_identity_wrong_kappa_fails)
     assert delta_constants(build_case(1), (0,)) == (F(1, 256), F(1, 4))
-    # forced: the first factor's eta0 on a q the others reject
-    assert delta_constants(build_case(11), (0, 0), forced=True)[1] == F(1, 3)
+    # the first factor's eta0, also on a q the others reject
+    assert delta_constants(build_case(11), (0, 0))[1] == F(1, 3)
+
+
+def test_delta_eta0_is_eta0_of_on_every_admissible_q():
+    from focklab import checks
+
+    for case, qs in PM_MATRIX:
+        for q in qs:
+            assert delta_constants(case, q)[1] == eta0_of(case, q)
+    for case, q in checks.feasible_pairs():
+        assert delta_constants(case, q)[1] == eta0_of(case, q)
+
+
+def hc_image(factor, alpha):
+    """maass_hc_image of one factor over the ring (m, lambda_1..lambda_r)."""
+    ring = VarSet(("m",) + tuple(f"l1_{j}" for j in range(1, factor.rank + 1)),
+                  (0,) + (1,) * factor.rank)
+    return maass_hc_image(factor, alpha, ring, list(range(1, 1 + factor.rank)))
 
 
 def test_maass_image_examples():
-    img = maass_hc_image(rank1(1), F(0))
+    img = hc_image(rank1(1), F(0))
     lam = MultiPoly.variable(img.vars, 1)
     assert img == lam
 
-    img = maass_hc_image(rank1(4), F(-1))
+    img = hc_image(rank1(4), F(-1))
     expected = MultiPoly.constant(img.vars, 1)
     for t in (4, 3, 2, 1):
         expected = expected * (MultiPoly.variable(img.vars, 1) + MultiPoly.constant(img.vars, t))
     assert img == expected
 
-    img = maass_hc_image(full_mat(4), F(0))
+    img = hc_image(full_mat(4), F(0))
     expected = MultiPoly.constant(img.vars, 1)
     for j in range(1, 5):
         expected = expected * (
@@ -139,7 +156,7 @@ def test_maass_leading_coefficient_matches_bernstein_lead():
     from focklab.bernstein import case_b_poly
 
     case = build_case(1)
-    img = maass_hc_image(rank1(4), F(0))
+    img = hc_image(rank1(4), F(0))
     # substitute lambda -> 4 X: scale each lambda exponent's coefficient by 4^e
     lam_idx = 1
     lead_exp = max(e[lam_idx] for e in img.terms)
@@ -150,7 +167,7 @@ def test_maass_leading_coefficient_matches_bernstein_lead():
 
 
 def test_maass_image_symmetric_in_lambda_block():
-    img = maass_hc_image(full_mat(3), F(-2))
+    img = hc_image(full_mat(3), F(-2))
     # swap lambda_1 and lambda_2: exponent transposition leaves img fixed
     swapped = {}
     for e, c in img.terms.items():
@@ -193,9 +210,10 @@ def test_pm_identity_zero_residual(case, qs):
 
 
 def test_pm_identity_case11_forced_nonzero():
-    rep, residual = pm_identity_check(build_case(11), (0, 0), forced=True)
+    # delta at the first factor's eta0, on q that the second factor rejects
+    rep, residual = pm_identity_check(build_case(11), (0, 0))
     assert rep.status == "fail" and not residual.is_zero()
-    rep, residual = pm_identity_check(build_case(11), (3, 0), forced=True)
+    rep, residual = pm_identity_check(build_case(11), (3, 0))
     assert not residual.is_zero()
 
 
