@@ -9,13 +9,14 @@ Meijer parameters alpha = (eta0-1, eta0), beta_j = eta0 + b_j - 1.
 The weight G^{4,0}_{2,4} reduces to G^{3,0}_{1,3} (one beta equals alpha2 in
 every catalog row), represented once by its Mellin symbol F(s) = prod
 Gamma(beta_j + s) / Gamma(alpha1 + s) (MeijerParams.symbol), through which
-every numeric path reads F: MeijerEvaluator takes G by Mellin-Barnes
-quadrature on two contours for |ln u| <= 12, from tables of F shared by
-symbols a common shift apart, and below e^-12 from its residue series
-(DLMF 16.17.2); the moments int G(u) u^m du = F(m + 1) come with a certified
-error bound, and the case-(1) Bergman cross-check reduces to them through
-exact Beta integrals.  That G takes both signs is proved from the exact sign
-of F at two rationals (MellinSymbol.sign_change) and located on a grid.
+every numeric path reads F: MeijerEvaluator takes G below e^-12 from its
+residue series (DLMF 16.17.2), then by Mellin-Barnes quadrature on one
+contour, from a table of F shared by symbols a common shift apart, and far
+out from its asymptotic series (DLMF 16.11); the moments int G(u) u^m du =
+F(m + 1) come with a certified error bound, and the case-(1) Bergman
+cross-check reduces to them through exact Beta integrals.  That G takes both
+signs is proved from the exact sign of F at two rationals
+(MellinSymbol.sign_change) and located on a grid.
 
 The exact c_m series is built from c_0 = 1 by its three-root recurrence
 ratio, a pair of polynomials in a formal m; that the closed Pochhammer form
@@ -462,9 +463,9 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
 # which the floor of eval_grid charges ten times over
 TAIL_SHARE = 1e-17
 
-# the contours serve |ln u| <= LOG_U_BUDGET: their step h keeps aliasing under
-# the roundoff floor there (see MeijerEvaluator); below, the residue series
-# serves, and above, every evaluation raises
+# the contour serves at most |ln u| <= LOG_U_BUDGET: its step h keeps aliasing
+# under the roundoff floor there (see MeijerEvaluator); below, the residue
+# series serves, and above, from a switch point on, the asymptotic series
 LOG_U_BUDGET = 12.0
 
 
@@ -532,7 +533,7 @@ def _contour_table(rel: MellinSymbol, offset: Fraction, precision: int) -> dict:
     for arr in (nodes, blocks, steps):
         arr.flags.writeable = False
     return {"nodes": nodes, "blocks": blocks, "steps": steps, "w_abs": w_abs,
-            "log_w_abs": math.log(w_abs), "k0": k0, "tail_bound": float(tails[k0])}
+            "k0": k0, "tail_bound": float(tails[k0])}
 
 
 # u per pass of MeijerEvaluator.eval_grid: bounds its (chunk, size + count)
@@ -544,9 +545,11 @@ EVAL_CHUNK = 512
 SERIES_TAIL = 1e-17
 
 # the log-u trapezoid of MeijerEvaluator.moment: its step, at which aliasing
-# stays under 3.2e-31 |mu| on every feasible pair up to m = 12, and its last node
+# stays under 3.2e-31 |mu| on every feasible pair up to m = 12
 MOMENT_STEP = 0.125
-MOMENT_LOG_U_MAX = 8.0
+
+# G's asymptotic series is cut at its smallest of this many terms (_expansion)
+ASYMPTOTIC_TERMS = 64
 
 # relative tolerance of every trapezoid moment against its exact value
 # (moment_check) and of the Bergman cross-check (bergman_norm_case1)
@@ -649,6 +652,32 @@ def _residues(symbol: MellinSymbol, precision: int
     raise ArithmeticError(f"no line left of {len(taken)} poles bounds the residue series' rest")
 
 
+@lru_cache(maxsize=64)
+def _asymptotic(rel: MellinSymbol):
+    """(lambda, M): G(u) ~ e^{-2x} sum_k M_k x^{lambda - k}, x = sqrt u, k <= ASYMPTOTIC_TERMS.
+
+    lambda = sum b - a - 1/2 and M_0 = sqrt(pi) (DLMF 16.11(ii); Luke, The
+    Special Functions and Their Approximations I, 5.7, 1969).  The series in
+    G's equation u (theta - a + 1) G = prod_j (theta - b_j) G, theta = u d/du
+    (DLMF 16.21.1), leaves the three-term recurrence below, in y_j = l/2 - b_j;
+    it runs in Fractions, as in floats some M_n lose 1e-3.  A common shift of
+    F keeps M and moves lambda by twice it: callers pass F shifted by -min b.
+    """
+    import numpy as np
+
+    (a,) = rel.a
+    lam = sum(rel.b) - a - Fraction(1, 2)
+    ratios = [Fraction(0), Fraction(1)]  # M_{-1} and M_0, over M_0
+    for n in range(1, ASYMPTOTIC_TERMS + 1):
+        y1, y2, y3 = ((lam - n + 1) / 2 - b for b in rel.b)
+        e1 = y1 * y2 + y1 * y3 + y2 * y3 + (y1 + y2 + y3) / 2 + Fraction(1, 4)
+        e0 = -math.prod(y + Fraction(1, 2) for y in (y1, y2, y3))
+        ratios.append(-(ratios[-1] * e1 + ratios[-2] * e0) / n)
+    coeffs = math.sqrt(math.pi) * np.array([float(r) for r in ratios[1:]])
+    coeffs.flags.writeable = False
+    return lam, coeffs
+
+
 def _node_sum(alpha: float, d: int, x0: float, h: float) -> float:
     """h sum_{k >= 1} e^{alpha x_k} x_k^d over x_k = x0 - k h, alpha > 0, closed form.
 
@@ -693,7 +722,7 @@ def _log_line_l1(symbol: MellinSymbol, c: Fraction) -> float:
 
 
 class MeijerEvaluator:
-    """G(u), the function with Mellin symbol F, via fixed vertical Mellin-Barnes contours.
+    """G(u), the function with Mellin symbol F, via one vertical Mellin-Barnes contour.
 
     G(u) = (1/2pi) * integral over t of F(c + i t) u^{-c - i t} dt on a line
     Re s = c strictly right of every pole of the numerator Gammas.
@@ -718,20 +747,23 @@ class MeijerEvaluator:
     einsum on one thread, where a matrix product (@) would add BLAS threads'
     CPU time.
 
-    Near u = 0.  On the near contour the roundoff floor 1e-15 w_abs u^{-c}
-    grows faster than G as u falls, so below e^-LOG_U_BUDGET G comes from its
-    residue series (_residues) for every symbol: a pole of order r gives
-    u^{-s} times a polynomial of degree r - 1 in log u, so b_j an integer
-    apart need no second path.  Its floor is 1e-15 times the terms'
-    magnitudes plus the bound u^{-c} W(c) on the line left of the poles taken.
-    Above e^LOG_U_BUDGET every evaluation raises ValueError (see Step size).
+    Beyond the contour.  Its roundoff floor 1e-15 w_abs u^{-c} outgrows G as
+    u falls, and as u grows, where G is exponentially small.  Below
+    e^-LOG_U_BUDGET G comes from its residue series (_residues) for every
+    symbol: a pole of order r gives u^{-s} times a polynomial of degree r - 1
+    in log u, so b_j an integer apart need no second path.  Its floor is 1e-15
+    times the terms' magnitudes plus the bound u^{-c} W(c) on the line left of
+    the poles taken.  From ln u = switch on G comes from its asymptotic series
+    (_expansion): switch, at most LOG_U_BUDGET (see Step size), is the first
+    ln u = k MOMENT_STEP > 0 where that series' floor is below the contour's.
 
     Shared tables.  u^sigma G(u; a, b) = G(u; a + sigma, b + sigma) (DLMF
     16.19.2, https://dlmf.nist.gov/16.19) holds on the contour itself:
     F(c + i t) is the relative symbol (F shifted by -min b) at the offset
-    c + min b + i t.  Each contour sits at a fixed offset, 5/4 or 5/4 + shift,
-    so its table is keyed on the relative symbol, the offset and precision,
-    and built once per key (_contour_table); the evaluator keeps its own c.
+    c + min b + i t.  The contour sits at the fixed offset 5/4, so its table
+    is keyed on the relative symbol, the offset and precision, and built once
+    per key (_contour_table); the evaluator keeps its own c.  The asymptotic
+    series' coefficients are shared alike.
 
     Step size.  Poisson summation gives the exact aliasing identity for the
     untruncated rule on Re s = c, G_h(u) = sum_k e^{2 pi k c / h} G(u e^{2 pi k / h})
@@ -739,72 +771,88 @@ class MeijerEvaluator:
     the distance from the contour to the rightmost pole, the step
     h = 2 pi / ((precision + 4) ln 10 / d + LOG_U_BUDGET) makes both leading
     others negligible against the roundoff floor 1e-16 w_abs u^{-c} (see
-    _evaluate) for every |ln u| <= LOG_U_BUDGET, the range the contours serve:
+    _evaluate) for every |ln u| <= LOG_U_BUDGET, the range the contour serves:
 
     - k = -1 samples G near 0, where G(v) = O(v^{min beta}); relative to
       u^{-c} it is O(u^d e^{-2 pi d / h}) <= 10^{-(precision+4)} for
-      ln u <= LOG_U_BUDGET, and unbounded above it, which is why u above
-      e^LOG_U_BUDGET raises;
+      ln u <= LOG_U_BUDGET, and unbounded above it, which is why the contour
+      never serves u above e^LOG_U_BUDGET;
     - k = +1 samples G at v = u e^{2 pi / h} >= e^{(precision+4) ln 10 / d},
       far out on its super-exponentially decaying tail; this is the term
       that binds at small u, and the reason LOG_U_BUDGET enters h.
     """
 
     def __init__(self, symbol: MellinSymbol, precision: int = 12):
+        import numpy as np
+
         self.symbol = symbol
         self.precision = precision
-        if len(symbol.b) <= len(symbol.a):
-            raise ValueError("need more numerator than denominator parameters")
         min_b = min(symbol.b)
-        # a second contour well to the right keeps u^{-c} from amplifying
-        # roundoff where G is exponentially small (large u); both lines are
-        # right of every numerator pole, so they integrate to the same G
-        shift = min(8 + Fraction(precision, 2), 24)
-        self.contours = [
-            dict(_contour_table(symbol.shifted(-min_b), offset, precision),
-                 c=float(offset - min_b))
-            for offset in (Fraction(5, 4), Fraction(5, 4) + shift)
-        ]
-
-    @staticmethod
-    def _log_scale(ct: dict, log_u):
-        # log of the roundoff scale w_abs u^{-c}, compared in log space:
-        # u^{-c} alone overflows a float for tiny u on the far contour
-        return ct["log_w_abs"] - ct["c"] * log_u
+        rel, offset = symbol.shifted(-min_b), Fraction(5, 4)
+        self.contours = [dict(_contour_table(rel, offset, precision), c=float(offset - min_b))]
+        lam, self._coeffs = _asymptotic(rel)
+        self._lam, self._min_b = float(lam), float(min_b)
+        log_us = MOMENT_STEP * np.arange(1, round(LOG_U_BUDGET / MOMENT_STEP) + 1)
+        ct = self.contours[0]
+        better = (self._expansion(np.exp(log_us), log_us)[1]
+                  < 1e-15 * ct["w_abs"] * np.exp(-ct["c"] * log_us))
+        self.switch = float(log_us[np.argmax(better)]) if better.any() else LOG_U_BUDGET
 
     def _evaluate(self, us, log_us):
         """(G, its roundoff floor) at arrays of u and of their logs.
 
-        Each u with |ln u| <= LOG_U_BUDGET takes the contour with the smaller
-        roundoff scale, and each u below e^-LOG_U_BUDGET the residue series
-        (_series).  ValueError above e^LOG_U_BUDGET, and where G(u) or its
-        floor is not a finite float.
+        Each u below e^-LOG_U_BUDGET takes the residue series (_series), each
+        u from e^switch on the asymptotic series (_expansion), and the rest
+        the contour, whose floor is 1e-15 w_abs u^{-c}.  ValueError where G(u)
+        or its floor is not a finite float.
         """
         import numpy as np
 
         values = np.empty(len(us))
         noise = np.empty(len(us))
-        above = log_us > LOG_U_BUDGET
-        if above.any():
-            raise ValueError(f"u = {float(us[above][0])!r} is above e^{LOG_U_BUDGET:g}, "
-                             "where the contour's aliasing is not bounded")
         below = log_us < -LOG_U_BUDGET
+        far = log_us >= self.switch
+        mid = ~(below | far)
+        ct = self.contours[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            if below.any():
-                values[below], noise[below] = self._series(us[below], log_us[below])
-            # argmin keeps the first contour on a tie
-            pick = np.argmin([self._log_scale(ct, log_us) for ct in self.contours], axis=0)
-            for i, ct in enumerate(self.contours):
-                sel = (pick == i) & ~below
+            for sel, part in ((below, self._series), (far, self._expansion)):
                 if sel.any():
-                    scale = us[sel] ** (-ct["c"])
-                    values[sel] = _contour_sum(ct, log_us[sel]) * scale
-                    noise[sel] = 1e-15 * ct["w_abs"] * scale
+                    values[sel], noise[sel] = part(us[sel], log_us[sel])
+            scale = us[mid] ** (-ct["c"])
+            values[mid] = _contour_sum(ct, log_us[mid]) * scale
+            noise[mid] = 1e-15 * ct["w_abs"] * scale
         bad = ~(np.isfinite(values) & np.isfinite(noise))
         if bad.any():
             raise ValueError(f"u = {float(us[bad][0])!r} is out of range: G(u) or its "
                              "roundoff floor is not a finite float")
         return values, noise
+
+    def _expansion(self, us, log_us):
+        """(G, its floor) at arrays of u and of their logs: u^{min b} e^E
+        sum_{k < K} M_k x^{-k}, x = sqrt u, E = lambda ln x - 2x (_asymptotic of
+        F shifted by -min b), cut at its smallest term k = K < ASYMPTOTIC_TERMS.
+        Like the contour's, the floor then scales with u^{min b}.  It is twice
+        the larger of terms K and K + 1, as a term can dip far below its
+        neighbours where the signs of M_k break pattern, plus 1e-15
+        (1 + |E| + 2x) sum_{k < K} |term k| for the rounding of the sum, e^E
+        and 2x.  That it bounds the truncation error is validated against dps-30
+        mpmath, not proved: on the 36 feasible pairs at ln u = 2 to 8 in steps
+        of 1/4, e^10 and 1e5 (972 points) no error exceeded 0.56 of it.
+        """
+        import numpy as np
+
+        x, ln_x = np.sqrt(us), log_us / 2
+        exponent = self._lam * ln_x - 2 * x
+        k = np.arange(len(self._coeffs))
+        terms = self._coeffs * np.exp(np.multiply.outer(-ln_x, k))
+        mags = np.abs(terms)
+        cut = np.argmin(mags[:, :-1], axis=1)
+        kept = np.where(k < cut[:, None], terms, 0.0)
+        size = 1e-15 * (1 + np.abs(exponent) + 2 * x) * np.abs(kept).sum(axis=1)
+        rows = np.arange(len(cut))
+        omitted = np.maximum(mags[rows, cut], mags[rows, cut + 1])
+        scale = np.exp(exponent + self._min_b * log_us)  # u^{min b} e^E, no overflow
+        return scale * kept.sum(axis=1), scale * (2 * omitted + size)
 
     def _series(self, us, log_us):
         """(G, its roundoff floor) at arrays of u and of their logs from the
@@ -848,10 +896,10 @@ class MeijerEvaluator:
 
     @cached_property
     def _moment_grid(self):
-        """(x, G(e^x), its floor) at x = -LOG_U_BUDGET + k MOMENT_STEP up to MOMENT_LOG_U_MAX."""
+        """(x, G(e^x), its floor) at x = -LOG_U_BUDGET + k MOMENT_STEP up to LOG_U_BUDGET."""
         import numpy as np
 
-        count = round((MOMENT_LOG_U_MAX + LOG_U_BUDGET) / MOMENT_STEP)
+        count = round(2 * LOG_U_BUDGET / MOMENT_STEP)
         x = -LOG_U_BUDGET + MOMENT_STEP * np.arange(count + 1)
         return (x, *self._evaluate(np.exp(x), x))
 
@@ -860,7 +908,7 @@ class MeijerEvaluator:
 
         The trapezoidal rule in x = log u with step h = MOMENT_STEP over the
         whole line: h sum_k e^{(m+1) x_k} G(e^{x_k}), x_k = x0 + k h,
-        x0 = -LOG_U_BUDGET.  The nodes from x0 to MOMENT_LOG_U_MAX take G from
+        x0 = -LOG_U_BUDGET.  The nodes from x0 to LOG_U_BUDGET take G from
         one evaluation per evaluator, which every m reuses; below x0 each
         residue-series term u^e (log u)^d sums over the nodes in closed form
         (_node_sum), so the rule stays the bi-infinite one.  m need not be an
@@ -869,7 +917,7 @@ class MeijerEvaluator:
         - the propagated roundoff, h sum_k e^{(m+1) x_k} f(e^{x_k}) with f the
           floor of _evaluate, and the series' own floor;
         - the aliasing (_aliasing), exact by Poisson summation;
-        - the nodes above MOMENT_LOG_U_MAX (_upper_tail), and below x0 the
+        - the nodes above LOG_U_BUDGET (_upper_tail), and below x0 the
           rest of the residue series, each bounded by a Mellin-Barnes line:
           |G(u)| <= u^{-c} W(c) (_log_line_l1).
 
@@ -904,14 +952,15 @@ class MeijerEvaluator:
         return value, 1e-15 * size + _node_sum(m + 1 - float(c), 0, x0, h) * math.exp(log_w)
 
     def _upper_tail(self, m: int) -> float:
-        """Bound on the nodes above MOMENT_LOG_U_MAX, best of a few lines.
+        """Bound on the nodes above LOG_U_BUDGET, best of a few lines.
 
         On Re s = c = m + 1 + d, d > 0: h sum_{k >= 1} e^{(m+1) x_k} |G(e^{x_k})|
-        <= W(c) h sum_{k >= 1} e^{-d x_k}, x_k = x_max + k h: _node_sum in -x.
+        <= W(c) h sum_{k >= 1} e^{-d x_k}, x_k = LOG_U_BUDGET + k h: _node_sum
+        in -x, whose factor e^{-d LOG_U_BUDGET} would underflow, in log space.
         """
         return math.exp(min(
-            _log_line_l1(self.symbol, Fraction(m + 1 + d))
-            + math.log(_node_sum(d, 0, -MOMENT_LOG_U_MAX, MOMENT_STEP))
+            _log_line_l1(self.symbol, Fraction(m + 1 + d)) - d * LOG_U_BUDGET
+            + math.log(_node_sum(d, 0, 0.0, MOMENT_STEP))
             for d in (2, 4, 8, 16, 32, 64) if m + 1 + d > -min(self.symbol.b)))
 
     def _aliasing(self, m: int) -> float:

@@ -302,6 +302,17 @@ def test_meijer_command_fails_on_a_wrong_moment(monkeypatch, capsys):
     assert code == 1 and "[FAIL] meijer.moment.1.0.0" in out
 
 
+def test_meijer_command_passes_on_log_term_and_large_b_weights(capsys):
+    # log-term weights (merged poles) and case 10d, whose moment integrand
+    # peaks near u = e^7 at m = 12
+    for argv in (("--case", "2", "--p", "2", "--q", "0"), ("--case", "3", "--q", "0,0"),
+                 ("--case", "10", "--variant", "d"),
+                 ("--case", "10", "--variant", "d", "--q", "1,9", "--moments", "12")):
+        code, out = run(capsys, "meijer", *argv)
+        assert code == 0 and "[FAIL]" not in out, (argv, out)
+    assert "[PASS] meijer.moment.10d.1_9.12 " in out
+
+
 @pytest.mark.parametrize("argv", [("operators", "--case", "2"), ("sl2", "--case", "12")])
 def test_verify_empty_selection_exit_2(argv, tmp_path, capsys):
     path = tmp_path / "report.json"

@@ -226,12 +226,13 @@ def test_meijer_eval_against_mpmath():
 @pytest.mark.parametrize("case, q, precision", [
     (build_case(1), (0,), 12),
     (build_case(5), (0, 0, 0, 0), 12),
-    (build_case(1), (4,), 12),  # shares both tables with q = 0
-    (build_case(1), (0,), 13),  # odd precision: far contour offset 5/4 + 29/2
+    (build_case(1), (4,), 12),  # shares its table with q = 0
+    (build_case(1), (0,), 13),  # odd precision: another step h and truncation T
 ])
 def test_meijer_eval_within_noise_estimate(case, q, precision):
-    # across [e^-26, 1e3], residue series below e^-12 and contour sums above,
-    # G must sit within its own roundoff model against a dps-30 reference
+    # across [e^-26, 1e3], residue series below e^-12, contour sums above and
+    # the asymptotic series from the switch on, G must sit within its own
+    # roundoff model against a dps-30 reference
     import mpmath as mp
 
     ev = MeijerEvaluator(meijer_params(case, q).symbol, precision=precision)
@@ -248,17 +249,17 @@ def test_meijer_eval_within_noise_estimate(case, q, precision):
 
 
 def test_eval_grid_matches_eval_across_the_contour_switch():
-    # more u than one chunk, on both sides of the near/far contour switch and
-    # of the switch from the residue series to the contours at e^-12
+    # more u than one chunk, on both sides of the switch from the residue
+    # series to the contour at e^-12 and of the switch from the contour to
+    # the asymptotic series
     import focklab.kernel as kernel
 
     ev = MeijerEvaluator(CASE1_Q0, precision=12)
     us = [math.exp(-26.0 + 33.0 * i / 1199) for i in range(1200)]
     assert len(us) > 2 * kernel.EVAL_CHUNK
-    assert kernel.LOG_U_BUDGET == 12
-    picked = {min(ev.contours, key=lambda ct: ev._log_scale(ct, math.log(u)))["c"]
-              for u in us if math.log(u) >= -kernel.LOG_U_BUDGET}
-    assert picked == {ct["c"] for ct in ev.contours}
+    assert kernel.LOG_U_BUDGET == 12 and 0 < ev.switch < kernel.LOG_U_BUDGET
+    regions = {(math.log(u) >= -kernel.LOG_U_BUDGET) + (math.log(u) >= ev.switch) for u in us}
+    assert regions == {0, 1, 2}
     grid = ev.eval_grid(us)[0]
     assert grid.shape == (len(us),)
     for u, g in zip(us, grid):
@@ -318,7 +319,7 @@ def test_sign_scan_needs_two_points(grid):
 
 def test_shifted_parameters_share_one_table():
     # u^sigma G(u; a, b) = G(u; a + sigma, b + sigma): a common shift of every
-    # parameter reuses both contour tables, and only the contour abscissa moves
+    # parameter reuses the contour table, and only the contour abscissa moves
     import mpmath as mp
 
     from focklab.kernel import _contour_table
@@ -326,24 +327,24 @@ def test_shifted_parameters_share_one_table():
     _contour_table.cache_clear()
     e0 = MeijerEvaluator(CASE1_Q0, precision=12)
     e1 = MeijerEvaluator(MellinSymbol((F(1), F(3, 4), F(1, 2)), (F(1, 4),)), precision=12)
-    assert _contour_table.cache_info().misses == 2  # one per contour
+    assert _contour_table.cache_info().misses == 1
     lo, hi = -26.0, math.log(1e3)
     for i in range(25):
         u = math.exp(lo + (hi - lo) * i / 24)
         assert e1.eval(u) == pytest.approx(u * e0.eval(u), rel=1e-13, abs=0.0), u
         assert floor(e1, u) == pytest.approx(u * floor(e0, u), rel=1e-13, abs=0.0), u
-    # the same b with another a is not a shift: two new tables
+    # the same b with another a is not a shift: a new table
     MeijerEvaluator(MellinSymbol((F(0), F(-1, 4), F(-1, 2)), (F(-1, 4),)), precision=12)
-    assert _contour_table.cache_info().misses == 4
+    assert _contour_table.cache_info().misses == 2
     # nor is the same a with another b, and its values are its own
     e2 = MeijerEvaluator(MellinSymbol((F(0), F(-1, 2), F(-1, 2)), (F(-3, 4),)), precision=12)
-    assert _contour_table.cache_info().misses == 6
+    assert _contour_table.cache_info().misses == 3
     for u in (0.01, 0.5, 2.0):
         ref = float(mp.meijerg([[], [-0.75]], [[0.0, -0.5, -0.5], []], u))
         assert abs(e2.eval(u) - ref) <= 2 * floor(e2, u), u
     # another precision sizes another step h and truncation T
     MeijerEvaluator(CASE1_Q0, precision=13)
-    assert _contour_table.cache_info().misses == 8
+    assert _contour_table.cache_info().misses == 4
 
 
 def test_meijer_eval_far_below_the_log_u_budget():
@@ -416,18 +417,26 @@ def test_log_term_series_fails_without_its_log_powers(monkeypatch):
                 _log_term_series_within_noise(b, a)
 
 
-def test_eval_above_the_log_u_budget_raises():
-    # above e^12 the contour's k = -1 aliasing term is unbounded (case 1 with
-    # q = 0 at e^30 gave 6.8e-197 where G is about 1e-2839436)
-    import focklab.kernel as kernel
+@pytest.mark.parametrize("case, q, us", [
+    (build_case(1), (0,), (math.exp(8), math.exp(10), 1e5)),
+    (build_case(5), (0, 0, 0, 0), (math.exp(8), math.exp(10))),
+    (build_case(10, variant="d"), (1, 9), (math.exp(8), math.exp(10))),
+], ids=["1", "5", "10d"])
+def test_meijer_eval_far_above_the_log_u_budget(case, q, us):
+    # far out, where the contour's aliasing is not bounded, the asymptotic
+    # series gives G within its own floor of dps-30 mpmath (which raises at
+    # 1e5 unless it may raise its working precision)
+    import mpmath as mp
 
-    ev = MeijerEvaluator(CASE1_Q0, precision=12)
-    top = kernel.LOG_U_BUDGET
-    assert math.isfinite(ev.eval(math.exp(top)))
-    u = math.exp(top + 1)
-    for call in (ev.eval, lambda u: ev.eval_grid([1.0, u])):
-        with pytest.raises(ValueError, match=f"u = {u!r} is above e\\^12"):
-            call(u)
+    ev = MeijerEvaluator(meijer_params(case, q).symbol, precision=12)
+    b_mp = [mp.mpf(x.numerator) / x.denominator for x in ev.symbol.b]
+    a_mp = [mp.mpf(x.numerator) / x.denominator for x in ev.symbol.a]
+    assert all(math.log(u) > ev.switch for u in us)
+    with mp.workdps(30):
+        for u, g in zip(us, ev.eval_grid(us)[0]):
+            ref = float(mp.meijerg([[], a_mp], [b_mp, []], u, maxprec=20000))
+            assert g == ev.eval(u)
+            assert abs(g - ref) <= floor(ev, u) <= 1e-11 * abs(ref), u
 
 
 def test_eval_and_eval_grid_raise_alike_where_u_power_overflows():
@@ -453,13 +462,10 @@ def _tables_of_the_checks():
     tables = {}
     for case, q, precision in pairs:
         symbol = meijer_params(case, q).symbol
-        rel = symbol.shifted(-min(symbol.b))
-        shift = min(8 + F(precision, 2), 24)
-        ev = MeijerEvaluator(symbol, precision=precision)
-        for offset, ct in zip((F(5, 4), F(5, 4) + shift), ev.contours):
-            key = (rel, offset, precision)
-            tables[key] = _contour_table(*key)
-            assert tables[key]["blocks"] is ct["blocks"]  # the evaluator's own table
+        key = (symbol.shifted(-min(symbol.b)), F(5, 4), precision)
+        (ct,) = MeijerEvaluator(symbol, precision=precision).contours
+        tables[key] = _contour_table(*key)
+        assert tables[key]["blocks"] is ct["blocks"]  # the evaluator's own table
     return tables
 
 
@@ -472,7 +478,7 @@ def test_float_gamma_ratio_within_its_bound_and_mpmath_prefix_exact():
     from focklab.kernel import TAIL_SHARE
 
     tables = _tables_of_the_checks()
-    assert len(tables) == 8  # 3 parameter shapes at precision 12, 1 at 13; 2 contours each
+    assert len(tables) == 4  # 3 parameter shapes at precision 12, 1 at 13
     for (rel, offset, precision), ct in tables.items():
         nodes = ct["nodes"]
         f_float, eps = rel.line(offset, nodes)
@@ -712,19 +718,48 @@ def test_moments_and_bergman_hold_their_error_bounds(precision):
 
 def test_moments_hold_on_every_feasible_pair():
     # log-term sets included: case 2 with p = 2, q = 0 and case 3 with
-    # q = (0, 0) once missed 1e-10 by the unsummed tail below e^-26, and at
-    # log-u step 1/4 the aliasing made 9c (q = 1) and 10d miss it at m = 7, 8
+    # q = (0, 0) once missed 1e-10 by the unsummed tail below e^-26, at log-u
+    # step 1/4 the aliasing made 9c (q = 1) and 10d miss it at m = 7, 8, and
+    # with the grid ending at e^8, its bounded upper tail from m = 10 on
     from focklab.checks import feasible_pairs
 
     pairs = feasible_pairs()
     assert len(pairs) == 36
     for case, q in pairs:
-        reports = [c for c in moment_check(case, q, m_max=8)
+        reports = [c for c in moment_check(case, q, m_max=12)
                    if c.id.startswith("meijer.moment.")]
-        assert len(reports) == 9, (case.label, q)
+        assert len(reports) == 13, (case.label, q)
         for c in reports:
             assert c.status == "pass", (c.id, c.residual, c.details)
             assert _detail(c, "err_bound") <= 1e-10 * abs(_detail(c, "trapezoid")), c.id
+
+
+def test_moments_fail_with_an_asymptotic_coefficient_off(monkeypatch):
+    # negative control: M_1 off by a relative 1e-9 moves G from the switch on,
+    # which every moment pair of the checks must show
+    import focklab.kernel as kernel
+    from focklab.checks import MOMENT_MATRIX
+
+    real = kernel._asymptotic
+
+    def m1_off(rel):
+        lam, coeffs = real(rel)
+        coeffs = coeffs.copy()
+        coeffs[1] *= 1 + 1e-9
+        return lam, coeffs
+
+    monkeypatch.setattr(kernel, "_asymptotic", m1_off)
+    kernel._evaluator_cached.cache_clear()
+    try:
+        failed = {r.id: r for case, q in MOMENT_MATRIX for r in moment_check(case, q)
+                  if r.status == "fail"}
+    finally:
+        kernel._evaluator_cached.cache_clear()
+    assert "meijer.moment.9a.0.5" in failed
+    assert float(failed["meijer.moment.9a.0.5"].residual) > kernel.REL_TOL
+    for case, q in MOMENT_MATRIX:
+        pair = f"meijer.moment.{case.label}.{'_'.join(str(x) for x in q)}."
+        assert any(cid.startswith(pair) for cid in failed), pair
 
 
 def test_node_sums_match_the_direct_sums():
