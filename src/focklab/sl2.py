@@ -14,6 +14,7 @@ discharged in one shot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,6 +130,13 @@ def solve_eta0(case: CaseDescriptor) -> AdmissibleQ:
     strict lattice: q_i in N and q_i/k_i in Z; cover lattice relaxes both to
     half-integers (order-2 coverings).  Infeasibility is a result, not an
     error.
+
+    Both lattices are periodic in q1 = t/2: t -> t + 2 k_1 adds 1 to every
+    q_i/k_i and k_i to every q_i, so each integrality condition depends on
+    t mod 2 k_1 alone.  With q_i = a_i q1 + b_i, every q_i is >= 0 from t_min
+    on, the largest of 0 and every ceil(-2 b_i / a_i), and below it some q_i
+    is not.  Four periods from t_min hold every residue four times, so they
+    decide both flags exactly and hold the first four points of each lattice.
     """
     f1 = case.factors[0]
     ks = [f.mult for f in case.factors]
@@ -145,7 +153,8 @@ def solve_eta0(case: CaseDescriptor) -> AdmissibleQ:
 
     strict_list: list[tuple[Fraction, ...]] = []
     cover_list: list[tuple[Fraction, ...]] = []
-    for t in range(128):  # q1 = 0, 1/2, ..., 127/2
+    t_min = max(0, *(math.ceil(-2 * b / a) for a, b in rel))
+    for t in range(t_min, t_min + 8 * f1.mult):  # four periods of q1 = t/2
         q1 = Fraction(t, 2)
         q = [a * q1 + b for a, b in rel]
         if _lattice_ok(q, ks, half=False):

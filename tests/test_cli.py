@@ -313,6 +313,23 @@ def test_meijer_command_passes_on_log_term_and_large_b_weights(capsys):
     assert "[PASS] meijer.moment.10d.1_9.12 " in out
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("verify", "meijer", "--precision", "13", "--jobs", "1"), ()),
+    (("verify", "bergman", "--precision", "13", "--jobs", "1"), ()),
+    (("export", "moments", "--case", "1", "--q", "0", "-m", "5", "--precision", "13",
+      "-o", "moments.csv"), ()),
+    (("weight-scan", "--case", "10", "--variant", "d"), ("  1 sign changes  ", "exact: ")),
+], ids=["meijer-p13", "bergman-p13", "moments-p13", "scan-10d"])
+def test_odd_precision_runs_and_the_10d_scan_pass(argv, expected, tmp_path, capsys):
+    # odd precision gives contour tables of their own; case 10d's weight dips
+    # into its roundoff floor, which the scan must not count as sign changes
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    code, out = run(capsys, *argv)
+    assert code == 0, out
+    for text in expected:
+        assert text in out, out
+
+
 @pytest.mark.parametrize("argv", [("operators", "--case", "2"), ("sl2", "--case", "12")])
 def test_verify_empty_selection_exit_2(argv, tmp_path, capsys):
     path = tmp_path / "report.json"
@@ -358,7 +375,7 @@ def test_raising_check_reports_error_and_run_goes_on(tmp_path, capsys, monkeypat
 
 
 def test_registry_is_built_lazily():
-    # solving the feasible q of every case costs more than importing the CLI
+    # importing the CLI builds no registry and solves no feasible q
     code = ("import focklab.cli, focklab.checks as c; "
             "print(c.registry.cache_info().currsize, c.feasible_pairs.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -720,7 +720,8 @@ def test_moments_hold_on_every_feasible_pair():
     # log-term sets included: case 2 with p = 2, q = 0 and case 3 with
     # q = (0, 0) once missed 1e-10 by the unsummed tail below e^-26, at log-u
     # step 1/4 the aliasing made 9c (q = 1) and 10d miss it at m = 7, 8, and
-    # with the grid ending at e^8, its bounded upper tail from m = 10 on
+    # with the grid ending at e^8, its bounded upper tail from m = 10 on; the
+    # one line that bounds the nodes above e^12 leaves that tail negligible
     from focklab.checks import feasible_pairs
 
     pairs = feasible_pairs()
@@ -729,9 +730,19 @@ def test_moments_hold_on_every_feasible_pair():
         reports = [c for c in moment_check(case, q, m_max=12)
                    if c.id.startswith("meijer.moment.")]
         assert len(reports) == 13, (case.label, q)
-        for c in reports:
+        ev = kernel.meijer_evaluator(case, q)
+        for m, c in enumerate(reports):
             assert c.status == "pass", (c.id, c.residual, c.details)
-            assert _detail(c, "err_bound") <= 1e-10 * abs(_detail(c, "trapezoid")), c.id
+            err_bound = _detail(c, "err_bound")
+            assert err_bound <= 1e-10 * abs(_detail(c, "trapezoid")), c.id
+            assert ev._upper_tail(m) <= 1e-30 * err_bound, c.id
+
+
+def test_upper_tail_line_right_of_every_pole():
+    ev = kernel.meijer_evaluator(build_case(1), (F(0),))
+    assert 0 < ev._upper_tail(0) < 1e-100
+    with pytest.raises(ValueError, match="moment -70: a pole"):
+        ev._upper_tail(-70)
 
 
 def test_moments_fail_with_an_asymptotic_coefficient_off(monkeypatch):

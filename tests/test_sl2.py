@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from focklab import sl2
-from focklab.jordan import build_case, full_mat, rank1
+from focklab.jordan import CaseDescriptor, build_case, default_catalog, full_mat, rank1, spin
 from focklab.polyalg import MultiPoly, VarSet
 from focklab.sl2 import (
     delta_constants,
@@ -57,6 +57,29 @@ def test_solve_eta0_case6_parity():
     adm = solve_eta0(build_case(6, p=3))
     assert adm.strict_feasible
     assert adm.q_relations[1] == (F(2), F(2))
+
+
+def test_solve_eta0_matches_a_plain_scan():
+    # solve_eta0 scans four periods of q1 = t/2; a plain scan of t < 512,
+    # with q_i = k_i eta0 - n_i/r_i read off the grading constraint, must
+    # give the same flags and the same first four points; the last case's
+    # q2 = q1/2 - 139/2 puts its lattice at q1 >= 139
+    from focklab.checks import FEASIBLE_CASES
+
+    late = CaseDescriptor(0, (rank1(2), spin(140)), "", "", "", 0)
+    for case in (*default_catalog(), *FEASIBLE_CASES, late):
+        f1 = case.factors[0]
+        strict, cover = [], []
+        for t in range(512):
+            eta0 = F(t, 2) / f1.mult + F(f1.dim, f1.mult * f1.rank)
+            q = tuple(f.mult * eta0 - F(f.dim, f.rank) for f in case.factors)
+            both = q + tuple(qi / f.mult for qi, f in zip(q, case.factors))
+            if min(q) < 0 or any((2 * x).denominator != 1 for x in both):
+                continue
+            (strict if all(x.denominator == 1 for x in both) else cover).append(q)
+        adm = solve_eta0(case)
+        assert (adm.strict_feasible, adm.cover_feasible) == (bool(strict), bool(cover)), case.label
+        assert adm.minimal_q == (strict or cover)[:4], case.label
 
 
 def _eta0_off(adm):
