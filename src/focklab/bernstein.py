@@ -95,8 +95,7 @@ def btilde_roots(case: CaseDescriptor) -> list[Fraction]:
     """Roots of Btilde(a) = prod B_i(a - n_i/(k_i r_i))."""
     out: list[Fraction] = []
     for f in case.factors:
-        shift = Fraction(f.dim, f.mult * f.rank)
-        out.extend(shift + r for r in factor_b_roots(f))
+        out.extend(f.eta0_shift + r for r in factor_b_roots(f))
     return out
 
 
@@ -185,10 +184,9 @@ def a_ratio_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPoly]:
     m = MultiPoly.variable(M_RING, 0)
     num = den = MultiPoly.constant(M_RING, 1)
     for f, qi in zip(case.factors, q):
-        nr = Fraction(f.dim, f.mult * f.rank)
-        x = MultiPoly.constant(M_RING, -qi / f.mult - nr) - m
+        x = MultiPoly.constant(M_RING, -f.eta0(qi)) - m
         num = num * big_b_poly(f, x)
-        den = den * big_b_poly(f, x - MultiPoly.constant(M_RING, nr))
+        den = den * big_b_poly(f, x - MultiPoly.constant(M_RING, f.eta0_shift))
     return num, den
 
 

@@ -330,7 +330,7 @@ def select(suites, case_id: int | None = None, q=None) -> list[Entry]:
     return [
         e for e in registry()
         if e.suite in suites
-        and (not case_id or (e.case is not None and e.case.case_id == case_id))
+        and (case_id is None or (e.case is not None and e.case.case_id == case_id))
         and (want is None or (e.q is not None and _q_matches(e.q, want)))
     ]
 

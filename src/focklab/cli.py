@@ -50,43 +50,36 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument error is one stderr line and exit 2, like every usage error."""
+    """An argument error is one stderr line and exit 2, like every usage error.
+
+    No abbreviations: `verify --p 4` would otherwise be read as `--precision 4`.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-# --precision, or FOCKLAB_PRECISION when the flag is absent: an integer of at least 1
-_parse_precision = _int_at_least("--precision/FOCKLAB_PRECISION", 1)
-
-
-def _default_precision() -> str:
-    return os.environ.get("FOCKLAB_PRECISION", "12")
-
-
 def _case_from_args(args) -> CaseDescriptor:
-    kw = {}
-    if getattr(args, "p", None) is not None:
-        kw["p"] = args.p
-    if getattr(args, "p1", None) is not None:
-        kw["p1"] = args.p1
-    if getattr(args, "p2", None) is not None:
-        kw["p2"] = args.p2
-    variant = getattr(args, "variant", "") or ""
-    if not variant and getattr(args, "d", None) is not None:
-        variant = {1: "a", 2: "b", 4: "c", 8: "d"}[args.d]
-    if variant:
-        kw["variant"] = variant
     try:
-        return build_case(args.case, **kw)
+        return build_case(args.case, p=args.p, p1=args.p1, p2=args.p2, variant=args.variant)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
+def _cases(args) -> list[CaseDescriptor]:
+    """The case --case names, or every catalog case when it is absent."""
+    if args.case is not None:
+        return [_case_from_args(args)]
+    if (args.p, args.p1, args.p2) != (None, None, None) or args.variant:
+        raise UsageError("--p, --p1, --p2 and --variant need --case")
+    return default_catalog()
+
+
 def _case_and_q(args) -> tuple[CaseDescriptor, tuple[Fraction, ...]]:
     """The case and full q vector a command runs on: --q, else the first feasible q."""
-    if not args.case:
-        raise UsageError("--case is required")
     case = _case_from_args(args)
     if args.q:
         try:
@@ -115,11 +108,7 @@ def run_suites(names: list[str], opts: dict, jobs: int = 1) -> list[CheckReport]
 
 
 def cmd_catalog(args) -> int:
-    if args.case:
-        cases = [_case_from_args(args)]
-    else:
-        cases = default_catalog()
-    payload = {"schema_version": 1, "cases": [c.to_dict() for c in cases]}
+    payload = {"schema_version": 1, "cases": [c.to_dict() for c in _cases(args)]}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.json:
         with open(args.json, "w") as fh:
@@ -134,7 +123,7 @@ def cmd_verify(args) -> int:
     opts = {
         "precision": args.precision,
         "m_max": args.m_max,
-        "case": args.case or None,
+        "case": args.case,
         "q": args.q,
     }
     reports = run_suites(names, opts, jobs=args.jobs)
@@ -155,7 +144,8 @@ def cmd_verify(args) -> int:
             fh.write("\n")
     if not reports:
         q_text = ",".join(map(str, args.q)) if args.q else "-"
-        print(f"no check of {args.suite} matches --case {args.case or '-'} --q {q_text}",
+        case_text = "-" if args.case is None else args.case
+        print(f"no check of {args.suite} matches --case {case_text} --q {q_text}",
               file=sys.stderr)
         return 2
     return 1 if n_fail or n_error else 0
@@ -179,72 +169,67 @@ def _no_int_digit_limit():
 
 
 def cmd_export(args) -> int:
-    if args.format == "json" and args.what != "cm":
-        raise UsageError(f"export {args.what} writes CSV only; --format json is for cm")
-    if args.what == "cm" and (args.precision is not None or args.grid is not None):
-        raise UsageError("export cm reads neither --precision nor --grid")
-    precision = args.precision
-    if precision is None and args.what != "cm":
-        try:
-            precision = _parse_precision(_default_precision())
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(str(exc)) from None
+    """Write one export of the case and q to -o, or to stdout."""
     case, q = _case_and_q(args)
-    out = sys.stdout if not args.output else open(args.output, "w")
-    try:
-        if args.what == "cm":
-            ks = kernel.c_sequence(case, q, m_max=args.m_max)
-            with _no_int_digit_limit():
-                if args.format == "json":
-                    json.dump(
-                        {
-                            "schema_version": 1,
-                            "case": case.label,
-                            "q": [str(x) for x in q],
-                            "kind": ks.kind,
-                            "coeffs": [
-                                {"m": m, "num": c.numerator, "den": c.denominator}
-                                for m, c in enumerate(ks.coeffs)
-                            ],
-                        },
-                        out, indent=2, sort_keys=True,
-                    )
-                    print(file=out)
-                    return 0
-                print("m,c_m_num,c_m_den", file=out)
-                for m, c in enumerate(ks.coeffs):
-                    print(f"{m},{c.numerator},{c.denominator}", file=out)
-        elif args.what == "moments":
-            ev = kernel.meijer_evaluator(case, q, precision)
-            print("m,trapezoid,closed_form,rel_err,err_bound", file=out)
-            missed = []
-            for m in range(args.m_max + 1):
-                mu, err_bound = ev.moment(m)
-                g = ev.symbol.at(m + 1, precision)
-                print(f"{m},{mu:.15e},{g:.15e},{abs(mu - g) / abs(g):.3e},{err_bound:.3e}",
-                      file=out)
-                if abs(mu - g) > err_bound:
-                    missed.append(m)
-            if missed:
-                print(f"moments m = {missed} miss their error bounds", file=sys.stderr)
-                return 1
-        else:  # weight-profile
-            vals, brackets = kernel.sign_scan(
-                case, q, grid=200 if args.grid is None else args.grid, precision=precision
+    if not args.output:
+        return args.write(args, case, q, sys.stdout)
+    with open(args.output, "w") as out:
+        return args.write(args, case, q, out)
+
+
+def _write_kernel_coeffs(args, case, q, out) -> int:
+    ks = kernel.c_sequence(case, q, m_max=args.m_max)
+    with _no_int_digit_limit():
+        if args.format == "json":
+            json.dump(
+                {
+                    "schema_version": 1,
+                    "case": case.label,
+                    "q": [str(x) for x in q],
+                    "kind": ks.kind,
+                    "coeffs": [
+                        {"m": m, "num": c.numerator, "den": c.denominator}
+                        for m, c in enumerate(ks.coeffs)
+                    ],
+                },
+                out, indent=2, sort_keys=True,
             )
-            print("u,G", file=out)
-            for u, g in vals:
-                print(f"{u:.12e},{g:.15e}", file=out)
-            print(f"# sign-change brackets: {brackets}", file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+            print(file=out)
+            return 0
+        print("m,c_m_num,c_m_den", file=out)
+        for m, c in enumerate(ks.coeffs):
+            print(f"{m},{c.numerator},{c.denominator}", file=out)
+    return 0
+
+
+def _write_moments(args, case, q, out) -> int:
+    ev = kernel.meijer_evaluator(case, q, args.precision)
+    print("m,trapezoid,closed_form,rel_err,err_bound", file=out)
+    missed = []
+    for m in range(args.m_max + 1):
+        mu, err_bound = ev.moment(m)
+        g = ev.symbol.at(m + 1, args.precision)
+        print(f"{m},{mu:.15e},{g:.15e},{abs(mu - g) / abs(g):.3e},{err_bound:.3e}", file=out)
+        if abs(mu - g) > err_bound:
+            missed.append(m)
+    if missed:
+        print(f"moments m = {missed} miss their error bounds", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _write_weight_profile(args, case, q, out) -> int:
+    vals, brackets = kernel.sign_scan(case, q, grid=args.grid, precision=args.precision)
+    print("u,G", file=out)
+    for u, g in vals:
+        print(f"{u:.12e},{g:.15e}", file=out)
+    print(f"# sign-change brackets: {brackets}", file=out)
     return 0
 
 
 def cmd_admissible_q(args) -> int:
-    cases = [_case_from_args(args)] if args.case else default_catalog()
-    payload = {"schema_version": 1, "admissible": [sl2.solve_eta0(c).to_dict() for c in cases]}
+    payload = {"schema_version": 1,
+               "admissible": [sl2.solve_eta0(c).to_dict() for c in _cases(args)]}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
@@ -265,80 +250,80 @@ def cmd_weight_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_precision = _default_precision()
     parser = _Parser(
         prog="focklab",
         description="verification and computation engine for rank-4 Jordan Fock models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_case_flags(p):
-        p.add_argument("--case", type=int, default=0)
+    def add_case_flags(p, single=True):
+        # a single-case command needs --case and takes its q; the others list every case
+        p.add_argument("--case", type=int, required=single)
         p.add_argument("--variant", default="")
         p.add_argument("--p", type=int)
         p.add_argument("--p1", type=int)
         p.add_argument("--p2", type=int)
-        p.add_argument("--d", type=int, choices=(1, 2, 4, 8))
+        if single:
+            p.add_argument("--q", type=_parse_q)
 
-    def add_q_flag(p):
-        p.add_argument("--q", type=_parse_q)
+    def add_precision_flag(p):
+        p.add_argument("--precision", type=_int_at_least("--precision", 1), default=12)
 
-    def add_precision_flag(p, default):
-        # argparse parses a string default through `type` too, so a bad
-        # FOCKLAB_PRECISION is a usage error of exactly the commands that read it
-        p.add_argument("--precision", type=_parse_precision, default=default)
+    def add_m_flag(p, default):
+        p.add_argument("-m", "--m-max", dest="m_max", type=_int_at_least("--m-max", 0),
+                       default=default)
+
+    def add_output_flags(p, formats):
+        p.add_argument("--format", choices=formats, default="csv")
+        p.add_argument("-o", "--output", default="")
 
     p_cat = sub.add_parser("catalog", help="dump case data as JSON")
-    add_case_flags(p_cat)
+    add_case_flags(p_cat, single=False)
     p_cat.add_argument("--json", default="")
     p_cat.set_defaults(fn=cmd_catalog)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
-    add_case_flags(p_ver)
-    add_q_flag(p_ver)
-    add_precision_flag(p_ver, default_precision)
+    p_ver.add_argument("--case", type=int)
+    p_ver.add_argument("--q", type=_parse_q)
+    add_precision_flag(p_ver)
     p_ver.add_argument("--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=5)
     p_ver.add_argument("--json", default="")
     p_ver.add_argument("--jobs", type=_int_at_least("--jobs", 1), default=os.cpu_count() or 1)
     p_ver.set_defaults(fn=cmd_verify)
 
-    # cm reads neither --precision nor --grid, so their defaults are resolved
-    # in cmd_export, which rejects an explicit value for cm
+    # the exports write CSV only; --format csv stays accepted for scripts that pass it
     p_exp = sub.add_parser("export", help="emit plot-ready CSV")
-    p_exp.add_argument("what", choices=["cm", "moments", "weight-profile"])
-    add_case_flags(p_exp)
-    add_q_flag(p_exp)
-    add_precision_flag(p_exp, None)
-    p_exp.add_argument("-m", "--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=20)
-    p_exp.add_argument("--grid", type=_int_at_least("--grid", 2), default=None)
-    p_exp.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_exp.add_argument("-o", "--output", default="")
-    p_exp.set_defaults(fn=cmd_export)
+    exports = p_exp.add_subparsers(dest="what", required=True)
+    p_mom = exports.add_parser("moments", help="moments against their closed form")
+    add_m_flag(p_mom, 20)
+    p_prof = exports.add_parser("weight-profile", help="G(u) samples and sign-change brackets")
+    p_prof.add_argument("--grid", type=_int_at_least("--grid", 2), default=200)
+    for p, write in ((p_mom, _write_moments), (p_prof, _write_weight_profile)):
+        add_case_flags(p)
+        add_precision_flag(p)
+        add_output_flags(p, ["csv"])
+        p.set_defaults(fn=cmd_export, write=write)
 
-    p_kc = sub.add_parser("kernel-coeffs", help="kernel coefficient stream (alias of export cm)")
+    p_kc = sub.add_parser("kernel-coeffs", help="exact kernel coefficients c_m")
     add_case_flags(p_kc)
-    add_q_flag(p_kc)
-    p_kc.add_argument("-m", "--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=50)
-    p_kc.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_kc.add_argument("-o", "--output", default="")
-    p_kc.set_defaults(fn=cmd_export, what="cm", precision=None, grid=None)
+    add_m_flag(p_kc, 50)
+    add_output_flags(p_kc, ["csv", "json"])
+    p_kc.set_defaults(fn=cmd_export, write=_write_kernel_coeffs)
 
     p_adm = sub.add_parser("admissible-q", help="solve the eta0 system per case")
-    add_case_flags(p_adm)
+    add_case_flags(p_adm, single=False)
     p_adm.set_defaults(fn=cmd_admissible_q)
 
     p_mei = sub.add_parser("meijer", help="Meijer moment checks for one case")
     add_case_flags(p_mei)
-    add_q_flag(p_mei)
-    add_precision_flag(p_mei, default_precision)
+    add_precision_flag(p_mei)
     p_mei.add_argument("--moments", type=_int_at_least("--moments", 0), default=5)
     p_mei.set_defaults(fn=cmd_meijer)
 
     p_ws = sub.add_parser("weight-scan", help="locate sign changes of the G-weight")
     add_case_flags(p_ws)
-    add_q_flag(p_ws)
-    add_precision_flag(p_ws, default_precision)
+    add_precision_flag(p_ws)
     p_ws.add_argument("--grid", type=_int_at_least("--grid", 2), default=240)
     p_ws.set_defaults(fn=cmd_weight_scan)
 

@@ -59,6 +59,15 @@ class SimpleFactorDescriptor:
     def n_over_r(self) -> Fraction:
         return Fraction(self.dim, self.rank)
 
+    @property
+    def eta0_shift(self) -> Fraction:
+        """n/(k r), read from the dimension: the factor's eta0 at q = 0."""
+        return Fraction(self.dim, self.mult * self.rank)
+
+    def eta0(self, q) -> Fraction:
+        """The factor's eta0 = q/k + n/(k r) at its q."""
+        return Fraction(q) / self.mult + self.eta0_shift
+
     def var_names(self) -> list[str]:
         if self.family is Family.RANK1:
             return ["z"]
@@ -318,6 +327,11 @@ def q_polynomial(case: CaseDescriptor) -> MultiPoly:
     return out
 
 
+# the family parameters each parametrized case reads; the other cases read none
+_FAMILY_PARAMS = {2: ("p",), 6: ("p",), 7: ("p",), 8: ("p1", "p2"), 9: ("variant",),
+                  10: ("variant",)}
+
+
 def build_case(
     case_id: int,
     p: int | None = None,
@@ -325,7 +339,15 @@ def build_case(
     p2: int | None = None,
     variant: str = "",
 ) -> CaseDescriptor:
-    """Instantiate a catalog case; parametrized families take p / (p1, p2)."""
+    """Instantiate a catalog case; parametrized families take p / (p1, p2).
+
+    A parameter the case does not read is a ValueError, not ignored.
+    """
+    given = {"p": p, "p1": p1, "p2": p2, "variant": variant or None}
+    stray = [k for k, v in given.items()
+             if v is not None and k not in _FAMILY_PARAMS.get(case_id, ())]
+    if stray and 1 <= case_id <= 11:
+        raise ValueError(f"case ({case_id}) does not take {' or '.join(stray)}")
     if case_id == 1:
         return CaseDescriptor(1, (rank1(4),), "sl(2,C)", "sl(3,C)", "sl(3,R)", 3)
     if case_id == 2:

@@ -439,7 +439,7 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
     eta0 = eta0_of(case, q)  # raises if q=0 is inadmissible for this case
     btilde = MultiPoly.constant(A_RING, 1)
     for f in case.factors:
-        btilde = btilde * big_b_poly(f).shift((-Fraction(f.dim, f.mult * f.rank),))
+        btilde = btilde * big_b_poly(f).shift((-f.eta0_shift,))
     diff = btilde - case_b_poly(case).shift((-eta0,))
     return CheckReport(
         id=f"kernel.q0reduction.{case.label}", case_id=case.label,

@@ -89,10 +89,7 @@ def expand_q(case: CaseDescriptor, q) -> tuple[Fraction, ...]:
 def eta0_of(case: CaseDescriptor, q) -> Fraction:
     """The common value q_i/k_i + n_i/(k_i r_i); raises if q is inconsistent."""
     q = validate_q(case, q)
-    vals = {
-        Fraction(qi) / f.mult + Fraction(f.dim, f.mult * f.rank)
-        for f, qi in zip(case.factors, q)
-    }
+    vals = {f.eta0(qi) for f, qi in zip(case.factors, q)}
     if len(vals) != 1:
         raise ValueError(f"q={q} does not satisfy the eta0 condition: {sorted(vals)}")
     return vals.pop()
@@ -105,8 +102,7 @@ def forced_eta0(case: CaseDescriptor, q1) -> Fraction:
     admissible q it is eta0_of, and on a q that the other factors reject it
     is the value the negative controls must see fail.
     """
-    f = case.factors[0]
-    return Fraction(q1) / f.mult + Fraction(f.dim, f.mult * f.rank)
+    return case.factors[0].eta0(q1)
 
 
 def _lattice_ok(q: list[Fraction], ks: list[int], half: bool) -> bool:
@@ -141,15 +137,9 @@ def solve_eta0(case: CaseDescriptor) -> AdmissibleQ:
     f1 = case.factors[0]
     ks = [f.mult for f in case.factors]
     eta_slope = Fraction(1, f1.mult)
-    eta_icpt = Fraction(f1.dim, f1.mult * f1.rank)
-    rel = []
-    for f in case.factors:
-        rel.append(
-            (
-                Fraction(f.mult, f1.mult),
-                f.mult * eta_icpt - Fraction(f.dim, f.rank),
-            )
-        )
+    eta_icpt = f1.eta0_shift
+    rel = [(Fraction(f.mult, f1.mult), f.mult * (eta_icpt - f.eta0_shift))
+           for f in case.factors]
 
     strict_list: list[tuple[Fraction, ...]] = []
     cover_list: list[tuple[Fraction, ...]] = []
@@ -169,7 +159,7 @@ def solve_eta0(case: CaseDescriptor) -> AdmissibleQ:
             f"{_residue_description(a, b, f.mult)}"
         )
     constraint = " ; ".join(
-        f"q{i + 1}/{f.mult} + {Fraction(f.dim, f.mult * f.rank)} = eta0"
+        f"q{i + 1}/{f.mult} + {f.eta0_shift} = eta0"
         for i, f in enumerate(case.factors)
     )
     minimal = strict_list[:4] if strict_list else cover_list[:4]
@@ -329,9 +319,7 @@ def pm_identity_check(case: CaseDescriptor, q) -> tuple[CheckReport, MultiPoly]:
                 sum_x = sum_x + MultiPoly.variable(ring, idx).scale(
                     Fraction(1, f.mult)
                 ) + MultiPoly.constant(ring, c_i - Fraction(kk - 1, f.mult))
-        b_i = m_of(pos) + MultiPoly.constant(
-            ring, Fraction(f.dim, f.mult * f.rank) - 1
-        )
+        b_i = m_of(pos) + MultiPoly.constant(ring, f.eta0_shift - 1)
         sum_b = sum_b + b_i.scale(Fraction(f.mult * f.rank))
     shorthand_ok = (sum_x - sum_b.scale(Fraction(1, 2))) == (sum_lam - sum_mkr)
 

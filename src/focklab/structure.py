@@ -154,13 +154,17 @@ def check_g_dimension(case: CaseDescriptor) -> CheckReport:
     span = FractionSpan(sb.basis)
     closed = all(span.contains(_bracket(x, y)) for x, y in combinations(sb.basis, 2))
     euler = character_of(sb.q_poly, {(a, a): Fraction(1) for a in range(n)})
-    ok = (symmetric and closed and euler == 4
-          and total == case.expected_g_dim and dim_k == case.expected_k_dim)
+    broken = [text for bad, text in (
+        (total != case.expected_g_dim, f"dimG {total} != {case.expected_g_dim}"),
+        (dim_k != case.expected_k_dim, f"dimK {dim_k} != {case.expected_k_dim}"),
+        (not symmetric, "W not palindromic"),
+        (not closed, "Str not closed"),
+        (euler != 4, f"DQ[z]={euler}Q")) if bad]
     return CheckReport(
         id=f"structure.dim.{case.label}",
         case_id=case.label,
-        status="pass" if ok else "fail",
-        residual=str(total - case.expected_g_dim),
+        status="fail" if broken else "pass",
+        residual="; ".join(broken) or "0",
         details=(
             f"dimV={case.dim_v} dimStr={sb.dim} dimK={dim_k} "
             f"(expected {case.expected_k_dim}) "

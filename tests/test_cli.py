@@ -1,14 +1,16 @@
 """CLI: catalog dumps, suite orchestration, CSV exports, exit codes."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from focklab import checks, kernel
-from focklab.cli import main
+from focklab import checks, cli, kernel
+from focklab.cli import build_parser, main
 from focklab.jordan import build_case
 from focklab.report import CheckReport
 
@@ -47,33 +49,45 @@ def test_catalog_parametrized(capsys):
 
 def test_usage_error_exit_2(capsys):
     assert main(["verify", "nonsense"]) == 2
-    assert main(["export", "cm"]) == 2  # missing --case
+    assert main(["kernel-coeffs"]) == 2  # missing --case
 
 
 @pytest.mark.parametrize("argv", [("verify", "sl2", "--q", "x"),
-                                  ("export", "cm", "--case", "1", "--q", "1/0")])
+                                  ("kernel-coeffs", "--case", "1", "--q", "1/0")])
 def test_malformed_q_is_a_usage_error(argv, capsys):
     assert main(list(argv)) == 2
     assert "invalid --q" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
-    ("export", "cm", "--case", "99"),
+    ("kernel-coeffs", "--case", "99"),
     ("catalog", "--case", "99"),
-    ("export", "cm", "--case", "9", "--variant", "z"),
+    ("catalog", "--case", "0"),  # not "every case"
+    ("admissible-q", "--p", "4"),  # --p needs --case
+    ("kernel-coeffs", "--case", "9", "--variant", "z"),
     ("weight-scan", "--case", "2", "--p", "1"),
+    ("catalog", "--case", "1", "--p", "5"),  # case 1 has no family parameter
+    ("meijer", "--case", "9", "--p", "3"),
+    ("kernel-coeffs", "--case", "2", "--variant", "b"),
     ("meijer", "--case", "11"),  # case 11 has no admissible q
     ("weight-scan", "--case", "11"),
     ("export", "weight-profile", "--case", "11"),
-    ("export", "cm", "--case", "1", "--q", "0,1"),
-    ("export", "cm", "--case", "1", "--q", "1"),  # q1/4 is no half-integer
-    ("export", "cm", "--case", "1", "--q", "-1"),
+    ("kernel-coeffs", "--case", "1", "--q", "0,1"),
+    ("kernel-coeffs", "--case", "1", "--q", "1"),  # q1/4 is no half-integer
+    ("kernel-coeffs", "--case", "1", "--q", "-1"),
     ("weight-scan", "--case", "1", "--q", "1"),
     ("export", "moments", "--case", "1", "--format", "json"),
     ("export", "weight-profile", "--case", "1", "--format", "json"),
     # flags a command never reads
     ("catalog", "--case", "1", "--q", "5", "--precision", "3"),
-    ("export", "cm", "--case", "1", "--q", "0", "-m", "2", "--precision", "1", "--grid", "5"),
+    ("admissible-q", "--case", "1", "--precision", "3"),
+    ("kernel-coeffs", "--case", "1", "--q", "0", "-m", "2", "--precision", "1", "--grid", "5"),
+    ("verify", "sl2", "--case", "2", "--p", "4"),  # not --precision 4
+    ("verify", "meijer", "--case", "9", "--variant", "b"),
+    ("export", "moments", "--case", "1", "--q", "0", "--grid", "5"),
+    ("export", "weight-profile", "--case", "1", "--q", "0", "-m", "7"),
+    ("export", "cm", "--case", "1"),
+    ("catalog", "--case", "10", "--d", "8"),
     ("verify", "tables", "--jobs", "0"),
     ("verify", "tables", "--jobs", "-3"),
 ], ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
@@ -84,38 +98,26 @@ def test_bad_case_q_or_format_is_a_usage_error(argv, capsys):
     assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("env,argv,code", [
-    ("x", ("verify", "tables"), 2),
-    ("x", ("export", "moments", "--case", "1"), 2),
-    ("x", ("meijer", "--case", "1"), 2),
-    ("0", ("weight-scan", "--case", "1"), 2),
-    (None, ("verify", "tables", "--precision", "0"), 2),
-    (None, ("export", "moments", "--case", "1", "--precision", "0"), 2),
-    (None, ("meijer", "--case", "1", "--precision", "-20"), 2),
-    (None, ("weight-scan", "--case", "1", "--precision", "0"), 2),
-    # commands that never read the precision ignore FOCKLAB_PRECISION
-    ("x", ("catalog", "--case", "1"), 0),
-    ("x", ("admissible-q", "--case", "1"), 0),
-    ("x", ("kernel-coeffs", "--case", "1", "--q", "0", "-m", "2"), 0),
-    ("x", ("export", "cm", "--case", "1", "--q", "0", "-m", "2"), 0),
-], ids=lambda x: ("_".join(a.removeprefix("--") for a in x) if isinstance(x, tuple)
-                  else f"env={x}" if isinstance(x, str) else f"{x}"))
-def test_precision_below_1_or_malformed_is_a_usage_error_where_read(env, argv, code, capsys,
-                                                                      monkeypatch):
-    if env is None:
-        monkeypatch.delenv("FOCKLAB_PRECISION", raising=False)
-    else:
-        monkeypatch.setenv("FOCKLAB_PRECISION", env)
-    assert main(list(argv)) == code
+@pytest.mark.parametrize("argv", [
+    ("verify", "tables", "--precision", "x"),
+    ("export", "moments", "--case", "1", "--precision", "x"),
+    ("export", "weight-profile", "--case", "1", "--precision", "0"),
+    ("meijer", "--case", "1", "--precision", "x"),
+    ("weight-scan", "--case", "1", "--precision", "0"),
+    ("verify", "tables", "--precision", "0"),
+    ("export", "moments", "--case", "1", "--precision", "0"),
+    ("meijer", "--case", "1", "--precision", "-20"),
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_precision_below_1_or_malformed_is_a_usage_error(argv, capsys):
+    assert main(list(argv)) == 2
     captured = capsys.readouterr()
-    if code == 2:
-        assert captured.out == ""
-        assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
-        assert "--precision/FOCKLAB_PRECISION" in captured.err
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
+    assert "--precision" in captured.err
 
 
-def test_export_cm_row_count(capsys):
-    code, out = run(capsys, "export", "cm", "--case", "1", "--q", "0", "-m", "20")
+def test_kernel_coeffs_row_count(capsys):
+    code, out = run(capsys, "kernel-coeffs", "--case", "1", "--q", "0", "-m", "20")
     assert code == 0
     lines = [l for l in out.strip().splitlines() if l]
     assert lines[0] == "m,c_m_num,c_m_den"
@@ -173,8 +175,8 @@ def test_grid_below_two_is_a_usage_error(argv, capsys):
     (("verify", "meijer", "--m-max", "-1"), "--m-max"),
     (("meijer", "--case", "5", "--q", "0", "--moments", "-1"), "--moments"),
     (("export", "moments", "--case", "5", "--q", "0", "-m", "-2"), "--m-max"),
-    (("export", "cm", "--case", "1", "--q", "0", "-m", "-3"), "--m-max"),
-    (("kernel-coeffs", "--case", "1", "--q", "0", "-m", "-1"), "--m-max"),
+    (("kernel-coeffs", "--case", "1", "--q", "0", "-m", "-3"), "--m-max"),
+    (("kernel-coeffs", "--case", "1", "--q", "0", "--m-max", "-1"), "--m-max"),
 ])
 def test_negative_count_is_a_usage_error(argv, flag, capsys):
     assert main(list(argv)) == 2
@@ -330,7 +332,73 @@ def test_odd_precision_runs_and_the_10d_scan_pass(argv, expected, tmp_path, caps
         assert text in out, out
 
 
-@pytest.mark.parametrize("argv", [("operators", "--case", "2"), ("sl2", "--case", "12")])
+@pytest.mark.parametrize("argv", [
+    ("export", "weight-profile", "--case", "9", "--variant", "a", "--q", "0", "--grid", "30000",
+     "-o", "profile.csv"),
+    ("kernel-coeffs", "--case", "1", "--q", "0", "-m", "810", "-o", "series.csv"),
+], ids=["profile-30000", "series-810"])
+def test_long_exports_exit_0(argv, tmp_path, capsys):
+    # the c_m at m = 810 run past the 4300-digit int-string limit
+    argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+    assert main(argv) == 0
+
+
+def test_every_operator_relation_report_names_its_proved_range(tmp_path):
+    assert main(["verify", "operators", "--jobs", "1", "--json", str(tmp_path / "ops.json")]) == 0
+    checks = json.loads((tmp_path / "ops.json").read_text())["checks"]
+    proofs = [c for c in checks
+              if c["id"].startswith("fock.comm.") and c["id"] != "fock.comm.11.forced"]
+    assert len(proofs) == 8, [c["id"] for c in proofs]
+    for c in proofs:
+        assert c["status"] == "pass" and "; all m >= 1 (rules m >= " in c["details"], c
+    for c in checks:
+        assert not c["id"].startswith("fock.comm.") or "columns" not in c["details"], c
+    by_id = {c["id"]: c for c in proofs}
+    for eta0_one in ("fock.comm.5.0_0_0_0", "fock.comm.4.1_0_0"):
+        assert "block 1 from the rules" in by_id[eta0_one]["details"], by_id[eta0_one]
+    sigma2 = [c for c in checks if c["id"].startswith("fock.sigma2.")]
+    assert len(sigma2) == 7, [c["id"] for c in sigma2]
+    for c in sigma2:
+        assert c["status"] == "pass" and "all m >= 0" in c["details"], c
+    cyclic = [c for c in checks if c["id"].startswith("fock.cyclic.")]
+    assert len(cyclic) == 4, [c["id"] for c in cyclic]
+    for c in cyclic:
+        assert c["status"] == "pass" and "all m >= 0" in c["details"], c
+
+
+def test_negative_controls_quote_what_broke(tmp_path):
+    assert main(["verify", "sl2", "--jobs", "1", "--json", str(tmp_path / "sl2.json")]) == 0
+    assert main(["verify", "operators", "--case", "11", "--jobs", "1",
+                 "--json", str(tmp_path / "ops11.json")]) == 0
+    checks = {c["id"]: c for f in ("sl2.json", "ops11.json")
+              for c in json.loads((tmp_path / f).read_text())["checks"]}
+    for cid in ("sl2.pm.11.forced", "sl2.lemma35.2-2.unequal-b", "fock.comm.11.forced"):
+        assert checks[cid]["status"] == "pass" and checks[cid]["residual"] != "0", checks[cid]
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolves the module's annotations
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_command_lines_parse(tmp_path):
+    # parse only: each export runs as its argv plus the -o the benchmark appends
+    parser = build_parser()
+    for workload, ops in _perfbench_workloads().WORKLOADS.items():
+        for op in ops:
+            if op.suite:
+                assert op.suite in checks.SUITES, (workload, op.label)
+            else:
+                args = parser.parse_args([*op.argv, "-o", str(tmp_path / "out.csv")])
+                assert args.fn is cli.cmd_export, op
+
+
+@pytest.mark.parametrize("argv", [("operators", "--case", "2"), ("sl2", "--case", "12"),
+                                  ("tables", "--case", "0")])
 def test_verify_empty_selection_exit_2(argv, tmp_path, capsys):
     path = tmp_path / "report.json"
     assert main(["verify", *argv, "--jobs", "1", "--json", str(path)]) == 2

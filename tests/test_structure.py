@@ -158,7 +158,7 @@ def test_translates_lie_in_derivative_span(case):
 @pytest.mark.parametrize("change", [{"expected_k_dim": 10}, {"expected_g_name": "so(8,C)"}])
 def test_dimension_check_can_fail(change):
     rep = check_g_dimension(replace(build_case(4), **change))
-    assert rep.status == "fail", rep.details
+    assert rep.status == "fail" and rep.residual != "0", rep
 
 
 def test_dimension_check_fails_without_closure(monkeypatch):
@@ -175,12 +175,14 @@ def test_dimension_check_fails_without_closure(monkeypatch):
     rep = check_g_dimension(build_case(5))
     assert rep.status == "fail" and "Str NOT closed under [,]" in rep.details
     assert "dimG=28 (expected 28," in rep.details
+    assert rep.residual == "Str not closed"
 
 
 def test_dimension_check_fails_without_euler_identity(monkeypatch):
     monkeypatch.setattr(structure, "character_of", lambda q_poly, x: F(3))
     rep = check_g_dimension(build_case(5))
     assert rep.status == "fail" and "DQ[z]=3Q" in rep.details
+    assert rep.residual == "DQ[z]=3Q"
 
 
 def test_dimension_check_fails_without_symmetry(monkeypatch):
@@ -188,6 +190,7 @@ def test_dimension_check_fails_without_symmetry(monkeypatch):
     monkeypatch.setattr(structure, "translate_span_dim", lambda case: (12, [1, 3, 5, 2, 1]))
     rep = check_g_dimension(build_case(4))
     assert rep.status == "fail" and "not palindromic" in rep.details
+    assert rep.residual == "W not palindromic"
 
 
 DIM_ROWS = [
