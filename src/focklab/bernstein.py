@@ -133,12 +133,15 @@ def verify_bernstein_identity(
     B = big_b_poly(factor)
     tag = _family_tag(factor) + (f".k{k}" if k > 1 else "")
     constant: Fraction | None = None
+    # the right side's Delta^{k a - k} is the previous alpha's target power
+    target, previous = None, None
 
     for alpha in alphas:
         bval = B.eval((alpha,))
         failure = ""
-        lhs = apply_diff_op(symbol, delta ** (k * alpha))
-        rhs = delta ** (k * alpha - k)
+        rhs = target if previous == alpha - 1 else delta ** (k * alpha - k)
+        target, previous = delta ** (k * alpha), alpha
+        lhs = apply_diff_op(symbol, target)
         e, c_rhs = next(iter(rhs.terms.items()))
         c_lhs = lhs.terms.get(e)
         if c_lhs is None or bval == 0:

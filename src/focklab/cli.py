@@ -236,7 +236,7 @@ def cmd_admissible_q(args) -> int:
 
 def cmd_meijer(args) -> int:
     case, q = _case_and_q(args)
-    reports = list(kernel.moment_check(case, q, m_max=args.moments, precision=args.precision))
+    reports = list(kernel.moment_check(case, q, m_max=args.m_max, precision=args.precision))
     for c in reports:
         print(f"[{c.status.upper():4s}] {c.id}  {c.details}")
     return 0 if all(c.status == "pass" for c in reports) else 1
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mei = sub.add_parser("meijer", help="Meijer moment checks for one case")
     add_case_flags(p_mei)
     add_precision_flag(p_mei)
-    p_mei.add_argument("--moments", type=_int_at_least("--moments", 0), default=5)
+    add_m_flag(p_mei, 5)
     p_mei.set_defaults(fn=cmd_meijer)
 
     p_ws = sub.add_parser("weight-scan", help="locate sign changes of the G-weight")

@@ -11,12 +11,24 @@ row by the gcd-reduced leading cofactors, subtracts, and strips the content
 again.  `int_rank` is the dimension of such a span, and `frac_nullspace`
 back-solves its echelon once per free column.  A one-entry echelon row
 forces its pivot coordinate to 0 in every solution, so the back-solve skips
-those pivots: the coordinate never enters a basis vector.
+those pivots: the coordinate never enters a basis vector.  Of the other
+pivots it visits only those whose rows hold a coordinate already nonzero,
+highest pivot first; every pivot it passes over would solve to 0.
+
+Before it eliminates, `frac_nullspace` sifts its rows.  A one-entry row
+forces its column to 0, so that column is removed from every other row, and
+of the rows then equal up to sign (once primitive) one is kept.  Both steps
+are row operations or drop a repeated row, so the row space is unchanged;
+the pivot columns of an echelon form depend on the row space alone, so the
+free columns and the one basis vector per free column, primitive with that
+coordinate positive, are unchanged too.  On the structure algebra of
+Skew(8) the 8,925 rows become 420 unit rows and 945 others.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Hashable, Iterable
 
@@ -85,6 +97,35 @@ def int_rank(rows: Iterable[Row]) -> int:
     return FractionSpan(rows).dim
 
 
+def _sift(rows: Iterable[Row]) -> list[IntRow]:
+    """Rows with the same row space, fewer and shorter: forced zeros and duplicates out.
+
+    Every one-entry row becomes the unit row of its column, and that column
+    is removed from every other row (adding a multiple of the unit row).
+    The rows left are made primitive again, and of the rows equal up to
+    sign only the first is kept.
+    """
+    forced: set[Key] = set()
+    multi: list[IntRow] = []
+    for r in rows:
+        r = _primitive(r) if len(r) > 1 else {k: 1 for k, c in r.items() if c}
+        if len(r) == 1:
+            forced.update(r)
+        elif r:
+            multi.append(r)
+    kept: dict[tuple, IntRow] = {}
+    for r in multi:
+        if not forced.isdisjoint(r):
+            r = _strip({k: v for k, v in r.items() if k not in forced})
+            if not r:
+                continue
+        key = tuple(sorted(r.items()))
+        if key[0][1] < 0:
+            key = tuple((k, -v) for k, v in key)
+        kept.setdefault(key, r)
+    return [{k: 1} for k in sorted(forced)] + list(kept.values())
+
+
 def frac_nullspace(rows: Iterable[Row], columns: Iterable[Key]) -> list[IntRow]:
     """Nullspace basis of rows . x = 0 over the given columns, exactly.
 
@@ -92,13 +133,26 @@ def frac_nullspace(rows: Iterable[Row], columns: Iterable[Key]) -> list[IntRow]:
     leads no echelon row): that coordinate is positive, every other free one
     is 0, and the pivot coordinates are back-solved from the last pivot up.
     """
-    span = FractionSpan(rows)
-    # a one-entry row forces its pivot coordinate to 0, which stays out of vec
+    span = FractionSpan(_sift(rows))
+    # a one-entry row forces its pivot coordinate to 0, which stays out of vec;
+    # the other pivots, highest first, are indexed by rank under each column
+    # after their own that their rows hold
     pivots = sorted((j for j, row in span.rows.items() if len(row) > 1), reverse=True)
+    holding: dict[Key, list[int]] = {}
+    for r, j in enumerate(pivots):
+        for k in span.rows[j]:
+            if k != j:
+                holding.setdefault(k, []).append(r)
     basis: list[IntRow] = []
     for free in sorted(set(columns) - set(span.rows)):
         vec: IntRow = {free: 1}
-        for j in pivots:
+        # only a pivot whose row holds a nonzero coordinate of vec can be
+        # nonzero; those wait in a heap of pivot ranks, taken highest key first
+        pending = list(holding.get(free, ()))
+        queued = set(pending)
+        heapify(pending)
+        while pending:
+            j = pivots[heappop(pending)]
             row = span.rows[j]
             s = sum(c * vec[k] for k, c in row.items() if k in vec)
             if s:  # row[j] x_j + s = 0, with vec rescaled to keep x_j integral
@@ -107,6 +161,10 @@ def frac_nullspace(rows: Iterable[Row], columns: Iterable[Key]) -> list[IntRow]:
                 if scale != 1:
                     vec = {k: scale * v for k, v in vec.items()}
                 vec[j] = -s // g
+                for r in holding.get(j, ()):
+                    if r not in queued:
+                        queued.add(r)
+                        heappush(pending, r)
         vec = _strip(vec)
         if vec[free] < 0:
             vec = {k: -v for k, v in vec.items()}

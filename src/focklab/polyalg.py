@@ -9,6 +9,19 @@ Python's int arithmetic.  Zero coefficients are never stored, which makes
 equality of canonical forms plain dict equality.  A quotient of coefficients
 read from `terms` must be taken as Fraction(a) / b: int / int is a float.
 
+Exponents are validated where terms come from outside: `MultiPoly(vars,
+terms)` rejects a tuple of the wrong length or with a negative entry.  The
+results of this module's own arithmetic (+, -, *, scale, diff, substitute,
+apply_diff_op) are built by a private constructor that normalises and drops
+zero coefficients but trusts the exponents, which that arithmetic keeps
+valid.
+
+A product adds every pair of exponent tuples.  On a large product (Pf^2 on
+Skew(8) is 11,025 pairs of 28-tuples) it packs each tuple into one int, a
+byte per variable, so adding two exponents is one int addition instead of a
+tuple built entry by entry; small products, where packing costs more than it
+saves, stay on tuples.  Both paths give the same terms in the same order.
+
 Polynomials double as constant-coefficient differential operators: a symbol
 polynomial q applied to a target p realizes q(d/dz)p, exactly.
 """
@@ -75,6 +88,19 @@ class MultiPoly:
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, vars: VarSet, terms: Mapping[Exponent, Scalar]) -> "MultiPoly":
+        """A result of this module's own arithmetic: exponents already valid.
+
+        Coefficients are normalised and zeros dropped, as in __init__, in the
+        order of `terms`; the exponents are trusted, not re-checked.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", {
+            e: c if type(c) is int else exact_coeff(c) for e, c in terms.items() if c})
+        return self
+
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("MultiPoly is immutable")
 
@@ -137,39 +163,40 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(self.vars, out)
+        return MultiPoly._of(self.vars, out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
-        return MultiPoly(self.vars, out)
+        return MultiPoly._of(self.vars, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def scale(self, c: Scalar) -> "MultiPoly":
         c = exact_coeff(c)
         if c == 0:
             return MultiPoly.zero(self.vars)
-        return MultiPoly(self.vars, {e: c * v for e, v in self.terms.items()})
+        return MultiPoly._of(self.vars, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        return MultiPoly(self.vars, _mul_terms(self.terms, other.terms))
+        return MultiPoly._of(self.vars, _mul_terms(self.terms, other.terms))
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(self.vars, 1)
+        result = None  # the constant 1, never multiplied in
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return MultiPoly.constant(self.vars, 1) if result is None else result
 
     # -- calculus ----------------------------------------------------------
 
@@ -180,7 +207,7 @@ class MultiPoly:
                 e2 = list(e)
                 e2[idx] -= 1
                 out[tuple(e2)] = c * e[idx]
-        return MultiPoly(self.vars, out)
+        return MultiPoly._of(self.vars, out)
 
     def eval(self, point: Sequence[Scalar]) -> Scalar:
         """Exact value at a rational point."""
@@ -212,6 +239,8 @@ class MultiPoly:
         if len(images) != len(self.vars):
             raise ValueError(f"{len(images)} images for {len(self.vars)} variables")
         target = images[0].vars
+        if any(im.vars != target for im in images):
+            raise ValueError("images defined over different variable lists")
         one = (0,) * len(target)
         powers = [[{one: 1}] for _ in images]
         acc: dict[Exponent, Scalar] = {}
@@ -225,13 +254,36 @@ class MultiPoly:
                     term = _mul_terms(term, pw[k])
             for e2, w in term.items():
                 acc[e2] = acc.get(e2, 0) + w
-        return MultiPoly(target, acc)
+        return MultiPoly._of(target, acc)
+
+
+# Products with at least this many term pairs add exponents as packed ints.
+# Packing and unpacking every term costs more than it saves below about 64
+# pairs on 4 to 28 variables, and packing wins at 256 pairs on each.
+_PACKED_MIN_PAIRS = 256
 
 
 def _mul_terms(a: Mapping[Exponent, Scalar],
                b: Mapping[Exponent, Scalar]) -> dict[Exponent, Scalar]:
-    """The product of two term maps, before zero terms are dropped."""
-    out: dict[Exponent, Scalar] = {}
+    """The product of two term maps, before zero terms are dropped.
+
+    Keys come out in first-reached order over the pairs (a outer, b inner).
+    A large product whose exponent sums all fit a byte packs each exponent
+    tuple into one int, a byte per variable (Kronecker substitution), so a
+    pair's exponents add as one int addition with no carry between fields;
+    each distinct result is unpacked once.  The two paths give the same dict.
+    """
+    out: dict = {}
+    if (len(a) * len(b) >= _PACKED_MIN_PAIRS
+            and max(map(max, a)) + max(map(max, b)) < 256):
+        pb = [(int.from_bytes(bytes(e), "little"), c) for e, c in b.items()]
+        for e1, c1 in a.items():
+            k1 = int.from_bytes(bytes(e1), "little")
+            for k2, c2 in pb:
+                k = k1 + k2
+                out[k] = out.get(k, 0) + c1 * c2
+        n = len(next(iter(a)))
+        return {tuple(k.to_bytes(n, "little")): c for k, c in out.items()}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(add, e1, e2))
@@ -253,28 +305,30 @@ def apply_diff_op(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:
     Each symbol monomial c * prod z_v^{e_v} acts as c * prod (d/dz_v)^{e_v};
     the result is linear in both arguments.  A target term survives that
     monomial only if it holds every variable of the monomial's support, so
-    the target's exponents are indexed once by the variables they hold, and
-    each monomial visits just the intersection of the index sets of its
-    support, smallest set first.  A constant monomial maps every target term.
+    the target's terms are indexed once, by position, under the variables
+    they hold, and each monomial visits just the intersection of the index
+    sets of its support, smallest set first, in target order.  Positions
+    hash as small ints, where a 28-variable exponent tuple would be hashed
+    entry by entry at every set operation.  A constant monomial maps every
+    target term.
     """
     if symbol.vars != target.vars:
         raise ValueError("symbol and target must share a variable list")
-    holding: list[set[Exponent]] = [set() for _ in range(len(target.vars))]
-    for te in target.terms:
-        for i, n in enumerate(te):
-            if n:
-                holding[i].add(te)
-    tterms = target.terms
+    if target.is_zero():
+        return MultiPoly.zero(target.vars)
+    tterms = list(target.terms.items())
+    holding = [{j for j, n in enumerate(col) if n} for col in zip(*target.terms)]
     out: dict[Exponent, Scalar] = {}
     for se, sc in symbol.terms.items():
         support = [(i, k) for i, k in enumerate(se) if k]
         if support:
             sets = sorted((holding[i] for i, _ in support), key=len)
-            candidates = sets[0].intersection(*sets[1:])
+            candidates = sorted(sets[0].intersection(*sets[1:]))
         else:
-            candidates = tterms
-        for te in candidates:
-            coeff = sc * tterms[te]
+            candidates = range(len(tterms))
+        for j in candidates:
+            te, tc = tterms[j]
+            coeff = sc * tc
             res = list(te)
             for i, k in support:
                 n = te[i]
@@ -287,4 +341,4 @@ def apply_diff_op(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:
             else:
                 key = tuple(res)
                 out[key] = out.get(key, 0) + coeff
-    return MultiPoly(symbol.vars, out)
+    return MultiPoly._of(symbol.vars, out)

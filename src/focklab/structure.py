@@ -8,18 +8,23 @@ the named complex simple Lie algebra.
 By Taylor's formula Q(z - a) = sum_alpha (-a)^alpha / alpha! d^alpha Q, and
 the translates span exactly the space of all partial derivatives of Q.  That
 space is graded by the order of the derivative, so dim W is the sum over k
-of rank{d^alpha Q : |alpha| = k}, each rank exact over Q.  The graded ranks
-are the Hilbert function of the apolar algebra of Q, which is Gorenstein
-with socle in degree deg Q, so they read the same backwards (Macaulay
-duality; Iarrobino-Kanev, LNM 1721).  The check asserts that symmetry too.
+of rank{d^alpha Q : |alpha| = k}, each rank exact over Q.  A derivative is
+taken only along a variable its polynomial holds, so none comes out zero.
+The graded ranks are the Hilbert function of the apolar algebra of Q, which
+is Gorenstein with socle in degree deg Q, so they read the same backwards
+(Macaulay duality; Iarrobino-Kanev, LNM 1721).  The check asserts that
+symmetry too.
 
 The structure algebra {X : DQ(z)[Xz] in C*Q(z)} is computed by equating
 coefficients and solving the homogeneous system exactly (focklab.linalg's
 fraction-free echelon), one primitive integer matrix per basis element;
-character_of then verifies every basis element.  The check also asserts
-that the computed Str is a Lie algebra (every bracket [X, Y] of basis
-elements lies in their span, exactly) and that it contains the identity
-with character 4, Euler's identity DQ[z] = 4Q for the homogeneous quartic Q.
+the character of every basis element is then verified.  structure_algebra
+builds the table of first partials dQ/dz_a once and shares it between the
+system and every character; the table lives for that one call.  The check
+also asserts that the computed Str is a Lie algebra (every bracket [X, Y] of
+basis elements lies in their span, exactly) and that it contains the
+identity with character 4, Euler's identity DQ[z] = 4Q for the homogeneous
+quartic Q.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from focklab.jordan import CaseDescriptor, q_polynomial
 from focklab.linalg import FractionSpan, frac_nullspace, int_rank
@@ -48,13 +54,21 @@ class StructureBasis:
         return len(self.basis)
 
 
-def _directional_poly(q_poly: MultiPoly, x: Matrix) -> MultiPoly:
-    """DQ(z)[Xz] = sum_ab X_ab z_b dQ/dz_a, summed into one term map."""
+def _partials(q_poly: MultiPoly) -> list[dict]:
+    """The term maps of dQ/dz_a for every a: one table per call that needs it."""
+    return [q_poly.diff(a).terms for a in range(len(q_poly.vars))]
+
+
+def _directional_poly(q_poly: MultiPoly, x: Matrix,
+                      partials: list[dict] | None = None) -> MultiPoly:
+    """DQ(z)[Xz] = sum_ab X_ab z_b dQ/dz_a, summed into one term map.
+
+    partials is the caller's _partials(q_poly) table, built here if not given.
+    """
+    if partials is None:
+        partials = _partials(q_poly)
     out: dict[tuple[int, ...], Scalar] = {}
-    partials: dict[int, dict] = {}
     for (a, b), coeff in x.items():
-        if a not in partials:
-            partials[a] = q_poly.diff(a).terms
         for e, c in partials[a].items():
             e2 = list(e)
             e2[b] += 1
@@ -63,9 +77,8 @@ def _directional_poly(q_poly: MultiPoly, x: Matrix) -> MultiPoly:
     return MultiPoly(q_poly.vars, out)
 
 
-def character_of(q_poly: MultiPoly, x: Matrix) -> Fraction:
-    """The scalar c with DQ[Xz] = c*Q; raises if X is not in the structure algebra."""
-    p = _directional_poly(q_poly, x)
+def _character(q_poly: MultiPoly, x: Matrix, partials: list[dict]) -> Fraction:
+    p = _directional_poly(q_poly, x, partials)
     if p.is_zero():
         return Fraction(0)
     e, coeff = next(iter(p.terms.items()))
@@ -75,22 +88,31 @@ def character_of(q_poly: MultiPoly, x: Matrix) -> Fraction:
     return c
 
 
-def _system_rows(q_poly: MultiPoly, n: int):
+def character_of(q_poly: MultiPoly, x: Matrix) -> Fraction:
+    """The scalar c with DQ[Xz] = c*Q; raises if X is not in the structure algebra."""
+    return _character(q_poly, x, _partials(q_poly))
+
+
+def _system_rows(q_poly: MultiPoly, partials: list[dict]):
     """Sparse rows (one per monomial) of DQ[Xz] - c*Q = 0 in (X, c).
 
     Column (a, b) is the entry X_ab; the character c is column (n, 0), after
-    every entry.
+    every entry.  Monomials are keyed as base-(deg Q + 1) integers, which
+    every exponent of DQ[Xz] and Q fits, so z_b times a monomial is one
+    addition.
     """
-    rows: dict[tuple, dict[tuple[int, int], Scalar]] = {}
+    n = len(partials)
+    base = q_poly.total_degree() + 1
+    weight = [base**i for i in range(n)]
+    rows: dict[int, dict[tuple[int, int], Scalar]] = {}
     for a in range(n):
-        for e, coeff in q_poly.diff(a).terms.items():
+        for e, coeff in partials[a].items():
+            key = sum(map(mul, e, weight))
             for b in range(n):
-                e2 = list(e)
-                e2[b] += 1
-                row = rows.setdefault(tuple(e2), {})
+                row = rows.setdefault(key + weight[b], {})
                 row[(a, b)] = row.get((a, b), 0) + coeff
     for e, coeff in q_poly.terms.items():
-        row = rows.setdefault(e, {})
+        row = rows.setdefault(sum(map(mul, e, weight)), {})
         row[(n, 0)] = row.get((n, 0), 0) - coeff
     return list(rows.values())
 
@@ -98,26 +120,33 @@ def _system_rows(q_poly: MultiPoly, n: int):
 def structure_algebra(case: CaseDescriptor) -> StructureBasis:
     q_poly = q_polynomial(case)
     n = case.dim_v
+    partials = _partials(q_poly)
     columns = [(a, b) for a in range(n) for b in range(n)] + [(n, 0)]
     basis: list[Matrix] = []
     chars: list[Fraction] = []
-    for v in frac_nullspace(_system_rows(q_poly, n), columns):
+    for v in frac_nullspace(_system_rows(q_poly, partials), columns):
         x = {k: c for k, c in v.items() if k[0] < n}
         basis.append(x)
-        chars.append(character_of(q_poly, x))
+        chars.append(_character(q_poly, x, partials))
     return StructureBasis(case.label, q_poly, basis, chars)
 
 
-def _bracket(x: dict, y: dict) -> dict:
-    """XY - YX, exactly, without its zero entries."""
+def _by_row(x: Matrix) -> dict[int, list[tuple[int, Scalar]]]:
+    """X's entries grouped by row: a -> [(b, X_ab)]."""
+    rows: dict[int, list[tuple[int, Scalar]]] = {}
+    for (a, b), v in x.items():
+        rows.setdefault(a, []).append((b, v))
+    return rows
+
+
+def _bracket(x: dict, y: dict) -> Matrix:
+    """XY - YX, exactly, without its zero entries, from X and Y grouped _by_row."""
     out: Matrix = {}
     for left, right, sign in ((x, y, 1), (y, x, -1)):
-        rows: dict[int, list] = {}  # right's entries by row
-        for (b, c), cr in right.items():
-            rows.setdefault(b, []).append((c, cr))
-        for (a, b), cl in left.items():
-            for c, cr in rows.get(b, ()):
-                out[(a, c)] = out.get((a, c), 0) + sign * cl * cr
+        for a, entries in left.items():
+            for b, cl in entries:
+                for c, cr in right.get(b, ()):
+                    out[(a, c)] = out.get((a, c), 0) + sign * cl * cr
     return {k: v for k, v in out.items() if v}
 
 
@@ -136,10 +165,11 @@ def translate_span_dim(case: CaseDescriptor) -> tuple[int, list[int]]:
         graded.append(int_rank([p.terms for p in level.values()]))
         nxt: dict[tuple[int, ...], MultiPoly] = {}
         for alpha, p in level.items():
+            # d_i p is zero exactly when no term of p holds z_i
+            held = [any(col) for col in zip(*p.terms)]
             for i in range(alpha[-1] if alpha else 0, n):
-                d = p.diff(i)
-                if not d.is_zero():
-                    nxt[alpha + (i,)] = d
+                if held[i]:
+                    nxt[alpha + (i,)] = p.diff(i)
         level = nxt
     return sum(graded), graded
 
@@ -152,7 +182,8 @@ def check_g_dimension(case: CaseDescriptor) -> CheckReport:
     symmetric = graded == graded[::-1]
     total = dim_k + dim_w
     span = FractionSpan(sb.basis)
-    closed = all(span.contains(_bracket(x, y)) for x, y in combinations(sb.basis, 2))
+    grouped = [_by_row(x) for x in sb.basis]
+    closed = all(span.contains(_bracket(x, y)) for x, y in combinations(grouped, 2))
     euler = character_of(sb.q_poly, {(a, a): Fraction(1) for a in range(n)})
     broken = [text for bad, text in (
         (total != case.expected_g_dim, f"dimG {total} != {case.expected_g_dim}"),

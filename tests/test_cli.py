@@ -86,6 +86,7 @@ def test_malformed_q_is_a_usage_error(argv, capsys):
     ("verify", "meijer", "--case", "9", "--variant", "b"),
     ("export", "moments", "--case", "1", "--q", "0", "--grid", "5"),
     ("export", "weight-profile", "--case", "1", "--q", "0", "-m", "7"),
+    ("meijer", "--case", "1", "--q", "0", "--moments", "5"),  # the count is -m/--m-max
     ("export", "cm", "--case", "1"),
     ("catalog", "--case", "10", "--d", "8"),
     ("verify", "tables", "--jobs", "0"),
@@ -173,7 +174,7 @@ def test_grid_below_two_is_a_usage_error(argv, capsys):
 
 @pytest.mark.parametrize("argv, flag", [
     (("verify", "meijer", "--m-max", "-1"), "--m-max"),
-    (("meijer", "--case", "5", "--q", "0", "--moments", "-1"), "--moments"),
+    (("meijer", "--case", "5", "--q", "0", "--m-max", "-1"), "--m-max"),
     (("export", "moments", "--case", "5", "--q", "0", "-m", "-2"), "--m-max"),
     (("kernel-coeffs", "--case", "1", "--q", "0", "-m", "-3"), "--m-max"),
     (("kernel-coeffs", "--case", "1", "--q", "0", "--m-max", "-1"), "--m-max"),
@@ -309,7 +310,7 @@ def test_meijer_command_passes_on_log_term_and_large_b_weights(capsys):
     # peaks near u = e^7 at m = 12
     for argv in (("--case", "2", "--p", "2", "--q", "0"), ("--case", "3", "--q", "0,0"),
                  ("--case", "10", "--variant", "d"),
-                 ("--case", "10", "--variant", "d", "--q", "1,9", "--moments", "12")):
+                 ("--case", "10", "--variant", "d", "--q", "1,9", "-m", "12")):
         code, out = run(capsys, "meijer", *argv)
         assert code == 0 and "[FAIL]" not in out, (argv, out)
     assert "[PASS] meijer.moment.10d.1_9.12 " in out

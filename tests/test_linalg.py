@@ -1,7 +1,7 @@
 """Exact linear algebra: ranks, incremental spans and nullspaces agree."""
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 from hypothesis import given, settings
@@ -58,7 +58,9 @@ RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 @st.composite
 def keyed_rational_matrices(draw):
-    """(column keys, rows keyed by them): small rationals, tuple keys, rank deficits."""
+    """(column keys, rows keyed by them): small rationals, tuple keys, rank deficits,
+    one-entry rows (forcing a coordinate to 0), and duplicate rows, some negated
+    or rescaled."""
     keys = sorted(draw(st.sets(st.tuples(st.integers(0, 3), st.integers(-2, 2)),
                                min_size=1, max_size=6)))
     sparse = st.one_of(st.just(F(0)), RATIONALS)
@@ -68,7 +70,23 @@ def keyed_rational_matrices(draw):
         i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
         a, b = draw(RATIONALS), draw(RATIONALS)
         rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    for _ in range(draw(st.integers(0, 2))):
+        j, c = draw(st.integers(0, len(keys) - 1)), draw(RATIONALS.filter(bool))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    [c if k == j else F(0) for k in range(len(keys))])
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        c = draw(st.sampled_from((F(1), F(-1), F(-2, 3), F(3))))
+        rows.insert(draw(st.integers(0, len(rows))), [c * x for x in row])
     return keys, rows
+
+
+def primitive_int_vector(column, keys):
+    """A sympy column scaled by a positive factor to a sparse primitive int vector."""
+    den = lcm(*(int(sympy.Rational(x).q) for x in column))
+    ints = [int(x * den) for x in column]
+    g = gcd(*ints)
+    return {k: v // g for k, v in zip(keys, ints) if v}
 
 
 def as_sympy(rows, width):
@@ -85,6 +103,12 @@ def test_elimination_matches_sympy(matrix, data):
 
     basis = frac_nullspace(rows, keys)
     assert len(basis) == len(keys) - rank
+    # the basis sympy gets by eliminating the rows as given, made primitive
+    # with its free coordinate positive, is the same list of vectors
+    nullspace = as_sympy(dense or [[0] * len(keys)], len(keys)).nullspace()
+    assert basis == [primitive_int_vector(v, keys) for v in nullspace]
+    forced = {k for r in rows if len(r) == 1 for k in r}
+    assert all(vec.get(k, 0) == 0 for vec in basis for k in forced)
     if basis:  # independent, exact solutions
         assert as_sympy([[v.get(k, 0) for k in keys] for v in basis], len(keys)).rank() == len(basis)
     for vec in basis:

@@ -221,3 +221,91 @@ def test_substitute_of_translates_is_shift(p, a):
             term = _diff(term, v, k).scale(F(a[v]) ** k / factorial(k))
         taylor = taylor + term
     assert p.substitute(images) == p.shift(a) == taylor
+
+
+def test_substitute_rejects_images_over_different_variable_lists():
+    images = [MultiPoly.variable(VS2, 0), MultiPoly.variable(VS3, 1), MultiPoly.variable(VS3, 2)]
+    with pytest.raises(ValueError):
+        MultiPoly.variable(VS3, 0).substitute(images)
+
+
+# -- products against a tuple-keyed reference ------------------------------------
+
+
+def _naive_mul(a: dict, b: dict) -> dict:
+    """Tuple-keyed product in first-reached order (a outer, b inner), zeros dropped."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _naive_pow(p: MultiPoly, k: int) -> dict:
+    # square-and-multiply from the constant 1, whose product keeps the other
+    # factor's order
+    result, base = {(0,) * len(p.vars): 1}, dict(p.terms)
+    while k:
+        if k & 1:
+            result = _naive_mul(result, base)
+        base = _naive_mul(base, base)
+        k >>= 1
+    return result
+
+
+@st.composite
+def packable_pairs(draw, sizes):
+    """Polynomials of the given sizes on one list of 8 to 30 variables.
+
+    A size is zero, constant, small (1 to 6 terms) or large (24 to 32
+    terms), so two large ones give more term pairs than the packing
+    threshold, 256.  Exponents reach up to 150, so exponent sums fall on
+    both sides of the 255 that a packed byte field holds (127 + 127 fits,
+    128 + 128 does not).
+    """
+    vs = VarSet.flat([f"v{i}" for i in range(draw(st.integers(8, 30)))])
+    top = draw(st.sampled_from((3, 127, 128, 150)))
+    coeffs = st.one_of(st.integers(-3, 3), small_fracs)
+
+    def poly(size):
+        if size == "zero":
+            return MultiPoly.zero(vs)
+        if size == "constant":
+            return MultiPoly.constant(vs, draw(coeffs.filter(bool)))
+        terms = {}
+        for _ in range(draw(st.integers(1, 6) if size == "small" else st.integers(24, 32))):
+            e = [0] * len(vs)
+            for i in draw(st.sets(st.integers(0, len(vs) - 1), min_size=1, max_size=3)):
+                e[i] = draw(st.one_of(st.sampled_from((top, 1, 2)), st.integers(1, top)))
+            terms[tuple(e)] = draw(coeffs)
+        return MultiPoly(vs, terms)
+
+    return tuple(poly(size) for size in sizes)
+
+
+SIZE_PAIRS = [("large", "large"), ("large", "small"), ("small", "small"),
+              ("constant", "large"), ("large", "zero"), ("constant", "constant")]
+
+
+@pytest.mark.parametrize("sizes", SIZE_PAIRS, ids="-".join)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_product_matches_naive_product_and_order(sizes, data):
+    # verify_bernstein_identity reads C off the first term of a power, so the
+    # order of the terms is part of the contract
+    p, q = data.draw(packable_pairs(sizes))
+    expected = _naive_mul(p.terms, q.terms)
+    got = p * q
+    assert got.terms == expected and list(got.terms) == list(expected)
+    assert _canonical(got)
+
+
+@pytest.mark.parametrize("size", ["large", "small", "constant", "zero"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), k=st.integers(0, 3))
+def test_power_matches_naive_power_and_order(size, data, k):
+    (p,) = data.draw(packable_pairs((size,)))
+    expected = _naive_pow(p, k)
+    got = p**k
+    assert got.terms == expected and list(got.terms) == list(expected)

@@ -12,7 +12,7 @@ from focklab import structure
 from focklab.checks import STRUCTURE_ROWS
 from focklab.jordan import build_case, q_polynomial
 from focklab.linalg import FractionSpan
-from focklab.polyalg import MultiPoly
+from focklab.polyalg import MultiPoly, VarSet
 from focklab.structure import (
     character_of,
     check_g_dimension,
@@ -135,6 +135,43 @@ def test_translate_span_graded_ranks():
         assert graded[:2] == [1, case.dim_v], case.label
         assert graded == graded[::-1], case.label  # Gorenstein symmetry
         assert dim_w == sum(graded)
+
+
+def test_system_rows_match_tuple_keyed_rows():
+    # the rows key monomials as integers in base deg q + 1; on this q a base
+    # of deg q would key z0^3 z_b and z1 z_b alike
+    vs = VarSet.flat(["z0", "z1", "z2"])
+    q = MultiPoly(vs, {(3, 0, 0): 1, (1, 1, 1): -2, (0, 1, 0): 3, (0, 0, 2): 5})
+    n = len(vs)
+    expected: dict = {}
+    for a in range(n):
+        for e, c in q.diff(a).terms.items():
+            for b in range(n):
+                e2 = list(e)
+                e2[b] += 1
+                row = expected.setdefault(tuple(e2), {})
+                row[(a, b)] = row.get((a, b), 0) + c
+    for e, c in q.terms.items():
+        row = expected.setdefault(e, {})
+        row[(n, 0)] = row.get((n, 0), 0) - c
+    assert structure._system_rows(q, structure._partials(q)) == list(expected.values())
+
+
+def test_translate_span_takes_no_zero_derivative(monkeypatch):
+    # a derivative along a variable the polynomial does not hold is known to
+    # be zero before it is taken
+    real, zero_calls, calls = MultiPoly.diff, [], []
+
+    def counted(self, idx):
+        d = real(self, idx)
+        calls.append(idx)
+        if d.is_zero():
+            zero_calls.append(idx)
+        return d
+
+    monkeypatch.setattr(MultiPoly, "diff", counted)
+    assert translate_span_dim(build_case(9, variant="c")) == (128, [1, 28, 70, 28, 1])
+    assert calls and not zero_calls
 
 
 @pytest.mark.parametrize("case", [build_case(4), build_case(9, variant="a")],
