@@ -19,6 +19,7 @@ is proved for every m at once.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -29,7 +30,7 @@ from focklab.jordan import (
     determinant_poly,
     dual_determinant_symbol,
 )
-from focklab.polyalg import MultiPoly, VarSet, apply_diff_op, rising
+from focklab.polyalg import MultiPoly, VarSet, apply_diff_op, product, rising
 from focklab.report import CheckReport, q_strings
 from focklab.sl2 import validate_q
 
@@ -42,38 +43,46 @@ A_RING = VarSet.flat(("a",))  # the Bernstein variable a
 M_RING = VarSet.flat(("m",))  # the formal degree m of the graded pieces
 
 
+def _scaled_value(poly: MultiPoly, p: int, q: int) -> tuple[int, int]:
+    """(v, w) with poly(p / q) = v / w, for a polynomial in one variable: Horner's
+    rule on its coefficients over their common denominator, all in integers."""
+    terms = poly.terms
+    deg = max((e for e, in terms), default=0)
+    common = math.lcm(*(c.denominator for c in terms.values()))
+    acc = 0
+    for k in range(deg, -1, -1):
+        c = terms.get((k,), 0)
+        acc = acc * p + c.numerator * (common // c.denominator) * q ** (deg - k)
+    return acc, common * q ** deg
+
+
 def ratio_at(polys: tuple[MultiPoly, MultiPoly], m) -> Fraction:
-    """num(m) / den(m) for a (num, den) pair of polynomials in one variable."""
-    num, den = polys
-    d = den.eval((m,))
-    if d == 0:
+    """num(m) / den(m) for a (num, den) pair of polynomials in one variable,
+    evaluated on integers (_scaled_value), with one Fraction formed at the end."""
+    if type(m) is not int:
+        m = Fraction(m)
+    num, den = (_scaled_value(poly, m.numerator, m.denominator) for poly in polys)
+    if den[0] == 0:
         raise DegenerateParameterError(f"pole of the ratio at m={m}")
-    return Fraction(num.eval((m,))) / d
+    return Fraction(num[0] * den[1], den[0] * num[1])
 
 
 def b_poly(factor: SimpleFactorDescriptor, x: MultiPoly | None = None) -> MultiPoly:
     """b(x) = x (x + d/2) ... (x + (r-1) d/2), degree r; x defaults to the variable a."""
     x = MultiPoly.variable(A_RING, 0) if x is None else x
-    out = MultiPoly.constant(x.vars, 1)
-    for y in range(factor.rank):
-        out = out * (x + MultiPoly.constant(x.vars, Fraction(y * factor.degree, 2)))
-    return out
+    return product(x.vars, (x + MultiPoly.constant(x.vars, Fraction(y * factor.degree, 2))
+                            for y in range(factor.rank)))
 
 
 def big_b_poly(factor: SimpleFactorDescriptor, x: MultiPoly | None = None) -> MultiPoly:
     """B(x) = b(kx) b(kx-1) ... b(kx-k+1), degree k*r; x defaults to the variable a."""
     x = MultiPoly.variable(A_RING, 0) if x is None else x
-    out = MultiPoly.constant(x.vars, 1)
-    for j in range(factor.mult):
-        out = out * b_poly(factor, x.scale(factor.mult) - MultiPoly.constant(x.vars, j))
-    return out
+    return product(x.vars, (b_poly(factor, x.scale(factor.mult) - MultiPoly.constant(x.vars, j))
+                            for j in range(factor.mult)))
 
 
 def case_b_poly(case: CaseDescriptor) -> MultiPoly:
-    out = MultiPoly.constant(A_RING, 1)
-    for f in case.factors:
-        out = out * big_b_poly(f)
-    return out
+    return product(A_RING, (big_b_poly(f) for f in case.factors))
 
 
 def factor_b_roots(factor: SimpleFactorDescriptor) -> list[Fraction]:
@@ -102,10 +111,8 @@ def btilde_roots(case: CaseDescriptor) -> list[Fraction]:
 def roots_factorization_ok(case: CaseDescriptor) -> bool:
     """B equals A * prod (a - root) over the structural root multiset, exactly."""
     a = MultiPoly.variable(A_RING, 0)
-    rebuilt = MultiPoly.constant(A_RING, case.bernstein_lead)
-    for root in case_b_roots(case):
-        rebuilt = rebuilt * (a - MultiPoly.constant(A_RING, root))
-    return case_b_poly(case) == rebuilt
+    rebuilt = product(A_RING, (a - MultiPoly.constant(A_RING, root) for root in case_b_roots(case)))
+    return case_b_poly(case) == rebuilt.scale(case.bernstein_lead)
 
 
 # -- Bernstein identity verification ----------------------------------------
@@ -171,11 +178,9 @@ def gindikin_ratio_poly(factor: SimpleFactorDescriptor, lam: MultiPoly) -> Multi
     The transcendental prefactor of the Gindikin gamma function cancels in
     every ratio the engine consumes.
     """
-    out = MultiPoly.constant(lam.vars, 1)
-    for j in range(factor.rank):
-        x = lam - MultiPoly.constant(lam.vars, Fraction(j * factor.degree, 2))
-        out = out * rising(x, factor.mult)
-    return out
+    return product(lam.vars, (
+        rising(lam - MultiPoly.constant(lam.vars, Fraction(j * factor.degree, 2)), factor.mult)
+        for j in range(factor.rank)))
 
 
 def a_ratio_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPoly]:
@@ -185,12 +190,10 @@ def a_ratio_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPoly]:
     """
     q = validate_q(case, q)
     m = MultiPoly.variable(M_RING, 0)
-    num = den = MultiPoly.constant(M_RING, 1)
-    for f, qi in zip(case.factors, q):
-        x = MultiPoly.constant(M_RING, -f.eta0(qi)) - m
-        num = num * big_b_poly(f, x)
-        den = den * big_b_poly(f, x - MultiPoly.constant(M_RING, f.eta0_shift))
-    return num, den
+    xs = [(f, MultiPoly.constant(M_RING, -f.eta0(qi)) - m) for f, qi in zip(case.factors, q)]
+    return (product(M_RING, (big_b_poly(f, x) for f, x in xs)),
+            product(M_RING, (big_b_poly(f, x - MultiPoly.constant(M_RING, f.eta0_shift))
+                             for f, x in xs)))
 
 
 def a_ratio_gindikin_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPoly]:
@@ -201,12 +204,11 @@ def a_ratio_gindikin_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPol
     """
     q = validate_q(case, q)
     m = MultiPoly.variable(M_RING, 0)
-    num = den = MultiPoly.constant(M_RING, 1)
-    for f, qi in zip(case.factors, q):
-        lam = m.scale(f.mult) + MultiPoly.constant(M_RING, qi + f.n_over_r)
-        num = num * gindikin_ratio_poly(f, lam)
-        den = den * gindikin_ratio_poly(f, lam + MultiPoly.constant(M_RING, f.n_over_r))
-    return num, den
+    lams = [(f, m.scale(f.mult) + MultiPoly.constant(M_RING, qi + f.n_over_r))
+            for f, qi in zip(case.factors, q)]
+    return (product(M_RING, (gindikin_ratio_poly(f, lam) for f, lam in lams)),
+            product(M_RING, (gindikin_ratio_poly(f, lam + MultiPoly.constant(M_RING, f.n_over_r))
+                             for f, lam in lams)))
 
 
 def a_ratio_report(case: CaseDescriptor, q) -> CheckReport:

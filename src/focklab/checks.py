@@ -28,6 +28,7 @@ no suite builds none.  Its feasible q values take about 5 ms to solve
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 import traceback
@@ -228,8 +229,14 @@ def _bernstein_roots(case: CaseDescriptor) -> list[CheckReport]:
 
 def _kernel_cm(case: CaseDescriptor, q) -> list[CheckReport]:
     ks = kernel.c_sequence(case, q, m_max=50)
-    # the exact partial sum at u = 1/2: terms past m = 50 are far below double precision
-    exact = float(sum(c / 2**m for m, c in enumerate(ks.coeffs)))
+    # the exact partial sum at u = 1/2, terms past m = 50 far below double
+    # precision: Horner's rule on the c_m over their common denominator, and
+    # one correctly rounded integer quotient
+    common = math.lcm(*(c.denominator for c in ks.coeffs))
+    acc = 0
+    for c in ks.coeffs:
+        acc = 2 * acc + c.numerator * (common // c.denominator)
+    exact = acc / (common << (len(ks.coeffs) - 1))
     rel = abs(kernel.kernel_eval(case, q, 0.5) - exact) / abs(exact)
     cmp = "<=" if rel <= 1e-12 else ">"
     broken = [f"c_{m} <= 0" for m, c in enumerate(ks.coeffs) if c <= 0][:1]

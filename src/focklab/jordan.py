@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from focklab.polyalg import MultiPoly, VarSet
+from focklab.polyalg import MultiPoly, VarSet, product
 
 
 class UnsupportedFamilyError(ValueError):
@@ -132,10 +132,7 @@ def _matrix_det(entries: list[list[MultiPoly]], vars: VarSet) -> MultiPoly:
             for j in range(i + 1, n):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = MultiPoly.constant(vars, sign)
-        for i in range(n):
-            term = term * entries[i][perm[i]]
-        out = out + term
+        out = out + product(vars, (entries[i][perm[i]] for i in range(n))).scale(sign)
     return out
 
 
@@ -147,8 +144,8 @@ def _pfaffian(idx: list[int], entry, vars: VarSet) -> MultiPoly:
     out = MultiPoly.zero(vars)
     for t, j in enumerate(idx[1:], start=1):
         rest = [x for x in idx if x not in (i0, j)]
-        sign = 1 if t % 2 == 1 else -1
-        out = out + entry(i0, j).scale(sign) * _pfaffian(rest, entry, vars)
+        term = entry(i0, j).scale(1 if t % 2 == 1 else -1)
+        out = out + (term * _pfaffian(rest, entry, vars) if rest else term)
     return out
 
 
@@ -320,11 +317,8 @@ class CaseDescriptor:
 def q_polynomial(case: CaseDescriptor) -> MultiPoly:
     """Q = prod Delta_i^{k_i}, homogeneous of degree 4, on the joint variables."""
     vars = case.var_set()
-    out = MultiPoly.constant(vars, 1)
-    for f, off in zip(case.factors, case.factor_offsets()):
-        delta = determinant_poly(f, vars=vars, offset=off)
-        out = out * delta ** f.mult
-    return out
+    return product(vars, (determinant_poly(f, vars=vars, offset=off) ** f.mult
+                          for f, off in zip(case.factors, case.factor_offsets())))
 
 
 # the family parameters each parametrized case reads; the other cases read none

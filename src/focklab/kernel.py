@@ -9,10 +9,11 @@ Meijer parameters alpha = (eta0-1, eta0), beta_j = eta0 + b_j - 1.
 The weight G^{4,0}_{2,4} reduces to G^{3,0}_{1,3} (one beta equals alpha2 in
 every catalog row), represented once by its Mellin symbol F(s) = prod
 Gamma(beta_j + s) / Gamma(alpha1 + s) (MeijerParams.symbol), through which
-every numeric path reads F: MeijerEvaluator takes G below e^-12 from its
-residue series (DLMF 16.17.2), then by Mellin-Barnes quadrature on one
-contour, from a table of F shared by symbols a common shift apart, and far
-out from its asymptotic series (DLMF 16.11); the moments int G(u) u^m du =
+every numeric path reads F, one Gamma per residue class of its parameters
+mod 1: MeijerEvaluator takes G below e^-12 from its residue series (DLMF
+16.17.2), then by Mellin-Barnes quadrature on one contour, and far out from
+its asymptotic series (DLMF 16.11), each built once per class of symbols a
+common shift apart (see MeijerEvaluator); the moments int G(u) u^m du =
 F(m + 1) come with a certified error bound, and the case-(1) Bergman
 cross-check reduces to them through exact Beta integrals.  That G takes both
 signs is proved from the exact sign of F at two rationals
@@ -46,7 +47,7 @@ from focklab.bernstein import (
 from focklab.fock import beta_integral
 from focklab.gammaratio import MellinSymbol, mpq
 from focklab.jordan import CaseDescriptor, build_case
-from focklab.polyalg import MultiPoly
+from focklab.polyalg import MultiPoly, product
 from focklab.report import CheckReport, q_strings
 from focklab.sl2 import eta0_of, forced_eta0
 
@@ -102,10 +103,7 @@ class KernelSeries:
 
 def pochhammer_step(*xs: Fraction) -> MultiPoly:
     """prod_j (x_j + m), the step (x_j)_{m+1} / (x_j)_m of a Pochhammer product, in m."""
-    out = MultiPoly.constant(M_RING, 1)
-    for x in xs:
-        out = out * MultiPoly(M_RING, {(1,): 1, (0,): x})
-    return out
+    return product(M_RING, (MultiPoly(M_RING, {(1,): 1, (0,): x}) for x in xs))
 
 
 def c_ratio_polys(sp: SpectralParams) -> tuple[MultiPoly, MultiPoly]:
@@ -437,9 +435,7 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
     """For all-zero q: Btilde(a) = B(a - eta0) as an exact polynomial identity."""
     q = tuple(Fraction(0) for _ in case.factors)
     eta0 = eta0_of(case, q)  # raises if q=0 is inadmissible for this case
-    btilde = MultiPoly.constant(A_RING, 1)
-    for f in case.factors:
-        btilde = btilde * big_b_poly(f).shift((-f.eta0_shift,))
+    btilde = product(A_RING, (big_b_poly(f).shift((-f.eta0_shift,)) for f in case.factors))
     diff = btilde - case_b_poly(case).shift((-eta0,))
     return CheckReport(
         id=f"kernel.q0reduction.{case.label}", case_id=case.label,
@@ -466,12 +462,10 @@ LOG_U_BUDGET = 12.0
 def _contour_table(rel: MellinSymbol, offset: Fraction, precision: int) -> dict:
     """The trapezoidal table of one contour, for the symbol rel relative to it.
 
-    With c = offset - min b, F(c + i t) = rel(offset + i t) for rel = F
-    shifted by -min b, and the distance from the contour to the rightmost pole
-    is d = offset.  T, omega, h, the nodes and F on them depend on nothing
-    else, so every symbol that differs by a common shift shares this table
-    (see MeijerEvaluator).  Only the nodes t_k = k h, k >= 0, are tabulated:
-    weight h/pi for k > 0 and h/(2 pi) at k = 0.
+    With c = offset - min b, F(c + i t) = rel(offset + i t), and the contour
+    lies d = offset right of the rightmost pole; nothing else enters, so a
+    shift class shares the table.  Only the nodes t_k = k h, k >= 0, are
+    tabulated: weight h/pi for k > 0 and h/(2 pi) at k = 0.
 
     rel.line gives F and a relative error bound eps_k at every node; k0 is
     the smallest index with sum_{k >= k0} eps_k |fw_k| <= TAIL_SHARE w_lo,
@@ -568,16 +562,17 @@ def _contour_sum(ct: dict, log_u):
 
 @lru_cache(maxsize=64)
 def _residues(symbol: MellinSymbol, precision: int
-              ) -> tuple[Fraction, float, tuple[tuple[float, tuple[float, ...]], ...]]:
+              ) -> tuple[Fraction, float, tuple[tuple[Fraction, tuple[float, ...]], ...]]:
     """The residue series of G^{q,0}_{p,q}(u; a; b) near u = 0, poles of any order.
 
-    G(u) is the sum of Res F(s) u^{-s} over the poles of its Mellin symbol F
-    right of a line Re s = c through no pole, plus the Mellin-Barnes integral
-    on that line, at most u^{-c} W(c) (_log_line_l1; DLMF 16.17.2,
-    https://dlmf.nist.gov/16.17, in its confluent limit).  Returns
-    (c, log W(c), poles); the pole at s = -e adds u^e sum_d c_d (log u)^d,
-    with c_d = f_{-1-d} (-1)^d / d! from the Laurent series
-    F(s + eps) = sum_k f_k eps^k.
+    Built for the relative symbol (F shifted by -min b), as _contour_table
+    is; the evaluator shifts c and the exponents back (_residue_series).
+    G(u) is the sum of Res F(s) u^{-s} over the poles of F right of a line
+    Re s = c through no pole, plus the Mellin-Barnes integral on that line,
+    at most u^{-c} W(c) (_log_line_l1; DLMF 16.17.2, in its confluent
+    limit).  Returns (c, log W(c), poles); the pole at s = -e (e exact) adds
+    u^e sum_d c_d (log u)^d, c_d = f_{-1-d} (-1)^d / d! from the Laurent
+    series F(s + eps) = sum_k f_k eps^k.
 
     The b_j are grouped by value mod 1; a group's poles are s0 - n, n >= 0,
     s0 = -min of the group.  A walk starts from F's Taylor series
@@ -639,7 +634,7 @@ def _residues(symbol: MellinSymbol, precision: int
                     s, coeffs = heads[i]
                     size = sum(abs(x) * LOG_U_BUDGET ** d for d, x in enumerate(coeffs))
                     if size > 0:
-                        taken.append((float(-s), coeffs))
+                        taken.append((-s, coeffs))
                         logs.append(LOG_U_BUDGET * float(s) + math.log(size))
                     heads[i] = next(w)
             log_w = _log_line_l1(symbol, c)
@@ -656,21 +651,29 @@ def _asymptotic(rel: MellinSymbol):
     lambda = sum b - a - 1/2 and M_0 = sqrt(pi) (DLMF 16.11(ii); Luke, The
     Special Functions and Their Approximations I, 5.7, 1969).  The series in
     G's equation u (theta - a + 1) G = prod_j (theta - b_j) G, theta = u d/du
-    (DLMF 16.21.1), leaves the three-term recurrence below, in y_j = l/2 - b_j;
-    it runs in Fractions, as in floats some M_n lose 1e-3.  A common shift of
-    F keeps M and moves lambda by twice it: callers pass F shifted by -min b.
+    (DLMF 16.21.1), leaves n M_n = -(M_{n-1} e1 + M_{n-2} e0), e1 and e0
+    symmetric in y_j = (lambda - n + 1) / 2 - b_j.  As in floats some M_n lose
+    1e-3, it runs on integers: with D even and every D y_j integral, E1 =
+    D^2 e1, E0 = D^3 e0, R_n = -(R_{n-1} E1 + (n - 1) D R_{n-2} E0) and M_n /
+    M_0 = R_n / (n! D^{2n}), rounded once.  A common shift keeps M and moves
+    lambda by twice it: callers pass F shifted by -min b.
     """
     import numpy as np
 
     (a,) = rel.a
     lam = sum(rel.b) - a - Fraction(1, 2)
-    ratios = [Fraction(0), Fraction(1)]  # M_{-1} and M_0, over M_0
+    ys = [(lam + 1) / 2 - b for b in rel.b]  # y_j at n = 0
+    d = 2 * math.lcm(*(y.denominator for y in ys))
+    half, ys = d // 2, [y.numerator * (d // y.denominator) for y in ys]
+    rows, scale, ratios = [0, 1], 1, [1.0]  # R_{-1}, R_0; n! D^{2n}; M_n / M_0
     for n in range(1, ASYMPTOTIC_TERMS + 1):
-        y1, y2, y3 = ((lam - n + 1) / 2 - b for b in rel.b)
-        e1 = y1 * y2 + y1 * y3 + y2 * y3 + (y1 + y2 + y3) / 2 + Fraction(1, 4)
-        e0 = -math.prod(y + Fraction(1, 2) for y in (y1, y2, y3))
-        ratios.append(-(ratios[-1] * e1 + ratios[-2] * e0) / n)
-    coeffs = math.sqrt(math.pi) * np.array([float(r) for r in ratios[1:]])
+        y1, y2, y3 = (y - n * half for y in ys)
+        e1 = y1 * y2 + y1 * y3 + y2 * y3 + half * (y1 + y2 + y3 + half)
+        e0 = -(y1 + half) * (y2 + half) * (y3 + half)
+        rows.append(-(rows[-1] * e1 + (n - 1) * d * rows[-2] * e0))
+        scale *= n * d * d
+        ratios.append(rows[-1] / scale)
+    coeffs = math.sqrt(math.pi) * np.array(ratios)
     coeffs.flags.writeable = False
     return lam, coeffs
 
@@ -699,7 +702,8 @@ def _log_line_l1(symbol: MellinSymbol, c: Fraction) -> float:
     by node by MellinSymbol.log_abs_line and summed by the trapezoidal rule
     with step 1/8 out to where it has fallen e^40 below its peak (F(c - i t)
     is the conjugate of F(c + i t)); the sum is doubled to cover the rule's
-    error and the tail.
+    error and the tail.  W of F(s + sigma) at c is W of F at c + sigma, so
+    callers pass the relative symbol (F shifted by -min b) and share the cache.
     """
     import numpy as np
 
@@ -732,43 +736,34 @@ class MeijerEvaluator:
     mpmath line on the leading nodes, and from its bounded float line on the
     rest, whose summed error is at most a tenth of the roundoff floor.
 
-    Evaluation.  With z = e^{-i h ln u}, G(u) = u^{-c} Re sum_{k < n} fw_k z^k,
-    a polynomial in z, summed by baby-step/giant-step (Paterson and
-    Stockmeyer, SIAM J. Comput. 2, 1973): sum_a w^a sum_b fw_{a size + b} z^b
-    with size = ceil(sqrt n) and w = z^size, about 2 sqrt(n) complex
-    exponentials per u.  Each power is computed directly, z^b = e^{-i (b h) ln u}
-    and w^a = e^{-i (a size h) ln u}, so its rounding, of order
-    1e-16 |t_k ln u|, is that of a direct e^{-i t_k ln u}, which the roundoff
-    floor that eval_grid returns covers.  eval_grid sums EVAL_CHUNK u at a
-    time, and eval is eval_grid on one u; the contraction (_contour_sum) is an
-    einsum on one thread, where a matrix product (@) would add BLAS threads'
-    CPU time.
+    Evaluation.  With z = e^{-i h ln u}, G(u) = u^{-c} Re sum_{k < n} fw_k z^k
+    is summed by baby-step/giant-step (Paterson and Stockmeyer, SIAM J.
+    Comput. 2, 1973): sum_a w^a sum_b fw_{a size + b} z^b, size = ceil(sqrt n),
+    w = z^size.  Each power is computed directly, z^b = e^{-i (b h) ln u}, so
+    its rounding is that of a direct e^{-i t_k ln u}, which the roundoff floor
+    covers.  eval_grid sums EVAL_CHUNK u at a time (eval is it on one u), by
+    an einsum on one thread, where a matrix product would add BLAS threads.
 
     Beyond the contour.  Its roundoff floor 1e-15 w_abs u^{-c} outgrows G as
-    u falls, and as u grows, where G is exponentially small.  Below
-    e^-LOG_U_BUDGET G comes from its residue series (_residues) for every
-    symbol: a pole of order r gives u^{-s} times a polynomial of degree r - 1
-    in log u, so b_j an integer apart need no second path.  Its floor is 1e-15
-    times the terms' magnitudes plus the bound u^{-c} W(c) on the line left of
-    the poles taken.  From ln u = switch on G comes from its asymptotic series
-    (_expansion): switch, at most LOG_U_BUDGET (see Step size), is the first
-    ln u = k MOMENT_STEP > 0 where that series' floor is below the contour's.
+    u falls, and as u grows.  Below e^-LOG_U_BUDGET G comes from its residue
+    series (_residues; a pole of order r gives u^{-s} times a polynomial of
+    degree r - 1 in log u), whose floor is 1e-15 times the terms' magnitudes
+    plus the bound u^{-c} W(c) on the line left of the poles taken.  From
+    ln u = switch <= LOG_U_BUDGET on, the first ln u = k MOMENT_STEP > 0 where
+    its floor is below the contour's, G comes from its asymptotic series.
 
     Shared tables.  u^sigma G(u; a, b) = G(u; a + sigma, b + sigma) (DLMF
-    16.19.2, https://dlmf.nist.gov/16.19) holds on the contour itself:
-    F(c + i t) is the relative symbol (F shifted by -min b) at the offset
-    c + min b + i t.  The contour sits at the fixed offset 5/4, so its table
-    is keyed on the relative symbol, the offset and precision, and built once
-    per key (_contour_table); the evaluator keeps its own c.  The asymptotic
-    series' coefficients are shared alike.
+    16.19.2, https://dlmf.nist.gov/16.19): F(c + i t) is the relative symbol
+    (F shifted by -min b) at c + min b + i t.  So the contour table (offset
+    5/4), the residue series, the line bounds W(c) and the asymptotic series
+    are built once per shift class; the evaluator shifts back exactly.
 
-    Step size.  Poisson summation gives the exact aliasing identity for the
-    untruncated rule on Re s = c, G_h(u) = sum_k e^{2 pi k c / h} G(u e^{2 pi k / h})
-    over every integer k.  Its k = 0 term is G(u), and with d = c + min beta,
-    the distance from the contour to the rightmost pole, the step
-    h = 2 pi / ((precision + 4) ln 10 / d + LOG_U_BUDGET) makes both leading
-    others negligible against the roundoff floor 1e-16 w_abs u^{-c} (see
-    _evaluate) for every |ln u| <= LOG_U_BUDGET, the range the contour serves:
+    Step size.  By Poisson summation the untruncated rule on Re s = c gives
+    G_h(u) = sum_k e^{2 pi k c / h} G(u e^{2 pi k / h}) over every integer k.
+    With d = c + min beta, the distance from the contour to the rightmost
+    pole, h = 2 pi / ((precision + 4) ln 10 / d + LOG_U_BUDGET) makes both
+    leading k != 0 terms negligible against the roundoff floor 1e-16 w_abs
+    u^{-c} for every |ln u| <= LOG_U_BUDGET, the range the contour serves:
 
     - k = -1 samples G near 0, where G(v) = O(v^{min beta}); relative to
       u^{-c} it is O(u^d e^{-2 pi d / h}) <= 10^{-(precision+4)} for
@@ -784,10 +779,11 @@ class MeijerEvaluator:
 
         self.symbol = symbol
         self.precision = precision
-        min_b = min(symbol.b)
-        rel, offset = symbol.shifted(-min_b), Fraction(5, 4)
-        self.contours = [dict(_contour_table(rel, offset, precision), c=float(offset - min_b))]
-        lam, self._coeffs = _asymptotic(rel)
+        self._shift = min_b = min(symbol.b)
+        self._rel, offset = symbol.shifted(-min_b), Fraction(5, 4)
+        self.contours = [dict(_contour_table(self._rel, offset, precision),
+                              c=float(offset - min_b))]
+        lam, self._coeffs = _asymptotic(self._rel)
         self._lam, self._min_b = float(lam), float(min_b)
         log_us = MOMENT_STEP * np.arange(1, round(LOG_U_BUDGET / MOMENT_STEP) + 1)
         ct = self.contours[0]
@@ -796,13 +792,10 @@ class MeijerEvaluator:
         self.switch = float(log_us[np.argmax(better)]) if better.any() else LOG_U_BUDGET
 
     def _evaluate(self, us, log_us):
-        """(G, its roundoff floor) at arrays of u and of their logs.
-
-        Each u below e^-LOG_U_BUDGET takes the residue series (_series), each
-        u from e^switch on the asymptotic series (_expansion), and the rest
-        the contour, whose floor is 1e-15 w_abs u^{-c}.  ValueError where G(u)
-        or its floor is not a finite float.
-        """
+        """(G, its roundoff floor) at arrays of u and of their logs: below
+        e^-LOG_U_BUDGET from the residue series (_series), from e^switch on from
+        the asymptotic series (_expansion), between from the contour, with floor
+        1e-15 w_abs u^{-c}.  ValueError where G(u) or its floor is not finite."""
         import numpy as np
 
         values = np.empty(len(us))
@@ -827,14 +820,13 @@ class MeijerEvaluator:
     def _expansion(self, us, log_us):
         """(G, its floor) at arrays of u and of their logs: u^{min b} e^E
         sum_{k < K} M_k x^{-k}, x = sqrt u, E = lambda ln x - 2x (_asymptotic of
-        F shifted by -min b), cut at its smallest term k = K < ASYMPTOTIC_TERMS.
-        Like the contour's, the floor then scales with u^{min b}.  It is twice
-        the larger of terms K and K + 1, as a term can dip far below its
-        neighbours where the signs of M_k break pattern, plus 1e-15
-        (1 + |E| + 2x) sum_{k < K} |term k| for the rounding of the sum, e^E
-        and 2x.  That it bounds the truncation error is validated against dps-30
-        mpmath, not proved: on the 36 feasible pairs at ln u = 2 to 8 in steps
-        of 1/4, e^10 and 1e5 (972 points) no error exceeded 0.56 of it.
+        the relative symbol), cut at its smallest term k = K < ASYMPTOTIC_TERMS.
+        The floor, scaling with u^{min b}, is twice the larger of terms K and
+        K + 1 (a term can dip far below its neighbours), plus 1e-15 (1 + |E| +
+        2x) sum_{k < K} |term k| for rounding.  That it bounds the truncation
+        error is validated against dps-30 mpmath, not proved: on the 36
+        feasible pairs at ln u = 2 to 8 step 1/4, e^10 and 1e5 (972 points) no
+        error exceeded 0.56 of it.
         """
         import numpy as np
 
@@ -852,13 +844,11 @@ class MeijerEvaluator:
         return scale * kept.sum(axis=1), scale * (2 * omitted + size)
 
     def _series(self, us, log_us):
-        """(G, its roundoff floor) at arrays of u and of their logs from the
-        residue series (_residues): the floor is 1e-15 times the terms'
-        magnitudes, for their rounding, plus u^{-c} W(c), the bound on the rest.
-        """
+        """(G, its floor) at arrays of u and of their logs from the residue series:
+        1e-15 times the terms' magnitudes plus u^{-c} W(c), the bound on the rest."""
         import numpy as np
 
-        c, log_w, poles = _residues(self.symbol, self.precision)
+        c, log_w, poles = self._residue_series
         values = size = 0.0
         abs_log = np.abs(log_us)
         for e, coeffs in poles:
@@ -870,6 +860,12 @@ class MeijerEvaluator:
             values += power * poly
             size += power * poly_abs
         return values, 1e-15 * size + np.exp(log_w - float(c) * log_us)
+
+    @cached_property
+    def _residue_series(self):
+        """_residues of the relative symbol shifted back, as G(u) = u^{min b} G_rel(u)."""
+        c, log_w, poles = _residues(self._rel, self.precision)
+        return c - self._shift, log_w, tuple((float(e + self._shift), d) for e, d in poles)
 
     def eval(self, u: float) -> float:
         """G(u); ValueError where eval_grid raises one for it."""
@@ -904,12 +900,11 @@ class MeijerEvaluator:
         """(integral of G(u) u^m du = F(m + 1), a bound on its absolute error).
 
         The trapezoidal rule in x = log u with step h = MOMENT_STEP over the
-        whole line: h sum_k e^{(m+1) x_k} G(e^{x_k}), x_k = x0 + k h,
-        x0 = -LOG_U_BUDGET.  The nodes from x0 to LOG_U_BUDGET take G from
-        one evaluation per evaluator, which every m reuses; below x0 each
-        residue-series term u^e (log u)^d sums over the nodes in closed form
-        (_node_sum), so the rule stays the bi-infinite one.  m need not be an
-        integer.  The error bound is the sum of
+        whole line: h sum_k e^{(m+1) x_k} G(e^{x_k}), x_k = x0 + k h, x0 =
+        -LOG_U_BUDGET.  The nodes up to LOG_U_BUDGET take G from one grid
+        that every m reuses; below x0 each residue-series term u^e (log u)^d
+        sums in closed form (_node_sum).  m need not be an integer.  The
+        error bound (moment_check fails one that is not finite) is the sum of
 
         - the propagated roundoff, h sum_k e^{(m+1) x_k} f(e^{x_k}) with f the
           floor of _evaluate, and the series' own floor;
@@ -936,7 +931,7 @@ class MeijerEvaluator:
         The bound is the series' floor plus the rest on its line Re s = c:
         h W(c) sum_{k >= 1} e^{(m + 1 - c) x_k}.
         """
-        c, log_w, poles = _residues(self.symbol, self.precision)
+        c, log_w, poles = self._residue_series
         x0, h = -LOG_U_BUDGET, MOMENT_STEP
         value = size = 0.0
         for e, coeffs in poles:
@@ -958,8 +953,8 @@ class MeijerEvaluator:
         d = UPPER_TAIL_SHIFT
         if m + 1 + d <= -min(self.symbol.b):
             raise ValueError(f"moment {m}: a pole lies on or right of its upper-tail line")
-        return math.exp(_log_line_l1(self.symbol, Fraction(m + 1 + d)) - d * LOG_U_BUDGET
-                        + math.log(_node_sum(d, 0, 0.0, MOMENT_STEP)))
+        log_w = _log_line_l1(self._rel, Fraction(m + 1 + d) + self._shift)
+        return math.exp(log_w - d * LOG_U_BUDGET + math.log(_node_sum(d, 0, 0.0, MOMENT_STEP)))
 
     def _aliasing(self, m: int) -> float:
         """Bound on the aliasing error of the bi-infinite rule.
@@ -1001,7 +996,8 @@ def moment_check(
     weight's own symbol, as rational functions of a formal m, so that with
     c_0 = 1, c_m a_m / a_0 = F(1) / F(m+1) for every m; then, for
     m = 0..m_max: (i) integral G(u) u^m du equals F(m+1) to REL_TOL, and
-    within the moment's own error bound (MeijerEvaluator.moment); (iii) the
+    within the moment's own error bound, which must be finite
+    (MeijerEvaluator.moment); (iii) the
     moments match 1/(C (c a)_m) with C fitted at m = 0, to REL_TOL.  Yields
     the report of (ii) first, then one per moment; the evaluator is built
     just before moment 0, whose report carries that time.
@@ -1037,12 +1033,14 @@ def moment_check(
             mu0 = mu
         # (iii): mu_m / mu_0 must equal 1/r[m] with r[m] the exact ratio above
         rel_ca = abs(mu / mu0 - 1.0 / float(r[m])) / (1.0 / float(r[m]))
-        ok = rel <= REL_TOL and rel_ca <= REL_TOL and abs(mu - g) <= err_bound
+        finite = math.isfinite(err_bound)  # an infinite bound would accept any error
+        ok = finite and rel <= REL_TOL and rel_ca <= REL_TOL and abs(mu - g) <= err_bound
         yield CheckReport(
             id=f"meijer.moment.{case.label}.{'_'.join(qs)}.{m}",
             case_id=case.label, q=qs,
             status="pass" if ok else "fail",
-            residual=f"{max(rel, rel_ca):.3e}", tolerance=f"{REL_TOL:.0e}",
+            residual=f"{max(rel, rel_ca):.3e}" if finite else f"err_bound={err_bound} not finite",
+            tolerance=f"{REL_TOL:.0e}",
             details=f"trapezoid={mu:.12e} err_bound={err_bound:.1e} "
             f"gamma={g:.12e} C={1.0 / mu0:.6e}",
         )
@@ -1111,8 +1109,8 @@ def bergman_norm_case1(
     pi C sum_m mu_m sum_j |c_j|^2 j! (n-j)! / (n+1)!.  Both sides are
     normalized by the phi = 1 value, which also fits C; the graded side is
     summed exactly and rounded once.  err_bound carries the moments' error
-    bounds through that ratio, and the check fails when the sides differ by
-    more than REL_TOL or by more than err_bound.
+    bounds through that ratio; the check fails when it is not finite or the
+    sides differ by more than it or by more than REL_TOL.
     """
     if len(components) > 3:
         raise ValueError("at most 3 graded components")
@@ -1149,12 +1147,14 @@ def bergman_norm_case1(
     err_bound = g_base * (e_raw + abs(r_raw / r_base) * e_base) / (abs(r_base) - e_base)
     g_phi = graded_value(components)
     rel = abs(r_phi - g_phi) / abs(g_phi)
-    ok = rel <= REL_TOL and abs(r_phi - g_phi) <= err_bound
+    finite = math.isfinite(err_bound)
+    ok = finite and rel <= REL_TOL and abs(r_phi - g_phi) <= err_bound
     return CheckReport(
         id="bergman.case1",
         case_id="1", q=[str(q)],
         status="pass" if ok else "fail",
-        residual=f"{rel:.3e}", tolerance=f"{REL_TOL:.0e}",
+        residual=f"{rel:.3e}" if finite else f"err_bound={err_bound} not finite",
+        tolerance=f"{REL_TOL:.0e}",
         details=f"graded={g_phi:.10e} trapezoid={r_phi:.10e} err_bound={err_bound:.1e} "
         f"C={c_fit / math.pi:.6e}",
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -291,12 +291,18 @@ def _mul_terms(a: Mapping[Exponent, Scalar],
     return out
 
 
+def product(vars: VarSet, factors: Iterable[MultiPoly]) -> MultiPoly:
+    """The product of the factors, over vars: it starts from the first factor,
+    so the constant 1 is never multiplied in, and is 1 when there are none."""
+    out = None
+    for f in factors:
+        out = f if out is None else out * f
+    return MultiPoly.constant(vars, 1) if out is None else out
+
+
 def rising(x: MultiPoly, k: int) -> MultiPoly:
     """Rising factorial (x)_k = x (x + 1) ... (x + k - 1) of a polynomial x."""
-    out = MultiPoly.constant(x.vars, 1)
-    for t in range(k):
-        out = out * (x + MultiPoly.constant(x.vars, t))
-    return out
+    return product(x.vars, (x + MultiPoly.constant(x.vars, t) for t in range(k)))
 
 
 def apply_diff_op(symbol: MultiPoly, target: MultiPoly) -> MultiPoly:

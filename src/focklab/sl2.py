@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from focklab.jordan import CaseDescriptor, SimpleFactorDescriptor
-from focklab.polyalg import MultiPoly, VarSet, rising
+from focklab.polyalg import MultiPoly, VarSet, product, rising
 from focklab.report import CheckReport, q_strings
 
 
@@ -240,16 +240,11 @@ def maass_hc_image(
         alpha_poly = alpha
     else:
         alpha_poly = MultiPoly.constant(ring, Fraction(alpha))
-    shift = Fraction(factor.n_over_r - 1, 2)
-    out = MultiPoly.constant(ring, 1)
-    for idx in lam_idx:
-        lam = MultiPoly.variable(ring, idx)
-        if negate:
-            lam = -lam
-        # the falling factorial [x]_k is the rising one (x - k + 1)_k
-        x = lam - alpha_poly.scale(factor.mult) + MultiPoly.constant(ring, shift - factor.mult + 1)
-        out = out * rising(x, factor.mult)
-    return out
+    # the falling factorial [x]_k is the rising one (x - k + 1)_k
+    start = MultiPoly.constant(ring, Fraction(factor.n_over_r - 1, 2) - factor.mult + 1)
+    start = start - alpha_poly.scale(factor.mult)
+    lams = (MultiPoly.variable(ring, idx) for idx in lam_idx)
+    return product(ring, (rising((-lam if negate else lam) + start, factor.mult) for lam in lams))
 
 
 def pm_identity_check(case: CaseDescriptor, q) -> tuple[CheckReport, MultiPoly]:
@@ -278,12 +273,9 @@ def pm_identity_check(case: CaseDescriptor, q) -> tuple[CheckReport, MultiPoly]:
         return m_var + MultiPoly.constant(ring, qi / case.factors[pos].mult)
 
     def gamma_product_pos(alpha_of_pos, negate: bool) -> MultiPoly:
-        out = one
-        for pos, (f, idxs) in enumerate(zip(case.factors, lam_blocks)):
-            out = out * maass_hc_image(
-                f, alpha_of_pos(pos), ring=ring, lam_idx=idxs, negate=negate
-            )
-        return out
+        return product(ring, (
+            maass_hc_image(f, alpha_of_pos(pos), ring=ring, lam_idx=idxs, negate=negate)
+            for pos, (f, idxs) in enumerate(zip(case.factors, lam_blocks))))
 
     g_minus1 = gamma_product_pos(lambda pos: Fraction(-1), negate=False)
     g_zero = gamma_product_pos(lambda pos: Fraction(0), negate=False)
@@ -368,12 +360,10 @@ def lemma35_check(
     if any(len(g) != p - 1 for g, p in zip(gammas, partition)):
         raise ValueError("gamma list for part i must have length p_i - 1")
     ring = VarSet.flat([f"T{i + 1}" for i in range(ell)])
-    f_poly = MultiPoly.constant(ring, 1)
-    for i, (p, gs) in enumerate(zip(partition, gammas)):
-        ti = MultiPoly.variable(ring, i)
-        f_poly = f_poly * ti
-        for g in gs:
-            f_poly = f_poly * (ti + MultiPoly.constant(ring, Fraction(g)))
+    # f = prod_i T_i prod_{g in gammas_i} (T_i + g)
+    f_poly = product(ring, (
+        MultiPoly.variable(ring, i) + MultiPoly.constant(ring, Fraction(g))
+        for i, (_, gs) in enumerate(zip(partition, gammas)) for g in (0, *gs)))
 
     bs = [Fraction(b) for b in bs]
     alpha, beta, c = Fraction(alpha), Fraction(beta), Fraction(c)

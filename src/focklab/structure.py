@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -117,8 +118,15 @@ def _system_rows(q_poly: MultiPoly, partials: list[dict]):
     return list(rows.values())
 
 
+@lru_cache(maxsize=1)
+def _q_of(case: CaseDescriptor) -> MultiPoly:
+    """Q of the last case asked for: check_g_dimension reads it through both
+    structure_algebra and translate_span_dim, and builds it once per row."""
+    return q_polynomial(case)
+
+
 def structure_algebra(case: CaseDescriptor) -> StructureBasis:
-    q_poly = q_polynomial(case)
+    q_poly = _q_of(case)
     n = case.dim_v
     partials = _partials(q_poly)
     columns = [(a, b) for a in range(n) for b in range(n)] + [(n, 0)]
@@ -155,7 +163,7 @@ def translate_span_dim(case: CaseDescriptor) -> tuple[int, list[int]]:
 
     Returns (dim W, graded) with graded[k] = rank{d^alpha Q : |alpha| = k}.
     """
-    q_poly = q_polynomial(case)
+    q_poly = _q_of(case)
     n = case.dim_v
     graded: list[int] = []
     # alpha as a nondecreasing tuple of variable indices, so each multi-index

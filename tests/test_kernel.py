@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focklab import bernstein, checks, fock, kernel, sl2
 from focklab.bernstein import btilde_roots
@@ -325,6 +327,7 @@ def test_shifted_parameters_share_one_table():
     from focklab.kernel import _contour_table
 
     _contour_table.cache_clear()
+    kernel._residues.cache_clear()
     e0 = MeijerEvaluator(CASE1_Q0, precision=12)
     e1 = MeijerEvaluator(MellinSymbol((F(1), F(3, 4), F(1, 2)), (F(1, 4),)), precision=12)
     assert _contour_table.cache_info().misses == 1
@@ -333,6 +336,8 @@ def test_shifted_parameters_share_one_table():
         u = math.exp(lo + (hi - lo) * i / 24)
         assert e1.eval(u) == pytest.approx(u * e0.eval(u), rel=1e-13, abs=0.0), u
         assert floor(e1, u) == pytest.approx(u * floor(e0, u), rel=1e-13, abs=0.0), u
+    # below e^-12 both read one residue series, shifted back by their own min b
+    assert kernel._residues.cache_info().misses == 1
     # the same b with another a is not a shift: a new table
     MeijerEvaluator(MellinSymbol((F(0), F(-1, 4), F(-1, 2)), (F(-1, 4),)), precision=12)
     assert _contour_table.cache_info().misses == 2
@@ -788,3 +793,120 @@ def test_bergman_norm_q4():
     # the q-shifted profile keeps the cross-check exact for q = 4 as well
     rep = bergman_norm_case1(4, [(0, {0: 1.0}), (1, {2: 1.0})])
     assert rep.status == "pass", rep.details
+
+
+def _plain_line(symbol, c, ts):
+    """F(c + i t) as the plain product of every Gamma, at the working precision."""
+    import mpmath as mp
+
+    def arg(x, t):
+        return mp.mpc(mp.mpf((x + c).numerator) / (x + c).denominator, t)
+
+    return [mp.fprod([mp.gamma(arg(x, t)) for x in symbol.b]
+                     + [mp.rgamma(arg(x, t)) for x in symbol.a]) for t in ts]
+
+
+small_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_rationals, min_size=3, max_size=3), small_rationals,
+       st.integers(1, 12), st.lists(st.floats(0.01, 40.0), min_size=1, max_size=4))
+def test_reduced_symbol_matches_the_plain_gamma_product(b, a, offset, ts):
+    # one Gamma per residue class mod 1, R's linear factors for the rest
+    import mpmath as mp
+    import numpy as np
+
+    symbol = MellinSymbol(tuple(b), (a,))
+    c = -min(symbol.b) + F(offset, 4)
+    with mp.workdps(30):
+        plain = _plain_line(symbol, c, ts)
+        reduced = symbol._mp_values(c, [mp.mpc(0, t) for t in ts])
+        for p, r in zip(plain, reduced):
+            assert abs(r - p) <= mp.mpf(10) ** -18 * abs(p), (symbol, c)
+        rounded = symbol.line_mp(c, ts, 22)  # 30 digits, then rounded
+        f_float, eps = symbol.line(c, np.array(ts))
+        for p, f_mp, f, e in zip(plain, rounded, f_float, eps):
+            assert abs(f_mp - complex(p)) <= 2.0 ** -52 * abs(complex(p))
+            assert abs(mp.mpc(f) - p) <= e * abs(p), (symbol, c)
+
+
+def test_moment_evaluators_take_one_gamma_per_class_and_series_per_shift(monkeypatch):
+    # from cold caches: the three contour tables of the six MOMENT_MATRIX
+    # evaluators (cases 1, 5 and 9a) take at most 214 complex mpmath Gammas,
+    # where the plain product took 448, and the six read 3 residue series
+    import mpmath
+
+    from focklab.checks import MOMENT_MATRIX, feasible_pairs
+
+    assert sum(len(meijer_params(case, q).symbol._reduced[0])
+               for case, q in feasible_pairs()) == 52  # Gammas per point, 144 plain
+    complex_calls = []
+
+    def counted(real):
+        def gamma(x):
+            complex_calls.append(isinstance(x, mpmath.mpc))
+            return real(x)
+        return gamma
+
+    for name in ("gamma", "rgamma"):
+        monkeypatch.setattr(mpmath, name, counted(getattr(mpmath, name)))
+    for cache in (kernel._contour_table, kernel._residues, kernel._log_line_l1):
+        cache.cache_clear()
+    for case, q in MOMENT_MATRIX:
+        MeijerEvaluator(meijer_params(case, q).symbol, precision=12).moment(0)
+    assert 0 < sum(complex_calls) <= 214
+    assert kernel._residues.cache_info().misses == 3
+
+
+def _asymptotic_oracle(rel):
+    """_asymptotic's recurrence in Fractions: n r_n = -(r_{n-1} e1 + r_{n-2} e0)."""
+    (a,) = rel.a
+    lam = sum(rel.b) - a - F(1, 2)
+    ratios = [F(0), F(1)]
+    for n in range(1, kernel.ASYMPTOTIC_TERMS + 1):
+        y1, y2, y3 = ((lam - n + 1) / 2 - b for b in rel.b)
+        e1 = y1 * y2 + y1 * y3 + y2 * y3 + (y1 + y2 + y3) / 2 + F(1, 4)
+        e0 = -(y1 + F(1, 2)) * (y2 + F(1, 2)) * (y3 + F(1, 2))
+        ratios.append(-(ratios[-1] * e1 + ratios[-2] * e0) / n)
+    return lam, [math.sqrt(math.pi) * float(r) for r in ratios[1:]]
+
+
+def test_integer_recurrences_match_their_fraction_oracles():
+    # bit for bit: M_n of the asymptotic series, and ratio_at against the
+    # quotient of the polynomials' exact values, at integer and rational m
+    from focklab.bernstein import DegenerateParameterError, a_ratio_polys, ratio_at
+    from focklab.checks import feasible_pairs
+    from focklab.kernel import c_ratio_polys
+
+    for case, q in feasible_pairs():
+        symbol = meijer_params(case, q).symbol
+        rel = symbol.shifted(-min(symbol.b))
+        lam, coeffs = kernel._asymptotic(rel)
+        assert (lam, coeffs.tolist()) == _asymptotic_oracle(rel), (case.label, q)
+        for polys in (c_ratio_polys(spectral_params(case, q)), a_ratio_polys(case, q)):
+            num, den = polys
+            for m in [*range(61), F(1, 3), F(-7, 2)]:
+                d = den.eval((m,))
+                if d == 0:
+                    with pytest.raises(DegenerateParameterError):
+                        ratio_at(polys, m)
+                else:
+                    assert ratio_at(polys, m) == F(num.eval((m,))) / d, (case.label, q, m)
+
+
+def test_an_infinite_moment_bound_fails_every_reader(monkeypatch, capsys):
+    # _aliasing returns inf when its geometric ratio is >= 1; a bound of inf
+    # accepts any error, so every moment report it enters must fail (not
+    # error), and export moments must exit 1
+    from focklab import cli
+
+    monkeypatch.setattr(MeijerEvaluator, "_aliasing", lambda self, m: math.inf)
+    reports = [r for e in checks.select(("meijer", "bergman"))
+               if e.name in ("meijer.moments", "bergman.case1") for r in checks.run_entry(e, {})]
+    bounded = [r for r in reports if r.id.startswith(("meijer.moment.", "bergman."))]
+    assert len(bounded) == 6 * 6 + 3
+    for r in bounded:
+        assert r.status == "fail" and "not finite" in r.residual, (r.id, r.residual)
+    assert cli.main(["export", "moments", "--case", "5", "--q", "0,0,0,0", "-m", "2"]) == 1
+    assert "miss their error bounds" in capsys.readouterr().err
