@@ -19,7 +19,6 @@ is proved for every m at once.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -34,37 +33,8 @@ from focklab.polyalg import MultiPoly, VarSet, apply_diff_op, product, rising
 from focklab.report import CheckReport, q_strings
 from focklab.sl2 import validate_q
 
-
-class DegenerateParameterError(ArithmeticError):
-    """A ratio's denominator vanished (degenerate spectral parameters)."""
-
-
 A_RING = VarSet.flat(("a",))  # the Bernstein variable a
 M_RING = VarSet.flat(("m",))  # the formal degree m of the graded pieces
-
-
-def _scaled_value(poly: MultiPoly, p: int, q: int) -> tuple[int, int]:
-    """(v, w) with poly(p / q) = v / w, for a polynomial in one variable: Horner's
-    rule on its coefficients over their common denominator, all in integers."""
-    terms = poly.terms
-    deg = max((e for e, in terms), default=0)
-    common = math.lcm(*(c.denominator for c in terms.values()))
-    acc = 0
-    for k in range(deg, -1, -1):
-        c = terms.get((k,), 0)
-        acc = acc * p + c.numerator * (common // c.denominator) * q ** (deg - k)
-    return acc, common * q ** deg
-
-
-def ratio_at(polys: tuple[MultiPoly, MultiPoly], m) -> Fraction:
-    """num(m) / den(m) for a (num, den) pair of polynomials in one variable,
-    evaluated on integers (_scaled_value), with one Fraction formed at the end."""
-    if type(m) is not int:
-        m = Fraction(m)
-    num, den = (_scaled_value(poly, m.numerator, m.denominator) for poly in polys)
-    if den[0] == 0:
-        raise DegenerateParameterError(f"pole of the ratio at m={m}")
-    return Fraction(num[0] * den[1], den[0] * num[1])
 
 
 def b_poly(factor: SimpleFactorDescriptor, x: MultiPoly | None = None) -> MultiPoly:

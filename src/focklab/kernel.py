@@ -19,11 +19,11 @@ cross-check reduces to them through exact Beta integrals.  That G takes both
 signs is proved from the exact sign of F at two rationals
 (MellinSymbol.sign_change) and located on a grid.
 
-The exact c_m series is built from c_0 = 1 by its three-root recurrence
-ratio, a pair of polynomials in a formal m; that the closed Pochhammer form
-has the same step ratio is checked once, as a polynomial identity in m (see
-c_sequence).  moment_check proves the (c a)_m law against F's step the same
-way.
+The exact c_m series is the 1F2 or 2F3 coefficient sequence of its Pochhammer
+parameters (SpectralParams.c_step): from c_0 = 1, each c_{m+1} / c_m is the
+quotient of products pochhammer_ratio forms on integers (DLMF 16.2).
+moment_check proves the (c a)_m law against F's step as a polynomial
+identity in a formal m.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from focklab.bernstein import (
     btilde_roots,
     case_b_poly,
     case_b_roots,
-    ratio_at,
 )
 from focklab.fock import beta_integral
 from focklab.gammaratio import MellinSymbol, mpq
@@ -64,11 +63,13 @@ class SpectralParams:
     roots: tuple[Fraction, ...]  # (alpha2, alpha3) or (a1', a2', a3')
 
     @property
-    def alphas_prime(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Primed triple; in case 1 it is (1 - eta0, alpha2, alpha3)."""
-        if self.kind == "case2":
-            return self.roots  # type: ignore[return-value]
-        return (1 - self.eta0,) + self.roots  # type: ignore[return-value]
+    def c_step(self) -> tuple[tuple[Fraction], tuple[Fraction, ...]]:
+        """(upper, lower) of c_{m+1} / c_m = (m + eta0 + 1) / prod_j (m + eta0 + a_j').
+
+        The primed triple a' is the three roots, or in case 1 (1 - eta0, alpha2, alpha3).
+        """
+        primed = self.roots if self.kind == "case2" else (1 - self.eta0,) + self.roots
+        return (self.eta0 + 1,), tuple(self.eta0 + a for a in primed)
 
 
 def _split_roots(case: CaseDescriptor, eta0: Fraction) -> tuple[str, tuple[Fraction, ...]]:
@@ -106,29 +107,29 @@ def pochhammer_step(*xs: Fraction) -> MultiPoly:
     return product(M_RING, (MultiPoly(M_RING, {(1,): 1, (0,): x}) for x in xs))
 
 
-def c_ratio_polys(sp: SpectralParams) -> tuple[MultiPoly, MultiPoly]:
-    """c_{m+1}/c_m = (m + eta0 + 1) / prod_j (m + eta0 + a_j') as (num, den) in m."""
-    return (pochhammer_step(sp.eta0 + 1),
-            pochhammer_step(*(sp.eta0 + a for a in sp.alphas_prime)))
+def pochhammer_ratio(upper, lower, m) -> Fraction:
+    """prod_j (m + upper_j) / prod_j (m + lower_j) at an integer or rational m.
+
+    The step of (upper)_m / (lower)_m from m to m + 1.  Every factor is taken
+    in integers over the common denominator of m and the parameters, and one
+    Fraction is formed at the end; a vanishing lower factor raises
+    ZeroDivisionError.
+    """
+    d = math.lcm(m.denominator, *(x.denominator for x in (*upper, *lower)))
+    dm = m.numerator * (d // m.denominator)
+    num = math.prod(dm + x.numerator * (d // x.denominator) for x in upper)
+    den = math.prod(dm + x.numerator * (d // x.denominator) for x in lower)
+    return Fraction(num * d ** len(lower), den * d ** len(upper))
 
 
 def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> KernelSeries:
-    """Kernel coefficients c_0..c_m_max from c_0 = 1 and the ratio c_ratio_polys.
-
-    The closed form c_m = (eta0+1)_m (1)_m / (prod (eta0+a_j')_m m!) is
-    asserted once, for every m: its Pochhammer step ratio equals the
-    recurrence ratio as polynomials in m, and both give c_0 = 1 (empty
-    products).
-    """
+    """Kernel coefficients c_0..c_m_max from c_0 = 1 and the step SpectralParams.c_step,
+    so c_m = (eta0 + 1)_m / prod_j (eta0 + a_j')_m."""
     sp = spectral_params(case, q)
-    num, den = polys = c_ratio_polys(sp)
-    step_num = pochhammer_step(sp.eta0 + 1, Fraction(1))
-    step_den = pochhammer_step(*(sp.eta0 + a for a in sp.alphas_prime), Fraction(1))
-    if num * step_den != step_num * den:
-        raise AssertionError("closed form disagrees with the recurrence")
+    upper, lower = sp.c_step
     coeffs = [Fraction(1)]
     for m in range(m_max):
-        coeffs.append(coeffs[-1] * ratio_at(polys, m))
+        coeffs.append(coeffs[-1] * pochhammer_ratio(upper, lower, m))
     kind = "OneF2" if sp.kind == "case1" else "TwoF3"
     return KernelSeries(case.label, sp.q, kind, coeffs)
 
@@ -144,22 +145,15 @@ def kernel_eval(case: CaseDescriptor, q, u):
     1e-15 of the partial sum (or of 1), and ArithmeticError is raised if
     500 terms do not reach it.
     """
-    sp = spectral_params(case, q)
-    polys = c_ratio_polys(sp)
-    a = float(sp.eta0 + 1)
-    c_off = max(
-        [0.0]
-        + [float(-(sp.eta0 + aj)) for aj in sp.alphas_prime]
-        + [float(-(sp.eta0 + 1))]
-    )
-    total = 0.0 + 0.0j if isinstance(u, complex) else 0.0
-    term = 1.0 + 0.0j if isinstance(u, complex) else 1.0
+    upper, lower = spectral_params(case, q).c_step
+    a = float(upper[0])
+    c_off = max([0.0] + [float(-x) for x in lower + upper])
+    total, term = 0.0, 1.0
     abs_u = abs(u)
     m = 0
     while True:
         total += term
-        ratio = ratio_at(polys, m)
-        nxt = term * (complex(ratio) * u if isinstance(u, complex) else float(ratio) * u)
+        nxt = term * (float(pochhammer_ratio(upper, lower, m)) * u)
         if m > c_off + 1:
             rho = abs_u * (m + abs(a)) / (m - c_off) ** 3
             if rho < 0.5 and abs(term) * rho / (1 - rho) <= 1e-15 * max(abs(total), 1.0):
@@ -1006,11 +1000,11 @@ def moment_check(
     qs = q_strings(q)
 
     # (ii) cross-multiplied: c_ratio * a_ratio == rhs
-    c_num, c_den = c_ratio_polys(spectral_params(case, q))
+    upper, lower = spectral_params(case, q).c_step
     a_num, a_den = a_ratio_polys(case, q)
     step = symbol.shifted(1)
-    rhs = (pochhammer_step(*step.a), pochhammer_step(*step.b))
-    residual = c_num * a_num * rhs[1] - rhs[0] * c_den * a_den
+    residual = (pochhammer_step(*upper) * a_num * pochhammer_step(*step.b)
+                - pochhammer_step(*step.a) * pochhammer_step(*lower) * a_den)
     yield CheckReport(
         id=f"meijer.camoment.{case.label}.{'_'.join(qs)}",
         case_id=case.label, q=qs,
@@ -1021,7 +1015,7 @@ def moment_check(
     # r[m] = c_m a_m / a_0 from the right-hand side, reused by (iii)
     r = [Fraction(1)]
     for m in range(m_max):
-        r.append(r[-1] * ratio_at(rhs, m))
+        r.append(r[-1] * pochhammer_ratio(step.a, step.b, m))
 
     ev = _evaluator_cached(symbol, precision)
     mu0 = None

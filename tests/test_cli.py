@@ -1,10 +1,12 @@
 """CLI: catalog dumps, suite orchestration, CSV exports, exit codes."""
 
+import hashlib
 import importlib.util
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -466,6 +468,41 @@ def test_kernel_cm_fails_when_the_series_is_off(monkeypatch):
     for r in reports:
         assert r.residual.startswith("series(1/2) rel ") and r.residual.endswith(" > 1e-12")
         assert r.details.endswith(" > 1e-12")
+
+
+@pytest.mark.parametrize("upper, lower0, first", [
+    (None, F(-1, 2), "c_1"),  # (m - 1/2) < 0 at m = 0
+    (F(-121, 2), F(-119, 2), "c_61"),  # the two negative factors part at m = 60
+], ids=["lower-half", "past-50"])
+def test_kernel_cm_fails_on_a_nonpositive_coefficient(monkeypatch, upper, lower0, first):
+    # a parameter shifted below zero makes some c_m <= 0; kernel.cm scans up
+    # to where every factor is positive and names the first one
+    real = kernel.SpectralParams.c_step.fget
+
+    def c_step(sp):
+        up, low = real(sp)
+        return (up if upper is None else (upper,)), (lower0, *low[1:])
+
+    monkeypatch.setattr(kernel.SpectralParams, "c_step", property(c_step))
+    (entry,) = [e for e in checks.select(("meijer",))
+                if e.name == "kernel.cm" and e.case.label == "1" and e.q == (0,)]
+    (report,) = checks.run_entry(entry, {})
+    assert report.status == "fail" and report.residual == f"{first} <= 0", report
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    (("--case", "1", "--q", "0", "-m", "810"),
+     "cafc445b82b37f4447c2f384476a68d5b58531b5c0c75b2d9954bb4af868fb67"),
+    (("--case", "1", "--q", "0", "-m", "810", "--format", "json"),
+     "6442b1379b35bd8df80fe61c42fba42174d93ec8002ec70feae504079e9ff8e8"),
+    (("--case", "5", "--q", "1,1,1,1", "-m", "400"),
+     "c91b3af4c5167cd0e5c8942186776e83c24b5d3a1c74bd0c46238c3f1e29d83b"),
+], ids=["case1-csv", "case1-json", "case5-csv"])
+def test_kernel_coeffs_exports_are_pinned(capsys, argv, sha256):
+    # any moved digit of any exported c_m changes the digest
+    code, out = run(capsys, "kernel-coeffs", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def _modules_after_suites(*suites: str) -> set[str]:

@@ -74,20 +74,29 @@ def test_c_sequence_case5_frozen_oracle():
         assert ks.coeffs[m] == F(m + 1, math.factorial(m) ** 2)
 
 
-def test_c_sequence_checks_closed_form_at_every_m(monkeypatch):
-    # a ratio polynomial off from the closed form's step ratio, at any m,
-    # must trip the exact check before a single coefficient is produced
-    import focklab.kernel as kernel
+@settings(max_examples=60, deadline=None)
+@given(
+    upper=st.lists(st.fractions(max_denominator=6, min_value=-12, max_value=12),
+                   max_size=3),
+    lower=st.lists(st.fractions(max_denominator=6, min_value=-12, max_value=12).filter(
+        lambda x: x > 0 or x.denominator > 1), min_size=1, max_size=3),
+    m_max=st.integers(0, 30),
+)
+def test_pochhammer_ratio_telescopes_to_the_pochhammer_quotient(upper, lower, m_max):
+    # the steps for m < n multiply to (upper)_n / (lower)_n, with sympy's
+    # rising factorial as the oracle; no lower factor vanishes, as no lower
+    # parameter is a non-positive integer
+    import sympy
 
-    true_polys = kernel.c_ratio_polys
+    def pochhammer(xs, n):
+        return math.prod((sympy.rf(sympy.Rational(x.numerator, x.denominator), n) for x in xs),
+                         start=sympy.Integer(1))
 
-    def skewed(sp):
-        num, den = true_polys(sp)
-        return num.scale(F(1000001, 1000000)), den
-
-    monkeypatch.setattr(kernel, "c_ratio_polys", skewed)
-    with pytest.raises(AssertionError, match="closed form"):
-        c_sequence(build_case(1), (0,), m_max=0)
+    c = F(1)
+    for n in range(m_max + 1):
+        assert sympy.Rational(c.numerator, c.denominator) == (
+            pochhammer(upper, n) / pochhammer(lower, n)), (upper, lower, n)
+        c *= kernel.pochhammer_ratio(upper, lower, n)
 
 
 def test_c_positivity_across_matrix():
@@ -873,26 +882,27 @@ def _asymptotic_oracle(rel):
 
 
 def test_integer_recurrences_match_their_fraction_oracles():
-    # bit for bit: M_n of the asymptotic series, and ratio_at against the
-    # quotient of the polynomials' exact values, at integer and rational m
-    from focklab.bernstein import DegenerateParameterError, a_ratio_polys, ratio_at
+    # bit for bit: M_n of the asymptotic series, and pochhammer_ratio on the
+    # c step and on the moments' step against the quotient of the exact values
+    # of their pochhammer_step polynomials, at integer and rational m
     from focklab.checks import feasible_pairs
-    from focklab.kernel import c_ratio_polys
 
     for case, q in feasible_pairs():
         symbol = meijer_params(case, q).symbol
         rel = symbol.shifted(-min(symbol.b))
         lam, coeffs = kernel._asymptotic(rel)
         assert (lam, coeffs.tolist()) == _asymptotic_oracle(rel), (case.label, q)
-        for polys in (c_ratio_polys(spectral_params(case, q)), a_ratio_polys(case, q)):
-            num, den = polys
+        step = symbol.shifted(1)
+        for upper, lower in (spectral_params(case, q).c_step, (step.a, step.b)):
+            num, den = kernel.pochhammer_step(*upper), kernel.pochhammer_step(*lower)
             for m in [*range(61), F(1, 3), F(-7, 2)]:
                 d = den.eval((m,))
                 if d == 0:
-                    with pytest.raises(DegenerateParameterError):
-                        ratio_at(polys, m)
+                    with pytest.raises(ZeroDivisionError):
+                        kernel.pochhammer_ratio(upper, lower, m)
                 else:
-                    assert ratio_at(polys, m) == F(num.eval((m,))) / d, (case.label, q, m)
+                    assert kernel.pochhammer_ratio(upper, lower, m) == F(num.eval((m,))) / d, (
+                        case.label, q, m)
 
 
 def test_an_infinite_moment_bound_fails_every_reader(monkeypatch, capsys):
