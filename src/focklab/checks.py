@@ -229,29 +229,16 @@ def _bernstein_roots(case: CaseDescriptor) -> list[CheckReport]:
 
 def _kernel_cm(case: CaseDescriptor, q) -> list[CheckReport]:
     # from m_pos on every factor m + x of the step is positive, so the signs
-    # of c_0..c_max(50, m_pos) are the signs of every c_m
+    # of c_0..c_m_pos are the signs of every c_m
     upper, lower = kernel.spectral_params(case, q).c_step
     m_pos = max([0] + [math.floor(-x) + 1 for x in upper + lower])
-    ks = kernel.c_sequence(case, q, m_max=max(50, m_pos))
-    # the exact partial sum at u = 1/2, terms past m = 50 far below double
-    # precision: Horner's rule on the c_m over their common denominator, and
-    # one correctly rounded integer quotient
-    head = ks.coeffs[:51]
-    common = math.lcm(*(c.denominator for c in head))
-    acc = 0
-    for c in head:
-        acc = 2 * acc + c.numerator * (common // c.denominator)
-    exact = acc / (common << (len(head) - 1))
-    rel = abs(kernel.kernel_eval(case, q, 0.5) - exact) / abs(exact)
-    cmp = "<=" if rel <= 1e-12 else ">"
-    broken = [f"c_{m} <= 0" for m, c in enumerate(ks.coeffs) if c <= 0][:1]
-    broken += [f"series(1/2) rel {rel:.1e} > 1e-12"] if cmp == ">" else []
+    ks = kernel.c_sequence(case, q, m_max=m_pos)
+    broken = next((f"c_{m} <= 0" for m, c in enumerate(ks.coeffs) if c <= 0), None)
     qs = q_strings(q)
     return [CheckReport(
         id=f"kernel.cm.{case.label}.{'_'.join(qs)}", case_id=case.label, q=qs,
-        status="fail" if broken else "pass", residual="; ".join(broken) or "0",
-        details=f"kind={ks.kind}; c_m>0 for all m; "
-                f"series(1/2) vs sum_(m<=50) c_m/2^m: rel {rel:.1e} {cmp} 1e-12",
+        status="fail" if broken else "pass", residual=broken or "0",
+        details=f"kind={ks.kind}; c_m>0 for all m",
     )]
 
 

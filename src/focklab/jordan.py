@@ -282,15 +282,13 @@ class CaseDescriptor:
 
     def var_set(self) -> VarSet:
         names: list[str] = []
-        groups: list[int] = []
         for i, f in enumerate(self.factors, start=1):
             prefix = f"z{i}" if self.s > 1 else "z"
             if f.dim == 1:
                 names.append(prefix)
             else:
                 names.extend(f"{prefix}_{v[1:]}" for v in f.var_names())
-            groups.extend([i - 1] * f.dim)
-        return VarSet(tuple(names), tuple(groups))
+        return VarSet.flat(names)
 
     def factor_offsets(self) -> list[int]:
         offs = []

@@ -29,7 +29,7 @@ identity in a formal m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import Iterator
@@ -56,8 +56,6 @@ from focklab.sl2 import eta0_of, forced_eta0
 
 @dataclass(frozen=True)
 class SpectralParams:
-    case_id: str
-    q: tuple[Fraction, ...]
     eta0: Fraction
     kind: str  # "case1" (B(1-eta0) = 0) or "case2"
     roots: tuple[Fraction, ...]  # (alpha2, alpha3) or (a1', a2', a3')
@@ -85,10 +83,9 @@ def _split_roots(case: CaseDescriptor, eta0: Fraction) -> tuple[str, tuple[Fract
 
 
 def spectral_params(case: CaseDescriptor, q) -> SpectralParams:
-    q = tuple(Fraction(x) for x in q)
     eta0 = eta0_of(case, q)
     kind, roots = _split_roots(case, eta0)
-    return SpectralParams(case.label, q, eta0, kind, roots)
+    return SpectralParams(eta0, kind, roots)
 
 
 # -- kernel coefficient series ---------------------------------------------------
@@ -96,10 +93,8 @@ def spectral_params(case: CaseDescriptor, q) -> SpectralParams:
 
 @dataclass
 class KernelSeries:
-    case_id: str
-    q: tuple[Fraction, ...]
     kind: str  # "OneF2" or "TwoF3"
-    coeffs: list[Fraction] = field(default_factory=list)
+    coeffs: list[Fraction]
 
 
 def pochhammer_step(*xs: Fraction) -> MultiPoly:
@@ -131,38 +126,7 @@ def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> KernelSeries:
     for m in range(m_max):
         coeffs.append(coeffs[-1] * pochhammer_ratio(upper, lower, m))
     kind = "OneF2" if sp.kind == "case1" else "TwoF3"
-    return KernelSeries(case.label, sp.q, kind, coeffs)
-
-
-def kernel_eval(case: CaseDescriptor, q, u):
-    """Sum of c_m u^m with a rigorous ratio-majorant tail bound; complex u ok.
-
-    The step ratio |c_{m+1} u / c_m| = |u| (m + eta0 + 1) / prod |m + eta0 + a_j'|
-    is majorized, for m past every pole, by rho(m) = |u| (m + a) / (m - c)^3
-    with a = eta0 + 1 and c the largest parameter offset; rho is decreasing in
-    m, so once rho(m) < 1/2 the tail is geometrically bounded by
-    |term_m| rho / (1 - rho).  The sum stops when that bound is at most
-    1e-15 of the partial sum (or of 1), and ArithmeticError is raised if
-    500 terms do not reach it.
-    """
-    upper, lower = spectral_params(case, q).c_step
-    a = float(upper[0])
-    c_off = max([0.0] + [float(-x) for x in lower + upper])
-    total, term = 0.0, 1.0
-    abs_u = abs(u)
-    m = 0
-    while True:
-        total += term
-        nxt = term * (float(pochhammer_ratio(upper, lower, m)) * u)
-        if m > c_off + 1:
-            rho = abs_u * (m + abs(a)) / (m - c_off) ** 3
-            if rho < 0.5 and abs(term) * rho / (1 - rho) <= 1e-15 * max(abs(total), 1.0):
-                break
-        term = nxt
-        m += 1
-        if m > 500:
-            raise ArithmeticError("series term budget exhausted before tail bound met")
-    return total
+    return KernelSeries(kind, coeffs)
 
 
 # -- root tables ----------------------------------------------------------------

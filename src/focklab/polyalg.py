@@ -1,11 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a map from exponent tuples to exact rational coefficients,
-carried together with its variable list.  Variables belong to groups (one
-group per simple Jordan factor).  Every coefficient is normalised when it is
-stored: an int when it is integral, a Fraction otherwise, so integral
-polynomials (Q, every determinant and Pfaffian and their powers) run on
-Python's int arithmetic.  Zero coefficients are never stored, which makes
+carried together with its variable list.  Every coefficient is normalised
+when it is stored: an int when it is integral, a Fraction otherwise, so
+integral polynomials (Q, every determinant and Pfaffian and their powers) run
+on Python's int arithmetic.  Zero coefficients are never stored, which makes
 equality of canonical forms plain dict equality.  A quotient of coefficients
 read from `terms` must be taken as Fraction(a) / b: int / int is a float.
 
@@ -48,26 +47,21 @@ def exact_coeff(x: Scalar) -> Scalar:
 
 @dataclass(frozen=True)
 class VarSet:
-    """Ordered variable list with a factor-group index per variable."""
+    """Ordered list of distinct variable names."""
 
     names: tuple[str, ...]
-    groups: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.names) != len(self.groups):
-            raise ValueError("names and groups must have equal length")
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"duplicate variable names: {self.names}")
 
     def __len__(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
     @staticmethod
     def flat(names: Sequence[str]) -> "VarSet":
-        return VarSet(tuple(names), (0,) * len(names))
+        """The VarSet of `names`, given as any sequence."""
+        return VarSet(tuple(names))
 
 
 class MultiPoly:

@@ -16,7 +16,6 @@ from focklab.kernel import (
     MeijerEvaluator,
     bergman_norm_case1,
     c_sequence,
-    kernel_eval,
     meijer_param_table_suite,
     meijer_params,
     moment_check,
@@ -107,24 +106,6 @@ def test_c_positivity_across_matrix():
             assert all(c > 0 for c in ks.coeffs)
 
 
-def test_kernel_eval_at_zero_and_one():
-    assert kernel_eval(build_case(1), (0,), 0.0) == 1.0
-    # independent oracle: c_m = (m+1)/(m!)^2 for case 5, q = 0, summed exactly over 30 terms
-    case5 = build_case(5)
-    q = (0, 0, 0, 0)
-    brute = sum(F(m + 1, math.factorial(m) ** 2) for m in range(30))
-    val = kernel_eval(case5, q, 1.0)
-    assert abs(val - float(brute)) < 1e-14
-    assert abs(val - 3.8702221569733959) < 1e-12
-
-
-def test_kernel_eval_complex_and_budget():
-    v = kernel_eval(build_case(1), (0,), 0.3 + 0.1j)
-    assert isinstance(v, complex)
-    with pytest.raises(ArithmeticError):
-        kernel_eval(build_case(1), (0,), 1e9)
-
-
 def test_h_twisted_bernstein_rank1():
     # Delta^k(d/dz) H^{k a} = B(a) conj(Delta)^k H^{k a - k} for H = 1 + z*zc,
     # checked exactly on the doubled-variable ring (zc is the conjugate slot)
@@ -133,7 +114,7 @@ def test_h_twisted_bernstein_rank1():
     from focklab.polyalg import MultiPoly, VarSet, apply_diff_op
 
     k = 4
-    vars = VarSet(("z", "zc"), (0, 1))
+    vars = VarSet(("z", "zc"))
     z = MultiPoly.variable(vars, 0)
     zc = MultiPoly.variable(vars, 1)
     h = MultiPoly.constant(vars, 1) + z * zc

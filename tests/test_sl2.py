@@ -148,8 +148,7 @@ def test_delta_eta0_is_eta0_of_on_every_admissible_q():
 
 def hc_image(factor, alpha):
     """maass_hc_image of one factor over the ring (m, lambda_1..lambda_r)."""
-    ring = VarSet(("m",) + tuple(f"l1_{j}" for j in range(1, factor.rank + 1)),
-                  (0,) + (1,) * factor.rank)
+    ring = VarSet(("m",) + tuple(f"l1_{j}" for j in range(1, factor.rank + 1)))
     return maass_hc_image(factor, alpha, ring, list(range(1, 1 + factor.rank)))
 
 
@@ -229,7 +228,6 @@ def test_pm_identity_zero_residual(case, qs):
     for q in qs:
         rep, residual = pm_identity_check(case, q)
         assert rep.status == "pass" and residual.is_zero()
-        assert "shorthand-identity=ok" in rep.details
 
 
 def test_pm_identity_case11_forced_nonzero():
@@ -238,6 +236,22 @@ def test_pm_identity_case11_forced_nonzero():
     assert rep.status == "fail" and not residual.is_zero()
     rep, residual = pm_identity_check(build_case(11), (3, 0))
     assert not residual.is_zero()
+
+
+@pytest.mark.parametrize("prop", ["n_over_r", "eta0_shift"])
+def test_pm_identity_fails_with_a_factor_constant_off_by_half(monkeypatch, prop):
+    # n/r enters the Maass images and n/(k r) the eta0 of delta; either one
+    # off by 1/2 must leave a nonzero residual on every feasible (case, q)
+    from focklab import checks
+    from focklab.jordan import SimpleFactorDescriptor
+
+    entries = [e for e in checks.select(("sl2",)) if e.name == "sl2.pm"]
+    assert len(entries) == len(checks.feasible_pairs())
+    real = getattr(SimpleFactorDescriptor, prop).fget
+    monkeypatch.setattr(SimpleFactorDescriptor, prop, property(lambda f: real(f) + F(1, 2)))
+    for e in entries:
+        (rep,) = checks.run_entry(e, {})
+        assert rep.status == "fail" and rep.residual.endswith(" terms"), rep
 
 
 def test_pm_identity_wrong_kappa_fails(kappa_a):
