@@ -88,10 +88,11 @@ def roots_factorization_ok(case: CaseDescriptor) -> bool:
 # -- Bernstein identity verification ----------------------------------------
 
 
-def _family_tag(factor: SimpleFactorDescriptor) -> str:
-    if factor.family in (Family.SPIN, Family.SYM, Family.FULL, Family.SKEW):
-        return f"{factor.family.value}{factor.size}"
-    return factor.family.value
+def identity_stem(factor: SimpleFactorDescriptor) -> str:
+    """The id stem of factor's identity reports: bernstein.identity.<family>[<size>][.k<k>]."""
+    sized = factor.family in (Family.SPIN, Family.SYM, Family.FULL, Family.SKEW)
+    return (f"bernstein.identity.{factor.family.value}{factor.size if sized else ''}"
+            + (f".k{factor.mult}" if factor.mult > 1 else ""))
 
 
 def verify_bernstein_identity(
@@ -108,7 +109,7 @@ def verify_bernstein_identity(
     k = factor.mult
     symbol = dual_determinant_symbol(factor) ** k
     B = big_b_poly(factor)
-    tag = _family_tag(factor) + (f".k{k}" if k > 1 else "")
+    stem = identity_stem(factor)
     constant: Fraction | None = None
     # the right side's Delta^{k a - k} is the previous alpha's target power
     target, previous = None, None
@@ -132,7 +133,7 @@ def verify_bernstein_identity(
             elif c != constant:
                 failure = f"constant drift {c} != {constant}"
         yield CheckReport(
-            id=f"bernstein.identity.{tag}.{alpha}",
+            id=f"{stem}.{alpha}",
             status="fail" if failure else "pass",
             residual=failure or "0",
             details=f"C={constant}",

@@ -213,32 +213,30 @@ def _must_fail(control_id: str, relation: str, rep: CheckReport) -> list[CheckRe
 
 
 def _bernstein_roots(case: CaseDescriptor) -> list[CheckReport]:
-    b = bn.case_b_poly(case)
-    lead = b.terms.get((4,), 0)
-    broken = [text for bad, text in (
-        (not bn.roots_factorization_ok(case), "B != A prod (a - root)"),
-        (lead != case.bernstein_lead, f"lead {lead} != A"),
-        (b.eval((0,)) != 0, f"B(0) = {b.eval((0,))}"),
-        (b.total_degree() != 4, f"degree {b.total_degree()} != 4")) if bad]
+    # the root multiset holds 0 and has sum k_i r_i = 4 members, so B = A prod
+    # (a - root) also fixes B's lead A, B(0) = 0 and degree 4
+    lead = bn.case_b_poly(case).terms.get((4,), 0)
+    ok = bn.roots_factorization_ok(case)
     return [CheckReport(
         id=f"bernstein.roots.{case.label}", case_id=case.label,
-        status="fail" if broken else "pass", residual="; ".join(broken) or "0",
+        status="pass" if ok else "fail", residual="0" if ok else "B != A prod (a - root)",
         details=f"lead={lead} expected A={case.bernstein_lead}",
     )]
 
 
 def _kernel_cm(case: CaseDescriptor, q) -> list[CheckReport]:
-    # from m_pos on every factor m + x of the step is positive, so the signs
-    # of c_0..c_m_pos are the signs of every c_m
-    upper, lower = kernel.spectral_params(case, q).c_step
+    # c_0 = 1 and from m_pos on every factor m + x of the step is positive, so
+    # the first step <= 0 below m_pos, at m, names the first c_{m+1} <= 0
+    sp = kernel.spectral_params(case, q)
+    upper, lower = sp.c_step
     m_pos = max([0] + [math.floor(-x) + 1 for x in upper + lower])
-    ks = kernel.c_sequence(case, q, m_max=m_pos)
-    broken = next((f"c_{m} <= 0" for m, c in enumerate(ks.coeffs) if c <= 0), None)
+    broken = next((f"c_{m + 1} <= 0" for m in range(m_pos)
+                   if kernel.pochhammer_ratio(upper, lower, m) <= 0), None)
     qs = q_strings(q)
     return [CheckReport(
         id=f"kernel.cm.{case.label}.{'_'.join(qs)}", case_id=case.label, q=qs,
         status="fail" if broken else "pass", residual=broken or "0",
-        details=f"kind={ks.kind}; c_m>0 for all m",
+        details=f"kind={sp.series_kind}; c_m>0 for all m",
     )]
 
 
@@ -258,7 +256,7 @@ def registry() -> tuple[Entry, ...]:
             case, (0,) * case.s)
 
     for f, alphas in BERNSTEIN_FAMILIES:
-        add("bernstein", f"bernstein.identity.{f.family.value}{f.size}.k{f.mult}",
+        add("bernstein", bn.identity_stem(f),
             lambda o, f=f, a=alphas: bn.verify_bernstein_identity(f, alphas=a))
     for case in default_catalog():
         add("bernstein", "bernstein.roots", lambda o, c=case: _bernstein_roots(c), case)

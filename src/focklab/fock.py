@@ -21,11 +21,11 @@ AB - BA - cC into rules and groups them by target map (dm, S, b0, b1) and
 the linear part of L.  The group coefficients must vanish as polynomials once
 the denominators are cleared: distinct target maps and parity characters are
 independent on the Zariski-dense index set, so this is sound and complete.
-That proves every block m >= m0, the least m at which no delta denominator
-vanishes.  Each block 1..m0-1 (m = 1 alone where eta0 = 1 puts a pole of
-delta(m - 2) at m = 1) is proved from the same rules specialized at that m
-(`Rule.at`): each group is then a polynomial in j that must vanish on the
-block's box, i.e. leave remainder 0 modulo prod_t (j_i - t) for every i.
+The rules of a group share dm, so on a block m >= 1 a group is either
+dropped whole (m + dm < 0) or is its formal zero evaluated at m, provided m
+is no pole of its rules.  So no rule may have an integer pole p >= 1 whose
+target block p + dm is kept (>= 0); where delta has a pole at m = 1
+(eta0 = 1) its rules land below block 0.
 
 `sigma_involution_check` proves sigma^2 = (-1)^{sum N_i} and sigma sigma^{-1}
 = sigma^{-1} sigma = 1 with the same prover.  sigma has dm = 0 and no poles,
@@ -48,8 +48,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as iproduct
 from operator import add, mul, sub
 
 from focklab.jordan import CaseDescriptor, Family
@@ -125,19 +123,6 @@ class Rule:
             num=-num if flip else num,
             poles=inner.poles + tuple(r - inner.dm for r in self.poles),
         )
-
-    def at(self, m: int) -> Rule | None:
-        """This rule on block m alone, or None if its target block is negative: m
-        substituted, (-1)^{parity_m m} and the denominator (nonzero, or
-        ZeroDivisionError) folded into num, and the target j -> s j + (b0 + b1 m)."""
-        if m + self.dm < 0:
-            return None
-        ring = self.num.vars
-        images = [MultiPoly.constant(ring, m)]
-        images += [MultiPoly.variable(ring, i) for i in range(1, len(ring))]
-        c = Fraction((-1) ** (self.parity[0] * m)) / math.prod(m - r for r in self.poles)
-        return Rule(self.dm, self.s, tuple(c0 + c1 * m for c0, c1 in zip(self.b0, self.b1)),
-                    (0,) * len(self.b0), (0, *self.parity[1:]), self.num.substitute(images).scale(c))
 
     def image(self, key: Key) -> tuple[Key, Scalar] | None:
         """(target, coefficient) of e_key, or None if it is zero or below block 0."""
@@ -261,42 +246,12 @@ def dk_action(space: FockSpace, factor_index: int, generator: str) -> OperatorMa
 # -- checks -------------------------------------------------------------------
 
 
-def _rules_from(rules) -> int:
-    """The least m >= 1 from which no delta denominator of `rules` vanishes."""
-    return max([1] + [int(p) + 1 for r in rules for p in r.poles if p.denominator == 1])
+def _nonvanishing_group(space: FockSpace, rules) -> tuple[int, tuple | None]:
+    """(groups, the first group whose coefficient does not vanish at formal m, or None).
 
-
-@lru_cache(maxsize=None)
-def _stirling2(e: int, k: int) -> int:
-    """S(e, k) for 0 <= k <= e, the coefficient of the falling factorial [x]_k in x^e."""
-    if k in (0, e):
-        return int(k == e)
-    return k * _stirling2(e - 1, k) + _stirling2(e - 1, k - 1)
-
-
-def _vanishes_on_box(poly: MultiPoly, bounds) -> bool:
-    """Whether poly in j leaves remainder 0 modulo prod_{t=0}^{N_i} (j_i - t) for every i.
-
-    x^e = sum_k S(e, k) [x]_k, and [x]_k is a multiple of the modulus once k > N,
-    so the terms with every k_i <= N_i are the remainder, unique since each
-    modulus is univariate; it is 0 iff poly vanishes on the box."""
-    rem: dict[tuple[int, ...], Scalar] = {}
-    for (_, *es), c in poly.terms.items():
-        for ks in iproduct(*(range(min(e, n) + 1) for e, n in zip(es, bounds))):
-            rem[ks] = rem.get(ks, 0) + c * math.prod(map(_stirling2, es, ks))
-    return not any(rem.values())
-
-
-def _nonvanishing_group(space: FockSpace, rules, m: int | None = None) -> tuple[int, tuple | None]:
-    """(groups, the first group whose coefficient does not vanish, or None).
-
-    Rules are grouped by target map and parity character.  At formal m
-    (m=None) a group's coefficient sum_t num_t / den_t is zero iff its
-    numerator over the least common denominator is the zero polynomial.  At a
-    block m each rule is first specialized (`Rule.at`), and each group's
-    coefficient, a polynomial in j, must vanish on the block's box."""
-    if m is not None:
-        rules = [r for r in (r.at(m) for r in rules) if r is not None]
+    Rules are grouped by target map and parity character.  A group's
+    coefficient sum_t num_t / den_t is zero iff its numerator over the least
+    common denominator is the zero polynomial."""
     groups: dict[tuple, list[Rule]] = {}
     for r in rules:
         groups.setdefault((r.dm, r.s, r.b0, r.b1, r.parity), []).append(r)
@@ -311,51 +266,59 @@ def _nonvanishing_group(space: FockSpace, rules, m: int | None = None) -> tuple[
             for root, mult in (common - Counter(r.poles)).items():
                 term = term * (mv - space.const(root)) ** mult
             total = total + term
-        if not (total.is_zero() if m is None else _vanishes_on_box(total, space.degree_bounds(m))):
+        if not total.is_zero():
             return len(groups), key
     return len(groups), None
 
 
-def _group_failure(name: str, group: tuple, m: int | None = None) -> str:
-    dm, s, b0, b1, parity = group
-    return (f"{name}: rule group dm={dm} S={s} b0={b0} b1={b1} L={parity} does not vanish"
-            + ("" if m is None else f" on block {m}"))
+def _prove(space: FockSpace, kind: str, proved: str, expansions) -> CheckReport:
+    """The report fock.<kind>.<case>.<q> on a list of (name, rules of left minus right side).
+
+    No rule may have an integer pole p >= 1 on a kept block p + dm >= 0: at
+    an integer m >= 1 the rules of a group, which share dm, are all dropped
+    (m + dm < 0) or all evaluated, and a rule's value is its formal
+    coefficient only off its poles.  Then every group of every expansion must
+    vanish at formal m.  The first failure is the residual; a pass's details
+    read `<proved>; <n> groups`.
+    """
+    failed = next((f"{name}: pole at m = {p} on a rule into block {p + r.dm}"
+                   for name, rules in expansions for r in rules for p in r.poles
+                   if p.denominator == 1 and p >= 1 and p + r.dm >= 0), None)
+    n_groups = 0
+    for name, rules in expansions:
+        if failed:
+            break
+        n, bad = _nonvanishing_group(space, rules)
+        n_groups += n
+        if bad is not None:
+            dm, s, b0, b1, parity = bad
+            failed = f"{name}: rule group dm={dm} S={s} b0={b0} b1={b1} L={parity} does not vanish"
+    qs = q_strings(space.qs)
+    return CheckReport(
+        id=f"fock.{kind}.{space.case.label}.{'_'.join(qs)}", case_id=space.case.label, q=qs,
+        status="fail" if failed else "pass", residual=failed or "0",
+        details="" if failed else f"{proved}; {n_groups} groups")
 
 
 def commutator_check(case: CaseDescriptor, q) -> CheckReport:
     """Prove [rhoH,rhoE]=2rhoE, [rhoH,rhoF]=-2rhoF, [rhoE,rhoF]=rhoH on every block m >= 1.
 
     Each relation [A,B] = c C is expanded into the rules of AB - BA - cC,
-    whose groups must vanish on each block 1..m0-1 and at formal m (see the
-    module docstring).  That proves A(B e_k) - B(A e_k) - c C e_k = 0 at
-    every e_k of every block m >= 1: each rule of rho(H), rho(E) and rho(F)
-    moves by at most one block, so no intermediate block is negative there.
-    delta is normalized by kappa = 1/A and takes the first factor's eta0
-    (`delta_constants`), so on a q off the eta0 condition the relations must fail.
+    which `_prove` requires to have no pole on a kept block and to vanish
+    group by group at formal m (see the module docstring).  That proves
+    A(B e_k) - B(A e_k) - c C e_k = 0 at every e_k of every block m >= 1:
+    each rule of rho(H), rho(E) and rho(F) moves by at most one block, so no
+    intermediate block is negative there.  delta is normalized by kappa = 1/A
+    and takes the first factor's eta0 (`delta_constants`), so on a q off the
+    eta0 condition the relations must fail.
     """
     space = FockSpace(case, q)
-    qs = q_strings(tuple(Fraction(x) for x in q))
-    check_id = f"fock.comm.{case.label}.{'_'.join(qs)}"
     h, f = rho_H(space), rho_F(space)
     e = rho_E(space, f)
-    expansions = [(name, (a @ b).rules + (b @ a).scale(-1).rules + c.scale(-scale).rules)
-                  for name, a, b, c, scale in (("[H,E]!=2E", h, e, e, 2),
-                                               ("[H,F]!=-2F", h, f, f, -2),
-                                               ("[E,F]!=H", e, f, h, 1))]
-    m0 = max(_rules_from(rules) for _, rules in expansions)
-    n_groups = 0
-    for name, rules in expansions:
-        for m in (*range(1, m0), None):
-            n, bad = _nonvanishing_group(space, rules, m)
-            n_groups += n
-            if bad is not None:
-                return CheckReport(id=check_id, case_id=case.label, q=qs, status="fail",
-                                   residual=_group_failure(name, bad, m))
-    low = "1" if m0 == 2 else f"1..{m0 - 1}"
-    blocks = f", block {low} from the rules at m = {low}" if m0 > 1 else ""
-    return CheckReport(id=check_id, case_id=case.label, q=qs, status="pass",
-                       details=f"kappa=1/A; all m >= 1 (rules m >= {m0}{blocks}); "
-                               f"{n_groups} groups")
+    return _prove(space, "comm", "kappa=1/A; all m >= 1 (no pole on a kept block)", [
+        (name, (a @ b).rules + (b @ a).scale(-1).rules + c.scale(-scale).rules)
+        for name, a, b, c, scale in (("[H,E]!=2E", h, e, e, 2), ("[H,F]!=-2F", h, f, f, -2),
+                                     ("[E,F]!=H", e, f, h, 1))])
 
 
 def sigma_involution_check(case: CaseDescriptor, q) -> CheckReport:
@@ -364,26 +327,18 @@ def sigma_involution_check(case: CaseDescriptor, q) -> CheckReport:
     The block sign is one rule, (-1)^{sum q_i} (-1)^{m sum k_i}.  sigma and
     sigma^{-1} have dm = 0 and no poles, so each composite's rules give its
     columns on every block m >= 0, and each expansion of composite minus
-    right side must vanish under the prover of `commutator_check`.
+    right side must vanish under the prover of `commutator_check` (`_prove`).
     """
     space = FockSpace(case, q)
     sig, inv = sigma(space), sigma_inverse(space)
     one = _one_rule(space, space.const(1))
     sign = _one_rule(space, space.const((-1) ** sum(space.qs)),
                      parity=(sum(space.ks) % 2,) + (0,) * case.s)
-    qs = q_strings(space.qs)
-    check_id = f"fock.sigma2.{case.label}.{'_'.join(qs)}"
-    n_groups = 0
-    for name, lhs, rhs in (("sigma^2!=(-1)^N", sig @ sig, sign),
-                           ("sigma sigma^-1!=1", sig @ inv, one),
-                           ("sigma^-1 sigma!=1", inv @ sig, one)):
-        n, bad = _nonvanishing_group(space, lhs.rules + rhs.scale(-1).rules)
-        n_groups += n
-        if bad is not None:
-            return CheckReport(id=check_id, case_id=case.label, q=qs, status="fail",
-                               residual=_group_failure(name, bad))
-    return CheckReport(id=check_id, case_id=case.label, q=qs, status="pass",
-                       details=f"all m >= 0; {n_groups} groups")
+    return _prove(space, "sigma2", "all m >= 0", [
+        (name, lhs.rules + rhs.scale(-1).rules)
+        for name, lhs, rhs in (("sigma^2!=(-1)^N", sig @ sig, sign),
+                               ("sigma sigma^-1!=1", sig @ inv, one),
+                               ("sigma^-1 sigma!=1", inv @ sig, one))])
 
 
 def _dk_failure(space: FockSpace) -> str | None:

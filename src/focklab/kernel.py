@@ -69,6 +69,11 @@ class SpectralParams:
         primed = self.roots if self.kind == "case2" else (1 - self.eta0,) + self.roots
         return (self.eta0 + 1,), tuple(self.eta0 + a for a in primed)
 
+    @property
+    def series_kind(self) -> str:
+        """The kernel series' hypergeometric type: OneF2 in case 1, TwoF3 in case 2."""
+        return "OneF2" if self.kind == "case1" else "TwoF3"
+
 
 def _split_roots(case: CaseDescriptor, eta0: Fraction) -> tuple[str, tuple[Fraction, ...]]:
     """(kind, remaining roots of B, descending) once 0 and, if a root, 1 - eta0 go."""
@@ -125,8 +130,7 @@ def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> KernelSeries:
     coeffs = [Fraction(1)]
     for m in range(m_max):
         coeffs.append(coeffs[-1] * pochhammer_ratio(upper, lower, m))
-    kind = "OneF2" if sp.kind == "case1" else "TwoF3"
-    return KernelSeries(kind, coeffs)
+    return KernelSeries(sp.series_kind, coeffs)
 
 
 # -- root tables ----------------------------------------------------------------

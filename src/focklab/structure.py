@@ -45,7 +45,6 @@ Matrix = dict[tuple[int, int], Scalar]  # (a, b) -> X_ab
 
 @dataclass
 class StructureBasis:
-    case_id: str
     q_poly: MultiPoly  # the Q (Jordan coordinates) every basis element preserves
     basis: list[Matrix]
     characters: list[Fraction]
@@ -136,7 +135,7 @@ def structure_algebra(case: CaseDescriptor) -> StructureBasis:
         x = {k: c for k, c in v.items() if k[0] < n}
         basis.append(x)
         chars.append(_character(q_poly, x, partials))
-    return StructureBasis(case.label, q_poly, basis, chars)
+    return StructureBasis(q_poly, basis, chars)
 
 
 def _by_row(x: Matrix) -> dict[int, list[tuple[int, Scalar]]]:

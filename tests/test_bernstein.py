@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from focklab import bernstein
+from focklab import bernstein, checks
 from focklab.bernstein import (
     A_RING,
     M_RING,
@@ -142,6 +142,21 @@ def test_bernstein_constant_drift_fails_that_alpha(monkeypatch):
 )
 def test_bernstein_identity_matrix_symbolic(factor, alphas):
     assert identity_constant(factor, alphas) == 1
+
+
+def test_an_identity_entry_that_raises_is_named_like_its_reports(monkeypatch):
+    # the error report of an entry carries the stem of the reports it would yield
+    def fail(*args):
+        raise RuntimeError("apply_diff_op failed")
+
+    monkeypatch.setattr(bernstein, "apply_diff_op", fail)
+    entries = [e for e in checks.select(("bernstein",)) if e.name.startswith("bernstein.identity")]
+    reports = [r for e in entries for r in checks.run_entry(e, {})]
+    assert len(reports) == len(checks.BERNSTEIN_FAMILIES)
+    assert {r.status for r in reports} == {"error"}
+    ids = {r.id for r in reports}
+    assert {"bernstein.identity.Rank1", "bernstein.identity.Rank1.k4",
+            "bernstein.identity.Spin3.k2", "bernstein.identity.SkewMat8"} <= ids, ids
 
 
 def test_bernstein_identity_full2_value():

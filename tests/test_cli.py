@@ -352,13 +352,12 @@ def test_every_operator_relation_report_names_its_proved_range(tmp_path):
     proofs = [c for c in checks
               if c["id"].startswith("fock.comm.") and c["id"] != "fock.comm.11.forced"]
     assert len(proofs) == 8, [c["id"] for c in proofs]
+    # one proof path for all eight, the eta0 = 1 pairs 5.0_0_0_0 and 4.1_0_0 included
     for c in proofs:
-        assert c["status"] == "pass" and "; all m >= 1 (rules m >= " in c["details"], c
+        assert c["status"] == "pass", c
+        assert c["details"] == "kappa=1/A; all m >= 1 (no pole on a kept block); 7 groups", c
     for c in checks:
         assert not c["id"].startswith("fock.comm.") or "columns" not in c["details"], c
-    by_id = {c["id"]: c for c in proofs}
-    for eta0_one in ("fock.comm.5.0_0_0_0", "fock.comm.4.1_0_0"):
-        assert "block 1 from the rules" in by_id[eta0_one]["details"], by_id[eta0_one]
     sigma2 = [c for c in checks if c["id"].startswith("fock.sigma2.")]
     assert len(sigma2) == 7, [c["id"] for c in sigma2]
     for c in sigma2:
@@ -483,6 +482,18 @@ def test_kernel_cm_fails_on_a_nonpositive_coefficient(monkeypatch, upper, lower0
                 if e.name == "kernel.cm" and e.case.label == "1" and e.q == (0,)]
     (report,) = checks.run_entry(entry, {})
     assert report.status == "fail" and report.residual == f"{first} <= 0", report
+
+
+def test_kernel_cm_solves_the_spectral_parameters_once(monkeypatch):
+    real = kernel.spectral_params
+    calls = []
+    monkeypatch.setattr(kernel, "spectral_params", lambda *args: calls.append(args) or real(*args))
+    entries = [e for e in checks.select(("meijer",)) if e.name == "kernel.cm"]
+    assert len(entries) == 36
+    for entry in entries:
+        calls.clear()
+        (report,) = checks.run_entry(entry, {})
+        assert report.status == "pass" and len(calls) == 1, (report.id, len(calls))
 
 
 @pytest.mark.parametrize("argv, sha256", [

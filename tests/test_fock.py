@@ -186,6 +186,9 @@ def test_composed_rhoE_matches_the_column_conjugation(case, q):
         assert e.apply(unit(key)) == sig.apply(f.apply(sig_inv.apply(unit(key))))
 
 
+NO_KEPT_POLE = "no pole on a kept block"
+ETA0_POLE = "[H,E]!=2E: pole at m = 1 on a rule into block 0"
+
 COMM_MATRIX = [
     (build_case(1), (0,)),
     (build_case(1), (4,)),
@@ -200,7 +203,7 @@ COMM_MATRIX = [
 def test_commutators_small(case, q):
     rep = commutator_check(case, q)
     assert rep.status == "pass"
-    assert rep.details.startswith("kappa=1/A; all m >= 1 (rules m >= ")
+    assert rep.details == f"kappa=1/A; all m >= 1 ({NO_KEPT_POLE}); 7 groups"
 
 
 def test_commutator_calibration_case1(kappa_a):
@@ -208,9 +211,10 @@ def test_commutator_calibration_case1(kappa_a):
     kappa_a(fock)
     bad = commutator_check(build_case(1), (0,))
     assert bad.status == "fail" and bad.residual.startswith("[E,F]!=H: rule group dm=0 ")
-    # blocks below m0 come first: on case 4 (A = 4) block 1 already fails
+    # case 4 (A = 4, eta0 = 1) fails at formal m too, not through its pole
     bad = commutator_check(build_case(4), (1, 0, 0))
-    assert bad.status == "fail" and bad.residual.endswith(" does not vanish on block 1")
+    assert bad.status == "fail" and bad.residual.startswith("[E,F]!=H: rule group dm=")
+    assert bad.residual.endswith(" does not vanish")
 
 
 def test_commutator_case4_consistent_solution():
@@ -250,34 +254,20 @@ def test_commutator_check_reads_no_column(monkeypatch):
     monkeypatch.setattr(fock.Rule, "image", lambda *args: pytest.fail("column evaluated"))
     for case, q in RHOE_PAIRS:
         rep = commutator_check(case, q)
-        assert rep.status == "pass"
-        if (case, q) in ETA0_ONE:  # eta0 = 1: delta(m - 2) has a pole at m = 1
-            assert "(rules m >= 2, block 1 from the rules at m = 1); 13 groups" in rep.details
-        else:
-            assert "(rules m >= 1); 7 groups" in rep.details
+        # eta0 = 1 (case 5 at q = 0, case 4 at q = (1, 0, 0)) puts a pole of
+        # delta(m - 2) at m = 1, on rules into block -1
+        assert rep.status == "pass" and f"({NO_KEPT_POLE}); 7 groups" in rep.details
 
 
-def test_rule_at_a_block_is_the_column_map_of_its_keys():
-    # Rule.at(m) at e_{m,j} against Rule.image: negative targets, sign, pole
-    # denominators and target map; the rules of case 4 have even m-characters,
-    # so each is also taken with an odd one
-    space = FockSpace(build_case(4), (1, 0, 0))
-    f = rho_F(space)
-    e = rho_E(space, f)
-    rules = [*(e @ f).rules, *(f @ e).rules]
-    rules += [replace(r, parity=(1 - r.parity[0], *r.parity[1:])) for r in rules]
-    for r in rules:
-        for m in (1, 2):
-            at = r.at(m)
-            assert at is None or (not any(at.b1) and at.parity[0] == 0)
-            for key in block_basis(space, m):
-                if at is None:
-                    assert r.image(key) is None
-                    continue
-                js = key[1]
-                c = at.num.eval((m, *js)) * (-1) ** sum(map(int.__mul__, at.parity[1:], js))
-                target = tuple(at.s * j + b for j, b in zip(js, at.b0))
-                assert r.image(key) == (((m + at.dm, target), c) if c else None)
+def test_commutator_fails_on_a_pole_in_a_kept_block(monkeypatch):
+    # eta0 = 0 moves delta(m - 1)'s pole to m = 1, where D lands in block 0
+    real = fock.delta_constants
+    monkeypatch.setattr(fock, "delta_constants", lambda *args: (real(*args)[0], F(0)))
+    entries = [e for e in checks.select(("operators",)) if e.name == "fock.comm"]
+    assert len(entries) == 8
+    for entry in entries:
+        (rep,) = checks.run_entry(entry, {})
+        assert rep.status == "fail" and rep.residual == ETA0_POLE, rep
 
 
 def _relation_holds_on_columns(a, b, c, scale, key):
@@ -287,10 +277,15 @@ def _relation_holds_on_columns(a, b, c, scale, key):
     return _sub(out, _scale(c.apply(e), scale)) == {}
 
 
-@pytest.mark.parametrize("kappa", ["1/A", "A"])
-@pytest.mark.parametrize("case,q", ETA0_ONE, ids=["c5q0", "c4q100"])
+BLOCK1_MATRIX = [*((c, q, "1/A") for c, q in RHOE_PAIRS), *((c, q, "A") for c, q in ETA0_ONE)]
+
+
+@pytest.mark.parametrize("case,q,kappa", BLOCK1_MATRIX,
+                         ids=[f"c{c.label}q{int(''.join(map(str, q)))}-{k}"
+                              for c, q, k in BLOCK1_MATRIX])
 def test_block1_verdicts_match_the_column_oracle(case, q, kappa, kappa_a):
-    # each relation's block-1 verdict from the specialized rules against its columns
+    # each relation's verdict from the check's own prover (no pole on a kept
+    # block, every group zero at formal m) against its columns on block 1
     if kappa == "A":
         kappa_a(fock)
     space = FockSpace(case, q)
@@ -299,7 +294,7 @@ def test_block1_verdicts_match_the_column_oracle(case, q, kappa, kappa_a):
     verdicts = []
     for a, b, c, scale in ((h, e, e, 2), (h, f, f, -2), (e, f, h, 1)):
         rules = (a @ b).rules + (b @ a).scale(-1).rules + c.scale(-scale).rules
-        proved = fock._nonvanishing_group(space, rules, 1)[1] is None
+        proved = fock._prove(space, "comm", "", [("relation", rules)]).status == "pass"
         assert proved == all(_relation_holds_on_columns(a, b, c, scale, key)
                              for key in block_basis(space, 1))
         verdicts.append(proved)
