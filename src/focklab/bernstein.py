@@ -30,7 +30,7 @@ from focklab.jordan import (
     dual_determinant_symbol,
 )
 from focklab.polyalg import MultiPoly, VarSet, apply_diff_op, product, rising
-from focklab.report import CheckReport, q_strings
+from focklab.report import CheckReport, check_report, terms_failure
 from focklab.sl2 import validate_q
 
 A_RING = VarSet.flat(("a",))  # the Bernstein variable a
@@ -132,12 +132,7 @@ def verify_bernstein_identity(
                 failure = "nonzero residual"
             elif c != constant:
                 failure = f"constant drift {c} != {constant}"
-        yield CheckReport(
-            id=f"{stem}.{alpha}",
-            status="fail" if failure else "pass",
-            residual=failure or "0",
-            details=f"C={constant}",
-        )
+        yield check_report(f"{stem}.{alpha}", failure=failure, details=f"C={constant}")
 
 
 # -- a_m ratios ---------------------------------------------------------------
@@ -190,12 +185,6 @@ def a_ratio_report(case: CaseDescriptor, q) -> CheckReport:
     """
     b_num, b_den = a_ratio_polys(case, q)
     g_num, g_den = a_ratio_gindikin_polys(case, q)
-    residual = b_num * g_den - g_num * b_den
-    qs = q_strings(q)
-    return CheckReport(
-        id=f"bernstein.aratio.{case.label}.{'_'.join(qs)}",
-        case_id=case.label, q=qs,
-        status="pass" if residual.is_zero() else "fail",
-        residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
-        details=f"all m: degree {b_num.total_degree()} ratios in m, cross-multiplied",
-    )
+    return check_report(
+        "bernstein.aratio", case, q, failure=terms_failure(b_num * g_den - g_num * b_den),
+        details=f"all m: degree {b_num.total_degree()} ratios in m, cross-multiplied")

@@ -49,7 +49,7 @@ from focklab.jordan import (
     spin,
     sym_mat,
 )
-from focklab.report import CheckReport, q_strings
+from focklab.report import CheckReport, check_report, q_strings
 
 SUITES = ("tables", "bernstein", "sl2", "operators", "meijer", "bergman", "structure")
 
@@ -155,24 +155,17 @@ class Entry:
     run: Callable[[dict], Iterable[CheckReport]]
 
     def error_report(self, exc: Exception) -> CheckReport:
-        parts = [self.name]
-        if self.case is not None:
-            parts.append(self.case.label)
-        if self.q is not None:
-            parts.append("_".join(q_strings(self.q)))
-        return CheckReport(
-            id=".".join(parts),
-            case_id=self.case.label if self.case is not None else "",
-            q=q_strings(self.q) if self.q is not None else [],
-            status="error", details=f"{type(exc).__name__}: {exc}",
-        )
+        return replace(check_report(self.name, self.case, self.q),
+                       status="error", details=f"{type(exc).__name__}: {exc}")
 
 
 def _eta0(case: CaseDescriptor) -> list[CheckReport]:
     """Feasibility as the catalog says, and on each minimal q the solver's eta0
     and q relations against eta0_of, which reads the grading constraint itself."""
     adm = sl2.solve_eta0(case)
-    (slope, icpt), wrong = adm.eta0_affine, []
+    (slope, icpt), expected = adm.eta0_affine, case.case_id != 11
+    wrong = [] if adm.feasible == expected else [
+        f"feasible={adm.feasible}, catalog expects {expected}"]
     for q in adm.minimal_q:
         try:
             eta0 = sl2.eta0_of(case, q)
@@ -181,35 +174,35 @@ def _eta0(case: CaseDescriptor) -> list[CheckReport]:
         if (eta0 != slope * q[0] + icpt or len(adm.q_relations) != len(q)
                 or any(qi != a * q[0] + b for qi, (a, b) in zip(q, adm.q_relations))):
             wrong.append(f"q=({', '.join(q_strings(q))}): eta0_of gives {eta0}")
-    ok = adm.feasible == (case.case_id != 11) and not wrong
     detail = "infeasible confirmed" if not adm.feasible else adm.constraint
     if adm.feasible and not adm.strict_feasible:
         detail += "; half-integer lattice only (order-2 cover)"
     if adm.minimal_q:
         detail += (f"; eta0 and q relations checked against eta0_of on "
                    f"{len(adm.minimal_q)} minimal q")
-    return [CheckReport(id=f"sl2.eta0.{case.label}", case_id=case.label,
-                        status="pass" if ok else "fail", residual="; ".join(wrong) or "0",
-                        details=detail)]
+    return [check_report("sl2.eta0", case, failure="; ".join(wrong), details=detail)]
 
 
 def _lemma35(partition, gammas, b, bs=None) -> CheckReport:
     """Lemma 3.5's solved form for a common b, run at bs (b on every part by default)."""
     alpha, beta, c = sl2.lemma35_solved_form(partition, gammas, b)
-    return sl2.lemma35_check(partition, gammas, bs or [b] * len(partition), alpha, beta, c)[0]
+    return sl2.lemma35_check(partition, gammas, bs or [b] * len(partition), alpha, beta, c)
 
 
-def _must_fail(control_id: str, relation: str, rep: CheckReport) -> list[CheckReport]:
+def _must_fail(stem: str, relation: str, rep: CheckReport, forced=False) -> list[CheckReport]:
     """The negative control on `rep`, a check of a relation that must not hold.
 
-    It passes only when rep fails, and then quotes rep's residual; when rep
-    passes it fails, with a residual that names the relation that held.
+    It is named <stem>, or <stem>.11.forced when rep checks case (11) at
+    FORCED_Q.  It passes only when rep fails, and then quotes rep's residual;
+    when rep passes it fails, with a residual that names the relation that held.
     """
     broken = rep.status == "fail"
-    return [replace(rep, id=control_id, status="pass" if broken else "fail",
-                    residual=rep.residual if broken else f"{relation} held",
-                    details=f"negative control: {relation} must fail"
-                            + (f"; {rep.details}" if rep.details else ""))]
+    case, q = (INFEASIBLE_CASE, FORCED_Q) if forced else (None, None)
+    return [check_report(stem, case, q, ".forced" if forced else "",
+                         failure=None if broken else f"{relation} held",
+                         residual=rep.residual if broken else None, q_in_id=False,
+                         details=f"negative control: {relation} must fail"
+                                 + (f"; {rep.details}" if rep.details else ""))]
 
 
 def _bernstein_roots(case: CaseDescriptor) -> list[CheckReport]:
@@ -217,11 +210,8 @@ def _bernstein_roots(case: CaseDescriptor) -> list[CheckReport]:
     # (a - root) also fixes B's lead A, B(0) = 0 and degree 4
     lead = bn.case_b_poly(case).terms.get((4,), 0)
     ok = bn.roots_factorization_ok(case)
-    return [CheckReport(
-        id=f"bernstein.roots.{case.label}", case_id=case.label,
-        status="pass" if ok else "fail", residual="0" if ok else "B != A prod (a - root)",
-        details=f"lead={lead} expected A={case.bernstein_lead}",
-    )]
+    return [check_report("bernstein.roots", case, failure=None if ok else "B != A prod (a - root)",
+                         details=f"lead={lead} expected A={case.bernstein_lead}")]
 
 
 def _kernel_cm(case: CaseDescriptor, q) -> list[CheckReport]:
@@ -232,12 +222,8 @@ def _kernel_cm(case: CaseDescriptor, q) -> list[CheckReport]:
     m_pos = max([0] + [math.floor(-x) + 1 for x in upper + lower])
     broken = next((f"c_{m + 1} <= 0" for m in range(m_pos)
                    if kernel.pochhammer_ratio(upper, lower, m) <= 0), None)
-    qs = q_strings(q)
-    return [CheckReport(
-        id=f"kernel.cm.{case.label}.{'_'.join(qs)}", case_id=case.label, q=qs,
-        status="fail" if broken else "pass", residual=broken or "0",
-        details=f"kind={sp.series_kind}; c_m>0 for all m",
-    )]
+    return [check_report("kernel.cm", case, q, failure=broken,
+                         details=f"kind={sp.kind}; c_m>0 for all m")]
 
 
 @lru_cache(maxsize=None)
@@ -267,10 +253,10 @@ def registry() -> tuple[Entry, ...]:
     for case in FEASIBLE_CASES + (INFEASIBLE_CASE,):
         add("sl2", "sl2.eta0", lambda o, c=case: _eta0(c), case)
     add("sl2", "sl2.pm.forced", lambda o: _must_fail(
-        "sl2.pm.11.forced", "the p_m identity on case (11), q = (0, 0)",
-        sl2.pm_identity_check(INFEASIBLE_CASE, FORCED_Q)[0]), INFEASIBLE_CASE, FORCED_Q)
+        "sl2.pm", "the p_m identity on case (11), q = (0, 0)",
+        sl2.pm_identity_check(INFEASIBLE_CASE, FORCED_Q), forced=True), INFEASIBLE_CASE, FORCED_Q)
     for case, q in feasible_pairs():
-        add("sl2", "sl2.pm", lambda o, c=case, q=q: [sl2.pm_identity_check(c, q)[0]], case, q)
+        add("sl2", "sl2.pm", lambda o, c=case, q=q: [sl2.pm_identity_check(c, q)], case, q)
     for form in LEMMA35_FORMS:
         add("sl2", "sl2.lemma35." + "-".join(map(str, form[0])), lambda o, f=form: [_lemma35(*f)])
     partition, gammas, _ = LEMMA35_FORMS[2]  # (2, 2), solved at b = 1, run at b = (1, 2)
@@ -286,8 +272,8 @@ def registry() -> tuple[Entry, ...]:
     add("operators", "fock.comm", lambda o: [fock.commutator_check(build_case(4), CASE4_Q)],
         build_case(4), CASE4_Q)
     add("operators", "fock.comm.forced", lambda o: _must_fail(
-        "fock.comm.11.forced", "the sl2 relations on case (11), q = (0, 0)",
-        fock.commutator_check(INFEASIBLE_CASE, FORCED_Q)), INFEASIBLE_CASE, FORCED_Q)
+        "fock.comm", "the sl2 relations on case (11), q = (0, 0)",
+        fock.commutator_check(INFEASIBLE_CASE, FORCED_Q), forced=True), INFEASIBLE_CASE, FORCED_Q)
     for case, q in CYCLICITY_MATRIX:
         add("operators", "fock.cyclic",
             lambda o, c=case, q=q: [fock.cyclicity_check(c, q)], case, q)

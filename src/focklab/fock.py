@@ -50,9 +50,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add, mul, sub
 
-from focklab.jordan import CaseDescriptor, Family
+from focklab.jordan import CaseDescriptor, Family, build_case
 from focklab.polyalg import MultiPoly, Scalar, VarSet, exact_coeff, rising
-from focklab.report import CheckReport, q_strings
+from focklab.report import CheckReport, check_report
 from focklab.sl2 import delta_constants, validate_q
 
 Key = tuple[int, tuple[int, ...]]  # (m, z-exponents)
@@ -293,11 +293,8 @@ def _prove(space: FockSpace, kind: str, proved: str, expansions) -> CheckReport:
         if bad is not None:
             dm, s, b0, b1, parity = bad
             failed = f"{name}: rule group dm={dm} S={s} b0={b0} b1={b1} L={parity} does not vanish"
-    qs = q_strings(space.qs)
-    return CheckReport(
-        id=f"fock.{kind}.{space.case.label}.{'_'.join(qs)}", case_id=space.case.label, q=qs,
-        status="fail" if failed else "pass", residual=failed or "0",
-        details="" if failed else f"{proved}; {n_groups} groups")
+    return check_report(f"fock.{kind}", space.case, space.qs, failure=failed,
+                        details="" if failed else f"{proved}; {n_groups} groups")
 
 
 def commutator_check(case: CaseDescriptor, q) -> CheckReport:
@@ -408,11 +405,9 @@ def cyclicity_check(case: CaseDescriptor, q) -> CheckReport:
     holds them all.  No column is evaluated.
     """
     space = FockSpace(case, q)
-    qs = q_strings(space.qs)
     failed = _dk_failure(space) or _link_failure(space)
-    return CheckReport(
-        id=f"fock.cyclic.{case.label}.{'_'.join(qs)}", case_id=case.label, q=qs,
-        status="fail" if failed else "pass", residual=failed or "0",
+    return check_report(
+        "fock.cyclic", case, space.qs, failure=failed,
         details="" if failed else "irreducible, all m >= 0; blocks (x)_i V(N_i(m)) "
                                   "under dk, linked by rho(F)",
     )
@@ -446,9 +441,7 @@ def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3)) -> CheckReport:
         a_m = beta_integral(0, n)
         for j, pred in enumerate(monomial_norms_exact(q, m)):
             mismatches += beta_integral(j, n) / a_m != pred
-    return CheckReport(
-        id="fock.norm.case1", case_id="1", q=[str(q)],
-        status="pass" if mismatches == 0 else "fail",
-        residual=str(mismatches), tolerance="exact",
-        details=f"m in {list(m_values)}; exact Beta integrals",
-    )
+    return check_report(
+        "fock.norm.case1", build_case(1), (q,), failure=str(mismatches) if mismatches else None,
+        tolerance="exact", details=f"m in {list(m_values)}; exact Beta integrals",
+        case_in_id=False, q_in_id=False)

@@ -1,10 +1,11 @@
 """Spectral parameters, kernel coefficient series, and the Meijer-G layer.
 
 Case discrimination and root bookkeeping are exact (Fractions throughout):
-eta0 comes from the admissibility condition, the remaining roots of the
-degree-4 Bernstein polynomial B give (alpha2, alpha3) or the primed triple,
-and the shifted polynomial Btilde supplies the four b-roots feeding the
-Meijer parameters alpha = (eta0-1, eta0), beta_j = eta0 + b_j - 1.
+eta0 comes from the admissibility condition, the roots of the degree-4
+Bernstein polynomial B other than one 0 give the primed triple (1 - eta0,
+alpha2, alpha3 in root table 1), and the shifted polynomial Btilde supplies
+the four b-roots feeding the Meijer parameters alpha = (eta0-1, eta0),
+beta_j = eta0 + b_j - 1.
 
 The weight G^{4,0}_{2,4} reduces to G^{3,0}_{1,3} (one beta equals alpha2 in
 every catalog row), represented once by its Mellin symbol F(s) = prod
@@ -47,7 +48,7 @@ from focklab.fock import beta_integral
 from focklab.gammaratio import MellinSymbol, mpq
 from focklab.jordan import CaseDescriptor, build_case
 from focklab.polyalg import MultiPoly, product
-from focklab.report import CheckReport, q_strings
+from focklab.report import CheckReport, check_report, terms_failure
 from focklab.sl2 import eta0_of, forced_eta0
 
 
@@ -57,40 +58,32 @@ from focklab.sl2 import eta0_of, forced_eta0
 @dataclass(frozen=True)
 class SpectralParams:
     eta0: Fraction
-    kind: str  # "case1" (B(1-eta0) = 0) or "case2"
-    roots: tuple[Fraction, ...]  # (alpha2, alpha3) or (a1', a2', a3')
+    roots: tuple[Fraction, ...]  # the primed triple a': B's roots, descending, one 0 removed
+
+    @property
+    def kind(self) -> str:
+        """The kernel series' hypergeometric type: OneF2 when B(1 - eta0) = 0
+        (root table 1: a' holds 1 - eta0, so the step's m + 1 is the series'
+        own m!), TwoF3 otherwise (root table 2)."""
+        return "OneF2" if 1 - self.eta0 in self.roots else "TwoF3"
 
     @property
     def c_step(self) -> tuple[tuple[Fraction], tuple[Fraction, ...]]:
-        """(upper, lower) of c_{m+1} / c_m = (m + eta0 + 1) / prod_j (m + eta0 + a_j').
-
-        The primed triple a' is the three roots, or in case 1 (1 - eta0, alpha2, alpha3).
-        """
-        primed = self.roots if self.kind == "case2" else (1 - self.eta0,) + self.roots
-        return (self.eta0 + 1,), tuple(self.eta0 + a for a in primed)
-
-    @property
-    def series_kind(self) -> str:
-        """The kernel series' hypergeometric type: OneF2 in case 1, TwoF3 in case 2."""
-        return "OneF2" if self.kind == "case1" else "TwoF3"
+        """(upper, lower) of c_{m+1} / c_m = (m + eta0 + 1) / prod_j (m + eta0 + a_j')."""
+        return (self.eta0 + 1,), tuple(self.eta0 + a for a in self.roots)
 
 
-def _split_roots(case: CaseDescriptor, eta0: Fraction) -> tuple[str, tuple[Fraction, ...]]:
-    """(kind, remaining roots of B, descending) once 0 and, if a root, 1 - eta0 go."""
+def _spectral_params_at(case: CaseDescriptor, eta0: Fraction) -> SpectralParams:
+    """eta0 with B's roots, descending, once one 0 goes (B(0) = 0 must hold)."""
     roots = sorted(case_b_roots(case), reverse=True)
     if 0 not in roots:
         raise AssertionError("B(0) = 0 must hold")
     roots.remove(0)
-    kind = "case1" if 1 - eta0 in roots else "case2"
-    if kind == "case1":
-        roots.remove(1 - eta0)
-    return kind, tuple(roots)
+    return SpectralParams(eta0, tuple(roots))
 
 
 def spectral_params(case: CaseDescriptor, q) -> SpectralParams:
-    eta0 = eta0_of(case, q)
-    kind, roots = _split_roots(case, eta0)
-    return SpectralParams(eta0, kind, roots)
+    return _spectral_params_at(case, eta0_of(case, q))
 
 
 # -- kernel coefficient series ---------------------------------------------------
@@ -130,7 +123,7 @@ def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> KernelSeries:
     coeffs = [Fraction(1)]
     for m in range(m_max):
         coeffs.append(coeffs[-1] * pochhammer_ratio(upper, lower, m))
-    return KernelSeries(sp.series_kind, coeffs)
+    return KernelSeries(sp.kind, coeffs)
 
 
 # -- root tables ----------------------------------------------------------------
@@ -246,36 +239,30 @@ def roots_table_suite() -> Iterator[CheckReport]:
     A row pins q1 alone, and root extraction only needs eta0, so the
     half-integer q bookkeeping of case (4) never enters here.
     """
+    def params(case):
+        return f".p{case.params}" if case.params else ""
+
     for case, q1, expected in _case1_rows():
-        eta0 = forced_eta0(case, q1)
-        kind, rest = _split_roots(case, eta0)
+        sp = _spectral_params_at(case, forced_eta0(case, q1))
         exp_eta0, exp_one_minus, exp_set = expected(case)
-        ok = (
-            kind == "case1"
-            and eta0 == exp_eta0
-            and 1 - eta0 == exp_one_minus
-            and set(rest) == exp_set
-        )
-        yield CheckReport(
-            id=f"kernel.table1.{case.label}"
-            + (f".p{case.params}" if case.params else ""),
-            case_id=case.label, q=[str(q1)],
-            status="pass" if ok else "fail",
-            residual="0" if ok else f"got eta0={eta0} roots={rest} kind={kind}",
+        rest = list(sp.roots)
+        if sp.kind == "OneF2":
+            rest.remove(1 - sp.eta0)
+        ok = (sp.kind == "OneF2" and sp.eta0 == exp_eta0
+              and 1 - sp.eta0 == exp_one_minus and set(rest) == exp_set)
+        yield check_report(
+            "kernel.table1", case, (q1,), params(case), q_in_id=False,
+            failure=None if ok else f"got eta0={sp.eta0} roots={sp.roots} kind={sp.kind}",
             details=f"expected eta0={exp_eta0} roots={sorted(exp_set)}",
         )
     for case, q1_samples, expected in _case2_rows():
         for q1 in q1_samples:
-            eta0 = forced_eta0(case, q1)
-            kind, rest = _split_roots(case, eta0)
+            sp = _spectral_params_at(case, forced_eta0(case, q1))
             exp_eta0, exp_list = expected(case, q1)
-            ok = kind == "case2" and eta0 == exp_eta0 and sorted(rest) == sorted(exp_list)
-            yield CheckReport(
-                id=f"kernel.table2.{case.label}.q{q1}"
-                + (f".p{case.params}" if case.params else ""),
-                case_id=case.label, q=[str(q1)],
-                status="pass" if ok else "fail",
-                residual="0" if ok else f"got eta0={eta0} roots={rest} kind={kind}",
+            ok = sp.kind == "TwoF3" and sp.eta0 == exp_eta0 and sorted(sp.roots) == sorted(exp_list)
+            yield check_report(
+                "kernel.table2", case, (q1,), f".q{q1}{params(case)}", q_in_id=False,
+                failure=None if ok else f"got eta0={sp.eta0} roots={sp.roots} kind={sp.kind}",
                 details=f"expected eta0={exp_eta0} roots={sorted(exp_list)}",
             )
 
@@ -384,10 +371,8 @@ def meijer_param_table_suite() -> Iterator[CheckReport]:
             cancel = mp.alpha[1] in mp.beta  # what MeijerParams.symbol needs
             broken = ([] if ok else [f"got {mp.alpha} {mp.beta}"]) + (
                 [] if cancel else [f"alpha2 = {mp.alpha[1]} not in beta"])
-            yield CheckReport(
-                id=f"meijer.params.{case.label}.q{q1}",
-                case_id=case.label, q=[str(q1)],
-                status="fail" if broken else "pass", residual="; ".join(broken) or "0",
+            yield check_report(
+                "meijer.params", case, (q1,), f".q{q1}", failure="; ".join(broken), q_in_id=False,
                 details=f"expected alpha=({a1},{a2}) beta={sorted(betas)}; "
                 f"cancellation={'yes' if cancel else 'NO'}",
             )
@@ -398,12 +383,8 @@ def q0_reduction_check(case: CaseDescriptor) -> CheckReport:
     q = tuple(Fraction(0) for _ in case.factors)
     eta0 = eta0_of(case, q)  # raises if q=0 is inadmissible for this case
     btilde = product(A_RING, (big_b_poly(f).shift((-f.eta0_shift,)) for f in case.factors))
-    diff = btilde - case_b_poly(case).shift((-eta0,))
-    return CheckReport(
-        id=f"kernel.q0reduction.{case.label}", case_id=case.label,
-        q=q_strings(q), status="pass" if diff.is_zero() else "fail",
-        residual="0" if diff.is_zero() else f"Btilde(a) - B(a - eta0): {len(diff.terms)} terms",
-    )
+    return check_report("kernel.q0reduction", case, q, q_in_id=False,
+                        failure=terms_failure(btilde - case_b_poly(case).shift((-eta0,))))
 
 
 # -- Meijer-G evaluation -----------------------------------------------------------
@@ -965,21 +946,16 @@ def moment_check(
     just before moment 0, whose report carries that time.
     """
     symbol = meijer_params(case, q).symbol
-    qs = q_strings(q)
 
     # (ii) cross-multiplied: c_ratio * a_ratio == rhs
     upper, lower = spectral_params(case, q).c_step
     a_num, a_den = a_ratio_polys(case, q)
     step = symbol.shifted(1)
-    residual = (pochhammer_step(*upper) * a_num * pochhammer_step(*step.b)
-                - pochhammer_step(*step.a) * pochhammer_step(*lower) * a_den)
-    yield CheckReport(
-        id=f"meijer.camoment.{case.label}.{'_'.join(qs)}",
-        case_id=case.label, q=qs,
-        status="pass" if residual.is_zero() else "fail",
-        residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
-        details="exact (c a)_m Pochhammer identity, all m",
-    )
+    yield check_report(
+        "meijer.camoment", case, q, failure=terms_failure(
+            pochhammer_step(*upper) * a_num * pochhammer_step(*step.b)
+            - pochhammer_step(*step.a) * pochhammer_step(*lower) * a_den),
+        details="exact (c a)_m Pochhammer identity, all m")
     # r[m] = c_m a_m / a_0 from the right-hand side, reused by (iii)
     r = [Fraction(1)]
     for m in range(m_max):
@@ -997,12 +973,10 @@ def moment_check(
         rel_ca = abs(mu / mu0 - 1.0 / float(r[m])) / (1.0 / float(r[m]))
         finite = math.isfinite(err_bound)  # an infinite bound would accept any error
         ok = finite and rel <= REL_TOL and rel_ca <= REL_TOL and abs(mu - g) <= err_bound
-        yield CheckReport(
-            id=f"meijer.moment.{case.label}.{'_'.join(qs)}.{m}",
-            case_id=case.label, q=qs,
-            status="pass" if ok else "fail",
-            residual=f"{max(rel, rel_ca):.3e}" if finite else f"err_bound={err_bound} not finite",
-            tolerance=f"{REL_TOL:.0e}",
+        residual = f"{max(rel, rel_ca):.3e}" if finite else f"err_bound={err_bound} not finite"
+        yield check_report(
+            "meijer.moment", case, q, f".{m}", failure=None if ok else residual,
+            residual=residual, tolerance=f"{REL_TOL:.0e}",
             details=f"trapezoid={mu:.12e} err_bound={err_bound:.1e} "
             f"gamma={g:.12e} C={1.0 / mu0:.6e}",
         )
@@ -1040,12 +1014,10 @@ def sign_scan_report(case: CaseDescriptor, q, **kw) -> CheckReport:
     located by sign_scan; the report passes only when both hold."""
     vals, brackets = sign_scan(case, q, **kw)
     proof = meijer_params(case, q).symbol.sign_change()
-    qs = q_strings(q)
-    return CheckReport(
-        id=f"weight.sign.{case.label}.{'_'.join(qs)}",
-        case_id=case.label, q=qs,
-        status="pass" if brackets and proof else "fail",
-        residual=f"{len(brackets)} sign changes",
+    residual = f"{len(brackets)} sign changes"
+    return check_report(
+        "weight.sign", case, q, failure=None if brackets and proof else residual,
+        residual=residual,
         details=(f"exact: F({proof[0]}) < 0 < F({proof[1]})" if proof
                  else "no exact sign change of F") +
         f"; first bracket={brackets[0] if brackets else None}",
@@ -1111,12 +1083,10 @@ def bergman_norm_case1(
     rel = abs(r_phi - g_phi) / abs(g_phi)
     finite = math.isfinite(err_bound)
     ok = finite and rel <= REL_TOL and abs(r_phi - g_phi) <= err_bound
-    return CheckReport(
-        id="bergman.case1",
-        case_id="1", q=[str(q)],
-        status="pass" if ok else "fail",
-        residual=f"{rel:.3e}" if finite else f"err_bound={err_bound} not finite",
-        tolerance=f"{REL_TOL:.0e}",
+    residual = f"{rel:.3e}" if finite else f"err_bound={err_bound} not finite"
+    return check_report(
+        "bergman.case1", case, qvec, failure=None if ok else residual, residual=residual,
+        tolerance=f"{REL_TOL:.0e}", case_in_id=False, q_in_id=False,
         details=f"graded={g_phi:.10e} trapezoid={r_phi:.10e} err_bound={err_bound:.1e} "
         f"C={c_fit / math.pi:.6e}",
     )

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from focklab.jordan import CaseDescriptor, SimpleFactorDescriptor
 from focklab.polyalg import MultiPoly, VarSet, product, rising
-from focklab.report import CheckReport, q_strings
+from focklab.report import CheckReport, check_report, terms_failure
 
 
 # -- admissible q -------------------------------------------------------------
@@ -187,10 +187,7 @@ def _residue_description(a: Fraction, b: Fraction, k: int) -> str:
 
 def feasible_q_values(case: CaseDescriptor, count: int = 2) -> list[tuple[Fraction, ...]]:
     """First `count` feasible q vectors (strict lattice, cover fallback)."""
-    adm = solve_eta0(case)
-    if not adm.feasible:
-        return []
-    return adm.minimal_q[:count]
+    return solve_eta0(case).minimal_q[:count]
 
 
 # -- delta sequence -----------------------------------------------------------
@@ -245,13 +242,12 @@ def maass_hc_image(
     return product(ring, (rising((-lam if negate else lam) + start, factor.mult) for lam in lams))
 
 
-def pm_identity_check(case: CaseDescriptor, q) -> tuple[CheckReport, MultiPoly]:
+def pm_identity_check(case: CaseDescriptor, q) -> CheckReport:
     """Verify p_m(lambda) = sum(lambda) - sum(m_i k_i r_i)/2 as a polynomial.
 
     delta takes the first factor's eta0 (delta_constants), so on a q that
-    violates the eta0 condition the identity must fail; the residual
-    polynomial is returned either way, so a necessity-direction test can
-    exhibit it.
+    violates the eta0 condition the identity must fail, with the residual
+    polynomial's term count as the report's residual.
     """
     ring = hc_ring(case)
     m_var = MultiPoly.variable(ring, 0)
@@ -296,18 +292,8 @@ def pm_identity_check(case: CaseDescriptor, q) -> tuple[CheckReport, MultiPoly]:
         sum_mkr = sum_mkr + m_of(pos).scale(Fraction(f.mult * f.rank, 2))
     rhs = clear.scale(A) * (sum_lam - sum_mkr)
 
-    residual = lhs - rhs
-
-    qs = q_strings(q)
-    rep = CheckReport(
-        id=f"sl2.pm.{case.label}.{'_'.join(qs)}",
-        case_id=case.label,
-        q=qs,
-        status="pass" if residual.is_zero() else "fail",
-        residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
-        details=f"kappa=1/A; eta0={eta0}",
-    )
-    return rep, residual
+    return check_report("sl2.pm", case, q, failure=terms_failure(lhs - rhs),
+                        details=f"kappa=1/A; eta0={eta0}")
 
 
 # -- Lemma 3.5 ----------------------------------------------------------------
@@ -331,8 +317,8 @@ def lemma35_check(
     alpha,
     beta,
     c,
-) -> tuple[CheckReport, MultiPoly]:
-    """Expand the four-shift identity and report the residual polynomial.
+) -> CheckReport:
+    """Expand the four-shift identity; the residual is its difference's term count.
 
     The affine target is sum_i p_i*T_i + c (part sizes p_i): with the stated
     alpha, beta the T_i-coefficient of the left side is the part size, not 1.
@@ -357,11 +343,6 @@ def lemma35_check(
     target = MultiPoly.constant(ring, c)
     for i, p in enumerate(partition):
         target = target + MultiPoly.variable(ring, i).scale(p)
-    residual = lhs - target
-    rep = CheckReport(
-        id=f"sl2.lemma35.{'-'.join(map(str, partition))}",
-        status="pass" if residual.is_zero() else "fail",
-        residual="0" if residual.is_zero() else f"{len(residual.terms)} terms",
-        details=f"b={[str(b) for b in bs]} alpha={alpha} beta={beta} c={c}",
-    )
-    return rep, residual
+    return check_report(
+        f"sl2.lemma35.{'-'.join(map(str, partition))}", failure=terms_failure(lhs - target),
+        details=f"b={[str(b) for b in bs]} alpha={alpha} beta={beta} c={c}")

@@ -38,7 +38,7 @@ from operator import mul
 from focklab.jordan import CaseDescriptor, q_polynomial
 from focklab.linalg import FractionSpan, frac_nullspace, int_rank
 from focklab.polyalg import MultiPoly, Scalar
-from focklab.report import CheckReport
+from focklab.report import CheckReport, check_report
 
 Matrix = dict[tuple[int, int], Scalar]  # (a, b) -> X_ab
 
@@ -198,11 +198,8 @@ def check_g_dimension(case: CaseDescriptor) -> CheckReport:
         (not symmetric, "W not palindromic"),
         (not closed, "Str not closed"),
         (euler != 4, f"DQ[z]={euler}Q")) if bad]
-    return CheckReport(
-        id=f"structure.dim.{case.label}",
-        case_id=case.label,
-        status="fail" if broken else "pass",
-        residual="; ".join(broken) or "0",
+    return check_report(
+        "structure.dim", case, failure="; ".join(broken),
         details=(
             f"dimV={case.dim_v} dimStr={sb.dim} dimK={dim_k} "
             f"(expected {case.expected_k_dim}) "

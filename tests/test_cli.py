@@ -14,7 +14,7 @@ import pytest
 from focklab import checks, cli, kernel
 from focklab.cli import build_parser, main
 from focklab.jordan import build_case
-from focklab.report import CheckReport
+from focklab.report import CheckReport, check_report
 
 
 def run(capsys, *argv):
@@ -296,6 +296,18 @@ def test_entry_that_raises_keeps_the_reports_it_yielded(capsys):
     assert reports[2].details == "ZeroDivisionError: injected"
     assert all(r.elapsed_ms > 0 for r in reports)
     assert "ZeroDivisionError: injected" in capsys.readouterr().err
+
+
+def test_check_report_fails_exactly_when_it_names_a_failure():
+    case = build_case(5)
+    rep = check_report("x.check", case, (0, F(1, 2), 0, 0), ".2")
+    assert (rep.id, rep.case_id, rep.q) == ("x.check.5.0_1/2_0_0.2", "5", ["0", "1/2", "0", "0"])
+    assert (rep.status, rep.residual) == ("pass", "0")
+    rep = check_report("x.check", case, (0,), failure="3 terms", q_in_id=False)
+    assert (rep.id, rep.q, rep.status, rep.residual) == ("x.check.5", ["0"], "fail", "3 terms")
+    assert check_report("x", failure="", residual="1e-13").status == "pass"
+    with pytest.raises(ValueError, match="fails with residual 0"):
+        check_report("x", failure="broke", residual="0")
 
 
 def test_meijer_command_fails_on_a_wrong_moment(monkeypatch, capsys):

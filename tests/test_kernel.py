@@ -39,20 +39,20 @@ def floor(ev, u):
 def test_spectral_params_case1():
     sp = spectral_params(build_case(1), (0,))
     assert (sp.eta0, 1 - sp.eta0) == (F(1, 4), F(3, 4))
-    assert sp.kind == "case1"
-    assert set(sp.roots) == {F(1, 2), F(1, 4)}
+    assert sp.kind == "OneF2"
+    assert sp.roots == (F(3, 4), F(1, 2), F(1, 4))
     assert sorted(btilde_roots(build_case(1))) == [F(1, 4), F(1, 2), F(3, 4), F(1)]
 
 
 def test_spectral_params_case9_d1():
     sp = spectral_params(build_case(9, variant="a"), (0,))
-    assert sp.eta0 == F(5, 2) and sp.kind == "case1"
-    assert sorted(sp.roots) == [-1, F(-1, 2)]
+    assert sp.eta0 == F(5, 2) and sp.kind == "OneF2"
+    assert sorted(sp.roots) == [F(-3, 2), -1, F(-1, 2)]
 
 
 def test_spectral_params_case5_q3_case2():
     sp = spectral_params(build_case(5), (3, 3, 3, 3))
-    assert sp.eta0 == 4 and sp.kind == "case2"
+    assert sp.eta0 == 4 and sp.kind == "TwoF3"
     assert sp.roots == (0, 0, 0)
 
 
@@ -166,14 +166,18 @@ def _one_more_root(real):
 
 
 def _held(real):
-    """real, a check, made to pass as if its relation held: its report (the
-    first of a (report, residual) pair) has status pass and residual 0."""
-    def held(*args):
-        out = real(*args)
-        if isinstance(out, tuple):
-            return (replace(out[0], status="pass", residual="0"), *out[1:])
-        return replace(out, status="pass", residual="0")
-    return held
+    """real, a check, made to pass as if its relation held: its report has
+    status pass and residual 0."""
+    return lambda *args: replace(real(*args), status="pass", residual="0")
+
+
+def _feasibility_flipped(real):
+    # feasible is strict_feasible or cover_feasible: set one to the opposite
+    # and clear the other
+    def flipped(case):
+        adm = real(case)
+        return replace(adm, strict_feasible=not adm.feasible, cover_feasible=False)
+    return flipped
 
 
 # check entry -> the one program function mutated to drive it to fail; a
@@ -186,6 +190,7 @@ TABLE_MUTATIONS = (
     ("sl2.pm.forced", sl2, "pm_identity_check", _held),
     ("fock.comm.forced", fock, "commutator_check", _held),
     ("sl2.lemma35.2-2.unequal-b", sl2, "lemma35_check", _held),
+    ("sl2.eta0", sl2, "solve_eta0", _feasibility_flipped),
 )
 
 
@@ -193,9 +198,10 @@ TABLE_MUTATIONS = (
                          [pytest.param(*row, id=row[0]) for row in TABLE_MUTATIONS])
 def test_table_checks_fail_with_a_named_residual(entry, module, name, mutation, monkeypatch):
     # one program function mutated; every report of the check must fail, not
-    # raise, and say what broke
+    # raise, and say what broke (the registry is read before the mutation)
+    entries = [e for e in checks.registry() if e.name == entry]
     monkeypatch.setattr(module, name, mutation(getattr(module, name)))
-    reports = [r for e in checks.registry() if e.name == entry for r in checks.run_entry(e, {})]
+    reports = [r for e in entries for r in checks.run_entry(e, {})]
     assert reports and {r.status for r in reports} == {"fail"}
     assert all(r.residual != "0" for r in reports)
 
