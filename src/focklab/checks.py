@@ -149,14 +149,22 @@ class Entry:
     """One registered check; `run(opts)` returns or yields its reports."""
 
     suite: str
-    name: str  # id stem of its reports; an error report is named after it
+    name: str  # id stem of its reports, or <stem>.forced for a forced control
     case: CaseDescriptor | None
     q: tuple[Fraction, ...] | None
     run: Callable[[dict], Iterable[CheckReport]]
+    forced_stem: str = ""  # on a control forced onto case (11): its report is <stem>.11.forced
 
     def error_report(self, exc: Exception) -> CheckReport:
-        return replace(check_report(self.name, self.case, self.q),
-                       status="error", details=f"{type(exc).__name__}: {exc}")
+        """The `error` report of the entry's raising run, under its reports' id."""
+        rep = (_forced_report(self.forced_stem) if self.forced_stem
+               else check_report(self.name, self.case, self.q))
+        return replace(rep, status="error", details=f"{type(exc).__name__}: {exc}")
+
+
+def _forced_report(stem: str, **kw) -> CheckReport:
+    """A negative control's report on case (11) at FORCED_Q: <stem>.11.forced."""
+    return check_report(stem, INFEASIBLE_CASE, FORCED_Q, ".forced", q_in_id=False, **kw)
 
 
 def _eta0(case: CaseDescriptor) -> list[CheckReport]:
@@ -197,12 +205,11 @@ def _must_fail(stem: str, relation: str, rep: CheckReport, forced=False) -> list
     when rep passes it fails, with a residual that names the relation that held.
     """
     broken = rep.status == "fail"
-    case, q = (INFEASIBLE_CASE, FORCED_Q) if forced else (None, None)
-    return [check_report(stem, case, q, ".forced" if forced else "",
-                         failure=None if broken else f"{relation} held",
-                         residual=rep.residual if broken else None, q_in_id=False,
-                         details=f"negative control: {relation} must fail"
-                                 + (f"; {rep.details}" if rep.details else ""))]
+    return [(_forced_report if forced else check_report)(
+        stem, failure=None if broken else f"{relation} held",
+        residual=rep.residual if broken else None,
+        details=f"negative control: {relation} must fail"
+                + (f"; {rep.details}" if rep.details else ""))]
 
 
 def _bernstein_roots(case: CaseDescriptor) -> list[CheckReport]:
@@ -235,6 +242,12 @@ def registry() -> tuple[Entry, ...]:
         q = None if q is None else tuple(Fraction(x) for x in q)
         entries.append(Entry(suite, name, case, q, run))
 
+    def add_forced(suite, stem, relation, check):
+        # the negative control on check(INFEASIBLE_CASE, FORCED_Q), a relation that must fail
+        entries.append(Entry(suite, stem + ".forced", INFEASIBLE_CASE, FORCED_Q,
+                             lambda o: _must_fail(stem, relation, check(), forced=True),
+                             forced_stem=stem))
+
     add("tables", "kernel.roots", lambda o: kernel.roots_table_suite())
     add("tables", "meijer.params", lambda o: kernel.meijer_param_table_suite())
     for case in TABLES_Q0_CASES:
@@ -252,9 +265,8 @@ def registry() -> tuple[Entry, ...]:
 
     for case in FEASIBLE_CASES + (INFEASIBLE_CASE,):
         add("sl2", "sl2.eta0", lambda o, c=case: _eta0(c), case)
-    add("sl2", "sl2.pm.forced", lambda o: _must_fail(
-        "sl2.pm", "the p_m identity on case (11), q = (0, 0)",
-        sl2.pm_identity_check(INFEASIBLE_CASE, FORCED_Q), forced=True), INFEASIBLE_CASE, FORCED_Q)
+    add_forced("sl2", "sl2.pm", "the p_m identity on case (11), q = (0, 0)",
+               lambda: sl2.pm_identity_check(INFEASIBLE_CASE, FORCED_Q))
     for case, q in feasible_pairs():
         add("sl2", "sl2.pm", lambda o, c=case, q=q: [sl2.pm_identity_check(c, q)], case, q)
     for form in LEMMA35_FORMS:
@@ -271,9 +283,8 @@ def registry() -> tuple[Entry, ...]:
             lambda o, c=case, q=q: [fock.sigma_involution_check(c, q)], case, q)
     add("operators", "fock.comm", lambda o: [fock.commutator_check(build_case(4), CASE4_Q)],
         build_case(4), CASE4_Q)
-    add("operators", "fock.comm.forced", lambda o: _must_fail(
-        "fock.comm", "the sl2 relations on case (11), q = (0, 0)",
-        fock.commutator_check(INFEASIBLE_CASE, FORCED_Q), forced=True), INFEASIBLE_CASE, FORCED_Q)
+    add_forced("operators", "fock.comm", "the sl2 relations on case (11), q = (0, 0)",
+               lambda: fock.commutator_check(INFEASIBLE_CASE, FORCED_Q))
     for case, q in CYCLICITY_MATRIX:
         add("operators", "fock.cyclic",
             lambda o, c=case, q=q: [fock.cyclicity_check(c, q)], case, q)

@@ -11,6 +11,7 @@ Exit code 0 means every check passed, 1 that at least one failed or raised
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,16 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from focklab import checks, kernel, sl2
+# No focklab code calls BLAS: the float layer's one contraction is an einsum
+# without optimize (kernel._contour_sum).  Yet when numpy loads, OpenBLAS
+# starts one busy-waiting worker thread per extra core, in every process that
+# loads it, `verify --jobs` workers included.  So a process that imports the
+# CLI holds OpenBLAS to one thread; forked workers inherit the setting, and a
+# value already in the environment is kept.  It takes effect only before the
+# first numpy import, which every focklab module defers to first use.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from focklab import checks, kernel, sl2  # noqa: E402
 from focklab.jordan import CaseDescriptor, build_case, default_catalog
 from focklab.report import CheckReport
 
@@ -223,8 +233,10 @@ def _write_moments(args, case, q, out) -> int:
 def _write_weight_profile(args, case, q, out) -> int:
     vals, brackets = kernel.sign_scan(case, q, grid=args.grid, precision=args.precision)
     print("u,G", file=out)
-    for u, g in vals:
-        print(f"{u:.12e},{g:.15e}", file=out)
+    # one write per EVAL_CHUNK rows, which bounds the memory a block adds
+    for start in range(0, len(vals), kernel.EVAL_CHUNK):
+        block = vals[start:start + kernel.EVAL_CHUNK]
+        out.write(("%.12e,%.15e\n" * len(block)) % tuple(itertools.chain.from_iterable(block)))
     print(f"# sign-change brackets: {brackets}", file=out)
     return 0
 

@@ -6,7 +6,8 @@ log |F| with an absolute bound, which does not overflow (log_abs_line), and
 the mpmath reference (line_mp); at a real point F (at) and its Taylor series
 (taylor) in mpmath; at a rational s the exact sign of F (sign), and from it
 a proved sign change of the weight (sign_change).  focklab.kernel reads F
-only through it.  numpy and mpmath load on first use.
+only through it.  numpy and mpmath load on first use, and no path calls
+BLAS, so the CLI holds OpenBLAS to one thread (see focklab.cli).
 
 Every numeric path evaluates one Gamma per residue class of the parameters
 mod 1: with Gamma(x + n + s) = (x + s)_n Gamma(x + s) (DLMF 5.5.1), F is a

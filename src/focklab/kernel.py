@@ -686,6 +686,8 @@ class MeijerEvaluator:
     its rounding is that of a direct e^{-i t_k ln u}, which the roundoff floor
     covers.  eval_grid sums EVAL_CHUNK u at a time (eval is it on one u), by
     an einsum on one thread, where a matrix product would add BLAS threads.
+    It is focklab's only contraction and no path calls BLAS, so the CLI holds
+    OpenBLAS to one thread (see focklab.cli); numpy loads on first use.
 
     Beyond the contour.  Its roundoff floor 1e-15 w_abs u^{-c} outgrows G as
     u falls, and as u grows.  Below e^-LOG_U_BUDGET G comes from its residue

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from focklab import checks, cli, kernel
+from focklab import checks, cli, fock, kernel, sl2
 from focklab.cli import build_parser, main
 from focklab.jordan import build_case
 from focklab.report import CheckReport, check_report
@@ -390,6 +391,26 @@ def test_negative_controls_quote_what_broke(tmp_path):
         assert checks[cid]["status"] == "pass" and checks[cid]["residual"] != "0", checks[cid]
 
 
+@pytest.mark.parametrize("entry,module,name", [
+    pytest.param("sl2.pm.forced", sl2, "pm_identity_check", id="sl2.pm.forced"),
+    pytest.param("fock.comm.forced", fock, "commutator_check", id="fock.comm.forced"),
+])
+def test_a_raising_forced_control_reports_under_its_own_id(entry, module, name, monkeypatch):
+    # the error report of a control forced onto case (11) carries the id,
+    # case and q of the report the control gives when it runs
+    (e,) = [e for e in checks.registry() if e.name == entry]
+    (rep,) = checks.run_entry(e, {})
+
+    def raising(*args):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(module, name, raising)
+    (err,) = checks.run_entry(e, {})
+    assert (err.status, err.details) == ("error", "ZeroDivisionError: injected")
+    assert (err.id, err.case_id, err.q) == (rep.id, rep.case_id, rep.q) == (
+        entry.replace(".forced", ".11.forced"), "11", ["0", "0"])
+
+
 def _perfbench_workloads():
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -542,3 +563,26 @@ def test_operators_suite_imports_neither_numpy_nor_scipy():
 def test_meijer_then_bergman_imports_no_scipy():
     modules = _modules_after_suites("meijer", "bergman")
     assert "numpy" in modules and "scipy" not in modules
+
+
+def _threads_after_cli_then_numpy(**env) -> list[str]:
+    """OPENBLAS_NUM_THREADS and the thread count of a fresh interpreter after
+    `import focklab.cli` and then `import numpy`, with no BLAS thread variable
+    in its environment but those of `env`."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    code = ("import os, focklab.cli, numpy; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**base, **env}).stdout
+    return out.split()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+                    reason="one usable core or no /proc/self/task: no OpenBLAS worker to count")
+@pytest.mark.parametrize("env, expected", [
+    ({}, ["1", "1"]),  # held to the main thread: no code calls BLAS
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "2"]),  # an explicit setting wins
+], ids=["default", "explicit"])
+def test_the_cli_holds_openblas_to_one_thread(env, expected):
+    assert _threads_after_cli_then_numpy(**env) == expected

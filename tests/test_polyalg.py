@@ -244,13 +244,14 @@ def _naive_mul(a: dict, b: dict) -> dict:
 
 def _naive_pow(p: MultiPoly, k: int) -> dict:
     # square-and-multiply from the constant 1, whose product keeps the other
-    # factor's order
+    # factor's order; base is squared only while a bit is left to read
     result, base = {(0,) * len(p.vars): 1}, dict(p.terms)
     while k:
         if k & 1:
             result = _naive_mul(result, base)
-        base = _naive_mul(base, base)
         k >>= 1
+        if k:
+            base = _naive_mul(base, base)
     return result
 
 
