@@ -19,6 +19,7 @@ is proved for every m at once.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterator
 
@@ -147,6 +148,14 @@ def gindikin_ratio_poly(factor: SimpleFactorDescriptor, lam: MultiPoly) -> Multi
     return product(lam.vars, (
         rising(lam - MultiPoly.constant(lam.vars, Fraction(j * factor.degree, 2)), factor.mult)
         for j in range(factor.rank)))
+
+
+def beta_integral(j: int, n: int) -> Fraction:
+    """int_0^inf t^j (1+t)^{-(n+2)} dt = B(j+1, n+1-j) = j! (n-j)! / (n+1)!, 0 <= j <= n.
+
+    At j = 0 and n = 4m + q it is case (1)'s norm constant a_m.
+    """
+    return Fraction(math.factorial(j) * math.factorial(n - j), math.factorial(n + 1))
 
 
 def a_ratio_polys(case: CaseDescriptor, q) -> tuple[MultiPoly, MultiPoly]:

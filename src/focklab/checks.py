@@ -13,12 +13,15 @@ and no q, so a `--case` or `--q` filter never selects it.  A check that
 raises becomes one `error` report, after the reports it yielded before
 raising, and the run goes on.
 
-Every entry's `run` returns an iterable of reports, and a check that emits
-several (a table, the Bernstein alphas of one family, the Meijer moments of
-one (case, q)) yields them one at a time.  `run_entry` is the only place
-that reads the clock: each report's `elapsed_ms` is the time since the
-previous report of its entry, or since the entry started, so every report
-carries its own work and a suite's reports add up to its run time.
+Every entry's `run()` takes nothing and returns an iterable of reports: the
+matrix fixes every setting, the moment count (MOMENT_M_MAX) included, and
+the analytic checks run at the library's default precision of 12 digits.
+A check that emits several (a table, the Bernstein alphas of one family,
+the Meijer moments of one (case, q)) yields them one at a time.
+`run_entry` is the only place that reads the clock: each report's
+`elapsed_ms` is the time since the previous report of its entry, or since
+the entry started, so every report carries its own work and a suite's
+reports add up to its run time.
 
 The registry is built on first use, not at import, so a command that runs
 no suite builds none.  Its feasible q values take about 5 ms to solve
@@ -111,12 +114,13 @@ CYCLICITY_MATRIX = (
     (build_case(3), (0, 0)), (build_case(5), (0, 0, 0, 0)),
 )
 
-# (case, q) of the Meijer moment checks
+# (case, q) of the Meijer moment checks, each at moments m = 0..MOMENT_M_MAX
 MOMENT_MATRIX = (
     (build_case(1), (0,)), (build_case(1), (4,)),
     (build_case(5), (0, 0, 0, 0)), (build_case(5), (1, 1, 1, 1)),
     (build_case(9, variant="a"), (0,)), (build_case(9, variant="a"), (1,)),
 )
+MOMENT_M_MAX = 5
 
 # case (1), q = 0: graded pieces (m, {j: coefficient}) of the Bergman cross-check
 BERGMAN_PHIS = (
@@ -146,13 +150,13 @@ def feasible_pairs() -> tuple[tuple[CaseDescriptor, tuple[Fraction, ...]], ...]:
 
 @dataclass(frozen=True)
 class Entry:
-    """One registered check; `run(opts)` returns or yields its reports."""
+    """One registered check; `run()` returns or yields its reports."""
 
     suite: str
     name: str  # id stem of its reports, or <stem>.forced for a forced control
     case: CaseDescriptor | None
     q: tuple[Fraction, ...] | None
-    run: Callable[[dict], Iterable[CheckReport]]
+    run: Callable[[], Iterable[CheckReport]]
     forced_stem: str = ""  # on a control forced onto case (11): its report is <stem>.11.forced
 
     def error_report(self, exc: Exception) -> CheckReport:
@@ -245,68 +249,65 @@ def registry() -> tuple[Entry, ...]:
     def add_forced(suite, stem, relation, check):
         # the negative control on check(INFEASIBLE_CASE, FORCED_Q), a relation that must fail
         entries.append(Entry(suite, stem + ".forced", INFEASIBLE_CASE, FORCED_Q,
-                             lambda o: _must_fail(stem, relation, check(), forced=True),
+                             lambda: _must_fail(stem, relation, check(), forced=True),
                              forced_stem=stem))
 
-    add("tables", "kernel.roots", lambda o: kernel.roots_table_suite())
-    add("tables", "meijer.params", lambda o: kernel.meijer_param_table_suite())
+    add("tables", "kernel.roots", lambda: kernel.roots_table_suite())
+    add("tables", "meijer.params", lambda: kernel.meijer_param_table_suite())
     for case in TABLES_Q0_CASES:
-        add("tables", "kernel.q0reduction", lambda o, c=case: [kernel.q0_reduction_check(c)],
+        add("tables", "kernel.q0reduction", lambda c=case: [kernel.q0_reduction_check(c)],
             case, (0,) * case.s)
 
     for f, alphas in BERNSTEIN_FAMILIES:
         add("bernstein", bn.identity_stem(f),
-            lambda o, f=f, a=alphas: bn.verify_bernstein_identity(f, alphas=a))
+            lambda f=f, a=alphas: bn.verify_bernstein_identity(f, alphas=a))
     for case in default_catalog():
-        add("bernstein", "bernstein.roots", lambda o, c=case: _bernstein_roots(c), case)
+        add("bernstein", "bernstein.roots", lambda c=case: _bernstein_roots(c), case)
     for case, q in feasible_pairs():
         add("bernstein", "bernstein.aratio",
-            lambda o, c=case, q=q: [bn.a_ratio_report(c, q)], case, q)
+            lambda c=case, q=q: [bn.a_ratio_report(c, q)], case, q)
 
     for case in FEASIBLE_CASES + (INFEASIBLE_CASE,):
-        add("sl2", "sl2.eta0", lambda o, c=case: _eta0(c), case)
+        add("sl2", "sl2.eta0", lambda c=case: _eta0(c), case)
     add_forced("sl2", "sl2.pm", "the p_m identity on case (11), q = (0, 0)",
                lambda: sl2.pm_identity_check(INFEASIBLE_CASE, FORCED_Q))
     for case, q in feasible_pairs():
-        add("sl2", "sl2.pm", lambda o, c=case, q=q: [sl2.pm_identity_check(c, q)], case, q)
+        add("sl2", "sl2.pm", lambda c=case, q=q: [sl2.pm_identity_check(c, q)], case, q)
     for form in LEMMA35_FORMS:
-        add("sl2", "sl2.lemma35." + "-".join(map(str, form[0])), lambda o, f=form: [_lemma35(*f)])
+        add("sl2", "sl2.lemma35." + "-".join(map(str, form[0])), lambda f=form: [_lemma35(*f)])
     partition, gammas, _ = LEMMA35_FORMS[2]  # (2, 2), solved at b = 1, run at b = (1, 2)
-    add("sl2", "sl2.lemma35.2-2.unequal-b", lambda o: _must_fail(
+    add("sl2", "sl2.lemma35.2-2.unequal-b", lambda: _must_fail(
         "sl2.lemma35.2-2.unequal-b", "the (2, 2) four-shift identity at b = (1, 2)",
         _lemma35(partition, gammas, 1, [1, 2])))
 
     for case, q in COMMUTATOR_MATRIX:
-        add("operators", "fock.comm", lambda o, c=case, q=q: [fock.commutator_check(c, q)],
+        add("operators", "fock.comm", lambda c=case, q=q: [fock.commutator_check(c, q)],
             case, q)
         add("operators", "fock.sigma2",
-            lambda o, c=case, q=q: [fock.sigma_involution_check(c, q)], case, q)
-    add("operators", "fock.comm", lambda o: [fock.commutator_check(build_case(4), CASE4_Q)],
+            lambda c=case, q=q: [fock.sigma_involution_check(c, q)], case, q)
+    add("operators", "fock.comm", lambda: [fock.commutator_check(build_case(4), CASE4_Q)],
         build_case(4), CASE4_Q)
     add_forced("operators", "fock.comm", "the sl2 relations on case (11), q = (0, 0)",
                lambda: fock.commutator_check(INFEASIBLE_CASE, FORCED_Q))
     for case, q in CYCLICITY_MATRIX:
         add("operators", "fock.cyclic",
-            lambda o, c=case, q=q: [fock.cyclicity_check(c, q)], case, q)
-    add("operators", "fock.norm", lambda o: [fock.reproducing_check(q=0)], build_case(1), (0,))
+            lambda c=case, q=q: [fock.cyclicity_check(c, q)], case, q)
+    add("operators", "fock.norm", lambda: [fock.reproducing_check(q=0)], build_case(1), (0,))
 
     for case, q in MOMENT_MATRIX:
         add("meijer", "meijer.moments",
-            lambda o, c=case, q=q: kernel.moment_check(
-                c, q, m_max=o.get("m_max", 5), precision=o.get("precision", 12)),
-            case, q)
-    add("meijer", "weight.sign", lambda o: [kernel.sign_scan_report(build_case(1), (0,))],
+            lambda c=case, q=q: kernel.moment_check(c, q, m_max=MOMENT_M_MAX), case, q)
+    add("meijer", "weight.sign", lambda: [kernel.sign_scan_report(build_case(1), (0,))],
         build_case(1), (0,))
     for case, q in feasible_pairs():
-        add("meijer", "kernel.cm", lambda o, c=case, q=q: _kernel_cm(c, q), case, q)
+        add("meijer", "kernel.cm", lambda c=case, q=q: _kernel_cm(c, q), case, q)
 
     for phi in BERGMAN_PHIS:
         add("bergman", "bergman.case1",
-            lambda o, phi=phi: [kernel.bergman_norm_case1(0, phi, precision=o.get("precision", 12))],
-            build_case(1), (0,))
+            lambda phi=phi: [kernel.bergman_norm_case1(0, phi)], build_case(1), (0,))
 
     for case in STRUCTURE_ROWS:
-        add("structure", "structure.dim", lambda o, c=case: [structure.check_g_dimension(c)], case)
+        add("structure", "structure.dim", lambda c=case: [structure.check_g_dimension(c)], case)
     return tuple(entries)
 
 
@@ -329,7 +330,7 @@ def select(suites, case_id: int | None = None, q=None) -> list[Entry]:
     ]
 
 
-def run_entry(entry: Entry, opts: dict) -> list[CheckReport]:
+def run_entry(entry: Entry) -> list[CheckReport]:
     """The entry's reports, each stamped with its own time.
 
     A report's elapsed_ms is the time since the previous report of this
@@ -348,7 +349,7 @@ def run_entry(entry: Entry, opts: dict) -> list[CheckReport]:
         reports.append(rep)
 
     try:
-        for rep in entry.run(opts):
+        for rep in entry.run():
             stamp(rep)
     except Exception as exc:
         traceback.print_exc(file=sys.stderr)
@@ -356,7 +357,6 @@ def run_entry(entry: Entry, opts: dict) -> list[CheckReport]:
     return reports
 
 
-def run_suite(name: str, opts: dict) -> list[CheckReport]:
-    """Run every entry of suite `name` selected by opts["case"] and opts["q"]."""
-    return [rep for e in select((name,), opts.get("case"), opts.get("q"))
-            for rep in run_entry(e, opts)]
+def run_suite(name: str, case_id: int | None = None, q=None) -> list[CheckReport]:
+    """Run every entry of suite `name` selected by case number and q (see select)."""
+    return [rep for e in select((name,), case_id, q) for rep in run_entry(e)]

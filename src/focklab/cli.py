@@ -1,9 +1,10 @@
 """Command-line front end: catalog dumps, verification suites, CSV exports.
 
-`verify` runs the check registry of focklab.checks.  Reports are
-deterministic given the flags: every check is exact or fixed-grid, with no
-sampling and no seed.  Checks are emitted as a flat list sorted by id under
-{"schema_version": 1, ...}, and the JSON is written whatever the outcome.
+`verify` runs the check registry of focklab.checks, selected by suite,
+--case and --q.  Reports are deterministic given the selection: every check
+is exact or fixed-grid, with no sampling and no seed.  Checks are emitted
+as a flat list sorted by id under {"schema_version": 1, ...}, and the JSON
+is written whatever the outcome.
 Exit code 0 means every check passed, 1 that at least one failed or raised
 (status "error"), 2 a usage error or a selection that matches no check.
 """
@@ -63,7 +64,7 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """An argument error is one stderr line and exit 2, like every usage error.
 
-    No abbreviations: `verify --p 4` would otherwise be read as `--precision 4`.
+    No abbreviations: `meijer --prec 13` would otherwise be read as `--precision 13`.
     """
 
     def __init__(self, **kwargs):
@@ -104,14 +105,18 @@ def _case_and_q(args) -> tuple[CaseDescriptor, tuple[Fraction, ...]]:
 
 
 def run_suites(names: list[str], opts: dict, jobs: int = 1) -> list[CheckReport]:
-    """Reports of the named suites, selected by opts["case"] and opts["q"], sorted by id."""
+    """Reports of the named suites, selected by opts["case"] and opts["q"], sorted by id.
+
+    Every other key of opts is ignored.
+    """
+    calls = [(n, opts.get("case"), opts.get("q")) for n in names]
     if jobs > 1 and len(names) > 1:
         import multiprocessing as mp
 
         with mp.Pool(min(jobs, len(names))) as pool:
-            results = pool.starmap(checks.run_suite, [(n, opts) for n in names])
+            results = pool.starmap(checks.run_suite, calls)
     else:
-        results = [checks.run_suite(n, opts) for n in names]
+        results = [checks.run_suite(*call) for call in calls]
     return sorted((c for group in results for c in group), key=lambda c: c.id)
 
 
@@ -131,13 +136,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
-    opts = {
-        "precision": args.precision,
-        "m_max": args.m_max,
-        "case": args.case,
-        "q": args.q,
-    }
-    reports = run_suites(names, opts, jobs=args.jobs)
+    reports = run_suites(names, {"case": args.case, "q": args.q}, jobs=args.jobs)
     n_fail = sum(1 for c in reports if c.status == "fail")
     n_error = sum(1 for c in reports if c.status == "error")
     for c in reports:
@@ -189,7 +188,7 @@ def cmd_export(args) -> int:
 
 
 def _write_kernel_coeffs(args, case, q, out) -> int:
-    ks = kernel.c_sequence(case, q, m_max=args.m_max)
+    coeffs = kernel.c_sequence(case, q, m_max=args.m_max)
     with _no_int_digit_limit():
         if args.format == "json":
             json.dump(
@@ -197,10 +196,10 @@ def _write_kernel_coeffs(args, case, q, out) -> int:
                     "schema_version": 1,
                     "case": case.label,
                     "q": [str(x) for x in q],
-                    "kind": ks.kind,
+                    "kind": kernel.spectral_params(case, q).kind,
                     "coeffs": [
                         {"m": m, "num": c.numerator, "den": c.denominator}
-                        for m, c in enumerate(ks.coeffs)
+                        for m, c in enumerate(coeffs)
                     ],
                 },
                 out, indent=2, sort_keys=True,
@@ -208,7 +207,7 @@ def _write_kernel_coeffs(args, case, q, out) -> int:
             print(file=out)
             return 0
         print("m,c_m_num,c_m_den", file=out)
-        for m, c in enumerate(ks.coeffs):
+        for m, c in enumerate(coeffs):
             print(f"{m},{c.numerator},{c.denominator}", file=out)
     return 0
 
@@ -300,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", choices=sorted(checks.SUITES) + ["all"])
     p_ver.add_argument("--case", type=int)
     p_ver.add_argument("--q", type=_parse_q)
-    add_precision_flag(p_ver)
-    p_ver.add_argument("--m-max", dest="m_max", type=_int_at_least("--m-max", 0), default=5)
     p_ver.add_argument("--json", default="")
     p_ver.add_argument("--jobs", type=_int_at_least("--jobs", 1), default=os.cpu_count() or 1)
     p_ver.set_defaults(fn=cmd_verify)

@@ -50,6 +50,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add, mul, sub
 
+from focklab.bernstein import beta_integral
 from focklab.jordan import CaseDescriptor, Family, build_case
 from focklab.polyalg import MultiPoly, Scalar, VarSet, exact_coeff, rising
 from focklab.report import CheckReport, check_report
@@ -420,11 +421,6 @@ def monomial_norms_exact(q: int, m: int) -> list[Fraction]:
     """Kernel-expansion prediction 1/binom(4m+q, j) for case (1)."""
     n = 4 * m + q
     return [Fraction(1, math.comb(n, j)) for j in range(n + 1)]
-
-
-def beta_integral(j: int, n: int) -> Fraction:
-    """int_0^inf t^j (1+t)^{-(n+2)} dt = B(j+1, n+1-j) = j! (n-j)! / (n+1)!, 0 <= j <= n."""
-    return Fraction(math.factorial(j) * math.factorial(n - j), math.factorial(n + 1))
 
 
 def reproducing_check(q: int = 0, m_values=(0, 1, 2, 3)) -> CheckReport:

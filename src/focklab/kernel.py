@@ -5,11 +5,11 @@ eta0 comes from the admissibility condition, the roots of the degree-4
 Bernstein polynomial B other than one 0 give the primed triple (1 - eta0,
 alpha2, alpha3 in root table 1), and the shifted polynomial Btilde supplies
 the four b-roots feeding the Meijer parameters alpha = (eta0-1, eta0),
-beta_j = eta0 + b_j - 1.
+beta_j = eta0 + b_j - 1.  One record, SpectralParams, holds all of them.
 
 The weight G^{4,0}_{2,4} reduces to G^{3,0}_{1,3} (one beta equals alpha2 in
 every catalog row), represented once by its Mellin symbol F(s) = prod
-Gamma(beta_j + s) / Gamma(alpha1 + s) (MeijerParams.symbol), through which
+Gamma(beta_j + s) / Gamma(alpha1 + s) (SpectralParams.symbol), through which
 every numeric path reads F, one Gamma per residue class of its parameters
 mod 1: MeijerEvaluator takes G below e^-12 from its residue series (DLMF
 16.17.2), then by Mellin-Barnes quadrature on one contour, and far out from
@@ -39,12 +39,12 @@ from focklab.bernstein import (
     A_RING,
     M_RING,
     a_ratio_polys,
+    beta_integral,
     big_b_poly,
     btilde_roots,
     case_b_poly,
     case_b_roots,
 )
-from focklab.fock import beta_integral
 from focklab.gammaratio import MellinSymbol, mpq
 from focklab.jordan import CaseDescriptor, build_case
 from focklab.polyalg import MultiPoly, product
@@ -57,8 +57,14 @@ from focklab.sl2 import eta0_of, forced_eta0
 
 @dataclass(frozen=True)
 class SpectralParams:
+    """A case's spectral data at eta0: the step of c_m and the weight's symbol.
+
+    Both read eta0 and the roots; moment_check's identity (ii) links them.
+    """
+
     eta0: Fraction
     roots: tuple[Fraction, ...]  # the primed triple a': B's roots, descending, one 0 removed
+    beta: tuple[Fraction, ...]  # eta0 + b_j - 1 over the roots b_j of Btilde, descending
 
     @property
     def kind(self) -> str:
@@ -72,14 +78,32 @@ class SpectralParams:
         """(upper, lower) of c_{m+1} / c_m = (m + eta0 + 1) / prod_j (m + eta0 + a_j')."""
         return (self.eta0 + 1,), tuple(self.eta0 + a for a in self.roots)
 
+    @property
+    def alpha(self) -> tuple[Fraction, Fraction]:
+        """The Meijer G^{4,0}_{2,4} upper parameters (eta0 - 1, eta0)."""
+        return self.eta0 - 1, self.eta0
+
+    @property
+    def symbol(self) -> MellinSymbol:
+        """The Mellin symbol of the weight, once one beta cancels alpha2 = eta0:
+        G^{4,0}_{2,4} -> G^{3,0}_{1,3}, F(s) = prod Gamma(beta_j + s) / Gamma(alpha1 + s)."""
+        alpha1, alpha2 = self.alpha
+        betas = list(self.beta)
+        if alpha2 not in betas:
+            raise AssertionError("expected alpha/beta cancellation is missing")
+        betas.remove(alpha2)
+        return MellinSymbol(tuple(betas), (alpha1,))
+
 
 def _spectral_params_at(case: CaseDescriptor, eta0: Fraction) -> SpectralParams:
-    """eta0 with B's roots, descending, once one 0 goes (B(0) = 0 must hold)."""
+    """eta0 with B's roots, descending, once one 0 goes (B(0) = 0 must hold),
+    and beta_j = eta0 + b_j - 1 over the roots b_j of Btilde."""
     roots = sorted(case_b_roots(case), reverse=True)
     if 0 not in roots:
         raise AssertionError("B(0) = 0 must hold")
     roots.remove(0)
-    return SpectralParams(eta0, tuple(roots))
+    beta = sorted((eta0 + bj - 1 for bj in btilde_roots(case)), reverse=True)
+    return SpectralParams(eta0, tuple(roots), tuple(beta))
 
 
 def spectral_params(case: CaseDescriptor, q) -> SpectralParams:
@@ -87,12 +111,6 @@ def spectral_params(case: CaseDescriptor, q) -> SpectralParams:
 
 
 # -- kernel coefficient series ---------------------------------------------------
-
-
-@dataclass
-class KernelSeries:
-    kind: str  # "OneF2" or "TwoF3"
-    coeffs: list[Fraction]
 
 
 def pochhammer_step(*xs: Fraction) -> MultiPoly:
@@ -115,15 +133,14 @@ def pochhammer_ratio(upper, lower, m) -> Fraction:
     return Fraction(num * d ** len(lower), den * d ** len(upper))
 
 
-def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> KernelSeries:
+def c_sequence(case: CaseDescriptor, q, m_max: int = 50) -> list[Fraction]:
     """Kernel coefficients c_0..c_m_max from c_0 = 1 and the step SpectralParams.c_step,
     so c_m = (eta0 + 1)_m / prod_j (eta0 + a_j')_m."""
-    sp = spectral_params(case, q)
-    upper, lower = sp.c_step
+    upper, lower = spectral_params(case, q).c_step
     coeffs = [Fraction(1)]
     for m in range(m_max):
         coeffs.append(coeffs[-1] * pochhammer_ratio(upper, lower, m))
-    return KernelSeries(sp.kind, coeffs)
+    return coeffs
 
 
 # -- root tables ----------------------------------------------------------------
@@ -270,32 +287,6 @@ def roots_table_suite() -> Iterator[CheckReport]:
 # -- Meijer parameters -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeijerParams:
-    alpha: tuple[Fraction, Fraction]
-    beta: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    @property
-    def symbol(self) -> MellinSymbol:
-        """The Mellin symbol of the weight, once one beta cancels alpha2 = eta0:
-        G^{4,0}_{2,4} -> G^{3,0}_{1,3}, F(s) = prod Gamma(beta_j + s) / Gamma(alpha1 + s)."""
-        betas = list(self.beta)
-        if self.alpha[1] not in betas:
-            raise AssertionError("expected alpha/beta cancellation is missing")
-        betas.remove(self.alpha[1])
-        return MellinSymbol(tuple(betas), (self.alpha[0],))
-
-
-def _meijer_params_at(case: CaseDescriptor, eta0: Fraction) -> MeijerParams:
-    """alpha = (eta0 - 1, eta0), beta_j = eta0 + b_j - 1 over the roots b_j of Btilde."""
-    beta = tuple(sorted((eta0 + bj - 1 for bj in btilde_roots(case)), reverse=True))
-    return MeijerParams((eta0 - 1, eta0), beta)  # type: ignore[arg-type]
-
-
-def meijer_params(case: CaseDescriptor, q) -> MeijerParams:
-    return _meijer_params_at(case, eta0_of(case, q))
-
-
 def _meijer_rows():
     """Final-table rows: (case, q1 samples, expected (alpha1, alpha2, betas))."""
     rows = []
@@ -365,12 +356,12 @@ def _meijer_rows():
 def meijer_param_table_suite() -> Iterator[CheckReport]:
     for case, q1_samples, expected in _meijer_rows():
         for q1 in q1_samples:
-            mp = _meijer_params_at(case, forced_eta0(case, q1))
+            sp = _spectral_params_at(case, forced_eta0(case, q1))
             a1, a2, betas = expected(q1)
-            ok = mp.alpha == (a1, a2) and sorted(mp.beta) == sorted(betas)
-            cancel = mp.alpha[1] in mp.beta  # what MeijerParams.symbol needs
-            broken = ([] if ok else [f"got {mp.alpha} {mp.beta}"]) + (
-                [] if cancel else [f"alpha2 = {mp.alpha[1]} not in beta"])
+            ok = sp.alpha == (a1, a2) and sorted(sp.beta) == sorted(betas)
+            cancel = sp.alpha[1] in sp.beta  # what SpectralParams.symbol needs
+            broken = ([] if ok else [f"got {sp.alpha} {sp.beta}"]) + (
+                [] if cancel else [f"alpha2 = {sp.alpha[1]} not in beta"])
             yield check_report(
                 "meijer.params", case, (q1,), f".q{q1}", failure="; ".join(broken), q_in_id=False,
                 details=f"expected alpha=({a1},{a2}) beta={sorted(betas)}; "
@@ -928,7 +919,7 @@ def _evaluator_cached(symbol: MellinSymbol, precision: int) -> MeijerEvaluator:
 
 def meijer_evaluator(case: CaseDescriptor, q, precision: int = 12) -> MeijerEvaluator:
     """The shared evaluator of the weight of (case, q), one per symbol and precision."""
-    return _evaluator_cached(meijer_params(case, q).symbol, precision)
+    return _evaluator_cached(spectral_params(case, q).symbol, precision)
 
 
 def moment_check(
@@ -947,10 +938,11 @@ def moment_check(
     the report of (ii) first, then one per moment; the evaluator is built
     just before moment 0, whose report carries that time.
     """
-    symbol = meijer_params(case, q).symbol
+    sp = spectral_params(case, q)
+    symbol = sp.symbol
 
     # (ii) cross-multiplied: c_ratio * a_ratio == rhs
-    upper, lower = spectral_params(case, q).c_step
+    upper, lower = sp.c_step
     a_num, a_den = a_ratio_polys(case, q)
     step = symbol.shifted(1)
     yield check_report(
@@ -1015,7 +1007,7 @@ def sign_scan_report(case: CaseDescriptor, q, **kw) -> CheckReport:
     """G changes sign: proved exactly from its Mellin symbol (sign_change) and
     located by sign_scan; the report passes only when both hold."""
     vals, brackets = sign_scan(case, q, **kw)
-    proof = meijer_params(case, q).symbol.sign_change()
+    proof = spectral_params(case, q).symbol.sign_change()
     residual = f"{len(brackets)} sign changes"
     return check_report(
         "weight.sign", case, q, failure=None if brackets and proof else residual,
@@ -1039,7 +1031,7 @@ def bergman_norm_case1(
     On the fiber chart u = |w~|^2 H(z)^4 (w~ = w^4) the weighted norm is
     pi C int int P(u) sum_m u^{m + q/4} |phi_m(t)|^2 (1+t)^{-(4m+q+2)} dt du
     with P(u) = u^{-q/4} G(u); for q = 0 this is exactly the stated weight.
-    Each t-integral is a Beta integral (fock.beta_integral, n = 4m + q), and
+    Each t-integral is a Beta integral (bernstein.beta_integral, n = 4m + q), and
     by Fubini each piece's u-integral is the Meijer moment
     mu_m = int G(u) u^m du (MeijerEvaluator.moment): the norm is
     pi C sum_m mu_m sum_j |c_j|^2 j! (n-j)! / (n+1)!.  Both sides are
@@ -1053,7 +1045,7 @@ def bergman_norm_case1(
     case = build_case(1)
     qvec = (Fraction(q),)
     ev = meijer_evaluator(case, qvec, precision)
-    c_m = c_sequence(case, qvec, m_max=max((m for m, _ in components), default=0)).coeffs
+    c_m = c_sequence(case, qvec, m_max=max((m for m, _ in components), default=0))
 
     def graded_value(comps) -> float:
         total = Fraction(0)

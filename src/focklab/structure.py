@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -117,15 +116,8 @@ def _system_rows(q_poly: MultiPoly, partials: list[dict]):
     return list(rows.values())
 
 
-@lru_cache(maxsize=1)
-def _q_of(case: CaseDescriptor) -> MultiPoly:
-    """Q of the last case asked for: check_g_dimension reads it through both
-    structure_algebra and translate_span_dim, and builds it once per row."""
-    return q_polynomial(case)
-
-
 def structure_algebra(case: CaseDescriptor) -> StructureBasis:
-    q_poly = _q_of(case)
+    q_poly = q_polynomial(case)
     n = case.dim_v
     partials = _partials(q_poly)
     columns = [(a, b) for a in range(n) for b in range(n)] + [(n, 0)]
@@ -157,13 +149,12 @@ def _bracket(x: dict, y: dict) -> Matrix:
     return {k: v for k, v in out.items() if v}
 
 
-def translate_span_dim(case: CaseDescriptor) -> tuple[int, list[int]]:
+def translate_span_dim(q_poly: MultiPoly) -> tuple[int, list[int]]:
     """dim span{Q(z - a)}, taken as the span of all partial derivatives of Q.
 
     Returns (dim W, graded) with graded[k] = rank{d^alpha Q : |alpha| = k}.
     """
-    q_poly = _q_of(case)
-    n = case.dim_v
+    n = len(q_poly.vars)
     graded: list[int] = []
     # alpha as a nondecreasing tuple of variable indices, so each multi-index
     # is reached once; a zero derivative is dropped with all its extensions
@@ -185,7 +176,7 @@ def check_g_dimension(case: CaseDescriptor) -> CheckReport:
     sb = structure_algebra(case)
     n = case.dim_v
     dim_k = 2 * n + sb.dim
-    dim_w, graded = translate_span_dim(case)
+    dim_w, graded = translate_span_dim(sb.q_poly)
     symmetric = graded == graded[::-1]
     total = dim_k + dim_w
     span = FractionSpan(sb.basis)

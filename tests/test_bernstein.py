@@ -151,7 +151,7 @@ def test_an_identity_entry_that_raises_is_named_like_its_reports(monkeypatch):
 
     monkeypatch.setattr(bernstein, "apply_diff_op", fail)
     entries = [e for e in checks.select(("bernstein",)) if e.name.startswith("bernstein.identity")]
-    reports = [r for e in entries for r in checks.run_entry(e, {})]
+    reports = [r for e in entries for r in checks.run_entry(e)]
     assert len(reports) == len(checks.BERNSTEIN_FAMILIES)
     assert {r.status for r in reports} == {"error"}
     ids = {r.id for r in reports}

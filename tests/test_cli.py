@@ -85,7 +85,7 @@ def test_malformed_q_is_a_usage_error(argv, capsys):
     ("catalog", "--case", "1", "--q", "5", "--precision", "3"),
     ("admissible-q", "--case", "1", "--precision", "3"),
     ("kernel-coeffs", "--case", "1", "--q", "0", "-m", "2", "--precision", "1", "--grid", "5"),
-    ("verify", "sl2", "--case", "2", "--p", "4"),  # not --precision 4
+    ("verify", "sl2", "--case", "2", "--p", "4"),  # verify selects by case number alone
     ("verify", "meijer", "--case", "9", "--variant", "b"),
     ("export", "moments", "--case", "1", "--q", "0", "--grid", "5"),
     ("export", "weight-profile", "--case", "1", "--q", "0", "-m", "7"),
@@ -103,12 +103,10 @@ def test_bad_case_q_or_format_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "tables", "--precision", "x"),
     ("export", "moments", "--case", "1", "--precision", "x"),
     ("export", "weight-profile", "--case", "1", "--precision", "0"),
     ("meijer", "--case", "1", "--precision", "x"),
     ("weight-scan", "--case", "1", "--precision", "0"),
-    ("verify", "tables", "--precision", "0"),
     ("export", "moments", "--case", "1", "--precision", "0"),
     ("meijer", "--case", "1", "--precision", "-20"),
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv if a != "--precision"))
@@ -118,6 +116,21 @@ def test_precision_below_1_or_malformed_is_a_usage_error(argv, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1 and "Traceback" not in captured.err
     assert "--precision" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "meijer", "--precision", "13"),
+    ("verify", "tables", "--m-max", "9"),
+    ("verify", "tables", "--precision", "x"),
+    ("verify", "tables", "--precision", "0"),
+    ("verify", "meijer", "--m-max", "-1"),
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_verify_takes_neither_precision_nor_m_max(argv, capsys):
+    # the check matrix fixes the moment count and the precision
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith("unrecognized arguments: " + " ".join(argv[2:]))
 
 
 def test_kernel_coeffs_row_count(capsys):
@@ -133,7 +146,7 @@ def test_kernel_coeffs_row_count(capsys):
                     reason="this Python has no int<->str digit limit")
 def test_export_long_series_beyond_digit_limit(tmp_path, capsys):
     # at m = 200 the case (1) denominators run past 800 digits
-    coeffs = kernel.c_sequence(build_case(1), (0,), m_max=200).coeffs
+    coeffs = kernel.c_sequence(build_case(1), (0,), m_max=200)
     assert len(str(coeffs[-1].denominator)) > 640
     texts = {}
     previous = sys.get_int_max_str_digits()
@@ -176,7 +189,6 @@ def test_grid_below_two_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (("verify", "meijer", "--m-max", "-1"), "--m-max"),
     (("meijer", "--case", "5", "--q", "0", "--m-max", "-1"), "--m-max"),
     (("export", "moments", "--case", "5", "--q", "0", "-m", "-2"), "--m-max"),
     (("kernel-coeffs", "--case", "1", "--q", "0", "-m", "-3"), "--m-max"),
@@ -258,9 +270,8 @@ def test_single_q_component_expands(capsys):
 def test_parallel_jobs_deterministic():
     from focklab.cli import run_suites
 
-    opts = {"precision": 12, "m_max": 2}
-    seq = run_suites(["tables", "sl2"], opts, jobs=1)
-    par = run_suites(["tables", "sl2"], opts, jobs=2)
+    seq = run_suites(["tables", "sl2"], {}, jobs=1)
+    par = run_suites(["tables", "sl2"], {}, jobs=2)
     strip = lambda cs: [{**c.to_dict(), "elapsed_ms": 0} for c in cs]
     assert strip(seq) == strip(par)
 
@@ -277,7 +288,7 @@ def test_every_report_carries_its_own_time(suite, tmp_path, capsys):
 def test_suite_reports_add_up_to_its_run_time():
     checks.registry()
     t0 = time.perf_counter()
-    reports = checks.run_suite("meijer", {})
+    reports = checks.run_suite("meijer")
     wall_ms = (time.perf_counter() - t0) * 1000
     assert reports and all(r.status == "pass" for r in reports)
     # disjoint intervals inside the run: at most its wall time, never cumulative
@@ -285,13 +296,13 @@ def test_suite_reports_add_up_to_its_run_time():
 
 
 def test_entry_that_raises_keeps_the_reports_it_yielded(capsys):
-    def run_two_then_raise(opts):
+    def run_two_then_raise():
         yield CheckReport(id="x.first")
         yield CheckReport(id="x.second")
         raise ZeroDivisionError("injected")
 
     entry = checks.Entry("tables", "x", None, None, run_two_then_raise)
-    reports = checks.run_entry(entry, {})
+    reports = checks.run_entry(entry)
     assert [(r.id, r.status) for r in reports] == [
         ("x.first", "pass"), ("x.second", "pass"), ("x", "error")]
     assert reports[2].details == "ZeroDivisionError: injected"
@@ -332,12 +343,10 @@ def test_meijer_command_passes_on_log_term_and_large_b_weights(capsys):
 
 
 @pytest.mark.parametrize("argv, expected", [
-    (("verify", "meijer", "--precision", "13", "--jobs", "1"), ()),
-    (("verify", "bergman", "--precision", "13", "--jobs", "1"), ()),
     (("export", "moments", "--case", "1", "--q", "0", "-m", "5", "--precision", "13",
       "-o", "moments.csv"), ()),
     (("weight-scan", "--case", "10", "--variant", "d"), ("  1 sign changes  ", "exact: ")),
-], ids=["meijer-p13", "bergman-p13", "moments-p13", "scan-10d"])
+], ids=["moments-p13", "scan-10d"])
 def test_odd_precision_runs_and_the_10d_scan_pass(argv, expected, tmp_path, capsys):
     # odd precision gives contour tables of their own; case 10d's weight dips
     # into its roundoff floor, which the scan must not count as sign changes
@@ -399,13 +408,13 @@ def test_a_raising_forced_control_reports_under_its_own_id(entry, module, name, 
     # the error report of a control forced onto case (11) carries the id,
     # case and q of the report the control gives when it runs
     (e,) = [e for e in checks.registry() if e.name == entry]
-    (rep,) = checks.run_entry(e, {})
+    (rep,) = checks.run_entry(e)
 
     def raising(*args):
         raise ZeroDivisionError("injected")
 
     monkeypatch.setattr(module, name, raising)
-    (err,) = checks.run_entry(e, {})
+    (err,) = checks.run_entry(e)
     assert (err.status, err.details) == ("error", "ZeroDivisionError: injected")
     assert (err.id, err.case_id, err.q) == (rep.id, rep.case_id, rep.q) == (
         entry.replace(".forced", ".11.forced"), "11", ["0", "0"])
@@ -513,7 +522,7 @@ def test_kernel_cm_fails_on_a_nonpositive_coefficient(monkeypatch, upper, lower0
     monkeypatch.setattr(kernel.SpectralParams, "c_step", property(c_step))
     (entry,) = [e for e in checks.select(("meijer",))
                 if e.name == "kernel.cm" and e.case.label == "1" and e.q == (0,)]
-    (report,) = checks.run_entry(entry, {})
+    (report,) = checks.run_entry(entry)
     assert report.status == "fail" and report.residual == f"{first} <= 0", report
 
 
@@ -525,7 +534,7 @@ def test_kernel_cm_solves_the_spectral_parameters_once(monkeypatch):
     assert len(entries) == 36
     for entry in entries:
         calls.clear()
-        (report,) = checks.run_entry(entry, {})
+        (report,) = checks.run_entry(entry)
         assert report.status == "pass" and len(calls) == 1, (report.id, len(calls))
 
 
@@ -547,7 +556,7 @@ def test_kernel_coeffs_exports_are_pinned(capsys, argv, sha256):
 def _modules_after_suites(*suites: str) -> set[str]:
     """The modules a fresh interpreter holds after running the suites, all passing."""
     code = ("import sys; from focklab import checks; "
-            f"reports = [r for s in {suites!r} for r in checks.run_suite(s, {{}})]; "
+            f"reports = [r for s in {suites!r} for r in checks.run_suite(s)]; "
             "assert reports and all(r.status == 'pass' for r in reports); "
             "print(' '.join(sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

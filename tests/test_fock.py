@@ -8,10 +8,10 @@ from itertools import product
 import pytest
 
 from focklab import checks, fock
+from focklab.bernstein import beta_integral
 from focklab.fock import (
     FockSpace,
     OperatorMatrix,
-    beta_integral,
     commutator_check,
     cyclicity_check,
     diff_q,
@@ -266,7 +266,7 @@ def test_commutator_fails_on_a_pole_in_a_kept_block(monkeypatch):
     entries = [e for e in checks.select(("operators",)) if e.name == "fock.comm"]
     assert len(entries) == 8
     for entry in entries:
-        (rep,) = checks.run_entry(entry, {})
+        (rep,) = checks.run_entry(entry)
         assert rep.status == "fail" and rep.residual == ETA0_POLE, rep
 
 

@@ -17,7 +17,6 @@ from focklab.kernel import (
     bergman_norm_case1,
     c_sequence,
     meijer_param_table_suite,
-    meijer_params,
     moment_check,
     q0_reduction_check,
     roots_table_suite,
@@ -57,20 +56,20 @@ def test_spectral_params_case5_q3_case2():
 
 
 def test_c_sequence_case1():
-    ks = c_sequence(build_case(1), (0,), m_max=50)
-    assert ks.kind == "OneF2"
-    assert ks.coeffs[0] == 1
+    coeffs = c_sequence(build_case(1), (0,), m_max=50)
+    assert spectral_params(build_case(1), (0,)).kind == "OneF2"
+    assert coeffs[0] == 1
     eta0 = F(1, 4)
     # closed form (eta0+1)_m / ((eta0+1/2)_m (eta0+1/4)_m m!)
-    assert ks.coeffs[1] == (eta0 + 1) / ((F(3, 4)) * (F(1, 2)) * 1)
-    assert all(c > 0 for c in ks.coeffs)
+    assert coeffs[1] == (eta0 + 1) / ((F(3, 4)) * (F(1, 2)) * 1)
+    assert all(c > 0 for c in coeffs)
 
 
 def test_c_sequence_case5_frozen_oracle():
     # recurrence oracle: c_{m+1}/c_m = (m+2)/(m+1)^3, so c_m = (m+1)/(m!)^2
-    ks = c_sequence(build_case(5), (0, 0, 0, 0), m_max=30)
+    coeffs = c_sequence(build_case(5), (0, 0, 0, 0), m_max=30)
     for m in range(31):
-        assert ks.coeffs[m] == F(m + 1, math.factorial(m) ** 2)
+        assert coeffs[m] == F(m + 1, math.factorial(m) ** 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,12 +97,22 @@ def test_pochhammer_ratio_telescopes_to_the_pochhammer_quotient(upper, lower, m_
         c *= kernel.pochhammer_ratio(upper, lower, n)
 
 
+def test_kernel_is_1f2_exactly_when_some_q_i_is_0():
+    # the abstract's claim: the kernel involves 1F2 when some q_i = 0, and
+    # 2F3 otherwise; on the four minimal q of every feasible case
+    pairs = [(case, q) for case in checks.FEASIBLE_CASES
+             for q in sl2.solve_eta0(case).minimal_q]
+    assert len(pairs) == 72
+    wrong = [(case.label, q) for case, q in pairs
+             if (spectral_params(case, q).kind == "OneF2") != (0 in q)]
+    assert wrong == []
+
+
 def test_c_positivity_across_matrix():
     for case in (build_case(1), build_case(4), build_case(9, variant="c"),
                  build_case(10, variant="d"), build_case(8, p1=4, p2=2)):
         for q in feasible_q_values(case, 2):
-            ks = c_sequence(case, q, m_max=50)
-            assert all(c > 0 for c in ks.coeffs)
+            assert all(c > 0 for c in c_sequence(case, q, m_max=50))
 
 
 def test_h_twisted_bernstein_rank1():
@@ -142,16 +151,16 @@ def test_meijer_param_table_all_rows():
 
 
 def test_meijer_params_row5():
-    mp = meijer_params(build_case(5), (3, 3, 3, 3))
-    assert mp.alpha == (3, 4)
-    assert mp.beta == (4, 4, 4, 4)
-    assert mp.symbol == MellinSymbol((4, 4, 4), (3,))
+    sp = spectral_params(build_case(5), (3, 3, 3, 3))
+    assert sp.alpha == (3, 4)
+    assert sp.beta == (4, 4, 4, 4)
+    assert sp.symbol == MellinSymbol((4, 4, 4), (3,))
 
 
 def test_meijer_params_row1():
-    mp = meijer_params(build_case(1), (4,))
-    assert mp.alpha == (F(1, 4), F(5, 4))
-    assert sorted(mp.beta) == [F(1, 2), F(3, 4), F(1), F(5, 4)]
+    sp = spectral_params(build_case(1), (4,))
+    assert sp.alpha == (F(1, 4), F(5, 4))
+    assert sorted(sp.beta) == [F(1, 2), F(3, 4), F(1), F(5, 4)]
 
 
 def test_q0_reduction():
@@ -201,7 +210,7 @@ def test_table_checks_fail_with_a_named_residual(entry, module, name, mutation, 
     # raise, and say what broke (the registry is read before the mutation)
     entries = [e for e in checks.registry() if e.name == entry]
     monkeypatch.setattr(module, name, mutation(getattr(module, name)))
-    reports = [r for e in entries for r in checks.run_entry(e, {})]
+    reports = [r for e in entries for r in checks.run_entry(e)]
     assert reports and {r.status for r in reports} == {"fail"}
     assert all(r.residual != "0" for r in reports)
 
@@ -233,7 +242,7 @@ def test_meijer_eval_within_noise_estimate(case, q, precision):
     # roundoff model against a dps-30 reference
     import mpmath as mp
 
-    ev = MeijerEvaluator(meijer_params(case, q).symbol, precision=precision)
+    ev = MeijerEvaluator(spectral_params(case, q).symbol, precision=precision)
     a_mp = [mp.mpf(x.numerator) / x.denominator for x in ev.symbol.a]
     b_mp = [mp.mpf(x.numerator) / x.denominator for x in ev.symbol.b]
     lo, hi = -26.0, math.log(1e3)
@@ -300,7 +309,7 @@ def test_contour_blocks_sum_as_the_direct_phase_sum():
 ])
 def test_sign_scan_brackets_same_from_grid_and_scalar(case, q):
     vals, brackets = sign_scan(case, q, grid=2000)
-    ev = MeijerEvaluator(meijer_params(case, q).symbol, precision=12)
+    ev = MeijerEvaluator(spectral_params(case, q).symbol, precision=12)
     # the samples that have a sign, from scalar calls: |G| above its floor
     signed = [(u, ev.eval(u)) for u, _ in vals]
     signed = [(u, g) for u, g in signed if abs(g) > floor(ev, u)]
@@ -429,7 +438,7 @@ def test_meijer_eval_far_above_the_log_u_budget(case, q, us):
     # 1e5 unless it may raise its working precision)
     import mpmath as mp
 
-    ev = MeijerEvaluator(meijer_params(case, q).symbol, precision=12)
+    ev = MeijerEvaluator(spectral_params(case, q).symbol, precision=12)
     b_mp = [mp.mpf(x.numerator) / x.denominator for x in ev.symbol.b]
     a_mp = [mp.mpf(x.numerator) / x.denominator for x in ev.symbol.a]
     assert all(math.log(u) > ev.switch for u in us)
@@ -462,7 +471,7 @@ def _tables_of_the_checks():
     pairs.append((build_case(1), (0,), 13))
     tables = {}
     for case, q, precision in pairs:
-        symbol = meijer_params(case, q).symbol
+        symbol = spectral_params(case, q).symbol
         key = (symbol.shifted(-min(symbol.b)), F(5, 4), precision)
         (ct,) = MeijerEvaluator(symbol, precision=precision).contours
         tables[key] = _contour_table(*key)
@@ -554,15 +563,12 @@ def test_moment_check_fails_on_a_closed_form_off(monkeypatch):
 def test_ca_moment_identity_fails_with_eta0_off(monkeypatch):
     # eta0 + 1/1000 moves c_ratio and the right-hand side but not a_ratio:
     # the formal (c a)_m identity must fail
-    import dataclasses
-
     import focklab.kernel as kernel
 
     real = kernel.spectral_params
 
     def eta0_off(case, q):
-        sp = real(case, q)
-        return dataclasses.replace(sp, eta0=sp.eta0 + F(1, 1000))
+        return kernel._spectral_params_at(case, real(case, q).eta0 + F(1, 1000))
 
     monkeypatch.setattr(kernel, "spectral_params", eta0_off)
     for case, q in ((build_case(1), (0,)), (build_case(5), (0, 0, 0, 0))):
@@ -616,13 +622,13 @@ def test_sign_change_on_every_feasible_pair():
     from focklab.checks import feasible_pairs
 
     for case, q in feasible_pairs():
-        symbol = meijer_params(case, q).symbol
+        symbol = spectral_params(case, q).symbol
         s_minus, s_plus = symbol.sign_change()
         assert -min(symbol.b) < s_minus < s_plus, (case.label, q)
         assert symbol.sign(s_minus) == -1 and symbol.sign(s_plus) == 1
         assert symbol.at(s_minus, 12) < 0 < symbol.at(s_plus, 12), (case.label, q)
     assert CASE1_Q0.sign_change() == (F(5, 8), F(7, 4))
-    assert meijer_params(build_case(10, variant="d"), (0, 8)).symbol.sign_change() == (
+    assert spectral_params(build_case(10, variant="d"), (0, 8)).symbol.sign_change() == (
         F(-17, 2), F(-7))
 
 
@@ -634,21 +640,21 @@ def test_weight_sign_fails_without_its_certificate(monkeypatch):
 
     assert MellinSymbol(CASE1_Q0.b, (min(CASE1_Q0.b),)).sign_change() is None
     entry = next(e for e in checks.select(("meijer",)) if e.name == "weight.sign")
-    assert [(r.id, r.status) for r in checks.run_entry(entry, {})] == [
+    assert [(r.id, r.status) for r in checks.run_entry(entry)] == [
         ("weight.sign.1.0", "pass")]
-    real = kernel.meijer_params
+    real = kernel.SpectralParams.symbol
 
-    def a_at_min_b(case, q):
-        params = real(case, q)
-        return kernel.MeijerParams((min(params.symbol.b), params.alpha[1]), params.beta)
+    def a_at_min_b(sp):
+        b = real.fget(sp).b
+        return MellinSymbol(b, (min(b),))
 
-    monkeypatch.setattr(kernel, "meijer_params", a_at_min_b)
-    [rep] = checks.run_entry(entry, {})
+    monkeypatch.setattr(kernel.SpectralParams, "symbol", property(a_at_min_b))
+    [rep] = checks.run_entry(entry)
     assert rep.status == "fail" and "no exact sign change" in rep.details, rep
     # the float bracket alone does not pass it either
-    monkeypatch.setattr(kernel, "meijer_params", real)
+    monkeypatch.setattr(kernel.SpectralParams, "symbol", real)
     monkeypatch.setattr(MellinSymbol, "sign_change", lambda self: None)
-    [rep] = checks.run_entry(entry, {})
+    [rep] = checks.run_entry(entry)
     assert rep.status == "fail" and rep.residual == "1 sign changes", rep
 
 
@@ -663,7 +669,7 @@ def test_moment_below_one_corroborates_the_certificate():
 
 def test_small_u_power_law_case1():
     # near u -> 0 the residue at beta = -1/2 dominates: |G| ~ u^{-1/2}
-    ev = MeijerEvaluator(meijer_params(build_case(1), (0,)).symbol, precision=12)
+    ev = MeijerEvaluator(spectral_params(build_case(1), (0,)).symbol, precision=12)
     g1, g2 = ev.eval(1e-9), ev.eval(4e-9)
     assert g1 < 0 and g2 < 0  # negative near zero (Gamma(-1/4) < 0 residue)
     # u^{-1/2} scaling under u -> 4u, subleading term is O(u^{1/4})
@@ -686,9 +692,9 @@ def test_bergman_norm_fails_with_a_graded_coefficient_off(monkeypatch):
     real = kernel.c_sequence
 
     def c_1_off(case, q, m_max):
-        ks = real(case, q, m_max)
-        ks.coeffs[1] *= 1 + F(1, 10**8)
-        return ks
+        coeffs = real(case, q, m_max)
+        coeffs[1] *= 1 + F(1, 10**8)
+        return coeffs
 
     monkeypatch.setattr(kernel, "c_sequence", c_1_off)
     rep = bergman_norm_case1(0, [(1, {0: 1.0})])
@@ -835,7 +841,7 @@ def test_moment_evaluators_take_one_gamma_per_class_and_series_per_shift(monkeyp
 
     from focklab.checks import MOMENT_MATRIX, feasible_pairs
 
-    assert sum(len(meijer_params(case, q).symbol._reduced[0])
+    assert sum(len(spectral_params(case, q).symbol._reduced[0])
                for case, q in feasible_pairs()) == 52  # Gammas per point, 144 plain
     complex_calls = []
 
@@ -850,7 +856,7 @@ def test_moment_evaluators_take_one_gamma_per_class_and_series_per_shift(monkeyp
     for cache in (kernel._contour_table, kernel._residues, kernel._log_line_l1):
         cache.cache_clear()
     for case, q in MOMENT_MATRIX:
-        MeijerEvaluator(meijer_params(case, q).symbol, precision=12).moment(0)
+        MeijerEvaluator(spectral_params(case, q).symbol, precision=12).moment(0)
     assert 0 < sum(complex_calls) <= 214
     assert kernel._residues.cache_info().misses == 3
 
@@ -875,7 +881,7 @@ def test_integer_recurrences_match_their_fraction_oracles():
     from focklab.checks import feasible_pairs
 
     for case, q in feasible_pairs():
-        symbol = meijer_params(case, q).symbol
+        symbol = spectral_params(case, q).symbol
         rel = symbol.shifted(-min(symbol.b))
         lam, coeffs = kernel._asymptotic(rel)
         assert (lam, coeffs.tolist()) == _asymptotic_oracle(rel), (case.label, q)
@@ -900,7 +906,7 @@ def test_an_infinite_moment_bound_fails_every_reader(monkeypatch, capsys):
 
     monkeypatch.setattr(MeijerEvaluator, "_aliasing", lambda self, m: math.inf)
     reports = [r for e in checks.select(("meijer", "bergman"))
-               if e.name in ("meijer.moments", "bergman.case1") for r in checks.run_entry(e, {})]
+               if e.name in ("meijer.moments", "bergman.case1") for r in checks.run_entry(e)]
     bounded = [r for r in reports if r.id.startswith(("meijer.moment.", "bergman."))]
     assert len(bounded) == 6 * 6 + 3
     for r in bounded:

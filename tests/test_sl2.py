@@ -106,7 +106,7 @@ def test_eta0_check_fails_on_a_wrong_solver(monkeypatch, mutate, failing):
     from focklab import checks
 
     entries = [e for e in checks.select(("sl2",)) if e.name == "sl2.eta0"]
-    run = lambda: [r for e in entries for r in checks.run_entry(e, {})]
+    run = lambda: [r for e in entries for r in checks.run_entry(e)]
     assert {r.status for r in run()} == {"pass"}
     real = sl2.solve_eta0
     monkeypatch.setattr(sl2, "solve_eta0", lambda case: mutate(real(case)))
@@ -249,7 +249,7 @@ def test_pm_identity_fails_with_a_factor_constant_off_by_half(monkeypatch, prop)
     real = getattr(SimpleFactorDescriptor, prop).fget
     monkeypatch.setattr(SimpleFactorDescriptor, prop, property(lambda f: real(f) + F(1, 2)))
     for e in entries:
-        (rep,) = checks.run_entry(e, {})
+        (rep,) = checks.run_entry(e)
         assert rep.status == "fail" and rep.residual.endswith(" terms"), rep
 
 

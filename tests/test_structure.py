@@ -122,16 +122,17 @@ def test_bracket_closure_small_cases():
 
 
 def test_translate_span_examples():
-    assert translate_span_dim(build_case(1))[0] == 5
-    assert translate_span_dim(build_case(5))[0] == 16
-    assert translate_span_dim(build_case(3))[0] == 9
+    assert translate_span_dim(q_polynomial(build_case(1)))[0] == 5
+    assert translate_span_dim(q_polynomial(build_case(5)))[0] == 16
+    assert translate_span_dim(q_polynomial(build_case(3)))[0] == 9
 
 
 def test_translate_span_graded_ranks():
-    assert translate_span_dim(build_case(9, variant="c")) == (128, [1, 28, 70, 28, 1])
+    assert translate_span_dim(q_polynomial(build_case(9, variant="c"))) == (
+        128, [1, 28, 70, 28, 1])
     assert len(STRUCTURE_ROWS) == 19
     for case in STRUCTURE_ROWS:
-        dim_w, graded = translate_span_dim(case)
+        dim_w, graded = translate_span_dim(q_polynomial(case))
         assert graded[:2] == [1, case.dim_v], case.label
         assert graded == graded[::-1], case.label  # Gorenstein symmetry
         assert dim_w == sum(graded)
@@ -169,8 +170,9 @@ def test_translate_span_takes_no_zero_derivative(monkeypatch):
             zero_calls.append(idx)
         return d
 
+    q = q_polynomial(build_case(9, variant="c"))
     monkeypatch.setattr(MultiPoly, "diff", counted)
-    assert translate_span_dim(build_case(9, variant="c")) == (128, [1, 28, 70, 28, 1])
+    assert translate_span_dim(q) == (128, [1, 28, 70, 28, 1])
     assert calls and not zero_calls
 
 
@@ -186,7 +188,7 @@ def test_translates_lie_in_derivative_span(case):
             for i in alpha:
                 p = p.diff(i)
             span.add(p.terms)
-    assert span.dim == translate_span_dim(case)[0]
+    assert span.dim == translate_span_dim(q)[0]
     for a in ([1] * n, list(range(-2, n - 2)), [(-1) ** i * (i + 3) for i in range(n)]):
         assert span.contains(q.shift([-x for x in a]).terms)
 
@@ -224,7 +226,7 @@ def test_dimension_check_fails_without_euler_identity(monkeypatch):
 
 def test_dimension_check_fails_without_symmetry(monkeypatch):
     # right total (12) but not palindromic: the Gorenstein check must catch it
-    monkeypatch.setattr(structure, "translate_span_dim", lambda case: (12, [1, 3, 5, 2, 1]))
+    monkeypatch.setattr(structure, "translate_span_dim", lambda q_poly: (12, [1, 3, 5, 2, 1]))
     rep = check_g_dimension(build_case(4))
     assert rep.status == "fail" and "not palindromic" in rep.details
     assert rep.residual == "W not palindromic"
